@@ -1,9 +1,10 @@
 """Obstruction pipeline producing machine-checkable "not norming" certificates.
 
-A certificate names the obstruction, carries a finite witness that replays
-through the originating operation, and logs which pipeline stages ran, were
-skipped, or hit a cap.  The pipeline is sound but deliberately incomplete:
-``NoObstructionFound`` never claims the graph is norming.
+A certificate names the obstruction and the rule behind it, carries a finite
+witness (family rules may cite the paper instead), and logs which pipeline
+stages ran, were skipped, or hit a cap.  The pipeline is sound but
+deliberately incomplete: ``NoObstructionFound`` never claims the graph is
+norming.
 
 Stage order: star-exception classification, Eulerian degrees, biregularity,
 edge-transitivity, balanced-colouring existence, arithmetic shortcuts for
@@ -26,12 +27,7 @@ from .arithmetic import (
     kneser_integrality_test,
 )
 from .config import DEFAULT, RunConfig
-from .cycles import (
-    FourCycleProfile,
-    _classify_cycle,
-    _is_alternating,
-    enumerate_cycles,
-)
+from .cycles import _profile, _scan_colourings, enumerate_cycles
 from .errors import (
     CapExceeded,
     DegenerateParameters,
@@ -154,7 +150,8 @@ def _star_exception(g: BipartiteGraph) -> Optional[dict]:
 
 @dataclass
 class _CountingRefs:
-    girth: int
+    girth_cycles: tuple[tuple[int, ...], ...]
+    four_cycles: tuple[tuple[int, ...], ...]
     kappa_max: int
     pattern_max: Optional[int]     # None when there are no 4-cycles
     scan: str                       # "all-colourings" or "balanced-only"
@@ -162,11 +159,12 @@ class _CountingRefs:
     pattern_argmax: Optional[tuple[int, ...]]
 
 
-def _profile_for(colours, four_cycles) -> FourCycleProfile:
-    counts = [0, 0, 0, 0]
-    for cyc in four_cycles:
-        counts[_classify_cycle(colours, cyc) - 1] += 1
-    return FourCycleProfile(*counts)
+def _profiles(colours, girth_cycles, four_cycles) -> tuple:
+    """(girth-cycle profile, 4-cycle profile); one pass when the girth is 4."""
+    girth_profile = _profile(colours, girth_cycles)
+    if four_cycles is girth_cycles:
+        return girth_profile, girth_profile
+    return girth_profile, _profile(colours, four_cycles)
 
 
 def _counting_refs(
@@ -185,50 +183,37 @@ def _counting_refs(
     girth_cycles = enumerate_cycles(g, gv, config).edge_cycles
     four_cycles = girth_cycles if gv == 4 else enumerate_cycles(g, 4, config).edge_cycles
 
-    def kappa(colours) -> int:
-        return sum(1 for cyc in girth_cycles if _is_alternating(colours, cyc))
-
-    def pattern(colours) -> int:
-        return _profile_for(colours, four_cycles).pattern_score
+    def score(colours) -> tuple[int, int]:
+        girth_profile, four_profile = _profiles(colours, girth_cycles, four_cycles)
+        return girth_profile.c1, four_profile.pattern_score
 
     if g.n_edges <= min(config.cap_colourings, 16):
-        pool = (tuple(bits) for bits in product((0, 1), repeat=g.n_edges))
         scan = "all-colourings"
+        (k_best, k_arg), (p_best, p_arg) = _scan_colourings(g.n_edges, score, config)
     else:
-        pool = (c.colours for c in balanced)
+        # first strict maximum in enumeration order
         scan = "balanced-only"
-    k_best, k_arg, p_best, p_arg = -1, None, None, None
-    for colours in pool:
-        kv = kappa(colours)
-        if kv > k_best:
-            k_best, k_arg = kv, colours
-        if four_cycles:
-            pv = pattern(colours)
+        k_best = p_best = None
+        for c in balanced:
+            kv, pv = score(c.colours)
+            if k_best is None or kv > k_best:
+                k_best, k_arg = kv, c.colours
             if p_best is None or pv > p_best:
-                p_best, p_arg = pv, colours
-    return _CountingRefs(gv, k_best, p_best, scan, k_arg, p_arg)
+                p_best, p_arg = pv, c.colours
+    if not four_cycles:
+        p_best = p_arg = None
+    return _CountingRefs(girth_cycles, four_cycles, k_best, p_best, scan, k_arg, p_arg)
 
 
-def _counting_failures(
-    g: BipartiteGraph,
-    colours: tuple[int, ...],
-    refs: _CountingRefs,
-    girth_cycles,
-    four_cycles,
-) -> list[str]:
+def _counting_failures(colours: tuple[int, ...], refs: _CountingRefs) -> list[str]:
+    girth_profile, four_profile = _profiles(colours, refs.girth_cycles, refs.four_cycles)
     fails = []
-    half = refs.girth // 2
-    for cyc in girth_cycles:
-        ones = sum(colours[i] for i in cyc)
-        if ones not in (0, half, refs.girth):
-            fails.append("girth-cycle-law")
-            break
-    kv = sum(1 for cyc in girth_cycles if _is_alternating(colours, cyc))
-    if kv < refs.kappa_max:
+    if girth_profile.c4:
+        fails.append("girth-cycle-law")
+    if girth_profile.c1 < refs.kappa_max:
         fails.append("kappa")
-    if refs.pattern_max is not None:
-        if _profile_for(colours, four_cycles).pattern_score < refs.pattern_max:
-            fails.append("pattern")
+    if refs.pattern_max is not None and four_profile.pattern_score < refs.pattern_max:
+        fails.append("pattern")
     return fails
 
 
@@ -243,8 +228,8 @@ def certify_not_norming(
     """Run the obstruction pipeline on one graph.
 
     ``family_hint`` may name ("kneser", n, r) or ("inclusion", n, k, r)
-    parameters to unlock arithmetic shortcuts; the hint is verified against
-    the graph before use whenever that is feasible.
+    parameters to unlock arithmetic shortcuts; the hint is used only after
+    the graph is proved isomorphic to the hinted family's graph.
     """
     if g.n_edges == 0:
         raise OutOfRange("cannot certify an empty graph")
@@ -334,9 +319,7 @@ def certify_not_norming(
         )
 
     perms = [a.edge_permutation(g) for a in autos]
-    transitive = [
-        c for c in balanced if symmetry._transitive_under(g, c, autos, perms)
-    ]
+    transitive = [c for c in balanced if symmetry._transitive_under(g, c, perms)]
     stages.ran("transitive-colourings", balanced=len(balanced),
                transitive=len(transitive))
     if not transitive:
@@ -358,26 +341,17 @@ def certify_not_norming(
             surviving=[list(c.colours) for c in transitive[:10]],
             side_swap=side_swap, stages=stages.log, cap_hit=True,
         )
-    gv = refs.girth
-    girth_cycles = enumerate_cycles(g, gv, config).edge_cycles
-    four_cycles = girth_cycles if gv == 4 else enumerate_cycles(g, 4, config).edge_cycles
-
-    survivors = []
-    failures = {}
-    for c in transitive:
-        fails = _counting_failures(g, c.colours, refs, girth_cycles, four_cycles)
-        if fails:
-            failures[c.colours] = fails
-        else:
-            survivors.append(c)
-    # dichotomy summary over every balanced colouring, not just transitive ones
+    # one pass over every balanced colouring feeds the dichotomy summary and
+    # keeps the failures of the transitive ones
+    failures = {c.colours: None for c in transitive}
     balance_fail_kinds = {"girth-cycle-law": 0, "kappa": 0, "pattern": 0, "none": 0}
     for c in balanced:
-        fails = _counting_failures(g, c.colours, refs, girth_cycles, four_cycles)
-        if fails:
-            balance_fail_kinds[fails[0]] += 1
-        else:
-            balance_fail_kinds["none"] += 1
+        fails = _counting_failures(c.colours, refs)
+        balance_fail_kinds[fails[0] if fails else "none"] += 1
+        if c.colours in failures:
+            failures[c.colours] = fails
+    survivors = [c for c in transitive if not failures[c.colours]]
+    transitive_failures = [(c, f) for c, f in failures.items() if f]
     stages.ran("counting-laws", scan=refs.scan, survivors=len(survivors),
                kappa_max=refs.kappa_max, pattern_max=refs.pattern_max)
 
@@ -390,7 +364,7 @@ def certify_not_norming(
             side_swap=side_swap, stages=stages.log,
         )
 
-    kinds = {k for fails in failures.values() for k in fails}
+    kinds = {k for _, fails in transitive_failures for k in fails}
     if kinds == {"girth-cycle-law"}:
         obstruction, rule = "GirthCycleLawViolated", "girth-cycle-colour-law"
     elif "kappa" in kinds:
@@ -403,7 +377,7 @@ def certify_not_norming(
         "kappa_max": refs.kappa_max,
         "kappa_argmax": list(refs.kappa_argmax),
         "transitive_failures": [
-            {"colours": list(c), "fails": f} for c, f in list(failures.items())[:10]
+            {"colours": list(c), "fails": f} for c, f in transitive_failures[:10]
         ],
     }
     if refs.pattern_max is not None:
@@ -422,9 +396,9 @@ def _arithmetic_shortcut(
     config: RunConfig,
 ) -> Optional[Certificate]:
     """Class-membership and integrality shortcuts for hinted set-inclusion
-    parameters.  The hint is only trusted after the graph's shape matches the
-    named family (sizes and degree multisets, plus full isomorphism when the
-    graph is small)."""
+    parameters.  The hint is only trusted once the graph is isomorphic to the
+    named family's graph; when that check exceeds a cap the shortcut is
+    skipped."""
     if not family_hint:
         return None
     hint = list(family_hint)
@@ -449,7 +423,12 @@ def _arithmetic_shortcut(
     if not _same_shape(g, reference):
         stages.skipped("arithmetic-shortcut", "graph does not match hinted family")
         return None
-    if g.n_vertices <= 24 and not symmetry.isomorphic(g, reference, True, config):
+    try:
+        same_graph = symmetry.isomorphic(g, reference, True, config)
+    except CapExceeded:
+        stages.skipped("arithmetic-shortcut", "hint reference too large to verify")
+        return None
+    if not same_graph:
         stages.skipped("arithmetic-shortcut", "graph not isomorphic to hinted family")
         return None
 
@@ -561,7 +540,7 @@ def _hypercube_profiles(d: int, config: RunConfig) -> dict:
     out = {}
     for name, colouring in (("alpha", hypercube_alpha(d, config)),
                             ("beta", hypercube_beta(d, config))):
-        out[name] = _profile_for(colouring.colours, cycles).to_json()
+        out[name] = _profile(colouring.colours, cycles).to_json()
     return out
 
 

@@ -46,10 +46,12 @@ class CycleSet:
 
 @dataclass(frozen=True)
 class FourCycleProfile:
-    """Counts of the four colour patterns a 4-cycle can show.
+    """Counts of the four colour classes of even cycles (see ``_classify_cycle``).
 
-    c1 alternating, c2 monochromatic, c3 adjacent pair of each colour,
-    c4 three edges of one colour and one of the other.
+    c1 alternating, c2 monochromatic, c3 half of each colour but not
+    alternating, c4 anything else.  On 4-cycles c3 is an adjacent pair of
+    each colour and c4 the three-one pattern; on girth cycles c4 counts the
+    girth-law violations.
     """
 
     c1: int
@@ -130,9 +132,26 @@ def enumerate_cycles(
     return CycleSet(length, tuple(edge_cycles), tuple(vertex_cycles))
 
 
-def _is_alternating(colours: tuple[int, ...], cyc: tuple[int, ...]) -> bool:
-    k = len(cyc)
-    return all(colours[cyc[i]] != colours[cyc[(i + 1) % k]] for i in range(k))
+def _classify_cycle(colours, cyc) -> int:
+    """Colour class of one even cycle: 1 alternating, 2 monochromatic,
+    3 half of each colour but not alternating, 4 anything else."""
+    c = [colours[i] for i in cyc]
+    ones = sum(c)
+    if ones == 0 or ones == len(c):
+        return 2
+    if 2 * ones != len(c):
+        return 4
+    # with half the edges coloured 1, the cycle alternates exactly when
+    # every other edge has the same colour
+    return 1 if sum(c[::2]) in (0, ones) else 3
+
+
+def _profile(colours, cycles) -> FourCycleProfile:
+    """Class counts of the given edge-index cycles under a colour tuple."""
+    counts = [0, 0, 0, 0]
+    for cyc in cycles:
+        counts[_classify_cycle(colours, cyc) - 1] += 1
+    return FourCycleProfile(*counts)
 
 
 def kappa_alternating(
@@ -140,30 +159,14 @@ def kappa_alternating(
 ) -> int:
     """Number of colour-alternating cycles of the given length."""
     check_aligned(g, a)
-    cs = enumerate_cycles(g, length, config)
-    return sum(1 for cyc in cs.edge_cycles if _is_alternating(a.colours, cyc))
-
-
-def _classify_cycle(colours, cyc) -> int:
-    """Pattern of one 4-cycle: 1 alternating, 2 mono, 3 adjacent pairs, 4 three-one."""
-    c = [colours[i] for i in cyc]
-    s = sum(c)
-    if s in (0, 4):
-        return 2
-    if s in (1, 3):
-        return 4
-    return 1 if c[0] == c[2] else 3
+    return _profile(a.colours, enumerate_cycles(g, length, config).edge_cycles).c1
 
 
 def classify_4cycles(
     g: BipartiteGraph, a: EdgeColouring, config: RunConfig = DEFAULT
 ) -> FourCycleProfile:
     check_aligned(g, a)
-    cs = enumerate_cycles(g, 4, config)
-    counts = [0, 0, 0, 0]
-    for cyc in cs.edge_cycles:
-        counts[_classify_cycle(a.colours, cyc) - 1] += 1
-    return FourCycleProfile(*counts)
+    return _profile(a.colours, enumerate_cycles(g, 4, config).edge_cycles)
 
 
 @dataclass(frozen=True)
@@ -184,12 +187,9 @@ def check_girth_cycle_law(
     if gval == inf:
         raise ValueError("girth-cycle law needs a graph with a cycle")
     cs = enumerate_cycles(g, int(gval), config)
-    half = int(gval) // 2
-    for ec, vc in zip(cs.edge_cycles, cs.vertex_cycles):
-        ones = sum(a[i] for i in ec)
-        if ones not in (0, half, int(gval)):
-            return LawCheck(False, vc)
-    return LawCheck(True, None)
+    witness = next((vc for ec, vc in zip(cs.edge_cycles, cs.vertex_cycles)
+                    if _classify_cycle(a.colours, ec) == 4), None)
+    return LawCheck(witness is None, witness)
 
 
 def check_two_path_law(g: BipartiteGraph, a: EdgeColouring) -> LawCheck:
@@ -233,29 +233,35 @@ class MaximalityCheck:
         return self.is_max
 
 
-def _scan_colourings(g: BipartiteGraph, score, config: RunConfig):
-    """Maximise a colouring score over all 2^e colourings.
+def _scan_colourings(n_edges: int, score, config: RunConfig):
+    """Maximise each component of a tuple-valued score over all 2^e colourings.
 
-    Only colourings with first edge colour 1 are generated; the score is
-    assumed conjugation-invariant, so the other half is covered implicitly.
-    Returns (best_value, lexicographically least maximiser).
+    Returns one (best value, lexicographically least colouring reaching it)
+    pair per component.  Only colourings with first edge colour 1 are scored:
+    every component must be invariant under flipping all colours, so each
+    value is also reached by the conjugate, which starts with 0 and is
+    therefore the least maximiser when taken from the last scanned one.
     """
-    m = g.n_edges
-    if m > config.cap_colourings:
-        raise CapExceeded("colouring scan", m, config.cap_colourings)
-    if m == 0:
-        empty = EdgeColouring(())
-        return score(empty), empty
-    best = None
-    best_col = None
-    for rest in product((0, 1), repeat=m - 1):
-        col = EdgeColouring((1,) + rest)
-        val = score(col)
-        for cand in (col.conjugate(), col):
-            # conjugate first: it starts with 0, keeping lexicographic ties right
-            if best is None or val > best or (val == best and cand.colours < best_col.colours):
-                best, best_col = val, cand
-    return best, best_col
+    if n_edges > config.cap_colourings:
+        raise CapExceeded("colouring scan", n_edges, config.cap_colourings)
+    if n_edges == 0:
+        return [(value, ()) for value in score(())]
+    rests = product((0, 1), repeat=n_edges - 1)
+    first = next(rests)
+    best = list(score((1,) + first))
+    last = [first] * len(best)
+    for rest in rests:
+        for i, value in enumerate(score((1,) + rest)):
+            if value >= best[i]:
+                best[i], last[i] = value, rest
+    return [(value, (0,) + tuple(1 - b for b in rest))
+            for value, rest in zip(best, last)]
+
+
+def _maximality(a: EdgeColouring, score, n_edges: int, config: RunConfig) -> MaximalityCheck:
+    [(best, best_col)] = _scan_colourings(n_edges, lambda col: (score(col),), config)
+    mine = score(a.colours)
+    return MaximalityCheck(mine >= best, mine, best, EdgeColouring(best_col))
 
 
 def maximizes_kappa_girth(
@@ -266,14 +272,8 @@ def maximizes_kappa_girth(
     gval = girth(g)
     if gval == inf:
         raise ValueError("needs a graph with a cycle")
-    cs = enumerate_cycles(g, int(gval), config)
-
-    def score(col: EdgeColouring) -> int:
-        return sum(1 for cyc in cs.edge_cycles if _is_alternating(col.colours, cyc))
-
-    best, best_col = _scan_colourings(g, score, config)
-    mine = score(a)
-    return MaximalityCheck(mine >= best, mine, best, best_col)
+    cycles = enumerate_cycles(g, int(gval), config).edge_cycles
+    return _maximality(a, lambda col: _profile(col, cycles).c1, g.n_edges, config)
 
 
 def maximizes_c1_plus_c3_minus_c2(
@@ -281,17 +281,9 @@ def maximizes_c1_plus_c3_minus_c2(
 ) -> MaximalityCheck:
     """Does the colouring maximise c1 + c3 - c2 over all colourings?"""
     check_aligned(g, a)
-    cs = enumerate_cycles(g, 4, config)
-
-    def score(col: EdgeColouring) -> int:
-        counts = [0, 0, 0, 0]
-        for cyc in cs.edge_cycles:
-            counts[_classify_cycle(col.colours, cyc) - 1] += 1
-        return counts[0] + counts[2] - counts[1]
-
-    best, best_col = _scan_colourings(g, score, config)
-    mine = score(a)
-    return MaximalityCheck(mine >= best, mine, best, best_col)
+    cycles = enumerate_cycles(g, 4, config).edge_cycles
+    return _maximality(a, lambda col: _profile(col, cycles).pattern_score,
+                       g.n_edges, config)
 
 
 # -- cycle space ----------------------------------------------------------------

@@ -47,15 +47,6 @@ class Automorphism:
                 perm.append(eidx[(b, a)])
         return tuple(perm)
 
-    def colour_action(self, g: BipartiteGraph, a: EdgeColouring) -> Optional[str]:
-        """'preserves', 'reverses', or None if neither."""
-        perm = self.edge_permutation(g)
-        if all(a[perm[i]] == a[i] for i in range(len(perm))):
-            return "preserves"
-        if all(a[perm[i]] == 1 - a[i] for i in range(len(perm))):
-            return "reverses"
-        return None
-
 
 @dataclass(frozen=True)
 class SymmetryReport:
@@ -363,20 +354,6 @@ class ConjugacyVerdict:
         return self.ok
 
 
-def _classified_autos(
-    g: BipartiteGraph, a: EdgeColouring, side_swap: bool, config: RunConfig
-) -> tuple[list[Automorphism], list[Automorphism]]:
-    """Split the automorphism group into colour-preserving and colour-reversing."""
-    preserving, reversing = [], []
-    for auto in _all_automorphisms(g, side_swap, config):
-        action = auto.colour_action(g, a)
-        if action == "preserves":
-            preserving.append(auto)
-        elif action == "reverses":
-            reversing.append(auto)
-    return preserving, reversing
-
-
 def is_self_conjugate(
     g: BipartiteGraph,
     a: EdgeColouring,
@@ -391,32 +368,11 @@ def is_self_conjugate(
     check_aligned(g, a)
     if not is_balanced(g, a):
         return ConjugacyVerdict(False, False, None)
-    _, reversing = _classified_autos(g, a, side_swap, config)
-    if reversing:
-        return ConjugacyVerdict(True, True, reversing[0])
+    for auto in _all_automorphisms(g, side_swap, config):
+        perm = auto.edge_permutation(g)
+        if g.n_edges and all(a[perm[i]] != a[i] for i in range(g.n_edges)):
+            return ConjugacyVerdict(True, True, auto)
     return ConjugacyVerdict(False, True, None)
-
-
-def _orbits_on(indices: list[int], autos: list[Automorphism], g: BipartiteGraph) -> int:
-    """Number of orbits of the given edge indices under the listed maps."""
-    perms = [a.edge_permutation(g) for a in autos]
-    index_set = set(indices)
-    seen: set[int] = set()
-    orbits = 0
-    for i in indices:
-        if i in seen:
-            continue
-        orbits += 1
-        stack = [i]
-        seen.add(i)
-        while stack:
-            x = stack.pop()
-            for p in perms:
-                y = p[x]
-                if y in index_set and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return orbits
 
 
 def is_transitive_colouring(
@@ -426,26 +382,14 @@ def is_transitive_colouring(
     config: RunConfig = DEFAULT,
 ) -> bool:
     """Balanced, and same-colour (resp. opposite-colour) edge pairs are linked
-    by colour-preserving (resp. colour-reversing) automorphisms.
-
-    Equivalent check: the preserving subgroup acts transitively on each colour
-    class and at least one reversing automorphism exists (composing it with
-    preserving maps then reaches every opposite-colour pair).
-    """
+    by colour-preserving (resp. colour-reversing) automorphisms."""
     check_aligned(g, a)
     if not is_balanced(g, a):
         return False
     if g.n_edges == 0:
         return True
-    preserving, reversing = _classified_autos(g, a, side_swap, config)
-    if not reversing:
-        return False
-    ones = [i for i in range(g.n_edges) if a[i] == 1]
-    zeros = [i for i in range(g.n_edges) if a[i] == 0]
-    return (
-        _orbits_on(ones, preserving, g) <= 1
-        and _orbits_on(zeros, preserving, g) <= 1
-    )
+    autos = _all_automorphisms(g, side_swap, config)
+    return _transitive_under(g, a, [auto.edge_permutation(g) for auto in autos])
 
 
 @dataclass(frozen=True)
@@ -479,17 +423,20 @@ def exists_transitive_colouring(
         if max_candidates is not None and tested >= max_candidates:
             return TransitiveSearch(None, False, tested)
         tested += 1
-        if _transitive_under(g, cand, autos, perms):
+        if _transitive_under(g, cand, perms):
             return TransitiveSearch(cand, True, tested)
     return TransitiveSearch(None, True, tested)
 
 
 def _transitive_under(
-    g: BipartiteGraph,
-    a: EdgeColouring,
-    autos: list[Automorphism],
-    perms: list[tuple[int, ...]],
+    g: BipartiteGraph, a: EdgeColouring, perms: list[tuple[int, ...]]
 ) -> bool:
+    """Is the colouring transitive under the group given by its edge permutations?
+
+    Equivalent check: the colour-preserving maps act transitively on each
+    colour class and at least one colour-reversing map exists (composing it
+    with preserving maps then reaches every opposite-colour pair).
+    """
     m = g.n_edges
     preserving, reversing = [], []
     for perm in perms:

@@ -26,7 +26,7 @@ from .arithmetic import (
 )
 from .certify import certify_family, certify_not_norming
 from .config import DEFAULT, RunConfig
-from .cycles import classify_4cycles, enumerate_cycles, kappa_alternating
+from .cycles import _profile, enumerate_cycles, kappa_alternating
 from .constructions import (
     clockwise_tournament,
     colouring_from_tournament,
@@ -118,14 +118,14 @@ def _row_hypercube_identities(config: RunConfig) -> dict:
     q4 = hypercube(4, config)
     cycles = enumerate_cycles(q4, 4, config)
     ok = len(cycles) == 24
-    pa = classify_4cycles(q4, hypercube_alpha(4, config), config)
-    pb = classify_4cycles(q4, hypercube_beta(4, config), config)
+    pa = _profile(hypercube_alpha(4, config).colours, cycles.edge_cycles)
+    pb = _profile(hypercube_beta(4, config).colours, cycles.edge_cycles)
     ok &= (pa.c1, pa.c2, pa.c3, pa.c4) == (16, 8, 0, 0)
     ok &= (pb.c1, pb.c2, pb.c3, pb.c4) == (8, 0, 16, 0)
     scanned = eligible = 0
     for col in iter_balanced_colourings(q4, config):
         scanned += 1
-        prof = classify_4cycles(q4, col, config)
+        prof = _profile(col.colours, cycles.edge_cycles)
         if prof.c4 == 0:
             eligible += 1
             if 4 * prof.c1 + 2 * prof.c3 != 64 or prof.c1 != prof.c2 + 8:

@@ -2,14 +2,19 @@
 
 import pytest
 
+import random
+
+from gnorm.config import RunConfig
 from gnorm.errors import OutOfRange
 from gnorm.graphs import (
     BipartiteGraph,
     EdgeColouring,
+    complete_bipartite,
     cycle,
     disjoint_union,
     star,
 )
+from gnorm.symmetry import isomorphic
 from gnorm.certify import (
     certify_family,
     certify_not_norming,
@@ -103,6 +108,13 @@ class TestGenericPipeline:
         cert = certify_not_norming(g)
         assert cert.obstruction == "NotEdgeTransitive"
 
+    def test_k44_counting_stage(self):
+        cert = certify_not_norming(complete_bipartite(4, 4))
+        assert cert.verdict == "NoObstructionFound"
+        assert cert.stages[-1] == {
+            "stage": "counting-laws", "status": "ran", "scan": "all-colourings",
+            "survivors": 18, "kappa_max": 16, "pattern_max": 28}
+
     def test_stage_log_present(self, c6):
         cert = certify_not_norming(c6)
         names = [s["stage"] for s in cert.stages]
@@ -125,9 +137,8 @@ class TestHypercubes:
         cert = certify_family("hypercube", [4])
         assert cert.verdict == "NotNorming"
         assert cert.obstruction in ("KappaNotMaximal", "FourCyclePatternSuboptimal")
-        dich = cert.witness["dichotomy"]
-        assert dich["none"] == 0
-        assert dich["kappa"] > 0 and dich["pattern"] > 0
+        assert cert.witness["dichotomy"] == {
+            "girth-cycle-law": 2952, "kappa": 12, "pattern": 6, "none": 0}
         assert cert.witness["kappa_max"] == 16
         assert cert.witness["pattern_max"] == 24
 
@@ -273,11 +284,44 @@ class TestArcTransitivity:
         assert tournament_is_arc_transitive(clockwise_tournament(3))
 
 
+def random_four_regular(n: int, seed: int) -> BipartiteGraph:
+    """Union of four edge-disjoint random perfect matchings on n + n vertices."""
+    rng = random.Random(seed)
+    edges: set[tuple[str, str]] = set()
+    for _ in range(4):
+        while True:
+            images = list(range(n))
+            rng.shuffle(images)
+            matching = {(f"a{i}", f"b{j}") for i, j in enumerate(images)}
+            if not matching & edges:
+                edges |= matching
+                break
+    return BipartiteGraph(tuple(f"a{i}" for i in range(n)),
+                          tuple(f"b{j}" for j in range(n)), tuple(sorted(edges)))
+
+
 class TestHints:
     def test_kneser_hint_unlocks_integrality(self):
+        # H(7, 3) has 70 vertices: the hint is trusted only once the graph is
+        # proved isomorphic to the reference, which needs cap_vertices >= 70.
+        # The small group cap stops the automorphism stage early instead of
+        # materialising all 10080 automorphisms, which the shortcut does not need.
         g = bipartite_kneser(7, 3)
-        cert = certify_not_norming(g, ("kneser", 7, 3))
+        cert = certify_not_norming(g, ("kneser", 7, 3),
+                                   RunConfig(cap_vertices=80, cap_group=100))
         assert cert.obstruction == "IntegralityFailure"
+        cert = certify_not_norming(g, ("kneser", 7, 3))
+        assert cert.obstruction != "IntegralityFailure"
+        assert {"stage": "arithmetic-shortcut", "status": "skipped",
+                "reason": "hint reference too large to verify"} in cert.stages
+
+    def test_shape_match_alone_is_not_trusted(self):
+        # same sizes and degrees as H(7, 3), but a different graph
+        g = random_four_regular(35, seed=5)
+        assert not isomorphic(g, bipartite_kneser(7, 3), True, RunConfig(cap_vertices=80))
+        for config in (RunConfig(), RunConfig(cap_vertices=80)):
+            cert = certify_not_norming(g, ("kneser", 7, 3), config)
+            assert cert.obstruction != "IntegralityFailure"
 
     def test_wrong_hint_is_ignored(self, c6):
         cert = certify_not_norming(c6, ("kneser", 7, 3))

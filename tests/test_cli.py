@@ -207,10 +207,15 @@ class TestHintFlag:
         from gnorm.constructions import bipartite_kneser
         gp = tmp_path / "h73.json"
         gp.write_text(json.dumps(graph_to_json(bipartite_kneser(7, 3))))
+        # the hint is checked by an isomorphism test on all 70 vertices
         code, out = run_cli(
-            ["certify", "graph", str(gp), "--hint", "kneser:7:3"], capsys)
+            ["certify", "graph", str(gp), "--hint", "kneser:7:3",
+             "--cap-vertices", "80"], capsys)
         assert code == 0
         assert json.loads(out)["obstruction"] == "IntegralityFailure"
+        code, out = run_cli(
+            ["certify", "graph", str(gp), "--hint", "kneser:7:3"], capsys)
+        assert json.loads(out)["obstruction"] != "IntegralityFailure"
 
 
 class TestSideSwapFlag:

@@ -1,5 +1,6 @@
 """Cycle enumeration against independent oracles, colour laws, maximizers."""
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -10,6 +11,9 @@ from gnorm.config import RunConfig
 from gnorm.errors import CapExceeded
 from gnorm.graphs import BipartiteGraph, EdgeColouring, cycle, star
 from gnorm.cycles import (
+    _classify_cycle,
+    _profile,
+    _scan_colourings,
     check_girth_cycle_law,
     check_two_path_law,
     classify_4cycles,
@@ -111,6 +115,18 @@ class TestClassification:
         prof = classify_4cycles(c4, EdgeColouring((1, 1, 0, 0)))
         assert (prof.c1, prof.c2, prof.c3, prof.c4) == (0, 0, 1, 0)
 
+    @pytest.mark.parametrize("length", [6, 8])
+    def test_classify_cycle_matches_definitions(self, length):
+        cyc = enumerate_cycles(cycle(length), length).edge_cycles[0]
+        for colours in product((0, 1), repeat=length):
+            c = [colours[i] for i in cyc]
+            alternating = all(c[i] != c[i - 1] for i in range(length))
+            law_holds = sum(c) in (0, length // 2, length)
+            cls = _classify_cycle(colours, cyc)
+            assert (cls == 1) == alternating
+            assert (cls == 2) == (sum(c) in (0, length))
+            assert (cls != 4) == law_holds
+
     def test_components_sum_to_total(self):
         q4 = hypercube(4)
         total = len(enumerate_cycles(q4, 4))
@@ -167,6 +183,28 @@ class TestMaximizers:
         q4 = hypercube(4)
         with pytest.raises(CapExceeded):
             maximizes_kappa_girth(q4, hypercube_alpha(4))
+
+    def test_scan_matches_product_order_oracle(self):
+        # per component: the first strict maximum over all colourings in
+        # product order, i.e. the lexicographically least maximiser
+        rng = random.Random(2)
+        config = RunConfig()
+        for _ in range(30):
+            g = small_bipartite(rng.randrange(1, 2 ** 12), 3, 4)
+            if g is None:
+                continue
+            fours = enumerate_cycles(g, 4).edge_cycles
+            sixes = enumerate_cycles(g, 6).edge_cycles
+
+            def score(colours):
+                return _profile(colours, sixes).c1, _profile(colours, fours).pattern_score
+
+            oracle = [None, None]
+            for colours in product((0, 1), repeat=g.n_edges):
+                for i, value in enumerate(score(colours)):
+                    if oracle[i] is None or value > oracle[i][0]:
+                        oracle[i] = (value, colours)
+            assert _scan_colourings(g.n_edges, score, config) == oracle
 
 
 class TestCycleSpace:
