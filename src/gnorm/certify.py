@@ -21,13 +21,21 @@ from itertools import permutations, product
 from math import comb
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .arithmetic import (
     class_A_membership,
     kneser_admissible,
     kneser_integrality_test,
 )
 from .config import DEFAULT, RunConfig
-from .cycles import _profile, _scan_colourings, enumerate_cycles
+from .cycles import (
+    _class_counts,
+    _pattern_scores,
+    _profile,
+    _scan_colourings,
+    enumerate_cycles,
+)
 from .errors import (
     CapExceeded,
     DegenerateParameters,
@@ -150,8 +158,8 @@ def _star_exception(g: BipartiteGraph) -> Optional[dict]:
 
 @dataclass
 class _CountingRefs:
-    girth_cycles: tuple[tuple[int, ...], ...]
-    four_cycles: tuple[tuple[int, ...], ...]
+    girth_cycles: np.ndarray        # one row of edge indices per cycle
+    four_cycles: np.ndarray         # the same object when the girth is 4
     kappa_max: int
     pattern_max: Optional[int]     # None when there are no 4-cycles
     scan: str                       # "all-colourings" or "balanced-only"
@@ -159,12 +167,13 @@ class _CountingRefs:
     pattern_argmax: Optional[tuple[int, ...]]
 
 
-def _profiles(colours, girth_cycles, four_cycles) -> tuple:
-    """(girth-cycle profile, 4-cycle profile); one pass when the girth is 4."""
-    girth_profile = _profile(colours, girth_cycles)
+def _profiles(matrix: np.ndarray, girth_cycles, four_cycles) -> tuple:
+    """(girth-cycle class counts, 4-cycle class counts) for each row of an
+    int8 colourings matrix; one kernel pass when the girth is 4."""
+    girth_counts = _class_counts(matrix, girth_cycles)
     if four_cycles is girth_cycles:
-        return girth_profile, girth_profile
-    return girth_profile, _profile(colours, four_cycles)
+        return girth_counts, girth_counts
+    return girth_counts, _class_counts(matrix, four_cycles)
 
 
 def _counting_refs(
@@ -180,39 +189,39 @@ def _counting_refs(
     itself the witness).
     """
     gv = int(girth(g))
-    girth_cycles = enumerate_cycles(g, gv, config).edge_cycles
-    four_cycles = girth_cycles if gv == 4 else enumerate_cycles(g, 4, config).edge_cycles
+    girth_cycles = np.array(enumerate_cycles(g, gv, config).edge_cycles, dtype=np.intp)
+    four_cycles = (girth_cycles if gv == 4 else
+                   np.array(enumerate_cycles(g, 4, config).edge_cycles, dtype=np.intp))
 
-    def score(colours) -> tuple[int, int]:
-        girth_profile, four_profile = _profiles(colours, girth_cycles, four_cycles)
-        return girth_profile.c1, four_profile.pattern_score
+    def score(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        girth_counts, four_counts = _profiles(matrix, girth_cycles, four_cycles)
+        return girth_counts[:, 0], _pattern_scores(four_counts)
 
     if g.n_edges <= min(config.cap_colourings, 16):
         scan = "all-colourings"
         (k_best, k_arg), (p_best, p_arg) = _scan_colourings(g.n_edges, score, config)
     else:
-        # first strict maximum in enumeration order
+        # first strict maximum in enumeration order, in one matrix pass
         scan = "balanced-only"
-        k_best = p_best = None
-        for c in balanced:
-            kv, pv = score(c.colours)
-            if k_best is None or kv > k_best:
-                k_best, k_arg = kv, c.colours
-            if p_best is None or pv > p_best:
-                p_best, p_arg = pv, c.colours
-    if not four_cycles:
+        kv, pv = score(np.array([c.colours for c in balanced], dtype=np.int8))
+        k, p = int(np.argmax(kv)), int(np.argmax(pv))
+        k_best, k_arg = int(kv[k]), balanced[k].colours
+        p_best, p_arg = int(pv[p]), balanced[p].colours
+    if not len(four_cycles):
         p_best = p_arg = None
     return _CountingRefs(girth_cycles, four_cycles, k_best, p_best, scan, k_arg, p_arg)
 
 
 def _counting_failures(colours: tuple[int, ...], refs: _CountingRefs) -> list[str]:
-    girth_profile, four_profile = _profiles(colours, refs.girth_cycles, refs.four_cycles)
+    row = np.array([colours], dtype=np.int8)
+    girth_counts, four_counts = _profiles(row, refs.girth_cycles, refs.four_cycles)
+    pattern = _pattern_scores(four_counts)[0]
     fails = []
-    if girth_profile.c4:
+    if girth_counts[0, 3]:
         fails.append("girth-cycle-law")
-    if girth_profile.c1 < refs.kappa_max:
+    if girth_counts[0, 0] < refs.kappa_max:
         fails.append("kappa")
-    if refs.pattern_max is not None and four_profile.pattern_score < refs.pattern_max:
+    if refs.pattern_max is not None and pattern < refs.pattern_max:
         fails.append("pattern")
     return fails
 
@@ -318,7 +327,7 @@ def certify_not_norming(
             side_swap=side_swap, stages=stages.log, cap_hit=True,
         )
 
-    perms = [a.edge_permutation(g) for a in autos]
+    perms = symmetry._edge_table(g, autos)
     transitive = [c for c in balanced if symmetry._transitive_under(g, c, perms)]
     stages.ran("transitive-colourings", balanced=len(balanced),
                transitive=len(transitive))
@@ -507,8 +516,9 @@ def _certify_hypercube(d: int, config: RunConfig) -> Certificate:
         cert.family = fam
         if d == 4:
             cert.rule = cert.rule or "hypercube-family"
-            cert.witness["alpha_profile"] = _hypercube_profiles(4, config)["alpha"]
-            cert.witness["beta_profile"] = _hypercube_profiles(4, config)["beta"]
+            profiles = _hypercube_profiles(4, config)
+            cert.witness["alpha_profile"] = profiles["alpha"]
+            cert.witness["beta_profile"] = profiles["beta"]
         return cert
     if d % 2 == 1:
         return Certificate(

@@ -10,9 +10,10 @@ maximality checks, and the GF(2) cycle-space tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import inf
 from typing import Optional
+
+import numpy as np
 
 from .config import DEFAULT, RunConfig
 from .errors import CapExceeded
@@ -132,26 +133,55 @@ def enumerate_cycles(
     return CycleSet(length, tuple(edge_cycles), tuple(vertex_cycles))
 
 
-def _classify_cycle(colours, cyc) -> int:
-    """Colour class of one even cycle: 1 alternating, 2 monochromatic,
-    3 half of each colour but not alternating, 4 anything else."""
-    c = [colours[i] for i in cyc]
-    ones = sum(c)
-    if ones == 0 or ones == len(c):
-        return 2
-    if 2 * ones != len(c):
-        return 4
+def _cycle_classes(matrix: np.ndarray, cycles) -> np.ndarray:
+    """Colour class of every cycle under every row of an int8 colourings matrix.
+
+    ``cycles`` holds the edge indices of equal-length even cycles, one cycle
+    per row.  The ``(rows x cycles)`` int8 result is 1 alternating,
+    2 monochromatic, 3 half of each colour but not alternating, 4 anything
+    else.
+    """
+    cycles = np.asarray(cycles, dtype=np.intp)
+    if cycles.size == 0:
+        return np.zeros((len(matrix), len(cycles)), dtype=np.int8)
+    length = cycles.shape[1]
+    edge_colours = matrix[:, cycles]
+    ones = edge_colours.sum(axis=2, dtype=np.int16)
     # with half the edges coloured 1, the cycle alternates exactly when
     # every other edge has the same colour
-    return 1 if sum(c[::2]) in (0, ones) else 3
+    every_other = edge_colours[:, :, ::2].sum(axis=2, dtype=np.int16)
+    half = 2 * ones == length
+    classes = np.full(ones.shape, 4, dtype=np.int8)
+    classes[half] = 3
+    classes[half & ((every_other == 0) | (every_other == ones))] = 1
+    classes[(ones == 0) | (ones == length)] = 2
+    return classes
+
+
+def _class_counts(matrix: np.ndarray, cycles) -> np.ndarray:
+    """``(rows x 4)`` counts of the four cycle classes under each row."""
+    classes = _cycle_classes(matrix, cycles)
+    return (classes[:, :, None] == np.arange(1, 5, dtype=np.int8)).sum(axis=1)
+
+
+def _pattern_scores(counts: np.ndarray) -> np.ndarray:
+    """c1 + c3 - c2 for each row of ``_class_counts``."""
+    return counts[:, 0] + counts[:, 2] - counts[:, 1]
+
+
+def _row(colours) -> np.ndarray:
+    """One colouring as a one-row int8 colourings matrix."""
+    return np.array([colours], dtype=np.int8)
+
+
+def _classify_cycle(colours, cyc) -> int:
+    """Colour class of one even cycle (see ``_cycle_classes``)."""
+    return int(_cycle_classes(_row(colours), [cyc])[0, 0])
 
 
 def _profile(colours, cycles) -> FourCycleProfile:
     """Class counts of the given edge-index cycles under a colour tuple."""
-    counts = [0, 0, 0, 0]
-    for cyc in cycles:
-        counts[_classify_cycle(colours, cyc) - 1] += 1
-    return FourCycleProfile(*counts)
+    return FourCycleProfile(*(int(c) for c in _class_counts(_row(colours), cycles)[0]))
 
 
 def kappa_alternating(
@@ -187,9 +217,10 @@ def check_girth_cycle_law(
     if gval == inf:
         raise ValueError("girth-cycle law needs a graph with a cycle")
     cs = enumerate_cycles(g, int(gval), config)
-    witness = next((vc for ec, vc in zip(cs.edge_cycles, cs.vertex_cycles)
-                    if _classify_cycle(a.colours, ec) == 4), None)
-    return LawCheck(witness is None, witness)
+    violations = np.flatnonzero(_cycle_classes(_row(a.colours), cs.edge_cycles)[0] == 4)
+    if violations.size:
+        return LawCheck(False, cs.vertex_cycles[violations[0]])
+    return LawCheck(True, None)
 
 
 def check_two_path_law(g: BipartiteGraph, a: EdgeColouring) -> LawCheck:
@@ -233,34 +264,48 @@ class MaximalityCheck:
         return self.is_max
 
 
-def _scan_colourings(n_edges: int, score, config: RunConfig):
-    """Maximise each component of a tuple-valued score over all 2^e colourings.
+# rows per scored chunk of the full colouring scan: keeps the kernel's
+# (rows x cycles x length) int8 gather near 100 KiB on K_{4,4}
+_SCAN_CHUNK_BITS = 9
 
-    Returns one (best value, lexicographically least colouring reaching it)
-    pair per component.  Only colourings with first edge colour 1 are scored:
-    every component must be invariant under flipping all colours, so each
-    value is also reached by the conjugate, which starts with 0 and is
-    therefore the least maximiser when taken from the last scanned one.
+
+def _scan_colourings(n_edges: int, score, config: RunConfig):
+    """Maximise each component of a vector-valued score over all 2^e colourings.
+
+    ``score`` maps an int8 ``(colourings x edges)`` matrix to a tuple of
+    integer vectors, one entry per row.  Returns one (best value,
+    lexicographically least colouring reaching it) pair per component.  Only
+    colourings with first edge colour 1 are scored, in product order and in
+    chunks of ``2**_SCAN_CHUNK_BITS`` rows: every component must be invariant
+    under flipping all colours, so each value is also reached by the
+    conjugate, which starts with 0 and is therefore the least maximiser when
+    taken from the last scanned one.
     """
     if n_edges > config.cap_colourings:
         raise CapExceeded("colouring scan", n_edges, config.cap_colourings)
     if n_edges == 0:
-        return [(value, ()) for value in score(())]
-    rests = product((0, 1), repeat=n_edges - 1)
-    first = next(rests)
-    best = list(score((1,) + first))
-    last = [first] * len(best)
-    for rest in rests:
-        for i, value in enumerate(score((1,) + rest)):
-            if value >= best[i]:
-                best[i], last[i] = value, rest
-    return [(value, (0,) + tuple(1 - b for b in rest))
-            for value, rest in zip(best, last)]
+        return [(int(values[0]), ()) for values in score(np.zeros((1, 0), np.int8))]
+    free = n_edges - 1
+    low = min(free, _SCAN_CHUNK_BITS)
+    chunk = np.zeros((1 << low, n_edges), dtype=np.int8)
+    chunk[:, 0] = 1
+    offsets = np.arange(1 << low)
+    for bit in range(low):
+        chunk[:, n_edges - 1 - bit] = offsets >> bit & 1
+    best: dict[int, tuple] = {}   # component -> (value, last row reaching it)
+    for high in range(1 << (free - low)):
+        for bit in range(free - low):
+            chunk[:, n_edges - 1 - low - bit] = high >> bit & 1
+        for i, values in enumerate(score(chunk)):
+            last = len(values) - 1 - int(np.argmax(values[::-1]))
+            if i not in best or values[last] >= best[i][0]:
+                best[i] = (int(values[last]), chunk[last].copy())
+    return [(value, tuple(int(c) for c in 1 - row)) for value, row in best.values()]
 
 
 def _maximality(a: EdgeColouring, score, n_edges: int, config: RunConfig) -> MaximalityCheck:
-    [(best, best_col)] = _scan_colourings(n_edges, lambda col: (score(col),), config)
-    mine = score(a.colours)
+    [(best, best_col)] = _scan_colourings(n_edges, lambda m: (score(m),), config)
+    mine = int(score(_row(a.colours))[0])
     return MaximalityCheck(mine >= best, mine, best, EdgeColouring(best_col))
 
 
@@ -273,7 +318,7 @@ def maximizes_kappa_girth(
     if gval == inf:
         raise ValueError("needs a graph with a cycle")
     cycles = enumerate_cycles(g, int(gval), config).edge_cycles
-    return _maximality(a, lambda col: _profile(col, cycles).c1, g.n_edges, config)
+    return _maximality(a, lambda m: _class_counts(m, cycles)[:, 0], g.n_edges, config)
 
 
 def maximizes_c1_plus_c3_minus_c2(
@@ -282,7 +327,7 @@ def maximizes_c1_plus_c3_minus_c2(
     """Does the colouring maximise c1 + c3 - c2 over all colourings?"""
     check_aligned(g, a)
     cycles = enumerate_cycles(g, 4, config).edge_cycles
-    return _maximality(a, lambda col: _profile(col, cycles).pattern_score,
+    return _maximality(a, lambda m: _pattern_scores(_class_counts(m, cycles)),
                        g.n_edges, config)
 
 

@@ -6,12 +6,20 @@ images, pruned by iterated degree/neighbourhood refinement.  With
 graph is treated as a usual undirected graph; the strict mode restricts to
 side-preserving maps.  Groups at the supported scale are small enough to
 materialise, which keeps every orbit question exact and trivially checkable.
+
+A materialised group is turned once into an ``(automorphisms x edges)`` edge
+table: row ``k`` maps edge ``i`` to edge ``table[k, i]``.  Because the rows are
+the whole group, an orbit is the set of distinct entries in one column (of
+this table, or of the vertex image table for vertex orbits), and the colouring
+checks are array passes over the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .config import DEFAULT, RunConfig
 from .errors import CapExceeded
@@ -227,6 +235,25 @@ def _all_automorphisms(
     return autos
 
 
+def _edge_table(g: BipartiteGraph, autos: list[Automorphism]) -> np.ndarray:
+    """``(automorphisms x edges)`` table: row k maps edge i to ``table[k, i]``.
+
+    Row k agrees with ``autos[k].edge_permutation(g)``.  The entries are
+    ``intp``, so indexing a colour vector with the table needs no cast.
+    """
+    vidx = g.vertex_index
+    ends = [(vidx[x], vidx[y]) for x, y in g.edges]
+    edge_at = np.zeros((g.n_vertices, g.n_vertices), dtype=np.intp)
+    for i, (x, y) in enumerate(ends):
+        edge_at[x, y] = edge_at[y, x] = i
+    images = np.array([a.images for a in autos], dtype=np.int32)
+    table = np.empty((len(autos), g.n_edges), dtype=np.intp)
+    # one column at a time, so the index temporaries stay one column long
+    for i, (x, y) in enumerate(ends):
+        table[:, i] = edge_at[images[:, x], images[:, y]]
+    return table
+
+
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(b[a[i]] for i in range(len(a)))
 
@@ -265,34 +292,15 @@ def automorphisms(
 ) -> SymmetryReport:
     """Exact automorphism group: generators, order, and transitivity flags."""
     autos = _all_automorphisms(g, side_swap, config)
-    vidx = g.vertex_index
-
-    edge_keys = [frozenset((vidx[u], vidx[v])) for u, v in g.edges]
-    key_pos = {k: i for i, k in enumerate(edge_keys)}
-    eorbit = list(range(g.n_edges))
-
-    def find(x, parent):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    vorbit = list(range(g.n_vertices))
-    for a in autos:
-        for i, k in enumerate(edge_keys):
-            x, y = tuple(k)
-            img = frozenset((a.images[x], a.images[y]))
-            j = key_pos[img]
-            ri, rj = find(i, eorbit), find(j, eorbit)
-            if ri != rj:
-                eorbit[ri] = rj
-        for v in range(g.n_vertices):
-            rv, rw = find(v, vorbit), find(a.images[v], vorbit)
-            if rv != rw:
-                vorbit[rv] = rw
-
-    edge_transitive = len({find(i, eorbit) for i in range(g.n_edges)}) <= 1
-    vertex_transitive = len({find(v, vorbit) for v in range(g.n_vertices)}) <= 1
+    # the group is complete, so the images of edge 0 and of vertex 0 are their
+    # orbits: column 0 of the edge and of the vertex image table, read on
+    # their own rather than from a whole (|Aut| x edges) table
+    edge_transitive = vertex_transitive = True
+    if g.n_edges:
+        x, y = (g.vertex_index[v] for v in g.edges[0])
+        edge_orbit = {frozenset((a.images[x], a.images[y])) for a in autos}
+        edge_transitive = len(edge_orbit) == g.n_edges
+        vertex_transitive = len({a.images[0] for a in autos}) == g.n_vertices
     gens = _generators(autos, g.n_vertices)
     return SymmetryReport(
         edge_transitive=edge_transitive,
@@ -368,11 +376,11 @@ def is_self_conjugate(
     check_aligned(g, a)
     if not is_balanced(g, a):
         return ConjugacyVerdict(False, False, None)
-    for auto in _all_automorphisms(g, side_swap, config):
-        perm = auto.edge_permutation(g)
-        if g.n_edges and all(a[perm[i]] != a[i] for i in range(g.n_edges)):
-            return ConjugacyVerdict(True, True, auto)
-    return ConjugacyVerdict(False, True, None)
+    autos = _all_automorphisms(g, side_swap, config)
+    _, reversing = _colour_action(_edge_table(g, autos), a.colours)
+    if not reversing.any():
+        return ConjugacyVerdict(False, True, None)
+    return ConjugacyVerdict(True, True, autos[int(np.argmax(reversing))])
 
 
 def is_transitive_colouring(
@@ -389,7 +397,7 @@ def is_transitive_colouring(
     if g.n_edges == 0:
         return True
     autos = _all_automorphisms(g, side_swap, config)
-    return _transitive_under(g, a, [auto.edge_permutation(g) for auto in autos])
+    return _transitive_under(g, a, _edge_table(g, autos))
 
 
 @dataclass(frozen=True)
@@ -416,8 +424,7 @@ def exists_transitive_colouring(
     """
     from .graphs import iter_balanced_colourings
 
-    autos = _all_automorphisms(g, side_swap, config)
-    perms = [auto.edge_permutation(g) for auto in autos]
+    perms = _edge_table(g, _all_automorphisms(g, side_swap, config))
     tested = 0
     for cand in iter_balanced_colourings(g, config):
         if max_candidates is not None and tested >= max_candidates:
@@ -428,37 +435,31 @@ def exists_transitive_colouring(
     return TransitiveSearch(None, True, tested)
 
 
-def _transitive_under(
-    g: BipartiteGraph, a: EdgeColouring, perms: list[tuple[int, ...]]
-) -> bool:
-    """Is the colouring transitive under the group given by its edge permutations?
+def _colour_action(table: np.ndarray, colours) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks over the rows of an edge table: (colour-preserving,
+    colour-reversing).  With no edges every row counts as preserving only."""
+    col = np.asarray(colours, dtype=np.int8)
+    image = col[table]
+    preserving = (image == col).all(axis=1)
+    return preserving, (image != col).all(axis=1) & ~preserving
 
+
+def _transitive_under(g: BipartiteGraph, a: EdgeColouring, perms: np.ndarray) -> bool:
+    """Is the colouring transitive under the group given by its edge table?
+
+    ``perms`` must be the edge table (``_edge_table``) of the *whole* group.
     Equivalent check: the colour-preserving maps act transitively on each
     colour class and at least one colour-reversing map exists (composing it
-    with preserving maps then reaches every opposite-colour pair).
+    with preserving maps then reaches every opposite-colour pair).  The
+    preserving rows of the whole group form a subgroup, so the images of a
+    class's first edge under them are exactly that edge's orbit.
     """
-    m = g.n_edges
-    preserving, reversing = [], []
-    for perm in perms:
-        if all(a[perm[i]] == a[i] for i in range(m)):
-            preserving.append(perm)
-        elif all(a[perm[i]] == 1 - a[i] for i in range(m)):
-            reversing.append(perm)
-    if not reversing:
+    preserving, reversing = _colour_action(perms, a.colours)
+    if not reversing.any():
         return False
+    col = np.asarray(a.colours, dtype=np.int8)
     for colour in (0, 1):
-        cls = [i for i in range(m) if a[i] == colour]
-        if not cls:
-            continue
-        seen = {cls[0]}
-        stack = [cls[0]]
-        while stack:
-            x = stack.pop()
-            for p in preserving:
-                y = p[x]
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(cls):
+        cls = np.flatnonzero(col == colour)
+        if cls.size and len(set(perms[preserving, cls[0]].tolist())) != cls.size:
             return False
     return True

@@ -18,6 +18,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
+import numpy as np
+
 from .arithmetic import (
     class_A_membership,
     is_prime_power,
@@ -26,7 +28,7 @@ from .arithmetic import (
 )
 from .certify import certify_family, certify_not_norming
 from .config import DEFAULT, RunConfig
-from .cycles import _profile, enumerate_cycles, kappa_alternating
+from .cycles import _class_counts, _profile, enumerate_cycles, kappa_alternating
 from .constructions import (
     clockwise_tournament,
     colouring_from_tournament,
@@ -122,21 +124,19 @@ def _row_hypercube_identities(config: RunConfig) -> dict:
     pb = _profile(hypercube_beta(4, config).colours, cycles.edge_cycles)
     ok &= (pa.c1, pa.c2, pa.c3, pa.c4) == (16, 8, 0, 0)
     ok &= (pb.c1, pb.c2, pb.c3, pb.c4) == (8, 0, 16, 0)
-    scanned = eligible = 0
-    for col in iter_balanced_colourings(q4, config):
-        scanned += 1
-        prof = _profile(col.colours, cycles.edge_cycles)
-        if prof.c4 == 0:
-            eligible += 1
-            if 4 * prof.c1 + 2 * prof.c3 != 64 or prof.c1 != prof.c2 + 8:
-                return {"ok": False, "bad_colouring": list(col.colours)}
+    balanced = [col.colours for col in iter_balanced_colourings(q4, config)]
+    c1, c2, c3, c4 = _class_counts(np.array(balanced, dtype=np.int8), cycles.edge_cycles).T
+    eligible = c4 == 0
+    bad = np.flatnonzero(eligible & ((4 * c1 + 2 * c3 != 64) | (c1 != c2 + 8)))
+    if bad.size:
+        return {"ok": False, "bad_colouring": list(balanced[bad[0]])}
     return {
         "ok": ok,
         "four_cycles": len(cycles),
         "alpha_profile": pa.to_json(),
         "beta_profile": pb.to_json(),
-        "balanced_scanned": scanned,
-        "no_three_one": eligible,
+        "balanced_scanned": len(balanced),
+        "no_three_one": int(eligible.sum()),
     }
 
 

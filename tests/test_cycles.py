@@ -3,16 +3,20 @@
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnorm.config import RunConfig
 from gnorm.errors import CapExceeded
-from gnorm.graphs import BipartiteGraph, EdgeColouring, cycle, star
+from gnorm.graphs import BipartiteGraph, EdgeColouring, complete_bipartite, cycle, star
 from gnorm.cycles import (
+    _SCAN_CHUNK_BITS,
+    _class_counts,
     _classify_cycle,
-    _profile,
+    _cycle_classes,
+    _pattern_scores,
     _scan_colourings,
     check_girth_cycle_law,
     check_two_path_law,
@@ -127,6 +131,34 @@ class TestClassification:
             assert (cls == 2) == (sum(c) in (0, length))
             assert (cls != 4) == law_holds
 
+    @pytest.mark.parametrize("graph, length", [
+        (hypercube(4), 4), (complete_bipartite(4, 4), 4), (complete_bipartite(3, 3), 6),
+    ], ids=["Q4-4", "K44-4", "K33-6"])
+    def test_class_kernel_matches_definitions(self, graph, length):
+        # the four classes written out edge by edge, on random colourings
+        cycles = enumerate_cycles(graph, length).edge_cycles
+        rng = np.random.default_rng(length * graph.n_edges)
+        matrix = rng.integers(0, 2, size=(200, graph.n_edges), dtype=np.int8)
+        matrix[0], matrix[1] = 0, 1     # the monochromatic colourings
+        classes = _cycle_classes(matrix, cycles)
+        assert classes.shape == (200, len(cycles)) and classes.dtype == np.int8
+        for row, colours in zip(classes, matrix.tolist()):
+            want = []
+            for cyc in cycles:
+                c = [colours[i] for i in cyc]
+                if all(c[i] != c[i - 1] for i in range(length)):
+                    want.append(1)
+                elif len(set(c)) == 1:
+                    want.append(2)
+                elif 2 * sum(c) == length:
+                    want.append(3)
+                else:
+                    want.append(4)
+            assert row.tolist() == want, colours
+        counts = _class_counts(matrix, cycles)
+        assert counts.tolist() == [[list(row).count(k) for k in (1, 2, 3, 4)]
+                                   for row in classes.tolist()]
+
     def test_components_sum_to_total(self):
         q4 = hypercube(4)
         total = len(enumerate_cycles(q4, 4))
@@ -196,8 +228,10 @@ class TestMaximizers:
             fours = enumerate_cycles(g, 4).edge_cycles
             sixes = enumerate_cycles(g, 6).edge_cycles
 
-            def score(colours):
-                return _profile(colours, sixes).c1, _profile(colours, fours).pattern_score
+            def score(matrix):
+                matrix = np.atleast_2d(np.asarray(matrix, dtype=np.int8))
+                return (_class_counts(matrix, sixes)[:, 0],
+                        _pattern_scores(_class_counts(matrix, fours)))
 
             oracle = [None, None]
             for colours in product((0, 1), repeat=g.n_edges):
@@ -205,6 +239,23 @@ class TestMaximizers:
                     if oracle[i] is None or value > oracle[i][0]:
                         oracle[i] = (value, colours)
             assert _scan_colourings(g.n_edges, score, config) == oracle
+
+    def test_scan_over_many_chunks_matches_product_order_oracle(self):
+        # K_{4,4}: 2^15 scored rows span many chunks; the oracle scores all
+        # 2^16 colourings in product order and takes each first strict maximum
+        g = complete_bipartite(4, 4)
+        fours = enumerate_cycles(g, 4).edge_cycles
+        assert g.n_edges - 1 > _SCAN_CHUNK_BITS
+
+        def score(matrix):
+            counts = _class_counts(matrix, fours)
+            return (counts[:, 0], _pattern_scores(counts), counts[:, 1], counts[:, 2],
+                    counts[:, 3])
+
+        space = list(product((0, 1), repeat=g.n_edges))
+        oracle = [(int(values.max()), space[int(np.argmax(values))])
+                  for values in score(np.array(space, dtype=np.int8))]
+        assert _scan_colourings(g.n_edges, score, RunConfig()) == oracle
 
 
 class TestCycleSpace:

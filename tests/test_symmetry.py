@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gnorm.config import RunConfig
 from gnorm.errors import CapExceeded
-from gnorm.graphs import BipartiteGraph, EdgeColouring, cycle, path, star
+from gnorm.graphs import BipartiteGraph, EdgeColouring, complete_bipartite, cycle, path, star
 from gnorm.symmetry import (
     automorphisms,
     coloured_isomorphic,
@@ -237,6 +237,33 @@ class TestAdmissibilityLink:
                     assert not exists_transitive_colouring(g).present, (n, r)
 
 
+def _literal_transitive(a: EdgeColouring, perms) -> bool:
+    """Every ordered same-colour edge pair is linked by a colour-preserving
+    edge permutation, every opposite-colour pair by a colour-reversing one,
+    and a colour-reversing one exists."""
+    m = len(a)
+    same = {(i, p[i]) for p in perms if all(a[p[k]] == a[k] for k in range(m))
+            for i in range(m)}
+    flip = {(i, p[i]) for p in perms if all(a[p[k]] != a[k] for k in range(m))
+            for i in range(m)}
+    return bool(flip) and all((i, j) in (same if a[i] == a[j] else flip)
+                              for i in range(m) for j in range(m))
+
+
+def _random_k34_subgraphs(count: int, seed: int, even: bool = False) -> list[BipartiteGraph]:
+    """Seeded random subgraphs of K_{3,4}; with ``even`` only those whose
+    degrees are all even, which is where transitive colourings live."""
+    import random
+    from conftest import small_bipartite
+    rng = random.Random(seed)
+    graphs: list[BipartiteGraph] = []
+    while len(graphs) < count:
+        g = small_bipartite(rng.randrange(1, 2 ** 12), 3, 4)
+        if g is not None and not (even and any(g.degree(v) % 2 for v in g.vertices)):
+            graphs.append(g)
+    return graphs
+
+
 class TestTransitivityLiteralDefinition:
     def test_matches_pairwise_definition_on_all_square_colourings(self):
         # literal check: every ordered same-colour edge pair is linked by a
@@ -265,6 +292,69 @@ class TestTransitivityLiteralDefinition:
                             literal = False
                             break
                 assert is_transitive_colouring(g, a) == literal, a.colours
+
+    @pytest.mark.parametrize("graph", [
+        complete_bipartite(2, 4), complete_bipartite(3, 3), hypercube(3),
+        complete_bipartite(4, 4), *_random_k34_subgraphs(8, seed=11),
+        *_random_k34_subgraphs(4, seed=11, even=True),
+    ], ids=lambda g: f"{len(g.left)}+{len(g.right)}v{g.n_edges}e")
+    def test_edge_table_matches_pairwise_definition(self, graph):
+        # the edge-table kernel against the pairwise definition over the
+        # per-automorphism edge permutations: every colouring up to 12
+        # edges, the balanced ones above
+        from gnorm.config import DEFAULT
+        from gnorm.graphs import is_balanced, iter_balanced_colourings
+        from gnorm.symmetry import _all_automorphisms, _edge_table, _transitive_under
+        autos = _all_automorphisms(graph, True, DEFAULT)
+        perms = [a.edge_permutation(graph) for a in autos]
+        table = _edge_table(graph, autos)
+        assert table.tolist() == [list(p) for p in perms]
+        m = graph.n_edges
+        if m <= 12:
+            colourings = [EdgeColouring(tuple(bits >> i & 1 for i in range(m)))
+                          for bits in range(2 ** m)]
+        else:
+            colourings = list(iter_balanced_colourings(graph))
+        for a in colourings:
+            literal = _literal_transitive(a, perms)
+            assert _transitive_under(graph, a, table) == literal, a.colours
+            assert is_transitive_colouring(graph, a) == (is_balanced(graph, a) and literal)
+
+    @pytest.mark.parametrize("graph", [
+        cycle(6), complete_bipartite(2, 4), *_random_k34_subgraphs(6, seed=12),
+    ], ids=lambda g: f"{len(g.left)}+{len(g.right)}v{g.n_edges}e")
+    def test_report_and_conjugacy_witness_match_permutation_loop(self, graph):
+        # orbits by closure under every automorphism's permutation; the
+        # conjugacy witness is the first colour-reversing automorphism
+        from gnorm.config import DEFAULT
+        from gnorm.graphs import is_balanced
+        from gnorm.symmetry import _all_automorphisms
+
+        def orbit_size(maps) -> int:
+            seen, stack = {0}, [0]
+            while stack:
+                x = stack.pop()
+                for p in maps:
+                    if p[x] not in seen:
+                        seen.add(p[x])
+                        stack.append(p[x])
+            return len(seen)
+
+        autos = _all_automorphisms(graph, True, DEFAULT)
+        perms = [a.edge_permutation(graph) for a in autos]
+        report = automorphisms(graph)
+        assert report.edge_transitive == (orbit_size(perms) == graph.n_edges)
+        assert report.vertex_transitive == (
+            orbit_size([a.images for a in autos]) == graph.n_vertices)
+        m = graph.n_edges
+        for bits in range(2 ** m):
+            a = EdgeColouring(tuple(bits >> i & 1 for i in range(m)))
+            verdict = is_self_conjugate(graph, a)
+            want = next((auto for auto, p in zip(autos, perms)
+                         if all(a[p[i]] != a[i] for i in range(m))), None)
+            if not is_balanced(graph, a):
+                want = None
+            assert verdict.witness == want and verdict.ok == (want is not None)
 
 
 class TestAutomorphismFuzz:
