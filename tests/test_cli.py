@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from gnorm.cli import main
+from gnorm.constructions import hypercube, hypercube_alpha
 from gnorm.graphs import (
     EdgeColouring,
     colouring_to_json,
@@ -47,6 +48,22 @@ class TestCheck:
         report = json.loads(out)
         assert report["eulerian"] and report["biregular"]
         assert report["balanced"] and report["transitive"]
+
+    def test_capped_symmetry_keeps_the_report(self, capsys, tmp_path):
+        # every automorphism search stops at the vertex cap; each is marked
+        # skipped and the structural report still comes out
+        graph, colouring = tmp_path / "q4.json", tmp_path / "q4a.json"
+        graph.write_text(json.dumps(graph_to_json(hypercube(4))))
+        colouring.write_text(json.dumps(colouring_to_json(hypercube_alpha(4))))
+        code, out = run_cli(["check", str(graph), str(colouring), "--cap-vertices", "10"],
+                            capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["vertices"], report["edges"], report["girth"]) == (16, 32, 4)
+        assert report["eulerian"] and report["biregular"] and report["balanced"]
+        skipped = "skipped (automorphism search: needs 16, cap is 10)"
+        for key in ("edge_transitive", "self_conjugate", "transitive"):
+            assert report[key] == skipped
 
     def test_parse_error_exit_code(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -6,16 +6,19 @@ import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnorm import density
 from gnorm.config import RunConfig
 from gnorm.errors import CapExceeded, ShapeMismatch, UnsupportedOrder
 from gnorm.graphs import (
     EdgeColouring,
     complete_bipartite,
     cycle,
+    disjoint_union,
     is_balanced,
     star,
 )
@@ -246,6 +249,170 @@ class TestColouringScans:
                     assert val <= prev + 1e-9  # decreasing towards the max
                 prev = val
             assert rho_2m(c4, f, 16, "transpose") == pytest.approx(q, rel=0.2)
+
+
+def loop_s_max(g, f, mode, method="auto", config=RunConfig()):
+    """The per-colouring loop the sweep replaced: one t_density call per
+    colouring in product order, keeping the first strict maximum."""
+    best, best_col = None, None
+    for bits in product((0, 1), repeat=g.n_edges):
+        val = abs(t_density(g, EdgeColouring(bits), f, mode, method, config))
+        if best is None or val > best:
+            best, best_col = val, EdgeColouring(bits)
+    return best, best_col
+
+
+def loop_rho_2m(g, f, m, mode, method="auto"):
+    """The per-colouring power sum the sweep replaced."""
+    total = sum(t_density(g, EdgeColouring(bits), f, mode, method) ** (2 * m)
+                for bits in product((0, 1), repeat=g.n_edges))
+    return max(total.real, 0.0) ** (1.0 / (2 * m))
+
+
+def sweep_values(g, f, mode, method, config=RunConfig()):
+    """Every colouring's value from the chunked sweep, in product order."""
+    chunks = list(density._sweep(g, f, mode, method, config, "test sweep"))
+    assert [start for start, _ in chunks] == \
+        [sum(len(v) for _, v in chunks[:k]) for k in range(len(chunks))]
+    return np.concatenate([v for _, v in chunks])
+
+
+def _two_cycles():
+    g, _ = disjoint_union([(cycle(4), EdgeColouring((0,) * 4)),
+                           (cycle(6), EdgeColouring((0,) * 6))])
+    return g
+
+
+SWEEP_GRAPHS = {
+    "star1": star(1),
+    "C4": cycle(4),
+    "K23": complete_bipartite(2, 3),
+    "Q3": hypercube(3),
+    "C4+C6": _two_cycles(),
+}
+
+
+class TestSweep:
+    """The chunked colouring sweep against the per-colouring loop."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
+    @pytest.mark.parametrize("mode", ["conjugate", "transpose"])
+    @pytest.mark.parametrize("method", ["direct", "eliminate"])
+    def test_every_value_matches_t_density(self, name, mode, method):
+        g = SWEEP_GRAPHS[name]
+        rng = random.Random(f"{name}:{mode}:{method}")
+        shapes = [(2, 2)] if mode == "transpose" else [(2, 2), (2, 3)]
+        for p, q in shapes:
+            f = rand_kernel(rng, p, q)
+            want = [t_density(g, EdgeColouring(bits), f, mode, method)
+                    for bits in product((0, 1), repeat=g.n_edges)]
+            got = sweep_values(g, f, mode, method)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name, g, p", [
+        ("C8", cycle(8), 3),
+        ("K24", complete_bipartite(2, 4), 5),
+        ("Q3", hypercube(3), 3),
+    ])
+    def test_density_shapes_match_the_loop(self, name, g, p):
+        for seed in range(3):
+            rng = random.Random(f"{name}:{seed}")
+            f = rand_kernel(rng, p, p)
+            res = s_max(g, f)
+            best, best_col = loop_s_max(g, f, "conjugate")
+            assert res.argmax == best_col
+            assert res.value == pytest.approx(best, rel=1e-12)
+        h = StepKernel.from_real(
+            [[rng.uniform(-1, 1) for _ in range(p)] for _ in range(p)])
+        assert rho_2m(g, h, 2, "transpose") == \
+            pytest.approx(loop_rho_2m(g, h, 2, "transpose"), rel=1e-12)
+
+    def test_q3_real_kernel_ties_everywhere(self):
+        # conj(f) = f, so all 4096 colourings give one value and the
+        # lexicographically least maximiser is the all-zeros colouring
+        q3 = hypercube(3)
+        rng = random.Random(21)
+        f = StepKernel.from_real([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(3)])
+        chunks = list(density._sweep(q3, f, "conjugate", "eliminate", RunConfig(), "ties"))
+        assert len(chunks) > 4
+        vals = np.concatenate([v for _, v in chunks])
+        assert len(vals) == 4096 and np.all(vals == vals[0])
+        res = s_max(q3, f, "conjugate", "eliminate")
+        assert res.argmax.colours == (0,) * 12
+        assert res.value == abs(vals[0])
+
+    def test_q3_maximum_in_a_later_chunk(self):
+        # the maximiser (row 710) lies in the fourth chunk, and its
+        # complement, which ties exactly, lies in a later one
+        q3 = hypercube(3)
+        rng = random.Random(0)
+        f = StepKernel(tuple(
+            tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3))
+            for _ in range(3)))
+        starts = [s for s, _ in density._sweep(q3, f, "conjugate", "eliminate",
+                                               RunConfig(), "later")]
+        res = s_max(q3, f, "conjugate", "eliminate")
+        row = int("".join(map(str, res.argmax.colours)), 2)
+        assert row == 710 and row >= starts[3]
+        best, best_col = loop_s_max(q3, f, "conjugate", "eliminate")
+        assert res.argmax == best_col
+        assert res.value == pytest.approx(best, rel=1e-12)
+        assert abs(t_density(q3, res.argmax.conjugate(), f)) == \
+            pytest.approx(res.value, rel=1e-12)
+
+
+class TestSweepCaps:
+    """The sweep raises the loop's caps, with the same numbers, before any
+    contraction."""
+
+    @staticmethod
+    def _no_contraction(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("contracted before the cap was checked")
+        monkeypatch.setattr(density, "_evaluate_direct", refuse)
+        monkeypatch.setattr(density, "_evaluate_eliminate", refuse)
+
+    @staticmethod
+    def _caught(fn, *args):
+        with pytest.raises(CapExceeded) as info:
+            fn(*args)
+        return info.value.stage, info.value.needed, info.value.cap
+
+    def test_colouring_cap(self, c4, monkeypatch):
+        self._no_contraction(monkeypatch)
+        f = StepKernel.constant(1.0, 2, 2)
+        cfg = RunConfig(cap_colourings=3)
+        assert self._caught(s_max, c4, f, "conjugate", "auto", cfg) == \
+            ("colouring maximisation", 4, 3)
+        assert self._caught(rho_2m, c4, f, 1, "transpose", "auto", cfg) == \
+            ("colouring power sum", 4, 3)
+
+    @pytest.mark.parametrize("method, cap", [("direct", 200), ("eliminate", 50)])
+    def test_route_caps_match_the_loop(self, method, cap, monkeypatch):
+        q3 = hypercube(3)
+        p = 2 if method == "direct" else 3
+        f = rand_kernel(random.Random(5), p, p)
+        cfg = RunConfig(cap_assignments=cap)
+        want = self._caught(t_density, q3, EdgeColouring((0,) * 12), f,
+                            "conjugate", method, cfg)
+        assert want[0] == ("direct density evaluation" if method == "direct"
+                           else "elimination width")
+        self._no_contraction(monkeypatch)
+        assert self._caught(s_max, q3, f, "conjugate", method, cfg) == want
+        assert self._caught(rho_2m, q3, f, 1, "conjugate", method, cfg) == want
+
+    @pytest.mark.parametrize("method", ["direct", "eliminate"])
+    def test_caps_count_one_colouring_not_a_chunk(self, method):
+        # a cap equal to one evaluation's widest step lets the sweep run,
+        # though each chunk holds many colourings
+        q3 = hypercube(3)
+        f = rand_kernel(random.Random(6), 2, 2)
+        cap = density._plan(q3, [2] * 8, method, RunConfig()).width
+        cfg = RunConfig(cap_assignments=cap)
+        res = s_max(q3, f, "conjugate", method, cfg)
+        assert res.argmax == loop_s_max(q3, f, "conjugate", method, cfg)[1]
+        with pytest.raises(CapExceeded):
+            s_max(q3, f, "conjugate", method, RunConfig(cap_assignments=cap - 1))
 
 
 class TestTrigDensity:
