@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from math import comb
 from typing import Optional, Sequence
 
@@ -54,6 +54,7 @@ from .constructions import (
     Tournament,
     bipartite_kneser,
     clockwise_tournament,
+    colouring_from_tournament,
     count_directed_cycles,
     hypercube,
     hypercube_alpha,
@@ -700,26 +701,28 @@ def _certify_inclusion(n: int, k: int, r: int, config: RunConfig) -> Certificate
         )
 
 
-def tournament_is_arc_transitive(t: Tournament) -> bool:
-    """Brute-force arc-transitivity over all vertex permutations (n <= 8)."""
-    if t.n > 8:
-        raise CapExceeded("arc-transitivity check", t.n, 8)
-    autos = []
-    arcs = t.arc_set
-    for perm in permutations(range(t.n)):
-        if all((perm[x], perm[y]) in arcs for x, y in arcs):
-            autos.append(perm)
-    start = t.arcs[0]
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        x, y = frontier.pop()
-        for perm in autos:
-            img = (perm[x], perm[y])
-            if img not in orbit:
-                orbit.add(img)
-                frontier.append(img)
-    return len(orbit) == len(arcs)
+def tournament_is_arc_transitive(t: Tournament, config: RunConfig = DEFAULT) -> bool:
+    """Is the automorphism group of ``t`` transitive on its arcs?
+
+    Aut(t) is the colour-preserving, side-preserving automorphism group of
+    ``colouring_from_tournament(t)``, which the coloured search of
+    ``symmetry._iso_maps`` finds, and the arcs are its colour-1 edges (tail
+    to subdivision vertex).  The vertex cap applies to the subdivided K_n,
+    which has n + n(n-1)/2 vertices.
+    """
+    g, a = colouring_from_tournament(t)
+    if g.n_vertices > config.cap_vertices:
+        raise CapExceeded("arc-transitivity check", g.n_vertices, config.cap_vertices)
+    autos = [symmetry.Automorphism(p) for p in symmetry._iso_maps(g, g, False, (a, a))]
+    return _arc_transitive(symmetry._edge_table(g, autos), a)
+
+
+def _arc_transitive(table: np.ndarray, a: EdgeColouring) -> bool:
+    """The colour-1 half of ``symmetry._transitive_under``: do the
+    colour-preserving rows of a group's edge table act transitively on the
+    colour-1 edges (the arcs, for a colouring from a tournament)?"""
+    preserving, _ = symmetry._colour_action(table, a.colours)
+    return symmetry._class_transitive(table, preserving, a.colours, 1)
 
 
 def _certify_subdivision(n: int, config: RunConfig) -> Certificate:
@@ -749,13 +752,18 @@ def _certify_subdivision(n: int, config: RunConfig) -> Certificate:
             "mode": "arithmetic",
         }
         if n == 5:
+            # every tournament's automorphism group is the colour-preserving
+            # part of one group: the side-preserving group of subdivided K5
+            g = subdivided_complete(5)
+            table = symmetry._edge_table(g, symmetry._all_automorphisms(g, False, config))
             found = 0
             scanned = 0
             pair_list = [(i, j) for i in range(5) for j in range(i + 1, 5)]
             for bits in product((0, 1), repeat=len(pair_list)):
                 arcs = [(i, j) if b else (j, i) for (i, j), b in zip(pair_list, bits)]
                 scanned += 1
-                if tournament_is_arc_transitive(Tournament(5, tuple(arcs))):
+                _, a = colouring_from_tournament(Tournament(5, tuple(arcs)))
+                if _arc_transitive(table, a):
                     found += 1
             witness["tournaments_scanned"] = scanned
             witness["arc_transitive_found"] = found

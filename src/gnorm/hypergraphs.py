@@ -1,21 +1,25 @@
 """Uniform hypergraphs: link construction, self-complementarity,
 edge-transitivity, codegrees.
 
-The permutation searches are exhaustive backtracking over vertex images with
-degree-class pruning, exact at the supported scale (vertex cap 12).
+A vertex permutation of a hypergraph is a side-preserving map between
+incidence graphs (vertices on the left, edges on the right), so the
+permutation searches run on the automorphism engine of ``symmetry``; the
+vertices in no edge are permuted among themselves.  They are exact at the
+supported scale (vertex cap 12).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator, Optional
 
 from .config import DEFAULT, RunConfig
 from .errors import CapExceeded, UnknownVertex
 from .graphs import BipartiteGraph, EdgeColouring, check_aligned
 from .constructions import parse_set_id
+from .symmetry import _iso_maps
 
 
 @dataclass(frozen=True)
@@ -91,62 +95,40 @@ def link_hypergraph(
 # -- permutation searches --------------------------------------------------------
 
 
-def _perm_search(
+def _incidence(h: UniformHypergraph, edges) -> tuple[BipartiteGraph, list[int]]:
+    """Incidence graph of ``edges`` over h's vertices, and its left side.
+
+    The vertices that lie in some edge go on the left, in h's order, and one
+    vertex per edge, in sorted order, on the right.  The vertices in no edge
+    are left out, because a ``BipartiteGraph`` has no isolated vertices.
+    """
+    rows = sorted(sorted(e) for e in edges)
+    covered = [v for v in h.vertices if any(v in e for e in edges)]
+    right = tuple(f"e{i}" for i in range(len(rows)))
+    pairs = tuple((str(v), right[i]) for i, e in enumerate(rows) for v in e)
+    return BipartiteGraph(tuple(map(str, covered)), right, pairs), covered
+
+
+def _edge_maps(
     h: UniformHypergraph,
     target_edges: frozenset[frozenset[int]],
     config: RunConfig,
     limit: Optional[int] = None,
 ) -> Iterator[dict[int, int]]:
-    """Vertex bijections carrying h's edges onto target_edges.
+    """Vertex bijections carrying h's edges onto ``target_edges``.
 
-    Prunes by degree class and, at each placement, checks every edge and
-    non-edge of h that lies fully inside the mapped prefix.
+    They are the side-preserving maps between the two incidence graphs
+    (``symmetry._iso_maps``), given on the vertices that lie in some edge.
+    The vertices in no edge (equally many on both sides when a map exists)
+    may go to one another in any way; callers extend the map over them.
     """
     if h.n > config.cap_hypergraph_vertices:
         raise CapExceeded("hypergraph permutation search", h.n,
                           config.cap_hypergraph_vertices)
-    if len(h.edges) != len(target_edges):
-        return
-    tdeg = {v: 0 for v in h.vertices}
-    for e in target_edges:
-        for v in e:
-            tdeg[v] += 1
-    if sorted(h.degree.values()) != sorted(tdeg.values()):
-        return
-    verts = sorted(h.vertices)
-    image: dict[int, int] = {}
-    used: set[int] = set()
-    found = 0
-
-    def consistent(v: int) -> bool:
-        mapped = set(image)
-        for sub in combinations(sorted(mapped - {v}), h.r - 1):
-            e = frozenset(sub) | {v}
-            img = frozenset(image[x] for x in e)
-            if (e in h.edges) != (img in target_edges):
-                return False
-        return True
-
-    def rec(i: int) -> Iterator[dict[int, int]]:
-        nonlocal found
-        if limit is not None and found >= limit:
-            return
-        if i == len(verts):
-            found += 1
-            yield dict(image)
-            return
-        v = verts[i]
-        for w in verts:
-            if w in used or tdeg[w] != h.degree[v]:
-                continue
-            image[v] = w
-            used.add(w)
-            if consistent(v):
-                yield from rec(i + 1)
-            del image[v]
-            used.remove(w)
-
-    yield from rec(0)
+    g1, left1 = _incidence(h, h.edges)
+    g2, left2 = _incidence(h, target_edges)
+    for images in _iso_maps(g1, g2, False, limit=limit):
+        yield {v: left2[images[i]] for i, v in enumerate(left1)}
 
 
 def hypergraph_is_self_complementary(
@@ -160,34 +142,31 @@ def hypergraph_is_self_complementary(
                           config.cap_hypergraph_vertices)
     if len(h.edges) * 2 != comb(h.n, h.r):
         return False
-    return next(_perm_search(h, h.complement().edges, config, limit=1), None) is not None
+    return next(_edge_maps(h, h.complement().edges, config, limit=1), None) is not None
 
 
 def hypergraph_automorphisms(
     h: UniformHypergraph, config: RunConfig = DEFAULT
 ) -> list[dict[int, int]]:
-    return list(_perm_search(h, h.edges, config))
+    """Every automorphism, as a map over all of h's vertices."""
+    isolated = [v for v in h.vertices if not h.degree[v]]
+    return [
+        {**image, **dict(zip(isolated, perm))}
+        for image in _edge_maps(h, h.edges, config)
+        for perm in permutations(isolated)
+    ]
 
 
 def hypergraph_is_edge_transitive(
     h: UniformHypergraph, config: RunConfig = DEFAULT
 ) -> bool:
-    """Single orbit on edges under the full automorphism group."""
+    """Single orbit on edges under the full automorphism group: the images of
+    one edge under every automorphism cover all edges."""
     if not h.edges:
         return True
-    autos = hypergraph_automorphisms(h, config)
-    edges = sorted(h.edges, key=sorted)
-    start = edges[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        e = stack.pop()
-        for auto in autos:
-            img = frozenset(auto[v] for v in e)
-            if img not in seen:
-                seen.add(img)
-                stack.append(img)
-    return len(seen) == len(h.edges)
+    first = min(h.edges, key=sorted)
+    orbit = {frozenset(image[v] for v in first) for image in _edge_maps(h, h.edges, config)}
+    return len(orbit) == len(h.edges)
 
 
 def codegree_profile(h: UniformHypergraph) -> dict[tuple[int, ...], int]:

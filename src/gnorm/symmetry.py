@@ -1,11 +1,15 @@
 """Automorphism search and the colouring-symmetry hierarchy.
 
-The search enumerates the full automorphism group by backtracking over vertex
-images, pruned by iterated degree/neighbourhood refinement.  With
-``side_swap=True`` (the default) maps may exchange the two sides, i.e. the
-graph is treated as a usual undirected graph; the strict mode restricts to
-side-preserving maps.  Groups at the supported scale are small enough to
-materialise, which keeps every orbit question exact and trivially checkable.
+``_iso_maps`` is the package's one search for structure-preserving vertex
+maps.  It backtracks over vertex images in maximum-cardinality-search order,
+pruned by iterated degree/neighbourhood refinement, and can demand that edge
+colours be preserved.  With ``side_swap=True`` (the default) maps may
+exchange the two sides, i.e. the graph is treated as a usual undirected
+graph; the strict mode restricts to side-preserving maps.  Hypergraph
+symmetry runs on it through incidence graphs (``hypergraphs``) and
+tournament symmetry through the subdivision bridge (``certify``).  Groups at
+the supported scale are small enough to materialise, which keeps every orbit
+question exact and trivially checkable.
 
 A materialised group is turned once into an ``(automorphisms x edges)`` edge
 table: row ``k`` maps edge ``i`` to edge ``table[k, i]``.  Because the rows are
@@ -35,10 +39,6 @@ class Automorphism:
     def vertex_map(self, g: BipartiteGraph) -> dict[str, str]:
         verts = g.vertices
         return {verts[i]: verts[j] for i, j in enumerate(self.images)}
-
-    def swaps_sides(self, g: BipartiteGraph) -> bool:
-        nl = len(g.left)
-        return any(j >= nl for j in self.images[:nl])
 
     def edge_permutation(self, g: BipartiteGraph) -> tuple[int, ...]:
         """Edge-index permutation induced by the vertex map."""
@@ -154,24 +154,23 @@ def _iso_maps(
     if sorted(col1) != sorted(col2):
         return
 
-    # Map vertices in a connected (BFS) order starting from the rarest
-    # colour class: each later vertex has a mapped neighbour, so candidates
-    # come from one neighbourhood intersection instead of the whole graph.
+    # Map vertices in maximum-cardinality-search order: next comes the vertex
+    # with the most already-placed neighbours, ties going to the rarest
+    # refined class, then to the index.  Candidates come from the
+    # intersection of the placed neighbours' image neighbourhoods, so the
+    # more of them there are, the fewer candidates survive.  A BFS order
+    # would place every edge at a vertex of an incidence graph before any of
+    # their other ends, each with one placed neighbour, and branch on all.
     class_size = {c: col2.count(c) for c in set(col2)}
+    placed = [0] * n
+    unplaced = set(range(n))
     vorder: list[int] = []
-    seen: set[int] = set()
-    for start in sorted(range(n), key=lambda v: (class_size.get(col1[v], 0), v)):
-        if start in seen:
-            continue
-        seen.add(start)
-        queue = [start]
-        while queue:
-            x = queue.pop(0)
-            vorder.append(x)
-            for y in sorted(adj1[x]):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
+    while unplaced:
+        x = min(unplaced, key=lambda v: (-placed[v], class_size[col1[v]], v))
+        unplaced.remove(x)
+        vorder.append(x)
+        for y in adj1[x]:
+            placed[y] += 1
 
     images: list[int] = [-1] * n
     used = [False] * n
@@ -454,12 +453,16 @@ def _transitive_under(g: BipartiteGraph, a: EdgeColouring, perms: np.ndarray) ->
     preserving rows of the whole group form a subgroup, so the images of a
     class's first edge under them are exactly that edge's orbit.
     """
-    preserving, reversing = _colour_action(perms, a.colours)
-    if not reversing.any():
-        return False
     col = np.asarray(a.colours, dtype=np.int8)
-    for colour in (0, 1):
-        cls = np.flatnonzero(col == colour)
-        if cls.size and len(set(perms[preserving, cls[0]].tolist())) != cls.size:
-            return False
-    return True
+    preserving, reversing = _colour_action(perms, col)
+    return bool(reversing.any()) and all(
+        _class_transitive(perms, preserving, col, colour) for colour in (0, 1))
+
+
+def _class_transitive(perms: np.ndarray, preserving: np.ndarray, colours,
+                      colour: int) -> bool:
+    """Do the ``preserving`` rows of an edge table act transitively on one
+    colour class?  When they form a group (the colour-preserving rows of a
+    whole group do), the images of the class's first edge are its orbit."""
+    cls = np.flatnonzero(np.asarray(colours, dtype=np.int8) == colour)
+    return not cls.size or len(set(perms[preserving, cls[0]].tolist())) == cls.size

@@ -2,10 +2,12 @@
 
 import pytest
 
+import json
 import random
+from itertools import combinations, permutations, product
 
 from gnorm.config import RunConfig
-from gnorm.errors import OutOfRange
+from gnorm.errors import CapExceeded, OutOfRange
 from gnorm.graphs import (
     BipartiteGraph,
     EdgeColouring,
@@ -14,18 +16,22 @@ from gnorm.graphs import (
     disjoint_union,
     star,
 )
-from gnorm.symmetry import isomorphic
+from gnorm.symmetry import _all_automorphisms, _edge_table, isomorphic
 from gnorm.certify import (
+    _arc_transitive,
     certify_family,
     certify_not_norming,
     tournament_is_arc_transitive,
 )
 from gnorm.constructions import (
+    Tournament,
     bipartite_kneser,
     clockwise_tournament,
+    colouring_from_tournament,
     hypercube,
     quadratic_residue_tournament,
     set_inclusion_graph,
+    subdivided_complete,
 )
 
 
@@ -266,11 +272,42 @@ class TestSubdivisionFamily:
         assert cert.obstruction == "NoTransitiveColouring"
 
     def test_generic_pipeline_agrees_on_k5(self):
-        from gnorm.constructions import subdivided_complete
         cert = certify_not_norming(subdivided_complete(5))
         assert cert.verdict == "NotNorming"
         assert cert.obstruction == "NoTransitiveColouring"
         assert cert.witness["mode"] == "exhaustive"
+
+
+def brute_arc_transitive(t: Tournament) -> bool:
+    """Reference: the orbit of the first arc under every vertex permutation
+    that maps arcs to arcs."""
+    autos = []
+    arcs = t.arc_set
+    for perm in permutations(range(t.n)):
+        if all((perm[x], perm[y]) in arcs for x, y in arcs):
+            autos.append(perm)
+    start = t.arcs[0]
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        x, y = frontier.pop()
+        for perm in autos:
+            img = (perm[x], perm[y])
+            if img not in orbit:
+                orbit.add(img)
+                frontier.append(img)
+    return len(orbit) == len(arcs)
+
+
+def random_tournament(n: int, rng: random.Random) -> Tournament:
+    return Tournament(n, tuple((i, j) if rng.random() < 0.5 else (j, i)
+                               for i, j in combinations(range(n), 2)))
+
+
+def every_tournament(n: int):
+    pairs = list(combinations(range(n), 2))
+    for bits in product((0, 1), repeat=len(pairs)):
+        yield Tournament(n, tuple((i, j) if b else (j, i) for (i, j), b in zip(pairs, bits)))
 
 
 class TestArcTransitivity:
@@ -282,6 +319,48 @@ class TestArcTransitivity:
 
     def test_triangle_is(self):
         assert tournament_is_arc_transitive(clockwise_tournament(3))
+
+    def test_every_tournament_on_five_vertices(self):
+        for t in every_tournament(5):
+            assert tournament_is_arc_transitive(t) == brute_arc_transitive(t), t
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_one_group_for_every_tournament(self, n):
+        # the family scan's route: the side-preserving group of subdivided
+        # K_n, built once, and each tournament's colour-preserving rows of it
+        g = subdivided_complete(n)
+        table = _edge_table(g, _all_automorphisms(g, False, RunConfig()))
+        rng = random.Random(n)
+        cases = list(every_tournament(n)) if n < 7 else [
+            quadratic_residue_tournament(7), clockwise_tournament(7)] + [
+            random_tournament(7, rng) for _ in range(5)]
+        for t in cases:
+            _, a = colouring_from_tournament(t)
+            assert _arc_transitive(table, a) == brute_arc_transitive(t), t
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_seeded_samples(self, n):
+        rng = random.Random(n)
+        cases = [random_tournament(n, rng) for _ in range(15)]
+        if n == 7:
+            cases += [quadratic_residue_tournament(7), clockwise_tournament(7)]
+        for t in cases:
+            assert tournament_is_arc_transitive(t) == brute_arc_transitive(t), t
+
+    def test_vertex_cap(self):
+        # subdivided K5 has 15 vertices
+        with pytest.raises(CapExceeded):
+            tournament_is_arc_transitive(clockwise_tournament(5), RunConfig(cap_vertices=10))
+
+    def test_k5_family_certificate_is_pinned(self):
+        cert = certify_family("subdivided-complete", [5])
+        assert json.dumps(cert.to_json()) == (
+            '{"verdict": "NotNorming", "obstruction": "NoTransitiveColouring", '
+            '"rule": "arc-transitive-three-cycles", "witness": {"three_cycles": 5, '
+            '"per_arc": [3, 2], "four_cycles_if_arc_transitive": [15, 4], '
+            '"mode": "arithmetic", "tournaments_scanned": 1024, "arc_transitive_found": 0}, '
+            '"automorphism_mode": {"side_swap": true}, "stages": [], "cap_hit": false, '
+            '"family": {"family": "subdivided-complete", "n": 5}}')
 
 
 def random_four_regular(n: int, seed: int) -> BipartiteGraph:

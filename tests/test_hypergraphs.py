@@ -1,6 +1,9 @@
 """Uniform hypergraphs: links, self-complementarity, edge-transitivity,
 codegrees."""
 
+import random
+from itertools import combinations, permutations
+
 import pytest
 
 from gnorm.errors import CapExceeded, UnknownVertex
@@ -100,3 +103,70 @@ class TestLink:
         g = set_inclusion_graph(4, 2, 1)
         with pytest.raises(UnknownVertex):
             link_hypergraph(g, EdgeColouring((1,) * g.n_edges), "9,9")
+
+
+# -- brute-force oracle ----------------------------------------------------------
+
+
+def brute_automorphisms(h: UniformHypergraph) -> list[dict[int, int]]:
+    """Every vertex permutation that maps the edge set onto itself."""
+    verts = list(h.vertices)
+    out = []
+    for perm in permutations(verts):
+        phi = dict(zip(verts, perm))
+        if {frozenset(phi[v] for v in e) for e in h.edges} == h.edges:
+            out.append(phi)
+    return out
+
+
+def brute_self_complementary(h: UniformHypergraph) -> bool:
+    target = h.complement().edges
+    verts = list(h.vertices)
+    return any(
+        {frozenset(phi[v] for v in e) for e in h.edges} == target
+        for phi in (dict(zip(verts, perm)) for perm in permutations(verts))
+    )
+
+
+def brute_edge_transitive(h: UniformHypergraph) -> bool:
+    if not h.edges:
+        return True
+    first = min(h.edges, key=sorted)
+    orbit = {frozenset(phi[v] for v in first) for phi in brute_automorphisms(h)}
+    return len(orbit) == len(h.edges)
+
+
+def random_hypergraphs(count: int, seed: int) -> list[UniformHypergraph]:
+    """Seeded r-graphs with n <= 6 and r <= 3 on shuffled integer labels:
+    random edge sets of every density (so isolated vertices occur), plus
+    the empty and the complete edge set and r = n for each size."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(1, 7):
+        labels = rng.sample(range(20), n)
+        for r in sorted({1, min(3, n), n}):
+            every = [frozenset(c) for c in combinations(labels, r)]
+            out += [UniformHypergraph(tuple(labels), r, frozenset()),
+                    UniformHypergraph(tuple(labels), r, frozenset(every))]
+    while len(out) < count:
+        n = rng.randint(1, 6)
+        r = rng.randint(1, min(3, n))
+        labels = rng.sample(range(20), n)
+        every = [frozenset(c) for c in combinations(labels, r)]
+        density = rng.random()
+        edges = frozenset(e for e in every if rng.random() < density)
+        out.append(UniformHypergraph(tuple(labels), r, edges))
+    return out
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_hypergraphs(self, seed):
+        for h in random_hypergraphs(50, seed):
+            autos = hypergraph_automorphisms(h)
+            want = brute_automorphisms(h)
+            as_set = {frozenset(a.items()) for a in autos}
+            assert len(as_set) == len(autos) == len(want), h
+            assert as_set == {frozenset(a.items()) for a in want}, h
+            assert hypergraph_is_self_complementary(h) == brute_self_complementary(h), h
+            assert hypergraph_is_edge_transitive(h) == brute_edge_transitive(h), h

@@ -18,7 +18,13 @@ from gnorm.symmetry import (
     is_transitive_colouring,
     isomorphic,
 )
-from gnorm.constructions import hypercube, hypercube_alpha, hypercube_beta, set_inclusion_graph
+from gnorm.constructions import (
+    bipartite_kneser,
+    hypercube,
+    hypercube_alpha,
+    hypercube_beta,
+    set_inclusion_graph,
+)
 
 
 def brute_automorphism_count(g: BipartiteGraph, side_preserving: bool = False) -> int:
@@ -74,6 +80,19 @@ class TestAutomorphisms:
     def test_vertex_cap(self, c4):
         with pytest.raises(CapExceeded):
             automorphisms(c4, config=RunConfig(cap_vertices=2))
+
+
+class TestGroupOrders:
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_set_inclusion_graph(self, k):
+        # S_6 acting on the ground set; no map exchanges the sides
+        assert automorphisms(set_inclusion_graph(6, k, 1)).group_order == 720
+
+    def test_bipartite_kneser_h73(self):
+        # S_7 acting on the ground set, and complementation exchanging the sides
+        rep = automorphisms(bipartite_kneser(7, 3), config=RunConfig(cap_vertices=80))
+        assert rep.group_order == 10080
+        assert rep.edge_transitive and rep.vertex_transitive
 
 
 class TestEdgeTransitivity:
