@@ -33,9 +33,6 @@ from .symmetry import (
     Automorphism,
     SymmetryReport,
     automorphisms,
-    coloured_isomorphic,
-    exists_transitive_colouring,
-    is_edge_transitive,
     is_self_conjugate,
     is_transitive_colouring,
     isomorphic,
@@ -43,19 +40,14 @@ from .symmetry import (
 from .cycles import (
     CycleSet,
     FourCycleProfile,
-    check_girth_cycle_law,
-    check_two_path_law,
     classify_4cycles,
     enumerate_cycles,
     four_cycles_generate_cycle_space,
     kappa_alternating,
-    maximizes_c1_plus_c3_minus_c2,
-    maximizes_kappa_girth,
     potential_colouring,
 )
 from .kernels import Decoration, OnePlusEps, StepKernel, TrigKernel, phase_kernel
 from .density import (
-    perturbation_coefficients,
     rho_2m,
     s_max,
     second_order_expansion,
@@ -67,7 +59,6 @@ from .falsify import (
     hatami_check,
     hatami_random_scan,
     hatami_violation_search,
-    p1_check,
     triangle_falsifier,
 )
 from .constructions import (
@@ -88,7 +79,6 @@ from .constructions import (
 )
 from .hypergraphs import (
     UniformHypergraph,
-    codegree_profile,
     hypergraph_is_edge_transitive,
     hypergraph_is_self_complementary,
     link_hypergraph,
@@ -97,8 +87,6 @@ from .arithmetic import (
     class_A_membership,
     kneser_admissible,
     kneser_integrality_test,
-    prime_divisor_pt,
-    prime_in_range,
 )
 from .certify import Certificate, certify_family, certify_not_norming
 

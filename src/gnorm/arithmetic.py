@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .errors import DegenerateParameters, OutOfScopeParameters, VerificationFailed
+from .errors import DegenerateParameters, OutOfScopeParameters
 
 
 def is_prime(n: int) -> bool:
@@ -115,57 +115,6 @@ def kneser_admissible(n: int, r: int) -> KneserAdmissibility:
     if r >= 7 and r % 4 == 3 and is_prime_power(r + 2) and n in (2 * r + 2, 2 * r + 3):
         return KneserAdmissibility(True, 5)
     return KneserAdmissibility(False, None)
-
-
-# -- prime gadgets ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrimeInRange:
-    prime: Optional[int]
-    special_case: bool  # t = 5, the one value with no prime in [3t/2, 2t)
-
-    def __bool__(self) -> bool:
-        return self.prime is not None
-
-
-def prime_in_range(t: int) -> PrimeInRange:
-    """Smallest odd prime p with 3t/2 <= p < 2t; t = 5 has none."""
-    if t < 2:
-        raise DegenerateParameters("need t >= 2")
-    lo = (3 * t + 1) // 2  # ceil(3t/2)
-    for p in range(lo, 2 * t):
-        if p % 2 == 1 and is_prime(p):
-            return PrimeInRange(p, False)
-    return PrimeInRange(None, t == 5)
-
-
-def prime_divisor_pt(t: int) -> int:
-    """Odd prime dividing C(2t-1, t) but neither C(3t-1, t-1) nor C(3t-1, t);
-    for even t >= 4 it also divides no integer in [2t, 3t+1].
-
-    The witness is 3 for t = 5 and otherwise the prime in [3t/2, 2t); the
-    divisibility claims are re-verified by exact arithmetic on each call.
-    """
-    if t < 2:
-        raise DegenerateParameters("need t >= 2")
-    if t == 5:
-        p = 3
-    else:
-        pr = prime_in_range(t)
-        if pr.prime is None:
-            raise OutOfScopeParameters(f"no prime available for t = {t}")
-        p = pr.prime
-    checks = [
-        comb(2 * t - 1, t) % p == 0,
-        comb(3 * t - 1, t - 1) % p != 0,
-        comb(3 * t - 1, t) % p != 0,
-    ]
-    if t >= 4 and t % 2 == 0:
-        checks.append(all(m % p != 0 for m in range(2 * t, 3 * t + 2)))
-    if not all(checks):
-        raise VerificationFailed(f"divisibility witness failed for t = {t}, p = {p}")
-    return p
 
 
 # -- the integrality obstruction ---------------------------------------------------

@@ -52,6 +52,7 @@ from .graphs import (
 )
 from .constructions import (
     Tournament,
+    _tail_colouring,
     bipartite_kneser,
     clockwise_tournament,
     colouring_from_tournament,
@@ -758,11 +759,11 @@ def _certify_subdivision(n: int, config: RunConfig) -> Certificate:
             table = symmetry._edge_table(g, symmetry._all_automorphisms(g, False, config))
             found = 0
             scanned = 0
-            pair_list = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-            for bits in product((0, 1), repeat=len(pair_list)):
-                arcs = [(i, j) if b else (j, i) for (i, j), b in zip(pair_list, bits)]
+            # a tournament picks the tail of the arc at each subdivision
+            # vertex "i|j"
+            for tails in product(*(mid.split("|") for mid in g.right)):
                 scanned += 1
-                _, a = colouring_from_tournament(Tournament(5, tuple(arcs)))
+                a = _tail_colouring(g, dict(zip(g.right, tails)))
                 if _arc_transitive(table, a):
                     found += 1
             witness["tournaments_scanned"] = scanned
@@ -785,9 +786,8 @@ def _certify_subdivision(n: int, config: RunConfig) -> Certificate:
     }
     if n == 7:
         witness["enumerated_quadratic_residue"] = count_directed_cycles(
-            quadratic_residue_tournament(7), 4, config)
-        witness["enumerated_clockwise"] = count_directed_cycles(
-            clockwise_tournament(7), 4, config)
+            quadratic_residue_tournament(7), 4)
+        witness["enumerated_clockwise"] = count_directed_cycles(clockwise_tournament(7), 4)
         if witness["enumerated_quadratic_residue"] != 21 or \
                 witness["enumerated_clockwise"] != 28:
             raise VerificationFailed("tournament cycle-count witness failed")

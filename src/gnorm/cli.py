@@ -89,9 +89,13 @@ def _config_from(args) -> RunConfig:
     return cfg.with_(**over) if over else cfg
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--pretty", action="store_true", help="human-readable output")
     sub.add_argument("--out", help="write JSON to this path instead of stdout")
+
+
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    _add_output(sub)
     sub.add_argument("--cap-edges", dest="cap_edges", type=int)
     sub.add_argument("--cap-assignments", dest="cap_assignments", type=int)
     sub.add_argument("--cap-vertices", dest="cap_vertices", type=int)
@@ -232,15 +236,14 @@ def cmd_falsify(args) -> int:
 
 
 def cmd_tournament(args) -> int:
-    cfg = _config_from(args)
     if args.kind == "clockwise":
         t = clockwise_tournament(args.n)
     else:
         t = quadratic_residue_tournament(args.n)
     payload = t.to_json()
     if args.cycles:
-        payload["directed_3_cycles"] = count_directed_cycles(t, 3, cfg)
-        payload["directed_4_cycles"] = count_directed_cycles(t, 4, cfg)
+        payload["directed_3_cycles"] = count_directed_cycles(t, 3)
+        payload["directed_4_cycles"] = count_directed_cycles(t, 4)
     if args.colouring:
         g, col = colouring_from_tournament(t)
         payload["subdivision"] = G.graph_to_json(g)
@@ -334,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="count directed 3- and 4-cycles")
     p.add_argument("--colouring", action="store_true",
                    help="emit the subdivided complete graph and its colouring")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_tournament)
 
     p = sub.add_parser("reproduce", help="run the verification table")

@@ -14,6 +14,9 @@ from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
+from .arithmetic import is_prime
 from .config import DEFAULT, RunConfig
 from .errors import (
     CapExceeded,
@@ -196,26 +199,13 @@ def clockwise_tournament(n: int) -> Tournament:
     return Tournament(n, tuple(arcs))
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def quadratic_residue_tournament(q: int) -> Tournament:
     """Paley tournament on GF(q): arc (x, y) iff y - x is a nonzero square.
 
     Only prime q is supported; q = 3 (mod 4) makes exactly one of +-r a
     square, so the arcs are well defined.
     """
-    if not _is_prime(q):
+    if not is_prime(q):
         raise NotPrime(f"{q} is not prime (prime powers are not supported)")
     if q % 4 != 3:
         raise WrongResidueClass(f"need q = 3 (mod 4), got {q} = {q % 4} (mod 4)")
@@ -224,36 +214,20 @@ def quadratic_residue_tournament(q: int) -> Tournament:
     return Tournament(q, tuple(arcs))
 
 
-def count_directed_cycles(t: Tournament, m: int, config: RunConfig = DEFAULT) -> int:
-    """Exact count of unlabelled directed m-cycles, m in {3, 4}.
+def count_directed_cycles(t: Tournament, m: int) -> int:
+    """Exact count of directed m-cycles, m in {3, 4}: trace(A^m) / m for the
+    0/1 arc matrix A.
 
-    Straight enumeration over vertex subsets; each 4-subset is checked in its
-    three cyclic orders and both directions (at most one direction of a cycle
-    can be present).
+    A closed walk of length 3 or 4 that repeats a vertex needs a loop or a
+    2-cycle, and a tournament has neither, so every closed m-walk is a
+    directed m-cycle read from one of its m starting vertices.
     """
     if m not in (3, 4):
         raise ValueError("only directed 3- and 4-cycles are supported")
-    if t.n > 64:
-        raise CapExceeded("directed cycle count", t.n, 64)
-    has = t.has_arc
-    count = 0
-    if m == 3:
-        for a, b, c in combinations(range(t.n), 3):
-            if has(a, b) and has(b, c) and has(c, a):
-                count += 1
-            elif has(b, a) and has(c, b) and has(a, c):
-                count += 1
-        return count
-    for quad in combinations(range(t.n), 4):
-        a = quad[0]
-        for x, y, z in ((quad[1], quad[2], quad[3]),
-                        (quad[1], quad[3], quad[2]),
-                        (quad[2], quad[1], quad[3])):
-            if has(a, x) and has(x, y) and has(y, z) and has(z, a):
-                count += 1
-            elif has(x, a) and has(y, x) and has(z, y) and has(a, z):
-                count += 1
-    return count
+    adj = np.zeros((t.n, t.n), dtype=np.int64)
+    tails, heads = np.array(t.arcs, dtype=np.intp).reshape(-1, 2).T
+    adj[tails, heads] = 1
+    return int(np.trace(np.linalg.matrix_power(adj, m))) // m
 
 
 def regular_tournaments(n: int) -> "Iterator[Tournament]":
@@ -293,60 +267,45 @@ def regular_tournaments(n: int) -> "Iterator[Tournament]":
 
 
 def random_regular_tournament(n: int, rng) -> Tournament:
-    """One seeded regular tournament: randomized orientation choices with
-    backtracking, so a sample always exists for odd n."""
-    if n % 2 == 0:
-        raise EvenOrder("regular tournaments need odd n")
-    d = (n - 1) // 2
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rng.shuffle(pairs)
-    out = [0] * n
-    slack = [n - 1] * n
-    choice: list[tuple[int, int]] = []
+    """One seeded regular tournament: a lazy random walk of directed-3-cycle
+    reversals from the clockwise tournament.
 
-    def feasible(v: int) -> bool:
-        return out[v] <= d and out[v] + slack[v] >= d
-
-    def rec(i: int) -> bool:
-        if i == len(pairs):
-            return True
-        x, y = pairs[i]
-        slack[x] -= 1
-        slack[y] -= 1
-        order = [(x, y), (y, x)]
-        if rng.random() < 0.5:
-            order.reverse()
-        for tail, head in order:
-            out[tail] += 1
-            choice.append((tail, head))
-            if feasible(x) and feasible(y) and rec(i + 1):
-                return True
-            choice.pop()
-            out[tail] -= 1
-        slack[x] += 1
-        slack[y] += 1
-        return False
-
-    if not rec(0):
-        raise RuntimeError("sampler failed; should be impossible for odd n")
-    return Tournament(n, tuple(choice))
-
-
-def directed_four_cycles_by_diagonals(t: Tournament) -> int:
-    """Independent 4-cycle count: pair up opposite vertices across diagonals."""
-    total = 0
-    outs = t.out_neighbours
-    ins = [set() for _ in range(t.n)]
-    for x, y in t.arcs:
-        ins[y].add(x)
-    for x in range(t.n):
-        for y in range(x + 1, t.n):
-            a = len(outs[x] & ins[y]) * len(outs[y] & ins[x])
-            total += a
-    return total // 2
+    A reversal keeps every score, so no step can leave the regular
+    tournaments; callers rely on that regularity and nothing else.  Each of
+    the n^2 steps does nothing with probability 1/2 and otherwise reverses a
+    uniformly chosen directed 3-cycle (vertex triples are drawn until one is
+    cyclic).  The idle steps matter: a reversal flips three arcs, so a walk
+    of a fixed number of reversals stays in one parity class (12 of the 24
+    regular tournaments at n = 5).  The moves are symmetric and connect all
+    tournaments with the same scores (Ryser 1964), so the walk tends to the
+    uniform distribution, but n^2 is no mixing bound: it was compared with
+    uniform only at n = 5 and 7.
+    """
+    if n < 3 or n % 2 == 0:
+        raise EvenOrder("regular tournaments need odd n >= 3")
+    # the clockwise tournament: x beats x+1, ..., x+(n-1)/2 (mod n)
+    beats = [[0 < (y - x) % n <= n // 2 for y in range(n)] for x in range(n)]
+    triples = list(combinations(range(n), 3))
+    rand = rng.random
+    for _ in range(n * n):
+        if rand() < 0.5:
+            continue
+        a, b, c = triples[int(rand() * len(triples))]
+        while not beats[a][b] == beats[b][c] == beats[c][a]:
+            a, b, c = triples[int(rand() * len(triples))]
+        for x, y in ((a, b), (b, c), (c, a)):
+            beats[x][y] = not beats[x][y]
+            beats[y][x] = not beats[y][x]
+    return Tournament(n, tuple((x, y) for x in range(n) for y in range(n) if beats[x][y]))
 
 
 # -- the subdivision bridge ------------------------------------------------------
+
+
+def _tail_colouring(g: BipartiteGraph, tail_of: dict[str, str]) -> EdgeColouring:
+    """Colouring of a subdivided K_n that puts colour 1 exactly on the edge
+    from each subdivision vertex to ``tail_of[mid]``, its arc's tail."""
+    return EdgeColouring(tuple(int(u == tail_of[mid]) for u, mid in g.edges))
 
 
 def colouring_from_tournament(t: Tournament) -> tuple[BipartiteGraph, EdgeColouring]:
@@ -355,16 +314,11 @@ def colouring_from_tournament(t: Tournament) -> tuple[BipartiteGraph, EdgeColour
     from y.  The result is balanced, and its alternating 2m-cycles correspond
     to the tournament's directed m-cycles."""
     g = subdivided_complete(t.n)
-    colours = []
-    for u, mid in g.edges:
+    tail_of = {}
+    for mid in g.right:
         x, y = mid.split("|")
-        a, b = int(x), int(y)
-        forward = t.has_arc(a, b)
-        if int(u) == (a if forward else b):
-            colours.append(1)
-        else:
-            colours.append(0)
-    return g, EdgeColouring(tuple(colours))
+        tail_of[mid] = x if t.has_arc(int(x), int(y)) else y
+    return g, _tail_colouring(g, tail_of)
 
 
 def tournament_from_colouring(g: BipartiteGraph, a: EdgeColouring) -> Tournament:

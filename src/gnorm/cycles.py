@@ -2,15 +2,16 @@
 
 Simple cycles of a fixed even length are enumerated exactly, deduplicated up
 to rotation and reflection by anchoring each cycle at its smallest vertex.
-On top of that sit the alternating-cycle counts kappa_l, the four-pattern
-classification of 4-cycles, the girth-cycle colour law, colour-scan
-maximality checks, and the GF(2) cycle-space tests.
+On top of that sit the alternating-cycle counts kappa_l, the four colour
+classes of even cycles as array passes over a colourings matrix (class 4 on
+a girth cycle is a girth-law violation), the full 2^e colouring scan that
+``certify`` takes its counting-law maxima from, and the GF(2) cycle-space
+tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 from typing import Optional
 
 import numpy as np
@@ -21,7 +22,6 @@ from .graphs import (
     BipartiteGraph,
     EdgeColouring,
     check_aligned,
-    girth,
 )
 
 
@@ -47,7 +47,7 @@ class CycleSet:
 
 @dataclass(frozen=True)
 class FourCycleProfile:
-    """Counts of the four colour classes of even cycles (see ``_classify_cycle``).
+    """Counts of the four colour classes of even cycles (see ``_cycle_classes``).
 
     c1 alternating, c2 monochromatic, c3 half of each colour but not
     alternating, c4 anything else.  On 4-cycles c3 is an adjacent pair of
@@ -174,11 +174,6 @@ def _row(colours) -> np.ndarray:
     return np.array([colours], dtype=np.int8)
 
 
-def _classify_cycle(colours, cyc) -> int:
-    """Colour class of one even cycle (see ``_cycle_classes``)."""
-    return int(_cycle_classes(_row(colours), [cyc])[0, 0])
-
-
 def _profile(colours, cycles) -> FourCycleProfile:
     """Class counts of the given edge-index cycles under a colour tuple."""
     return FourCycleProfile(*(int(c) for c in _class_counts(_row(colours), cycles)[0]))
@@ -199,69 +194,7 @@ def classify_4cycles(
     return _profile(a.colours, enumerate_cycles(g, 4, config).edge_cycles)
 
 
-@dataclass(frozen=True)
-class LawCheck:
-    ok: bool
-    witness: Optional[tuple[str, ...]]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_girth_cycle_law(
-    g: BipartiteGraph, a: EdgeColouring, config: RunConfig = DEFAULT
-) -> LawCheck:
-    """Every girth cycle is monochromatic or carries g/2 edges of each colour."""
-    check_aligned(g, a)
-    gval = girth(g)
-    if gval == inf:
-        raise ValueError("girth-cycle law needs a graph with a cycle")
-    cs = enumerate_cycles(g, int(gval), config)
-    violations = np.flatnonzero(_cycle_classes(_row(a.colours), cs.edge_cycles)[0] == 4)
-    if violations.size:
-        return LawCheck(False, cs.vertex_cycles[violations[0]])
-    return LawCheck(True, None)
-
-
-def check_two_path_law(g: BipartiteGraph, a: EdgeColouring) -> LawCheck:
-    """If some 2-edge path between v1 and v2 is monochromatic, all of them are.
-
-    The witness is the violating 4-tuple (v1, u, v2, w): a same-colour cherry
-    through u next to a bi-chromatic one through w.
-    """
-    check_aligned(g, a)
-    colour_of = {}
-    for i, (u, v) in enumerate(g.edges):
-        colour_of[(u, v)] = a[i]
-        colour_of[(v, u)] = a[i]
-    for side in (g.left, g.right):
-        # 2-edge paths join vertices on the same side through the other side
-        common: dict[tuple[str, str], list[str]] = {}
-        for mid in (g.right if side is g.left else g.left):
-            nbrs = sorted(g.adjacency[mid], key=g.vertex_index.get)
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    common.setdefault((nbrs[i], nbrs[j]), []).append(mid)
-        for (v1, v2), mids in common.items():
-            mono = [m for m in mids if colour_of[(m, v1)] == colour_of[(m, v2)]]
-            mixed = [m for m in mids if colour_of[(m, v1)] != colour_of[(m, v2)]]
-            if mono and mixed:
-                return LawCheck(False, (v1, mono[0], v2, mixed[0]))
-    return LawCheck(True, None)
-
-
-# -- colour-scan maximality ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MaximalityCheck:
-    is_max: bool
-    value: int
-    best_value: int
-    best_colouring: EdgeColouring
-
-    def __bool__(self) -> bool:
-        return self.is_max
+# -- full colouring scans ------------------------------------------------------
 
 
 # rows per scored chunk of the full colouring scan: keeps the kernel's
@@ -301,34 +234,6 @@ def _scan_colourings(n_edges: int, score, config: RunConfig):
             if i not in best or values[last] >= best[i][0]:
                 best[i] = (int(values[last]), chunk[last].copy())
     return [(value, tuple(int(c) for c in 1 - row)) for value, row in best.values()]
-
-
-def _maximality(a: EdgeColouring, score, n_edges: int, config: RunConfig) -> MaximalityCheck:
-    [(best, best_col)] = _scan_colourings(n_edges, lambda m: (score(m),), config)
-    mine = int(score(_row(a.colours))[0])
-    return MaximalityCheck(mine >= best, mine, best, EdgeColouring(best_col))
-
-
-def maximizes_kappa_girth(
-    g: BipartiteGraph, a: EdgeColouring, config: RunConfig = DEFAULT
-) -> MaximalityCheck:
-    """Does the colouring attain the maximal number of alternating girth cycles?"""
-    check_aligned(g, a)
-    gval = girth(g)
-    if gval == inf:
-        raise ValueError("needs a graph with a cycle")
-    cycles = enumerate_cycles(g, int(gval), config).edge_cycles
-    return _maximality(a, lambda m: _class_counts(m, cycles)[:, 0], g.n_edges, config)
-
-
-def maximizes_c1_plus_c3_minus_c2(
-    g: BipartiteGraph, a: EdgeColouring, config: RunConfig = DEFAULT
-) -> MaximalityCheck:
-    """Does the colouring maximise c1 + c3 - c2 over all colourings?"""
-    check_aligned(g, a)
-    cycles = enumerate_cycles(g, 4, config).edge_cycles
-    return _maximality(a, lambda m: _pattern_scores(_class_counts(m, cycles)),
-                       g.n_edges, config)
 
 
 # -- cycle space ----------------------------------------------------------------

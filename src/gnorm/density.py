@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import comb, inf, pi
+from math import comb, pi
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT, RunConfig
-from .errors import CapExceeded, ShapeMismatch, UnsupportedOrder
+from .errors import CapExceeded, ShapeMismatch
 from .graphs import (
     BipartiteGraph,
     EdgeColouring,
@@ -32,11 +32,9 @@ from .graphs import (
     count_two_edge_matchings,
     degree_stats,
     enumerate_balanced_colourings,
-    girth,
     is_balanced,
 )
-from .cycles import enumerate_cycles, kappa_alternating
-from .kernels import Decoration, OnePlusEps, StepKernel, TrigKernel
+from .kernels import Decoration, StepKernel, TrigKernel
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -434,51 +432,6 @@ def trig_density(
             total += phase
         return total
     raise ValueError(f"unknown method {method!r}")
-
-
-def perturbation_coefficients(
-    g: BipartiteGraph,
-    a: EdgeColouring,
-    h: TrigKernel | OnePlusEps,
-    orders: Iterable[int],
-    config: RunConfig = DEFAULT,
-) -> dict[int, complex]:
-    """Leading coefficients of eps -> t(1 + eps*h) at the requested orders.
-
-    For h0 the coefficient at order l counts balanced l-edge subgraphs; below
-    order 2*girth every such subgraph is a single colour-alternating cycle,
-    which covers both supported orders g and g+2.  For hk only order g is
-    defined, as the phase-weighted sum over girth cycles.
-    """
-    if isinstance(h, OnePlusEps):
-        h = h.inner
-    check_aligned(g, a)
-    gval = girth(g)
-    if gval == inf:
-        raise ValueError("perturbation expansion needs a graph with a cycle")
-    gval = int(gval)
-    orders = sorted(set(int(x) for x in orders))
-    if h.kind == "h0":
-        allowed = {gval, gval + 2}
-    elif h.kind == "hk":
-        allowed = {gval}
-    else:
-        raise UnsupportedOrder("perturbation expansion supports h0 and hk kernels")
-    bad = [x for x in orders if x not in allowed]
-    if bad:
-        raise UnsupportedOrder(f"orders {bad} outside supported {sorted(allowed)}")
-    out: dict[int, complex] = {}
-    if h.kind == "h0":
-        for ell in orders:
-            out[ell] = complex(kappa_alternating(g, a, ell, config))
-        return out
-    cs = enumerate_cycles(g, gval, config)
-    acc = complex(0.0)
-    for cyc in cs.edge_cycles:
-        w = sum(a[i] for i in cyc)
-        acc += 2 * cmath.exp(4j * pi * (w - gval / 2) / h.k)
-    out[gval] = acc
-    return out
 
 
 # -- second-order expansion of the orientation functional ----------------------

@@ -67,9 +67,5 @@ class UnknownVertex(GnormError, KeyError):
     pass
 
 
-class UnsupportedOrder(GnormError):
-    """Perturbation order outside the implemented expansion window."""
-
-
 class VerificationFailed(GnormError):
     """An internal consistency replay failed; indicates a bug, not bad input."""

@@ -362,45 +362,3 @@ def triangle_falsifier(
         if w:
             return FalsifierResult(w, t + 1)
     return FalsifierResult(None, trials)
-
-
-# -- domination check -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class P1Check:
-    holds: bool
-    worst_beta: Optional[EdgeColouring]
-    worst_gap: float
-    value_alpha: float
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def p1_check(
-    g: BipartiteGraph,
-    alpha: EdgeColouring,
-    betas: list[EdgeColouring],
-    f: StepKernel,
-    mode: str = "conjugate",
-    config: RunConfig = DEFAULT,
-) -> P1Check:
-    """Does t_alpha(f) dominate |t_beta(f)| for every listed beta?
-
-    A norming candidate must win here with a real nonnegative left side;
-    the worst pair is reported either way.
-    """
-    check_aligned(g, alpha)
-    va = t_density(g, alpha, f, mode, config=config)
-    base = va.real
-    tol = config.tol_falsify
-    worst_gap = -math.inf
-    worst = None
-    for b in betas:
-        vb = abs(t_density(g, b, f, mode, config=config))
-        gap = vb - base
-        if gap > worst_gap:
-            worst_gap, worst = gap, b
-    holds = worst_gap <= tol and abs(va.imag) <= tol * max(1.0, abs(va))
-    return P1Check(holds, worst, worst_gap, base)

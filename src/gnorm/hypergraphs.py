@@ -1,5 +1,5 @@
-"""Uniform hypergraphs: link construction, self-complementarity,
-edge-transitivity, codegrees.
+"""Uniform hypergraphs: link construction, self-complementarity and
+edge-transitivity.
 
 A vertex permutation of a hypergraph is a side-preserving map between
 incidence graphs (vertices on the left, edges on the right), so the
@@ -167,14 +167,3 @@ def hypergraph_is_edge_transitive(
     first = min(h.edges, key=sorted)
     orbit = {frozenset(image[v] for v in first) for image in _edge_maps(h, h.edges, config)}
     return len(orbit) == len(h.edges)
-
-
-def codegree_profile(h: UniformHypergraph) -> dict[tuple[int, ...], int]:
-    """Edge count through each (r-1)-subset of the vertices."""
-    out: dict[tuple[int, ...], int] = {
-        tuple(sorted(c)): 0 for c in combinations(h.vertices, h.r - 1)
-    }
-    for e in h.edges:
-        for sub in combinations(sorted(e), h.r - 1):
-            out[sub] += 1
-    return out

@@ -310,12 +310,6 @@ def automorphisms(
     )
 
 
-def is_edge_transitive(
-    g: BipartiteGraph, side_swap: bool = True, config: RunConfig = DEFAULT
-) -> bool:
-    return automorphisms(g, side_swap, config).edge_transitive
-
-
 def isomorphic(
     g1: BipartiteGraph,
     g2: BipartiteGraph,
@@ -327,25 +321,6 @@ def isomorphic(
         raise CapExceeded("isomorphism search", max(g1.n_vertices, g2.n_vertices),
                           config.cap_vertices)
     return next(_iso_maps(g1, g2, side_swap, limit=1), None) is not None
-
-
-def coloured_isomorphic(
-    g1: BipartiteGraph,
-    a1: EdgeColouring,
-    g2: BipartiteGraph,
-    a2: EdgeColouring,
-    side_swap: bool = True,
-    config: RunConfig = DEFAULT,
-) -> bool:
-    """True iff a colour-preserving isomorphism exists."""
-    check_aligned(g1, a1)
-    check_aligned(g2, a2)
-    if max(g1.n_vertices, g2.n_vertices) > config.cap_vertices:
-        raise CapExceeded("isomorphism search", max(g1.n_vertices, g2.n_vertices),
-                          config.cap_vertices)
-    if sorted(a1.colours) != sorted(a2.colours):
-        return False
-    return next(_iso_maps(g1, g2, side_swap, (a1, a2), limit=1), None) is not None
 
 
 # -- colouring symmetry ------------------------------------------------------
@@ -397,41 +372,6 @@ def is_transitive_colouring(
         return True
     autos = _all_automorphisms(g, side_swap, config)
     return _transitive_under(g, a, _edge_table(g, autos))
-
-
-@dataclass(frozen=True)
-class TransitiveSearch:
-    colouring: Optional[EdgeColouring]
-    exhausted: bool
-    tested: int
-
-    @property
-    def present(self) -> bool:
-        return self.colouring is not None
-
-
-def exists_transitive_colouring(
-    g: BipartiteGraph,
-    side_swap: bool = True,
-    config: RunConfig = DEFAULT,
-    max_candidates: int | None = None,
-) -> TransitiveSearch:
-    """First transitive colouring in lexicographic order among balanced ones.
-
-    The group is computed once and reused across candidates.  When
-    ``max_candidates`` truncates the scan, ``exhausted`` is False.
-    """
-    from .graphs import iter_balanced_colourings
-
-    perms = _edge_table(g, _all_automorphisms(g, side_swap, config))
-    tested = 0
-    for cand in iter_balanced_colourings(g, config):
-        if max_candidates is not None and tested >= max_candidates:
-            return TransitiveSearch(None, False, tested)
-        tested += 1
-        if _transitive_under(g, cand, perms):
-            return TransitiveSearch(cand, True, tested)
-    return TransitiveSearch(None, True, tested)
 
 
 def _colour_action(table: np.ndarray, colours) -> tuple[np.ndarray, np.ndarray]:

@@ -85,7 +85,7 @@ def _row_tournament_three_cycles(config: RunConfig) -> dict:
         count = 0
         for t in regular_tournaments(n):
             count += 1
-            if count_directed_cycles(t, 3, config) != want:
+            if count_directed_cycles(t, 3) != want:
                 return {"ok": False, "n": n, "bad": t.to_json()}
         checked[n] = count
     rng = random.Random(20_240_901)
@@ -93,7 +93,7 @@ def _row_tournament_three_cycles(config: RunConfig) -> dict:
     want = n * d * (d + 1) // 6
     for _ in range(10_000):
         t = random_regular_tournament(n, rng)
-        if count_directed_cycles(t, 3, config) != want:
+        if count_directed_cycles(t, 3) != want:
             return {"ok": False, "n": 9, "bad": t.to_json()}
     checked[9] = "10000 sampled"
     return {"ok": True, "tournaments": checked}
@@ -104,8 +104,8 @@ def _row_tournament_four_cycles(config: RunConfig) -> dict:
     quadratic-residue one, matching n*C(d+1,3) and (3/4)*n*C(d+1,3)."""
     t7 = clockwise_tournament(7)
     qr7 = quadratic_residue_tournament(7)
-    k4_clock = count_directed_cycles(t7, 4, config)
-    k4_qr = count_directed_cycles(qr7, 4, config)
+    k4_clock = count_directed_cycles(t7, 4)
+    k4_qr = count_directed_cycles(qr7, 4)
     d = 3
     ok = (
         k4_clock == 28 == 7 * math.comb(d + 1, 3)
@@ -372,10 +372,10 @@ def _row_subdivision_bridge(config: RunConfig) -> dict:
             g2, col2 = colouring_from_tournament(t)
             if col2.colours != col.colours or g2.edges != g.edges:
                 return {"ok": False, "n": n, "colours": list(col.colours)}
-            if kappa_alternating(g, col, 6, config) != count_directed_cycles(t, 3, config):
+            if kappa_alternating(g, col, 6, config) != count_directed_cycles(t, 3):
                 return {"ok": False, "n": n, "reason": "6-cycle mismatch"}
             if n >= 5 and kappa_alternating(g, col, 8, config) != \
-                    count_directed_cycles(t, 4, config):
+                    count_directed_cycles(t, 4):
                 return {"ok": False, "n": n, "reason": "8-cycle mismatch"}
         counts[n] = total
         if total != expected[n]:

@@ -1,6 +1,7 @@
 import pytest
 
 from gnorm.graphs import BipartiteGraph, EdgeColouring, complete_bipartite, cycle
+from gnorm.symmetry import _iso_maps
 
 
 @pytest.fixture
@@ -38,3 +39,10 @@ def small_bipartite(edge_mask: int, m: int = 3, n: int = 3) -> BipartiteGraph | 
     left = tuple(sorted({u for u, _ in edges}))
     right = tuple(sorted({v for _, v in edges}))
     return BipartiteGraph(left, right, tuple(edges))
+
+
+def coloured_isomorphic(g1: BipartiteGraph, a1: EdgeColouring,
+                        g2: BipartiteGraph, a2: EdgeColouring) -> bool:
+    """Does a colour-preserving isomorphism exist?  The coloured search of
+    ``symmetry._iso_maps``, stopped at its first map."""
+    return next(_iso_maps(g1, g2, True, (a1, a2), limit=1), None) is not None

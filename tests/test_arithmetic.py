@@ -13,8 +13,6 @@ from gnorm.arithmetic import (
     is_prime_power,
     kneser_admissible,
     kneser_integrality_test,
-    prime_divisor_pt,
-    prime_in_range,
 )
 
 
@@ -65,30 +63,6 @@ class TestKneserAdmissible:
     def test_guards(self):
         with pytest.raises(DegenerateParameters):
             kneser_admissible(4, 2)
-
-
-class TestPrimes:
-    def test_prime_in_range(self):
-        assert prime_in_range(2).prime == 3
-        assert prime_in_range(3).prime == 5
-        assert prime_in_range(4).prime == 7
-        res = prime_in_range(5)
-        assert res.prime is None and res.special_case
-        assert prime_in_range(6).prime == 11
-
-    def test_prime_divisor_values(self):
-        assert prime_divisor_pt(2) == 3
-        assert prime_divisor_pt(4) == 7
-        assert prime_divisor_pt(5) == 3
-
-    def test_prime_divisor_divisibility(self):
-        for t in range(2, 30):
-            p = prime_divisor_pt(t)
-            assert comb(2 * t - 1, t) % p == 0
-            assert comb(3 * t - 1, t - 1) % p != 0
-            assert comb(3 * t - 1, t) % p != 0
-            if t >= 4 and t % 2 == 0:
-                assert all(m % p for m in range(2 * t, 3 * t + 2))
 
 
 class TestIntegrality:

@@ -1,6 +1,7 @@
 """CLI end-to-end: commands, file formats, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -147,6 +148,15 @@ class TestTournament:
         assert blob["directed_3_cycles"] == 14
         assert blob["directed_4_cycles"] == 21
 
+    def test_counts_past_64_vertices(self, capsys):
+        # q = 67, d = 33: n*d*(d+1)/6 three-cycles and, being arc-transitive,
+        # (3/4)*n*C(d+1, 3) four-cycles
+        code, out = run_cli(["tournament", "qr", "67", "--cycles"], capsys)
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["directed_3_cycles"] == 67 * 33 * 34 // 6 == 12529
+        assert blob["directed_4_cycles"] == 3 * 67 * math.comb(34, 3) // 4 == 300696
+
     def test_colouring_export(self, capsys):
         code, out = run_cli(["tournament", "clockwise", "3", "--colouring"],
                             capsys)
@@ -155,6 +165,14 @@ class TestTournament:
 
     def test_bad_order(self, capsys):
         assert main(["tournament", "clockwise", "4"]) == 1
+
+    def test_refuses_cap_and_side_swap_flags(self, capsys):
+        # no tournament computation has a cap or a side-swap choice
+        for flag in (["--cap-vertices", "1"], ["--side-swap", "off"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["tournament", "qr", "7", "--cycles", *flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReproduce:

@@ -1,6 +1,7 @@
 """Graph and tournament families against their closed-form counts."""
 
-from itertools import combinations
+import random
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -16,14 +17,13 @@ from gnorm.errors import (
 )
 from gnorm.graphs import EdgeColouring, cycle, girth, is_balanced, is_biregular, is_eulerian
 from gnorm.cycles import classify_4cycles, kappa_alternating
-from gnorm.symmetry import coloured_isomorphic, isomorphic
+from gnorm.symmetry import isomorphic
 from gnorm.constructions import (
     Tournament,
     bipartite_kneser,
     clockwise_tournament,
     colouring_from_tournament,
     count_directed_cycles,
-    directed_four_cycles_by_diagonals,
     hypercube,
     hypercube_alpha,
     hypercube_beta,
@@ -35,6 +35,8 @@ from gnorm.constructions import (
     subdivided_complete,
     tournament_from_colouring,
 )
+
+from conftest import coloured_isomorphic
 
 
 class TestHypercube:
@@ -127,6 +129,25 @@ class TestTournaments:
             assert directed_four_cycles_by_diagonals(t) == \
                 count_directed_cycles(t, 4)
 
+    def test_trace_count_matches_oracles_on_every_tournament_on_five_vertices(self):
+        pairs = list(combinations(range(5), 2))
+        for bits in product((0, 1), repeat=len(pairs)):
+            assert_counts_match_oracles(
+                Tournament(5, tuple((i, j) if b else (j, i) for (i, j), b in zip(pairs, bits))))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 8, 9])
+    def test_trace_count_matches_oracles_on_seeded_tournaments(self, n):
+        # the transitive tournament: every count is 0
+        assert_counts_match_oracles(Tournament(n, tuple(combinations(range(n), 2))))
+        rng = random.Random(n)
+        for _ in range(10):
+            assert_counts_match_oracles(Tournament(n, tuple(
+                (i, j) if rng.random() < 0.5 else (j, i) for i, j in combinations(range(n), 2))))
+
+    def test_count_rejects_other_lengths(self):
+        with pytest.raises(ValueError):
+            count_directed_cycles(clockwise_tournament(5), 5)
+
     def test_three_cycle_formula_all_regular_n7(self):
         count = 0
         for t in regular_tournaments(7):
@@ -139,10 +160,27 @@ class TestTournaments:
         assert sum(1 for _ in regular_tournaments(5)) == 24
 
     def test_sampler_regular(self):
-        import random
         rng = random.Random(0)
         for _ in range(20):
             assert random_regular_tournament(9, rng).is_regular()
+
+    def test_sampler_reaches_every_regular_tournament_on_five_vertices(self):
+        # a walk of a fixed number of reversals reaches only 12 of the 24
+        rng = random.Random(5)
+        seen = {random_regular_tournament(5, rng).arcs for _ in range(400)}
+        assert seen == {t.arcs for t in regular_tournaments(5)}
+
+    def test_sampler_is_seeded(self):
+        rng_a, rng_b = random.Random(3), random.Random(3)
+        samples = [random_regular_tournament(9, rng_a).arcs for _ in range(20)]
+        assert samples == [random_regular_tournament(9, rng_b).arcs for _ in range(20)]
+        assert len(set(samples)) == 20
+
+    def test_sampler_rejects_even_and_trivial_orders(self):
+        rng = random.Random(0)
+        for n in (1, 2, 4):
+            with pytest.raises(EvenOrder):
+                random_regular_tournament(n, rng)
 
     def test_json_round_trip(self):
         t = clockwise_tournament(5)
@@ -153,6 +191,51 @@ class TestTournaments:
     def test_validation(self):
         with pytest.raises(ValueError):
             Tournament(3, ((0, 1), (1, 0), (1, 2)))
+
+
+def enumerated_directed_cycles(t: Tournament, m: int) -> int:
+    """Directed 3- or 4-cycles by enumeration over vertex subsets: each
+    4-subset is checked in its three cyclic orders and both directions (at
+    most one direction of a cycle can be present)."""
+    has = t.has_arc
+    count = 0
+    if m == 3:
+        for a, b, c in combinations(range(t.n), 3):
+            if has(a, b) and has(b, c) and has(c, a):
+                count += 1
+            elif has(b, a) and has(c, b) and has(a, c):
+                count += 1
+        return count
+    for quad in combinations(range(t.n), 4):
+        a = quad[0]
+        for x, y, z in ((quad[1], quad[2], quad[3]),
+                        (quad[1], quad[3], quad[2]),
+                        (quad[2], quad[1], quad[3])):
+            if has(a, x) and has(x, y) and has(y, z) and has(z, a):
+                count += 1
+            elif has(x, a) and has(y, x) and has(z, y) and has(a, z):
+                count += 1
+    return count
+
+
+def directed_four_cycles_by_diagonals(t: Tournament) -> int:
+    """Directed 4-cycles through their diagonals: a cycle x -> u -> y -> w -> x
+    has the opposite vertices x, y joined by a 2-path each way."""
+    total = 0
+    outs = t.out_neighbours
+    ins = [set() for _ in range(t.n)]
+    for x, y in t.arcs:
+        ins[y].add(x)
+    for x in range(t.n):
+        for y in range(x + 1, t.n):
+            total += len(outs[x] & ins[y]) * len(outs[y] & ins[x])
+    return total // 2
+
+
+def assert_counts_match_oracles(t: Tournament) -> None:
+    assert count_directed_cycles(t, 3) == enumerated_directed_cycles(t, 3), t
+    assert count_directed_cycles(t, 4) == enumerated_directed_cycles(t, 4) == \
+        directed_four_cycles_by_diagonals(t), t
 
 
 def isomorphic_arcs(t1: Tournament, t2: Tournament) -> bool:
@@ -229,7 +312,6 @@ class TestBridgeOnArbitraryTournaments:
     def test_kappa_matches_directed_cycles_without_regularity(self):
         # the alternating-cycle correspondence needs no balance at branch
         # vertices, so it holds for arbitrary tournaments
-        import random
         rng = random.Random(6)
         for n in (4, 6, 7):
             for _ in range(5):

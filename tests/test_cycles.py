@@ -1,4 +1,4 @@
-"""Cycle enumeration against independent oracles, colour laws, maximizers."""
+"""Cycle enumeration against independent oracles, colour classes, full scans."""
 
 import random
 from itertools import combinations, product
@@ -10,22 +10,17 @@ from hypothesis import strategies as st
 
 from gnorm.config import RunConfig
 from gnorm.errors import CapExceeded
-from gnorm.graphs import BipartiteGraph, EdgeColouring, complete_bipartite, cycle, star
+from gnorm.graphs import BipartiteGraph, EdgeColouring, complete_bipartite, cycle
 from gnorm.cycles import (
     _SCAN_CHUNK_BITS,
     _class_counts,
-    _classify_cycle,
     _cycle_classes,
     _pattern_scores,
     _scan_colourings,
-    check_girth_cycle_law,
-    check_two_path_law,
     classify_4cycles,
     enumerate_cycles,
     four_cycles_generate_cycle_space,
     kappa_alternating,
-    maximizes_c1_plus_c3_minus_c2,
-    maximizes_kappa_girth,
     potential_colouring,
 )
 from gnorm.constructions import (
@@ -122,11 +117,12 @@ class TestClassification:
     @pytest.mark.parametrize("length", [6, 8])
     def test_classify_cycle_matches_definitions(self, length):
         cyc = enumerate_cycles(cycle(length), length).edge_cycles[0]
-        for colours in product((0, 1), repeat=length):
+        space = list(product((0, 1), repeat=length))
+        classes = _cycle_classes(np.array(space, dtype=np.int8), [cyc])[:, 0]
+        for colours, cls in zip(space, classes.tolist()):
             c = [colours[i] for i in cyc]
             alternating = all(c[i] != c[i - 1] for i in range(length))
             law_holds = sum(c) in (0, length // 2, length)
-            cls = _classify_cycle(colours, cyc)
             assert (cls == 1) == alternating
             assert (cls == 2) == (sum(c) in (0, length))
             assert (cls != 4) == law_holds
@@ -167,54 +163,39 @@ class TestClassification:
             assert classify_4cycles(q4, a).total == total
 
 
-class TestColourLaws:
-    def test_girth_law(self, c4, c6):
-        assert check_girth_cycle_law(hypercube(4), hypercube_beta(4))
-        res = check_girth_cycle_law(c4, EdgeColouring((1, 1, 1, 0)))
-        assert not res and res.witness is not None
-        assert check_girth_cycle_law(c6, EdgeColouring((1, 0, 1, 0, 1, 0)))
+def kappa_score(cycles):
+    """The alternating-cycle count of each row, as a one-component score."""
+    return lambda matrix: (_class_counts(matrix, cycles)[:, 0],)
 
-    def test_girth_law_needs_cycle(self):
-        with pytest.raises(ValueError):
-            check_girth_cycle_law(star(2), EdgeColouring((1, 0)))
 
-    def test_two_path_law(self, c4):
-        assert check_two_path_law(hypercube(4), hypercube_beta(4))
-        # 1100 keeps the law: both paths between the end vertices are
-        # monochromatic (one per colour); a three-one split breaks it
-        assert check_two_path_law(c4, EdgeColouring((1, 1, 0, 0)))
-        res = check_two_path_law(c4, EdgeColouring((1, 1, 1, 0)))
-        assert not res and len(res.witness) == 4
-        g = BipartiteGraph(("a",), ("b",), (("a", "b"),))
-        assert check_two_path_law(g, EdgeColouring((1,)))
-
-    def test_two_path_law_matches_three_one_counts(self, c4):
-        # on a single 4-cycle the law fails exactly for three-one colourings
-        for bits in range(16):
-            a = EdgeColouring(tuple(bits >> i & 1 for i in range(4)))
-            expected = classify_4cycles(c4, a).c4 == 0
-            assert bool(check_two_path_law(c4, a)) == expected
+def pattern_score(cycles):
+    """c1 + c3 - c2 of each row, as a one-component score."""
+    return lambda matrix: (_pattern_scores(_class_counts(matrix, cycles)),)
 
 
 class TestMaximizers:
     def test_kappa_girth(self, c6):
-        alt = EdgeColouring((1, 0, 1, 0, 1, 0))
-        assert maximizes_kappa_girth(c6, alt)
-        assert not maximizes_kappa_girth(c6, EdgeColouring((1,) * 6))
+        cycles = enumerate_cycles(c6, 6).edge_cycles
+        [(best, _)] = _scan_colourings(6, kappa_score(cycles), RunConfig())
+        assert best == kappa_alternating(c6, EdgeColouring((1, 0, 1, 0, 1, 0)), 6) == 1
+        assert kappa_alternating(c6, EdgeColouring((1,) * 6), 6) < best
 
     def test_pattern_score_scan(self, c4, alt4, mono4):
-        assert maximizes_c1_plus_c3_minus_c2(c4, alt4)
-        res = maximizes_c1_plus_c3_minus_c2(c4, mono4)
-        assert not res and res.best_value == 1 and res.value == -1
+        cycles = enumerate_cycles(c4, 4).edge_cycles
+        [(best, _)] = _scan_colourings(4, pattern_score(cycles), RunConfig())
+        assert best == classify_4cycles(c4, alt4).pattern_score == 1
+        assert classify_4cycles(c4, mono4).pattern_score == -1
 
-    def test_argmax_is_lexicographically_least(self, c4, alt4):
-        res = maximizes_kappa_girth(c4, alt4)
-        assert res.best_colouring.colours == (0, 1, 0, 1)
+    def test_argmax_is_lexicographically_least(self, c4):
+        cycles = enumerate_cycles(c4, 4).edge_cycles
+        [(best, colours)] = _scan_colourings(4, kappa_score(cycles), RunConfig())
+        assert (best, colours) == (1, (0, 1, 0, 1))
 
     def test_cap(self):
         q4 = hypercube(4)
+        cycles = enumerate_cycles(q4, 4).edge_cycles
         with pytest.raises(CapExceeded):
-            maximizes_kappa_girth(q4, hypercube_alpha(4))
+            _scan_colourings(q4.n_edges, kappa_score(cycles), RunConfig())
 
     def test_scan_matches_product_order_oracle(self):
         # per component: the first strict maximum over all colourings in

@@ -1,5 +1,5 @@
 """Density engine: pinned values, functional axioms, dual-path agreement,
-closed trigonometric forms, perturbation coefficients, quadratic expansion."""
+closed trigonometric forms, the perturbation series, quadratic expansion."""
 
 import cmath
 import math
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gnorm import density
 from gnorm.config import RunConfig
-from gnorm.errors import CapExceeded, ShapeMismatch, UnsupportedOrder
+from gnorm.errors import CapExceeded, ShapeMismatch
 from gnorm.graphs import (
     EdgeColouring,
     complete_bipartite,
@@ -22,10 +22,9 @@ from gnorm.graphs import (
     is_balanced,
     star,
 )
-from gnorm.kernels import Decoration, OnePlusEps, StepKernel, TrigKernel, phase_kernel
+from gnorm.kernels import Decoration, StepKernel, TrigKernel, phase_kernel
 from gnorm.density import (
     expansion_tail_bound,
-    perturbation_coefficients,
     rho_2m,
     s_max,
     second_order_expansion,
@@ -455,37 +454,6 @@ class TestTrigDensity:
 
 
 class TestPerturbation:
-    def test_h0_orders(self, c6):
-        alt = EdgeColouring((1, 0, 1, 0, 1, 0))
-        coeffs = perturbation_coefficients(c6, alt, TrigKernel.h0(), {6})
-        assert coeffs == {6: 1}
-
-    def test_beta_counts_alternating_squares(self):
-        q4 = hypercube(4)
-        coeffs = perturbation_coefficients(q4, hypercube_beta(4),
-                                           TrigKernel.h0(), {4})
-        assert coeffs[4] == 8
-
-    def test_hk_girth_coefficient(self, c4):
-        # adjacent-pair square: phase exp(4*pi*i*(2-2)/8) doubled
-        coeffs = perturbation_coefficients(c4, EdgeColouring((1, 1, 0, 0)),
-                                           TrigKernel.hk(8), {4})
-        assert coeffs[4] == pytest.approx(2)
-        # three-one square: phase exp(4*pi*i*(3-2)/8) = i/sqrt... gives Re 0
-        coeffs = perturbation_coefficients(c4, EdgeColouring((1, 1, 1, 0)),
-                                           TrigKernel.hk(8), {4})
-        assert coeffs[4].real == pytest.approx(0, abs=1e-12)
-        assert abs(coeffs[4]) == pytest.approx(2)
-
-    def test_wrapper_and_bad_orders(self, c6):
-        alt = EdgeColouring((1, 0, 1, 0, 1, 0))
-        wrapped = OnePlusEps(TrigKernel.h0())
-        assert perturbation_coefficients(c6, alt, wrapped, {6}) == {6: 1}
-        with pytest.raises(UnsupportedOrder):
-            perturbation_coefficients(c6, alt, TrigKernel.h0(), {10})
-        with pytest.raises(UnsupportedOrder):
-            perturbation_coefficients(c6, alt, TrigKernel.hk(2), {8})
-
     def test_expansion_matches_series(self):
         # t(1 + eps*h0-discretised) should shadow 1 + eps^g*kappa_g up to g+2
         g = cycle(4)

@@ -3,15 +3,12 @@ broken ones, witness replay, determinism."""
 
 import random
 
-import pytest
-
 from gnorm.graphs import EdgeColouring, star
 from gnorm.kernels import Decoration, StepKernel
 from gnorm.falsify import (
     hatami_check,
     hatami_random_scan,
     hatami_violation_search,
-    p1_check,
     random_kernel,
     triangle_falsifier,
 )
@@ -86,31 +83,3 @@ class TestTriangleFalsifier:
         assert abs(t_density(c4, mono4, pk)) < 1e-12
         assert abs(t_density(c4, mono4, pk.conj())) < 1e-12
         assert abs(t_density(c4, mono4, pk.add(pk.conj()))) > 1
-
-
-class TestP1Check:
-    def test_alternating_square_dominates(self, c4, alt4):
-        rng = random.Random(21)
-        betas = [EdgeColouring(tuple(b >> i & 1 for i in range(4)))
-                 for b in range(16)]
-        for _ in range(10):
-            f = random_kernel(rng, 2, 2)
-            res = p1_check(c4, alt4, betas, f)
-            assert res.holds, (res.worst_beta, res.worst_gap)
-
-    def test_hexagon_vs_monochromatic_phase(self, c6):
-        alt = EdgeColouring((1, 0, 1, 0, 1, 0))
-        res = p1_check(c6, alt, [EdgeColouring((1,) * 6)], phase_kernel(3))
-        assert res.holds and res.value_alpha == pytest.approx(1.0)
-
-    def test_real_kernel_trivial(self, c6):
-        f = StepKernel.from_real([[0.4, -0.2], [0.9, 0.1]])
-        alt = EdgeColouring((1, 0, 1, 0, 1, 0))
-        betas = [EdgeColouring(tuple(random.Random(5).randint(0, 1)
-                                     for _ in range(6)))]
-        assert p1_check(c6, alt, betas, f).holds
-
-    def test_detects_dominated_candidate(self, c4, mono4, alt4):
-        # against the phase kernel the unbalanced candidate loses to balanced
-        res = p1_check(c4, mono4, [alt4], phase_kernel(3))
-        assert not res.holds

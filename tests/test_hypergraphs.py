@@ -11,7 +11,6 @@ from gnorm.graphs import EdgeColouring
 from gnorm.constructions import set_inclusion_graph
 from gnorm.hypergraphs import (
     UniformHypergraph,
-    codegree_profile,
     hypergraph_automorphisms,
     hypergraph_is_edge_transitive,
     hypergraph_is_self_complementary,
@@ -43,11 +42,6 @@ class TestClassics:
         h = four_path()
         assert hypergraph_is_self_complementary(h)
         assert not hypergraph_is_edge_transitive(h)
-
-    def test_pentagon_codegrees(self):
-        # every vertex lies in (k - r + 1) / 2 = 2 edges
-        prof = codegree_profile(pentagon())
-        assert set(prof.values()) == {2}
 
     def test_cyclic_triples(self):
         # complement-of-edge dual of the pentagon, a 3-graph on 5 vertices

@@ -8,12 +8,20 @@ from hypothesis import strategies as st
 
 from gnorm.config import RunConfig
 from gnorm.errors import CapExceeded
-from gnorm.graphs import BipartiteGraph, EdgeColouring, complete_bipartite, cycle, path, star
+from gnorm.graphs import (
+    BipartiteGraph,
+    EdgeColouring,
+    complete_bipartite,
+    cycle,
+    iter_balanced_colourings,
+    path,
+    star,
+)
 from gnorm.symmetry import (
+    _all_automorphisms,
+    _edge_table,
+    _transitive_under,
     automorphisms,
-    coloured_isomorphic,
-    exists_transitive_colouring,
-    is_edge_transitive,
     is_self_conjugate,
     is_transitive_colouring,
     isomorphic,
@@ -25,6 +33,8 @@ from gnorm.constructions import (
     hypercube_beta,
     set_inclusion_graph,
 )
+
+from conftest import coloured_isomorphic
 
 
 def brute_automorphism_count(g: BipartiteGraph, side_preserving: bool = False) -> int:
@@ -97,9 +107,9 @@ class TestGroupOrders:
 
 class TestEdgeTransitivity:
     def test_examples(self):
-        assert is_edge_transitive(hypercube(3))
-        assert not is_edge_transitive(path(4))
-        assert is_edge_transitive(set_inclusion_graph(4, 2, 1))
+        assert automorphisms(hypercube(3)).edge_transitive
+        assert not automorphisms(path(4)).edge_transitive
+        assert automorphisms(set_inclusion_graph(4, 2, 1)).edge_transitive
 
 
 class TestIsomorphism:
@@ -209,24 +219,30 @@ class TestTransitiveColourings:
                 assert is_balanced(c4, a)
 
 
+def first_transitive_colouring(g: BipartiteGraph):
+    """The first balanced colouring, in enumeration order, that is transitive
+    under one edge table of Aut(g), or None."""
+    table = _edge_table(g, _all_automorphisms(g, True, RunConfig()))
+    return next((a for a in iter_balanced_colourings(g) if _transitive_under(g, a, table)),
+                None)
+
+
 class TestExistsTransitive:
     def test_c6_present(self, c6):
-        res = exists_transitive_colouring(c6)
-        assert res.present and res.colouring.colours == (0, 1, 0, 1, 0, 1)
+        assert first_transitive_colouring(c6).colours == (0, 1, 0, 1, 0, 1)
 
     def test_star_absent(self):
-        res = exists_transitive_colouring(star(3))
-        assert not res.present and res.exhausted
+        assert first_transitive_colouring(star(3)) is None
 
     def test_q4_present(self):
-        res = exists_transitive_colouring(hypercube(4))
-        assert res.present
-        assert is_transitive_colouring(hypercube(4), res.colouring)
+        found = first_transitive_colouring(hypercube(4))
+        assert found is not None
+        assert is_transitive_colouring(hypercube(4), found)
 
     def test_present_implies_edge_transitive(self):
         for g in (cycle(4), cycle(6), hypercube(4), set_inclusion_graph(4, 2, 1)):
-            if exists_transitive_colouring(g).present:
-                assert is_edge_transitive(g)
+            if first_transitive_colouring(g) is not None:
+                assert automorphisms(g).edge_transitive
 
 
 class TestReportJson:
@@ -253,7 +269,7 @@ class TestAdmissibilityLink:
                 if g.n_edges > 32 or g.n_vertices > 30:
                     continue
                 if not kneser_admissible(n, r):
-                    assert not exists_transitive_colouring(g).present, (n, r)
+                    assert first_transitive_colouring(g) is None, (n, r)
 
 
 def _literal_transitive(a: EdgeColouring, perms) -> bool:

@@ -14,7 +14,7 @@ def test_row_fails_on_corrupted_formula(monkeypatch):
     # a deliberately broken cycle counter must flip the row to FAIL
     real = V.count_directed_cycles
 
-    def corrupted(t, m, config=None):
+    def corrupted(t, m):
         return real(t, m) + (1 if m == 4 else 0)
 
     monkeypatch.setattr(V, "count_directed_cycles", corrupted)
