@@ -46,7 +46,7 @@ from .cycles import (
     kappa_alternating,
     potential_colouring,
 )
-from .kernels import Decoration, OnePlusEps, StepKernel, TrigKernel, phase_kernel
+from .kernels import Decoration, StepKernel, TrigKernel, phase_kernel
 from .density import (
     rho_2m,
     s_max,

@@ -51,11 +51,9 @@ from .graphs import (
     iter_balanced_colourings,
 )
 from .constructions import (
-    Tournament,
     _tail_colouring,
     bipartite_kneser,
     clockwise_tournament,
-    colouring_from_tournament,
     count_directed_cycles,
     hypercube,
     hypercube_alpha,
@@ -278,7 +276,7 @@ def certify_not_norming(
         )
     stages.ran("biregular", ok=True)
 
-    autos = None
+    report = None
     try:
         report = symmetry.automorphisms(g, side_swap, config)
         stages.ran("edge-transitive", ok=report.edge_transitive,
@@ -290,7 +288,6 @@ def certify_not_norming(
                 witness={"group_order": report.group_order},
                 side_swap=side_swap, stages=stages.log,
             )
-        autos = symmetry._all_automorphisms(g, side_swap, config)
     except CapExceeded as exc:
         stages.capped("edge-transitive", exc)
 
@@ -321,7 +318,7 @@ def certify_not_norming(
             witness={"note": "balanced enumeration capped"},
             side_swap=side_swap, stages=stages.log, cap_hit=True,
         )
-    if autos is None:
+    if report is None:
         stages.skipped("transitive-colourings", "automorphism group capped")
         return Certificate(
             VERDICT_NO_OBSTRUCTION,
@@ -329,7 +326,9 @@ def certify_not_norming(
             side_swap=side_swap, stages=stages.log, cap_hit=True,
         )
 
-    perms = symmetry._edge_table(g, autos)
+    # the group is searched again only here, where the filter reads it whole;
+    # a shortcut or a cap above ends the run after one search
+    perms = symmetry._edge_table(g, symmetry._all_automorphisms(g, side_swap, config))
     transitive = [c for c in balanced if symmetry._transitive_under(g, c, perms)]
     stages.ran("transitive-colourings", balanced=len(balanced),
                transitive=len(transitive))
@@ -700,22 +699,6 @@ def _certify_inclusion(n: int, k: int, r: int, config: RunConfig) -> Certificate
             witness={"note": f"no family fact applies and the graph is too large: {exc}"},
             family=fam, cap_hit=True,
         )
-
-
-def tournament_is_arc_transitive(t: Tournament, config: RunConfig = DEFAULT) -> bool:
-    """Is the automorphism group of ``t`` transitive on its arcs?
-
-    Aut(t) is the colour-preserving, side-preserving automorphism group of
-    ``colouring_from_tournament(t)``, which the coloured search of
-    ``symmetry._iso_maps`` finds, and the arcs are its colour-1 edges (tail
-    to subdivision vertex).  The vertex cap applies to the subdivided K_n,
-    which has n + n(n-1)/2 vertices.
-    """
-    g, a = colouring_from_tournament(t)
-    if g.n_vertices > config.cap_vertices:
-        raise CapExceeded("arc-transitivity check", g.n_vertices, config.cap_vertices)
-    autos = [symmetry.Automorphism(p) for p in symmetry._iso_maps(g, g, False, (a, a))]
-    return _arc_transitive(symmetry._edge_table(g, autos), a)
 
 
 def _arc_transitive(table: np.ndarray, a: EdgeColouring) -> bool:

@@ -77,9 +77,6 @@ def _config_from(args) -> RunConfig:
         ("cap_vertices", "cap_vertices"),
         ("cap_colourings", "cap_colourings"),
         ("cap_cycles", "cap_cycles"),
-        ("seed", "seed"),
-        ("trials", "trials"),
-        ("resolution", "resolution"),
     ):
         val = getattr(args, flag, None)
         if val is not None:
@@ -105,6 +102,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="allow side-exchanging automorphisms (default on)")
 
 
+def _unless_capped(report: dict, key: str, compute) -> None:
+    """``report[key] = compute()``, or a note naming the cap that stopped it."""
+    try:
+        report[key] = compute()
+    except CapExceeded as exc:
+        report[key] = f"skipped ({exc})"
+
+
 def cmd_check(args) -> int:
     cfg = _config_from(args)
     g = G.load_graph(args.graph)
@@ -122,29 +127,19 @@ def cmd_check(args) -> int:
         report["automorphism_group_order"] = sym.group_order
     except CapExceeded as exc:
         report["edge_transitive"] = f"skipped ({exc})"
-    if report["girth"] == 4:
-        try:
-            if args.colouring:
-                a = G.load_colouring(args.colouring)
-                report["four_cycle_profile"] = classify_4cycles(g, a, cfg).to_json()
-        except CapExceeded as exc:
-            report["four_cycle_profile"] = f"skipped ({exc})"
     if args.colouring:
         a = G.load_colouring(args.colouring)
         G.check_aligned(g, a)
+        if report["girth"] == 4:
+            _unless_capped(report, "four_cycle_profile",
+                           lambda: classify_4cycles(g, a, cfg).to_json())
         report["balanced"] = G.is_balanced(g, a)
-        try:
-            sc = symmetry.is_self_conjugate(g, a, cfg.side_swap, cfg)
-            report["self_conjugate"] = bool(sc)
-        except CapExceeded as exc:
-            report["self_conjugate"] = f"skipped ({exc})"
-        try:
-            report["transitive"] = symmetry.is_transitive_colouring(
-                g, a, cfg.side_swap, cfg)
-        except CapExceeded as exc:
-            report["transitive"] = f"skipped ({exc})"
-        report["four_cycles_generate_cycle_space"] = \
-            four_cycles_generate_cycle_space(g, cfg)
+        _unless_capped(report, "self_conjugate", lambda: bool(
+            symmetry.is_self_conjugate(g, a, cfg.side_swap, cfg)))
+        _unless_capped(report, "transitive", lambda: symmetry.is_transitive_colouring(
+            g, a, cfg.side_swap, cfg))
+        _unless_capped(report, "four_cycles_generate_cycle_space",
+                       lambda: four_cycles_generate_cycle_space(g, cfg))
     _emit(report, args)
     return EXIT_OK
 

@@ -31,13 +31,8 @@ class RunConfig:
     cap_hypergraph_vertices: int = 12
     cap_group: int = 1_000_000     # automorphism group size
 
-    seed: int | None = None        # required by randomized searches
-    trials: int = 10_000
-    resolution: int = 2            # default kernel grid for falsifiers
-
     tol_falsify: float = 1e-9      # inequality slack before declaring violation
     tol_rel: float = 1e-12         # dual-path relative agreement
-    tol_abs: float = 1e-12
 
     side_swap: bool = True         # allow automorphisms exchanging the sides
     threads: int = field(default_factory=_threads_from_env)

@@ -169,13 +169,6 @@ class TrigKernel:
         return TrigKernel("const", c=complex(c))
 
 
-@dataclass(frozen=True)
-class OnePlusEps:
-    """Marker for the perturbed kernel 1 + eps*inner with symbolic eps."""
-
-    inner: TrigKernel
-
-
 # -- JSON interchange --------------------------------------------------------
 
 

@@ -36,10 +36,6 @@ class Automorphism:
 
     images: tuple[int, ...]
 
-    def vertex_map(self, g: BipartiteGraph) -> dict[str, str]:
-        verts = g.vertices
-        return {verts[i]: verts[j] for i, j in enumerate(self.images)}
-
     def edge_permutation(self, g: BipartiteGraph) -> tuple[int, ...]:
         """Edge-index permutation induced by the vertex map."""
         vidx = g.vertex_index
@@ -60,21 +56,8 @@ class Automorphism:
 class SymmetryReport:
     edge_transitive: bool
     vertex_transitive: bool
-    generators: tuple[Automorphism, ...]
     group_order: int
     side_swap: bool
-
-    def to_json(self, g: BipartiteGraph) -> dict:
-        return {
-            "edge_transitive": self.edge_transitive,
-            "vertex_transitive": self.vertex_transitive,
-            "group_order": self.group_order,
-            "side_swap": self.side_swap,
-            "generators": [
-                [gen.vertex_map(g)[v] for v in g.vertices] for gen in self.generators
-            ],
-            "vertex_order": list(g.vertices),
-        }
 
 
 # -- refinement and backtracking ---------------------------------------------
@@ -253,43 +236,10 @@ def _edge_table(g: BipartiteGraph, autos: list[Automorphism]) -> np.ndarray:
     return table
 
 
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(b[a[i]] for i in range(len(a)))
-
-
-def _closure(gens: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
-    identity = tuple(range(n))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gens:
-                r = _compose(p, q)
-                if r not in group:
-                    group.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return group
-
-
-def _generators(autos: list[Automorphism], n: int) -> list[Automorphism]:
-    """Greedy generating subset (incremental closure)."""
-    gens: list[tuple[int, ...]] = []
-    known = {tuple(range(n))}
-    for a in autos:
-        if a.images not in known:
-            gens.append(a.images)
-            known = _closure(gens, n)
-        if len(known) == len(autos):
-            break
-    return [Automorphism(p) for p in gens]
-
-
 def automorphisms(
     g: BipartiteGraph, side_swap: bool = True, config: RunConfig = DEFAULT
 ) -> SymmetryReport:
-    """Exact automorphism group: generators, order, and transitivity flags."""
+    """Exact automorphism group: order and transitivity flags."""
     autos = _all_automorphisms(g, side_swap, config)
     # the group is complete, so the images of edge 0 and of vertex 0 are their
     # orbits: column 0 of the edge and of the vertex image table, read on
@@ -300,11 +250,9 @@ def automorphisms(
         edge_orbit = {frozenset((a.images[x], a.images[y])) for a in autos}
         edge_transitive = len(edge_orbit) == g.n_edges
         vertex_transitive = len({a.images[0] for a in autos}) == g.n_vertices
-    gens = _generators(autos, g.n_vertices)
     return SymmetryReport(
         edge_transitive=edge_transitive,
         vertex_transitive=vertex_transitive,
-        generators=tuple(gens),
         group_order=len(autos),
         side_swap=side_swap,
     )

@@ -57,7 +57,6 @@ from .falsify import (
     triangle_falsifier,
 )
 from .graphs import (
-    BipartiteGraph,
     EdgeColouring,
     complete_bipartite,
     cycle,
@@ -208,14 +207,10 @@ def _row_kneser_arithmetic(config: RunConfig) -> dict:
             "list_mismatches": mismatches, "duality_failures": dual_bad}
 
 
-def _q3_graph() -> BipartiteGraph:
-    return hypercube(3)
-
-
 def _row_dual_path(config: RunConfig) -> dict:
     """Direct and elimination-order evaluation agree to 1e-12 relative on 100
     seeded random instances."""
-    graphs = [cycle(4), cycle(6), complete_bipartite(2, 3), _q3_graph()]
+    graphs = [cycle(4), cycle(6), complete_bipartite(2, 3), hypercube(3)]
     rng = random.Random(0xD0A1)
     worst = 0.0
     for trial in range(100):

@@ -16,12 +16,12 @@ from gnorm.graphs import (
     disjoint_union,
     star,
 )
+from gnorm import symmetry
 from gnorm.symmetry import _all_automorphisms, _edge_table, isomorphic
 from gnorm.certify import (
     _arc_transitive,
     certify_family,
     certify_not_norming,
-    tournament_is_arc_transitive,
 )
 from gnorm.constructions import (
     Tournament,
@@ -311,46 +311,50 @@ def every_tournament(n: int):
 
 
 class TestArcTransitivity:
+    # the family scan's route: the side-preserving group of subdivided K_n,
+    # built once per n, and each tournament's colour-preserving rows of it
+    _tables: dict = {}
+
+    def arc_transitive(self, t: Tournament) -> bool:
+        if t.n not in self._tables:
+            g = subdivided_complete(t.n)
+            self._tables[t.n] = _edge_table(g, _all_automorphisms(g, False, RunConfig()))
+        _, a = colouring_from_tournament(t)
+        return _arc_transitive(self._tables[t.n], a)
+
     def test_qr7_is_arc_transitive(self):
-        assert tournament_is_arc_transitive(quadratic_residue_tournament(7))
+        assert self.arc_transitive(quadratic_residue_tournament(7))
 
     def test_clockwise_7_is_not(self):
-        assert not tournament_is_arc_transitive(clockwise_tournament(7))
+        assert not self.arc_transitive(clockwise_tournament(7))
 
     def test_triangle_is(self):
-        assert tournament_is_arc_transitive(clockwise_tournament(3))
+        assert self.arc_transitive(clockwise_tournament(3))
 
     def test_every_tournament_on_five_vertices(self):
-        for t in every_tournament(5):
-            assert tournament_is_arc_transitive(t) == brute_arc_transitive(t), t
+        # none is arc-transitive, as the family certificate's scan reports
+        assert not any(self.arc_transitive(t) for t in every_tournament(5))
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_one_group_for_every_tournament(self, n):
-        # the family scan's route: the side-preserving group of subdivided
-        # K_n, built once, and each tournament's colour-preserving rows of it
-        g = subdivided_complete(n)
-        table = _edge_table(g, _all_automorphisms(g, False, RunConfig()))
-        rng = random.Random(n)
+        # every tournament for n <= 5; for n = 7 every rotational tournament
+        # on Z_7 (QR7 and its converse are the arc-transitive ones)
         cases = list(every_tournament(n)) if n < 7 else [
-            quadratic_residue_tournament(7), clockwise_tournament(7)] + [
-            random_tournament(7, rng) for _ in range(5)]
+            Tournament(7, tuple((x, (x + s) % 7) for x in range(7) for s in jumps))
+            for jumps in product(*((s, 7 - s) for s in (1, 2, 3)))]
         for t in cases:
-            _, a = colouring_from_tournament(t)
-            assert _arc_transitive(table, a) == brute_arc_transitive(t), t
+            assert self.arc_transitive(t) == brute_arc_transitive(t), t
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_seeded_samples(self, n):
         rng = random.Random(n)
-        cases = [random_tournament(n, rng) for _ in range(15)]
-        if n == 7:
-            cases += [quadratic_residue_tournament(7), clockwise_tournament(7)]
-        for t in cases:
-            assert tournament_is_arc_transitive(t) == brute_arc_transitive(t), t
+        for t in [random_tournament(n, rng) for _ in range(15)]:
+            assert self.arc_transitive(t) == brute_arc_transitive(t), t
 
     def test_vertex_cap(self):
-        # subdivided K5 has 15 vertices
+        # the family scan searches subdivided K5, which has 15 vertices
         with pytest.raises(CapExceeded):
-            tournament_is_arc_transitive(clockwise_tournament(5), RunConfig(cap_vertices=10))
+            certify_family("subdivided-complete", [5], RunConfig(cap_vertices=10))
 
     def test_k5_family_certificate_is_pinned(self):
         cert = certify_family("subdivided-complete", [5])
@@ -412,6 +416,27 @@ class TestHints:
         g = set_inclusion_graph(6, 4, 2)
         cert = certify_not_norming(g, ("inclusion", 6, 4, 2))
         assert cert.obstruction == "ClassAViolation"
+
+
+@pytest.mark.parametrize("g, hint, config, outcome, searches", [
+    (cycle(6), None, RunConfig(), "NoObstructionFound", [6, 6]),
+    (bipartite_kneser(6, 2), ("kneser", 6, 2), RunConfig(), "ClassAViolation", [30]),
+    (hypercube(4), None, RunConfig(cap_edges=2), "NoObstructionFound", [16]),
+], ids=["C6-filter", "H62-hinted-shortcut", "Q4-capped-enumeration"])
+def test_group_is_searched_again_only_for_the_filter(monkeypatch, g, hint, config,
+                                                     outcome, searches):
+    # the edge-transitivity report searches the whole group once; only the
+    # transitive-colouring filter, which reads every element, searches again
+    calls = []
+
+    def counted(g, side_swap, config):
+        calls.append(g.n_vertices)
+        return _all_automorphisms(g, side_swap, config)
+
+    monkeypatch.setattr(symmetry, "_all_automorphisms", counted)
+    cert = certify_not_norming(g, hint, config)
+    assert (cert.obstruction or cert.verdict) == outcome
+    assert calls == searches
 
 
 class TestCertificateJson:

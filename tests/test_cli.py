@@ -66,6 +66,22 @@ class TestCheck:
         for key in ("edge_transitive", "self_conjugate", "transitive"):
             assert report[key] == skipped
 
+    def test_capped_cycle_enumeration_keeps_the_report(self, capsys, tmp_path):
+        # both 4-cycle stages stop at the cycle cap; the symmetry stages,
+        # which enumerate no cycles, still answer
+        graph, colouring = tmp_path / "q4.json", tmp_path / "q4a.json"
+        graph.write_text(json.dumps(graph_to_json(hypercube(4))))
+        colouring.write_text(json.dumps(colouring_to_json(hypercube_alpha(4))))
+        code, out = run_cli(["check", str(graph), str(colouring), "--cap-cycles", "1"],
+                            capsys)
+        assert code == 0
+        report = json.loads(out)
+        skipped = "skipped (cycle enumeration: needs 2, cap is 1)"
+        for key in ("four_cycle_profile", "four_cycles_generate_cycle_space"):
+            assert report[key] == skipped
+        assert report["automorphism_group_order"] == 384
+        assert report["balanced"] and report["self_conjugate"] and report["transitive"]
+
     def test_parse_error_exit_code(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")

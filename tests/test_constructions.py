@@ -334,12 +334,15 @@ class TestBetaBalanceHigherDimensions:
 class TestTransitivityTournamentEquivalence:
     def test_colouring_transitive_iff_arc_transitive(self):
         # the colouring of a subdivided complete graph is transitive exactly
-        # when the defining tournament is arc-transitive
-        from gnorm.symmetry import is_transitive_colouring
-        from gnorm.certify import tournament_is_arc_transitive
-        cases = [clockwise_tournament(3), clockwise_tournament(5),
-                 clockwise_tournament(7), quadratic_residue_tournament(7)]
-        for t in cases:
+        # when the defining tournament is arc-transitive, read off the
+        # side-preserving group of subdivided K_n as the family scan does
+        from gnorm.config import RunConfig
+        from gnorm.symmetry import _all_automorphisms, _edge_table, is_transitive_colouring
+        from gnorm.certify import _arc_transitive
+        cases = [(clockwise_tournament(3), True), (clockwise_tournament(5), False),
+                 (clockwise_tournament(7), False), (quadratic_residue_tournament(7), True)]
+        for t, arc_transitive in cases:
             g, col = colouring_from_tournament(t)
-            assert is_transitive_colouring(g, col) == \
-                tournament_is_arc_transitive(t)
+            table = _edge_table(g, _all_automorphisms(g, False, RunConfig()))
+            assert _arc_transitive(table, col) == arc_transitive
+            assert is_transitive_colouring(g, col) == arc_transitive

@@ -75,17 +75,11 @@ class TestAutomorphisms:
         rep = automorphisms(g, side_swap=True)
         assert rep.group_order == 8 == brute_automorphism_count(g)
 
-    def test_generators_generate(self, c6):
-        rep = automorphisms(c6, side_swap=True)
-        from gnorm.symmetry import _closure
-        group = _closure([a.images for a in rep.generators], c6.n_vertices)
-        assert len(group) == rep.group_order
-
     def test_edge_permutation_is_permutation(self, c6):
-        rep = automorphisms(c6, side_swap=True)
-        for gen in rep.generators:
-            perm = gen.edge_permutation(c6)
-            assert sorted(perm) == list(range(c6.n_edges))
+        autos = _all_automorphisms(c6, True, RunConfig())
+        assert len(autos) == 12
+        for auto in autos:
+            assert sorted(auto.edge_permutation(c6)) == list(range(c6.n_edges))
 
     def test_vertex_cap(self, c4):
         with pytest.raises(CapExceeded):
@@ -243,17 +237,6 @@ class TestExistsTransitive:
         for g in (cycle(4), cycle(6), hypercube(4), set_inclusion_graph(4, 2, 1)):
             if first_transitive_colouring(g) is not None:
                 assert automorphisms(g).edge_transitive
-
-
-class TestReportJson:
-    def test_symmetry_report_serialises(self, c4):
-        import json
-        rep = automorphisms(c4, side_swap=True)
-        blob = rep.to_json(c4)
-        json.dumps(blob)
-        assert blob["group_order"] == 8
-        assert all(len(p) == 4 for p in blob["generators"])
-        assert set(blob["vertex_order"]) == set(c4.vertices)
 
 
 class TestAdmissibilityLink:
