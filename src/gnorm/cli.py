@@ -120,13 +120,17 @@ def cmd_check(args) -> int:
         "biregular": G.is_biregular(g),
         "girth": None if G.girth(g) == math.inf else int(G.girth(g)),
     }
+    # one group search serves the report and both colouring checks
+    autos = skipped = None
     try:
-        sym = symmetry.automorphisms(g, cfg.side_swap, cfg)
+        autos = symmetry._all_automorphisms(g, cfg.side_swap, cfg)
+    except CapExceeded as exc:
+        skipped = report["edge_transitive"] = f"skipped ({exc})"
+    else:
+        sym = symmetry._report(g, autos, cfg.side_swap)
         report["edge_transitive"] = sym.edge_transitive
         report["vertex_transitive"] = sym.vertex_transitive
         report["automorphism_group_order"] = sym.group_order
-    except CapExceeded as exc:
-        report["edge_transitive"] = f"skipped ({exc})"
     if args.colouring:
         a = G.load_colouring(args.colouring)
         G.check_aligned(g, a)
@@ -134,10 +138,14 @@ def cmd_check(args) -> int:
             _unless_capped(report, "four_cycle_profile",
                            lambda: classify_4cycles(g, a, cfg).to_json())
         report["balanced"] = G.is_balanced(g, a)
-        _unless_capped(report, "self_conjugate", lambda: bool(
-            symmetry.is_self_conjugate(g, a, cfg.side_swap, cfg)))
-        _unless_capped(report, "transitive", lambda: symmetry.is_transitive_colouring(
-            g, a, cfg.side_swap, cfg))
+        if not report["balanced"]:
+            report["self_conjugate"] = report["transitive"] = False
+        elif skipped:
+            report["self_conjugate"] = report["transitive"] = skipped
+        else:
+            table = symmetry._edge_table(g, autos)
+            report["self_conjugate"] = bool(symmetry._colour_action(table, a.colours)[1].any())
+            report["transitive"] = not g.n_edges or symmetry._transitive_under(g, a, table)
         _unless_capped(report, "four_cycles_generate_cycle_space",
                        lambda: four_cycles_generate_cycle_space(g, cfg))
     _emit(report, args)
@@ -160,10 +168,14 @@ def cmd_colourings(args) -> int:
     cfg = _config_from(args)
     g = G.load_graph(args.graph)
     out = []
+    table = None    # the group's edge table, searched at the first balanced colouring
     for col in G.iter_balanced_colourings(g, cfg):
-        if args.transitive and not symmetry.is_transitive_colouring(
-                g, col, cfg.side_swap, cfg):
-            continue
+        if args.transitive and g.n_edges:
+            if table is None:
+                table = symmetry._edge_table(
+                    g, symmetry._all_automorphisms(g, cfg.side_swap, cfg))
+            if not symmetry._transitive_under(g, col, table):
+                continue
         out.append(list(col.colours))
         if args.limit and len(out) >= args.limit:
             break
@@ -186,9 +198,8 @@ def cmd_density(args) -> int:
         "evaluation": args.mode,
     }
     if args.mode == "auto":
-        direct = t_density(g, a, f, mode, "direct", cfg)
-        elim = t_density(g, a, f, mode, "eliminate", cfg)
-        payload["cross_check_abs_diff"] = abs(direct - elim)
+        _unless_capped(payload, "cross_check_abs_diff", lambda: abs(
+            t_density(g, a, f, mode, "direct", cfg) - t_density(g, a, f, mode, "eliminate", cfg)))
     _emit(payload, args)
     return EXIT_OK
 

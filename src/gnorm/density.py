@@ -70,19 +70,8 @@ def _check_shape(shape: tuple[int, int], mode: str) -> None:
 
 
 def _edge_factors(a: EdgeColouring, dec: Decoration, mode: str) -> list[np.ndarray]:
-    """Per-edge (p, q) tables: a single evaluation, with no batch axes.
-
-    Edges that share a kernel object and a colour share one table, so a
-    uniform decoration builds at most two.
-    """
-    tables: dict[tuple[int, int], np.ndarray] = {}
-    factors = []
-    for k, c in zip(dec.kernels, a.colours):
-        key = (id(k), c)
-        if key not in tables:
-            tables[key] = _colour_table(k.array(), c, mode)
-        factors.append(tables[key])
-    return factors
+    """Per-edge (p, q) tables: a single evaluation, with no batch axes."""
+    return [_colour_table(k.array(), c, mode) for k, c in zip(dec.kernels, a.colours)]
 
 
 def _dims(g: BipartiteGraph, shape: tuple[int, int], mode: str) -> list[int]:
@@ -524,6 +513,4 @@ def expansion_tail_bound(g: BipartiteGraph, h: StepKernel, eps: float) -> float:
 
 def perturbed_kernel(h: StepKernel, eps: float) -> StepKernel:
     """The step kernel 1 + eps*h on the same grid."""
-    return StepKernel(
-        tuple(tuple(1.0 + eps * x for x in row) for row in h.values)
-    )
+    return StepKernel(1.0 + eps * h.array())

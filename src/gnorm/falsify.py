@@ -27,15 +27,12 @@ def _substream(seed: int, trial: int) -> random.Random:
 
 
 def random_kernel(rng: random.Random, p: int, q: int, complex_entries: bool = True) -> StepKernel:
-    vals = []
-    for _ in range(p):
-        row = []
-        for _ in range(q):
-            re = rng.uniform(-1.0, 1.0)
-            im = rng.uniform(-1.0, 1.0) if complex_entries else 0.0
-            row.append(complex(re, im))
-        vals.append(tuple(row))
-    return StepKernel(tuple(vals))
+    """Entries drawn row by row, real part before imaginary part."""
+    return StepKernel([
+        [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0) if complex_entries else 0.0)
+         for _ in range(q)]
+        for _ in range(p)
+    ])
 
 
 # -- decoration inequality ----------------------------------------------------

@@ -9,94 +9,78 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ParseError, ShapeMismatch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepKernel:
-    """Complex p x q grid; entry (i, j) is the value on box i x j."""
+    """Complex p x q grid; entry (i, j) is the value on box i x j.
 
-    values: tuple[tuple[complex, ...], ...]
+    ``values`` is a read-only complex128 array, copied from whatever nested
+    sequence or array the kernel is built from, so no caller's array is
+    aliased.  Kernels compare by value.
+    """
+
+    values: np.ndarray
 
     def __post_init__(self):
-        rows = tuple(tuple(complex(x) for x in row) for row in self.values)
-        if not rows or not rows[0]:
-            raise ValueError("kernel needs at least one row and one column")
-        q = len(rows[0])
-        if any(len(row) != q for row in rows):
-            raise ValueError("ragged kernel grid")
-        for row in rows:
-            for x in row:
-                if not (np.isfinite(x.real) and np.isfinite(x.imag)):
-                    raise ValueError("kernel entries must be finite")
-        object.__setattr__(self, "values", rows)
+        arr = np.array(self.values, dtype=np.complex128)
+        if arr.ndim != 2 or not arr.size:
+            raise ValueError("kernel needs a 2-D grid of at least one row and one column")
+        if not np.isfinite(arr).all():
+            raise ValueError("kernel entries must be finite")
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
 
-    @property
-    def rows(self) -> int:
-        return len(self.values)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StepKernel):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
 
-    @property
-    def cols(self) -> int:
-        return len(self.values[0])
+    def __hash__(self) -> int:
+        return hash((self.shape, *self.values.ravel().tolist()))
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        return self.values.shape
 
     @property
     def is_square(self) -> bool:
-        return self.rows == self.cols
+        p, q = self.shape
+        return p == q
 
     def array(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.complex128)
+        return self.values
 
     def conj(self) -> "StepKernel":
-        return StepKernel(tuple(tuple(x.conjugate() for x in row) for row in self.values))
-
-    def transpose(self) -> "StepKernel":
-        return StepKernel(tuple(zip(*self.values)))
-
-    def tensor(self, other: "StepKernel") -> "StepKernel":
-        """Tensor product: first variables pair up, second variables pair up.
-
-        The grid is the Kronecker product, rows p1*p2 and columns q1*q2.
-        """
-        return StepKernel(tuple(map(tuple, np.kron(self.array(), other.array()))))
+        return StepKernel(self.values.conj())
 
     def scale(self, c: complex) -> "StepKernel":
-        return StepKernel(tuple(tuple(c * x for x in row) for row in self.values))
+        return StepKernel(c * self.values)
 
     def add(self, other: "StepKernel") -> "StepKernel":
         if self.shape != other.shape:
             raise ShapeMismatch(f"cannot add {self.shape} and {other.shape}")
-        return StepKernel(
-            tuple(
-                tuple(x + y for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.values, other.values)
-            )
-        )
+        return StepKernel(self.values + other.values)
 
     @property
     def is_real(self) -> bool:
-        return all(x.imag == 0 for row in self.values for x in row)
+        return not self.values.imag.any()
 
     def max_abs(self) -> float:
-        return max(abs(x) for row in self.values for x in row)
+        # hypot, as Python's abs(complex) uses; np.abs can differ in the last bit
+        return float(np.hypot(self.values.real, self.values.imag).max())
 
     def mean(self) -> complex:
-        return sum(x for row in self.values for x in row) / (self.rows * self.cols)
+        # Python's left-to-right sum, not ndarray.mean's pairwise order
+        return sum(self.values.ravel().tolist()) / self.values.size
 
     @staticmethod
     def constant(c: complex, p: int = 1, q: int = 1) -> "StepKernel":
-        return StepKernel(tuple(tuple(complex(c) for _ in range(q)) for _ in range(p)))
-
-    @staticmethod
-    def from_real(rows: Sequence[Sequence[float]]) -> "StepKernel":
-        return StepKernel(tuple(tuple(complex(x) for x in row) for row in rows))
+        return StepKernel(np.full((p, q), complex(c)))
 
 
 def phase_kernel(p: int) -> StepKernel:
@@ -107,7 +91,7 @@ def phase_kernel(p: int) -> StepKernel:
     colour-imbalance not divisible by p.
     """
     w = np.exp(2j * np.pi / p)
-    return StepKernel(tuple(tuple(w ** (i + j) for j in range(p)) for i in range(p)))
+    return StepKernel([[w ** (i + j) for j in range(p)] for i in range(p)])
 
 
 @dataclass(frozen=True)
@@ -173,23 +157,26 @@ class TrigKernel:
 
 
 def kernel_to_json(f: StepKernel) -> dict:
+    p, q = f.shape
     return {
-        "rows": f.rows,
-        "cols": f.cols,
-        "values": [[[x.real, x.imag] for x in row] for row in f.values],
+        "rows": p,
+        "cols": q,
+        "values": [[[x.real, x.imag] for x in row] for row in f.values.tolist()],
     }
+
+
+def _json_entry(x) -> complex:
+    if not isinstance(x, list) or len(x) != 2:
+        raise ValueError(f"kernel entry {x!r} is not a [re, im] pair")
+    return complex(float(x[0]), float(x[1]))
 
 
 def kernel_from_json(data) -> StepKernel:
     try:
         p, q = int(data["rows"]), int(data["cols"])
-        vals = data["values"]
-        rows = tuple(
-            tuple(complex(float(x[0]), float(x[1])) for x in row) for row in vals
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        k = StepKernel([[_json_entry(x) for x in row] for row in data["values"]])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad kernel object: {exc}") from exc
-    k = StepKernel(rows)
     if k.shape != (p, q):
         raise ParseError(f"kernel shape {k.shape} contradicts declared ({p}, {q})")
     return k

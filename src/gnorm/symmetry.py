@@ -240,7 +240,11 @@ def automorphisms(
     g: BipartiteGraph, side_swap: bool = True, config: RunConfig = DEFAULT
 ) -> SymmetryReport:
     """Exact automorphism group: order and transitivity flags."""
-    autos = _all_automorphisms(g, side_swap, config)
+    return _report(g, _all_automorphisms(g, side_swap, config), side_swap)
+
+
+def _report(g: BipartiteGraph, autos: list[Automorphism], side_swap: bool) -> SymmetryReport:
+    """The report on a group already searched whole."""
     # the group is complete, so the images of edge 0 and of vertex 0 are their
     # orbits: column 0 of the edge and of the vertex image table, read on
     # their own rather than from a whole (|Aut| x edges) table

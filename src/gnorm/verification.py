@@ -220,12 +220,8 @@ def _row_dual_path(config: RunConfig) -> dict:
         mode = "conjugate"
         if p == q and rng.random() < 0.5:
             mode = "transpose"
-        vals = tuple(
-            tuple(complex(rng.uniform(0.1, 1.1), rng.uniform(-0.3, 0.3))
-                  for _ in range(q))
-            for _ in range(p)
-        )
-        f = StepKernel(vals)
+        f = StepKernel([[complex(rng.uniform(0.1, 1.1), rng.uniform(-0.3, 0.3))
+                         for _ in range(q)] for _ in range(p)])
         col = EdgeColouring(tuple(rng.randint(0, 1) for _ in range(g.n_edges)))
         direct = t_density(g, col, f, mode, "direct", config)
         elim = t_density(g, col, f, mode, "eliminate", config)
@@ -282,9 +278,7 @@ def _row_second_order(config: RunConfig) -> dict:
     instances = _expansion_instances()
     fitted_by_instance: dict[str, float] = {}
     for _ in range(20):
-        h = StepKernel(tuple(
-            tuple(complex(rng.uniform(-1, 1)) for _ in range(3)) for _ in range(3)
-        ))
+        h = StepKernel([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(3)])
         for g, col in instances:
             key = f"{g.n_edges}-edges-{''.join(map(str, col.colours))}"
             exp = second_order_expansion(g, col, h)

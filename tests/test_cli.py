@@ -7,11 +7,13 @@ import sys
 
 import pytest
 
+from gnorm import symmetry
 from gnorm.cli import main
 from gnorm.constructions import hypercube, hypercube_alpha
 from gnorm.graphs import (
     EdgeColouring,
     colouring_to_json,
+    complete_bipartite,
     cycle,
     graph_to_json,
 )
@@ -27,7 +29,7 @@ def files(tmp_path):
         ("alt4", colouring_to_json(EdgeColouring((1, 0, 1, 0)))),
         ("mono4", colouring_to_json(EdgeColouring((1, 1, 1, 1)))),
         ("alt6", colouring_to_json(EdgeColouring((1, 0, 1, 0, 1, 0)))),
-        ("sign", kernel_to_json(StepKernel.from_real([[1, 1], [1, -1]]))),
+        ("sign", kernel_to_json(StepKernel([[1, 1], [1, -1]]))),
     ):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(payload))
@@ -40,6 +42,20 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.fixture
+def group_searches(monkeypatch):
+    """The sizes of the graphs whose automorphism group was searched."""
+    calls = []
+    search = symmetry._all_automorphisms
+
+    def counted(g, side_swap, config):
+        calls.append(g.n_vertices)
+        return search(g, side_swap, config)
+
+    monkeypatch.setattr(symmetry, "_all_automorphisms", counted)
+    return calls
 
 
 class TestCheck:
@@ -82,6 +98,25 @@ class TestCheck:
         assert report["automorphism_group_order"] == 384
         assert report["balanced"] and report["self_conjugate"] and report["transitive"]
 
+    @pytest.mark.parametrize("colouring,symmetric", [("alt6", True), (None, None)])
+    def test_one_group_search_per_command(self, files, capsys, group_searches,
+                                          colouring, symmetric):
+        args = ["check", files["c6"]] + ([files[colouring]] if colouring else [])
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["automorphism_group_order"] == 12
+        assert report.get("self_conjugate") is symmetric
+        assert report.get("transitive") is symmetric
+        assert group_searches == [6]
+
+    def test_unbalanced_colouring_reads_false(self, files, capsys, group_searches):
+        code, out = run_cli(["check", files["c4"], files["mono4"]], capsys)
+        report = json.loads(out)
+        assert report["balanced"] is False
+        assert report["self_conjugate"] is False and report["transitive"] is False
+        assert group_searches == [4]
+
     def test_parse_error_exit_code(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
@@ -119,6 +154,26 @@ class TestDensity:
         assert blob["value"] == [0.5, 0.0]
         assert blob["cross_check_abs_diff"] == 0.0
 
+    def test_capped_cross_check_is_skipped(self, capsys, tmp_path):
+        # 3^8 assignments send auto to the elimination route; the direct
+        # cross-check is over the cap, so it is skipped and the value stands
+        paths = []
+        for name, payload in (
+            ("c8", graph_to_json(cycle(8))),
+            ("mono8", colouring_to_json(EdgeColouring((1,) * 8))),
+            ("k3", kernel_to_json(StepKernel([[1, 2, 0.5j], [0, 1, 1], [-1, 1j, 2]]))),
+        ):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(payload))
+        cap = ["--cap-assignments", "1000"]
+        code, out = run_cli(["density", *map(str, paths), *cap], capsys)
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["cross_check_abs_diff"] == (
+            "skipped (direct density evaluation: needs 6561, cap is 1000)")
+        _, elim = run_cli(["density", *map(str, paths), "--mode", "eliminate", *cap], capsys)
+        assert blob["value"] == json.loads(elim)["value"]
+
     def test_transpose_shape_guard(self, files, capsys, tmp_path):
         rect = tmp_path / "rect.json"
         rect.write_text(json.dumps(kernel_to_json(StepKernel(((1, 2, 3),)))))
@@ -133,6 +188,20 @@ class TestColourings:
         blob = json.loads(out)
         assert blob["count"] == 2
         assert blob["colourings"] == [[0, 1, 0, 1], [1, 0, 1, 0]]
+
+    def test_transitive_filter_searches_the_group_once(self, files, capsys,
+                                                       group_searches):
+        code, out = run_cli(["colourings", files["c6"], "--transitive"], capsys)
+        assert code == 0
+        assert json.loads(out)["colourings"] == [[0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0]]
+        assert group_searches == [6]
+
+    def test_no_balanced_colouring_needs_no_search(self, capsys, tmp_path, group_searches):
+        graph = tmp_path / "k23.json"
+        graph.write_text(json.dumps(graph_to_json(complete_bipartite(2, 3))))
+        code, out = run_cli(["colourings", str(graph), "--transitive"], capsys)
+        assert code == 0 and json.loads(out)["count"] == 0
+        assert group_searches == []
 
 
 class TestFalsify:

@@ -70,7 +70,7 @@ class TestPinnedValues:
         assert t_density(c4, alt4, StepKernel.constant(1.0)) == 1
 
     def test_sign_kernel_half(self, c4, alt4):
-        f = StepKernel.from_real([[1, 1], [1, -1]])
+        f = StepKernel([[1, 1], [1, -1]])
         val = t_density(c4, alt4, f)
         assert val == pytest.approx(0.5)
         assert oracle_density(c4, alt4, f, "conjugate") == pytest.approx(0.5)
@@ -157,14 +157,14 @@ class TestAxioms:
         g = cycle(4)
         f1, f2 = rand_kernel(rng, 2, 2), rand_kernel(rng, 2, 2)
         a = EdgeColouring(tuple(rng.randint(0, 1) for _ in range(4)))
-        lhs = t_density(g, a, f1.tensor(f2))
+        lhs = t_density(g, a, StepKernel(np.kron(f1.values, f2.values)))
         rhs = t_density(g, a, f1) * t_density(g, a, f2)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     def test_real_kernel_colouring_independent(self):
         rng = random.Random(12)
         for g in (cycle(4), cycle(6)):
-            f = StepKernel.from_real(
+            f = StepKernel(
                 [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(2)]
             )
             vals = {
@@ -195,7 +195,7 @@ class TestDualPath:
 
 class TestColouringScans:
     def test_smax_real_kernel(self, c4):
-        f = StepKernel.from_real([[0.3, 0.9], [0.7, 0.2]])
+        f = StepKernel([[0.3, 0.9], [0.7, 0.2]])
         res = s_max(c4, f)
         want = abs(t_density(c4, EdgeColouring((1,) * 4), f))
         assert res.value == pytest.approx(want)
@@ -219,7 +219,7 @@ class TestColouringScans:
         assert res.value == pytest.approx(abs(0.5 + 0.5j) ** 6)
 
     def test_rho_symmetric_real(self, c4):
-        f = StepKernel.from_real([[0.3, 0.9], [0.9, 0.2]])
+        f = StepKernel([[0.3, 0.9], [0.9, 0.2]])
         t = abs(t_density(c4, EdgeColouring((1,) * 4), f, "transpose"))
         for m in (1, 2, 3):
             assert rho_2m(c4, f, m, "transpose") == \
@@ -227,7 +227,7 @@ class TestColouringScans:
 
     def test_rho_single_edge(self):
         g = star(1)
-        f = StepKernel.from_real([[0.25, 0.5], [0.75, 1.0]])
+        f = StepKernel([[0.25, 0.5], [0.75, 1.0]])
         t1 = t_density(g, EdgeColouring((1,)), f, "transpose").real
         t0 = t_density(g, EdgeColouring((0,)), f, "transpose").real
         assert rho_2m(g, f, 1, "transpose") == pytest.approx(
@@ -236,7 +236,7 @@ class TestColouringScans:
     def test_rho_dominates_envelope(self, c4):
         rng = random.Random(14)
         for _ in range(5):
-            f = StepKernel.from_real(
+            f = StepKernel(
                 [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)]
             )
             q = s_max(c4, f, "transpose").value
@@ -321,7 +321,7 @@ class TestSweep:
             best, best_col = loop_s_max(g, f, "conjugate")
             assert res.argmax == best_col
             assert res.value == pytest.approx(best, rel=1e-12)
-        h = StepKernel.from_real(
+        h = StepKernel(
             [[rng.uniform(-1, 1) for _ in range(p)] for _ in range(p)])
         assert rho_2m(g, h, 2, "transpose") == \
             pytest.approx(loop_rho_2m(g, h, 2, "transpose"), rel=1e-12)
@@ -331,7 +331,7 @@ class TestSweep:
         # lexicographically least maximiser is the all-zeros colouring
         q3 = hypercube(3)
         rng = random.Random(21)
-        f = StepKernel.from_real([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(3)])
+        f = StepKernel([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(3)])
         chunks = list(density._sweep(q3, f, "conjugate", "eliminate", RunConfig(), "ties"))
         assert len(chunks) > 4
         vals = np.concatenate([v for _, v in chunks])
@@ -471,7 +471,7 @@ def perturbed_step(h, eps):
 class TestSecondOrder:
     def test_two_path_integrals_oriented_star(self):
         rng = random.Random(15)
-        h = StepKernel.from_real(
+        h = StepKernel(
             [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(3)]
         )
         i1, i2, i3 = two_path_integrals(h)
@@ -486,7 +486,7 @@ class TestSecondOrder:
             pytest.approx(i3)
 
     def test_centre_inequality_strict_for_asymmetric(self):
-        h = StepKernel.from_real([[0, 1], [-1, 0]])  # antisymmetric
+        h = StepKernel([[0, 1], [-1, 0]])  # antisymmetric
         i1, i2, i3 = two_path_integrals(h)
         assert i1 + i2 - 2 * i3 > 0
 
@@ -496,7 +496,7 @@ class TestSecondOrder:
 
     def test_prediction_has_cubic_residual(self):
         rng = random.Random(16)
-        h = StepKernel.from_real(
+        h = StepKernel(
             [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(3)]
         )
         for g, col in ((cycle(4), EdgeColouring((1, 0, 1, 0))),

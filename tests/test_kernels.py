@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from gnorm.errors import ParseError, ShapeMismatch
@@ -11,6 +12,7 @@ from gnorm.kernels import (
     TrigKernel,
     kernel_from_json,
     kernel_to_json,
+    load_kernel,
     phase_kernel,
 )
 
@@ -24,20 +26,29 @@ def test_shape_and_validation():
         StepKernel(((float("nan"),),))
 
 
-def test_conj_transpose():
+def test_values_are_a_read_only_complex_array():
+    f = StepKernel(((1, 2),))
+    assert isinstance(f.values, np.ndarray) and f.values.dtype == np.complex128
+    assert not f.values.flags.writeable
+    assert f.array() is f.values
+    with pytest.raises(ValueError):
+        StepKernel(((),))
+    with pytest.raises(ValueError):
+        StepKernel((1, 2))
+
+
+def test_conj():
     f = StepKernel(((1 + 1j, 2), (0, -1j)))
     assert f.conj().values[0][0] == 1 - 1j
-    assert f.transpose().values[0][1] == 0
-    assert f.transpose().transpose() == f
 
 
 def test_tensor_shape_and_values():
     f = StepKernel(((1, 2),))
     g = StepKernel(((3,), (5,)))
-    t = f.tensor(g)
+    t = StepKernel(np.kron(f.values, g.values))
     assert t.shape == (2, 2)
     # entry ((i1, i2), (j1, j2)) = f[i1][j1] * g[i2][j2]
-    assert t.values == ((3, 6), (5, 10))
+    assert t.values.tolist() == [[3, 6], [5, 10]]
 
 
 def test_mean_and_max_abs():
@@ -77,3 +88,23 @@ def test_json_round_trip_is_exact():
 def test_json_shape_mismatch():
     with pytest.raises(ParseError):
         kernel_from_json({"rows": 2, "cols": 1, "values": [[[1, 0]]]})
+
+
+@pytest.mark.parametrize("values", [
+    [[[1, 0, 5]]],                   # not a [re, im] pair
+    [[[1]]],
+    [[1]],
+    [[[1, 0], [2, 0]], [[3, 0]]],    # ragged
+    [],                              # empty
+    [[]],
+])
+def test_json_malformed_grid_is_a_parse_error(values):
+    with pytest.raises(ParseError):
+        kernel_from_json({"rows": 1, "cols": 1, "values": values})
+
+
+def test_json_non_finite_entry_is_a_parse_error(tmp_path):
+    path = tmp_path / "k.json"
+    path.write_text('{"rows": 1, "cols": 1, "values": [[[1e400, 0]]]}')
+    with pytest.raises(ParseError):
+        load_kernel(str(path))
