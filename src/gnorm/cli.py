@@ -102,6 +102,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="allow side-exchanging automorphisms (default on)")
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _unless_capped(report: dict, key: str, compute) -> None:
     """``report[key] = compute()``, or a note naming the cap that stopped it."""
     try:
@@ -331,9 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("triangle", "decoration"),
                    default="triangle")
     p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--resolution", type=int, default=2)
-    _add_common(p)
+    p.add_argument("--trials", type=_at_least(0), default=10_000)
+    p.add_argument("--resolution", type=_at_least(1), default=2)
+    _add_output(p)
+    # the only cap a density evaluation reads
+    p.add_argument("--cap-assignments", dest="cap_assignments", type=int)
     p.set_defaults(fn=cmd_falsify)
 
     p = sub.add_parser("tournament", help="generate a tournament and its counts")

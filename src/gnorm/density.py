@@ -7,11 +7,13 @@ minimum-fill order.  Both are exact up to floating point and must agree; the
 verification suite pins their relative deviation.
 
 Both routes take edge factors with leading batch axes.  ``t_decoration``
-makes one evaluation, with no batch axes.  ``s_max`` and ``rho_2m`` sweep
-all 2^e colourings: they plan the route (and raise its caps) once, stack the
-two tables of the kernel (colour 0 and colour 1), and contract the
-colourings in chunks of rows in product order, first edge most significant,
-with the chunk size set by ``_SWEEP_BUDGET``.
+and ``t_density`` make one evaluation, with no batch axes.  ``s_max`` and
+``rho_2m`` sweep all 2^e colourings: they plan the route (and raise its caps)
+once, stack the two tables of the kernel (colour 0 and colour 1), and
+contract the colourings in chunks of rows in product order, first edge most
+significant, with the chunk size set by ``_SWEEP_BUDGET``.  The falsifiers
+contract chunks of trials the same way, through ``_route`` and
+``_densities``.
 """
 
 from __future__ import annotations
@@ -56,11 +58,12 @@ def _colour_table(arr: np.ndarray, colour: int, mode: str) -> np.ndarray:
     variable, axis 1 the right.
 
     Colour 1 keeps the kernel; colour 0 conjugates it (conjugate mode) or
-    swaps its arguments (transpose mode).
+    swaps its arguments (transpose mode).  Leading axes of ``arr`` are batch
+    axes.
     """
     if colour == 1:
         return arr
-    return arr.conj() if mode == "conjugate" else arr.T
+    return arr.conj() if mode == "conjugate" else np.swapaxes(arr, -1, -2)
 
 
 def _check_shape(shape: tuple[int, int], mode: str) -> None:
@@ -119,6 +122,16 @@ def _plan(g: BipartiteGraph, dims: list[int], method: str, config: RunConfig) ->
     raise ValueError(f"unknown method {method!r}")
 
 
+def _route(
+    g: BipartiteGraph, shape: tuple[int, int], mode: str, method: str, config: RunConfig
+) -> _Route:
+    """Check the mode and the kernel shape, then plan the route of one
+    evaluation on this grid."""
+    _check_mode(mode)
+    _check_shape(shape, mode)
+    return _plan(g, _dims(g, shape, mode), method, config)
+
+
 def _evaluate(route: _Route, g: BipartiteGraph, factors: list[np.ndarray]) -> np.ndarray:
     """Assignment sums of a batch of evaluations: factor i, for edge i, has
     shape batch + (d_left, d_right), with one batch shape for every edge
@@ -146,6 +159,22 @@ def _evaluate_direct(g, factors, dims) -> np.ndarray:
             fac = np.swapaxes(factors[i], -1, -2)
         arr *= fac.reshape(shape)
     return arr.reshape(*batch, -1).sum(axis=-1)
+
+
+def _means(route: _Route, sums: np.ndarray) -> np.ndarray:
+    """Batched sums divided by the assignment count, each component on its
+    own, as a complex-by-int division does: so a batched value equals the
+    value of the same evaluation made alone."""
+    return (sums.view(np.float64) / float(route.assignments)).view(np.complex128)
+
+
+def _densities(
+    route: _Route, g: BipartiteGraph, a: EdgeColouring, kernels: list[np.ndarray], mode: str
+) -> np.ndarray:
+    """Densities of a batch of decorations, one per row: ``kernels[i]`` is
+    the (N, p, q) stack of the kernels that edge i carries."""
+    factors = [_colour_table(k, c, mode) for k, c in zip(kernels, a.colours)]
+    return _means(route, _evaluate(route, g, factors))
 
 
 def _elimination_order(scopes: list[frozenset[int]], n: int) -> list[int]:
@@ -250,9 +279,7 @@ def t_decoration(
         raise ValueError(f"decoration size {len(dec)} != edge count {g.n_edges}")
     if g.n_edges == 0:
         return complex(1.0)
-    shape = dec.shape
-    _check_shape(shape, mode)
-    route = _plan(g, _dims(g, shape, mode), method, config)
+    route = _route(g, dec.shape, mode, method, config)
     return complex(_evaluate(route, g, _edge_factors(a, dec, mode))) / route.assignments
 
 
@@ -264,9 +291,19 @@ def t_density(
     method: str = "auto",
     config: RunConfig = DEFAULT,
 ) -> complex:
-    """Homomorphism density of a single kernel under the given colouring."""
-    return t_decoration(g, a, Decoration.uniform(f, max(g.n_edges, 1)), mode,
-                        method, config)
+    """Homomorphism density of a single kernel under the given colouring.
+
+    Every edge reads one of the kernel's two colour tables; an edgeless graph
+    has density 1.
+    """
+    _check_mode(mode)
+    check_aligned(g, a)
+    if g.n_edges == 0:
+        return complex(1.0)
+    route = _route(g, f.shape, mode, method, config)
+    arr = f.array()
+    tables = (_colour_table(arr, 0, mode), arr)
+    return complex(_evaluate(route, g, [tables[c] for c in a.colours])) / route.assignments
 
 
 def _sweep(
@@ -301,10 +338,7 @@ def _sweep(
     shifts = np.arange(m - 1, -1, -1)
     for start in range(0, 1 << m, rows):
         bits = (np.arange(start, min(start + rows, 1 << m))[:, None] >> shifts) & 1
-        sums = _evaluate(route, g, [tables[bits[:, i]] for i in range(m)])
-        # divide each component by the count, as t_decoration's complex-by-int
-        # division does, so that the sweep's values equal t_decoration's
-        yield start, (sums.view(np.float64) / float(route.assignments)).view(np.complex128)
+        yield start, _means(route, _evaluate(route, g, [tables[bits[:, i]] for i in range(m)]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,6 +6,11 @@ trial budget.  Absence of a witness is evidence, not proof.
 
 Seed discipline: trial t of a run seeded with s draws from the substream
 keyed by "s:t", so results are independent of execution order.
+
+The random scans evaluate their trials in chunks: each trial's draws go into
+(B, p, q) stacks, a chunk plans one route and makes one batched contraction,
+and the trials are then scanned in order, so the first violating trial is
+the one a trial-by-trial run would return, with the same values.
 """
 
 from __future__ import annotations
@@ -14,25 +19,45 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .config import DEFAULT, RunConfig
 from .graphs import BipartiteGraph, EdgeColouring, check_aligned
 from .kernels import Decoration, StepKernel, kernel_to_json, phase_kernel
-from .density import t_decoration, t_density
+from .density import _SWEEP_BUDGET, _densities, _route, t_decoration, t_density
 
 
 def _substream(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
 
 
+def _entries(rng: random.Random, n: int, complex_entries: bool = True) -> list[complex]:
+    """n entries in [-1, 1] (both parts), real part drawn before imaginary part."""
+    u = rng.uniform
+    return [complex(u(-1.0, 1.0), u(-1.0, 1.0) if complex_entries else 0.0) for _ in range(n)]
+
+
 def random_kernel(rng: random.Random, p: int, q: int, complex_entries: bool = True) -> StepKernel:
     """Entries drawn row by row, real part before imaginary part."""
-    return StepKernel([
-        [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0) if complex_entries else 0.0)
-         for _ in range(q)]
-        for _ in range(p)
-    ])
+    return StepKernel(np.reshape(_entries(rng, p * q, complex_entries), (p, q)))
+
+
+def _check_budget(trials: int, resolution: int) -> None:
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution}")
+
+
+def _chunks(start: int, trials: int, route, per_trial: int) -> Iterator[range]:
+    """Trials start..trials-1 in chunks of _SWEEP_BUDGET // (route.width *
+    per_trial) trials (at least one), where per_trial is the number of
+    evaluations a trial makes."""
+    rows = max(1, _SWEEP_BUDGET // (route.width * per_trial))
+    for lo in range(start, trials, rows):
+        yield range(lo, min(lo + rows, trials))
 
 
 # -- decoration inequality ----------------------------------------------------
@@ -55,6 +80,20 @@ class HatamiCheck:
     def __bool__(self) -> bool:
         return self.holds
 
+    @staticmethod
+    def verdict(mixed: float, singles: list[float], tol: float) -> "HatamiCheck":
+        """The check from |t({f_e})| and the e magnitudes |t(f_e)|."""
+        e = len(singles)
+        lhs = mixed ** e
+        rhs = math.prod(singles)
+        if mixed <= tol:
+            return HatamiCheck(True, math.inf, lhs, rhs)
+        if any(s <= tol for s in singles):
+            return HatamiCheck(False, -math.inf, lhs, rhs)
+        margin = sum(math.log(s) for s in singles) - e * math.log(mixed)
+        holds = lhs <= rhs * (1.0 + tol) + tol
+        return HatamiCheck(holds, margin, lhs, rhs)
+
 
 def hatami_check(
     g: BipartiteGraph,
@@ -65,19 +104,9 @@ def hatami_check(
 ) -> HatamiCheck:
     """Check |t({f_e})|^e <= prod_e |t(f_e)| with the configured slack."""
     check_aligned(g, a)
-    e = g.n_edges
     mixed = abs(t_decoration(g, a, dec, mode, config=config))
-    singles = [abs(t_density(g, a, dec[i], mode, config=config)) for i in range(e)]
-    lhs = mixed ** e
-    rhs = math.prod(singles)
-    tol = config.tol_falsify
-    if mixed <= tol:
-        return HatamiCheck(True, math.inf, lhs, rhs)
-    if any(s <= tol for s in singles) :
-        return HatamiCheck(False, -math.inf, lhs, rhs)
-    margin = sum(math.log(s) for s in singles) - e * math.log(mixed)
-    holds = lhs <= rhs * (1.0 + tol) + tol
-    return HatamiCheck(holds, margin, lhs, rhs)
+    singles = [abs(t_density(g, a, k, mode, config=config)) for k in dec.kernels]
+    return HatamiCheck.verdict(mixed, singles, config.tol_falsify)
 
 
 @dataclass(frozen=True)
@@ -132,23 +161,39 @@ def hatami_random_scan(
     mode: str = "conjugate",
     config: RunConfig = DEFAULT,
 ) -> HatamiScan:
-    """Test the decoration inequality on independent random decorations."""
+    """Test the decoration inequality on independent random decorations.
+
+    Trial t draws e kernels, in edge order, from its own substream.  A chunk
+    of B trials is one contraction of B * (1 + e) evaluations: each trial's
+    decoration, then the e single-kernel densities of its kernels.
+    """
+    _check_budget(trials, resolution)
     check_aligned(g, a)
+    e, r = g.n_edges, resolution
+    if e == 0:
+        raise ValueError("the decoration inequality needs at least one edge")
+    route = _route(g, (r, r), mode, "auto", config)
     worst = math.inf
-    for t in range(trials):
-        rng = _substream(seed, t)
-        dec = Decoration(
-            tuple(random_kernel(rng, resolution, resolution) for _ in range(g.n_edges))
-        )
-        res = hatami_check(g, a, dec, mode, config)
-        worst = min(worst, res.log_margin)
-        if not res.holds:
-            return HatamiScan(
-                HatamiWitness(seed, t, mode, a.colours, dec.kernels,
-                              res.lhs, res.rhs, res.log_margin),
-                t + 1,
-                worst,
-            )
+    for chunk in _chunks(0, trials, route, 1 + e):
+        kernels = np.reshape(
+            [x for t in chunk for x in _entries(_substream(seed, t), e * r * r)],
+            (len(chunk), e, r, r))
+        # row (b, 0) is trial b's decoration; row (b, 1 + j) is kernel j alone
+        vals = _densities(route, g, a, [
+            np.concatenate((kernels[:, i:i + 1], kernels), axis=1).reshape(-1, r, r)
+            for i in range(e)
+        ], mode).reshape(len(chunk), 1 + e).tolist()
+        for t, ks, (mixed, *singles) in zip(chunk, kernels, vals):
+            res = HatamiCheck.verdict(abs(mixed), [abs(x) for x in singles],
+                                      config.tol_falsify)
+            worst = min(worst, res.log_margin)
+            if not res.holds:
+                return HatamiScan(
+                    HatamiWitness(seed, t, mode, a.colours, tuple(map(StepKernel, ks)),
+                                  res.lhs, res.rhs, res.log_margin),
+                    t + 1,
+                    worst,
+                )
     return HatamiScan(None, trials, worst)
 
 
@@ -171,17 +216,18 @@ def hatami_violation_search(
     first-order structure; every candidate is re-verified before being
     returned, so no witness is ever fabricated in either mode.
     """
+    _check_budget(trials, resolution)
     check_aligned(g, a)
     e = g.n_edges
     if e < 2:
         return None
+    route = _route(g, (resolution, resolution), mode, "auto", config)
     for t in range(trials):
         rng = _substream(seed, t)
         f = random_kernel(rng, resolution, resolution)
-        tv = t_density(g, a, f, mode, config=config)
+        tv, *deleted = _deleted_densities(route, g, a, f, mode)
         if abs(tv) < 1e-6:
             continue
-        deleted = [_deleted_density(g, a, f, i, mode, config) for i in range(e)]
         for i in range(e):
             for j in range(e):
                 if i == j:
@@ -202,11 +248,14 @@ def hatami_violation_search(
     return None
 
 
-def _deleted_density(g, a, f, drop: int, mode: str, config) -> complex:
-    """Density with one edge replaced by the constant-1 kernel."""
-    kernels = list(Decoration.uniform(f, g.n_edges).kernels)
-    kernels[drop] = StepKernel.constant(1.0, *f.shape)
-    return t_decoration(g, a, Decoration(tuple(kernels)), mode, config=config)
+def _deleted_densities(route, g, a, f: StepKernel, mode: str) -> list[complex]:
+    """t(f), then for each edge the density with that edge's kernel replaced
+    by the constant 1, in one batched evaluation."""
+    e = g.n_edges
+    # stack[k, i] is the kernel edge i carries in row k; row 1 + j drops edge j
+    stack = np.array(np.broadcast_to(f.array(), (1 + e, e, *f.shape)))
+    stack[np.arange(1, e + 1), np.arange(e)] = 1.0
+    return _densities(route, g, a, [stack[:, i] for i in range(e)], mode).tolist()
 
 
 def _mismatch_direction(ci, cj, ti, tj, tv) -> Optional[complex]:
@@ -259,15 +308,15 @@ class TriangleWitness:
         a = EdgeColouring(self.colours)
         e = graph.n_edges
         tol = config.tol_falsify
+
+        def density(f: StepKernel) -> complex:
+            return t_density(graph, a, f, config=config)
+
         if self.kind == "triangle":
-            nf = abs(t_density(graph, a, self.f, config=config)) ** (1 / e)
-            ng = abs(t_density(graph, a, self.g2, config=config)) ** (1 / e)
-            ns = abs(t_density(graph, a, self.f.add(self.g2), config=config)) ** (1 / e)
-            return ns > nf + ng + tol
-        tf = t_density(graph, a, self.f, config=config)
-        tcf = t_density(graph, a, self.f.scale(self.c), config=config)
-        expected = (abs(self.c) ** e) * tf
-        return abs(tcf - expected) > tol * max(1.0, abs(expected))
+            sums = (density(self.f.add(self.g2)), density(self.f), density(self.g2))
+            return _triangle(*sums, e, tol) is not None
+        sums = (density(self.f), density(self.f.scale(self.c)))
+        return _scaling(*sums, self.c, e, tol) is not None
 
     def to_json(self) -> dict:
         out = {
@@ -284,6 +333,24 @@ class TriangleWitness:
         if self.c is not None:
             out["c"] = [self.c.real, self.c.imag]
         return out
+
+
+def _triangle(t_sum: complex, t_f: complex, t_g: complex, e: int, tol: float) -> Optional[dict]:
+    """A triangle witness's values from t(f + g), t(f) and t(g), or None
+    when |t(.)|^(1/e) obeys the triangle inequality on the pair."""
+    ns, nf, ng = (abs(x) ** (1.0 / e) for x in (t_sum, t_f, t_g))
+    if ns > nf + ng + tol:
+        return {"norm_sum": ns, "norm_f": nf, "norm_g": ng}
+    return None
+
+
+def _scaling(t_f: complex, t_cf: complex, c: complex, e: int, tol: float) -> Optional[dict]:
+    """A scaling witness's values from t(f) and t(c*f), or None when
+    t(c*f) = |c|^e * t(f) within the slack."""
+    expected = (abs(c) ** e) * t_f
+    if abs(t_cf - expected) > tol * max(1.0, abs(expected)):
+        return {"t_cf": t_cf, "expected": expected, "t_f": t_f}
+    return None
 
 
 @dataclass(frozen=True)
@@ -309,53 +376,55 @@ def triangle_falsifier(
     Trial 0 tries structured candidates first: the roots-of-unity phase
     kernel plus its conjugate (which separates balanced from unbalanced
     colourings exactly), and the scaling law t(c*f) = |c|^e * t(f) with
-    eighth-root scalars.  Later trials are independent random pairs.
+    eighth-root scalars.  Later trials are independent random pairs f, g with
+    a unit scalar c, drawn in that order from the trial's substream, and a
+    chunk of B of them is one contraction of the 4B kernels f + g, f, g and
+    c*f.  A trial tests the triangle inequality before the scaling law.
     """
+    _check_budget(trials, resolution)
     check_aligned(g, a)
-    e = g.n_edges
+    e, r = g.n_edges, resolution
+    if e == 0:
+        raise ValueError("the triangle falsifier needs at least one edge")
     tol = config.tol_falsify
+    if trials == 0:
+        return FalsifierResult(None, 0)
 
-    def norm(f: StepKernel) -> float:
-        return abs(t_density(g, a, f, config=config)) ** (1.0 / e)
-
-    def triangle_witness(t, f, f2) -> Optional[TriangleWitness]:
-        ns, nf, ng = norm(f.add(f2)), norm(f), norm(f2)
-        if ns > nf + ng + tol:
-            return TriangleWitness("triangle", seed, t, a.colours, f, f2, None,
-                                   {"norm_sum": ns, "norm_f": nf, "norm_g": ng})
-        return None
-
-    def scaling_witness(t, f, c) -> Optional[TriangleWitness]:
-        tf = t_density(g, a, f, config=config)
-        tcf = t_density(g, a, f.scale(c), config=config)
-        expected = (abs(c) ** e) * tf
-        if abs(tcf - expected) > tol * max(1.0, abs(expected)):
-            return TriangleWitness("scaling", seed, t, a.colours, f, None, c,
-                                   {"t_cf": tcf, "expected": expected, "t_f": tf})
-        return None
+    def density(f: StepKernel) -> complex:
+        return t_density(g, a, f, config=config)
 
     max_deg = max(g.degree(v) for v in g.vertices)
-    structured_p = max(resolution, max_deg + 1)
+    pk = phase_kernel(max(r, max_deg + 1))
+    values = _triangle(density(pk.add(pk.conj())), density(pk), density(pk.conj()), e, tol)
+    if values:
+        return FalsifierResult(
+            TriangleWitness("triangle", seed, 0, a.colours, pk, pk.conj(), None, values), 1)
+    one = StepKernel.constant(1.0, r, r)
+    for c in (cmath.exp(1j * math.pi / 4), 1j, cmath.exp(1j * math.pi / 3)):
+        values = _scaling(density(one), density(one.scale(c)), c, e, tol)
+        if values:
+            return FalsifierResult(
+                TriangleWitness("scaling", seed, 0, a.colours, one, None, c, values), 1)
 
-    for t in range(trials):
-        if t == 0:
-            pk = phase_kernel(structured_p)
-            w = triangle_witness(t, pk, pk.conj())
-            if w:
-                return FalsifierResult(w, t + 1)
-            for c in (cmath.exp(1j * math.pi / 4), 1j, cmath.exp(1j * math.pi / 3)):
-                w = scaling_witness(t, StepKernel.constant(1.0, resolution, resolution), c)
-                if w:
-                    return FalsifierResult(w, t + 1)
-            continue
-        rng = _substream(seed, t)
-        f = random_kernel(rng, resolution, resolution)
-        f2 = random_kernel(rng, resolution, resolution)
-        w = triangle_witness(t, f, f2)
-        if w:
-            return FalsifierResult(w, t + 1)
-        c = cmath.exp(2j * math.pi * rng.random())
-        w = scaling_witness(t, f, c)
-        if w:
-            return FalsifierResult(w, t + 1)
+    route = _route(g, (r, r), "conjugate", "auto", config)
+    for chunk in _chunks(1, trials, route, 4):
+        draws, scalars = [], []
+        for t in chunk:
+            rng = _substream(seed, t)
+            draws += _entries(rng, 2 * r * r)
+            scalars.append(cmath.exp(2j * math.pi * rng.random()))
+        pairs = np.reshape(draws, (len(chunk), 2, r, r))
+        fs, gs = pairs[:, 0], pairs[:, 1]
+        stack = np.concatenate((fs + gs, fs, gs, np.array(scalars)[:, None, None] * fs))
+        vals = _densities(route, g, a, [stack] * e, "conjugate").reshape(4, -1).T.tolist()
+        for t, f, f2, c, (t_sum, t_f, t_g, t_cf) in zip(chunk, fs, gs, scalars, vals):
+            values = _triangle(t_sum, t_f, t_g, e, tol)
+            if values:
+                return FalsifierResult(TriangleWitness(
+                    "triangle", seed, t, a.colours, StepKernel(f), StepKernel(f2), None, values),
+                    t + 1)
+            values = _scaling(t_f, t_cf, c, e, tol)
+            if values:
+                return FalsifierResult(TriangleWitness(
+                    "scaling", seed, t, a.colours, StepKernel(f), None, c, values), t + 1)
     return FalsifierResult(None, trials)

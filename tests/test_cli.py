@@ -225,6 +225,30 @@ class TestFalsify:
              "--trials", "50"], capsys)
         assert out1 == out2
 
+    @pytest.mark.parametrize("flag", [["--trials", "-1"], ["--resolution", "0"]])
+    def test_refuses_a_negative_budget(self, files, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["falsify", files["c4"], files["mono4"], "--seed", "5", *flag])
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    def test_refuses_flags_it_never_reads(self, files, capsys):
+        for flag in (["--cap-edges", "1"], ["--cap-vertices", "1"],
+                     ["--cap-colourings", "1"], ["--cap-cycles", "1"],
+                     ["--side-swap", "off"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["falsify", files["c4"], files["mono4"], "--seed", "5", *flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cap_assignments_caps_the_density_route(self, files, capsys):
+        # trial 0's phase kernel on C4 is 3x3, so it needs 3^4 = 81 assignments
+        args = ["falsify", files["c4"], files["alt4"], "--seed", "5", "--trials", "3"]
+        assert main([*args, "--cap-assignments", "80"]) == 2
+        assert "cap exceeded" in capsys.readouterr().err
+        code, out = run_cli([*args, "--cap-assignments", "81"], capsys)
+        assert code == 0 and json.loads(out)["trials_run"] == 3
+
 
 class TestTournament:
     def test_counts(self, capsys):

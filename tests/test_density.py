@@ -15,6 +15,7 @@ from gnorm import density
 from gnorm.config import RunConfig
 from gnorm.errors import CapExceeded, ShapeMismatch
 from gnorm.graphs import (
+    BipartiteGraph,
     EdgeColouring,
     complete_bipartite,
     cycle,
@@ -68,6 +69,10 @@ def rand_kernel(rng, p, q):
 class TestPinnedValues:
     def test_constant_one(self, c4, alt4):
         assert t_density(c4, alt4, StepKernel.constant(1.0)) == 1
+
+    def test_empty_graph_has_density_one(self):
+        empty = BipartiteGraph((), (), ())
+        assert t_density(empty, EdgeColouring(()), StepKernel([[2, 3]])) == 1
 
     def test_sign_kernel_half(self, c4, alt4):
         f = StepKernel([[1, 1], [1, -1]])

@@ -3,7 +3,9 @@ broken ones, witness replay, determinism."""
 
 import random
 
-from gnorm.graphs import EdgeColouring, star
+import pytest
+
+from gnorm.graphs import BipartiteGraph, EdgeColouring, star
 from gnorm.kernels import Decoration, StepKernel
 from gnorm.falsify import (
     hatami_check,
@@ -83,3 +85,23 @@ class TestTriangleFalsifier:
         assert abs(t_density(c4, mono4, pk)) < 1e-12
         assert abs(t_density(c4, mono4, pk.conj())) < 1e-12
         assert abs(t_density(c4, mono4, pk.add(pk.conj()))) > 1
+
+
+class TestBudgetValidation:
+    @pytest.mark.parametrize("falsifier", [
+        triangle_falsifier, hatami_random_scan, hatami_violation_search])
+    def test_negative_trials_and_empty_grid_are_refused(self, c4, alt4, falsifier):
+        with pytest.raises(ValueError, match="trials"):
+            falsifier(c4, alt4, 0, trials=-3)
+        with pytest.raises(ValueError, match="resolution"):
+            falsifier(c4, alt4, 0, trials=5, resolution=0)
+
+    @pytest.mark.parametrize("falsifier", [triangle_falsifier, hatami_random_scan])
+    def test_empty_graph_is_refused(self, falsifier):
+        with pytest.raises(ValueError, match="at least one edge"):
+            falsifier(BipartiteGraph((), (), ()), EdgeColouring(()), 0, trials=5)
+
+    def test_zero_trials_run_nothing(self, c4, mono4):
+        assert triangle_falsifier(c4, mono4, 0, trials=0).trials == 0
+        scan = hatami_random_scan(c4, mono4, 0, trials=0)
+        assert scan.trials == 0 and not scan.violated

@@ -1,0 +1,277 @@
+"""Batched falsifiers against the per-trial implementations they replaced.
+
+The references below are the falsifiers as they were before trials were
+evaluated in chunks: one density call per kernel per trial, each through
+``t_decoration``.  They are kept as oracles: on every case the batched
+versions must return equal results under dataclass ``==``, that is the same
+witness trial, kernels, recorded values, trial count and worst margin.
+"""
+
+import cmath
+import math
+import random
+
+import pytest
+
+from gnorm import falsify
+from gnorm.config import DEFAULT
+from gnorm.density import _SWEEP_BUDGET, _dims, _plan, t_decoration, t_density
+from gnorm.falsify import (
+    FalsifierResult,
+    HatamiCheck,
+    HatamiScan,
+    HatamiWitness,
+    TriangleWitness,
+    _substream,
+    hatami_random_scan,
+    hatami_violation_search,
+    triangle_falsifier,
+)
+from gnorm.graphs import EdgeColouring, cycle, path, star
+from gnorm.kernels import Decoration, StepKernel, phase_kernel
+
+# -- reference: one t_decoration call per density ---------------------------------
+
+
+def random_kernel(rng, p, q):
+    """Entries drawn row by row, real part before imaginary part."""
+    return StepKernel([
+        [complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(q)]
+        for _ in range(p)
+    ])
+
+
+def ref_t_density(g, a, f, mode="conjugate", config=DEFAULT):
+    return t_decoration(g, a, Decoration.uniform(f, max(g.n_edges, 1)), mode, config=config)
+
+
+def ref_hatami_check(g, a, dec, mode="conjugate", config=DEFAULT):
+    e = g.n_edges
+    mixed = abs(t_decoration(g, a, dec, mode, config=config))
+    singles = [abs(ref_t_density(g, a, dec[i], mode, config)) for i in range(e)]
+    lhs = mixed ** e
+    rhs = math.prod(singles)
+    tol = config.tol_falsify
+    if mixed <= tol:
+        return HatamiCheck(True, math.inf, lhs, rhs)
+    if any(s <= tol for s in singles):
+        return HatamiCheck(False, -math.inf, lhs, rhs)
+    margin = sum(math.log(s) for s in singles) - e * math.log(mixed)
+    holds = lhs <= rhs * (1.0 + tol) + tol
+    return HatamiCheck(holds, margin, lhs, rhs)
+
+
+def ref_hatami_random_scan(g, a, seed, trials, resolution=2, mode="conjugate", config=DEFAULT):
+    worst = math.inf
+    for t in range(trials):
+        rng = _substream(seed, t)
+        dec = Decoration(
+            tuple(random_kernel(rng, resolution, resolution) for _ in range(g.n_edges))
+        )
+        res = ref_hatami_check(g, a, dec, mode, config)
+        worst = min(worst, res.log_margin)
+        if not res.holds:
+            return HatamiScan(
+                HatamiWitness(seed, t, mode, a.colours, dec.kernels,
+                              res.lhs, res.rhs, res.log_margin),
+                t + 1,
+                worst,
+            )
+    return HatamiScan(None, trials, worst)
+
+
+def ref_deleted_density(g, a, f, drop, mode, config):
+    kernels = list(Decoration.uniform(f, g.n_edges).kernels)
+    kernels[drop] = StepKernel.constant(1.0, *f.shape)
+    return t_decoration(g, a, Decoration(tuple(kernels)), mode, config=config)
+
+
+def ref_hatami_violation_search(g, a, seed, trials=1000, resolution=2, mode="conjugate",
+                                config=DEFAULT):
+    e = g.n_edges
+    if e < 2:
+        return None
+    for t in range(trials):
+        rng = _substream(seed, t)
+        f = random_kernel(rng, resolution, resolution)
+        tv = ref_t_density(g, a, f, mode, config)
+        if abs(tv) < 1e-6:
+            continue
+        deleted = [ref_deleted_density(g, a, f, i, mode, config) for i in range(e)]
+        for i in range(e):
+            for j in range(e):
+                if i == j:
+                    continue
+                z = falsify._mismatch_direction(a[i], a[j], deleted[i], deleted[j], tv)
+                if z is None:
+                    continue
+                for eps in (0.25, 0.125, 0.0625, 0.03125):
+                    kernels = list(Decoration.uniform(f, e).kernels)
+                    zk = StepKernel.constant(eps * z, *f.shape)
+                    kernels[i] = f.add(zk)
+                    kernels[j] = f.add(zk.scale(-1.0))
+                    dec = Decoration(tuple(kernels))
+                    res = ref_hatami_check(g, a, dec, mode, config)
+                    if not res.holds:
+                        return HatamiWitness(seed, t, mode, a.colours, dec.kernels,
+                                             res.lhs, res.rhs, res.log_margin)
+    return None
+
+
+def ref_triangle_falsifier(g, a, seed, trials=10_000, resolution=2, config=DEFAULT):
+    e = g.n_edges
+    tol = config.tol_falsify
+
+    def norm(f):
+        return abs(ref_t_density(g, a, f, config=config)) ** (1.0 / e)
+
+    def triangle_witness(t, f, f2):
+        ns, nf, ng = norm(f.add(f2)), norm(f), norm(f2)
+        if ns > nf + ng + tol:
+            return TriangleWitness("triangle", seed, t, a.colours, f, f2, None,
+                                   {"norm_sum": ns, "norm_f": nf, "norm_g": ng})
+        return None
+
+    def scaling_witness(t, f, c):
+        tf = ref_t_density(g, a, f, config=config)
+        tcf = ref_t_density(g, a, f.scale(c), config=config)
+        expected = (abs(c) ** e) * tf
+        if abs(tcf - expected) > tol * max(1.0, abs(expected)):
+            return TriangleWitness("scaling", seed, t, a.colours, f, None, c,
+                                   {"t_cf": tcf, "expected": expected, "t_f": tf})
+        return None
+
+    max_deg = max(g.degree(v) for v in g.vertices)
+    structured_p = max(resolution, max_deg + 1)
+
+    for t in range(trials):
+        if t == 0:
+            pk = phase_kernel(structured_p)
+            w = triangle_witness(t, pk, pk.conj())
+            if w:
+                return FalsifierResult(w, t + 1)
+            for c in (cmath.exp(1j * math.pi / 4), 1j, cmath.exp(1j * math.pi / 3)):
+                w = scaling_witness(t, StepKernel.constant(1.0, resolution, resolution), c)
+                if w:
+                    return FalsifierResult(w, t + 1)
+            continue
+        rng = _substream(seed, t)
+        f = random_kernel(rng, resolution, resolution)
+        f2 = random_kernel(rng, resolution, resolution)
+        w = triangle_witness(t, f, f2)
+        if w:
+            return FalsifierResult(w, t + 1)
+        c = cmath.exp(2j * math.pi * rng.random())
+        w = scaling_witness(t, f, c)
+        if w:
+            return FalsifierResult(w, t + 1)
+    return FalsifierResult(None, trials)
+
+
+# -- cases ---------------------------------------------------------------------------
+
+# (label, graph, colouring).  The alternating colourings are norming, so every
+# trial runs; the others give witnesses, P5 1100 only at a random trial.
+CASES = {
+    "C4 1010": (cycle(4), (1, 0, 1, 0)),
+    "C4 1111": (cycle(4), (1, 1, 1, 1)),
+    "C4 1110": (cycle(4), (1, 1, 1, 0)),
+    "K12 11": (star(2), (1, 1)),
+    "K12 10": (star(2), (1, 0)),
+    "C6 101010": (cycle(6), (1, 0, 1, 0, 1, 0)),
+    "P5 1100": (path(4), (1, 1, 0, 0)),
+}
+SEEDS = range(30)
+TRIALS = 24
+
+
+def chunk_trials(g, resolution, mode, per_trial):
+    """Trials in one chunk of a batched falsifier, from the route it plans."""
+    route = _plan(g, _dims(g, (resolution, resolution), mode), "auto", DEFAULT)
+    return max(1, _SWEEP_BUDGET // (route.width * per_trial))
+
+
+@pytest.mark.parametrize("resolution", [2, 3])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_triangle_matches_the_per_trial_oracle(case, resolution):
+    g, colours = CASES[case]
+    a = EdgeColouring(colours)
+    for seed in SEEDS:
+        want = ref_triangle_falsifier(g, a, seed, TRIALS, resolution)
+        assert triangle_falsifier(g, a, seed, TRIALS, resolution) == want, seed
+
+
+@pytest.mark.parametrize("mode", ["conjugate", "transpose"])
+@pytest.mark.parametrize("resolution", [2, 3])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_random_scan_matches_the_per_trial_oracle(case, resolution, mode):
+    g, colours = CASES[case]
+    a = EdgeColouring(colours)
+    for seed in SEEDS:
+        want = ref_hatami_random_scan(g, a, seed, TRIALS, resolution, mode)
+        assert hatami_random_scan(g, a, seed, TRIALS, resolution, mode) == want, seed
+
+
+@pytest.mark.parametrize("mode", ["conjugate", "transpose"])
+@pytest.mark.parametrize("case", ["C4 1110", "C4 1010", "P5 1100", "C6 101010"])
+def test_violation_search_matches_the_per_trial_oracle(case, mode):
+    g, colours = CASES[case]
+    a = EdgeColouring(colours)
+    for seed in range(10):
+        want = ref_hatami_violation_search(g, a, seed, 20, 2, mode)
+        assert hatami_violation_search(g, a, seed, 20, 2, mode) == want, seed
+
+
+def test_witnesses_come_from_random_trials():
+    # the cases above reach the batched witness path, not only trial 0's
+    g, colours = CASES["P5 1100"]
+    a = EdgeColouring(colours)
+    late = [triangle_falsifier(g, a, seed, TRIALS).witness for seed in SEEDS]
+    assert sum(w is not None and w.trial > 0 for w in late) >= 5
+    g, colours = CASES["C4 1110"]
+    a = EdgeColouring(colours)
+    scans = [hatami_random_scan(g, a, seed, TRIALS).witness for seed in SEEDS]
+    assert sum(w is not None and w.trial > 0 for w in scans) >= 5
+
+
+@pytest.mark.parametrize("case", ["C4 1010", "C6 101010"])
+def test_trial_counts_around_a_chunk_boundary(case):
+    g, colours = CASES[case]
+    a = EdgeColouring(colours)
+    rows = chunk_trials(g, 2, "conjugate", 4)
+    # trial 0 is the structured one, so the first chunk is trials 1..rows
+    for trials in (0, 1, rows, rows + 2):
+        want = ref_triangle_falsifier(g, a, 3, trials)
+        assert triangle_falsifier(g, a, 3, trials) == want, trials
+    rows = chunk_trials(g, 2, "conjugate", 1 + g.n_edges)
+    for trials in (0, 1, rows - 1, rows + 1):
+        want = ref_hatami_random_scan(g, a, 3, trials)
+        assert hatami_random_scan(g, a, 3, trials) == want, trials
+
+
+def test_elimination_route_matches_the_oracle():
+    # C8 at resolution 3 has 3^8 > 4096 assignments, so "auto" eliminates
+    g, a = cycle(8), EdgeColouring((1, 1, 0, 1, 0, 0, 1, 0))
+    for seed in range(3):
+        assert (hatami_random_scan(g, a, seed, 6, 3)
+                == ref_hatami_random_scan(g, a, seed, 6, 3)), seed
+        assert triangle_falsifier(g, a, seed, 6, 3) == ref_triangle_falsifier(g, a, seed, 6, 3)
+
+
+def test_random_kernel_draws_as_before():
+    for seed in range(10):
+        for p, q in ((1, 1), (2, 3), (3, 3)):
+            want = random_kernel(random.Random(seed), p, q)
+            assert falsify.random_kernel(random.Random(seed), p, q) == want
+
+
+def test_t_density_matches_the_uniform_decoration():
+    rng = random.Random("t_density")
+    for label in sorted(CASES):
+        g, colours = CASES[label]
+        a = EdgeColouring(colours)
+        for mode in ("conjugate", "transpose"):
+            for method in ("direct", "eliminate"):
+                f = random_kernel(rng, 3, 3)
+                want = t_decoration(g, a, Decoration.uniform(f, g.n_edges), mode, method)
+                assert t_density(g, a, f, mode, method) == want
