@@ -178,15 +178,15 @@ def _profiles(matrix: np.ndarray, girth_cycles, four_cycles) -> tuple:
 
 def _counting_refs(
     g: BipartiteGraph,
-    balanced: list[EdgeColouring],
+    balanced: np.ndarray,
     config: RunConfig,
 ) -> _CountingRefs:
     """Reference maxima for the counting laws.
 
     When the whole colouring space is small enough it is scanned; otherwise
-    the maxima are taken over the balanced colourings, which still produces
-    sound beat-witnesses (any scanned colouring that beats the candidate is
-    itself the witness).
+    the maxima are taken over the balanced colourings (the rows of the int8
+    matrix ``balanced``), which still produces sound beat-witnesses (any
+    scanned colouring that beats the candidate is itself the witness).
     """
     gv = int(girth(g))
     girth_cycles = np.array(enumerate_cycles(g, gv, config).edge_cycles, dtype=np.intp)
@@ -203,27 +203,26 @@ def _counting_refs(
     else:
         # first strict maximum in enumeration order, in one matrix pass
         scan = "balanced-only"
-        kv, pv = score(np.array([c.colours for c in balanced], dtype=np.int8))
+        kv, pv = score(balanced)
         k, p = int(np.argmax(kv)), int(np.argmax(pv))
-        k_best, k_arg = int(kv[k]), balanced[k].colours
-        p_best, p_arg = int(pv[p]), balanced[p].colours
+        k_best, k_arg = int(kv[k]), tuple(balanced[k].tolist())
+        p_best, p_arg = int(pv[p]), tuple(balanced[p].tolist())
     if not len(four_cycles):
         p_best = p_arg = None
     return _CountingRefs(girth_cycles, four_cycles, k_best, p_best, scan, k_arg, p_arg)
 
 
-def _counting_failures(colours: tuple[int, ...], refs: _CountingRefs) -> list[str]:
-    row = np.array([colours], dtype=np.int8)
-    girth_counts, four_counts = _profiles(row, refs.girth_cycles, refs.four_cycles)
-    pattern = _pattern_scores(four_counts)[0]
-    fails = []
-    if girth_counts[0, 3]:
-        fails.append("girth-cycle-law")
-    if girth_counts[0, 0] < refs.kappa_max:
-        fails.append("kappa")
-    if refs.pattern_max is not None and pattern < refs.pattern_max:
-        fails.append("pattern")
-    return fails
+_LAWS = ("girth-cycle-law", "kappa", "pattern")
+
+
+def _counting_failures(matrix: np.ndarray, refs: _CountingRefs) -> np.ndarray:
+    """``(rows x 3)`` bool: the counting laws (``_LAWS``) that each row of an
+    int8 colourings matrix fails, from one profile pass over all rows."""
+    girth_counts, four_counts = _profiles(matrix, refs.girth_cycles, refs.four_cycles)
+    pattern = (np.zeros(len(matrix), dtype=bool) if refs.pattern_max is None
+               else _pattern_scores(four_counts) < refs.pattern_max)
+    return np.column_stack((girth_counts[:, 3] > 0,
+                            girth_counts[:, 0] < refs.kappa_max, pattern))
 
 
 # -- the generic pipeline ---------------------------------------------------------
@@ -329,7 +328,8 @@ def certify_not_norming(
     # the group is searched again only here, where the filter reads it whole;
     # a shortcut or a cap above ends the run after one search
     perms = symmetry._edge_table(g, symmetry._all_automorphisms(g, side_swap, config))
-    transitive = [c for c in balanced if symmetry._transitive_under(g, c, perms)]
+    keep = [i for i, c in enumerate(balanced) if symmetry._transitive_under(g, c, perms)]
+    transitive = [balanced[i] for i in keep]
     stages.ran("transitive-colourings", balanced=len(balanced),
                transitive=len(transitive))
     if not transitive:
@@ -341,8 +341,9 @@ def certify_not_norming(
             side_swap=side_swap, stages=stages.log,
         )
 
+    matrix = np.array([c.colours for c in balanced], dtype=np.int8)
     try:
-        refs = _counting_refs(g, balanced, config)
+        refs = _counting_refs(g, matrix, config)
     except CapExceeded as exc:
         stages.capped("counting-laws", exc)
         return Certificate(
@@ -351,17 +352,16 @@ def certify_not_norming(
             surviving=[list(c.colours) for c in transitive[:10]],
             side_swap=side_swap, stages=stages.log, cap_hit=True,
         )
-    # one pass over every balanced colouring feeds the dichotomy summary and
-    # keeps the failures of the transitive ones
-    failures = {c.colours: None for c in transitive}
-    balance_fail_kinds = {"girth-cycle-law": 0, "kappa": 0, "pattern": 0, "none": 0}
-    for c in balanced:
-        fails = _counting_failures(c.colours, refs)
-        balance_fail_kinds[fails[0] if fails else "none"] += 1
-        if c.colours in failures:
-            failures[c.colours] = fails
-    survivors = [c for c in transitive if not failures[c.colours]]
-    transitive_failures = [(c, f) for c, f in failures.items() if f]
+    # one pass over every balanced colouring feeds the dichotomy summary, which
+    # files each colouring under its first failed law, and the failures of
+    # the transitive ones
+    fails = _counting_failures(matrix, refs)
+    first = np.where(fails.any(axis=1), fails.argmax(axis=1), len(_LAWS))
+    balance_fail_kinds = dict(zip((*_LAWS, "none"),
+                                  np.bincount(first, minlength=len(_LAWS) + 1).tolist()))
+    failures = [[law for law, hit in zip(_LAWS, row) if hit] for row in fails[keep].tolist()]
+    survivors = [c for c, f in zip(transitive, failures) if not f]
+    transitive_failures = [(c.colours, f) for c, f in zip(transitive, failures) if f]
     stages.ran("counting-laws", scan=refs.scan, survivors=len(survivors),
                kappa_max=refs.kappa_max, pattern_max=refs.pattern_max)
 

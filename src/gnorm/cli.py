@@ -285,8 +285,17 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error exits 1 (``EXIT_USAGE``), so it reads apart
+    from a cap hit (2).  Subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gnorm",
         description="Density functionals, colouring symmetry tests, and "
                     "non-norming certificates for bipartite graphs.",

@@ -1,15 +1,24 @@
 """Automorphism search and the colouring-symmetry hierarchy.
 
-``_iso_maps`` is the package's one search for structure-preserving vertex
-maps.  It backtracks over vertex images in maximum-cardinality-search order,
-pruned by iterated degree/neighbourhood refinement, and can demand that edge
-colours be preserved.  With ``side_swap=True`` (the default) maps may
-exchange the two sides, i.e. the graph is treated as a usual undirected
-graph; the strict mode restricts to side-preserving maps.  Hypergraph
-symmetry runs on it through incidence graphs (``hypergraphs``) and
-tournament symmetry through the subdivision bridge (``certify``).  Groups at
-the supported scale are small enough to materialise, which keeps every orbit
-question exact and trivially checkable.
+``_Search`` is the package's one search for structure-preserving vertex
+maps.  It backtracks over vertex images in maximum-cardinality-search order
+(``vorder``), pruned by iterated degree/neighbourhood refinement, and can
+demand that edge colours be preserved.  With ``side_swap=True`` (the default)
+maps may exchange the two sides, i.e. the graph is treated as a usual
+undirected graph; the strict mode restricts to side-preserving maps.
+``_iso_maps`` walks it for isomorphisms; hypergraph symmetry runs on it
+through incidence graphs (``hypergraphs``) and tournament symmetry through
+the subdivision bridge (``certify``).
+
+The automorphism group comes from the stabiliser chain along ``vorder``:
+level i fixes ``vorder[:i]`` pointwise, and its transversal holds one map
+for each image of ``vorder[i]`` that the level's group reaches, found as the
+first completion of that one placement (``_transversals``).  The group is
+the product of the transversals, so its exact order is known, and checked
+against ``cap_group``, before any element is formed.  The elements are then
+composed in numpy and sorted into the order of the depth-first walk.  Groups
+at the supported scale are small enough to materialise, which keeps every
+orbit question exact and trivially checkable.
 
 A materialised group is turned once into an ``(automorphisms x edges)`` edge
 table: row ``k`` maps edge ``i`` to edge ``table[k, i]``.  Because the rows are
@@ -17,10 +26,11 @@ the whole group, an orbit is the set of distinct entries in one column (of
 this table, or of the vertex image table for vertex orbits), and the colouring
 checks are array passes over the table.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from math import prod
 from typing import Iterator, Optional
 
 import numpy as np
@@ -87,91 +97,104 @@ def _index_graph(g: BipartiteGraph) -> tuple[list[list[int]], list[frozenset[int
     return adj, nbrsets
 
 
-def _iso_maps(
-    g1: BipartiteGraph,
-    g2: BipartiteGraph,
-    side_swap: bool,
-    edge_colour_pair: tuple[EdgeColouring, EdgeColouring] | None = None,
-    limit: int | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield vertex maps (index form) carrying g1 onto g2.
+def _edge_colours(g: BipartiteGraph, a: EdgeColouring) -> dict[tuple[int, int], int]:
+    """Each edge's colour, keyed by its end indices in both orders."""
+    vidx = g.vertex_index
+    ecol = {}
+    for (u, v), colour in zip(g.edges, a):
+        ecol[(vidx[u], vidx[v])] = ecol[(vidx[v], vidx[u])] = colour
+    return ecol
 
-    With ``side_swap`` the graphs are treated as usual undirected graphs (no
-    side constraint at all, so per-component side flips are included);
-    otherwise maps must carry left to left.  With a colour pair the map must
+
+class _Search:
+    """The backtracking search for vertex maps carrying g1 onto g2.
+
+    One setup serves every question asked of it: the refined vertex classes,
+    the placement order ``vorder`` and the ``candidates`` rule.  With
+    ``side_swap`` the graphs are treated as usual undirected graphs (no side
+    constraint at all, so per-component side flips are included); otherwise
+    maps must carry left to left.  With a colour pair the map must
     additionally carry each edge of g1 to an edge of g2 of the same colour.
+    ``feasible`` is False when the invariants already rule every map out.
     """
-    if (g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges):
-        return
 
-    adj1, nbr1 = _index_graph(g1)
-    adj2, nbr2 = _index_graph(g2)
-    n = g1.n_vertices
-    nl1, nl2 = len(g1.left), len(g2.left)
-
-    ecol1 = ecol2 = None
-    if edge_colour_pair is not None:
-        a1, a2 = edge_colour_pair
-        vidx1, vidx2 = g1.vertex_index, g2.vertex_index
-        ecol1 = {}
-        for i, (u, v) in enumerate(g1.edges):
-            ecol1[(vidx1[u], vidx1[v])] = a1[i]
-            ecol1[(vidx1[v], vidx1[u])] = a1[i]
-        ecol2 = {}
-        for i, (u, v) in enumerate(g2.edges):
-            ecol2[(vidx2[u], vidx2[v])] = a2[i]
-            ecol2[(vidx2[v], vidx2[u])] = a2[i]
-
-    # Initial colours: degree, plus the side tag in the strict mode; refine.
-    if side_swap:
-        c1 = [(0, len(adj1[v])) for v in range(n)]
-        c2 = [(0, len(adj2[v])) for v in range(n)]
-    else:
-        if nl1 != nl2:
+    def __init__(
+        self,
+        g1: BipartiteGraph,
+        g2: BipartiteGraph,
+        side_swap: bool,
+        edge_colour_pair: tuple[EdgeColouring, EdgeColouring] | None = None,
+    ):
+        self.feasible = False
+        if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
             return
-        c1 = [(0 if v < nl1 else 1, len(adj1[v])) for v in range(n)]
-        c2 = [(0 if v < nl2 else 1, len(adj2[v])) for v in range(n)]
-    order = {s: i for i, s in enumerate(sorted(set(c1) | set(c2)))}
-    col1 = _refine(adj1, [order[s] for s in c1])
-    col2 = _refine(adj2, [order[s] for s in c2])
-    if sorted(col1) != sorted(col2):
-        return
+        adj1, _ = _index_graph(g1)
+        adj2, nbr2 = _index_graph(g2)
+        n = g1.n_vertices
+        nl1, nl2 = len(g1.left), len(g2.left)
 
-    # Map vertices in maximum-cardinality-search order: next comes the vertex
-    # with the most already-placed neighbours, ties going to the rarest
-    # refined class, then to the index.  Candidates come from the
-    # intersection of the placed neighbours' image neighbourhoods, so the
-    # more of them there are, the fewer candidates survive.  A BFS order
-    # would place every edge at a vertex of an incidence graph before any of
-    # their other ends, each with one placed neighbour, and branch on all.
-    class_size = {c: col2.count(c) for c in set(col2)}
-    placed = [0] * n
-    unplaced = set(range(n))
-    vorder: list[int] = []
-    while unplaced:
-        x = min(unplaced, key=lambda v: (-placed[v], class_size[col1[v]], v))
-        unplaced.remove(x)
-        vorder.append(x)
-        for y in adj1[x]:
-            placed[y] += 1
+        ecol1 = ecol2 = None
+        if edge_colour_pair is not None:
+            ecol1, ecol2 = map(_edge_colours, (g1, g2), edge_colour_pair)
 
-    images: list[int] = [-1] * n
-    used = [False] * n
-    mapped_images: set[int] = set()
-    count = 0
+        # Initial colours: degree, plus the side tag in the strict mode; refine.
+        if side_swap:
+            c1 = [(0, len(adj1[v])) for v in range(n)]
+            c2 = [(0, len(adj2[v])) for v in range(n)]
+        else:
+            if nl1 != nl2:
+                return
+            c1 = [(0 if v < nl1 else 1, len(adj1[v])) for v in range(n)]
+            c2 = [(0 if v < nl2 else 1, len(adj2[v])) for v in range(n)]
+        order = {s: i for i, s in enumerate(sorted(set(c1) | set(c2)))}
+        col1 = _refine(adj1, [order[s] for s in c1])
+        col2 = _refine(adj2, [order[s] for s in c2])
+        if sorted(col1) != sorted(col2):
+            return
 
-    def candidates(v: int) -> list[int]:
-        mapped_nbrs = [x for x in adj1[v] if images[x] >= 0]
+        # Map vertices in maximum-cardinality-search order: next comes the
+        # vertex with the most already-placed neighbours, ties going to the
+        # rarest refined class, then to the index.  Candidates come from the
+        # intersection of the placed neighbours' image neighbourhoods, so the
+        # more of them there are, the fewer candidates survive.  A BFS order
+        # would place every edge at a vertex of an incidence graph before any
+        # of their other ends, each with one placed neighbour, and branch on
+        # all.
+        class_size = {c: col2.count(c) for c in set(col2)}
+        placed = [0] * n
+        unplaced = set(range(n))
+        vorder: list[int] = []
+        while unplaced:
+            x = min(unplaced, key=lambda v: (-placed[v], class_size[col1[v]], v))
+            unplaced.remove(x)
+            vorder.append(x)
+            for y in adj1[x]:
+                placed[y] += 1
+
+        self.feasible = True
+        self.n, self.vorder = n, vorder
+        self._adj1, self._nbr2, self._col1, self._col2 = adj1, nbr2, col1, col2
+        self._ecol1, self._ecol2 = ecol1, ecol2
+        self.images: list[int] = [-1] * n
+        self._mapped_images: set[int] = set()
+
+    def candidates(self, v: int) -> list[int]:
+        """The images of g1's vertex ``v`` that agree with the maps placed so
+        far, in increasing order."""
+        images, nbr2, mapped_images = self.images, self._nbr2, self._mapped_images
+        ecol1, ecol2 = self._ecol1, self._ecol2
+        mapped_nbrs = [x for x in self._adj1[v] if images[x] >= 0]
         if mapped_nbrs:
             pool = set(nbr2[images[mapped_nbrs[0]]])
             for x in mapped_nbrs[1:]:
                 pool &= nbr2[images[x]]
         else:
-            pool = set(range(n))
+            pool = set(range(self.n))
+        col2, colour = self._col2, self._col1[v]
         cands = []
         want_mapped_degree = len(mapped_nbrs)
         for w in sorted(pool):
-            if used[w] or col2[w] != col1[v]:
+            if w in mapped_images or col2[w] != colour:
                 continue
             # no extra adjacencies into the mapped image: preserves non-edges
             if len(nbr2[w] & mapped_images) != want_mapped_degree:
@@ -183,38 +206,110 @@ def _iso_maps(
             cands.append(w)
         return cands
 
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        nonlocal count
-        if limit is not None and count >= limit:
-            return
-        if i == n:
-            count += 1
-            yield tuple(images)
-            return
-        v = vorder[i]
-        for w in candidates(v):
-            images[v] = w
-            used[w] = True
-            mapped_images.add(w)
-            yield from rec(i + 1)
-            images[v] = -1
-            used[w] = False
-            mapped_images.remove(w)
+    def place(self, v: int, w: int) -> None:
+        self.images[v] = w
+        self._mapped_images.add(w)
 
-    yield from rec(0)
+    def unplace(self, v: int, w: int) -> None:
+        self.images[v] = -1
+        self._mapped_images.remove(w)
+
+    def maps(self, i: int = 0) -> Iterator[tuple[int, ...]]:
+        """Every completion of the placed prefix ``vorder[:i]``, depth first,
+        so in increasing order of the images along ``vorder``.  Each level
+        undoes its placement when the walk moves on, ends or is closed."""
+        if i == self.n:
+            yield tuple(self.images)
+            return
+        v = self.vorder[i]
+        for w in self.candidates(v):
+            self.place(v, w)
+            try:
+                yield from self.maps(i + 1)
+            finally:
+                self.unplace(v, w)
+
+    def first(self, i: int) -> Optional[tuple[int, ...]]:
+        """The first completion of the placed prefix ``vorder[:i]``, or None."""
+        walk = self.maps(i)
+        try:
+            return next(walk, None)
+        finally:
+            walk.close()
+
+
+def _iso_maps(
+    g1: BipartiteGraph,
+    g2: BipartiteGraph,
+    side_swap: bool,
+    edge_colour_pair: tuple[EdgeColouring, EdgeColouring] | None = None,
+    limit: int | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Yield vertex maps (index form) carrying g1 onto g2, at most ``limit``
+    of them; ``_Search`` gives the side and colour rules."""
+    search = _Search(g1, g2, side_swap, edge_colour_pair)
+    if search.feasible:
+        yield from islice(search.maps(), limit)
+
+
+def _transversals(
+    g: BipartiteGraph, side_swap: bool
+) -> tuple[list[np.ndarray], list[int]]:
+    """One transversal per level of the stabiliser chain along ``vorder``.
+
+    Level i is the subgroup that fixes ``vorder[:i]`` pointwise.  Its
+    transversal holds the identity and, for every other candidate image w of
+    ``vorder[i]`` under the identity prefix, the first map the search finds
+    that completes ``vorder[i] -> w``, if one exists: one element per point of
+    the orbit, so the group is the product of the transversals and its order
+    the product of their sizes.  Every node this visits is a node of the
+    depth-first walk over the whole group, and most of that walk is skipped.
+    Returns the levels, each an ``(orbit size x n)`` array of image rows, and
+    ``vorder``.
+    """
+    search = _Search(g, g, side_swap)
+    identity = tuple(range(search.n))
+    levels = []
+    for i, v in enumerate(search.vorder):
+        reps = [identity]
+        for w in search.candidates(v):
+            if w != v:
+                search.place(v, w)
+                found = search.first(i + 1)
+                search.unplace(v, w)
+                if found is not None:
+                    reps.append(found)
+        levels.append(np.array(reps, dtype=np.int32))
+        search.place(v, v)
+    return levels, search.vorder
 
 
 def _all_automorphisms(
     g: BipartiteGraph, side_swap: bool, config: RunConfig
 ) -> list[Automorphism]:
+    """The whole group, in the order of the depth-first walk ``_iso_maps``.
+
+    Each element is t_0 t_1 ... t_(n-1), one transversal element per level,
+    formed deepest level first.  Sorting by the images along ``vorder``
+    restores the walk's order; two elements first differ on a point whose
+    level has a non-trivial transversal, so those columns alone decide it.
+    """
     if g.n_vertices > config.cap_vertices:
         raise CapExceeded("automorphism search", g.n_vertices, config.cap_vertices)
-    autos = []
-    for images in _iso_maps(g, g, side_swap, limit=config.cap_group + 1):
-        autos.append(Automorphism(images))
-    if len(autos) > config.cap_group:
-        raise CapExceeded("automorphism group size", len(autos), config.cap_group)
-    return autos
+    levels, vorder = _transversals(g, side_swap)
+    order = prod(len(t) for t in levels)
+    if order > config.cap_group:
+        raise CapExceeded("automorphism group size", order, config.cap_group)
+    group = np.arange(g.n_vertices, dtype=np.int32)[None, :]
+    base = []
+    for v, t in zip(reversed(vorder), reversed(levels)):
+        if len(t) > 1:
+            group = t[:, group].reshape(-1, g.n_vertices)
+            base.append(v)
+    if base:
+        group = group[np.lexsort(group[:, base].T)]
+    # row by row, so no second copy of the group is alive as Python lists
+    return [Automorphism(tuple(images.tolist())) for images in group]
 
 
 def _edge_table(g: BipartiteGraph, autos: list[Automorphism]) -> np.ndarray:

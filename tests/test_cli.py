@@ -229,7 +229,7 @@ class TestFalsify:
     def test_refuses_a_negative_budget(self, files, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             main(["falsify", files["c4"], files["mono4"], "--seed", "5", *flag])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "must be at least" in capsys.readouterr().err
 
     def test_refuses_flags_it_never_reads(self, files, capsys):
@@ -238,7 +238,7 @@ class TestFalsify:
                      ["--side-swap", "off"]):
             with pytest.raises(SystemExit) as exc:
                 main(["falsify", files["c4"], files["mono4"], "--seed", "5", *flag])
-            assert exc.value.code == 2
+            assert exc.value.code == 1
             assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cap_assignments_caps_the_density_route(self, files, capsys):
@@ -280,7 +280,7 @@ class TestTournament:
         for flag in (["--cap-vertices", "1"], ["--side-swap", "off"]):
             with pytest.raises(SystemExit) as exc:
                 main(["tournament", "qr", "7", "--cycles", *flag])
-            assert exc.value.code == 2
+            assert exc.value.code == 1
             assert "unrecognized arguments" in capsys.readouterr().err
 
 

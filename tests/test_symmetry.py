@@ -32,6 +32,7 @@ from gnorm.constructions import (
     hypercube_alpha,
     hypercube_beta,
     set_inclusion_graph,
+    subdivided_complete,
 )
 
 from conftest import coloured_isomorphic
@@ -96,6 +97,13 @@ class TestGroupOrders:
         # S_7 acting on the ground set, and complementation exchanging the sides
         rep = automorphisms(bipartite_kneser(7, 3), config=RunConfig(cap_vertices=80))
         assert rep.group_order == 10080
+        assert rep.edge_transitive and rep.vertex_transitive
+
+    @pytest.mark.parametrize("d, order", [(5, 3840), (6, 46080)])
+    def test_hypercube(self, d, order):
+        # the hyperoctahedral group: 2^d translations times d! coordinate orders
+        rep = automorphisms(hypercube(d), config=RunConfig(cap_vertices=64))
+        assert rep.group_order == order
         assert rep.edge_transitive and rep.vertex_transitive
 
 
@@ -431,3 +439,71 @@ class TestAutomorphismFuzz:
                 continue
             assert isomorphic(g1, g2, side_swap=True) == brute_iso(g1, g2)
             checked += 1
+
+
+def _even_k44_subgraphs(count: int, seed: int) -> list[BipartiteGraph]:
+    """Seeded even-degree subgraphs of K_{4,4}: sums mod 2 of a few random
+    4-cycles, with the vertices they miss left out."""
+    import random
+    rng = random.Random(seed)
+    graphs: list[BipartiteGraph] = []
+    while len(graphs) < count:
+        edges: set[tuple[str, str]] = set()
+        for _ in range(rng.randint(1, 5)):
+            a, b = rng.sample(range(4), 2)
+            c, d = rng.sample(range(4), 2)
+            edges ^= {(f"a{x}", f"b{y}") for x in (a, b) for y in (c, d)}
+        if edges:
+            graphs.append(BipartiteGraph(tuple(sorted({u for u, _ in edges})),
+                                         tuple(sorted({v for _, v in edges})),
+                                         tuple(sorted(edges))))
+    return graphs
+
+
+def _union(*parts: BipartiteGraph) -> BipartiteGraph:
+    from gnorm.graphs import disjoint_union
+    return disjoint_union([(g, EdgeColouring((0,) * g.n_edges)) for g in parts])[0]
+
+
+class TestStabiliserChain:
+    """The group built from one transversal per level of the stabiliser chain
+    equals the depth-first walk over every leaf of the search tree, element
+    for element and in the same order."""
+
+    @pytest.mark.parametrize("side_swap", [True, False])
+    @pytest.mark.parametrize("graph", [
+        hypercube(3), hypercube(4), complete_bipartite(2, 4),
+        complete_bipartite(4, 4), complete_bipartite(2, 6),
+        cycle(4), cycle(6), cycle(8), cycle(10),
+        _union(cycle(4), cycle(4)), _union(cycle(4), cycle(6)),
+        subdivided_complete(5), bipartite_kneser(6, 2),
+        *_even_k44_subgraphs(10, seed=10), BipartiteGraph((), (), ()),
+    ], ids=lambda g: f"{len(g.left)}+{len(g.right)}v{g.n_edges}e")
+    def test_equals_the_depth_first_walk(self, graph, side_swap):
+        from gnorm.symmetry import Automorphism, _iso_maps
+        walk = [Automorphism(images) for images in _iso_maps(graph, graph, side_swap)]
+        autos = _all_automorphisms(graph, side_swap, RunConfig())
+        assert autos == walk
+        assert all(type(i) is int for a in autos[:3] for i in a.images)
+
+    @pytest.mark.parametrize("m, order", [(6, 2 * 720 ** 2), (8, 2 * 40320 ** 2)])
+    def test_group_cap_reports_the_exact_order(self, m, order):
+        # raised from the transversal sizes, before any element is formed
+        with pytest.raises(CapExceeded) as exc:
+            _all_automorphisms(complete_bipartite(m, m), True, RunConfig())
+        assert exc.value.needed == order
+        assert f"needs {order}, cap is 1000000" in str(exc.value)
+
+    @pytest.mark.parametrize("graph, side_swap, order", [
+        (bipartite_kneser(7, 3), True, 10080),
+        (hypercube(6), True, 46080),
+    ], ids=["H(7,3)", "Q6"])
+    def test_transversals_generate_a_group_of_their_product_order(
+            self, graph, side_swap, order):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        from math import prod
+        from gnorm.symmetry import _transversals
+        levels, _ = _transversals(graph, side_swap)
+        assert prod(len(t) for t in levels) == order
+        gens = [combinatorics.Permutation(row) for t in levels for row in t[1:].tolist()]
+        assert combinatorics.PermutationGroup(gens).order() == order
