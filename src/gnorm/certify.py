@@ -326,9 +326,12 @@ def certify_not_norming(
         )
 
     # the group is searched again only here, where the filter reads it whole;
-    # a shortcut or a cap above ends the run after one search
+    # a shortcut or a cap above ends the run after one search.  The balanced
+    # colourings are closed under the group and conjugation, so the filter
+    # checks one colouring per orbit and the counting stage reuses the matrix
+    matrix = np.array([c.colours for c in balanced], dtype=np.int8)
     perms = symmetry._edge_table(g, symmetry._all_automorphisms(g, side_swap, config))
-    keep = [i for i, c in enumerate(balanced) if symmetry._transitive_under(g, c, perms)]
+    keep = np.flatnonzero(symmetry._transitive_mask(g, matrix, perms)[0])
     transitive = [balanced[i] for i in keep]
     stages.ran("transitive-colourings", balanced=len(balanced),
                transitive=len(transitive))
@@ -341,7 +344,6 @@ def certify_not_norming(
             side_swap=side_swap, stages=stages.log,
         )
 
-    matrix = np.array([c.colours for c in balanced], dtype=np.int8)
     try:
         refs = _counting_refs(g, matrix, config)
     except CapExceeded as exc:

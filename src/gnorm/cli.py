@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .config import RunConfig
 from .errors import CapExceeded, GnormError, ParseError, VerificationFailed
 from . import graphs as G
@@ -177,16 +179,20 @@ def cmd_certify(args) -> int:
 def cmd_colourings(args) -> int:
     cfg = _config_from(args)
     g = G.load_graph(args.graph)
+    colourings = G.iter_balanced_colourings(g, cfg)
+    if args.transitive and g.n_edges:
+        # the filter reads every balanced colouring and checks one per orbit;
+        # the group is searched only when there is a colouring to check
+        balanced = [c.colours for c in colourings]
+        colourings = []
+        if balanced:
+            table = symmetry._edge_table(
+                g, symmetry._all_automorphisms(g, cfg.side_swap, cfg))
+            mask, _ = symmetry._transitive_mask(g, np.array(balanced, dtype=np.int8), table)
+            colourings = [c for c, ok in zip(balanced, mask) if ok]
     out = []
-    table = None    # the group's edge table, searched at the first balanced colouring
-    for col in G.iter_balanced_colourings(g, cfg):
-        if args.transitive and g.n_edges:
-            if table is None:
-                table = symmetry._edge_table(
-                    g, symmetry._all_automorphisms(g, cfg.side_swap, cfg))
-            if not symmetry._transitive_under(g, col, table):
-                continue
-        out.append(list(col.colours))
+    for col in colourings:
+        out.append(list(col))
         if args.limit and len(out) >= args.limit:
             break
     _emit({"graph": args.graph, "balanced": not args.transitive,

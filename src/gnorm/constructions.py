@@ -10,7 +10,7 @@ leftmost character), subdivision vertices are "u|v" for the original edge
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -141,6 +141,12 @@ def subdivided_complete(n: int) -> BipartiteGraph:
 # -- tournaments ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _pairs(n: int) -> frozenset[tuple[int, int]]:
+    """The unordered pairs of 0..n-1, each as (smaller, larger)."""
+    return frozenset(combinations(range(n), 2))
+
+
 @dataclass(frozen=True)
 class Tournament:
     """Orientation of K_n on vertices 0..n-1; exactly one arc per pair."""
@@ -149,17 +155,23 @@ class Tournament:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(sorted((int(x), int(y)) for x, y in self.arcs)))
+        arcs = tuple(sorted([(int(x), int(y)) for x, y in self.arcs]))
+        object.__setattr__(self, "arcs", arcs)
+        # one pass: n(n-1)/2 arcs whose unordered pairs are all the pairs
+        pairs = _pairs(self.n)
+        if (len(arcs) == self.n * (self.n - 1) // 2
+                and {(x, y) if x < y else (y, x) for x, y in arcs} == pairs):
+            return
+        # otherwise name the first fault, in arc order
         seen = set()
-        for x, y in self.arcs:
-            if not (0 <= x < self.n and 0 <= y < self.n) or x == y:
+        for x, y in arcs:
+            key = (x, y) if x < y else (y, x)
+            if key not in pairs:
                 raise ValueError(f"bad arc ({x}, {y})")
-            key = frozenset((x, y))
             if key in seen:
                 raise ValueError(f"pair {{{x}, {y}}} oriented twice")
             seen.add(key)
-        if len(self.arcs) != self.n * (self.n - 1) // 2:
-            raise ValueError("every pair needs exactly one arc")
+        raise ValueError("every pair needs exactly one arc")
 
     @cached_property
     def arc_set(self) -> frozenset[tuple[int, int]]:

@@ -25,6 +25,15 @@ table: row ``k`` maps edge ``i`` to edge ``table[k, i]``.  Because the rows are
 the whole group, an orbit is the set of distinct entries in one column (of
 this table, or of the vertex image table for vertex orbits), and the colouring
 checks are array passes over the table.
+
+Whether a colouring is transitive does not change under an automorphism or
+under conjugation.  Moving colouring c by an automorphism s conjugates its
+colour-preserving and colour-reversing maps by s, and swapping c's colours
+keeps both sets of maps and swaps the classes.  So a set of colourings that
+is closed under the group and under conjugation, such as the balanced ones,
+needs one check per orbit (``_transitive_mask``): with the whole group's
+table, the images ``c[table]`` and ``1 - c[table]`` of a row c are its whole
+orbit, and a binary search over the rows' packed keys finds them.
 """
 from __future__ import annotations
 
@@ -36,7 +45,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .config import DEFAULT, RunConfig
-from .errors import CapExceeded
+from .errors import CapExceeded, VerificationFailed
 from .graphs import BipartiteGraph, EdgeColouring, check_aligned, is_balanced
 
 
@@ -434,11 +443,14 @@ def _transitive_under(g: BipartiteGraph, a: EdgeColouring, perms: np.ndarray) ->
     """Is the colouring transitive under the group given by its edge table?
 
     ``perms`` must be the edge table (``_edge_table``) of the *whole* group.
-    Equivalent check: the colour-preserving maps act transitively on each
-    colour class and at least one colour-reversing map exists (composing it
-    with preserving maps then reaches every opposite-colour pair).  The
-    preserving rows of the whole group form a subgroup, so the images of a
-    class's first edge under them are exactly that edge's orbit.
+    This is the check for one colouring; over a set of colourings closed
+    under the group and conjugation, ``_transitive_mask`` runs it once per
+    orbit, since the answer is the same across an orbit.  Equivalent check:
+    the colour-preserving maps act transitively on each colour class and at
+    least one colour-reversing map exists (composing it with preserving maps
+    then reaches every opposite-colour pair).  The preserving rows of the
+    whole group form a subgroup, so the images of a class's first edge under
+    them are exactly that edge's orbit.
     """
     col = np.asarray(a.colours, dtype=np.int8)
     preserving, reversing = _colour_action(perms, col)
@@ -453,3 +465,45 @@ def _class_transitive(perms: np.ndarray, preserving: np.ndarray, colours,
     whole group do), the images of the class's first edge are its orbit."""
     cls = np.flatnonzero(np.asarray(colours, dtype=np.int8) == colour)
     return not cls.size or len(set(perms[preserving, cls[0]].tolist())) == cls.size
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per 0/1 row: its bits packed into bytes and viewed as a single
+    ``void`` scalar, so rows of any length sort and compare whole."""
+    packed = np.packbits(rows, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def _transitive_mask(
+    g: BipartiteGraph, matrix: np.ndarray, perms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_transitive_under`` on every row of a 0/1 colouring matrix, run once
+    per orbit of the rows under the group and conjugation.
+
+    ``perms`` must be the edge table of the *whole* group, and the rows must
+    be a set closed under the group and under conjugation (the balanced
+    colourings are).  Then the images ``c[perms]`` and ``1 - c[perms]`` of a
+    row c are its whole orbit, and every row of that orbit gets c's verdict.
+    Returns the mask and each row's orbit label, the index of the orbit's
+    first row.  An image outside the rows, or a row reached from two orbits,
+    means the precondition failed, and raises ``VerificationFailed`` rather
+    than give a verdict.
+    """
+    keys = _row_keys(matrix)
+    order = np.argsort(keys)
+    keys = keys[order]
+    mask = np.zeros(len(matrix), dtype=bool)
+    orbit = np.full(len(matrix), -1, dtype=np.intp)
+    for i, c in enumerate(matrix):
+        if orbit[i] >= 0:
+            continue
+        images = c[perms]
+        images = _row_keys(np.concatenate((images, 1 - images)))
+        found = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
+        rows = order[found]
+        if not (keys[found] == images).all() or (orbit[rows] >= 0).any():
+            raise VerificationFailed(
+                "colouring set not closed under the group and conjugation")
+        orbit[rows] = i
+        mask[rows] = _transitive_under(g, EdgeColouring(c.tolist()), perms)
+    return mask, orbit

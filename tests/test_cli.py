@@ -9,6 +9,7 @@ import pytest
 
 from gnorm import symmetry
 from gnorm.cli import main
+from gnorm.config import RunConfig
 from gnorm.constructions import hypercube, hypercube_alpha
 from gnorm.graphs import (
     EdgeColouring,
@@ -16,6 +17,7 @@ from gnorm.graphs import (
     complete_bipartite,
     cycle,
     graph_to_json,
+    iter_balanced_colourings,
 )
 from gnorm.kernels import StepKernel, kernel_to_json
 
@@ -195,6 +197,21 @@ class TestColourings:
         assert code == 0
         assert json.loads(out)["colourings"] == [[0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0]]
         assert group_searches == [6]
+
+    def test_transitive_listing_is_the_filtered_enumeration(self, capsys, tmp_path):
+        # the orbit filter keeps what the per-colouring check keeps, in
+        # enumeration order, and --limit cuts that list
+        g = hypercube(4)
+        graph = tmp_path / "q4.json"
+        graph.write_text(json.dumps(graph_to_json(g)))
+        table = symmetry._edge_table(g, symmetry._all_automorphisms(g, True, RunConfig()))
+        want = [list(c) for c in iter_balanced_colourings(g)
+                if symmetry._transitive_under(g, c, table)]
+        assert len(want) == 18
+        for limit, count in (("0", 18), ("5", 5), ("40", 18)):
+            code, out = run_cli(["colourings", str(graph), "--transitive", "--limit", limit],
+                                capsys)
+            assert code == 0 and json.loads(out)["colourings"] == want[:count]
 
     def test_no_balanced_colouring_needs_no_search(self, capsys, tmp_path, group_searches):
         graph = tmp_path / "k23.json"

@@ -192,6 +192,25 @@ class TestTournaments:
         with pytest.raises(ValueError):
             Tournament(3, ((0, 1), (1, 0), (1, 2)))
 
+    @pytest.mark.parametrize("n, arcs, message", [
+        (3, ((0, 1), (1, 2), (2, 3)), r"bad arc \(2, 3\)"),
+        (3, ((0, 1), (1, 1), (0, 2)), r"bad arc \(1, 1\)"),
+        (3, ((-1, 0), (0, 1), (1, 2)), r"bad arc \(-1, 0\)"),
+        (3, ((0, 1), (1, 0), (1, 2)), r"pair \{1, 0\} oriented twice"),
+        (3, ((0, 1), (0, 1), (1, 2)), r"pair \{0, 1\} oriented twice"),
+        (3, ((0, 1), (1, 2)), "every pair needs exactly one arc"),
+        (4, ((0, 1), (1, 2), (2, 0), (0, 3), (1, 3)), "every pair needs exactly one arc"),
+        (-1, (), "every pair needs exactly one arc"),
+    ])
+    def test_each_fault_has_its_error(self, n, arcs, message):
+        with pytest.raises(ValueError, match=message):
+            Tournament(n, arcs)
+
+    def test_valid_arcs_are_stored_sorted(self):
+        t = Tournament(3, ((2, 0), (1, 2), (0, 1)))
+        assert t.arcs == ((0, 1), (1, 2), (2, 0))
+        assert Tournament(0, ()).arcs == Tournament(1, ()).arcs == ()
+
 
 def enumerated_directed_cycles(t: Tournament, m: int) -> int:
     """Directed 3- or 4-cycles by enumeration over vertex subsets: each

@@ -2,12 +2,13 @@
 
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnorm.config import RunConfig
-from gnorm.errors import CapExceeded
+from gnorm.errors import CapExceeded, VerificationFailed
 from gnorm.graphs import (
     BipartiteGraph,
     EdgeColouring,
@@ -20,6 +21,7 @@ from gnorm.graphs import (
 from gnorm.symmetry import (
     _all_automorphisms,
     _edge_table,
+    _transitive_mask,
     _transitive_under,
     automorphisms,
     is_self_conjugate,
@@ -507,3 +509,76 @@ class TestStabiliserChain:
         assert prod(len(t) for t in levels) == order
         gens = [combinatorics.Permutation(row) for t in levels for row in t[1:].tolist()]
         assert combinatorics.PermutationGroup(gens).order() == order
+
+
+def _haar(n: int, connection: tuple[int, ...]) -> BipartiteGraph:
+    """The Haar graph H(Z_n, S): a_i ~ b_(i+s) for every s in S."""
+    return BipartiteGraph(tuple(f"a{i}" for i in range(n)), tuple(f"b{j}" for j in range(n)),
+                          tuple((f"a{i}", f"b{(i + s) % n}") for i in range(n) for s in connection))
+
+
+def _mask_inputs(graph: BipartiteGraph, side_swap: bool, config: RunConfig = RunConfig()):
+    """The balanced-colouring matrix and the whole group's edge table."""
+    rows = [c.colours for c in iter_balanced_colourings(graph, config)]
+    matrix = np.array(rows, dtype=np.int8).reshape(len(rows), graph.n_edges)
+    return matrix, _edge_table(graph, _all_automorphisms(graph, side_swap, config))
+
+
+class TestTransitiveMask:
+    """The orbit filter gives each balanced colouring the per-colouring
+    verdict, and its orbit labels are the orbits of the group and
+    conjugation."""
+
+    @pytest.mark.parametrize("side_swap", [True, False])
+    @pytest.mark.parametrize("graph", [
+        complete_bipartite(2, 4), complete_bipartite(3, 3), hypercube(3),
+        complete_bipartite(4, 4), *_random_k34_subgraphs(8, seed=11),
+        *_random_k34_subgraphs(4, seed=11, even=True),
+        hypercube(4), cycle(4), cycle(6), cycle(8), cycle(10), subdivided_complete(5),
+        _haar(6, (0, 1, 3, 4)), _haar(8, (0, 1, 4, 5)), _haar(7, (0, 1, 2, 4)),
+        _haar(5, (0, 1, 2, 3)),
+    ], ids=lambda g: f"{len(g.left)}+{len(g.right)}v{g.n_edges}e")
+    def test_equals_the_per_colouring_check(self, graph, side_swap):
+        matrix, perms = _mask_inputs(graph, side_swap)
+        mask, orbit = _transitive_mask(graph, matrix, perms)
+        want = [_transitive_under(graph, EdgeColouring(row), perms) for row in matrix.tolist()]
+        assert mask.tolist() == want
+        # each label is its orbit's first row, and the rows under it are the
+        # images of that row under every group element and conjugation
+        rows = [tuple(r) for r in matrix.tolist()]
+        for label in sorted(set(orbit.tolist())):
+            members = {rows[i] for i in range(len(rows)) if orbit[i] == label}
+            first = rows[label]
+            images = {tuple(first[p] for p in table_row) for table_row in perms.tolist()}
+            images |= {tuple(1 - x for x in image) for image in images}
+            assert members == images
+            assert min(i for i in range(len(rows)) if orbit[i] == label) == label
+
+    @pytest.mark.parametrize("graph, orbits", [
+        (hypercube(4), (21, 25)), (complete_bipartite(4, 4), (2, 2)),
+        (_haar(6, (0, 1, 3, 4)), (8, 11)), (_haar(8, (0, 1, 4, 5)), (11, 17)),
+        (_haar(7, (0, 1, 2, 4)), (5, 5)), (_haar(5, (0, 1, 2, 3)), (4, 4)),
+        (complete_bipartite(2, 6), (1, 1)), (cycle(6), (1, 1)),
+        (subdivided_complete(5), (1, 1)),
+    ], ids=["Q4", "K44", "H(Z6,0134)", "H(Z8,0145)", "H(Z7,0124)", "H(Z5,0123)",
+            "K26", "C6", "SK5"])
+    def test_orbit_counts(self, graph, orbits):
+        for side_swap, count in zip((True, False), orbits):
+            _, orbit = _transitive_mask(graph, *_mask_inputs(graph, side_swap))
+            assert len(set(orbit.tolist())) == count
+
+    def test_a_set_missing_a_row_is_refused(self):
+        g = hypercube(4)
+        matrix, perms = _mask_inputs(g, True)
+        for drop in (0, len(matrix) // 2, len(matrix) - 1):
+            with pytest.raises(VerificationFailed):
+                _transitive_mask(g, np.delete(matrix, drop, axis=0), perms)
+
+    def test_packed_keys_past_64_edges(self):
+        # 66 edges pack into 9 bytes; the two alternating colourings are one
+        # orbit (a rotation or conjugation swaps them), both transitive
+        g = cycle(66)
+        matrix, perms = _mask_inputs(g, True, RunConfig(cap_edges=66, cap_vertices=66))
+        mask, orbit = _transitive_mask(g, matrix, perms)
+        assert len(matrix) == 2
+        assert mask.tolist() == [True, True] and orbit.tolist() == [0, 0]
