@@ -95,11 +95,11 @@ def _add_output(sub: argparse.ArgumentParser) -> None:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     _add_output(sub)
-    sub.add_argument("--cap-edges", dest="cap_edges", type=int)
-    sub.add_argument("--cap-assignments", dest="cap_assignments", type=int)
-    sub.add_argument("--cap-vertices", dest="cap_vertices", type=int)
-    sub.add_argument("--cap-colourings", dest="cap_colourings", type=int)
-    sub.add_argument("--cap-cycles", dest="cap_cycles", type=int)
+    sub.add_argument("--cap-edges", dest="cap_edges", type=_at_least(0))
+    sub.add_argument("--cap-assignments", dest="cap_assignments", type=_at_least(0))
+    sub.add_argument("--cap-vertices", dest="cap_vertices", type=_at_least(0))
+    sub.add_argument("--cap-colourings", dest="cap_colourings", type=_at_least(0))
+    sub.add_argument("--cap-cycles", dest="cap_cycles", type=_at_least(0))
     sub.add_argument("--side-swap", dest="side_swap", choices=("on", "off"),
                      help="allow side-exchanging automorphisms (default on)")
 
@@ -133,13 +133,13 @@ def cmd_check(args) -> int:
         "girth": None if G.girth(g) == math.inf else int(G.girth(g)),
     }
     # one group search serves the report and both colouring checks
-    autos = skipped = None
+    group = skipped = None
     try:
-        autos = symmetry._all_automorphisms(g, cfg.side_swap, cfg)
+        group = symmetry._all_automorphisms(g, cfg.side_swap, cfg)
     except CapExceeded as exc:
         skipped = report["edge_transitive"] = f"skipped ({exc})"
     else:
-        sym = symmetry._report(g, autos, cfg.side_swap)
+        sym = symmetry._report(g, group, cfg.side_swap)
         report["edge_transitive"] = sym.edge_transitive
         report["vertex_transitive"] = sym.vertex_transitive
         report["automorphism_group_order"] = sym.group_order
@@ -155,7 +155,7 @@ def cmd_check(args) -> int:
         elif skipped:
             report["self_conjugate"] = report["transitive"] = skipped
         else:
-            table = symmetry._edge_table(g, autos)
+            table = symmetry._edge_table(g, group)
             report["self_conjugate"] = bool(symmetry._colour_action(table, a.colours)[1].any())
             report["transitive"] = not g.n_edges or symmetry._transitive_under(g, a, table)
         _unless_capped(report, "four_cycles_generate_cycle_space",
@@ -328,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--transitive", action="store_true",
                    help="keep only transitive colourings")
-    p.add_argument("--limit", type=int, default=0)
+    p.add_argument("--limit", type=_at_least(0), default=0,
+                   help="list at most this many (0: all)")
     _add_common(p)
     p.set_defaults(fn=cmd_colourings)
 
@@ -360,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=_at_least(1), default=2)
     _add_output(p)
     # the only cap a density evaluation reads
-    p.add_argument("--cap-assignments", dest="cap_assignments", type=int)
+    p.add_argument("--cap-assignments", dest="cap_assignments", type=_at_least(0))
     p.set_defaults(fn=cmd_falsify)
 
     p = sub.add_parser("tournament", help="generate a tournament and its counts")

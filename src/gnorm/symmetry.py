@@ -16,15 +16,19 @@ for each image of ``vorder[i]`` that the level's group reaches, found as the
 first completion of that one placement (``_transversals``).  The group is
 the product of the transversals, so its exact order is known, and checked
 against ``cap_group``, before any element is formed.  The elements are then
-composed in numpy and sorted into the order of the depth-first walk.  Groups
-at the supported scale are small enough to materialise, which keeps every
-orbit question exact and trivially checkable.
+composed in numpy and sorted into the order of the depth-first walk, and the
+group stays that one ``(order x vertices)`` int32 array of image rows
+(``_all_automorphisms``).  Groups at the supported scale are small enough to
+materialise, which keeps every orbit question exact and trivially checkable.
+``Automorphism`` is only the public form of the one element a caller is
+handed, the ``is_self_conjugate`` witness.
 
-A materialised group is turned once into an ``(automorphisms x edges)`` edge
-table: row ``k`` maps edge ``i`` to edge ``table[k, i]``.  Because the rows are
-the whole group, an orbit is the set of distinct entries in one column (of
-this table, or of the vertex image table for vertex orbits), and the colouring
-checks are array passes over the table.
+The group array is turned, by a gather through a (vertex, vertex) -> edge
+index, into an ``(automorphisms x edges)`` edge table: row ``k`` maps edge
+``i`` to edge ``table[k, i]``.  Because the rows are the whole group, an orbit
+is the set of distinct entries in one column (of this table, or of the group
+array for vertex orbits), and the colouring checks are array passes over the
+table.
 
 Whether a colouring is transitive does not change under an automorphism or
 under conjugation.  Moving colouring c by an automorphism s conjugates its
@@ -54,21 +58,6 @@ class Automorphism:
     """A vertex permutation given as image indices over ``g.vertices``."""
 
     images: tuple[int, ...]
-
-    def edge_permutation(self, g: BipartiteGraph) -> tuple[int, ...]:
-        """Edge-index permutation induced by the vertex map."""
-        vidx = g.vertex_index
-        verts = g.vertices
-        eidx = g.edge_index
-        perm = []
-        for u, v in g.edges:
-            iu, iv = self.images[vidx[u]], self.images[vidx[v]]
-            a, b = verts[iu], verts[iv]
-            if (a, b) in eidx:
-                perm.append(eidx[(a, b)])
-            else:
-                perm.append(eidx[(b, a)])
-        return tuple(perm)
 
 
 @dataclass(frozen=True)
@@ -295,8 +284,9 @@ def _transversals(
 
 def _all_automorphisms(
     g: BipartiteGraph, side_swap: bool, config: RunConfig
-) -> list[Automorphism]:
-    """The whole group, in the order of the depth-first walk ``_iso_maps``.
+) -> np.ndarray:
+    """The whole group as an ``(order x n)`` int32 array of image rows, in the
+    order of the depth-first walk ``_iso_maps``.
 
     Each element is t_0 t_1 ... t_(n-1), one transversal element per level,
     formed deepest level first.  Sorting by the images along ``vorder``
@@ -317,26 +307,30 @@ def _all_automorphisms(
             base.append(v)
     if base:
         group = group[np.lexsort(group[:, base].T)]
-    # row by row, so no second copy of the group is alive as Python lists
-    return [Automorphism(tuple(images.tolist())) for images in group]
+    return group
 
 
-def _edge_table(g: BipartiteGraph, autos: list[Automorphism]) -> np.ndarray:
+def _edge_table(g: BipartiteGraph, group: np.ndarray) -> np.ndarray:
     """``(automorphisms x edges)`` table: row k maps edge i to ``table[k, i]``.
 
-    Row k agrees with ``autos[k].edge_permutation(g)``.  The entries are
-    ``intp``, so indexing a colour vector with the table needs no cast.
+    Row k is the edge permutation that the vertex map ``group[k]`` induces.
+    The entries are ``intp``, the dtype numpy indexes with, so ``c[perms]`` in
+    ``_transitive_mask`` and ``_colour_action`` need no cast on every orbit.
     """
+    n = g.n_vertices
     vidx = g.vertex_index
-    ends = [(vidx[x], vidx[y]) for x, y in g.edges]
-    edge_at = np.zeros((g.n_vertices, g.n_vertices), dtype=np.intp)
-    for i, (x, y) in enumerate(ends):
-        edge_at[x, y] = edge_at[y, x] = i
-    images = np.array([a.images for a in autos], dtype=np.int32)
-    table = np.empty((len(autos), g.n_edges), dtype=np.intp)
-    # one column at a time, so the index temporaries stay one column long
-    for i, (x, y) in enumerate(ends):
-        table[:, i] = edge_at[images[:, x], images[:, y]]
+    xs, ys = np.array([(vidx[x], vidx[y]) for x, y in g.edges],
+                      dtype=np.intp).reshape(-1, 2).T
+    edge_at = np.zeros((n, n), dtype=np.intp)
+    edge_at[xs, ys] = edge_at[ys, xs] = np.arange(g.n_edges)
+    flat = edge_at.ravel()
+    table = np.empty((len(group), g.n_edges), dtype=np.intp)
+    # one gather through the flat (vertex, vertex) -> edge index per block of
+    # rows, so the int32 gather index is a block long, not half another table
+    step = max(1, (1 << 20) // max(1, g.n_edges))
+    for lo in range(0, len(group), step):
+        rows = group[lo:lo + step]
+        table[lo:lo + step] = flat[rows[:, xs] * n + rows[:, ys]]
     return table
 
 
@@ -347,21 +341,21 @@ def automorphisms(
     return _report(g, _all_automorphisms(g, side_swap, config), side_swap)
 
 
-def _report(g: BipartiteGraph, autos: list[Automorphism], side_swap: bool) -> SymmetryReport:
+def _report(g: BipartiteGraph, group: np.ndarray, side_swap: bool) -> SymmetryReport:
     """The report on a group already searched whole."""
-    # the group is complete, so the images of edge 0 and of vertex 0 are their
-    # orbits: column 0 of the edge and of the vertex image table, read on
-    # their own rather than from a whole (|Aut| x edges) table
+    # the group is complete, so the images of vertex 0 and of edge 0 are their
+    # orbits: column 0, and the columns of edge 0's ends, read on their own
+    # rather than from a whole (|Aut| x edges) table
     edge_transitive = vertex_transitive = True
     if g.n_edges:
         x, y = (g.vertex_index[v] for v in g.edges[0])
-        edge_orbit = {frozenset((a.images[x], a.images[y])) for a in autos}
+        edge_orbit = set(map(frozenset, zip(group[:, x].tolist(), group[:, y].tolist())))
         edge_transitive = len(edge_orbit) == g.n_edges
-        vertex_transitive = len({a.images[0] for a in autos}) == g.n_vertices
+        vertex_transitive = len(set(group[:, 0].tolist())) == g.n_vertices
     return SymmetryReport(
         edge_transitive=edge_transitive,
         vertex_transitive=vertex_transitive,
-        group_order=len(autos),
+        group_order=len(group),
         side_swap=side_swap,
     )
 
@@ -406,11 +400,12 @@ def is_self_conjugate(
     check_aligned(g, a)
     if not is_balanced(g, a):
         return ConjugacyVerdict(False, False, None)
-    autos = _all_automorphisms(g, side_swap, config)
-    _, reversing = _colour_action(_edge_table(g, autos), a.colours)
+    group = _all_automorphisms(g, side_swap, config)
+    _, reversing = _colour_action(_edge_table(g, group), a.colours)
     if not reversing.any():
         return ConjugacyVerdict(False, True, None)
-    return ConjugacyVerdict(True, True, autos[int(np.argmax(reversing))])
+    return ConjugacyVerdict(
+        True, True, Automorphism(tuple(group[int(np.argmax(reversing))].tolist())))
 
 
 def is_transitive_colouring(
@@ -426,8 +421,7 @@ def is_transitive_colouring(
         return False
     if g.n_edges == 0:
         return True
-    autos = _all_automorphisms(g, side_swap, config)
-    return _transitive_under(g, a, _edge_table(g, autos))
+    return _transitive_under(g, a, _edge_table(g, _all_automorphisms(g, side_swap, config)))
 
 
 def _colour_action(table: np.ndarray, colours) -> tuple[np.ndarray, np.ndarray]:

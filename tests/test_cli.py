@@ -350,6 +350,52 @@ class TestCapExitCode:
         assert blob["cap_hit"] and blob["verdict"] == "NoObstructionFound"
 
 
+# every integer count or cap option: (subcommand, its positional arguments,
+# flag, whether 0 is accepted)
+_CAP_FLAGS = ("--cap-edges", "--cap-assignments", "--cap-vertices",
+              "--cap-colourings", "--cap-cycles")
+_COUNT_FLAGS = [
+    *((cmd, pos, flag, True) for cmd, pos in (
+        ("check", ["g.json"]), ("certify", ["graph", "g.json"]),
+        ("colourings", ["g.json"]), ("density", ["g.json", "a.json", "k.json"]),
+        ("smax", ["g.json", "k.json"]), ("reproduce", [])) for flag in _CAP_FLAGS),
+    ("colourings", ["g.json"], "--limit", True),
+    ("falsify", ["g.json", "a.json"], "--trials", True),
+    ("falsify", ["g.json", "a.json"], "--resolution", False),
+    ("falsify", ["g.json", "a.json"], "--cap-assignments", True),
+]
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize("cmd, pos, flag, zero_ok", _COUNT_FLAGS,
+                             ids=[f"{c}{f}" for c, _, f, _ in _COUNT_FLAGS])
+    def test_negative_is_a_usage_error(self, capsys, cmd, pos, flag, zero_ok):
+        from gnorm.cli import build_parser
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([cmd, *pos, flag, "-1"])
+        assert exc.value.code == 1
+        assert "must be at least" in capsys.readouterr().err
+        if zero_ok:
+            args = build_parser().parse_args([cmd, *pos, flag, "0"])
+            assert getattr(args, flag[2:].replace("-", "_")) == 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([cmd, *pos, flag, "0"])
+            assert exc.value.code == 1
+
+    def test_the_list_covers_every_integer_option(self):
+        # an option with a type is an integer option; --seed is the only one
+        # that may be negative
+        import argparse
+        from gnorm.cli import build_parser
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        typed = {(cmd, opt) for cmd, parser in sub.choices.items()
+                 for action in parser._actions if action.type is not None
+                 for opt in action.option_strings}
+        assert typed == {(c, f) for c, _, f, _ in _COUNT_FLAGS} | {("falsify", "--seed")}
+
+
 class TestThreadedReproduce:
     def test_rows_run_in_worker_processes(self, capsys, monkeypatch):
         monkeypatch.setenv("GNORM_THREADS", "2")

@@ -19,6 +19,7 @@ from gnorm.graphs import (
     star,
 )
 from gnorm.symmetry import (
+    Automorphism,
     _all_automorphisms,
     _edge_table,
     _transitive_mask,
@@ -57,6 +58,29 @@ def brute_automorphism_count(g: BipartiteGraph, side_preserving: bool = False) -
     return count
 
 
+def edge_permutation(g: BipartiteGraph, images) -> tuple[int, ...]:
+    """Oracle: the edge-index permutation that a vertex map, given as image
+    indices over ``g.vertices``, induces, one edge lookup at a time."""
+    vidx, verts, eidx = g.vertex_index, g.vertices, g.edge_index
+    perm = []
+    for u, v in g.edges:
+        a, b = verts[images[vidx[u]]], verts[images[vidx[v]]]
+        perm.append(eidx[(a, b)] if (a, b) in eidx else eidx[(b, a)])
+    return tuple(perm)
+
+
+def orbit_size(maps) -> int:
+    """Oracle: the size of point 0's orbit, by closure under every map."""
+    seen, stack = {0}, [0]
+    while stack:
+        x = stack.pop()
+        for p in maps:
+            if p[x] not in seen:
+                seen.add(p[x])
+                stack.append(p[x])
+    return len(seen)
+
+
 class TestAutomorphisms:
     def test_c4_dihedral(self, c4):
         rep = automorphisms(c4, side_swap=True)
@@ -79,10 +103,21 @@ class TestAutomorphisms:
         assert rep.group_order == 8 == brute_automorphism_count(g)
 
     def test_edge_permutation_is_permutation(self, c6):
-        autos = _all_automorphisms(c6, True, RunConfig())
-        assert len(autos) == 12
-        for auto in autos:
-            assert sorted(auto.edge_permutation(c6)) == list(range(c6.n_edges))
+        group = _all_automorphisms(c6, True, RunConfig())
+        assert len(group) == 12
+        for images in group.tolist():
+            assert sorted(edge_permutation(c6, images)) == list(range(c6.n_edges))
+
+    def test_edge_table_across_row_blocks(self):
+        # H(7,3)'s table has 10080 x 140 entries, more than one block of the
+        # gather, so rows on both sides of a block boundary are checked
+        g = bipartite_kneser(7, 3)
+        group = _all_automorphisms(g, True, RunConfig(cap_vertices=80))
+        assert len(group) * g.n_edges > 1 << 20
+        table = _edge_table(g, group)
+        assert table.dtype == np.intp
+        assert table.tolist() == [list(edge_permutation(g, images))
+                                  for images in group.tolist()]
 
     def test_vertex_cap(self, c4):
         with pytest.raises(CapExceeded):
@@ -302,8 +337,8 @@ class TestTransitivityLiteralDefinition:
         from gnorm.graphs import is_balanced
         for length in (4, 6):
             g = cycle(length)
-            autos = _all_automorphisms(g, True, DEFAULT)
-            perms = [a.edge_permutation(g) for a in autos]
+            perms = [edge_permutation(g, images)
+                     for images in _all_automorphisms(g, True, DEFAULT).tolist()]
             for bits in range(2 ** length):
                 a = EdgeColouring(tuple(bits >> i & 1 for i in range(length)))
                 preserving = [p for p in perms
@@ -333,9 +368,9 @@ class TestTransitivityLiteralDefinition:
         from gnorm.config import DEFAULT
         from gnorm.graphs import is_balanced, iter_balanced_colourings
         from gnorm.symmetry import _all_automorphisms, _edge_table, _transitive_under
-        autos = _all_automorphisms(graph, True, DEFAULT)
-        perms = [a.edge_permutation(graph) for a in autos]
-        table = _edge_table(graph, autos)
+        group = _all_automorphisms(graph, True, DEFAULT)
+        perms = [edge_permutation(graph, images) for images in group.tolist()]
+        table = _edge_table(graph, group)
         assert table.tolist() == [list(p) for p in perms]
         m = graph.n_edges
         if m <= 12:
@@ -358,31 +393,35 @@ class TestTransitivityLiteralDefinition:
         from gnorm.graphs import is_balanced
         from gnorm.symmetry import _all_automorphisms
 
-        def orbit_size(maps) -> int:
-            seen, stack = {0}, [0]
-            while stack:
-                x = stack.pop()
-                for p in maps:
-                    if p[x] not in seen:
-                        seen.add(p[x])
-                        stack.append(p[x])
-            return len(seen)
-
-        autos = _all_automorphisms(graph, True, DEFAULT)
-        perms = [a.edge_permutation(graph) for a in autos]
+        group = _all_automorphisms(graph, True, DEFAULT).tolist()
+        perms = [edge_permutation(graph, images) for images in group]
         report = automorphisms(graph)
         assert report.edge_transitive == (orbit_size(perms) == graph.n_edges)
-        assert report.vertex_transitive == (
-            orbit_size([a.images for a in autos]) == graph.n_vertices)
+        assert report.vertex_transitive == (orbit_size(group) == graph.n_vertices)
         m = graph.n_edges
         for bits in range(2 ** m):
             a = EdgeColouring(tuple(bits >> i & 1 for i in range(m)))
             verdict = is_self_conjugate(graph, a)
-            want = next((auto for auto, p in zip(autos, perms)
+            want = next((Automorphism(tuple(images)) for images, p in zip(group, perms)
                          if all(a[p[i]] != a[i] for i in range(m))), None)
             if not is_balanced(graph, a):
                 want = None
             assert verdict.witness == want and verdict.ok == (want is not None)
+            assert want is None or all(type(i) is int for i in verdict.witness.images)
+
+    @pytest.mark.parametrize("graph, order", [
+        (hypercube(5), 3840), (subdivided_complete(5), 120),
+    ], ids=["Q5", "subdivided-K5"])
+    def test_report_matches_orbit_closure(self, graph, order):
+        # the report's two orbits against closure under every element's
+        # vertex and edge permutation, on groups too large for the
+        # colouring loop above
+        group = _all_automorphisms(graph, True, RunConfig()).tolist()
+        perms = [edge_permutation(graph, images) for images in group]
+        report = automorphisms(graph)
+        assert report.group_order == len(group) == order
+        assert report.edge_transitive == (orbit_size(perms) == graph.n_edges)
+        assert report.vertex_transitive == (orbit_size(group) == graph.n_vertices)
 
 
 class TestAutomorphismFuzz:
@@ -482,11 +521,10 @@ class TestStabiliserChain:
         *_even_k44_subgraphs(10, seed=10), BipartiteGraph((), (), ()),
     ], ids=lambda g: f"{len(g.left)}+{len(g.right)}v{g.n_edges}e")
     def test_equals_the_depth_first_walk(self, graph, side_swap):
-        from gnorm.symmetry import Automorphism, _iso_maps
-        walk = [Automorphism(images) for images in _iso_maps(graph, graph, side_swap)]
-        autos = _all_automorphisms(graph, side_swap, RunConfig())
-        assert autos == walk
-        assert all(type(i) is int for a in autos[:3] for i in a.images)
+        from gnorm.symmetry import _iso_maps
+        group = _all_automorphisms(graph, side_swap, RunConfig())
+        assert group.dtype == np.int32
+        assert group.tolist() == [list(m) for m in _iso_maps(graph, graph, side_swap)]
 
     @pytest.mark.parametrize("m, order", [(6, 2 * 720 ** 2), (8, 2 * 40320 ** 2)])
     def test_group_cap_reports_the_exact_order(self, m, order):
