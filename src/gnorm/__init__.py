@@ -77,12 +77,6 @@ from .constructions import (
     subdivided_complete,
     tournament_from_colouring,
 )
-from .hypergraphs import (
-    UniformHypergraph,
-    hypergraph_is_edge_transitive,
-    hypergraph_is_self_complementary,
-    link_hypergraph,
-)
 from .arithmetic import (
     class_A_membership,
     kneser_admissible,

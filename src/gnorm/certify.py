@@ -401,6 +401,39 @@ def certify_not_norming(
     )
 
 
+def _class_a_violation(
+    n: int, k: int, r: int, checked: dict, family: Optional[dict] = None
+) -> Optional[Certificate]:
+    """The ``hypergraph-class-duality`` certificate for I(n, k, r), or None.
+
+    A transitive colouring needs (k, r) and its dual (n - r, n - k), one pair
+    when k = n - r, in class A: the published clause list of
+    ``class_A_membership``, cited rather than computed.  ``checked`` records
+    each pair, up to the first that fails, as ``class_membership_<k>_<r>``.
+    """
+    for kk, rr in dict.fromkeys(((k, r), (n - r, n - k))):
+        member = checked[f"class_membership_{kk}_{rr}"] = bool(class_A_membership(kk, rr))
+        if not member:
+            return Certificate(
+                VERDICT_NOT_NORMING, obstruction="ClassAViolation",
+                rule="hypergraph-class-duality", witness={"failing_pair": [kk, rr]},
+                family=family,
+            )
+    return None
+
+
+def _inclusion_family_rule(n: int, k: int, r: int) -> Optional[str]:
+    """The paper's family rule that rules out a transitive colouring of
+    I(n, k, r) (cited, not computed), or None."""
+    if r == 2 and k >= 5 and k % 2 == 1:
+        return "inclusion-r2-family"
+    if r == 3 and k >= 4 and k % 2 == 0:
+        return "inclusion-r3-even-family"
+    if r == 3 and k == 5 and n >= 7:
+        return "inclusion-53-family"
+    return None
+
+
 def _arithmetic_shortcut(
     g: BipartiteGraph,
     family_hint: Optional[Sequence],
@@ -464,21 +497,11 @@ def _arithmetic_shortcut(
             }
         except DegenerateParameters:
             pass
-    for pair in ((k, r), (n - r, n - k)):
-        kk, rr = pair
-        if not (kk > rr >= 1):
-            continue
-        res = class_A_membership(kk, rr)
-        detail[f"class_membership_{kk}_{rr}"] = bool(res)
-        if not res:
-            stages.ran("arithmetic-shortcut", **detail)
-            return Certificate(
-                VERDICT_NOT_NORMING, obstruction="ClassAViolation",
-                rule="hypergraph-class-duality",
-                witness={**detail, "failing_pair": [kk, rr]},
-            )
+    cert = _class_a_violation(n, k, r, detail)
     stages.ran("arithmetic-shortcut", **detail)
-    return None
+    if cert:
+        cert.witness = {**detail, **cert.witness}
+    return cert
 
 
 def _same_shape(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
@@ -498,15 +521,20 @@ def certify_family(family: str, params: Sequence[int], config: RunConfig = DEFAU
     """Certificate for a named family member, using the family-level facts
     plus an independently verified desk-scale witness where feasible."""
     family = family.replace("_", "-")
-    if family == "hypercube":
-        return _certify_hypercube(int(params[0]), config)
-    if family == "kneser":
-        return _certify_kneser(int(params[0]), int(params[1]), config)
-    if family == "inclusion":
-        return _certify_inclusion(int(params[0]), int(params[1]), int(params[2]), config)
-    if family == "subdivided-complete":
-        return _certify_subdivision(int(params[0]), config)
-    raise OutOfRange(f"unknown family {family!r}")
+    certifiers = {
+        "hypercube": (_certify_hypercube, "d"),
+        "kneser": (_certify_kneser, "n r"),
+        "inclusion": (_certify_inclusion, "n k r"),
+        "subdivided-complete": (_certify_subdivision, "n"),
+    }
+    if family not in certifiers:
+        raise OutOfRange(f"unknown family {family!r}")
+    certify, names = certifiers[family]
+    count = len(names.split())
+    if len(params) != count:
+        raise OutOfRange(f"family {family!r} takes {count} parameter(s) ({names}), "
+                         f"got {len(params)}")
+    return certify(*map(int, params), config)
 
 
 def _certify_hypercube(d: int, config: RunConfig) -> Certificate:
@@ -585,13 +613,9 @@ def _certify_kneser(n: int, r: int, config: RunConfig) -> Certificate:
     except OutOfScopeParameters:
         pass
 
-    membership = class_A_membership(k, r)
-    if not membership:
-        return Certificate(
-            VERDICT_NOT_NORMING, obstruction="ClassAViolation",
-            rule="hypergraph-class-duality",
-            witness={"failing_pair": [k, r]}, family=fam,
-        )
+    cert = _class_a_violation(n, k, r, {}, fam)
+    if cert:
+        return cert
 
     adm = kneser_admissible(n, r)
     extra = {"published_case_list": {"admissible": bool(adm), "case": adm.case}}
@@ -603,23 +627,11 @@ def _certify_kneser(n: int, r: int, config: RunConfig) -> Certificate:
                      **extra},
             family=fam,
         )
-    if r == 2 and k >= 5 and k % 2 == 1:
+    rule = _inclusion_family_rule(n, k, r)
+    if rule:
         return Certificate(
             VERDICT_NOT_NORMING, obstruction="KneserInadmissible",
-            rule="inclusion-r2-family",
-            witness={"k": k, **extra}, family=fam,
-        )
-    if r == 3 and k >= 4 and k % 2 == 0:
-        return Certificate(
-            VERDICT_NOT_NORMING, obstruction="KneserInadmissible",
-            rule="inclusion-r3-even-family",
-            witness={"k": k, **extra}, family=fam,
-        )
-    if r == 3 and k == 5 and n >= 7:
-        return Certificate(
-            VERDICT_NOT_NORMING, obstruction="KneserInadmissible",
-            rule="inclusion-53-family",
-            witness={"k": k, **extra}, family=fam,
+            rule=rule, witness={"k": k, **extra}, family=fam,
         )
     return Certificate(
         VERDICT_NOT_NORMING, obstruction="KneserInadmissible",
@@ -666,28 +678,14 @@ def _certify_inclusion(n: int, k: int, r: int, config: RunConfig) -> Certificate
             rule="inclusion-r1-family", witness=witness, family=fam,
         )
 
-    for pair in ((k, r), (n - r, n - k)):
-        kk, rr = pair
-        if kk > rr >= 1 and not class_A_membership(kk, rr):
-            return Certificate(
-                VERDICT_NOT_NORMING, obstruction="ClassAViolation",
-                rule="hypergraph-class-duality",
-                witness={"failing_pair": [kk, rr]}, family=fam,
-            )
-    if r == 2 and k >= 5 and k % 2 == 1:
+    cert = _class_a_violation(n, k, r, {}, fam)
+    if cert:
+        return cert
+    rule = _inclusion_family_rule(n, k, r)
+    if rule:
         return Certificate(
             VERDICT_NOT_NORMING, obstruction="NoTransitiveColouring",
-            rule="inclusion-r2-family", witness={"k": k}, family=fam,
-        )
-    if r == 3 and k >= 4 and k % 2 == 0:
-        return Certificate(
-            VERDICT_NOT_NORMING, obstruction="NoTransitiveColouring",
-            rule="inclusion-r3-even-family", witness={"k": k}, family=fam,
-        )
-    if r == 3 and k == 5 and n >= 7:
-        return Certificate(
-            VERDICT_NOT_NORMING, obstruction="NoTransitiveColouring",
-            rule="inclusion-53-family", witness={"k": k}, family=fam,
+            rule=rule, witness={"k": k}, family=fam,
         )
     # fall back to the generic pipeline when the graph is small enough
     try:

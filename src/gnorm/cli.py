@@ -30,7 +30,7 @@ from .constructions import (
 from .density import s_max, t_density
 from .falsify import hatami_random_scan, hatami_violation_search, triangle_falsifier
 from .kernels import load_kernel
-from .verification import run_all
+from .verification import ROWS, run_all
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -164,12 +164,21 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_certify(args) -> int:
     cfg = _config_from(args)
     if args.target == "graph":
+        if len(args.params) != 1:
+            return _usage_error(f"certify graph takes one graph file, got {len(args.params)}")
         g = G.load_graph(args.params[0])
         hint = args.hint.split(":") if args.hint else None
         cert = certify_not_norming(g, hint, cfg)
+    elif args.hint:
+        return _usage_error("--hint applies only to certify graph")
     else:
         cert = certify_family(args.target, [int(x) for x in args.params], cfg)
     _emit(cert.to_json(), args)
@@ -234,8 +243,7 @@ def cmd_smax(args) -> int:
 def cmd_falsify(args) -> int:
     cfg = _config_from(args)
     if args.seed is None:
-        print("error: --seed is required for randomized search", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("--seed is required for randomized search")
     g = G.load_graph(args.graph)
     a = G.load_colouring(args.colouring)
     payload: dict = {"seed": args.seed, "trials": args.trials,
@@ -375,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tournament)
 
     p = sub.add_parser("reproduce", help="run the verification table")
-    p.add_argument("--rows", nargs="*", help="subset of row ids")
+    p.add_argument("--rows", nargs="*", choices=[row.rid for row in ROWS],
+                   metavar="ROW", help="subset of row ids")
     _add_common(p)
     p.set_defaults(fn=cmd_reproduce)
 

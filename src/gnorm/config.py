@@ -28,7 +28,6 @@ class RunConfig:
     cap_assignments: int = 1 << 24 # grid assignments in one density evaluation
     cap_cycles: int = 10_000_000   # simple-cycle enumeration
     cap_colourings: int = 24       # edges allowed in full 2^e colouring scans
-    cap_hypergraph_vertices: int = 12
     cap_group: int = 1_000_000     # automorphism group size
 
     tol_falsify: float = 1e-9      # inequality slack before declaring violation

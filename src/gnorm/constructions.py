@@ -369,10 +369,6 @@ def set_id(s: Sequence[int]) -> str:
     return ",".join(str(x) for x in sorted(s))
 
 
-def parse_set_id(vid: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in vid.split(","))
-
-
 def set_inclusion_graph(
     n: int, k: int, r: int, config: RunConfig = DEFAULT
 ) -> BipartiteGraph:

@@ -63,9 +63,5 @@ class NotBalanced(GnormError):
     """A balanced colouring was required."""
 
 
-class UnknownVertex(GnormError, KeyError):
-    pass
-
-
 class VerificationFailed(GnormError):
     """An internal consistency replay failed; indicates a bug, not bad input."""

@@ -6,9 +6,8 @@ maps.  It backtracks over vertex images in maximum-cardinality-search order
 demand that edge colours be preserved.  With ``side_swap=True`` (the default)
 maps may exchange the two sides, i.e. the graph is treated as a usual
 undirected graph; the strict mode restricts to side-preserving maps.
-``_iso_maps`` walks it for isomorphisms; hypergraph symmetry runs on it
-through incidence graphs (``hypergraphs``) and tournament symmetry through
-the subdivision bridge (``certify``).
+``_iso_maps`` walks it for isomorphisms, and tournament symmetry runs on it
+through the subdivision bridge (``certify``).
 
 The automorphism group comes from the stabiliser chain along ``vorder``:
 level i fixes ``vorder[:i]`` pointwise, and its transversal holds one map

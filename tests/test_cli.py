@@ -146,6 +146,23 @@ class TestCertify:
     def test_out_of_range(self, capsys):
         assert main(["certify", "kneser", "4", "2"]) == 1
 
+    @pytest.mark.parametrize("params, wanted", [
+        (["kneser", "7"], 2), (["inclusion", "6", "4"], 3),
+        (["kneser", "7", "3", "9"], 2), (["hypercube", "4", "5"], 1),
+    ], ids=["kneser-short", "inclusion-short", "kneser-long", "hypercube-long"])
+    def test_wrong_parameter_count_is_a_usage_error(self, capsys, params, wanted):
+        assert main(["certify", *params]) == 1
+        assert f"takes {wanted} parameter" in capsys.readouterr().err
+
+    def test_graph_takes_one_file(self, files, capsys):
+        assert main(["certify", "graph", files["c6"], files["c4"]]) == 1
+        assert "one graph file" in capsys.readouterr().err
+
+    def test_hint_on_a_family_is_a_usage_error(self, capsys):
+        assert main(["certify", "kneser", "7", "3", "--hint", "kneser:7:3"]) == 1
+        captured = capsys.readouterr()
+        assert "--hint" in captured.err and not captured.out
+
 
 class TestDensity:
     def test_value_and_cross_check(self, files, capsys):
@@ -306,6 +323,15 @@ class TestReproduce:
         code, out = run_cli(["reproduce", "--rows", "tournament-4cycles"], capsys)
         assert code == 0
         assert "PASS" in out and "tournament-4cycles" in out
+
+    @pytest.mark.parametrize("rows", [["nope"], ["nope", "dual-path"]])
+    def test_unknown_row_is_a_usage_error(self, capsys, rows):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--rows", *rows])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "invalid choice: 'nope'" in captured.err
+        assert "tournament-4cycles" in captured.err and not captured.out
 
 
 class TestOutFile:

@@ -447,13 +447,18 @@ class TestAutomorphismFuzz:
             cases += 1
         assert cases >= 40
 
-    def test_isomorphism_matches_brute_force_on_random_pairs(self):
+    @pytest.mark.parametrize("swap", (True, False))
+    def test_isomorphism_matches_brute_force_on_random_pairs(self, swap):
+        # every map _iso_maps yields, against all vertex bijections; half the
+        # second graphs are relabelled copies of the first, with the sides
+        # exchanged at random, so that most pairs have maps to compare
         import random
-        from itertools import permutations as perms
+        from gnorm.symmetry import _iso_maps
         rng = random.Random(2718)
 
         def random_graph():
-            pairs = [(f"a{i}", f"b{j}") for i in range(3) for j in range(3)]
+            m, n = rng.choice(((3, 3), (2, 4), (4, 2)))
+            pairs = [(f"a{i}", f"b{j}") for i in range(m) for j in range(n)]
             edges = [p for p in pairs if rng.random() < 0.5]
             if not edges:
                 return None
@@ -463,23 +468,45 @@ class TestAutomorphismFuzz:
                 tuple(edges),
             )
 
-        def brute_iso(g1, g2):
-            if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
-                return False
-            e2 = {frozenset(e) for e in g2.edges}
-            for p in perms(g2.vertices):
-                phi = dict(zip(g1.vertices, p))
-                if {frozenset((phi[u], phi[v])) for u, v in g1.edges} == e2:
-                    return True
-            return False
+        def relabelled(g):
+            names = dict(zip(g.vertices, rng.sample(range(20), g.n_vertices)))
+            edges = [(f"v{names[u]}", f"v{names[v]}") for u, v in g.edges]
+            left, right = (tuple(f"v{names[v]}" for v in side) for side in (g.left, g.right))
+            if rng.random() < 0.5:
+                left, right, edges = right, left, [(v, u) for u, v in edges]
+            rng.shuffle(edges)
+            return BipartiteGraph(left, right, tuple(edges))
 
-        checked = 0
-        while checked < 40:
-            g1, g2 = random_graph(), random_graph()
+        def brute_maps(g1, g2):
+            """Every edge-preserving bijection g1 -> g2, as image indices into
+            g2.vertices; with swap off each side goes onto the same side."""
+            if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
+                return set()
+            e2 = {frozenset(e) for e in g2.edges}
+            out = set()
+            for p in permutations(g2.vertices):
+                phi = dict(zip(g1.vertices, p))
+                if not swap and any(g1.is_left(v) != g2.is_left(phi[v])
+                                    for v in g1.vertices):
+                    continue
+                if {frozenset((phi[u], phi[v])) for u, v in g1.edges} == e2:
+                    out.add(tuple(g2.vertex_index[phi[v]] for v in g1.vertices))
+            return out
+
+        checked = with_maps = 0
+        while checked < 60:
+            g1 = random_graph()
+            g2 = random_graph() if checked % 2 else g1 and relabelled(g1)
             if g1 is None or g2 is None:
                 continue
-            assert isomorphic(g1, g2, side_swap=True) == brute_iso(g1, g2)
+            want = brute_maps(g1, g2)
+            got = list(_iso_maps(g1, g2, swap))
+            assert len(got) == len(want), (g1.edges, g2.edges)
+            assert set(got) == want, (g1.edges, g2.edges)
+            assert isomorphic(g1, g2, side_swap=swap) == bool(want)
             checked += 1
+            with_maps += bool(want)
+        assert with_maps >= 20
 
 
 def _even_k44_subgraphs(count: int, seed: int) -> list[BipartiteGraph]:
