@@ -49,6 +49,7 @@ from .density import (
     t_density,
     trig_density,
 )
+from .errors import OutOfRange
 from .falsify import (
     hatami_check,
     hatami_random_scan,
@@ -426,6 +427,12 @@ def _run_row_by_id(args) -> dict:
 
 
 def run_all(config: RunConfig = DEFAULT, row_ids: list[str] | None = None) -> list[dict]:
+    if row_ids is not None:
+        known = [r.rid for r in ROWS]
+        unknown = [rid for rid in row_ids if rid not in known]
+        if unknown:
+            raise OutOfRange(f"unknown row id(s) {', '.join(unknown)}; "
+                             f"valid ids: {', '.join(known)}")
     rows = [r for r in ROWS if row_ids is None or r.rid in row_ids]
     if config.threads > 1 and len(rows) > 1:
         try:

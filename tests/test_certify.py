@@ -20,6 +20,8 @@ from gnorm import symmetry
 from gnorm.symmetry import _all_automorphisms, _edge_table, isomorphic
 from gnorm.certify import (
     _arc_transitive,
+    _class_a_violation,
+    _inclusion_family_rule,
     certify_family,
     certify_not_norming,
 )
@@ -238,6 +240,78 @@ class TestInclusionFamily:
     def test_odd_degree(self):
         cert = certify_family("inclusion", [6, 3, 1])
         assert cert.obstruction == "NotEulerian"
+
+
+class TestFamilyParameters:
+    @pytest.mark.parametrize("family, params", [
+        ("hypercube", []),
+        ("hypercube", [4, 5]),
+        ("kneser", [7]),
+        ("kneser", [7, 3, 9]),
+        ("inclusion", [6, 4]),
+        ("subdivided-complete", []),
+    ])
+    def test_wrong_parameter_count_raises(self, family, params):
+        with pytest.raises(OutOfRange, match=rf"takes \d parameter.*got {len(params)}$"):
+            certify_family(family, params)
+
+    def test_unknown_family(self):
+        with pytest.raises(OutOfRange, match="unknown family 'petersen'"):
+            certify_family("petersen", [5])
+
+
+class TestSetInclusionRules:
+    """The class-A and family rules shared by the Kneser, inclusion and
+    hinted-graph routes."""
+
+    def test_class_a_violation_agrees_with_the_clause_list(self):
+        from gnorm.arithmetic import class_A_membership
+
+        for n in range(3, 13):
+            for k in range(2, n):
+                for r in range(1, k):
+                    pairs = list(dict.fromkeys(((k, r), (n - r, n - k))))
+                    checked = {}
+                    cert = _class_a_violation(n, k, r, checked)
+                    failing = [p for p in pairs if not class_A_membership(*p)]
+                    if failing:
+                        assert cert.obstruction == "ClassAViolation"
+                        assert cert.rule == "hypergraph-class-duality"
+                        assert cert.witness == {"failing_pair": list(failing[0])}
+                        stop = pairs.index(failing[0]) + 1
+                    else:
+                        assert cert is None, (n, k, r)
+                        stop = len(pairs)
+                    assert list(checked) == [
+                        f"class_membership_{kk}_{rr}" for kk, rr in pairs[:stop]
+                    ], (n, k, r)
+
+    def test_self_dual_pair_is_checked_once(self, monkeypatch):
+        # k = n - r: (k, r) is its own dual
+        import gnorm.certify as C
+
+        calls = []
+        real = C.class_A_membership
+        monkeypatch.setattr(C, "class_A_membership", lambda k, r: calls.append((k, r)) or real(k, r))
+        checked = {}
+        _class_a_violation(7, 4, 3, checked, {"family": "kneser"})
+        assert list(checked) == ["class_membership_4_3"]
+        assert calls == [(4, 3)]
+
+    def test_inclusion_family_rule_table(self):
+        expected = {}
+        for n in range(3, 13):
+            for k in range(2, n):
+                for r in range(1, k):
+                    rule = None
+                    if r == 2 and k in (5, 7, 9, 11):
+                        rule = "inclusion-r2-family"
+                    elif r == 3 and k in (4, 6, 8, 10):
+                        rule = "inclusion-r3-even-family"
+                    elif (r, k) == (3, 5) and n >= 7:
+                        rule = "inclusion-53-family"
+                    expected[n, k, r] = rule
+        assert {key: _inclusion_family_rule(*key) for key in expected} == expected
 
 
 class TestSubdivisionFamily:

@@ -1,7 +1,10 @@
 """The verification table itself: sensitivity, crash capture, ordering."""
 
+import pytest
+
 import gnorm.verification as V
 from gnorm.config import RunConfig
+from gnorm.errors import OutOfRange
 
 
 def test_rows_have_unique_ids_and_budgets():
@@ -35,6 +38,19 @@ def test_crashed_row_is_reported_not_raised(monkeypatch):
 def test_run_all_preserves_declared_order():
     results = V.run_all(RunConfig(), ["kneser-arithmetic", "tournament-4cycles"])
     assert [r["id"] for r in results] == ["tournament-4cycles", "kneser-arithmetic"]
+
+
+@pytest.mark.parametrize("rows", [["nope"], ["nope", "dual-path"]])
+def test_run_all_rejects_unknown_row_ids(monkeypatch, rows):
+    ran = []
+    monkeypatch.setattr(V, "run_row", lambda row, config=None: ran.append(row.rid))
+    with pytest.raises(OutOfRange, match="unknown row id.*nope.*valid ids: tournament-3cycles"):
+        V.run_all(RunConfig(), rows)
+    assert ran == []
+
+
+def test_run_all_with_no_ids_runs_nothing():
+    assert V.run_all(RunConfig(), []) == []
 
 
 def test_budget_violation_fails_row(monkeypatch):
