@@ -242,15 +242,25 @@ def certify_not_norming(
     if g.n_edges == 0:
         raise OutOfRange("cannot certify an empty graph")
     stages = _Stages()
-    side_swap = config.side_swap
+    cert = _pipeline(g, family_hint, stages, config)
+    cert.side_swap, cert.stages = config.side_swap, stages.log
+    return cert
 
+
+def _pipeline(
+    g: BipartiteGraph,
+    family_hint: Optional[Sequence],
+    stages: _Stages,
+    config: RunConfig,
+) -> Certificate:
+    """The stages of ``certify_not_norming``, logged to ``stages``.  The
+    caller stamps the automorphism mode and the log on the certificate."""
     star = _star_exception(g)
     stages.ran("star-exception", matched=star is not None)
     if star is not None:
         return Certificate(
             VERDICT_SEMINORMING, obstruction="StarException",
             rule="star-seminorm-exception", witness=star,
-            side_swap=side_swap, stages=stages.log,
         )
 
     odd = [v for v in g.vertices if g.degree(v) % 2]
@@ -260,7 +270,6 @@ def certify_not_norming(
             VERDICT_NOT_NORMING, obstruction="NotEulerian",
             rule="eulerian-degrees",
             witness={"odd_degree_vertex": odd[0], "degree": g.degree(odd[0])},
-            side_swap=side_swap, stages=stages.log,
         )
 
     if not is_biregular(g):
@@ -271,13 +280,12 @@ def certify_not_norming(
             VERDICT_NOT_NORMING, obstruction="NotBiregular",
             rule="biregularity",
             witness={"left_degrees": ldeg, "right_degrees": rdeg},
-            side_swap=side_swap, stages=stages.log,
         )
     stages.ran("biregular", ok=True)
 
     report = None
     try:
-        report = symmetry.automorphisms(g, side_swap, config)
+        report = symmetry.automorphisms(g, config)
         stages.ran("edge-transitive", ok=report.edge_transitive,
                    group_order=report.group_order)
         if not report.edge_transitive:
@@ -285,7 +293,6 @@ def certify_not_norming(
                 VERDICT_NOT_NORMING, obstruction="NotEdgeTransitive",
                 rule="edge-transitivity",
                 witness={"group_order": report.group_order},
-                side_swap=side_swap, stages=stages.log,
             )
     except CapExceeded as exc:
         stages.capped("edge-transitive", exc)
@@ -301,28 +308,23 @@ def certify_not_norming(
             VERDICT_NOT_NORMING, obstruction="NotBalancedPossible",
             rule="balanced-colouring-existence",
             witness={"balanced_colourings": 0},
-            side_swap=side_swap, stages=stages.log,
         )
 
     shortcut = _arithmetic_shortcut(g, family_hint, stages, config)
     if shortcut is not None:
-        shortcut.side_swap = side_swap
-        shortcut.stages = stages.log
         return shortcut
 
     if balanced is None:
         stages.skipped("transitive-colourings", "balanced enumeration capped")
         return Certificate(
             VERDICT_NO_OBSTRUCTION,
-            witness={"note": "balanced enumeration capped"},
-            side_swap=side_swap, stages=stages.log, cap_hit=True,
+            witness={"note": "balanced enumeration capped"}, cap_hit=True,
         )
     if report is None:
         stages.skipped("transitive-colourings", "automorphism group capped")
         return Certificate(
             VERDICT_NO_OBSTRUCTION,
-            witness={"note": "transitive-colouring search skipped"},
-            side_swap=side_swap, stages=stages.log, cap_hit=True,
+            witness={"note": "transitive-colouring search skipped"}, cap_hit=True,
         )
 
     # the group is searched again only here, where the filter reads it whole;
@@ -330,7 +332,7 @@ def certify_not_norming(
     # colourings are closed under the group and conjugation, so the filter
     # checks one colouring per orbit and the counting stage reuses the matrix
     matrix = np.array([c.colours for c in balanced], dtype=np.int8)
-    perms = symmetry._edge_table(g, symmetry._all_automorphisms(g, side_swap, config))
+    perms = symmetry._edge_table(g, symmetry._all_automorphisms(g, config))
     keep = np.flatnonzero(symmetry._transitive_mask(g, matrix, perms)[0])
     transitive = [balanced[i] for i in keep]
     stages.ran("transitive-colourings", balanced=len(balanced),
@@ -341,7 +343,6 @@ def certify_not_norming(
             rule="transitive-colouring-existence",
             witness={"mode": "exhaustive", "balanced_colourings": len(balanced),
                      "transitive_colourings": 0},
-            side_swap=side_swap, stages=stages.log,
         )
 
     try:
@@ -351,8 +352,7 @@ def certify_not_norming(
         return Certificate(
             VERDICT_NO_OBSTRUCTION,
             witness={"note": "counting stage capped"},
-            surviving=[list(c.colours) for c in transitive[:10]],
-            side_swap=side_swap, stages=stages.log, cap_hit=True,
+            surviving=[list(c.colours) for c in transitive[:10]], cap_hit=True,
         )
     # one pass over every balanced colouring feeds the dichotomy summary, which
     # files each colouring under its first failed law, and the failures of
@@ -373,7 +373,6 @@ def certify_not_norming(
             witness={"checked": ["girth-cycle-law", "kappa-maximality",
                                  "pattern-maximality", "transitivity"]},
             surviving=[list(c.colours) for c in survivors[:10]],
-            side_swap=side_swap, stages=stages.log,
         )
 
     kinds = {k for _, fails in transitive_failures for k in fails}
@@ -396,14 +395,11 @@ def certify_not_norming(
         witness["pattern_max"] = refs.pattern_max
         witness["pattern_argmax"] = list(refs.pattern_argmax)
     return Certificate(
-        VERDICT_NOT_NORMING, obstruction=obstruction, rule=rule,
-        witness=witness, side_swap=side_swap, stages=stages.log,
+        VERDICT_NOT_NORMING, obstruction=obstruction, rule=rule, witness=witness,
     )
 
 
-def _class_a_violation(
-    n: int, k: int, r: int, checked: dict, family: Optional[dict] = None
-) -> Optional[Certificate]:
+def _class_a_violation(n: int, k: int, r: int, checked: dict) -> Optional[Certificate]:
     """The ``hypergraph-class-duality`` certificate for I(n, k, r), or None.
 
     A transitive colouring needs (k, r) and its dual (n - r, n - k), one pair
@@ -417,7 +413,6 @@ def _class_a_violation(
             return Certificate(
                 VERDICT_NOT_NORMING, obstruction="ClassAViolation",
                 rule="hypergraph-class-duality", witness={"failing_pair": [kk, rr]},
-                family=family,
             )
     return None
 
@@ -457,7 +452,7 @@ def _arithmetic_shortcut(
         else:
             stages.skipped("arithmetic-shortcut", f"no shortcut for family {kind!r}")
             return None
-        reference = set_inclusion_graph(n, k, r, config)
+        reference = set_inclusion_graph(n, k, r)
     except (IndexError, ValueError, DegenerateParameters) as exc:
         stages.skipped("arithmetic-shortcut", f"bad hint: {exc}")
         return None
@@ -469,7 +464,7 @@ def _arithmetic_shortcut(
         stages.skipped("arithmetic-shortcut", "graph does not match hinted family")
         return None
     try:
-        same_graph = symmetry.isomorphic(g, reference, True, config)
+        same_graph = symmetry.isomorphic(g, reference, config.with_(side_swap=True))
     except CapExceeded:
         stages.skipped("arithmetic-shortcut", "hint reference too large to verify")
         return None
@@ -519,7 +514,9 @@ def _same_shape(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
 
 def certify_family(family: str, params: Sequence[int], config: RunConfig = DEFAULT) -> Certificate:
     """Certificate for a named family member, using the family-level facts
-    plus an independently verified desk-scale witness where feasible."""
+    plus an independently verified desk-scale witness where feasible.  The
+    certificate records the configured automorphism mode and, in ``family``,
+    the parameters under the names the family takes."""
     family = family.replace("_", "-")
     certifiers = {
         "hypercube": (_certify_hypercube, "d"),
@@ -530,21 +527,23 @@ def certify_family(family: str, params: Sequence[int], config: RunConfig = DEFAU
     if family not in certifiers:
         raise OutOfRange(f"unknown family {family!r}")
     certify, names = certifiers[family]
-    count = len(names.split())
-    if len(params) != count:
-        raise OutOfRange(f"family {family!r} takes {count} parameter(s) ({names}), "
+    keys = names.split()
+    if len(params) != len(keys):
+        raise OutOfRange(f"family {family!r} takes {len(keys)} parameter(s) ({names}), "
                          f"got {len(params)}")
-    return certify(*map(int, params), config)
+    params = [int(x) for x in params]
+    cert = certify(*params, config)
+    cert.side_swap = config.side_swap
+    cert.family = {"family": family, **dict(zip(keys, params))}
+    return cert
 
 
 def _certify_hypercube(d: int, config: RunConfig) -> Certificate:
     if d < 1:
         raise OutOfRange("hypercube dimension must be >= 1")
-    fam = {"family": "hypercube", "d": d}
     if d <= 2 or d == 4:
         # small enough to run the whole pipeline directly
-        cert = certify_not_norming(hypercube(d, config), None, config)
-        cert.family = fam
+        cert = certify_not_norming(hypercube(d), None, config)
         if d == 4:
             cert.rule = cert.rule or "hypercube-family"
             profiles = _hypercube_profiles(4, config)
@@ -555,7 +554,7 @@ def _certify_hypercube(d: int, config: RunConfig) -> Certificate:
         return Certificate(
             VERDICT_NOT_NORMING, obstruction="NotEulerian",
             rule="eulerian-degrees",
-            witness={"degree": d, "note": "odd-regular"}, family=fam,
+            witness={"degree": d, "note": "odd-regular"},
         )
     witness: dict = {"identities": {
         "four_cycles": comb(d, 2) * (1 << (d - 2)),
@@ -571,16 +570,14 @@ def _certify_hypercube(d: int, config: RunConfig) -> Certificate:
         witness["note"] = "profiles omitted above dimension 8"
     return Certificate(
         VERDICT_NOT_NORMING, obstruction="KappaNotMaximal",
-        rule="hypercube-family", witness=witness, family=fam,
+        rule="hypercube-family", witness=witness,
     )
 
 
 def _hypercube_profiles(d: int, config: RunConfig) -> dict:
-    g = hypercube(d, config)
-    cycles = enumerate_cycles(g, 4, config.with_(cap_cycles=10 ** 6)).edge_cycles
+    cycles = enumerate_cycles(hypercube(d), 4, config).edge_cycles
     out = {}
-    for name, colouring in (("alpha", hypercube_alpha(d, config)),
-                            ("beta", hypercube_beta(d, config))):
+    for name, colouring in (("alpha", hypercube_alpha(d)), ("beta", hypercube_beta(d))):
         out[name] = _profile(colouring.colours, cycles).to_json()
     return out
 
@@ -588,19 +585,16 @@ def _hypercube_profiles(d: int, config: RunConfig) -> dict:
 def _certify_kneser(n: int, r: int, config: RunConfig) -> Certificate:
     if not (r >= 1 and n - r > r):
         raise OutOfRange(f"need n - r > r >= 1, got ({n}, {r})")
-    fam = {"family": "kneser", "n": n, "r": r}
     k = n - r
     if (n, r) == (3, 1):
-        cert = certify_not_norming(bipartite_kneser(3, 1), None, config)
-        cert.family = fam
-        return cert
+        return certify_not_norming(bipartite_kneser(3, 1), None, config)
 
     degree = comb(n - r, r)
     if degree % 2 == 1:
         return Certificate(
             VERDICT_NOT_NORMING, obstruction="NotEulerian",
             rule="eulerian-degrees",
-            witness={"regular_degree": degree}, family=fam,
+            witness={"regular_degree": degree},
         )
 
     try:
@@ -608,12 +602,12 @@ def _certify_kneser(n: int, r: int, config: RunConfig) -> Certificate:
         if not res.is_integer:
             return Certificate(
                 VERDICT_NOT_NORMING, obstruction="IntegralityFailure",
-                rule="kneser-integrality", witness=res.to_json(), family=fam,
+                rule="kneser-integrality", witness=res.to_json(),
             )
     except OutOfScopeParameters:
         pass
 
-    cert = _class_a_violation(n, k, r, {}, fam)
+    cert = _class_a_violation(n, k, r, {})
     if cert:
         return cert
 
@@ -625,49 +619,42 @@ def _certify_kneser(n: int, r: int, config: RunConfig) -> Certificate:
             rule="kneser-r1-family",
             witness={"n": n, "note": "complete bipartite minus a matching, n > 3",
                      **extra},
-            family=fam,
         )
     rule = _inclusion_family_rule(n, k, r)
     if rule:
         return Certificate(
             VERDICT_NOT_NORMING, obstruction="KneserInadmissible",
-            rule=rule, witness={"k": k, **extra}, family=fam,
+            rule=rule, witness={"k": k, **extra},
         )
     return Certificate(
         VERDICT_NOT_NORMING, obstruction="KneserInadmissible",
         rule="kneser-family",
         witness={"note": "no bipartite Kneser graph other than (3, 1) is norming",
                  **extra},
-        family=fam,
     )
 
 
 def _certify_inclusion(n: int, k: int, r: int, config: RunConfig) -> Certificate:
     if not (n > k > r > 0):
         raise OutOfRange(f"need n > k > r > 0, got ({n}, {k}, {r})")
-    fam = {"family": "inclusion", "n": n, "k": k, "r": r}
     if k == n - r:
-        cert = _certify_kneser(n, r, config)
-        cert.family = fam
-        return cert
+        return _certify_kneser(n, r, config)
     if (k, r) == (2, 1) or (k, r) == (n - 1, n - 2):
-        cert = _certify_subdivision(n, config)
-        cert.family = fam
-        return cert
+        return _certify_subdivision(n, config)
 
     ldeg, rdeg = comb(k, r), comb(n - r, k - r)
     if ldeg % 2 or rdeg % 2:
         return Certificate(
             VERDICT_NOT_NORMING, obstruction="NotEulerian",
             rule="eulerian-degrees",
-            witness={"left_degree": ldeg, "right_degree": rdeg}, family=fam,
+            witness={"left_degree": ldeg, "right_degree": rdeg},
         )
 
     if r == 1 and k >= 4:
         witness: dict = {"note": "diameter-2 inclusion graphs have 4-cycle-generated "
                                  "cycle spaces, forcing potential-form colourings"}
         try:
-            graph = set_inclusion_graph(n, k, r, config)
+            graph = set_inclusion_graph(n, k, r)
             from .cycles import four_cycles_generate_cycle_space
             witness["four_cycles_generate_cycle_space"] = \
                 four_cycles_generate_cycle_space(graph, config)
@@ -675,29 +662,27 @@ def _certify_inclusion(n: int, k: int, r: int, config: RunConfig) -> Certificate
             witness["four_cycles_generate_cycle_space"] = "not verified (cap)"
         return Certificate(
             VERDICT_NOT_NORMING, obstruction="NoTransitiveColouring",
-            rule="inclusion-r1-family", witness=witness, family=fam,
+            rule="inclusion-r1-family", witness=witness,
         )
 
-    cert = _class_a_violation(n, k, r, {}, fam)
+    cert = _class_a_violation(n, k, r, {})
     if cert:
         return cert
     rule = _inclusion_family_rule(n, k, r)
     if rule:
         return Certificate(
             VERDICT_NOT_NORMING, obstruction="NoTransitiveColouring",
-            rule=rule, witness={"k": k}, family=fam,
+            rule=rule, witness={"k": k},
         )
     # fall back to the generic pipeline when the graph is small enough
     try:
-        graph = set_inclusion_graph(n, k, r, config)
-        cert = certify_not_norming(graph, ("inclusion", n, k, r), config)
-        cert.family = fam
-        return cert
+        graph = set_inclusion_graph(n, k, r)
+        return certify_not_norming(graph, ("inclusion", n, k, r), config)
     except CapExceeded as exc:
         return Certificate(
             VERDICT_NO_OBSTRUCTION,
             witness={"note": f"no family fact applies and the graph is too large: {exc}"},
-            family=fam, cap_hit=True,
+            cap_hit=True,
         )
 
 
@@ -712,16 +697,13 @@ def _arc_transitive(table: np.ndarray, a: EdgeColouring) -> bool:
 def _certify_subdivision(n: int, config: RunConfig) -> Certificate:
     if n < 2:
         raise OutOfRange("need n >= 2")
-    fam = {"family": "subdivided-complete", "n": n}
     if n <= 3:
-        cert = certify_not_norming(subdivided_complete(n), None, config)
-        cert.family = fam
-        return cert
+        return certify_not_norming(subdivided_complete(n), None, config)
     if n % 2 == 0:
         return Certificate(
             VERDICT_NOT_NORMING, obstruction="NotEulerian",
             rule="eulerian-degrees",
-            witness={"branch_degree": n - 1}, family=fam,
+            witness={"branch_degree": n - 1},
         )
     d = (n - 1) // 2
     if n % 4 == 1:
@@ -739,7 +721,8 @@ def _certify_subdivision(n: int, config: RunConfig) -> Certificate:
             # every tournament's automorphism group is the colour-preserving
             # part of one group: the side-preserving group of subdivided K5
             g = subdivided_complete(5)
-            table = symmetry._edge_table(g, symmetry._all_automorphisms(g, False, config))
+            table = symmetry._edge_table(
+                g, symmetry._all_automorphisms(g, config.with_(side_swap=False)))
             found = 0
             scanned = 0
             # a tournament picks the tail of the arc at each subdivision
@@ -755,7 +738,7 @@ def _certify_subdivision(n: int, config: RunConfig) -> Certificate:
                 raise VerificationFailed("unexpected arc-transitive tournament on 5 vertices")
         return Certificate(
             VERDICT_NOT_NORMING, obstruction="NoTransitiveColouring",
-            rule="arc-transitive-three-cycles", witness=witness, family=fam,
+            rule="arc-transitive-three-cycles", witness=witness,
         )
     # n = 3 (mod 4): arc-transitive tournaments exist; compare directed
     # 4-cycle counts against the clockwise tournament
@@ -778,5 +761,5 @@ def _certify_subdivision(n: int, config: RunConfig) -> Certificate:
         raise VerificationFailed("expected a strict 4-cycle comparison")
     return Certificate(
         VERDICT_NOT_NORMING, obstruction="KappaNotMaximal",
-        rule="arc-transitive-four-cycles", witness=witness, family=fam,
+        rule="arc-transitive-four-cycles", witness=witness,
     )

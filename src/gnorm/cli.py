@@ -2,8 +2,10 @@
 
 Commands: check, certify, colourings, density, smax, falsify, tournament,
 reproduce.  Machine-readable JSON goes to stdout (or --out); --pretty prints
-a human summary instead.  Exit codes: 0 verdict produced, 1 usage or parse
-error, 2 a cap stopped a decisive stage, 3 internal verification failure.
+a human summary instead.  ``reproduce`` writes its rows to --out when given,
+and prints its table with --pretty or without --out.  Exit codes: 0 verdict
+produced, 1 usage or parse error, 2 a cap stopped a decisive stage, 3
+internal verification failure.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def cmd_check(args) -> int:
     # one group search serves the report and both colouring checks
     group = skipped = None
     try:
-        group = symmetry._all_automorphisms(g, cfg.side_swap, cfg)
+        group = symmetry._all_automorphisms(g, cfg)
     except CapExceeded as exc:
         skipped = report["edge_transitive"] = f"skipped ({exc})"
     else:
@@ -195,8 +197,7 @@ def cmd_colourings(args) -> int:
         balanced = [c.colours for c in colourings]
         colourings = []
         if balanced:
-            table = symmetry._edge_table(
-                g, symmetry._all_automorphisms(g, cfg.side_swap, cfg))
+            table = symmetry._edge_table(g, symmetry._all_automorphisms(g, cfg))
             mask, _ = symmetry._transitive_mask(g, np.array(balanced, dtype=np.int8), table)
             colourings = [c for c, ok in zip(balanced, mask) if ok]
     out = []
@@ -285,9 +286,9 @@ def cmd_tournament(args) -> int:
 def cmd_reproduce(args) -> int:
     cfg = _config_from(args)
     results = run_all(cfg, args.rows or None)
-    if not getattr(args, "pretty", False) and args.out:
+    if args.out:
         _emit({"rows": results}, args)
-    else:
+    if args.pretty or not args.out:
         width = max(len(r["id"]) for r in results)
         for r in results:
             mark = "PASS" if r["ok"] else "FAIL"

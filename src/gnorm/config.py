@@ -1,4 +1,4 @@
-"""Run configuration: resource caps, tolerances, seeds.
+"""Run configuration: resource caps, the automorphism mode and threads.
 
 All exhaustive scans consult a cap from here and raise CapExceeded rather than
 running unbounded.  Defaults are sized so the shipped verification suite
@@ -21,7 +21,7 @@ def _threads_from_env() -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Caps and tolerances shared by library operations and the CLI."""
+    """Caps and modes shared by library operations and the CLI."""
 
     cap_edges: int = 32            # balanced-colouring enumeration
     cap_vertices: int = 64         # automorphism / isomorphism search
@@ -29,9 +29,6 @@ class RunConfig:
     cap_cycles: int = 10_000_000   # simple-cycle enumeration
     cap_colourings: int = 24       # edges allowed in full 2^e colouring scans
     cap_group: int = 1_000_000     # automorphism group size
-
-    tol_falsify: float = 1e-9      # inequality slack before declaring violation
-    tol_rel: float = 1e-12         # dual-path relative agreement
 
     side_swap: bool = True         # allow automorphisms exchanging the sides
     threads: int = field(default_factory=_threads_from_env)

@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .arithmetic import is_prime
-from .config import DEFAULT, RunConfig
 from .errors import (
     CapExceeded,
     DegenerateParameters,
@@ -38,7 +37,7 @@ def _bits(v: int, d: int) -> str:
     return format(v, f"0{d}b")[::-1]  # coordinate j = character j
 
 
-def hypercube(d: int, config: RunConfig = DEFAULT) -> BipartiteGraph:
+def hypercube(d: int) -> BipartiteGraph:
     """Q_d on bitstrings; even-weight vertices form the left side.
 
     Edges are ordered by (smaller endpoint value, flipped coordinate).
@@ -67,18 +66,18 @@ def _edge_direction(u: str, v: str) -> int:
     return diffs[0]
 
 
-def hypercube_alpha(d: int, config: RunConfig = DEFAULT) -> EdgeColouring:
+def hypercube_alpha(d: int) -> EdgeColouring:
     """Direction colouring of Q_d (d even): first d/2 axes get colour 1."""
     if d % 2:
         raise OddDimension("direction colouring needs an even dimension")
-    g = hypercube(d, config)
+    g = hypercube(d)
     half = d // 2
     return EdgeColouring(
         tuple(1 if _edge_direction(u, v) < half else 0 for u, v in g.edges)
     )
 
 
-def hypercube_beta(d: int, config: RunConfig = DEFAULT) -> EdgeColouring:
+def hypercube_beta(d: int) -> EdgeColouring:
     """The F2-formula colouring of Q_d (d even): no monochromatic 4-cycle.
 
     For the edge {x, x + e_j} with m = d/2:
@@ -87,7 +86,7 @@ def hypercube_beta(d: int, config: RunConfig = DEFAULT) -> EdgeColouring:
     """
     if d % 2:
         raise OddDimension("this colouring needs an even dimension")
-    g = hypercube(d, config)
+    g = hypercube(d)
     m = d // 2
     colours = []
     for u, v in g.edges:
@@ -369,9 +368,7 @@ def set_id(s: Sequence[int]) -> str:
     return ",".join(str(x) for x in sorted(s))
 
 
-def set_inclusion_graph(
-    n: int, k: int, r: int, config: RunConfig = DEFAULT
-) -> BipartiteGraph:
+def set_inclusion_graph(n: int, k: int, r: int) -> BipartiteGraph:
     """I(n, k, r): k-sets of {1..n} on the left, r-sets on the right, edges
     given by inclusion.  Requires n > k > r > 0."""
     if not (n > k > r > 0):
@@ -391,8 +388,8 @@ def set_inclusion_graph(
     return BipartiteGraph(left, right, tuple(edges))
 
 
-def bipartite_kneser(n: int, r: int, config: RunConfig = DEFAULT) -> BipartiteGraph:
+def bipartite_kneser(n: int, r: int) -> BipartiteGraph:
     """H(n, r) = I(n, n-r, r); needs n - r > r."""
     if not (0 < r and n - r > r):
         raise DegenerateParameters(f"need n - r > r > 0, got ({n}, {r})")
-    return set_inclusion_graph(n, n - r, r, config)
+    return set_inclusion_graph(n, n - r, r)

@@ -28,6 +28,8 @@ from .graphs import BipartiteGraph, EdgeColouring, check_aligned
 from .kernels import Decoration, StepKernel, kernel_to_json, phase_kernel
 from .density import _SWEEP_BUDGET, _densities, _route, t_decoration, t_density
 
+_SLACK = 1e-9  # inequality slack before a violation is declared
+
 
 def _substream(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
@@ -81,17 +83,17 @@ class HatamiCheck:
         return self.holds
 
     @staticmethod
-    def verdict(mixed: float, singles: list[float], tol: float) -> "HatamiCheck":
+    def verdict(mixed: float, singles: list[float]) -> "HatamiCheck":
         """The check from |t({f_e})| and the e magnitudes |t(f_e)|."""
         e = len(singles)
         lhs = mixed ** e
         rhs = math.prod(singles)
-        if mixed <= tol:
+        if mixed <= _SLACK:
             return HatamiCheck(True, math.inf, lhs, rhs)
-        if any(s <= tol for s in singles):
+        if any(s <= _SLACK for s in singles):
             return HatamiCheck(False, -math.inf, lhs, rhs)
         margin = sum(math.log(s) for s in singles) - e * math.log(mixed)
-        holds = lhs <= rhs * (1.0 + tol) + tol
+        holds = lhs <= rhs * (1.0 + _SLACK) + _SLACK
         return HatamiCheck(holds, margin, lhs, rhs)
 
 
@@ -102,11 +104,11 @@ def hatami_check(
     mode: str = "conjugate",
     config: RunConfig = DEFAULT,
 ) -> HatamiCheck:
-    """Check |t({f_e})|^e <= prod_e |t(f_e)| with the configured slack."""
+    """Check |t({f_e})|^e <= prod_e |t(f_e)| up to the slack ``_SLACK``."""
     check_aligned(g, a)
     mixed = abs(t_decoration(g, a, dec, mode, config=config))
     singles = [abs(t_density(g, a, k, mode, config=config)) for k in dec.kernels]
-    return HatamiCheck.verdict(mixed, singles, config.tol_falsify)
+    return HatamiCheck.verdict(mixed, singles)
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,7 @@ def hatami_random_scan(
             for i in range(e)
         ], mode).reshape(len(chunk), 1 + e).tolist()
         for t, ks, (mixed, *singles) in zip(chunk, kernels, vals):
-            res = HatamiCheck.verdict(abs(mixed), [abs(x) for x in singles],
-                                      config.tol_falsify)
+            res = HatamiCheck.verdict(abs(mixed), [abs(x) for x in singles])
             worst = min(worst, res.log_margin)
             if not res.holds:
                 return HatamiScan(
@@ -307,16 +308,15 @@ class TriangleWitness:
     def replay(self, graph: BipartiteGraph, config: RunConfig = DEFAULT) -> bool:
         a = EdgeColouring(self.colours)
         e = graph.n_edges
-        tol = config.tol_falsify
 
         def density(f: StepKernel) -> complex:
             return t_density(graph, a, f, config=config)
 
         if self.kind == "triangle":
             sums = (density(self.f.add(self.g2)), density(self.f), density(self.g2))
-            return _triangle(*sums, e, tol) is not None
+            return _triangle(*sums, e) is not None
         sums = (density(self.f), density(self.f.scale(self.c)))
-        return _scaling(*sums, self.c, e, tol) is not None
+        return _scaling(*sums, self.c, e) is not None
 
     def to_json(self) -> dict:
         out = {
@@ -335,20 +335,20 @@ class TriangleWitness:
         return out
 
 
-def _triangle(t_sum: complex, t_f: complex, t_g: complex, e: int, tol: float) -> Optional[dict]:
+def _triangle(t_sum: complex, t_f: complex, t_g: complex, e: int) -> Optional[dict]:
     """A triangle witness's values from t(f + g), t(f) and t(g), or None
     when |t(.)|^(1/e) obeys the triangle inequality on the pair."""
     ns, nf, ng = (abs(x) ** (1.0 / e) for x in (t_sum, t_f, t_g))
-    if ns > nf + ng + tol:
+    if ns > nf + ng + _SLACK:
         return {"norm_sum": ns, "norm_f": nf, "norm_g": ng}
     return None
 
 
-def _scaling(t_f: complex, t_cf: complex, c: complex, e: int, tol: float) -> Optional[dict]:
+def _scaling(t_f: complex, t_cf: complex, c: complex, e: int) -> Optional[dict]:
     """A scaling witness's values from t(f) and t(c*f), or None when
     t(c*f) = |c|^e * t(f) within the slack."""
     expected = (abs(c) ** e) * t_f
-    if abs(t_cf - expected) > tol * max(1.0, abs(expected)):
+    if abs(t_cf - expected) > _SLACK * max(1.0, abs(expected)):
         return {"t_cf": t_cf, "expected": expected, "t_f": t_f}
     return None
 
@@ -386,7 +386,6 @@ def triangle_falsifier(
     e, r = g.n_edges, resolution
     if e == 0:
         raise ValueError("the triangle falsifier needs at least one edge")
-    tol = config.tol_falsify
     if trials == 0:
         return FalsifierResult(None, 0)
 
@@ -395,13 +394,13 @@ def triangle_falsifier(
 
     max_deg = max(g.degree(v) for v in g.vertices)
     pk = phase_kernel(max(r, max_deg + 1))
-    values = _triangle(density(pk.add(pk.conj())), density(pk), density(pk.conj()), e, tol)
+    values = _triangle(density(pk.add(pk.conj())), density(pk), density(pk.conj()), e)
     if values:
         return FalsifierResult(
             TriangleWitness("triangle", seed, 0, a.colours, pk, pk.conj(), None, values), 1)
     one = StepKernel.constant(1.0, r, r)
     for c in (cmath.exp(1j * math.pi / 4), 1j, cmath.exp(1j * math.pi / 3)):
-        values = _scaling(density(one), density(one.scale(c)), c, e, tol)
+        values = _scaling(density(one), density(one.scale(c)), c, e)
         if values:
             return FalsifierResult(
                 TriangleWitness("scaling", seed, 0, a.colours, one, None, c, values), 1)
@@ -418,12 +417,12 @@ def triangle_falsifier(
         stack = np.concatenate((fs + gs, fs, gs, np.array(scalars)[:, None, None] * fs))
         vals = _densities(route, g, a, [stack] * e, "conjugate").reshape(4, -1).T.tolist()
         for t, f, f2, c, (t_sum, t_f, t_g, t_cf) in zip(chunk, fs, gs, scalars, vals):
-            values = _triangle(t_sum, t_f, t_g, e, tol)
+            values = _triangle(t_sum, t_f, t_g, e)
             if values:
                 return FalsifierResult(TriangleWitness(
                     "triangle", seed, t, a.colours, StepKernel(f), StepKernel(f2), None, values),
                     t + 1)
-            values = _scaling(t_f, t_cf, c, e, tol)
+            values = _scaling(t_f, t_cf, c, e)
             if values:
                 return FalsifierResult(TriangleWitness(
                     "scaling", seed, t, a.colours, StepKernel(f), None, c, values), t + 1)

@@ -7,12 +7,12 @@ evaluated without quadrature error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, ShapeMismatch
+from .graphs import _load_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +183,4 @@ def kernel_from_json(data) -> StepKernel:
 
 
 def load_kernel(path: str) -> StepKernel:
-    try:
-        with open(path) as fh:
-            return kernel_from_json(json.load(fh))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return kernel_from_json(_load_json(path))

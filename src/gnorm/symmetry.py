@@ -3,9 +3,10 @@
 ``_Search`` is the package's one search for structure-preserving vertex
 maps.  It backtracks over vertex images in maximum-cardinality-search order
 (``vorder``), pruned by iterated degree/neighbourhood refinement, and can
-demand that edge colours be preserved.  With ``side_swap=True`` (the default)
-maps may exchange the two sides, i.e. the graph is treated as a usual
-undirected graph; the strict mode restricts to side-preserving maps.
+demand that edge colours be preserved.  With ``RunConfig.side_swap`` on (the
+default) maps may exchange the two sides, i.e. the graph is treated as a
+usual undirected graph; the strict mode restricts to side-preserving maps.
+The public functions read the mode from their ``config``.
 ``_iso_maps`` walks it for isomorphisms, and tournament symmetry runs on it
 through the subdivision bridge (``certify``).
 
@@ -281,9 +282,7 @@ def _transversals(
     return levels, search.vorder
 
 
-def _all_automorphisms(
-    g: BipartiteGraph, side_swap: bool, config: RunConfig
-) -> np.ndarray:
+def _all_automorphisms(g: BipartiteGraph, config: RunConfig) -> np.ndarray:
     """The whole group as an ``(order x n)`` int32 array of image rows, in the
     order of the depth-first walk ``_iso_maps``.
 
@@ -294,7 +293,7 @@ def _all_automorphisms(
     """
     if g.n_vertices > config.cap_vertices:
         raise CapExceeded("automorphism search", g.n_vertices, config.cap_vertices)
-    levels, vorder = _transversals(g, side_swap)
+    levels, vorder = _transversals(g, config.side_swap)
     order = prod(len(t) for t in levels)
     if order > config.cap_group:
         raise CapExceeded("automorphism group size", order, config.cap_group)
@@ -333,11 +332,9 @@ def _edge_table(g: BipartiteGraph, group: np.ndarray) -> np.ndarray:
     return table
 
 
-def automorphisms(
-    g: BipartiteGraph, side_swap: bool = True, config: RunConfig = DEFAULT
-) -> SymmetryReport:
+def automorphisms(g: BipartiteGraph, config: RunConfig = DEFAULT) -> SymmetryReport:
     """Exact automorphism group: order and transitivity flags."""
-    return _report(g, _all_automorphisms(g, side_swap, config), side_swap)
+    return _report(g, _all_automorphisms(g, config), config.side_swap)
 
 
 def _report(g: BipartiteGraph, group: np.ndarray, side_swap: bool) -> SymmetryReport:
@@ -359,17 +356,13 @@ def _report(g: BipartiteGraph, group: np.ndarray, side_swap: bool) -> SymmetryRe
     )
 
 
-def isomorphic(
-    g1: BipartiteGraph,
-    g2: BipartiteGraph,
-    side_swap: bool = True,
-    config: RunConfig = DEFAULT,
-) -> bool:
-    """Graph isomorphism; ``side_swap=False`` demands an orientation-respecting map."""
+def isomorphic(g1: BipartiteGraph, g2: BipartiteGraph, config: RunConfig = DEFAULT) -> bool:
+    """Graph isomorphism; with ``config.side_swap`` off the map must carry
+    left to left."""
     if max(g1.n_vertices, g2.n_vertices) > config.cap_vertices:
         raise CapExceeded("isomorphism search", max(g1.n_vertices, g2.n_vertices),
                           config.cap_vertices)
-    return next(_iso_maps(g1, g2, side_swap, limit=1), None) is not None
+    return next(_iso_maps(g1, g2, config.side_swap, limit=1), None) is not None
 
 
 # -- colouring symmetry ------------------------------------------------------
@@ -386,10 +379,7 @@ class ConjugacyVerdict:
 
 
 def is_self_conjugate(
-    g: BipartiteGraph,
-    a: EdgeColouring,
-    side_swap: bool = True,
-    config: RunConfig = DEFAULT,
+    g: BipartiteGraph, a: EdgeColouring, config: RunConfig = DEFAULT
 ) -> ConjugacyVerdict:
     """Balanced and some automorphism flips every edge colour.
 
@@ -399,7 +389,7 @@ def is_self_conjugate(
     check_aligned(g, a)
     if not is_balanced(g, a):
         return ConjugacyVerdict(False, False, None)
-    group = _all_automorphisms(g, side_swap, config)
+    group = _all_automorphisms(g, config)
     _, reversing = _colour_action(_edge_table(g, group), a.colours)
     if not reversing.any():
         return ConjugacyVerdict(False, True, None)
@@ -408,10 +398,7 @@ def is_self_conjugate(
 
 
 def is_transitive_colouring(
-    g: BipartiteGraph,
-    a: EdgeColouring,
-    side_swap: bool = True,
-    config: RunConfig = DEFAULT,
+    g: BipartiteGraph, a: EdgeColouring, config: RunConfig = DEFAULT
 ) -> bool:
     """Balanced, and same-colour (resp. opposite-colour) edge pairs are linked
     by colour-preserving (resp. colour-reversing) automorphisms."""
@@ -420,7 +407,7 @@ def is_transitive_colouring(
         return False
     if g.n_edges == 0:
         return True
-    return _transitive_under(g, a, _edge_table(g, _all_automorphisms(g, side_swap, config)))
+    return _transitive_under(g, a, _edge_table(g, _all_automorphisms(g, config)))
 
 
 def _colour_action(table: np.ndarray, colours) -> tuple[np.ndarray, np.ndarray]:

@@ -117,11 +117,11 @@ def _row_tournament_four_cycles(config: RunConfig) -> dict:
 def _row_hypercube_identities(config: RunConfig) -> dict:
     """Q4: 24 four-cycles, the two canonical profiles, and the linear
     identities on every balanced colouring without three-one 4-cycles."""
-    q4 = hypercube(4, config)
+    q4 = hypercube(4)
     cycles = enumerate_cycles(q4, 4, config)
     ok = len(cycles) == 24
-    pa = _profile(hypercube_alpha(4, config).colours, cycles.edge_cycles)
-    pb = _profile(hypercube_beta(4, config).colours, cycles.edge_cycles)
+    pa = _profile(hypercube_alpha(4).colours, cycles.edge_cycles)
+    pb = _profile(hypercube_beta(4).colours, cycles.edge_cycles)
     ok &= (pa.c1, pa.c2, pa.c3, pa.c4) == (16, 8, 0, 0)
     ok &= (pb.c1, pb.c2, pb.c3, pb.c4) == (8, 0, 16, 0)
     balanced = [col.colours for col in iter_balanced_colourings(q4, config)]
@@ -208,6 +208,9 @@ def _row_kneser_arithmetic(config: RunConfig) -> dict:
             "list_mismatches": mismatches, "duality_failures": dual_bad}
 
 
+_REL_TOL = 1e-12  # relative agreement of the direct and eliminate routes
+
+
 def _row_dual_path(config: RunConfig) -> dict:
     """Direct and elimination-order evaluation agree to 1e-12 relative on 100
     seeded random instances."""
@@ -228,7 +231,7 @@ def _row_dual_path(config: RunConfig) -> dict:
         elim = t_density(g, col, f, mode, "eliminate", config)
         rel = abs(direct - elim) / max(abs(direct), abs(elim), 1e-300)
         worst = max(worst, rel)
-        if rel > config.tol_rel:
+        if rel > _REL_TOL:
             return {"ok": False, "trial": trial, "relative_error": rel}
     return {"ok": True, "instances": 100, "worst_relative_error": worst}
 

@@ -294,7 +294,7 @@ class TestSetInclusionRules:
         real = C.class_A_membership
         monkeypatch.setattr(C, "class_A_membership", lambda k, r: calls.append((k, r)) or real(k, r))
         checked = {}
-        _class_a_violation(7, 4, 3, checked, {"family": "kneser"})
+        _class_a_violation(7, 4, 3, checked)
         assert list(checked) == ["class_membership_4_3"]
         assert calls == [(4, 3)]
 
@@ -392,7 +392,7 @@ class TestArcTransitivity:
     def arc_transitive(self, t: Tournament) -> bool:
         if t.n not in self._tables:
             g = subdivided_complete(t.n)
-            self._tables[t.n] = _edge_table(g, _all_automorphisms(g, False, RunConfig()))
+            self._tables[t.n] = _edge_table(g, _all_automorphisms(g, RunConfig(side_swap=False)))
         _, a = colouring_from_tournament(t)
         return _arc_transitive(self._tables[t.n], a)
 
@@ -475,7 +475,7 @@ class TestHints:
     def test_shape_match_alone_is_not_trusted(self):
         # same sizes and degrees as H(7, 3), but a different graph
         g = random_four_regular(35, seed=5)
-        assert not isomorphic(g, bipartite_kneser(7, 3), True, RunConfig(cap_vertices=80))
+        assert not isomorphic(g, bipartite_kneser(7, 3), RunConfig(cap_vertices=80))
         for config in (RunConfig(), RunConfig(cap_vertices=80)):
             cert = certify_not_norming(g, ("kneser", 7, 3), config)
             assert cert.obstruction != "IntegralityFailure"
@@ -503,9 +503,9 @@ def test_group_is_searched_again_only_for_the_filter(monkeypatch, g, hint, confi
     # transitive-colouring filter, which reads every element, searches again
     calls = []
 
-    def counted(g, side_swap, config):
+    def counted(g, config):
         calls.append(g.n_vertices)
-        return _all_automorphisms(g, side_swap, config)
+        return _all_automorphisms(g, config)
 
     monkeypatch.setattr(symmetry, "_all_automorphisms", counted)
     cert = certify_not_norming(g, hint, config)
@@ -513,7 +513,26 @@ def test_group_is_searched_again_only_for_the_filter(monkeypatch, g, hint, confi
     assert calls == searches
 
 
+# hypercube 1-10, kneser n <= 14, inclusion n <= 9, subdivided-complete 2-11
+_FAMILY_GRID = [
+    *(("hypercube", (d,)) for d in range(1, 11)),
+    *(("kneser", (n, r)) for n in range(3, 15) for r in range(1, n) if n - r > r),
+    *(("inclusion", (n, k, r)) for n in range(3, 10) for k in range(2, n) for r in range(1, k)),
+    *(("subdivided-complete", (n,)) for n in range(2, 12)),
+]
+
+
 class TestCertificateJson:
+    @pytest.mark.parametrize("side_swap", [True, False])
+    def test_family_certificates_record_the_configured_mode(self, side_swap):
+        config = RunConfig(side_swap=side_swap)
+        for family, params in _FAMILY_GRID:
+            blob = certify_family(family, params, config).to_json()
+            assert blob["automorphism_mode"] == {"side_swap": side_swap}, (family, params)
+            names = {"hypercube": "d", "kneser": "nr", "inclusion": "nkr",
+                     "subdivided-complete": "n"}[family]
+            assert blob["family"] == {"family": family, **dict(zip(names, params))}
+
     def test_serialises(self):
         cert = certify_family("kneser", [7, 3])
         blob = cert.to_json()

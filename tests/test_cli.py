@@ -52,9 +52,9 @@ def group_searches(monkeypatch):
     calls = []
     search = symmetry._all_automorphisms
 
-    def counted(g, side_swap, config):
+    def counted(g, config):
         calls.append(g.n_vertices)
-        return search(g, side_swap, config)
+        return search(g, config)
 
     monkeypatch.setattr(symmetry, "_all_automorphisms", counted)
     return calls
@@ -221,7 +221,7 @@ class TestColourings:
         g = hypercube(4)
         graph = tmp_path / "q4.json"
         graph.write_text(json.dumps(graph_to_json(g)))
-        table = symmetry._edge_table(g, symmetry._all_automorphisms(g, True, RunConfig()))
+        table = symmetry._edge_table(g, symmetry._all_automorphisms(g, RunConfig()))
         want = [list(c) for c in iter_balanced_colourings(g)
                 if symmetry._transitive_under(g, c, table)]
         assert len(want) == 18
@@ -334,6 +334,18 @@ class TestReproduce:
         assert "tournament-4cycles" in captured.err and not captured.out
 
 
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["out", "out-pretty"])
+    def test_out_writes_the_rows(self, capsys, tmp_path, pretty):
+        # the table is printed only with --pretty once --out is given
+        target = tmp_path / "rows.json"
+        code, out = run_cli(["reproduce", "--rows", "tournament-4cycles",
+                             "--out", str(target), *pretty], capsys)
+        assert code == 0
+        assert ("PASS  tournament-4cycles" in out) == bool(pretty)
+        rows = json.loads(target.read_text())["rows"]
+        assert [(r["id"], r["ok"]) for r in rows] == [("tournament-4cycles", True)]
+
+
 class TestOutFile:
     def test_writes_json(self, files, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -374,6 +386,11 @@ class TestCapExitCode:
         assert code == 2
         blob = json.loads(out)
         assert blob["cap_hit"] and blob["verdict"] == "NoObstructionFound"
+
+    def test_hypercube_profiles_keep_the_cycle_cap(self, capsys):
+        # the Q6 profile witness enumerates 240 four-cycles under --cap-cycles
+        assert main(["certify", "hypercube", "6", "--cap-cycles", "10"]) == 2
+        assert "cap exceeded: cycle enumeration" in capsys.readouterr().err
 
 
 # every integer count or cap option: (subcommand, its positional arguments,
@@ -457,6 +474,10 @@ class TestSideSwapFlag:
         _, out_off = run_cli(["check", files["c4"], "--side-swap", "off"], capsys)
         assert json.loads(out_on)["automorphism_group_order"] == 8
         assert json.loads(out_off)["automorphism_group_order"] == 4
+
+    def test_family_certificate_records_strict_mode(self, capsys):
+        _, out = run_cli(["certify", "hypercube", "6", "--side-swap", "off"], capsys)
+        assert json.loads(out)["automorphism_mode"] == {"side_swap": False}
 
 
 class TestDecorationFalsify:

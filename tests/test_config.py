@@ -6,6 +6,12 @@ parameter annotated ``RunConfig`` or is assigned the result of a function
 annotated to return one (``cfg = _config_from(args)``), and a field counts as
 read when such a name has it as a loaded attribute (``config.cap_edges``).
 ``args.seed`` does not read ``RunConfig.seed``.
+
+Each setting has one source.  A function that takes a RunConfig takes no
+parameter named after one of its fields (a ``side_swap`` beside ``config``
+can disagree with ``config.side_swap``), and reads every RunConfig it takes.
+Verification's ``_row_*`` functions are exempt from the second rule: ``Row.run``
+hands every row the config, used or not.
 """
 
 import ast
@@ -37,6 +43,37 @@ def config_field_reads(sources) -> set[str]:
             and isinstance(n.value, ast.Name) and n.value.id in holders}
 
 
+def _functions(sources):
+    """(name, RunConfig parameter names, other parameter names, node) for
+    every function in the sources."""
+    for src in sources:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                held = {a.arg for a in params if is_run_config(a.annotation)}
+                yield node.name, held, {a.arg for a in params} - held, node
+
+
+def shadowing_parameters(sources) -> list[str]:
+    """``function(parameter)`` for each parameter named after a RunConfig
+    field, in a function that also takes a RunConfig."""
+    names = {f.name for f in fields(RunConfig)}
+    return [f"{name}({p})" for name, held, others, _ in _functions(sources)
+            if held for p in sorted(others & names)]
+
+
+def unread_config_parameters(sources) -> list[str]:
+    """``function(parameter)`` for each RunConfig parameter that the
+    function's body never loads."""
+    out = []
+    for name, held, _, node in _functions(sources):
+        loaded = {n.id for n in ast.walk(node)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{name}({p})" for p in sorted(held - loaded)]
+    return out
+
+
 def test_the_audit_reads_only_config_holders():
     sample = """
 def run(args, config: RunConfig = DEFAULT):
@@ -56,3 +93,39 @@ def test_every_field_is_read_outside_config():
     read = config_field_reads(p.read_text() for p in sorted(PACKAGE.glob("*.py"))
                               if p.name != "config.py")
     assert [f.name for f in fields(RunConfig) if f.name not in read] == []
+
+
+_SHADOWED = """
+def automorphisms(g, side_swap: bool = True, config: RunConfig = DEFAULT):
+    return _all_automorphisms(g, side_swap, config)
+
+def hypercube(d: int, config: RunConfig = DEFAULT):
+    return d
+
+def hypercube_alpha(d, config: "RunConfig" = DEFAULT):
+    return hypercube(d, config)
+
+def _row_reads_nothing(config: RunConfig):
+    return {"ok": True}
+
+def _transversals(g, side_swap: bool):
+    return g
+"""
+
+
+def test_the_audit_flags_shadowing_and_unread_parameters():
+    assert shadowing_parameters([_SHADOWED]) == ["automorphisms(side_swap)"]
+    assert unread_config_parameters([_SHADOWED]) == [
+        "hypercube(config)", "_row_reads_nothing(config)"]
+
+
+def test_no_parameter_shadows_a_config_field():
+    assert shadowing_parameters(p.read_text() for p in sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_every_config_parameter_is_read():
+    unread = {p.name: unread_config_parameters([p.read_text()])
+              for p in sorted(PACKAGE.glob("*.py"))}
+    unread["verification.py"] = [u for u in unread["verification.py"]
+                                 if not u.startswith("_row_")]
+    assert {name: u for name, u in unread.items() if u} == {}

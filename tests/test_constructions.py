@@ -362,6 +362,6 @@ class TestTransitivityTournamentEquivalence:
                  (clockwise_tournament(7), False), (quadratic_residue_tournament(7), True)]
         for t, arc_transitive in cases:
             g, col = colouring_from_tournament(t)
-            table = _edge_table(g, _all_automorphisms(g, False, RunConfig()))
+            table = _edge_table(g, _all_automorphisms(g, RunConfig(side_swap=False)))
             assert _arc_transitive(table, col) == arc_transitive
             assert is_transitive_colouring(g, col) == arc_transitive

@@ -22,6 +22,7 @@ from gnorm.falsify import (
     HatamiScan,
     HatamiWitness,
     TriangleWitness,
+    _SLACK,
     _substream,
     hatami_random_scan,
     hatami_violation_search,
@@ -51,7 +52,7 @@ def ref_hatami_check(g, a, dec, mode="conjugate", config=DEFAULT):
     singles = [abs(ref_t_density(g, a, dec[i], mode, config)) for i in range(e)]
     lhs = mixed ** e
     rhs = math.prod(singles)
-    tol = config.tol_falsify
+    tol = _SLACK
     if mixed <= tol:
         return HatamiCheck(True, math.inf, lhs, rhs)
     if any(s <= tol for s in singles):
@@ -120,7 +121,7 @@ def ref_hatami_violation_search(g, a, seed, trials=1000, resolution=2, mode="con
 
 def ref_triangle_falsifier(g, a, seed, trials=10_000, resolution=2, config=DEFAULT):
     e = g.n_edges
-    tol = config.tol_falsify
+    tol = _SLACK
 
     def norm(f):
         return abs(ref_t_density(g, a, f, config=config)) ** (1.0 / e)

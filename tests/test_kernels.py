@@ -108,3 +108,18 @@ def test_json_non_finite_entry_is_a_parse_error(tmp_path):
     path.write_text('{"rows": 1, "cols": 1, "values": [[[1e400, 0]]]}')
     with pytest.raises(ParseError):
         load_kernel(str(path))
+
+
+@pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "malformed"])
+def test_file_errors_read_as_for_graphs(tmp_path, text):
+    # one loader maps unreadable and malformed files to ParseError
+    from gnorm.graphs import load_graph
+    path = tmp_path / "k.json"
+    if text is not None:
+        path.write_text(text)
+    messages = []
+    for load in (load_kernel, load_graph):
+        with pytest.raises(ParseError) as exc:
+            load(str(path))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] and messages[0].startswith(f"{path}:")

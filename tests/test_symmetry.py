@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnorm import symmetry
 from gnorm.config import RunConfig
 from gnorm.errors import CapExceeded, VerificationFailed
 from gnorm.graphs import (
@@ -83,27 +84,27 @@ def orbit_size(maps) -> int:
 
 class TestAutomorphisms:
     def test_c4_dihedral(self, c4):
-        rep = automorphisms(c4, side_swap=True)
+        rep = automorphisms(c4)
         assert rep.group_order == 8 == brute_automorphism_count(c4)
         assert rep.edge_transitive and rep.vertex_transitive
 
     def test_c6_side_preserving(self, c6):
-        rep = automorphisms(c6, side_swap=False)
+        rep = automorphisms(c6, config=RunConfig(side_swap=False))
         assert rep.group_order == 6 == brute_automorphism_count(c6, side_preserving=True)
 
     def test_k23_no_swap_possible(self, k23):
-        rep = automorphisms(k23, side_swap=True)
+        rep = automorphisms(k23)
         assert rep.group_order == 12 == brute_automorphism_count(k23)
 
     def test_disconnected_per_component_flips(self):
         # two disjoint edges: each edge may flip independently and the edges
         # may swap, giving 2 * 2 * 2 = 8 usual-graph automorphisms
         g = BipartiteGraph(("a0", "a1"), ("b0", "b1"), (("a0", "b0"), ("a1", "b1")))
-        rep = automorphisms(g, side_swap=True)
+        rep = automorphisms(g)
         assert rep.group_order == 8 == brute_automorphism_count(g)
 
     def test_edge_permutation_is_permutation(self, c6):
-        group = _all_automorphisms(c6, True, RunConfig())
+        group = _all_automorphisms(c6, RunConfig())
         assert len(group) == 12
         for images in group.tolist():
             assert sorted(edge_permutation(c6, images)) == list(range(c6.n_edges))
@@ -112,7 +113,7 @@ class TestAutomorphisms:
         # H(7,3)'s table has 10080 x 140 entries, more than one block of the
         # gather, so rows on both sides of a block boundary are checked
         g = bipartite_kneser(7, 3)
-        group = _all_automorphisms(g, True, RunConfig(cap_vertices=80))
+        group = _all_automorphisms(g, RunConfig(cap_vertices=80))
         assert len(group) * g.n_edges > 1 << 20
         table = _edge_table(g, group)
         assert table.dtype == np.intp
@@ -151,11 +152,30 @@ class TestEdgeTransitivity:
         assert automorphisms(set_inclusion_graph(4, 2, 1)).edge_transitive
 
 
+class TestSideSwapFromConfig:
+    """The colouring checks take the mode from ``config.side_swap`` alone
+    (``TestAutomorphisms`` and ``TestIsomorphism`` cover the other two)."""
+
+    @pytest.mark.parametrize("check", [is_self_conjugate, is_transitive_colouring])
+    def test_colouring_checks_search_the_configured_group(self, monkeypatch, check):
+        modes = []
+        search = symmetry._all_automorphisms
+
+        def spy(g, config):
+            modes.append(config.side_swap)
+            return search(g, config)
+
+        monkeypatch.setattr(symmetry, "_all_automorphisms", spy)
+        alt = EdgeColouring((1, 0, 1, 0))
+        assert check(cycle(4), alt, RunConfig(side_swap=False)) and check(cycle(4), alt)
+        assert modes == [False, True]
+
+
 class TestIsomorphism:
     def test_oriented_vs_usual_star(self):
-        left_star, right_star = star(2, True), star(2, False)
-        assert isomorphic(left_star, right_star, side_swap=True)
-        assert not isomorphic(left_star, right_star, side_swap=False)
+        left_star, right_star = star(2), star(2, centre_left=False)
+        assert isomorphic(left_star, right_star)
+        assert not isomorphic(left_star, right_star, RunConfig(side_swap=False))
 
     def test_inclusion_duality(self):
         # I(n, k, r) and I(n, n-r, n-k) agree as usual graphs
@@ -163,7 +183,6 @@ class TestIsomorphism:
             assert isomorphic(
                 set_inclusion_graph(n, k, r),
                 set_inclusion_graph(n, n - r, n - k),
-                side_swap=True,
             )
 
 
@@ -261,7 +280,7 @@ class TestTransitiveColourings:
 def first_transitive_colouring(g: BipartiteGraph):
     """The first balanced colouring, in enumeration order, that is transitive
     under one edge table of Aut(g), or None."""
-    table = _edge_table(g, _all_automorphisms(g, True, RunConfig()))
+    table = _edge_table(g, _all_automorphisms(g, RunConfig()))
     return next((a for a in iter_balanced_colourings(g) if _transitive_under(g, a, table)),
                 None)
 
@@ -338,7 +357,7 @@ class TestTransitivityLiteralDefinition:
         for length in (4, 6):
             g = cycle(length)
             perms = [edge_permutation(g, images)
-                     for images in _all_automorphisms(g, True, DEFAULT).tolist()]
+                     for images in _all_automorphisms(g, DEFAULT).tolist()]
             for bits in range(2 ** length):
                 a = EdgeColouring(tuple(bits >> i & 1 for i in range(length)))
                 preserving = [p for p in perms
@@ -368,7 +387,7 @@ class TestTransitivityLiteralDefinition:
         from gnorm.config import DEFAULT
         from gnorm.graphs import is_balanced, iter_balanced_colourings
         from gnorm.symmetry import _all_automorphisms, _edge_table, _transitive_under
-        group = _all_automorphisms(graph, True, DEFAULT)
+        group = _all_automorphisms(graph, DEFAULT)
         perms = [edge_permutation(graph, images) for images in group.tolist()]
         table = _edge_table(graph, group)
         assert table.tolist() == [list(p) for p in perms]
@@ -393,7 +412,7 @@ class TestTransitivityLiteralDefinition:
         from gnorm.graphs import is_balanced
         from gnorm.symmetry import _all_automorphisms
 
-        group = _all_automorphisms(graph, True, DEFAULT).tolist()
+        group = _all_automorphisms(graph, DEFAULT).tolist()
         perms = [edge_permutation(graph, images) for images in group]
         report = automorphisms(graph)
         assert report.edge_transitive == (orbit_size(perms) == graph.n_edges)
@@ -416,7 +435,7 @@ class TestTransitivityLiteralDefinition:
         # the report's two orbits against closure under every element's
         # vertex and edge permutation, on groups too large for the
         # colouring loop above
-        group = _all_automorphisms(graph, True, RunConfig()).tolist()
+        group = _all_automorphisms(graph, RunConfig()).tolist()
         perms = [edge_permutation(graph, images) for images in group]
         report = automorphisms(graph)
         assert report.group_order == len(group) == order
@@ -442,7 +461,7 @@ class TestAutomorphismFuzz:
             g = BipartiteGraph(left, right, tuple(edges))
             for swap in (True, False):
                 want = brute_automorphism_count(g, side_preserving=not swap)
-                got = automorphisms(g, side_swap=swap).group_order
+                got = automorphisms(g, RunConfig(side_swap=swap)).group_order
                 assert got == want, (edges, swap, got, want)
             cases += 1
         assert cases >= 40
@@ -503,7 +522,7 @@ class TestAutomorphismFuzz:
             got = list(_iso_maps(g1, g2, swap))
             assert len(got) == len(want), (g1.edges, g2.edges)
             assert set(got) == want, (g1.edges, g2.edges)
-            assert isomorphic(g1, g2, side_swap=swap) == bool(want)
+            assert isomorphic(g1, g2, RunConfig(side_swap=swap)) == bool(want)
             checked += 1
             with_maps += bool(want)
         assert with_maps >= 20
@@ -549,7 +568,7 @@ class TestStabiliserChain:
     ], ids=lambda g: f"{len(g.left)}+{len(g.right)}v{g.n_edges}e")
     def test_equals_the_depth_first_walk(self, graph, side_swap):
         from gnorm.symmetry import _iso_maps
-        group = _all_automorphisms(graph, side_swap, RunConfig())
+        group = _all_automorphisms(graph, RunConfig(side_swap=side_swap))
         assert group.dtype == np.int32
         assert group.tolist() == [list(m) for m in _iso_maps(graph, graph, side_swap)]
 
@@ -557,7 +576,7 @@ class TestStabiliserChain:
     def test_group_cap_reports_the_exact_order(self, m, order):
         # raised from the transversal sizes, before any element is formed
         with pytest.raises(CapExceeded) as exc:
-            _all_automorphisms(complete_bipartite(m, m), True, RunConfig())
+            _all_automorphisms(complete_bipartite(m, m), RunConfig())
         assert exc.value.needed == order
         assert f"needs {order}, cap is 1000000" in str(exc.value)
 
@@ -586,7 +605,7 @@ def _mask_inputs(graph: BipartiteGraph, side_swap: bool, config: RunConfig = Run
     """The balanced-colouring matrix and the whole group's edge table."""
     rows = [c.colours for c in iter_balanced_colourings(graph, config)]
     matrix = np.array(rows, dtype=np.int8).reshape(len(rows), graph.n_edges)
-    return matrix, _edge_table(graph, _all_automorphisms(graph, side_swap, config))
+    return matrix, _edge_table(graph, _all_automorphisms(graph, config.with_(side_swap=side_swap)))
 
 
 class TestTransitiveMask:
