@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import comb
 from typing import Optional, Sequence
 
@@ -45,13 +44,12 @@ from .errors import (
 )
 from .graphs import (
     BipartiteGraph,
-    EdgeColouring,
+    _colouring_rows,
     girth,
     is_biregular,
     iter_balanced_colourings,
 )
 from .constructions import (
-    _tail_colouring,
     bipartite_kneser,
     clockwise_tournament,
     count_directed_cycles,
@@ -333,7 +331,7 @@ def _pipeline(
     # checks one colouring per orbit and the counting stage reuses the matrix
     matrix = np.array([c.colours for c in balanced], dtype=np.int8)
     perms = symmetry._edge_table(g, symmetry._all_automorphisms(g, config))
-    keep = np.flatnonzero(symmetry._transitive_mask(g, matrix, perms)[0])
+    keep = np.flatnonzero(symmetry._orbit_mask(matrix, perms, symmetry._transitive_under)[0])
     transitive = [balanced[i] for i in keep]
     stages.ran("transitive-colourings", balanced=len(balanced),
                transitive=len(transitive))
@@ -686,14 +684,6 @@ def _certify_inclusion(n: int, k: int, r: int, config: RunConfig) -> Certificate
         )
 
 
-def _arc_transitive(table: np.ndarray, a: EdgeColouring) -> bool:
-    """The colour-1 half of ``symmetry._transitive_under``: do the
-    colour-preserving rows of a group's edge table act transitively on the
-    colour-1 edges (the arcs, for a colouring from a tournament)?"""
-    preserving, _ = symmetry._colour_action(table, a.colours)
-    return symmetry._class_transitive(table, preserving, a.colours, 1)
-
-
 def _certify_subdivision(n: int, config: RunConfig) -> Certificate:
     if n < 2:
         raise OutOfRange("need n >= 2")
@@ -723,16 +713,15 @@ def _certify_subdivision(n: int, config: RunConfig) -> Certificate:
             g = subdivided_complete(5)
             table = symmetry._edge_table(
                 g, symmetry._all_automorphisms(g, config.with_(side_swap=False)))
-            found = 0
-            scanned = 0
             # a tournament picks the tail of the arc at each subdivision
-            # vertex "i|j"
-            for tails in product(*(mid.split("|") for mid in g.right)):
-                scanned += 1
-                a = _tail_colouring(g, dict(zip(g.right, tails)))
-                if _arc_transitive(table, a):
-                    found += 1
-            witness["tournaments_scanned"] = scanned
+            # vertex "i|j", whose edges from i and from j come in turn: row r
+            # puts the tail at j for the pairs whose bits of r are 1.
+            # Reversing every arc is conjugation and keeps arc-transitivity,
+            # so the scan checks one tournament per orbit
+            rows = np.repeat(_colouring_rows(10, 0, 1024), 2, axis=1)
+            rows[:, ::2] ^= 1
+            found = int(symmetry._orbit_mask(rows, table, symmetry._arc_transitive)[0].sum())
+            witness["tournaments_scanned"] = len(rows)
             witness["arc_transitive_found"] = found
             if found:
                 raise VerificationFailed("unexpected arc-transitive tournament on 5 vertices")

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Commands: check, certify, colourings, density, smax, falsify, tournament,
-reproduce.  Machine-readable JSON goes to stdout (or --out); --pretty prints
-a human summary instead.  ``reproduce`` writes its rows to --out when given,
-and prints its table with --pretty or without --out.  Exit codes: 0 verdict
-produced, 1 usage or parse error, 2 a cap stopped a decisive stage, 3
-internal verification failure.
+reproduce.  Machine-readable JSON goes to --out when given, --pretty prints
+a human summary, and with neither the JSON goes to stdout.  ``reproduce``
+writes its rows to --out the same way, and prints its table with --pretty or
+without --out.  Exit codes: 0 verdict produced, 1 usage or parse error, 2 a
+cap stopped a decisive stage, 3 internal verification failure.
 """
 
 from __future__ import annotations
@@ -44,15 +44,20 @@ def _complex_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _write(payload: dict, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _emit(payload: dict, args) -> None:
+    """Write the JSON to --out and print the summary with --pretty; with
+    neither, print the JSON to stdout."""
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return
-    if getattr(args, "pretty", False):
+        _write(payload, args.out)
+    if args.pretty:
         _pretty(payload)
-    else:
+    elif not args.out:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
 
@@ -159,7 +164,7 @@ def cmd_check(args) -> int:
         else:
             table = symmetry._edge_table(g, group)
             report["self_conjugate"] = bool(symmetry._colour_action(table, a.colours)[1].any())
-            report["transitive"] = not g.n_edges or symmetry._transitive_under(g, a, table)
+            report["transitive"] = not g.n_edges or symmetry._transitive_under(table, a.colours)
         _unless_capped(report, "four_cycles_generate_cycle_space",
                        lambda: four_cycles_generate_cycle_space(g, cfg))
     _emit(report, args)
@@ -198,7 +203,8 @@ def cmd_colourings(args) -> int:
         colourings = []
         if balanced:
             table = symmetry._edge_table(g, symmetry._all_automorphisms(g, cfg))
-            mask, _ = symmetry._transitive_mask(g, np.array(balanced, dtype=np.int8), table)
+            mask, _ = symmetry._orbit_mask(np.array(balanced, dtype=np.int8), table,
+                                           symmetry._transitive_under)
             colourings = [c for c, ok in zip(balanced, mask) if ok]
     out = []
     for col in colourings:
@@ -287,7 +293,7 @@ def cmd_reproduce(args) -> int:
     cfg = _config_from(args)
     results = run_all(cfg, args.rows or None)
     if args.out:
-        _emit({"rows": results}, args)
+        _write({"rows": results}, args.out)
     if args.pretty or not args.out:
         width = max(len(r["id"]) for r in results)
         for r in results:

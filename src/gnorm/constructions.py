@@ -313,12 +313,6 @@ def random_regular_tournament(n: int, rng) -> Tournament:
 # -- the subdivision bridge ------------------------------------------------------
 
 
-def _tail_colouring(g: BipartiteGraph, tail_of: dict[str, str]) -> EdgeColouring:
-    """Colouring of a subdivided K_n that puts colour 1 exactly on the edge
-    from each subdivision vertex to ``tail_of[mid]``, its arc's tail."""
-    return EdgeColouring(tuple(int(u == tail_of[mid]) for u, mid in g.edges))
-
-
 def colouring_from_tournament(t: Tournament) -> tuple[BipartiteGraph, EdgeColouring]:
     """Subdivided K_n coloured from a tournament: the arc (x, y) puts colour 1
     on the edge from x to the subdivision vertex and colour 0 on the edge
@@ -329,7 +323,7 @@ def colouring_from_tournament(t: Tournament) -> tuple[BipartiteGraph, EdgeColour
     for mid in g.right:
         x, y = mid.split("|")
         tail_of[mid] = x if t.has_arc(int(x), int(y)) else y
-    return g, _tail_colouring(g, tail_of)
+    return g, EdgeColouring(tuple(int(u == tail_of[mid]) for u, mid in g.edges))
 
 
 def tournament_from_colouring(g: BipartiteGraph, a: EdgeColouring) -> Tournament:

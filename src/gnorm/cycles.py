@@ -18,11 +18,7 @@ import numpy as np
 
 from .config import DEFAULT, RunConfig
 from .errors import CapExceeded
-from .graphs import (
-    BipartiteGraph,
-    EdgeColouring,
-    check_aligned,
-)
+from .graphs import BipartiteGraph, EdgeColouring, _colouring_rows, check_aligned
 
 
 @dataclass(frozen=True)
@@ -218,21 +214,15 @@ def _scan_colourings(n_edges: int, score, config: RunConfig):
         raise CapExceeded("colouring scan", n_edges, config.cap_colourings)
     if n_edges == 0:
         return [(int(values[0]), ()) for values in score(np.zeros((1, 0), np.int8))]
-    free = n_edges - 1
-    low = min(free, _SCAN_CHUNK_BITS)
-    chunk = np.zeros((1 << low, n_edges), dtype=np.int8)
-    chunk[:, 0] = 1
-    offsets = np.arange(1 << low)
-    for bit in range(low):
-        chunk[:, n_edges - 1 - bit] = offsets >> bit & 1
+    half = 1 << (n_edges - 1)   # the rows from here on start with colour 1
+    step = 1 << min(n_edges - 1, _SCAN_CHUNK_BITS)
     best: dict[int, tuple] = {}   # component -> (value, last row reaching it)
-    for high in range(1 << (free - low)):
-        for bit in range(free - low):
-            chunk[:, n_edges - 1 - low - bit] = high >> bit & 1
+    for start in range(half, 2 * half, step):
+        chunk = _colouring_rows(n_edges, start, start + step)
         for i, values in enumerate(score(chunk)):
             last = len(values) - 1 - int(np.argmax(values[::-1]))
             if i not in best or values[last] >= best[i][0]:
-                best[i] = (int(values[last]), chunk[last].copy())
+                best[i] = (int(values[last]), chunk[last])
     return [(value, tuple(int(c) for c in 1 - row)) for value, row in best.values()]
 
 

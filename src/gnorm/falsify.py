@@ -19,14 +19,14 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .config import DEFAULT, RunConfig
 from .graphs import BipartiteGraph, EdgeColouring, check_aligned
 from .kernels import Decoration, StepKernel, kernel_to_json, phase_kernel
-from .density import _SWEEP_BUDGET, _densities, _route, t_decoration, t_density
+from .density import _chunks, _densities, _route, t_decoration, t_density
 
 _SLACK = 1e-9  # inequality slack before a violation is declared
 
@@ -51,15 +51,6 @@ def _check_budget(trials: int, resolution: int) -> None:
         raise ValueError(f"trials must be at least 0, got {trials}")
     if resolution < 1:
         raise ValueError(f"resolution must be at least 1, got {resolution}")
-
-
-def _chunks(start: int, trials: int, route, per_trial: int) -> Iterator[range]:
-    """Trials start..trials-1 in chunks of _SWEEP_BUDGET // (route.width *
-    per_trial) trials (at least one), where per_trial is the number of
-    evaluations a trial makes."""
-    rows = max(1, _SWEEP_BUDGET // (route.width * per_trial))
-    for lo in range(start, trials, rows):
-        yield range(lo, min(lo + rows, trials))
 
 
 # -- decoration inequality ----------------------------------------------------

@@ -16,6 +16,8 @@ from itertools import combinations
 from math import comb, inf
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import CapExceeded, ParseError
 from .config import DEFAULT, RunConfig
 
@@ -154,6 +156,14 @@ class EdgeColouring:
 def check_aligned(g: BipartiteGraph, a: EdgeColouring) -> None:
     if len(a) != g.n_edges:
         raise ValueError(f"colouring length {len(a)} != edge count {g.n_edges}")
+
+
+def _colouring_rows(n_edges: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the colourings of n_edges edges in product
+    order, as a C-contiguous int8 matrix: row r spells r in binary, first
+    edge most significant."""
+    shifts = np.arange(n_edges - 1, -1, -1)
+    return (np.arange(start, stop)[:, None] >> shifts & 1).astype(np.int8)
 
 
 # -- small canonical families used throughout tests and the CLI -------------

@@ -35,16 +35,17 @@ under conjugation.  Moving colouring c by an automorphism s conjugates its
 colour-preserving and colour-reversing maps by s, and swapping c's colours
 keeps both sets of maps and swaps the classes.  So a set of colourings that
 is closed under the group and under conjugation, such as the balanced ones,
-needs one check per orbit (``_transitive_mask``): with the whole group's
-table, the images ``c[table]`` and ``1 - c[table]`` of a row c are its whole
-orbit, and a binary search over the rows' packed keys finds them.
+needs one check per orbit (``_orbit_mask``, which runs any such check):
+with the whole group's table, the images ``c[table]`` and ``1 - c[table]`` of
+a row c are its whole orbit, and a binary search over the rows' packed keys
+finds them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
 from math import prod
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -313,7 +314,7 @@ def _edge_table(g: BipartiteGraph, group: np.ndarray) -> np.ndarray:
 
     Row k is the edge permutation that the vertex map ``group[k]`` induces.
     The entries are ``intp``, the dtype numpy indexes with, so ``c[perms]`` in
-    ``_transitive_mask`` and ``_colour_action`` need no cast on every orbit.
+    ``_orbit_mask`` and ``_colour_action`` need no cast on every orbit.
     """
     n = g.n_vertices
     vidx = g.vertex_index
@@ -407,7 +408,7 @@ def is_transitive_colouring(
         return False
     if g.n_edges == 0:
         return True
-    return _transitive_under(g, a, _edge_table(g, _all_automorphisms(g, config)))
+    return _transitive_under(_edge_table(g, _all_automorphisms(g, config)), a.colours)
 
 
 def _colour_action(table: np.ndarray, colours) -> tuple[np.ndarray, np.ndarray]:
@@ -419,23 +420,31 @@ def _colour_action(table: np.ndarray, colours) -> tuple[np.ndarray, np.ndarray]:
     return preserving, (image != col).all(axis=1) & ~preserving
 
 
-def _transitive_under(g: BipartiteGraph, a: EdgeColouring, perms: np.ndarray) -> bool:
+def _transitive_under(perms: np.ndarray, colours) -> bool:
     """Is the colouring transitive under the group given by its edge table?
 
     ``perms`` must be the edge table (``_edge_table``) of the *whole* group.
     This is the check for one colouring; over a set of colourings closed
-    under the group and conjugation, ``_transitive_mask`` runs it once per
-    orbit, since the answer is the same across an orbit.  Equivalent check:
-    the colour-preserving maps act transitively on each colour class and at
-    least one colour-reversing map exists (composing it with preserving maps
-    then reaches every opposite-colour pair).  The preserving rows of the
-    whole group form a subgroup, so the images of a class's first edge under
-    them are exactly that edge's orbit.
+    under the group and conjugation, ``_orbit_mask`` runs it once per orbit,
+    since the answer is the same across an orbit.  Equivalent check: the
+    colour-preserving maps act transitively on each colour class and at least
+    one colour-reversing map exists (composing it with preserving maps then
+    reaches every opposite-colour pair).  The preserving rows of the whole
+    group form a subgroup, so the images of a class's first edge under them
+    are exactly that edge's orbit.
     """
-    col = np.asarray(a.colours, dtype=np.int8)
+    col = np.asarray(colours, dtype=np.int8)
     preserving, reversing = _colour_action(perms, col)
     return bool(reversing.any()) and all(
         _class_transitive(perms, preserving, col, colour) for colour in (0, 1))
+
+
+def _arc_transitive(perms: np.ndarray, colours) -> bool:
+    """The colour-1 half of ``_transitive_under``: do the colour-preserving
+    rows of a whole group's edge table act transitively on the colour-1 edges
+    (the arcs, for a colouring from a tournament)?"""
+    preserving, _ = _colour_action(perms, colours)
+    return _class_transitive(perms, preserving, colours, 1)
 
 
 def _class_transitive(perms: np.ndarray, preserving: np.ndarray, colours,
@@ -454,20 +463,21 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def _transitive_mask(
-    g: BipartiteGraph, matrix: np.ndarray, perms: np.ndarray
+def _orbit_mask(
+    matrix: np.ndarray, perms: np.ndarray, check: Callable[[np.ndarray, np.ndarray], bool]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_transitive_under`` on every row of a 0/1 colouring matrix, run once
-    per orbit of the rows under the group and conjugation.
+    """``check(perms, row)`` on every row of a C-contiguous 0/1 int8 colouring
+    matrix, run once per orbit of the rows under the group and conjugation.
 
-    ``perms`` must be the edge table of the *whole* group, and the rows must
-    be a set closed under the group and under conjugation (the balanced
-    colourings are).  Then the images ``c[perms]`` and ``1 - c[perms]`` of a
-    row c are its whole orbit, and every row of that orbit gets c's verdict.
-    Returns the mask and each row's orbit label, the index of the orbit's
-    first row.  An image outside the rows, or a row reached from two orbits,
-    means the precondition failed, and raises ``VerificationFailed`` rather
-    than give a verdict.
+    ``perms`` must be the edge table of the *whole* group, the rows must be a
+    set closed under the group and under conjugation (the balanced
+    colourings are), and ``check`` must give the same answer across an orbit
+    (``_transitive_under`` and ``_arc_transitive`` do).  Then the images
+    ``c[perms]`` and ``1 - c[perms]`` of a row c are its whole orbit, and
+    every row of that orbit gets c's verdict.  Returns the mask and each
+    row's orbit label, the index of the orbit's first row.  An image outside
+    the rows, or a row reached from two orbits, means the precondition
+    failed, and raises ``VerificationFailed`` rather than give a verdict.
     """
     keys = _row_keys(matrix)
     order = np.argsort(keys)
@@ -485,5 +495,5 @@ def _transitive_mask(
             raise VerificationFailed(
                 "colouring set not closed under the group and conjugation")
         orbit[rows] = i
-        mask[rows] = _transitive_under(g, EdgeColouring(c.tolist()), perms)
+        mask[rows] = check(perms, c)
     return mask, orbit

@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from typing import Callable
 
 import numpy as np
@@ -423,12 +423,6 @@ def run_row(row: Row, config: RunConfig = DEFAULT) -> dict:
     return result
 
 
-def _run_row_by_id(args) -> dict:
-    rid, config = args
-    row = next(r for r in ROWS if r.rid == rid)
-    return run_row(row, config)
-
-
 def run_all(config: RunConfig = DEFAULT, row_ids: list[str] | None = None) -> list[dict]:
     if row_ids is not None:
         known = [r.rid for r in ROWS]
@@ -441,14 +435,9 @@ def run_all(config: RunConfig = DEFAULT, row_ids: list[str] | None = None) -> li
         try:
             from concurrent.futures import ProcessPoolExecutor
 
+            # map returns the rows in table order, whichever finishes first
             with ProcessPoolExecutor(max_workers=config.threads) as pool:
-                results = list(pool.map(_run_row_by_id,
-                                        [(r.rid, config) for r in rows]))
+                return list(pool.map(run_row, rows, repeat(config)))
         except OSError:
-            results = [run_row(r, config) for r in rows]
-    else:
-        results = [run_row(r, config) for r in rows]
-    # fixed output order regardless of completion order
-    order = {r.rid: i for i, r in enumerate(rows)}
-    results.sort(key=lambda res: order[res["id"]])
-    return results
+            pass
+    return [run_row(r, config) for r in rows]

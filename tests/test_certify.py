@@ -6,6 +6,8 @@ import json
 import random
 from itertools import combinations, permutations, product
 
+import numpy as np
+
 from gnorm.config import RunConfig
 from gnorm.errors import CapExceeded, OutOfRange
 from gnorm.graphs import (
@@ -19,7 +21,6 @@ from gnorm.graphs import (
 from gnorm import symmetry
 from gnorm.symmetry import _all_automorphisms, _edge_table, isomorphic
 from gnorm.certify import (
-    _arc_transitive,
     _class_a_violation,
     _inclusion_family_rule,
     certify_family,
@@ -389,12 +390,15 @@ class TestArcTransitivity:
     # built once per n, and each tournament's colour-preserving rows of it
     _tables: dict = {}
 
+    def table(self, n: int):
+        if n not in self._tables:
+            g = subdivided_complete(n)
+            self._tables[n] = _edge_table(g, _all_automorphisms(g, RunConfig(side_swap=False)))
+        return self._tables[n]
+
     def arc_transitive(self, t: Tournament) -> bool:
-        if t.n not in self._tables:
-            g = subdivided_complete(t.n)
-            self._tables[t.n] = _edge_table(g, _all_automorphisms(g, RunConfig(side_swap=False)))
         _, a = colouring_from_tournament(t)
-        return _arc_transitive(self._tables[t.n], a)
+        return symmetry._arc_transitive(self.table(t.n), a.colours)
 
     def test_qr7_is_arc_transitive(self):
         assert self.arc_transitive(quadratic_residue_tournament(7))
@@ -429,6 +433,54 @@ class TestArcTransitivity:
         # the family scan searches subdivided K5, which has 15 vertices
         with pytest.raises(CapExceeded):
             certify_family("subdivided-complete", [5], RunConfig(cap_vertices=10))
+
+    @pytest.mark.parametrize("n, orbits", [(3, 2), (5, 10)])
+    def test_orbit_scan_equals_the_per_tournament_check(self, n, orbits):
+        # every tournament's colouring, one check per orbit under the
+        # side-preserving group and conjugation (reversing every arc)
+        tournaments = list(every_tournament(n))
+        rows = np.array([colouring_from_tournament(t)[1].colours for t in tournaments],
+                        dtype=np.int8)
+        table = self.table(n)
+        checked = []
+
+        def check(perms, row):
+            checked.append(row)
+            return symmetry._arc_transitive(perms, row)
+
+        mask, orbit = symmetry._orbit_mask(rows, table, check)
+        assert len(checked) == len(set(orbit.tolist())) == orbits
+        assert mask.tolist() == [symmetry._arc_transitive(table, r) for r in rows]
+        assert mask.tolist() == [brute_arc_transitive(t) for t in tournaments]
+
+    def test_family_scan_rows_are_the_tournament_colourings(self, monkeypatch):
+        # row r of the scan is the tournament whose pair k (in combinations
+        # order) points j -> i when bit k of r, first pair most significant,
+        # is 1; one arc-transitivity check runs per orbit
+        seen = []
+        orbit_mask = symmetry._orbit_mask
+
+        def spy(rows, perms, check):
+            checked = []
+
+            def counted(perms, row):
+                checked.append(row)
+                return check(perms, row)
+
+            result = orbit_mask(rows, perms, counted)
+            seen.append((rows, check, len(checked)))
+            return result
+
+        monkeypatch.setattr(symmetry, "_orbit_mask", spy)
+        certify_family("subdivided-complete", [5])
+        [(rows, check, checks)] = seen
+        pairs = list(combinations(range(5), 2))
+        want = [colouring_from_tournament(Tournament(5, tuple(
+            (j, i) if b else (i, j) for (i, j), b in zip(pairs, bits))))[1].colours
+            for bits in product((0, 1), repeat=len(pairs))]
+        assert rows.dtype == np.int8 and rows.flags.c_contiguous
+        assert [tuple(r) for r in rows.tolist()] == want
+        assert check is symmetry._arc_transitive and checks == 10
 
     def test_k5_family_certificate_is_pinned(self):
         cert = certify_family("subdivided-complete", [5])
@@ -511,6 +563,21 @@ def test_group_is_searched_again_only_for_the_filter(monkeypatch, g, hint, confi
     cert = certify_not_norming(g, hint, config)
     assert (cert.obstruction or cert.verdict) == outcome
     assert calls == searches
+
+
+def test_filter_looks_the_check_up_when_it_runs(monkeypatch):
+    # a wrapper on symmetry._transitive_under, as a tracer installs, sees the
+    # filter's one call per orbit of Q4's balanced colourings
+    calls = []
+    check = symmetry._transitive_under
+
+    def counted(perms, colours):
+        calls.append(colours)
+        return check(perms, colours)
+
+    monkeypatch.setattr(symmetry, "_transitive_under", counted)
+    assert certify_not_norming(hypercube(4)).obstruction == "KappaNotMaximal"
+    assert len(calls) == 21
 
 
 # hypercube 1-10, kneser n <= 14, inclusion n <= 9, subdivided-complete 2-11

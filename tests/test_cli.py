@@ -223,12 +223,28 @@ class TestColourings:
         graph.write_text(json.dumps(graph_to_json(g)))
         table = symmetry._edge_table(g, symmetry._all_automorphisms(g, RunConfig()))
         want = [list(c) for c in iter_balanced_colourings(g)
-                if symmetry._transitive_under(g, c, table)]
+                if symmetry._transitive_under(table, c.colours)]
         assert len(want) == 18
         for limit, count in (("0", 18), ("5", 5), ("40", 18)):
             code, out = run_cli(["colourings", str(graph), "--transitive", "--limit", limit],
                                 capsys)
             assert code == 0 and json.loads(out)["colourings"] == want[:count]
+
+    def test_filter_looks_the_check_up_when_it_runs(self, capsys, tmp_path, monkeypatch):
+        # one call of the module's check per orbit of Q4's balanced colourings
+        graph = tmp_path / "q4.json"
+        graph.write_text(json.dumps(graph_to_json(hypercube(4))))
+        calls = []
+        check = symmetry._transitive_under
+
+        def counted(perms, colours):
+            calls.append(colours)
+            return check(perms, colours)
+
+        monkeypatch.setattr(symmetry, "_transitive_under", counted)
+        code, out = run_cli(["colourings", str(graph), "--transitive"], capsys)
+        assert code == 0 and json.loads(out)["count"] == 18
+        assert len(calls) == 21
 
     def test_no_balanced_colouring_needs_no_search(self, capsys, tmp_path, group_searches):
         graph = tmp_path / "k23.json"
@@ -353,6 +369,21 @@ class TestOutFile:
         assert code == 0
         blob = json.loads(target.read_text())
         assert blob["obstruction"] == "NotEulerian"
+
+    @pytest.mark.parametrize("args", [
+        ["certify", "hypercube", "3"], ["tournament", "clockwise", "5", "--cycles"],
+        ["check", "c6"], ["colourings", "c6"],
+    ], ids=["certify", "tournament", "check", "colourings"])
+    def test_out_and_pretty_combine(self, files, capsys, tmp_path, args):
+        # --out writes the JSON and --pretty prints the summary, together
+        args = [files.get(a, a) for a in args]
+        _, plain = run_cli(args, capsys)
+        target = tmp_path / "report.json"
+        code, out = run_cli([*args, "--out", str(target), "--pretty"], capsys)
+        assert code == 0
+        assert json.loads(target.read_text()) == json.loads(plain)
+        _, pretty = run_cli([*args, "--pretty"], capsys)
+        assert out == pretty and out.strip()
 
 
 def test_console_entry_point():

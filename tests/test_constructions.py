@@ -356,12 +356,12 @@ class TestTransitivityTournamentEquivalence:
         # when the defining tournament is arc-transitive, read off the
         # side-preserving group of subdivided K_n as the family scan does
         from gnorm.config import RunConfig
-        from gnorm.symmetry import _all_automorphisms, _edge_table, is_transitive_colouring
-        from gnorm.certify import _arc_transitive
+        from gnorm.symmetry import (
+            _all_automorphisms, _arc_transitive, _edge_table, is_transitive_colouring)
         cases = [(clockwise_tournament(3), True), (clockwise_tournament(5), False),
                  (clockwise_tournament(7), False), (quadratic_residue_tournament(7), True)]
         for t, arc_transitive in cases:
             g, col = colouring_from_tournament(t)
             table = _edge_table(g, _all_automorphisms(g, RunConfig(side_swap=False)))
-            assert _arc_transitive(table, col) == arc_transitive
+            assert _arc_transitive(table, col.colours) == arc_transitive
             assert is_transitive_colouring(g, col) == arc_transitive

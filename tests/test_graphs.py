@@ -3,6 +3,7 @@
 from itertools import product
 from math import comb, inf
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from gnorm.config import RunConfig
 from gnorm.graphs import (
     BipartiteGraph,
     EdgeColouring,
+    _colouring_rows,
     check_aligned,
     colouring_from_json,
     colouring_to_json,
@@ -227,3 +229,15 @@ class TestJson:
         assert g.n_edges == 3
         with pytest.raises(ValueError):
             check_aligned(g, EdgeColouring((1, 0)))
+
+
+class TestColouringRows:
+    @pytest.mark.parametrize("m", range(7))
+    def test_slices_of_the_product_order(self, m):
+        space = list(product((0, 1), repeat=m))
+        for start, stop in ((0, len(space)), (0, 1), (len(space) // 3, len(space) - 1),
+                            (len(space) - 1, len(space)), (1, 1)):
+            rows = _colouring_rows(m, start, stop)
+            assert rows.dtype == np.int8 and rows.flags.c_contiguous
+            assert rows.shape == (stop - start, m)
+            assert [tuple(r) for r in rows.tolist()] == space[start:stop]

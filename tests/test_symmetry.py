@@ -23,7 +23,7 @@ from gnorm.symmetry import (
     Automorphism,
     _all_automorphisms,
     _edge_table,
-    _transitive_mask,
+    _orbit_mask,
     _transitive_under,
     automorphisms,
     is_self_conjugate,
@@ -281,7 +281,7 @@ def first_transitive_colouring(g: BipartiteGraph):
     """The first balanced colouring, in enumeration order, that is transitive
     under one edge table of Aut(g), or None."""
     table = _edge_table(g, _all_automorphisms(g, RunConfig()))
-    return next((a for a in iter_balanced_colourings(g) if _transitive_under(g, a, table)),
+    return next((a for a in iter_balanced_colourings(g) if _transitive_under(table, a.colours)),
                 None)
 
 
@@ -399,7 +399,7 @@ class TestTransitivityLiteralDefinition:
             colourings = list(iter_balanced_colourings(graph))
         for a in colourings:
             literal = _literal_transitive(a, perms)
-            assert _transitive_under(graph, a, table) == literal, a.colours
+            assert _transitive_under(table, a.colours) == literal, a.colours
             assert is_transitive_colouring(graph, a) == (is_balanced(graph, a) and literal)
 
     @pytest.mark.parametrize("graph", [
@@ -624,8 +624,8 @@ class TestTransitiveMask:
     ], ids=lambda g: f"{len(g.left)}+{len(g.right)}v{g.n_edges}e")
     def test_equals_the_per_colouring_check(self, graph, side_swap):
         matrix, perms = _mask_inputs(graph, side_swap)
-        mask, orbit = _transitive_mask(graph, matrix, perms)
-        want = [_transitive_under(graph, EdgeColouring(row), perms) for row in matrix.tolist()]
+        mask, orbit = _orbit_mask(matrix, perms, _transitive_under)
+        want = [_transitive_under(perms, row) for row in matrix]
         assert mask.tolist() == want
         # each label is its orbit's first row, and the rows under it are the
         # images of that row under every group element and conjugation
@@ -648,7 +648,7 @@ class TestTransitiveMask:
             "K26", "C6", "SK5"])
     def test_orbit_counts(self, graph, orbits):
         for side_swap, count in zip((True, False), orbits):
-            _, orbit = _transitive_mask(graph, *_mask_inputs(graph, side_swap))
+            _, orbit = _orbit_mask(*_mask_inputs(graph, side_swap), _transitive_under)
             assert len(set(orbit.tolist())) == count
 
     def test_a_set_missing_a_row_is_refused(self):
@@ -656,13 +656,13 @@ class TestTransitiveMask:
         matrix, perms = _mask_inputs(g, True)
         for drop in (0, len(matrix) // 2, len(matrix) - 1):
             with pytest.raises(VerificationFailed):
-                _transitive_mask(g, np.delete(matrix, drop, axis=0), perms)
+                _orbit_mask(np.delete(matrix, drop, axis=0), perms, _transitive_under)
 
     def test_packed_keys_past_64_edges(self):
         # 66 edges pack into 9 bytes; the two alternating colourings are one
         # orbit (a rotation or conjugation swaps them), both transitive
         g = cycle(66)
         matrix, perms = _mask_inputs(g, True, RunConfig(cap_edges=66, cap_vertices=66))
-        mask, orbit = _transitive_mask(g, matrix, perms)
+        mask, orbit = _orbit_mask(matrix, perms, _transitive_under)
         assert len(matrix) == 2
         assert mask.tolist() == [True, True] and orbit.tolist() == [0, 0]

@@ -40,6 +40,14 @@ def test_run_all_preserves_declared_order():
     assert [r["id"] for r in results] == ["tournament-4cycles", "kneser-arithmetic"]
 
 
+def test_threaded_run_all_keeps_table_order_when_the_first_row_is_slower():
+    # two workers: the quick row finishes first, and still comes second
+    results = V.run_all(RunConfig(threads=2), ["subdivision-bridge", "decoration-inequality"])
+    assert [r["id"] for r in results] == ["decoration-inequality", "subdivision-bridge"]
+    assert results[0]["elapsed_s"] > results[1]["elapsed_s"]
+    assert all(r["ok"] for r in results)
+
+
 @pytest.mark.parametrize("rows", [["nope"], ["nope", "dual-path"]])
 def test_run_all_rejects_unknown_row_ids(monkeypatch, rows):
     ran = []
