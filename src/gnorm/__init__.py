@@ -18,8 +18,6 @@ from .graphs import (
     count_two_edge_matchings,
     cycle,
     degree_stats,
-    disjoint_union,
-    enumerate_balanced_colourings,
     girth,
     graph_from_json,
     graph_to_json,
@@ -30,11 +28,8 @@ from .graphs import (
     star,
 )
 from .symmetry import (
-    Automorphism,
     SymmetryReport,
     automorphisms,
-    is_self_conjugate,
-    is_transitive_colouring,
     isomorphic,
 )
 from .cycles import (
@@ -44,7 +39,6 @@ from .cycles import (
     enumerate_cycles,
     four_cycles_generate_cycle_space,
     kappa_alternating,
-    potential_colouring,
 )
 from .kernels import Decoration, StepKernel, TrigKernel, phase_kernel
 from .density import (

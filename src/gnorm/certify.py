@@ -235,19 +235,56 @@ def certify_not_norming(
 
     ``family_hint`` may name ("kneser", n, r) or ("inclusion", n, k, r)
     parameters to unlock arithmetic shortcuts; the hint is used only after
-    the graph is proved isomorphic to the hinted family's graph.
+    the graph is proved isomorphic to the hinted family's graph.  A hint
+    with an unknown family, the wrong number of fields or a field that is
+    not an integer raises ``OutOfRange`` before any stage runs.
     """
     if g.n_edges == 0:
         raise OutOfRange("cannot certify an empty graph")
+    hint = _hint_parameters(family_hint)
     stages = _Stages()
-    cert = _pipeline(g, family_hint, stages, config)
+    cert = _pipeline(g, hint, stages, config)
     cert.side_swap, cert.stages = config.side_swap, stages.log
     return cert
 
 
+# the hint families and the fields each takes after its name
+_HINT_FIELDS = {"kneser": "n r", "inclusion": "n k r"}
+
+
+def _hint_parameters(family_hint: Optional[Sequence]) -> Optional[tuple[int, int, int]]:
+    """The (n, k, r) of the set-inclusion graph I(n, k, r) that a hint names
+    (H(n, r) is I(n, n - r, r)), or None without a hint."""
+    if not family_hint:
+        return None
+    family, *fields = family_hint
+    names = _HINT_FIELDS.get(family)
+    if names is None:
+        raise OutOfRange(f"unknown hint family {family!r}; "
+                         f"hints name one of {', '.join(_HINT_FIELDS)}")
+    values = _integer_fields(f"hint family {family!r}", names, fields)
+    if family == "kneser":
+        n, r = values
+        return n, n - r, r
+    return tuple(values)
+
+
+def _integer_fields(what: str, names: str, fields: Sequence) -> list[int]:
+    """The fields of a family or a hint as integers: exactly one for each of
+    the space-separated ``names``, each an integer or its decimal text."""
+    count = len(names.split())
+    if len(fields) != count:
+        raise OutOfRange(f"{what} takes {count} parameter(s) ({names}), got {len(fields)}")
+    try:
+        # through str, so that 2.5 is refused rather than read as 2
+        return [int(str(x)) for x in fields]
+    except ValueError:
+        raise OutOfRange(f"{what} takes integer parameters, got {list(fields)}") from None
+
+
 def _pipeline(
     g: BipartiteGraph,
-    family_hint: Optional[Sequence],
+    hint: Optional[tuple[int, int, int]],
     stages: _Stages,
     config: RunConfig,
 ) -> Certificate:
@@ -308,7 +345,7 @@ def _pipeline(
             witness={"balanced_colourings": 0},
         )
 
-    shortcut = _arithmetic_shortcut(g, family_hint, stages, config)
+    shortcut = _arithmetic_shortcut(g, hint, stages, config)
     if shortcut is not None:
         return shortcut
 
@@ -429,29 +466,20 @@ def _inclusion_family_rule(n: int, k: int, r: int) -> Optional[str]:
 
 def _arithmetic_shortcut(
     g: BipartiteGraph,
-    family_hint: Optional[Sequence],
+    hint: Optional[tuple[int, int, int]],
     stages: _Stages,
     config: RunConfig,
 ) -> Optional[Certificate]:
-    """Class-membership and integrality shortcuts for hinted set-inclusion
-    parameters.  The hint is only trusted once the graph is isomorphic to the
-    named family's graph; when that check exceeds a cap the shortcut is
+    """Class-membership and integrality shortcuts for the hinted set-inclusion
+    parameters (n, k, r).  The hint is only trusted once the graph is
+    isomorphic to I(n, k, r); when that check exceeds a cap the shortcut is
     skipped."""
-    if not family_hint:
+    if hint is None:
         return None
-    hint = list(family_hint)
-    kind = str(hint[0])
+    n, k, r = hint
     try:
-        if kind == "kneser":
-            n, r = int(hint[1]), int(hint[2])
-            k = n - r
-        elif kind == "inclusion":
-            n, k, r = int(hint[1]), int(hint[2]), int(hint[3])
-        else:
-            stages.skipped("arithmetic-shortcut", f"no shortcut for family {kind!r}")
-            return None
         reference = set_inclusion_graph(n, k, r)
-    except (IndexError, ValueError, DegenerateParameters) as exc:
+    except DegenerateParameters as exc:
         stages.skipped("arithmetic-shortcut", f"bad hint: {exc}")
         return None
     except CapExceeded:
@@ -525,14 +553,10 @@ def certify_family(family: str, params: Sequence[int], config: RunConfig = DEFAU
     if family not in certifiers:
         raise OutOfRange(f"unknown family {family!r}")
     certify, names = certifiers[family]
-    keys = names.split()
-    if len(params) != len(keys):
-        raise OutOfRange(f"family {family!r} takes {len(keys)} parameter(s) ({names}), "
-                         f"got {len(params)}")
-    params = [int(x) for x in params]
+    params = _integer_fields(f"family {family!r}", names, params)
     cert = certify(*params, config)
     cert.side_swap = config.side_swap
-    cert.family = {"family": family, **dict(zip(keys, params))}
+    cert.family = {"family": family, **dict(zip(names.split(), params))}
     return cert
 
 

@@ -146,7 +146,7 @@ def cmd_check(args) -> int:
     except CapExceeded as exc:
         skipped = report["edge_transitive"] = f"skipped ({exc})"
     else:
-        sym = symmetry._report(g, group, cfg.side_swap)
+        sym = symmetry._report(g, group)
         report["edge_transitive"] = sym.edge_transitive
         report["vertex_transitive"] = sym.vertex_transitive
         report["automorphism_group_order"] = sym.group_order

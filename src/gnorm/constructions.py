@@ -24,7 +24,6 @@ from .errors import (
     NotBalanced,
     NotPrime,
     OddDimension,
-    ParseError,
     WrongResidueClass,
 )
 from .graphs import BipartiteGraph, EdgeColouring, check_aligned
@@ -192,13 +191,6 @@ class Tournament:
 
     def to_json(self) -> dict:
         return {"n": self.n, "arcs": [list(a) for a in self.arcs]}
-
-    @staticmethod
-    def from_json(data) -> "Tournament":
-        try:
-            return Tournament(int(data["n"]), tuple((int(x), int(y)) for x, y in data["arcs"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad tournament object: {exc}") from exc
 
 
 def clockwise_tournament(n: int) -> Tournament:

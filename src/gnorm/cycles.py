@@ -5,14 +5,13 @@ to rotation and reflection by anchoring each cycle at its smallest vertex.
 On top of that sit the alternating-cycle counts kappa_l, the four colour
 classes of even cycles as array passes over a colourings matrix (class 4 on
 a girth cycle is a girth-law violation), the full 2^e colouring scan that
-``certify`` takes its counting-law maxima from, and the GF(2) cycle-space
-tests.
+``certify`` takes its counting-law maxima from, and the GF(2) test that the
+4-cycles span the cycle space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -23,22 +22,16 @@ from .graphs import BipartiteGraph, EdgeColouring, _colouring_rows, check_aligne
 
 @dataclass(frozen=True)
 class CycleSet:
-    """Simple cycles of one fixed length.
-
-    ``edge_cycles`` lists each cycle's edge indices in cyclic order;
-    ``vertex_cycles`` lists the vertices in matching order starting from the
-    anchor (smallest vertex index, second vertex smaller than last).
-    """
+    """Simple cycles of one fixed length: ``edge_cycles`` lists each cycle's
+    edge indices in cyclic order, starting at the edge from its anchor (its
+    smallest vertex index) to the smaller of the anchor's two neighbours on
+    the cycle."""
 
     length: int
     edge_cycles: tuple[tuple[int, ...], ...]
-    vertex_cycles: tuple[tuple[str, ...], ...]
 
     def __len__(self) -> int:
         return len(self.edge_cycles)
-
-    def to_json(self) -> dict:
-        return {"length": self.length, "cycles": [list(c) for c in self.vertex_cycles]}
 
 
 @dataclass(frozen=True)
@@ -56,14 +49,6 @@ class FourCycleProfile:
     c3: int
     c4: int
 
-    @property
-    def total(self) -> int:
-        return self.c1 + self.c2 + self.c3 + self.c4
-
-    @property
-    def pattern_score(self) -> int:
-        return self.c1 + self.c3 - self.c2
-
     def to_json(self) -> dict:
         return {"c1": self.c1, "c2": self.c2, "c3": self.c3, "c4": self.c4}
 
@@ -80,7 +65,6 @@ def enumerate_cycles(
         raise ValueError("cycle length must be an even integer >= 4")
     n = g.n_vertices
     vidx = g.vertex_index
-    verts = g.vertices
     adj: list[list[int]] = [[] for _ in range(n)]
     edge_of: dict[tuple[int, int], int] = {}
     for i, (u, v) in enumerate(g.edges):
@@ -119,14 +103,9 @@ def enumerate_cycles(
         extend(1, a)
         on_path[a] = False
 
-    edge_cycles = []
-    vertex_cycles = []
-    for cyc in found:
-        edge_cycles.append(
-            tuple(edge_of[(cyc[i], cyc[(i + 1) % length])] for i in range(length))
-        )
-        vertex_cycles.append(tuple(verts[i] for i in cyc))
-    return CycleSet(length, tuple(edge_cycles), tuple(vertex_cycles))
+    return CycleSet(length, tuple(
+        tuple(edge_of[(cyc[i], cyc[(i + 1) % length])] for i in range(length))
+        for cyc in found))
 
 
 def _cycle_classes(matrix: np.ndarray, cycles) -> np.ndarray:
@@ -253,34 +232,3 @@ def four_cycles_generate_cycle_space(
                 return True
     return rank == target
 
-
-def potential_colouring(
-    g: BipartiteGraph, a: EdgeColouring
-) -> Optional[dict[str, int]]:
-    """Vertex 2-colouring beta with a(uv) = beta(u) + beta(v) mod 2, if any.
-
-    Solved by propagation per component; among the two solutions per
-    component the one assigning 0 to the component's smallest vertex is
-    returned, which makes the overall answer lexicographically least.
-    """
-    check_aligned(g, a)
-    colour_of = {}
-    for i, (u, v) in enumerate(g.edges):
-        colour_of[(u, v)] = a[i]
-        colour_of[(v, u)] = a[i]
-    beta: dict[str, int] = {}
-    for comp in g.components:
-        root = min(comp, key=g.vertex_index.get)
-        beta[root] = 0
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in g.adjacency[x]:
-                want = (beta[x] + colour_of[(x, y)]) % 2
-                if y in beta:
-                    if beta[y] != want:
-                        return None
-                else:
-                    beta[y] = want
-                    stack.append(y)
-    return beta

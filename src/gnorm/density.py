@@ -34,8 +34,8 @@ from .graphs import (
     check_aligned,
     count_two_edge_matchings,
     degree_stats,
-    enumerate_balanced_colourings,
     is_balanced,
+    iter_balanced_colourings,
 )
 from .kernels import Decoration, StepKernel, TrigKernel
 
@@ -444,10 +444,6 @@ def trig_density(
     check_aligned(g, a)
     if tk.kind == "h0":
         return complex(1.0) if is_balanced(g, a) else complex(0.0)
-    if tk.kind == "const":
-        c = tk.c
-        w = a.weight
-        return (c ** w) * (c.conjugate() ** (g.n_edges - w))
     # hk
     phase = cmath.exp(2j * pi * (2 * a.weight - g.n_edges) / tk.k)
     is_cycle_union = all(g.degree(v) == 2 for v in g.vertices)
@@ -461,7 +457,7 @@ def trig_density(
         if any(g.degree(v) % 2 for v in g.vertices):
             return complex(0.0)
         total = complex(0.0)
-        for _orientation in enumerate_balanced_colourings(g, config):
+        for _orientation in iter_balanced_colourings(g, config):
             total += phase
         return total
     raise ValueError(f"unknown method {method!r}")

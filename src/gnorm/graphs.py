@@ -13,8 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import comb, inf
-from typing import Iterator, Sequence
+from math import inf
+from typing import Iterator
 
 import numpy as np
 
@@ -69,10 +69,6 @@ class BipartiteGraph:
     @cached_property
     def vertex_index(self) -> dict[Vertex, int]:
         return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
     def adjacency(self) -> dict[Vertex, tuple[Vertex, ...]]:
@@ -131,9 +127,11 @@ class EdgeColouring:
     colours: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "colours", tuple(int(c) for c in self.colours))
-        if any(c not in (0, 1) for c in self.colours):
-            raise ValueError("colours must be 0 or 1")
+        # check before converting: int() would turn 0.7 into a colour
+        colours = tuple(self.colours)
+        if not set(colours) <= {0, 1}:
+            raise ValueError(f"colours must be 0 or 1, got {colours}")
+        object.__setattr__(self, "colours", tuple(map(int, colours)))
 
     def __len__(self) -> int:
         return len(self.colours)
@@ -199,18 +197,6 @@ def star(leaves: int, centre_left: bool = True) -> BipartiteGraph:
                           tuple((f"a{j}", "c") for j in range(leaves)))
 
 
-def path(n_edges: int) -> BipartiteGraph:
-    """Path with n_edges edges; vertices alternate sides starting on the left."""
-    verts = [f"{'a' if i % 2 == 0 else 'b'}{i // 2}" for i in range(n_edges + 1)]
-    left = tuple(v for i, v in enumerate(verts) if i % 2 == 0)
-    right = tuple(v for i, v in enumerate(verts) if i % 2 == 1)
-    edges = []
-    for i in range(n_edges):
-        u, v = verts[i], verts[i + 1]
-        edges.append((u, v) if i % 2 == 0 else (v, u))
-    return BipartiteGraph(left, right, tuple(edges))
-
-
 # -- structural predicates ---------------------------------------------------
 
 
@@ -253,47 +239,17 @@ def girth(g: BipartiteGraph) -> int | float:
     return best
 
 
-def disjoint_union(
-    parts: Sequence[tuple[BipartiteGraph, EdgeColouring]],
-) -> tuple[BipartiteGraph, EdgeColouring]:
-    """Side-respecting disjoint union; colour vectors concatenate in order.
-
-    Vertex ids are prefixed with the component index to keep them unique.
-    """
-    if not parts:
-        raise ValueError("need at least one coloured graph")
-    left: list[Vertex] = []
-    right: list[Vertex] = []
-    edges: list[Edge] = []
-    colours: list[int] = []
-    for k, (g, a) in enumerate(parts):
-        check_aligned(g, a)
-        tag = f"{k}:"
-        left.extend(tag + v for v in g.left)
-        right.extend(tag + v for v in g.right)
-        edges.extend((tag + u, tag + v) for u, v in g.edges)
-        colours.extend(a.colours)
-    return BipartiteGraph(tuple(left), tuple(right), tuple(edges)), EdgeColouring(tuple(colours))
-
-
 @dataclass(frozen=True)
 class DegreeStats:
     """Per-vertex in/out splits of a colouring viewed as an orientation.
 
     Colour 1 directs an edge from its left endpoint to its right endpoint, so
     on the left d_plus counts colour-1 incidences while on the right it counts
-    colour-0 incidences (arcs leaving the vertex either way).  The aggregates
-    c1, c2 sum d_plus*d_minus over the left and right side respectively, and
-    d1, d2 sum C(d_minus, 2) over the left and C(d_plus, 2) over the right.
+    colour-0 incidences (arcs leaving the vertex either way).
     """
 
-    degree: dict[Vertex, int]
     d_plus: dict[Vertex, int]
     d_minus: dict[Vertex, int]
-    c1: int
-    c2: int
-    d1: int
-    d2: int
 
 
 def degree_stats(g: BipartiteGraph, a: EdgeColouring) -> DegreeStats:
@@ -307,12 +263,7 @@ def degree_stats(g: BipartiteGraph, a: EdgeColouring) -> DegreeStats:
         else:
             d_minus[u] += 1
             d_plus[v] += 1
-    deg = {v: g.degree(v) for v in g.vertices}
-    c1 = sum(d_plus[v] * d_minus[v] for v in g.left)
-    c2 = sum(d_plus[v] * d_minus[v] for v in g.right)
-    d1 = sum(comb(d_minus[v], 2) for v in g.left)
-    d2 = sum(comb(d_plus[v], 2) for v in g.right)
-    return DegreeStats(deg, d_plus, d_minus, c1, c2, d1, d2)
+    return DegreeStats(d_plus, d_minus)
 
 
 def is_balanced(g: BipartiteGraph, a: EdgeColouring) -> bool:
@@ -371,13 +322,6 @@ def iter_balanced_colourings(
     yield from rec(0)
 
 
-def enumerate_balanced_colourings(
-    g: BipartiteGraph, config: RunConfig = DEFAULT
-) -> list[EdgeColouring]:
-    """All balanced colourings, deterministic lexicographic order."""
-    return list(iter_balanced_colourings(g, config))
-
-
 def count_two_edge_matchings(g: BipartiteGraph) -> int:
     """Number of unordered pairs of vertex-disjoint edges."""
     return sum(
@@ -398,11 +342,22 @@ def graph_to_json(g: BipartiteGraph) -> dict:
     }
 
 
+def _json_list(data, key: str) -> list:
+    """``data[key]``, which must be a JSON list."""
+    value = data[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
 def graph_from_json(data) -> BipartiteGraph:
     try:
-        left = tuple(str(v) for v in data["left"])
-        right = tuple(str(v) for v in data["right"])
-        edges = tuple((str(u), str(v)) for u, v in data["edges"])
+        left = tuple(str(v) for v in _json_list(data, "left"))
+        right = tuple(str(v) for v in _json_list(data, "right"))
+        edges = _json_list(data, "edges")
+        if not all(isinstance(e, list) and len(e) == 2 for e in edges):
+            raise ValueError("each edge must be a list of two vertex ids")
+        edges = tuple((str(u), str(v)) for u, v in edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph object: {exc}") from exc
     try:
@@ -411,13 +366,13 @@ def graph_from_json(data) -> BipartiteGraph:
         raise ParseError(str(exc)) from exc
 
 
-def colouring_to_json(a: EdgeColouring) -> dict:
-    return {"colours": list(a.colours)}
-
-
 def colouring_from_json(data) -> EdgeColouring:
     try:
-        return EdgeColouring(tuple(int(c) for c in data["colours"]))
+        colours = _json_list(data, "colours")
+        # JSON true and 1.0 equal 1 in Python; the format holds integers
+        if not all(type(c) is int for c in colours):
+            raise TypeError(f"colours must be the integers 0 and 1, got {colours}")
+        return EdgeColouring(tuple(colours))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad colouring object: {exc}") from exc
 

@@ -126,19 +126,16 @@ class Decoration:
 @dataclass(frozen=True)
 class TrigKernel:
     """Closed-form kernel: 'h0' is exp(2*pi*(x+y)*i), 'hk' is
-    2*exp(2*pi*i/k)*cos(2*pi*(x+y)), 'const' is the constant c."""
+    2*exp(2*pi*i/k)*cos(2*pi*(x+y))."""
 
     kind: str
     k: int | None = None
-    c: complex | None = None
 
     def __post_init__(self):
-        if self.kind not in ("h0", "hk", "const"):
+        if self.kind not in ("h0", "hk"):
             raise ValueError(f"unknown trig kernel kind {self.kind!r}")
         if self.kind == "hk" and (self.k is None or self.k < 1):
             raise ValueError("hk needs an integer k >= 1")
-        if self.kind == "const" and self.c is None:
-            raise ValueError("const needs a value")
 
     @staticmethod
     def h0() -> "TrigKernel":
@@ -147,10 +144,6 @@ class TrigKernel:
     @staticmethod
     def hk(k: int) -> "TrigKernel":
         return TrigKernel("hk", k=k)
-
-    @staticmethod
-    def constant(c: complex) -> "TrigKernel":
-        return TrigKernel("const", c=complex(c))
 
 
 # -- JSON interchange --------------------------------------------------------

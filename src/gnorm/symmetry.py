@@ -20,15 +20,15 @@ composed in numpy and sorted into the order of the depth-first walk, and the
 group stays that one ``(order x vertices)`` int32 array of image rows
 (``_all_automorphisms``).  Groups at the supported scale are small enough to
 materialise, which keeps every orbit question exact and trivially checkable.
-``Automorphism`` is only the public form of the one element a caller is
-handed, the ``is_self_conjugate`` witness.
 
 The group array is turned, by a gather through a (vertex, vertex) -> edge
 index, into an ``(automorphisms x edges)`` edge table: row ``k`` maps edge
 ``i`` to edge ``table[k, i]``.  Because the rows are the whole group, an orbit
 is the set of distinct entries in one column (of this table, or of the group
 array for vertex orbits), and the colouring checks are array passes over the
-table.
+table: ``_colour_action`` splits the rows into colour-preserving and
+colour-reversing maps (a colouring is self-conjugate when some row reverses
+it), and ``_transitive_under`` decides transitivity.
 
 Whether a colouring is transitive does not change under an automorphism or
 under conjugation.  Moving colouring c by an automorphism s conjugates its
@@ -51,14 +51,7 @@ import numpy as np
 
 from .config import DEFAULT, RunConfig
 from .errors import CapExceeded, VerificationFailed
-from .graphs import BipartiteGraph, EdgeColouring, check_aligned, is_balanced
-
-
-@dataclass(frozen=True)
-class Automorphism:
-    """A vertex permutation given as image indices over ``g.vertices``."""
-
-    images: tuple[int, ...]
+from .graphs import BipartiteGraph, EdgeColouring
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,6 @@ class SymmetryReport:
     edge_transitive: bool
     vertex_transitive: bool
     group_order: int
-    side_swap: bool
 
 
 # -- refinement and backtracking ---------------------------------------------
@@ -335,10 +327,10 @@ def _edge_table(g: BipartiteGraph, group: np.ndarray) -> np.ndarray:
 
 def automorphisms(g: BipartiteGraph, config: RunConfig = DEFAULT) -> SymmetryReport:
     """Exact automorphism group: order and transitivity flags."""
-    return _report(g, _all_automorphisms(g, config), config.side_swap)
+    return _report(g, _all_automorphisms(g, config))
 
 
-def _report(g: BipartiteGraph, group: np.ndarray, side_swap: bool) -> SymmetryReport:
+def _report(g: BipartiteGraph, group: np.ndarray) -> SymmetryReport:
     """The report on a group already searched whole."""
     # the group is complete, so the images of vertex 0 and of edge 0 are their
     # orbits: column 0, and the columns of edge 0's ends, read on their own
@@ -353,7 +345,6 @@ def _report(g: BipartiteGraph, group: np.ndarray, side_swap: bool) -> SymmetryRe
         edge_transitive=edge_transitive,
         vertex_transitive=vertex_transitive,
         group_order=len(group),
-        side_swap=side_swap,
     )
 
 
@@ -367,48 +358,6 @@ def isomorphic(g1: BipartiteGraph, g2: BipartiteGraph, config: RunConfig = DEFAU
 
 
 # -- colouring symmetry ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConjugacyVerdict:
-    ok: bool
-    balanced: bool
-    witness: Optional[Automorphism]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_self_conjugate(
-    g: BipartiteGraph, a: EdgeColouring, config: RunConfig = DEFAULT
-) -> ConjugacyVerdict:
-    """Balanced and some automorphism flips every edge colour.
-
-    Unbalanced inputs are not self-conjugate by definition; the verdict flags
-    the reason so callers can tell the two failure modes apart.
-    """
-    check_aligned(g, a)
-    if not is_balanced(g, a):
-        return ConjugacyVerdict(False, False, None)
-    group = _all_automorphisms(g, config)
-    _, reversing = _colour_action(_edge_table(g, group), a.colours)
-    if not reversing.any():
-        return ConjugacyVerdict(False, True, None)
-    return ConjugacyVerdict(
-        True, True, Automorphism(tuple(group[int(np.argmax(reversing))].tolist())))
-
-
-def is_transitive_colouring(
-    g: BipartiteGraph, a: EdgeColouring, config: RunConfig = DEFAULT
-) -> bool:
-    """Balanced, and same-colour (resp. opposite-colour) edge pairs are linked
-    by colour-preserving (resp. colour-reversing) automorphisms."""
-    check_aligned(g, a)
-    if not is_balanced(g, a):
-        return False
-    if g.n_edges == 0:
-        return True
-    return _transitive_under(_edge_table(g, _all_automorphisms(g, config)), a.colours)
 
 
 def _colour_action(table: np.ndarray, colours) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,16 @@
+import ast
+from pathlib import Path
+
 import pytest
 
-from gnorm.graphs import BipartiteGraph, EdgeColouring, complete_bipartite, cycle
+import gnorm
+from gnorm.graphs import (
+    BipartiteGraph,
+    EdgeColouring,
+    check_aligned,
+    complete_bipartite,
+    cycle,
+)
 from gnorm.symmetry import _iso_maps
 
 
@@ -41,8 +51,68 @@ def small_bipartite(edge_mask: int, m: int = 3, n: int = 3) -> BipartiteGraph | 
     return BipartiteGraph(left, right, tuple(edges))
 
 
+def path(n_edges: int) -> BipartiteGraph:
+    """Path with n_edges edges; vertices alternate sides starting on the left."""
+    verts = [f"{'a' if i % 2 == 0 else 'b'}{i // 2}" for i in range(n_edges + 1)]
+    left = tuple(v for i, v in enumerate(verts) if i % 2 == 0)
+    right = tuple(v for i, v in enumerate(verts) if i % 2 == 1)
+    edges = []
+    for i in range(n_edges):
+        u, v = verts[i], verts[i + 1]
+        edges.append((u, v) if i % 2 == 0 else (v, u))
+    return BipartiteGraph(left, right, tuple(edges))
+
+
+def disjoint_union(parts) -> tuple[BipartiteGraph, EdgeColouring]:
+    """Side-respecting disjoint union of (graph, colouring) pairs; colour
+    vectors concatenate in order.  Vertex ids are prefixed with the
+    component index to keep them unique."""
+    if not parts:
+        raise ValueError("need at least one coloured graph")
+    left, right, edges, colours = [], [], [], []
+    for k, (g, a) in enumerate(parts):
+        check_aligned(g, a)
+        tag = f"{k}:"
+        left.extend(tag + v for v in g.left)
+        right.extend(tag + v for v in g.right)
+        edges.extend((tag + u, tag + v) for u, v in g.edges)
+        colours.extend(a.colours)
+    return BipartiteGraph(tuple(left), tuple(right), tuple(edges)), EdgeColouring(tuple(colours))
+
+
+def colouring_to_json(a: EdgeColouring) -> dict:
+    """The colouring file format, ``{"colours": [0, 1, ...]}``."""
+    return {"colours": list(a.colours)}
+
+
 def coloured_isomorphic(g1: BipartiteGraph, a1: EdgeColouring,
                         g2: BipartiteGraph, a2: EdgeColouring) -> bool:
     """Does a colour-preserving isomorphism exist?  The coloured search of
     ``symmetry._iso_maps``, stopped at its first map."""
     return next(_iso_maps(g1, g2, True, (a1, a2), limit=1), None) is not None
+
+
+PACKAGE = Path(gnorm.__file__).resolve().parent
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def package_sources() -> dict[str, str]:
+    """The source of each module of the package, by module name
+    (``__init__`` for the package itself).  The package audits in
+    ``test_config.py`` and ``test_reachability.py`` read it."""
+    return {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def definitions(tree: ast.AST, prefix: str = ""):
+    """(qualified name, node) for every function and class in a parsed
+    module, at any depth, named as ``__qualname__`` names them: a method is
+    ``Class.method`` and a function nested in ``outer`` is
+    ``outer.<locals>.inner``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, _DEFS):
+            qualname = prefix + node.name
+            yield qualname, node
+            yield from definitions(node, qualname + (
+                "." if isinstance(node, ast.ClassDef) else ".<locals>."))
+        else:
+            yield from definitions(node, prefix)

@@ -15,7 +15,6 @@ from gnorm.graphs import (
     EdgeColouring,
     complete_bipartite,
     cycle,
-    disjoint_union,
     star,
 )
 from gnorm import symmetry
@@ -36,6 +35,8 @@ from gnorm.constructions import (
     set_inclusion_graph,
     subdivided_complete,
 )
+
+from conftest import disjoint_union
 
 
 class TestStarExceptions:
@@ -542,6 +543,31 @@ class TestHints:
         g = set_inclusion_graph(6, 4, 2)
         cert = certify_not_norming(g, ("inclusion", 6, 4, 2))
         assert cert.obstruction == "ClassAViolation"
+
+    @pytest.mark.parametrize("hint, message", [
+        (("kneser", 6, 2, 99), "takes 2 parameter"),
+        (("inclusion", 6, 4, 2, 7), "takes 3 parameter"),
+        (("kneser", 6), "takes 2 parameter"),
+        (("nope", 1, 2), "unknown hint family"),
+        (("kneser", "6", "x"), "takes integer parameters"),
+        (("kneser", 6, 2.5), "takes integer parameters"),
+    ])
+    def test_malformed_hint_is_refused(self, hint, message):
+        # refused before any stage runs: a malformed hint is neither used as
+        # a shorter one nor skipped like a hint that does not fit the graph
+        with pytest.raises(OutOfRange, match=message):
+            certify_not_norming(cycle(6), hint)
+
+    def test_text_fields_read_as_integers(self):
+        # the CLI splits "kneser:6:2" into strings
+        g = bipartite_kneser(6, 2)
+        assert (certify_not_norming(g, ["kneser", "6", "2"]).to_json()
+                == certify_not_norming(g, ("kneser", 6, 2)).to_json())
+
+    def test_degenerate_hint_is_a_logged_skip(self, c6):
+        cert = certify_not_norming(c6, ("kneser", 4, 2))
+        assert cert.verdict == "NoObstructionFound"
+        assert any(s.get("reason", "").startswith("bad hint") for s in cert.stages)
 
 
 @pytest.mark.parametrize("g, hint, config, outcome, searches", [

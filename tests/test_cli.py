@@ -13,13 +13,14 @@ from gnorm.config import RunConfig
 from gnorm.constructions import hypercube, hypercube_alpha
 from gnorm.graphs import (
     EdgeColouring,
-    colouring_to_json,
     complete_bipartite,
     cycle,
     graph_to_json,
     iter_balanced_colourings,
 )
 from gnorm.kernels import StepKernel, kernel_to_json
+
+from conftest import colouring_to_json
 
 
 @pytest.fixture
@@ -124,6 +125,64 @@ class TestCheck:
         bad.write_text("{oops")
         code = main(["check", str(bad)])
         assert code == 1
+
+    def test_fractional_colours_are_a_parse_error(self, files, capsys, tmp_path):
+        # once read as (0, 0, 1, 1) and reported on with exit 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"colours": [0.6, 0.4, 1.5, 1.2]}))
+        assert main(["check", files["c4"], str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "parse error" in captured.err and not captured.out
+
+    def test_string_sides_are_a_parse_error(self, capsys, tmp_path):
+        # once loaded as K_{2,2}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"left": "ab", "right": ["x", "y"],
+                                   "edges": ["ax", "bx", "ay", "by"]}))
+        assert main(["check", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "parse error" in captured.err and not captured.out
+
+
+def check_report(capsys, tmp_path, g, a, *flags) -> dict:
+    """The ``gnorm check`` report on a graph and a colouring."""
+    gp, cp = tmp_path / "graph.json", tmp_path / "colouring.json"
+    gp.write_text(json.dumps(graph_to_json(g)))
+    cp.write_text(json.dumps(colouring_to_json(a)))
+    code, out = run_cli(["check", str(gp), str(cp), *flags], capsys)
+    assert code == 0
+    return json.loads(out)
+
+
+class TestCheckColouringVerdicts:
+    """Self-conjugacy and transitivity as ``gnorm check`` reports them
+    (``TestCheck`` and ``TestHypercubeCheck`` hold the unbalanced square and
+    the two Q4 colourings)."""
+
+    def test_alternating_square_is_self_conjugate(self, capsys, tmp_path, c4, alt4):
+        report = check_report(capsys, tmp_path, c4, alt4)
+        assert report["balanced"] is True and report["self_conjugate"] is True
+
+    def test_unbalanced_c8_figure_is_not_self_conjugate(self, capsys, tmp_path):
+        # two antipodal 2-paths in one colour: symmetric but not balanced
+        report = check_report(capsys, tmp_path, cycle(8),
+                              EdgeColouring((0, 0, 1, 1, 0, 0, 1, 1)))
+        assert report["balanced"] is False and report["self_conjugate"] is False
+
+    @pytest.mark.parametrize("length", [4, 6, 8])
+    def test_alternating_cycles_are_transitive(self, capsys, tmp_path, length):
+        alt = EdgeColouring(tuple(i % 2 for i in range(length)))
+        assert check_report(capsys, tmp_path, cycle(length), alt)["transitive"] is True
+
+    def test_hierarchy(self, capsys, tmp_path, c4):
+        # transitive implies self-conjugate implies balanced
+        for bits in range(16):
+            a = EdgeColouring(tuple(bits >> i & 1 for i in range(4)))
+            report = check_report(capsys, tmp_path, c4, a)
+            if report["transitive"]:
+                assert report["self_conjugate"], a.colours
+            if report["self_conjugate"]:
+                assert report["balanced"], a.colours
 
 
 class TestCertify:
@@ -498,8 +557,40 @@ class TestHintFlag:
             ["certify", "graph", str(gp), "--hint", "kneser:7:3"], capsys)
         assert json.loads(out)["obstruction"] != "IntegralityFailure"
 
+    @pytest.mark.parametrize("hint", ["kneser:6:2:99", "inclusion:6:4:2:7", "kneser:6",
+                                      "nope:1:2", "kneser:6:two"])
+    def test_malformed_hint_is_a_usage_error(self, capsys, tmp_path, hint):
+        # kneser:6:2:99 once ran as kneser:6:2 and exited 0; kneser:6 and
+        # nope:1:2 ended at H(6,2)'s capped balanced enumeration, exit 2
+        from gnorm.constructions import bipartite_kneser
+        gp = tmp_path / "h62.json"
+        gp.write_text(json.dumps(graph_to_json(bipartite_kneser(6, 2))))
+        assert main(["certify", "graph", str(gp), "--hint", hint]) == 1
+        captured = capsys.readouterr()
+        assert "hint" in captured.err and not captured.out
+
 
 class TestSideSwapFlag:
+    @pytest.mark.parametrize("flags, modes", [(["--side-swap", "off"], [False]),
+                                              ([], [True])])
+    def test_check_searches_the_configured_group_once(self, files, capsys, monkeypatch,
+                                                      flags, modes):
+        # the colouring verdicts read the one group that the configured mode
+        # gives, whatever the mode
+        seen = []
+        search = symmetry._all_automorphisms
+
+        def spy(g, config):
+            seen.append(config.side_swap)
+            return search(g, config)
+
+        monkeypatch.setattr(symmetry, "_all_automorphisms", spy)
+        code, out = run_cli(["check", files["c4"], files["alt4"], *flags], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["self_conjugate"] is True and report["transitive"] is True
+        assert seen == modes
+
     def test_strict_mode_changes_group(self, files, capsys):
         _, out_on = run_cli(["check", files["c4"], "--side-swap", "on"], capsys)
         _, out_off = run_cli(["check", files["c4"], "--side-swap", "off"], capsys)

@@ -16,12 +16,10 @@ hands every row the config, used or not.
 
 import ast
 from dataclasses import fields
-from pathlib import Path
 
-import gnorm
 from gnorm.config import RunConfig
 
-PACKAGE = Path(gnorm.__file__).resolve().parent
+from conftest import definitions, package_sources
 
 
 def is_run_config(annotation) -> bool:
@@ -47,7 +45,7 @@ def _functions(sources):
     """(name, RunConfig parameter names, other parameter names, node) for
     every function in the sources."""
     for src in sources:
-        for node in ast.walk(ast.parse(src)):
+        for _, node in definitions(ast.parse(src)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
@@ -90,8 +88,8 @@ print(cfg.side_swap, args.resolution)
 
 
 def test_every_field_is_read_outside_config():
-    read = config_field_reads(p.read_text() for p in sorted(PACKAGE.glob("*.py"))
-                              if p.name != "config.py")
+    read = config_field_reads(src for name, src in package_sources().items()
+                              if name != "config")
     assert [f.name for f in fields(RunConfig) if f.name not in read] == []
 
 
@@ -120,12 +118,12 @@ def test_the_audit_flags_shadowing_and_unread_parameters():
 
 
 def test_no_parameter_shadows_a_config_field():
-    assert shadowing_parameters(p.read_text() for p in sorted(PACKAGE.glob("*.py"))) == []
+    assert shadowing_parameters(package_sources().values()) == []
 
 
 def test_every_config_parameter_is_read():
-    unread = {p.name: unread_config_parameters([p.read_text()])
-              for p in sorted(PACKAGE.glob("*.py"))}
-    unread["verification.py"] = [u for u in unread["verification.py"]
-                                 if not u.startswith("_row_")]
+    unread = {name: unread_config_parameters([src])
+              for name, src in package_sources().items()}
+    unread["verification"] = [u for u in unread["verification"]
+                              if not u.startswith("_row_")]
     assert {name: u for name, u in unread.items() if u} == {}

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from gnorm.config import RunConfig
 from gnorm.errors import CapExceeded
-from gnorm.graphs import BipartiteGraph, EdgeColouring, complete_bipartite, cycle
+from gnorm.graphs import (
+    BipartiteGraph,
+    EdgeColouring,
+    complete_bipartite,
+    cycle,
+    iter_balanced_colourings,
+)
 from gnorm.cycles import (
     _SCAN_CHUNK_BITS,
     _class_counts,
@@ -21,7 +27,6 @@ from gnorm.cycles import (
     enumerate_cycles,
     four_cycles_generate_cycle_space,
     kappa_alternating,
-    potential_colouring,
 )
 from gnorm.constructions import (
     hypercube,
@@ -64,10 +69,14 @@ class TestEnumeration:
             assert len(enumerate_cycles(g, 4)) == brute_four_cycles(g)
 
     def test_cycles_are_simple_and_distinct(self):
-        cs = enumerate_cycles(hypercube(4), 4)
+        g = hypercube(4)
+        cs = enumerate_cycles(g, 4)
         seen = set()
-        for ec, vc in zip(cs.edge_cycles, cs.vertex_cycles):
-            assert len(set(vc)) == 4
+        for ec in cs.edge_cycles:
+            # consecutive edges share an end, and the four ends are distinct
+            ends = [set(g.edges[i]) for i in ec]
+            assert all(ends[k] & ends[(k + 1) % 4] for k in range(4))
+            assert len(set().union(*ends)) == 4
             key = frozenset(ec)
             assert key not in seen
             seen.add(key)
@@ -160,7 +169,8 @@ class TestClassification:
         total = len(enumerate_cycles(q4, 4))
         for bits in (0, 17, 255, 2 ** 31, 2 ** 32 - 1):
             a = EdgeColouring(tuple(bits >> i & 1 for i in range(32)))
-            assert classify_4cycles(q4, a).total == total
+            prof = classify_4cycles(q4, a)
+            assert prof.c1 + prof.c2 + prof.c3 + prof.c4 == total
 
 
 def kappa_score(cycles):
@@ -183,8 +193,8 @@ class TestMaximizers:
     def test_pattern_score_scan(self, c4, alt4, mono4):
         cycles = enumerate_cycles(c4, 4).edge_cycles
         [(best, _)] = _scan_colourings(4, pattern_score(cycles), RunConfig())
-        assert best == classify_4cycles(c4, alt4).pattern_score == 1
-        assert classify_4cycles(c4, mono4).pattern_score == -1
+        [scores] = pattern_score(cycles)(np.array([alt4.colours, mono4.colours], np.int8))
+        assert best == scores[0] == 1 and scores[1] == -1
 
     def test_argmax_is_lexicographically_least(self, c4):
         cycles = enumerate_cycles(c4, 4).edge_cycles
@@ -256,35 +266,6 @@ def brute_potential(g: BipartiteGraph, a: EdgeColouring):
 
 
 class TestPotential:
-    def test_alternating_square(self, c4, alt4):
-        beta = potential_colouring(c4, alt4)
-        assert beta is not None
-        assert all(
-            alt4[i] == (beta[u] + beta[v]) % 2 for i, (u, v) in enumerate(c4.edges)
-        )
-
-    def test_parity_obstruction(self, c4):
-        assert potential_colouring(c4, EdgeColouring((1, 1, 1, 0))) is None
-
-    def test_single_edge(self):
-        g = BipartiteGraph(("a",), ("b",), (("a", "b"),))
-        assert potential_colouring(g, EdgeColouring((1,))) is not None
-
-    @given(mask=st.integers(1, 2 ** 9 - 1), bits=st.integers(0, 2 ** 9 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_against_exhaustive_search(self, mask, bits):
-        g = small_bipartite(mask)
-        if g is None:
-            return
-        a = EdgeColouring(tuple(bits >> i & 1 for i in range(g.n_edges)))
-        ours = potential_colouring(g, a)
-        brute = brute_potential(g, a)
-        assert (ours is None) == (brute is None)
-        if ours is not None:
-            assert all(
-                a[i] == (ours[u] + ours[v]) % 2 for i, (u, v) in enumerate(g.edges)
-            )
-
     @given(mask=st.integers(1, 2 ** 9 - 1), bits=st.integers(0, 2 ** 9 - 1))
     @settings(max_examples=40, deadline=None)
     def test_four_cycle_parity_link(self, mask, bits):
@@ -296,7 +277,7 @@ class TestPotential:
         even_on_squares = all(
             sum(a[i] for i in cyc) % 2 == 0 for cyc in cycles4.edge_cycles
         )
-        present = potential_colouring(g, a) is not None
+        present = brute_potential(g, a) is not None
         if present:
             assert even_on_squares
         if four_cycles_generate_cycle_space(g) and even_on_squares:
@@ -308,9 +289,8 @@ class TestSmallHypercubeIdentities:
         # the 4-cycle is the 2-dimensional case: one 4-cycle, identities
         # c1 = c2 + 1 and 4c1 + 2c3 = 4 on balanced colourings without
         # a three-one square
-        from gnorm.graphs import enumerate_balanced_colourings
         g = cycle(4)
-        for col in enumerate_balanced_colourings(g):
+        for col in iter_balanced_colourings(g):
             prof = classify_4cycles(g, col)
             if prof.c4 == 0:
                 assert prof.c1 == prof.c2 + 1
@@ -324,5 +304,6 @@ class TestPatternScoreGlobalMax:
         # half-half colouring attains it without any scan
         from gnorm.constructions import hypercube, hypercube_beta
         q4 = hypercube(4)
-        prof = classify_4cycles(q4, hypercube_beta(4))
-        assert prof.pattern_score == prof.total == 24
+        cycles = enumerate_cycles(q4, 4).edge_cycles
+        [scores] = pattern_score(cycles)(np.array([hypercube_beta(4).colours], np.int8))
+        assert scores.tolist() == [len(cycles)] == [24]

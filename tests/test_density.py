@@ -19,7 +19,6 @@ from gnorm.graphs import (
     EdgeColouring,
     complete_bipartite,
     cycle,
-    disjoint_union,
     is_balanced,
     star,
 )
@@ -35,6 +34,8 @@ from gnorm.density import (
     two_path_integrals,
 )
 from gnorm.constructions import hypercube, hypercube_beta
+
+from conftest import disjoint_union
 
 
 def oracle_density(g, colours, kernel, mode):
@@ -117,7 +118,7 @@ class TestDecorations:
         f = rand_kernel(rng, 2, 2)
         kernels = [f, f, f, StepKernel.constant(1.0, 2, 2)]
         val = t_decoration(c4, alt4, Decoration(tuple(kernels)))
-        from gnorm.graphs import path
+        from conftest import path
         p3 = path(3)
         # the remaining three edges of the square form a 3-edge path whose
         # colouring inherits 1, 0, 1
@@ -443,9 +444,12 @@ class TestTrigDensity:
         assert val == pytest.approx(want)
 
     def test_constant_kernel(self, c4):
+        # a constant is a one-box step kernel; the closed-form kinds are h0 and hk
         c = 0.5 + 0.25j
-        got = trig_density(c4, EdgeColouring((1, 1, 0, 1)), TrigKernel.constant(c))
+        got = t_density(c4, EdgeColouring((1, 1, 0, 1)), StepKernel.constant(c))
         assert got == pytest.approx(c ** 3 * c.conjugate())
+        with pytest.raises(ValueError, match="unknown trig kernel kind"):
+            TrigKernel("const")
 
     def test_discretised_phase_kernel_matches_h0(self):
         # the roots-of-unity step kernel reproduces the balance indicator

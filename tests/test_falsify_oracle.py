@@ -28,8 +28,10 @@ from gnorm.falsify import (
     hatami_violation_search,
     triangle_falsifier,
 )
-from gnorm.graphs import EdgeColouring, cycle, path, star
+from gnorm.graphs import EdgeColouring, cycle, star
 from gnorm.kernels import Decoration, StepKernel, phase_kernel
+
+from conftest import path
 
 # -- reference: one t_decoration call per density ---------------------------------
 

@@ -16,24 +16,21 @@ from gnorm.graphs import (
     _colouring_rows,
     check_aligned,
     colouring_from_json,
-    colouring_to_json,
     complete_bipartite,
     count_two_edge_matchings,
     degree_stats,
-    disjoint_union,
-    enumerate_balanced_colourings,
     girth,
     graph_from_json,
     graph_to_json,
     is_balanced,
     is_biregular,
     is_eulerian,
-    path,
+    iter_balanced_colourings,
     star,
 )
 from gnorm.constructions import hypercube, hypercube_beta, set_inclusion_graph
 
-from conftest import small_bipartite
+from conftest import colouring_to_json, disjoint_union, path, small_bipartite
 
 
 class TestValidation:
@@ -56,6 +53,16 @@ class TestValidation:
     def test_colouring_range(self):
         with pytest.raises(ValueError):
             EdgeColouring((0, 2))
+
+    @pytest.mark.parametrize("colours", [(0.7, 1.9), (0.0, 1.5), ("0", "1")])
+    def test_colours_are_checked_before_conversion(self, colours):
+        # int() would read 0.7 and 1.9 as 0 and 1
+        with pytest.raises(ValueError, match="0 or 1"):
+            EdgeColouring(colours)
+
+    def test_integral_colours_convert(self):
+        assert EdgeColouring(np.array([1, 0], dtype=np.int8)).colours == (1, 0)
+        assert type(EdgeColouring(np.array([1], dtype=np.int8))[0]) is int
 
 
 class TestPredicates:
@@ -93,18 +100,18 @@ class TestDegreeStats:
     def test_alternating_cycle(self, c4, alt4):
         stats = degree_stats(c4, alt4)
         assert all(stats.d_plus[v] == 1 and stats.d_minus[v] == 1 for v in c4.vertices)
-        assert (stats.c1, stats.c2, stats.d1, stats.d2) == (2, 2, 0, 0)
 
     def test_monochromatic_cycle(self, c4, mono4):
         stats = degree_stats(c4, mono4)
         for v in c4.left:
             assert stats.d_plus[v] == 2 and stats.d_minus[v] == 0
-        assert stats.c1 == stats.c2 == 0
+        for v in c4.right:
+            assert stats.d_plus[v] == 0 and stats.d_minus[v] == 2
 
     def test_single_edge(self):
         g = BipartiteGraph(("a",), ("b",), (("a", "b"),))
         stats = degree_stats(g, EdgeColouring((1,)))
-        assert (stats.c1, stats.c2, stats.d1, stats.d2) == (0, 0, 0, 0)
+        assert (stats.d_plus, stats.d_minus) == ({"a": 1, "b": 0}, {"a": 0, "b": 1})
 
     @given(mask=st.integers(1, 2 ** 9 - 1), bits=st.integers(0, 2 ** 9 - 1))
     def test_split_identity(self, mask, bits):
@@ -128,7 +135,7 @@ class TestDegreeStats:
         mixed = any(
             {colours[i] for i in g.incident_edges[v]} == {0, 1} for v in g.vertices
         )
-        assert (stats.c1 + stats.c2 > 0) == mixed
+        assert any(stats.d_plus[v] * stats.d_minus[v] for v in g.vertices) == mixed
 
 
 class TestBalanced:
@@ -139,15 +146,15 @@ class TestBalanced:
         assert is_balanced(q4, hypercube_beta(4))
 
     def test_enumeration_c4(self, c4):
-        cols = enumerate_balanced_colourings(c4)
+        cols = iter_balanced_colourings(c4)
         assert [c.colours for c in cols] == [(0, 1, 0, 1), (1, 0, 1, 0)]
 
     def test_enumeration_odd_degree_empty(self):
-        assert enumerate_balanced_colourings(star(3)) == []
+        assert list(iter_balanced_colourings(star(3))) == []
 
     def test_enumeration_matches_brute_force_k44(self):
         g = complete_bipartite(4, 4)
-        smart = {c.colours for c in enumerate_balanced_colourings(g)}
+        smart = {c.colours for c in iter_balanced_colourings(g)}
         brute = {
             bits
             for bits in product((0, 1), repeat=16)
@@ -158,7 +165,7 @@ class TestBalanced:
 
     def test_cap(self, c4):
         with pytest.raises(CapExceeded):
-            enumerate_balanced_colourings(c4, RunConfig(cap_edges=2))
+            next(iter_balanced_colourings(c4, RunConfig(cap_edges=2)))
 
     @given(mask=st.integers(1, 2 ** 9 - 1))
     @settings(max_examples=40, deadline=None)
@@ -166,7 +173,7 @@ class TestBalanced:
         g = small_bipartite(mask)
         if g is None:
             return
-        cols = {c.colours for c in enumerate_balanced_colourings(g)}
+        cols = {c.colours for c in iter_balanced_colourings(g)}
         assert {tuple(1 - x for x in c) for c in cols} == cols
         assert len(cols) % 2 == 0
 
@@ -223,6 +230,27 @@ class TestJson:
             graph_from_json({"left": ["a"]})
         with pytest.raises(ParseError):
             colouring_from_json({"colours": ["x"]})
+
+    @pytest.mark.parametrize("colours", [[0.6, 0.4, 1.5, 1.2], ["1", "0"], "0110", 7,
+                                         [True, False], [1.0, 0.0]])
+    def test_colouring_must_be_a_list_of_bits(self, colours):
+        with pytest.raises(ParseError):
+            colouring_from_json({"colours": colours})
+
+    @pytest.mark.parametrize("blob", [
+        {"left": "ab", "right": ["x", "y"], "edges": ["ax", "bx", "ay", "by"]},
+        {"left": ["a", "b"], "right": "xy", "edges": [["a", "x"], ["b", "y"]]},
+        {"left": ["a", "b"], "right": ["x", "y"], "edges": ["ax", "by"]},
+        {"left": ["a", "b"], "right": ["x", "y"], "edges": [["a", "x", "b"], ["b", "y"]]},
+        {"left": ["a"], "right": ["x"], "edges": {"a": "x"}},
+        ["a", "x"],
+    ], ids=["left-string", "right-string", "edge-strings", "edge-of-three", "edge-dict",
+            "not-an-object"])
+    def test_graph_needs_lists(self, blob):
+        # a string is iterable, and once loaded "ab" as the sides a, b and
+        # the edges "ax", ... as pairs
+        with pytest.raises(ParseError):
+            graph_from_json(blob)
 
     def test_path_and_alignment(self):
         g = path(3)

@@ -15,31 +15,28 @@ from gnorm.graphs import (
     EdgeColouring,
     complete_bipartite,
     cycle,
+    is_balanced,
     iter_balanced_colourings,
-    path,
     star,
 )
 from gnorm.symmetry import (
-    Automorphism,
     _all_automorphisms,
+    _colour_action,
     _edge_table,
     _orbit_mask,
     _transitive_under,
     automorphisms,
-    is_self_conjugate,
-    is_transitive_colouring,
     isomorphic,
 )
 from gnorm.constructions import (
     bipartite_kneser,
     hypercube,
     hypercube_alpha,
-    hypercube_beta,
     set_inclusion_graph,
     subdivided_complete,
 )
 
-from conftest import coloured_isomorphic
+from conftest import coloured_isomorphic, disjoint_union, path
 
 
 def brute_automorphism_count(g: BipartiteGraph, side_preserving: bool = False) -> int:
@@ -62,7 +59,8 @@ def brute_automorphism_count(g: BipartiteGraph, side_preserving: bool = False) -
 def edge_permutation(g: BipartiteGraph, images) -> tuple[int, ...]:
     """Oracle: the edge-index permutation that a vertex map, given as image
     indices over ``g.vertices``, induces, one edge lookup at a time."""
-    vidx, verts, eidx = g.vertex_index, g.vertices, g.edge_index
+    vidx, verts = g.vertex_index, g.vertices
+    eidx = {e: i for i, e in enumerate(g.edges)}
     perm = []
     for u, v in g.edges:
         a, b = verts[images[vidx[u]]], verts[images[vidx[v]]]
@@ -152,25 +150,6 @@ class TestEdgeTransitivity:
         assert automorphisms(set_inclusion_graph(4, 2, 1)).edge_transitive
 
 
-class TestSideSwapFromConfig:
-    """The colouring checks take the mode from ``config.side_swap`` alone
-    (``TestAutomorphisms`` and ``TestIsomorphism`` cover the other two)."""
-
-    @pytest.mark.parametrize("check", [is_self_conjugate, is_transitive_colouring])
-    def test_colouring_checks_search_the_configured_group(self, monkeypatch, check):
-        modes = []
-        search = symmetry._all_automorphisms
-
-        def spy(g, config):
-            modes.append(config.side_swap)
-            return search(g, config)
-
-        monkeypatch.setattr(symmetry, "_all_automorphisms", spy)
-        alt = EdgeColouring((1, 0, 1, 0))
-        assert check(cycle(4), alt, RunConfig(side_swap=False)) and check(cycle(4), alt)
-        assert modes == [False, True]
-
-
 class TestIsomorphism:
     def test_oriented_vs_usual_star(self):
         left_star, right_star = star(2), star(2, centre_left=False)
@@ -234,49 +213,6 @@ class TestColouredIsomorphism:
                 assert coloured_isomorphic(g, a, g, c)
 
 
-class TestSelfConjugate:
-    def test_alternating_square(self, c4, alt4):
-        verdict = is_self_conjugate(c4, alt4)
-        assert verdict and verdict.balanced and verdict.witness is not None
-
-    def test_non_balanced_c8_figure(self):
-        # two antipodal 2-paths in one colour: symmetric but not balanced
-        c8 = cycle(8)
-        colours = EdgeColouring((0, 0, 1, 1, 0, 0, 1, 1))
-        verdict = is_self_conjugate(c8, colours)
-        assert not verdict and not verdict.balanced
-
-    def test_monochromatic(self, c6):
-        verdict = is_self_conjugate(c6, EdgeColouring((1,) * 6))
-        assert not verdict and not verdict.balanced
-
-
-class TestTransitiveColourings:
-    def test_alternating_cycles(self):
-        for length in (4, 6, 8):
-            g = cycle(length)
-            alt = EdgeColouring(tuple(i % 2 for i in range(length)))
-            assert is_transitive_colouring(g, alt)
-
-    def test_monochromatic_not(self, c4, mono4):
-        assert not is_transitive_colouring(c4, mono4)
-
-    def test_hypercube_colourings(self):
-        q4 = hypercube(4)
-        assert is_transitive_colouring(q4, hypercube_alpha(4))
-        assert is_transitive_colouring(q4, hypercube_beta(4))
-
-    def test_hierarchy(self, c4):
-        # transitive implies self-conjugate implies balanced
-        from gnorm.graphs import is_balanced
-        for bits in range(16):
-            a = EdgeColouring(tuple(bits >> i & 1 for i in range(4)))
-            if is_transitive_colouring(c4, a):
-                assert is_self_conjugate(c4, a)
-            if is_self_conjugate(c4, a):
-                assert is_balanced(c4, a)
-
-
 def first_transitive_colouring(g: BipartiteGraph):
     """The first balanced colouring, in enumeration order, that is transitive
     under one edge table of Aut(g), or None."""
@@ -293,9 +229,12 @@ class TestExistsTransitive:
         assert first_transitive_colouring(star(3)) is None
 
     def test_q4_present(self):
-        found = first_transitive_colouring(hypercube(4))
+        q4 = hypercube(4)
+        found = first_transitive_colouring(q4)
         assert found is not None
-        assert is_transitive_colouring(hypercube(4), found)
+        perms = [edge_permutation(q4, images)
+                 for images in _all_automorphisms(q4, RunConfig()).tolist()]
+        assert is_balanced(q4, found) and _literal_transitive(found, perms)
 
     def test_present_implies_edge_transitive(self):
         for g in (cycle(4), cycle(6), hypercube(4), set_inclusion_graph(4, 2, 1)):
@@ -351,13 +290,14 @@ class TestTransitivityLiteralDefinition:
         # literal check: every ordered same-colour edge pair is linked by a
         # colour-preserving automorphism, every opposite-colour pair by a
         # colour-reversing one
-        from gnorm.symmetry import _all_automorphisms
+        # against what ``gnorm check`` reports: balanced, and transitive
+        # under the edge table of the whole group
         from gnorm.config import DEFAULT
-        from gnorm.graphs import is_balanced
         for length in (4, 6):
             g = cycle(length)
-            perms = [edge_permutation(g, images)
-                     for images in _all_automorphisms(g, DEFAULT).tolist()]
+            group = _all_automorphisms(g, DEFAULT)
+            table = _edge_table(g, group)
+            perms = [edge_permutation(g, images) for images in group.tolist()]
             for bits in range(2 ** length):
                 a = EdgeColouring(tuple(bits >> i & 1 for i in range(length)))
                 preserving = [p for p in perms
@@ -373,7 +313,8 @@ class TestTransitivityLiteralDefinition:
                         if not any(p[i] == j for p in pool):
                             literal = False
                             break
-                assert is_transitive_colouring(g, a) == literal, a.colours
+                checked = is_balanced(g, a) and _transitive_under(table, a.colours)
+                assert checked == literal, a.colours
 
     @pytest.mark.parametrize("graph", [
         complete_bipartite(2, 4), complete_bipartite(3, 3), hypercube(3),
@@ -385,8 +326,6 @@ class TestTransitivityLiteralDefinition:
         # per-automorphism edge permutations: every colouring up to 12
         # edges, the balanced ones above
         from gnorm.config import DEFAULT
-        from gnorm.graphs import is_balanced, iter_balanced_colourings
-        from gnorm.symmetry import _all_automorphisms, _edge_table, _transitive_under
         group = _all_automorphisms(graph, DEFAULT)
         perms = [edge_permutation(graph, images) for images in group.tolist()]
         table = _edge_table(graph, group)
@@ -400,33 +339,30 @@ class TestTransitivityLiteralDefinition:
         for a in colourings:
             literal = _literal_transitive(a, perms)
             assert _transitive_under(table, a.colours) == literal, a.colours
-            assert is_transitive_colouring(graph, a) == (is_balanced(graph, a) and literal)
 
     @pytest.mark.parametrize("graph", [
         cycle(6), complete_bipartite(2, 4), *_random_k34_subgraphs(6, seed=12),
     ], ids=lambda g: f"{len(g.left)}+{len(g.right)}v{g.n_edges}e")
-    def test_report_and_conjugacy_witness_match_permutation_loop(self, graph):
+    def test_report_and_colour_action_match_permutation_loop(self, graph):
         # orbits by closure under every automorphism's permutation; the
-        # conjugacy witness is the first colour-reversing automorphism
+        # colour-preserving and colour-reversing rows, from which ``gnorm
+        # check`` reads self-conjugacy, one permutation at a time
         from gnorm.config import DEFAULT
-        from gnorm.graphs import is_balanced
-        from gnorm.symmetry import _all_automorphisms
 
-        group = _all_automorphisms(graph, DEFAULT).tolist()
-        perms = [edge_permutation(graph, images) for images in group]
+        group = _all_automorphisms(graph, DEFAULT)
+        table = _edge_table(graph, group)
+        perms = [edge_permutation(graph, images) for images in group.tolist()]
         report = automorphisms(graph)
         assert report.edge_transitive == (orbit_size(perms) == graph.n_edges)
-        assert report.vertex_transitive == (orbit_size(group) == graph.n_vertices)
+        assert report.vertex_transitive == (orbit_size(group.tolist()) == graph.n_vertices)
         m = graph.n_edges
         for bits in range(2 ** m):
             a = EdgeColouring(tuple(bits >> i & 1 for i in range(m)))
-            verdict = is_self_conjugate(graph, a)
-            want = next((Automorphism(tuple(images)) for images, p in zip(group, perms)
-                         if all(a[p[i]] != a[i] for i in range(m))), None)
-            if not is_balanced(graph, a):
-                want = None
-            assert verdict.witness == want and verdict.ok == (want is not None)
-            assert want is None or all(type(i) is int for i in verdict.witness.images)
+            preserving, reversing = _colour_action(table, a.colours)
+            assert preserving.tolist() == [all(a[p[i]] == a[i] for i in range(m))
+                                           for p in perms]
+            assert reversing.tolist() == [all(a[p[i]] != a[i] for i in range(m))
+                                          for p in perms]
 
     @pytest.mark.parametrize("graph, order", [
         (hypercube(5), 3840), (subdivided_complete(5), 120),
@@ -548,7 +484,6 @@ def _even_k44_subgraphs(count: int, seed: int) -> list[BipartiteGraph]:
 
 
 def _union(*parts: BipartiteGraph) -> BipartiteGraph:
-    from gnorm.graphs import disjoint_union
     return disjoint_union([(g, EdgeColouring((0,) * g.n_edges)) for g in parts])[0]
 
 
