@@ -36,7 +36,7 @@ class CycleSet:
 
 @dataclass(frozen=True)
 class FourCycleProfile:
-    """Counts of the four colour classes of even cycles (see ``_cycle_classes``).
+    """Counts of the four colour classes of even cycles (see ``_class_counts``).
 
     c1 alternating, c2 monochromatic, c3 half of each colour but not
     alternating, c4 anything else.  On 4-cycles c3 is an adjacent pair of
@@ -108,35 +108,38 @@ def enumerate_cycles(
         for cyc in found))
 
 
-def _cycle_classes(matrix: np.ndarray, cycles) -> np.ndarray:
-    """Colour class of every cycle under every row of an int8 colourings matrix.
+def _class_counts(matrix: np.ndarray, cycles) -> np.ndarray:
+    """``(rows x 4)`` counts of the four cycle classes under each row of an
+    int8 colourings matrix.
 
     ``cycles`` holds the edge indices of equal-length even cycles, one cycle
-    per row.  The ``(rows x cycles)`` int8 result is 1 alternating,
-    2 monochromatic, 3 half of each colour but not alternating, 4 anything
-    else.
+    per row.  The classes are 1 alternating, 2 monochromatic, 3 half of each
+    colour but not alternating, 4 anything else.  One pass over the cycle
+    positions keeps two ``(rows x cycles)`` counts: ``ones``, the edges of
+    colour 1, and ``par``, the positions whose colour matches the pattern
+    1, 0, 1, 0, ...; a cycle alternates exactly when ``par`` is 0 or its
+    length.
     """
     cycles = np.asarray(cycles, dtype=np.intp)
     if cycles.size == 0:
-        return np.zeros((len(matrix), len(cycles)), dtype=np.int8)
-    length = cycles.shape[1]
-    edge_colours = matrix[:, cycles]
-    ones = edge_colours.sum(axis=2, dtype=np.int16)
-    # with half the edges coloured 1, the cycle alternates exactly when
-    # every other edge has the same colour
-    every_other = edge_colours[:, :, ::2].sum(axis=2, dtype=np.int16)
-    half = 2 * ones == length
-    classes = np.full(ones.shape, 4, dtype=np.int8)
-    classes[half] = 3
-    classes[half & ((every_other == 0) | (every_other == ones))] = 1
-    classes[(ones == 0) | (ones == length)] = 2
-    return classes
-
-
-def _class_counts(matrix: np.ndarray, cycles) -> np.ndarray:
-    """``(rows x 4)`` counts of the four cycle classes under each row."""
-    classes = _cycle_classes(matrix, cycles)
-    return (classes[:, :, None] == np.arange(1, 5, dtype=np.int8)).sum(axis=1)
+        return np.zeros((len(matrix), 4), dtype=np.intp)
+    n_cycles, length = cycles.shape
+    # int8 counts hold every cycle of up to 127 edges
+    acc = np.int8 if length <= np.iinfo(np.int8).max else np.int64
+    ones = np.zeros((len(matrix), n_cycles), dtype=acc)
+    # each of the length/2 odd positions matches until it reads colour 1
+    par = np.full((len(matrix), n_cycles), length // 2, dtype=acc)
+    for k in range(length):
+        colours = matrix[:, cycles[:, k]]
+        ones += colours
+        if k % 2:
+            par -= colours
+        else:
+            par += colours
+    c1 = ((par == 0) | (par == length)).sum(axis=1)
+    c2 = ((ones == 0) | (ones == length)).sum(axis=1)
+    half = (ones == length // 2).sum(axis=1)
+    return np.column_stack((c1, c2, half - c1, n_cycles - c2 - half))
 
 
 def _pattern_scores(counts: np.ndarray) -> np.ndarray:
@@ -172,9 +175,12 @@ def classify_4cycles(
 # -- full colouring scans ------------------------------------------------------
 
 
-# rows per scored chunk of the full colouring scan: keeps the kernel's
-# (rows x cycles x length) int8 gather near 100 KiB on K_{4,4}
-_SCAN_CHUNK_BITS = 9
+# rows per scored chunk of the full colouring scan.  The K_{4,4} reference
+# scan (2^15 rows, best of 25 on a shared 2-core Xeon) took 16.0, 14.4, 14.6
+# and 15.4 ms at 2^9, 2^10, 2^11 and 2^12 rows: smaller chunks pay the
+# per-chunk calls (one gather per cycle position, one argmax per score) more
+# often, and larger ones gain nothing, so the smaller of the two fastest
+_SCAN_CHUNK_BITS = 10
 
 
 def _scan_colourings(n_edges: int, score, config: RunConfig):

@@ -161,14 +161,20 @@ def kernel_to_json(f: StepKernel) -> dict:
 def _json_entry(x) -> complex:
     if not isinstance(x, list) or len(x) != 2:
         raise ValueError(f"kernel entry {x!r} is not a [re, im] pair")
+    # JSON true is 1 to Python's float; the format holds numbers
+    if not all(type(part) in (int, float) for part in x):
+        raise TypeError(f"kernel entry {x!r} is not a pair of numbers")
     return complex(float(x[0]), float(x[1]))
 
 
 def kernel_from_json(data) -> StepKernel:
     try:
-        p, q = int(data["rows"]), int(data["cols"])
+        p, q = data["rows"], data["cols"]
+        # JSON true and 1.5 pass Python's int(); the format holds integers
+        if type(p) is not int or type(q) is not int:
+            raise TypeError(f"rows and cols must be integers, got {p!r} and {q!r}")
         k = StepKernel([[_json_entry(x) for x in row] for row in data["values"]])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad kernel object: {exc}") from exc
     if k.shape != (p, q):
         raise ParseError(f"kernel shape {k.shape} contradicts declared ({p}, {q})")

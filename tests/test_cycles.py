@@ -20,7 +20,6 @@ from gnorm.graphs import (
 from gnorm.cycles import (
     _SCAN_CHUNK_BITS,
     _class_counts,
-    _cycle_classes,
     _pattern_scores,
     _scan_colourings,
     classify_4cycles,
@@ -107,6 +106,92 @@ class TestKappa:
                 kappa_alternating(g, a.conjugate(), length)
 
 
+def oracle_class_counts(matrix: np.ndarray, cycles) -> np.ndarray:
+    """The class counts by the formula ``_class_counts`` replaced: gather a
+    (rows x cycles x length) block, class every cycle from two sums over it,
+    then count the classes with a (rows x cycles x 4) one-hot comparison."""
+    cycles = np.asarray(cycles, dtype=np.intp)
+    classes = np.zeros((len(matrix), len(cycles)), dtype=np.int8)
+    if cycles.size:
+        length = cycles.shape[1]
+        edge_colours = matrix[:, cycles]
+        ones = edge_colours.sum(axis=2, dtype=np.int16)
+        # with half the edges coloured 1, the cycle alternates exactly when
+        # every other edge has the same colour
+        every_other = edge_colours[:, :, ::2].sum(axis=2, dtype=np.int16)
+        half = 2 * ones == length
+        classes = np.full(ones.shape, 4, dtype=np.int8)
+        classes[half] = 3
+        classes[half & ((every_other == 0) | (every_other == ones))] = 1
+        classes[(ones == 0) | (ones == length)] = 2
+    return (classes[:, :, None] == np.arange(1, 5, dtype=np.int8)).sum(axis=1)
+
+
+def classes_one_at_a_time(matrix: np.ndarray, cycles) -> np.ndarray:
+    """``(rows x cycles)`` class (1 to 4) of each cycle under each row, from
+    ``_class_counts`` called on that cycle alone."""
+    columns = []
+    for cyc in cycles:
+        counts = _class_counts(matrix, [cyc])
+        assert (counts.sum(axis=1) == 1).all()
+        columns.append(counts.argmax(axis=1) + 1)
+    return np.column_stack(columns)
+
+
+def oracle_rows(n_edges: int, seed: int) -> np.ndarray:
+    """Random colourings, then the all-0, all-1 and two edge-parity rows."""
+    rng = np.random.default_rng(seed)
+    parity = np.arange(n_edges) % 2
+    special = np.array([np.zeros(n_edges), np.ones(n_edges), parity, 1 - parity])
+    random_rows = rng.integers(0, 2, size=(200, n_edges))
+    return np.vstack((random_rows, special)).astype(np.int8)
+
+
+class TestClassKernelOracle:
+    """``_class_counts`` against the gather-and-one-hot formula, exactly."""
+
+    @staticmethod
+    def assert_matches(matrix, cycles):
+        got, want = _class_counts(matrix, cycles), oracle_class_counts(matrix, cycles)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape == (len(matrix), 4)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("graph, length", [
+        (hypercube(4), 4), (complete_bipartite(4, 4), 4), (complete_bipartite(3, 3), 6),
+    ], ids=["Q4-4", "K44-4", "K33-6"])
+    def test_short_cycles(self, graph, length):
+        cycles = enumerate_cycles(graph, length).edge_cycles
+        matrix = oracle_rows(graph.n_edges, graph.n_edges + length)
+        self.assert_matches(matrix, cycles)
+        self.assert_matches(matrix[:1], cycles)
+
+    # C40 has more edges than any default cap admits (32 for balanced
+    # colourings, 24 for full scans); C130 is longer than the kernel's int8
+    # counts hold
+    @pytest.mark.parametrize("length", [10, 20, 40, 130])
+    def test_girth_cycles(self, length):
+        cycles = enumerate_cycles(cycle(length), length).edge_cycles
+        assert len(cycles) == 1
+        matrix = oracle_rows(length, length)
+        # the last six rows: monochromatic twice, alternating twice, then two
+        # rotations of half 1s, half 0s
+        half = [1] * (length // 2) + [0] * (length // 2)
+        matrix = np.vstack((matrix, np.roll(half, 1), np.roll(half, 3))).astype(np.int8)
+        counts = _class_counts(matrix, cycles)
+        assert counts[-6:].tolist() == [[0, 1, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0],
+                                        [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]]
+        self.assert_matches(matrix, cycles)
+        self.assert_matches(matrix[-1:], cycles)
+
+    def test_empty_cycle_list(self):
+        matrix = oracle_rows(16, 0)
+        for cycles in ((), [], np.zeros((0, 4), dtype=np.intp)):
+            self.assert_matches(matrix, cycles)
+            self.assert_matches(matrix[:1], cycles)
+            assert not _class_counts(matrix, cycles).any()
+
+
 class TestClassification:
     def test_hypercube_profiles(self):
         q4 = hypercube(4)
@@ -127,7 +212,7 @@ class TestClassification:
     def test_classify_cycle_matches_definitions(self, length):
         cyc = enumerate_cycles(cycle(length), length).edge_cycles[0]
         space = list(product((0, 1), repeat=length))
-        classes = _cycle_classes(np.array(space, dtype=np.int8), [cyc])[:, 0]
+        classes = classes_one_at_a_time(np.array(space, dtype=np.int8), [cyc])[:, 0]
         for colours, cls in zip(space, classes.tolist()):
             c = [colours[i] for i in cyc]
             alternating = all(c[i] != c[i - 1] for i in range(length))
@@ -145,8 +230,8 @@ class TestClassification:
         rng = np.random.default_rng(length * graph.n_edges)
         matrix = rng.integers(0, 2, size=(200, graph.n_edges), dtype=np.int8)
         matrix[0], matrix[1] = 0, 1     # the monochromatic colourings
-        classes = _cycle_classes(matrix, cycles)
-        assert classes.shape == (200, len(cycles)) and classes.dtype == np.int8
+        classes = classes_one_at_a_time(matrix, cycles)
+        assert classes.shape == (200, len(cycles))
         for row, colours in zip(classes, matrix.tolist()):
             want = []
             for cyc in cycles:

@@ -103,6 +103,27 @@ def test_json_malformed_grid_is_a_parse_error(values):
         kernel_from_json({"rows": 1, "cols": 1, "values": values})
 
 
+@pytest.mark.parametrize("rows, cols", [
+    (1.9, 1), (1.0, 1), (True, 1), (1, True), ("1", 1), (None, 1),
+], ids=["fraction", "float", "true-rows", "true-cols", "string", "null"])
+def test_json_size_must_be_an_integer(rows, cols):
+    with pytest.raises(ParseError):
+        kernel_from_json({"rows": rows, "cols": cols, "values": [[[1, 0]]]})
+
+
+@pytest.mark.parametrize("entry", [
+    [True, 0], [1, False], ["1", 0], [1, None], [[1], 0], [10 ** 400, 0],
+], ids=["true-re", "false-im", "string", "null", "list", "huge-int"])
+def test_json_entry_parts_must_be_finite_numbers(entry):
+    with pytest.raises(ParseError):
+        kernel_from_json({"rows": 1, "cols": 1, "values": [[entry]]})
+
+
+def test_json_int_and_float_parts_both_load():
+    f = kernel_from_json({"rows": 1, "cols": 2, "values": [[[1, 0], [0.5, -2]]]})
+    assert f == StepKernel([[1, 0.5 - 2j]])
+
+
 def test_json_non_finite_entry_is_a_parse_error(tmp_path):
     path = tmp_path / "k.json"
     path.write_text('{"rows": 1, "cols": 1, "values": [[[1e400, 0]]]}')
