@@ -73,7 +73,6 @@ from .constructions import (
 )
 from .arithmetic import (
     class_A_membership,
-    kneser_admissible,
     kneser_integrality_test,
 )
 from .certify import Certificate, certify_family, certify_not_norming

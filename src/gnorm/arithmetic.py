@@ -90,33 +90,6 @@ def class_A_membership(k: int, r: int) -> ClassAResult:
     return ClassAResult(False, None, False)
 
 
-@dataclass(frozen=True)
-class KneserAdmissibility:
-    admissible: bool
-    case: Optional[int]
-
-    def __bool__(self) -> bool:
-        return self.admissible
-
-
-def kneser_admissible(n: int, r: int) -> KneserAdmissibility:
-    """Necessary parameter conditions for H(n, r) to admit a transitive
-    colouring, as the published five-clause list (checked verbatim)."""
-    if not (r >= 1 and n > 2 * r):
-        raise DegenerateParameters(f"need n > 2r >= 2, got ({n}, {r})")
-    if r == 1 and n % 2 == 1:
-        return KneserAdmissibility(True, 1)
-    if r == 2 and n % 4 == 3 and is_prime_power(n - 2):
-        return KneserAdmissibility(True, 2)
-    if r == 3 and n % 4 == 1 and is_prime_power(n - 4):
-        return KneserAdmissibility(True, 3)
-    if r >= 3 and r % 2 == 1 and n == 2 * r + 1:
-        return KneserAdmissibility(True, 4)
-    if r >= 7 and r % 4 == 3 and is_prime_power(r + 2) and n in (2 * r + 2, 2 * r + 3):
-        return KneserAdmissibility(True, 5)
-    return KneserAdmissibility(False, None)
-
-
 # -- the integrality obstruction ---------------------------------------------------
 
 

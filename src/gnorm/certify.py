@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arithmetic import (
+    _class_a_case,
     class_A_membership,
-    kneser_admissible,
     kneser_integrality_test,
 )
 from .config import DEFAULT, RunConfig
@@ -511,13 +511,8 @@ def _arithmetic_shortcut(
                 )
         except OutOfScopeParameters:
             pass
-        try:
-            adm = kneser_admissible(n, r)
-            detail["published_case_list"] = {
-                "admissible": bool(adm), "case": adm.case,
-            }
-        except DegenerateParameters:
-            pass
+        case = _class_a_case(k, r)
+        detail["published_case_list"] = {"admissible": case is not None, "case": case}
     cert = _class_a_violation(n, k, r, detail)
     stages.ran("arithmetic-shortcut", **detail)
     if cert:
@@ -538,7 +533,7 @@ def _same_shape(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
 # -- family certificates ------------------------------------------------------------
 
 
-def certify_family(family: str, params: Sequence[int], config: RunConfig = DEFAULT) -> Certificate:
+def certify_family(family: str, params: Sequence[int | str], config: RunConfig = DEFAULT) -> Certificate:
     """Certificate for a named family member, using the family-level facts
     plus an independently verified desk-scale witness where feasible.  The
     certificate records the configured automorphism mode and, in ``family``,
@@ -633,8 +628,8 @@ def _certify_kneser(n: int, r: int, config: RunConfig) -> Certificate:
     if cert:
         return cert
 
-    adm = kneser_admissible(n, r)
-    extra = {"published_case_list": {"admissible": bool(adm), "case": adm.case}}
+    case = _class_a_case(k, r)
+    extra = {"published_case_list": {"admissible": case is not None, "case": case}}
     if r == 1:
         return Certificate(
             VERDICT_NOT_NORMING, obstruction="KneserInadmissible",

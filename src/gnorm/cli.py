@@ -77,17 +77,15 @@ def _pretty(payload: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {val}")
 
 
+# the RunConfig caps with a flag each, --cap-edges for cap_edges and so on
+_CAP_FLAGS = ("cap_edges", "cap_assignments", "cap_vertices", "cap_colourings", "cap_cycles")
+
+
 def _config_from(args) -> RunConfig:
     cfg = RunConfig()
     over = {}
-    for flag, field in (
-        ("cap_edges", "cap_edges"),
-        ("cap_assignments", "cap_assignments"),
-        ("cap_vertices", "cap_vertices"),
-        ("cap_colourings", "cap_colourings"),
-        ("cap_cycles", "cap_cycles"),
-    ):
-        val = getattr(args, flag, None)
+    for field in _CAP_FLAGS:
+        val = getattr(args, field, None)
         if val is not None:
             over[field] = val
     if getattr(args, "side_swap", None) is not None:
@@ -102,11 +100,8 @@ def _add_output(sub: argparse.ArgumentParser) -> None:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     _add_output(sub)
-    sub.add_argument("--cap-edges", dest="cap_edges", type=_at_least(0))
-    sub.add_argument("--cap-assignments", dest="cap_assignments", type=_at_least(0))
-    sub.add_argument("--cap-vertices", dest="cap_vertices", type=_at_least(0))
-    sub.add_argument("--cap-colourings", dest="cap_colourings", type=_at_least(0))
-    sub.add_argument("--cap-cycles", dest="cap_cycles", type=_at_least(0))
+    for field in _CAP_FLAGS:
+        sub.add_argument("--" + field.replace("_", "-"), dest=field, type=_at_least(0))
     sub.add_argument("--side-swap", dest="side_swap", choices=("on", "off"),
                      help="allow side-exchanging automorphisms (default on)")
 
@@ -187,7 +182,7 @@ def cmd_certify(args) -> int:
     elif args.hint:
         return _usage_error("--hint applies only to certify graph")
     else:
-        cert = certify_family(args.target, [int(x) for x in args.params], cfg)
+        cert = certify_family(args.target, args.params, cfg)
     _emit(cert.to_json(), args)
     return EXIT_CAP if cert.cap_hit else EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Run configuration: resource caps, the automorphism mode and threads.
+"""Run configuration: resource caps and the automorphism mode.
 
 All exhaustive scans consult a cap from here and raise CapExceeded rather than
 running unbounded.  Defaults are sized so the shipped verification suite
@@ -7,16 +7,7 @@ finishes in minutes on one core.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("GNORM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -31,7 +22,6 @@ class RunConfig:
     cap_group: int = 1_000_000     # automorphism group size
 
     side_swap: bool = True         # allow automorphisms exchanging the sides
-    threads: int = field(default_factory=_threads_from_env)
 
     def with_(self, **kw) -> "RunConfig":
         return replace(self, **kw)

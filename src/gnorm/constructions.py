@@ -10,7 +10,7 @@ leftmost character), subdivision vertices are "u|v" for the original edge
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -139,12 +139,6 @@ def subdivided_complete(n: int) -> BipartiteGraph:
 # -- tournaments ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _pairs(n: int) -> frozenset[tuple[int, int]]:
-    """The unordered pairs of 0..n-1, each as (smaller, larger)."""
-    return frozenset(combinations(range(n), 2))
-
-
 @dataclass(frozen=True)
 class Tournament:
     """Orientation of K_n on vertices 0..n-1; exactly one arc per pair."""
@@ -155,21 +149,18 @@ class Tournament:
     def __post_init__(self):
         arcs = tuple(sorted([(int(x), int(y)) for x, y in self.arcs]))
         object.__setattr__(self, "arcs", arcs)
-        # one pass: n(n-1)/2 arcs whose unordered pairs are all the pairs
-        pairs = _pairs(self.n)
-        if (len(arcs) == self.n * (self.n - 1) // 2
-                and {(x, y) if x < y else (y, x) for x, y in arcs} == pairs):
-            return
-        # otherwise name the first fault, in arc order
+        # name the first fault in arc order; distinct pairs of 0..n-1 that
+        # number n(n-1)/2 are all of them
         seen = set()
         for x, y in arcs:
             key = (x, y) if x < y else (y, x)
-            if key not in pairs:
+            if not 0 <= key[0] < key[1] < self.n:
                 raise ValueError(f"bad arc ({x}, {y})")
             if key in seen:
                 raise ValueError(f"pair {{{x}, {y}}} oriented twice")
             seen.add(key)
-        raise ValueError("every pair needs exactly one arc")
+        if len(seen) != self.n * (self.n - 1) // 2:
+            raise ValueError("every pair needs exactly one arc")
 
     @cached_property
     def arc_set(self) -> frozenset[tuple[int, int]]:
@@ -267,39 +258,6 @@ def regular_tournaments(n: int) -> "Iterator[Tournament]":
         slack[y] += 1
 
     yield from rec(0)
-
-
-def random_regular_tournament(n: int, rng) -> Tournament:
-    """One seeded regular tournament: a lazy random walk of directed-3-cycle
-    reversals from the clockwise tournament.
-
-    A reversal keeps every score, so no step can leave the regular
-    tournaments; callers rely on that regularity and nothing else.  Each of
-    the n^2 steps does nothing with probability 1/2 and otherwise reverses a
-    uniformly chosen directed 3-cycle (vertex triples are drawn until one is
-    cyclic).  The idle steps matter: a reversal flips three arcs, so a walk
-    of a fixed number of reversals stays in one parity class (12 of the 24
-    regular tournaments at n = 5).  The moves are symmetric and connect all
-    tournaments with the same scores (Ryser 1964), so the walk tends to the
-    uniform distribution, but n^2 is no mixing bound: it was compared with
-    uniform only at n = 5 and 7.
-    """
-    if n < 3 or n % 2 == 0:
-        raise EvenOrder("regular tournaments need odd n >= 3")
-    # the clockwise tournament: x beats x+1, ..., x+(n-1)/2 (mod n)
-    beats = [[0 < (y - x) % n <= n // 2 for y in range(n)] for x in range(n)]
-    triples = list(combinations(range(n), 3))
-    rand = rng.random
-    for _ in range(n * n):
-        if rand() < 0.5:
-            continue
-        a, b, c = triples[int(rand() * len(triples))]
-        while not beats[a][b] == beats[b][c] == beats[c][a]:
-            a, b, c = triples[int(rand() * len(triples))]
-        for x, y in ((a, b), (b, c), (c, a)):
-            beats[x][y] = not beats[x][y]
-            beats[y][x] = not beats[y][x]
-    return Tournament(n, tuple((x, y) for x in range(n) for y in range(n) if beats[x][y]))
 
 
 # -- the subdivision bridge ------------------------------------------------------

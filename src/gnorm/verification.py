@@ -15,21 +15,22 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import combinations, product
 from typing import Callable
 
 import numpy as np
 
 from .arithmetic import (
+    _class_a_case,
     class_A_membership,
     is_prime_power,
-    kneser_admissible,
     kneser_integrality_test,
 )
 from .certify import certify_family, certify_not_norming
 from .config import DEFAULT, RunConfig
 from .cycles import _class_counts, _profile, enumerate_cycles, kappa_alternating
 from .constructions import (
+    Tournament,
     clockwise_tournament,
     colouring_from_tournament,
     count_directed_cycles,
@@ -37,7 +38,6 @@ from .constructions import (
     hypercube_alpha,
     hypercube_beta,
     quadratic_residue_tournament,
-    random_regular_tournament,
     regular_tournaments,
     subdivided_complete,
     tournament_from_colouring,
@@ -76,9 +76,11 @@ class Row:
 
 
 def _row_tournament_three_cycles(config: RunConfig) -> dict:
-    """kappa3 = n*d*(d+1)/6 on every regular tournament: n <= 7 exhaustively,
-    n = 9 on 10^4 seeded samples."""
-    checked = {}
+    """kappa3 = n*d*(d+1)/6 on every regular tournament with n <= 7, and the
+    score identity kappa3 = C(n,3) - sum_i C(s_i,2) (Kendall and Babington
+    Smith, 1940) on every labelled tournament with n <= 5.  With every score
+    s_i = d, the identity gives n*d*(d+1)/6 for each odd n = 2d+1."""
+    regular = {}
     for n in (3, 5, 7):
         d = (n - 1) // 2
         want = n * d * (d + 1) // 6
@@ -87,16 +89,18 @@ def _row_tournament_three_cycles(config: RunConfig) -> dict:
             count += 1
             if count_directed_cycles(t, 3) != want:
                 return {"ok": False, "n": n, "bad": t.to_json()}
-        checked[n] = count
-    rng = random.Random(20_240_901)
-    n, d = 9, 4
-    want = n * d * (d + 1) // 6
-    for _ in range(10_000):
-        t = random_regular_tournament(n, rng)
-        if count_directed_cycles(t, 3) != want:
-            return {"ok": False, "n": 9, "bad": t.to_json()}
-    checked[9] = "10000 sampled"
-    return {"ok": True, "tournaments": checked}
+        regular[n] = count
+    labelled = {}
+    for n in (3, 4, 5):
+        pairs = list(combinations(range(n), 2))
+        for bits in product((0, 1), repeat=len(pairs)):
+            t = Tournament(n, tuple((x, y) if b else (y, x)
+                                    for (x, y), b in zip(pairs, bits)))
+            want = math.comb(n, 3) - sum(math.comb(len(s), 2) for s in t.out_neighbours)
+            if count_directed_cycles(t, 3) != want:
+                return {"ok": False, "n": n, "bad": t.to_json()}
+        labelled[n] = 2 ** len(pairs)
+    return {"ok": True, "tournaments": regular, "score_identity": labelled}
 
 
 def _row_tournament_four_cycles(config: RunConfig) -> dict:
@@ -185,8 +189,9 @@ def _published_kneser_case(n: int, r: int) -> bool:
 
 
 def _row_kneser_arithmetic(config: RunConfig) -> dict:
-    """Integrality value 100/3 for (7, 3); the admissibility predicate
-    matches the published clause list; class membership is duality-closed."""
+    """Integrality value 100/3 for (7, 3); the class-A clauses at k = n - r,
+    which certificates cite as the published case list, match that list as
+    stated for H(n, r); class membership is duality-closed."""
     res = kneser_integrality_test(7, 3)
     ok = res.d == Fraction(100, 3) and not res.is_integer
     mismatches = []
@@ -194,7 +199,7 @@ def _row_kneser_arithmetic(config: RunConfig) -> dict:
         for r in range(1, 6):
             if n <= 2 * r:
                 continue
-            if bool(kneser_admissible(n, r)) != _published_kneser_case(n, r):
+            if (_class_a_case(n - r, r) is not None) != _published_kneser_case(n, r):
                 mismatches.append((n, r))
     ok &= not mismatches
     dual_bad = [
@@ -430,14 +435,4 @@ def run_all(config: RunConfig = DEFAULT, row_ids: list[str] | None = None) -> li
         if unknown:
             raise OutOfRange(f"unknown row id(s) {', '.join(unknown)}; "
                              f"valid ids: {', '.join(known)}")
-    rows = [r for r in ROWS if row_ids is None or r.rid in row_ids]
-    if config.threads > 1 and len(rows) > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # map returns the rows in table order, whichever finishes first
-            with ProcessPoolExecutor(max_workers=config.threads) as pool:
-                return list(pool.map(run_row, rows, repeat(config)))
-        except OSError:
-            pass
-    return [run_row(r, config) for r in rows]
+    return [run_row(r, config) for r in ROWS if row_ids is None or r.rid in row_ids]

@@ -8,10 +8,10 @@ import pytest
 
 from gnorm.errors import DegenerateParameters, OutOfScopeParameters
 from gnorm.arithmetic import (
+    _class_a_case,
     class_A_membership,
     is_prime,
     is_prime_power,
-    kneser_admissible,
     kneser_integrality_test,
 )
 
@@ -53,16 +53,13 @@ class TestClassMembership:
 
 class TestKneserAdmissible:
     def test_examples(self):
-        assert kneser_admissible(3, 1).case == 1
-        assert not kneser_admissible(4, 1)
-        assert kneser_admissible(9, 3).case == 3
-        assert kneser_admissible(7, 3).case == 4
-        assert kneser_admissible(16, 7).case == 5
-        assert not kneser_admissible(8, 3)
-
-    def test_guards(self):
-        with pytest.raises(DegenerateParameters):
-            kneser_admissible(4, 2)
+        # H(n, r) reads the class-A clauses at k = n - r
+        assert _class_a_case(3 - 1, 1) == 1
+        assert _class_a_case(4 - 1, 1) is None
+        assert _class_a_case(9 - 3, 3) == 3
+        assert _class_a_case(7 - 3, 3) == 4
+        assert _class_a_case(16 - 7, 7) == 5
+        assert _class_a_case(8 - 3, 3) is None
 
 
 class TestIntegrality:

@@ -213,6 +213,13 @@ class TestCertify:
         assert main(["certify", *params]) == 1
         assert f"takes {wanted} parameter" in capsys.readouterr().err
 
+    def test_non_integer_parameter_is_a_usage_error(self, capsys):
+        # the family names its fields, rather than int() naming its literal
+        assert main(["certify", "hypercube", "4.5"]) == 1
+        err = capsys.readouterr().err
+        assert "family 'hypercube' takes integer parameters, got ['4.5']" in err
+        assert "invalid literal" not in err
+
     def test_graph_takes_one_file(self, files, capsys):
         assert main(["certify", "graph", files["c6"], files["c4"]]) == 1
         assert "one graph file" in capsys.readouterr().err
@@ -527,19 +534,6 @@ class TestIntegerFlags:
                  for action in parser._actions if action.type is not None
                  for opt in action.option_strings}
         assert typed == {(c, f) for c, _, f, _ in _COUNT_FLAGS} | {("falsify", "--seed")}
-
-
-class TestThreadedReproduce:
-    def test_rows_run_in_worker_processes(self, capsys, monkeypatch):
-        monkeypatch.setenv("GNORM_THREADS", "2")
-        from gnorm.config import RunConfig
-        cfg = RunConfig()
-        assert cfg.threads == 2
-        from gnorm.verification import run_all
-        results = run_all(cfg, ["tournament-4cycles", "kneser-arithmetic"])
-        assert [r["id"] for r in results] == ["tournament-4cycles",
-                                              "kneser-arithmetic"]
-        assert all(r["ok"] for r in results)
 
 
 class TestHintFlag:

@@ -87,6 +87,13 @@ print(cfg.side_swap, args.resolution)
     assert config_field_reads([sample]) == {"cap_vertices", "with_", "side_swap"}
 
 
+def test_the_fields_are_the_caps_and_the_automorphism_mode():
+    # a new setting shows up here as a test change
+    assert [f.name for f in fields(RunConfig)] == [
+        "cap_edges", "cap_vertices", "cap_assignments", "cap_cycles",
+        "cap_colourings", "cap_group", "side_swap"]
+
+
 def test_every_field_is_read_outside_config():
     read = config_field_reads(src for name, src in package_sources().items()
                               if name != "config")

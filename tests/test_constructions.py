@@ -28,7 +28,6 @@ from gnorm.constructions import (
     hypercube_alpha,
     hypercube_beta,
     quadratic_residue_tournament,
-    random_regular_tournament,
     regular_tournaments,
     set_inclusion_graph,
     subdivide,
@@ -158,29 +157,6 @@ class TestTournaments:
     def test_regular_counts(self):
         assert sum(1 for _ in regular_tournaments(3)) == 2
         assert sum(1 for _ in regular_tournaments(5)) == 24
-
-    def test_sampler_regular(self):
-        rng = random.Random(0)
-        for _ in range(20):
-            assert random_regular_tournament(9, rng).is_regular()
-
-    def test_sampler_reaches_every_regular_tournament_on_five_vertices(self):
-        # a walk of a fixed number of reversals reaches only 12 of the 24
-        rng = random.Random(5)
-        seen = {random_regular_tournament(5, rng).arcs for _ in range(400)}
-        assert seen == {t.arcs for t in regular_tournaments(5)}
-
-    def test_sampler_is_seeded(self):
-        rng_a, rng_b = random.Random(3), random.Random(3)
-        samples = [random_regular_tournament(9, rng_a).arcs for _ in range(20)]
-        assert samples == [random_regular_tournament(9, rng_b).arcs for _ in range(20)]
-        assert len(set(samples)) == 20
-
-    def test_sampler_rejects_even_and_trivial_orders(self):
-        rng = random.Random(0)
-        for n in (1, 2, 4):
-            with pytest.raises(EvenOrder):
-                random_regular_tournament(n, rng)
 
     def test_json_round_trip(self):
         # what ``gnorm tournament`` writes names the same tournament

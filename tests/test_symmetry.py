@@ -245,7 +245,7 @@ class TestExistsTransitive:
 class TestAdmissibilityLink:
     def test_inadmissible_small_kneser_has_no_transitive_colouring(self):
         # for every parameter pair small enough to search exhaustively
-        from gnorm.arithmetic import kneser_admissible
+        from gnorm.arithmetic import _class_a_case
         from gnorm.constructions import bipartite_kneser
         for n in range(3, 8):
             for r in range(1, (n - 1) // 2 + 1):
@@ -254,7 +254,7 @@ class TestAdmissibilityLink:
                 g = bipartite_kneser(n, r)
                 if g.n_edges > 32 or g.n_vertices > 30:
                     continue
-                if not kneser_admissible(n, r):
+                if _class_a_case(n - r, r) is None:
                     assert first_transitive_colouring(g) is None, (n, r)
 
 

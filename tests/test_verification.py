@@ -13,16 +13,30 @@ def test_rows_have_unique_ids_and_budgets():
     assert all(r.budget_s > 0 for r in V.ROWS)
 
 
-def test_row_fails_on_corrupted_formula(monkeypatch):
-    # a deliberately broken cycle counter must flip the row to FAIL
+@pytest.mark.parametrize("rid, length", [("tournament-4cycles", 4), ("tournament-3cycles", 3)])
+def test_row_fails_on_corrupted_formula(monkeypatch, rid, length):
+    # a cycle counter broken for one cycle length must flip that row to FAIL
     real = V.count_directed_cycles
 
     def corrupted(t, m):
-        return real(t, m) + (1 if m == 4 else 0)
+        return real(t, m) + (1 if m == length else 0)
 
     monkeypatch.setattr(V, "count_directed_cycles", corrupted)
-    row = next(r for r in V.ROWS if r.rid == "tournament-4cycles")
+    row = next(r for r in V.ROWS if r.rid == rid)
     assert not V.run_row(row)["ok"]
+
+
+def test_score_identity_catches_a_counter_wrong_off_the_regular_tournaments(monkeypatch):
+    # right on every regular tournament, wrong on 5-tournaments with a source
+    real = V.count_directed_cycles
+
+    def corrupted(t, m):
+        source = any(len(s) == t.n - 1 for s in t.out_neighbours)
+        return real(t, m) + (1 if m == 3 and t.n == 5 and source else 0)
+
+    monkeypatch.setattr(V, "count_directed_cycles", corrupted)
+    result = V.run_row(next(r for r in V.ROWS if r.rid == "tournament-3cycles"))
+    assert not result["ok"] and result["n"] == 5
 
 
 def test_crashed_row_is_reported_not_raised(monkeypatch):
@@ -38,14 +52,6 @@ def test_crashed_row_is_reported_not_raised(monkeypatch):
 def test_run_all_preserves_declared_order():
     results = V.run_all(RunConfig(), ["kneser-arithmetic", "tournament-4cycles"])
     assert [r["id"] for r in results] == ["tournament-4cycles", "kneser-arithmetic"]
-
-
-def test_threaded_run_all_keeps_table_order_when_the_first_row_is_slower():
-    # two workers: the quick row finishes first, and still comes second
-    results = V.run_all(RunConfig(threads=2), ["subdivision-bridge", "decoration-inequality"])
-    assert [r["id"] for r in results] == ["decoration-inequality", "subdivision-bridge"]
-    assert results[0]["elapsed_s"] > results[1]["elapsed_s"]
-    assert all(r["ok"] for r in results)
 
 
 @pytest.mark.parametrize("rows", [["nope"], ["nope", "dual-path"]])
