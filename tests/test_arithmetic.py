@@ -61,6 +61,13 @@ class TestKneserAdmissible:
         assert _class_a_case(16 - 7, 7) == 5
         assert _class_a_case(8 - 3, 3) is None
 
+    def test_clauses_at_n_minus_r_are_the_list_stated_for_h(self):
+        # certificates cite _class_a_case(n - r, r) as the H(n, r) case list
+        from gnorm.verification import _published_kneser_case
+        for n in range(3, 120):
+            for r in range(1, (n - 1) // 2 + 1):
+                assert (_class_a_case(n - r, r) is not None) == _published_kneser_case(n, r), (n, r)
+
 
 class TestIntegrality:
     def test_pinned_7_3(self):

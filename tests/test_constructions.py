@@ -158,6 +158,16 @@ class TestTournaments:
         assert sum(1 for _ in regular_tournaments(3)) == 2
         assert sum(1 for _ in regular_tournaments(5)) == 24
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_regular_tournaments_are_the_regular_labelled_ones(self, n):
+        # each regular orientation of K_n once, and nothing else
+        pairs = list(combinations(range(n), 2))
+        every = (Tournament(n, tuple((x, y) if b else (y, x) for (x, y), b in zip(pairs, bits)))
+                 for bits in product((0, 1), repeat=len(pairs)))
+        listed = [t.arcs for t in regular_tournaments(n)]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == {t.arcs for t in every if t.is_regular()}
+
     def test_json_round_trip(self):
         # what ``gnorm tournament`` writes names the same tournament
         t = clockwise_tournament(5)

@@ -1,5 +1,7 @@
 """The verification table itself: sensitivity, crash capture, ordering."""
 
+import os
+
 import pytest
 
 import gnorm.verification as V
@@ -52,6 +54,36 @@ def test_crashed_row_is_reported_not_raised(monkeypatch):
 def test_run_all_preserves_declared_order():
     results = V.run_all(RunConfig(), ["kneser-arithmetic", "tournament-4cycles"])
     assert [r["id"] for r in results] == ["tournament-4cycles", "kneser-arithmetic"]
+
+
+def test_run_all_runs_the_rows_one_after_another_in_this_process(monkeypatch):
+    # asked out of table order, the rows run and report in table order, each
+    # finished before the next starts, in the calling process
+    calls = []
+
+    def recording(row):
+        def run(config):
+            calls.append(("start", row.rid, os.getpid()))
+            result = row.run(config)
+            calls.append(("end", row.rid, os.getpid()))
+            return result
+        return V.Row(row.rid, row.title, row.budget_s, run)
+
+    monkeypatch.setattr(V, "ROWS", [recording(r) for r in V.ROWS])
+    results = V.run_all(RunConfig(), ["subdivision-bridge", "decoration-inequality"])
+    assert [r["id"] for r in results] == ["decoration-inequality", "subdivision-bridge"]
+    assert all(r["ok"] for r in results)
+    pid = os.getpid()
+    assert calls == [("start", "decoration-inequality", pid), ("end", "decoration-inequality", pid),
+                     ("start", "subdivision-bridge", pid), ("end", "subdivision-bridge", pid)]
+
+
+def test_three_cycle_row_reports_every_tournament_it_checked():
+    # 2, 24 and 2640 regular tournaments; 2^C(n,2) labelled ones for the identity
+    result = V.run_row(next(r for r in V.ROWS if r.rid == "tournament-3cycles"))
+    assert result["ok"]
+    assert result["tournaments"] == {3: 2, 5: 24, 7: 2640}
+    assert result["score_identity"] == {3: 8, 4: 64, 5: 1024}
 
 
 @pytest.mark.parametrize("rows", [["nope"], ["nope", "dual-path"]])
