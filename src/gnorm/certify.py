@@ -7,7 +7,7 @@ deliberately incomplete: ``NoObstructionFound`` never claims the graph is
 norming.
 
 Stage order: star-exception classification, Eulerian degrees, biregularity,
-edge-transitivity, balanced-colouring existence, arithmetic shortcuts for
+edge-transitivity, balanced-colouring enumeration, arithmetic shortcuts for
 named families, exhaustive transitive-colouring search, then the counting
 laws (girth-cycle colour law, alternating-cycle maximality, four-cycle
 pattern maximality) on the surviving colourings.
@@ -44,10 +44,10 @@ from .errors import (
 )
 from .graphs import (
     BipartiteGraph,
+    _balanced_rows,
     _colouring_rows,
     girth,
     is_biregular,
-    iter_balanced_colourings,
 )
 from .constructions import (
     bipartite_kneser,
@@ -166,8 +166,8 @@ class _CountingRefs:
 
 
 def _profiles(matrix: np.ndarray, girth_cycles, four_cycles) -> tuple:
-    """(girth-cycle class counts, 4-cycle class counts) for each row of an
-    int8 colourings matrix; one kernel pass when the girth is 4."""
+    """(girth-cycle class counts, 4-cycle class counts) for each row of a
+    0/1 colourings matrix; one kernel pass when the girth is 4."""
     girth_counts = _class_counts(matrix, girth_cycles)
     if four_cycles is girth_cycles:
         return girth_counts, girth_counts
@@ -182,8 +182,8 @@ def _counting_refs(
     """Reference maxima for the counting laws.
 
     When the whole colouring space is small enough it is scanned; otherwise
-    the maxima are taken over the balanced colourings (the rows of the int8
-    matrix ``balanced``), which still produces sound beat-witnesses (any
+    the maxima are taken over the balanced colourings (the rows of the matrix
+    ``balanced``), which still produces sound beat-witnesses (any
     scanned colouring that beats the candidate is itself the witness).
     """
     gv = int(girth(g))
@@ -214,8 +214,8 @@ _LAWS = ("girth-cycle-law", "kappa", "pattern")
 
 
 def _counting_failures(matrix: np.ndarray, refs: _CountingRefs) -> np.ndarray:
-    """``(rows x 3)`` bool: the counting laws (``_LAWS``) that each row of an
-    int8 colourings matrix fails, from one profile pass over all rows."""
+    """``(rows x 3)`` bool: the counting laws (``_LAWS``) that each row of a
+    0/1 colourings matrix fails, from one profile pass over all rows."""
     girth_counts, four_counts = _profiles(matrix, refs.girth_cycles, refs.four_cycles)
     pattern = (np.zeros(len(matrix), dtype=bool) if refs.pattern_max is None
                else _pattern_scores(four_counts) < refs.pattern_max)
@@ -332,24 +332,22 @@ def _pipeline(
     except CapExceeded as exc:
         stages.capped("edge-transitive", exc)
 
-    balanced = None
+    matrix = None
     try:
-        balanced = list(iter_balanced_colourings(g, config))
-        stages.ran("balanced-colourings", count=len(balanced))
+        matrix = _balanced_rows(g, config)
+        stages.ran("balanced-colourings", count=len(matrix))
     except CapExceeded as exc:
         stages.capped("balanced-colourings", exc)
-    if balanced is not None and not balanced:
-        return Certificate(
-            VERDICT_NOT_NORMING, obstruction="NotBalancedPossible",
-            rule="balanced-colouring-existence",
-            witness={"balanced_colourings": 0},
-        )
+    if matrix is not None and not len(matrix):
+        # every degree is even here, so each component has an Euler circuit
+        # of even length, and colouring it 1, 0, 1, 0, ... is balanced
+        raise VerificationFailed("no balanced colouring of a graph with even degrees")
 
     shortcut = _arithmetic_shortcut(g, hint, stages, config)
     if shortcut is not None:
         return shortcut
 
-    if balanced is None:
+    if matrix is None:
         stages.skipped("transitive-colourings", "balanced enumeration capped")
         return Certificate(
             VERDICT_NO_OBSTRUCTION,
@@ -366,17 +364,15 @@ def _pipeline(
     # a shortcut or a cap above ends the run after one search.  The balanced
     # colourings are closed under the group and conjugation, so the filter
     # checks one colouring per orbit and the counting stage reuses the matrix
-    matrix = np.array([c.colours for c in balanced], dtype=np.int8)
-    perms = symmetry._edge_table(g, symmetry._all_automorphisms(g, config))
-    keep = np.flatnonzero(symmetry._orbit_mask(matrix, perms, symmetry._transitive_under)[0])
-    transitive = [balanced[i] for i in keep]
-    stages.ran("transitive-colourings", balanced=len(balanced),
+    keep = symmetry._orbit_mask(g, matrix, config, symmetry._transitive_under)[0]
+    transitive = matrix[keep]
+    stages.ran("transitive-colourings", balanced=len(matrix),
                transitive=len(transitive))
-    if not transitive:
+    if not len(transitive):
         return Certificate(
             VERDICT_NOT_NORMING, obstruction="NoTransitiveColouring",
             rule="transitive-colouring-existence",
-            witness={"mode": "exhaustive", "balanced_colourings": len(balanced),
+            witness={"mode": "exhaustive", "balanced_colourings": len(matrix),
                      "transitive_colourings": 0},
         )
 
@@ -387,7 +383,7 @@ def _pipeline(
         return Certificate(
             VERDICT_NO_OBSTRUCTION,
             witness={"note": "counting stage capped"},
-            surviving=[list(c.colours) for c in transitive[:10]], cap_hit=True,
+            surviving=transitive[:10].tolist(), cap_hit=True,
         )
     # one pass over every balanced colouring feeds the dichotomy summary, which
     # files each colouring under its first failed law, and the failures of
@@ -396,21 +392,21 @@ def _pipeline(
     first = np.where(fails.any(axis=1), fails.argmax(axis=1), len(_LAWS))
     balance_fail_kinds = dict(zip((*_LAWS, "none"),
                                   np.bincount(first, minlength=len(_LAWS) + 1).tolist()))
-    failures = [[law for law, hit in zip(_LAWS, row) if hit] for row in fails[keep].tolist()]
-    survivors = [c for c, f in zip(transitive, failures) if not f]
-    transitive_failures = [(c.colours, f) for c, f in zip(transitive, failures) if f]
+    fails = fails[keep]
+    failed = fails.any(axis=1)
+    survivors = transitive[~failed]
     stages.ran("counting-laws", scan=refs.scan, survivors=len(survivors),
                kappa_max=refs.kappa_max, pattern_max=refs.pattern_max)
 
-    if survivors:
+    if len(survivors):
         return Certificate(
             VERDICT_NO_OBSTRUCTION,
             witness={"checked": ["girth-cycle-law", "kappa-maximality",
                                  "pattern-maximality", "transitivity"]},
-            surviving=[list(c.colours) for c in survivors[:10]],
+            surviving=survivors[:10].tolist(),
         )
 
-    kinds = {k for _, fails in transitive_failures for k in fails}
+    kinds = {law for law, hit in zip(_LAWS, fails.any(axis=0)) if hit}
     if kinds == {"girth-cycle-law"}:
         obstruction, rule = "GirthCycleLawViolated", "girth-cycle-colour-law"
     elif "kappa" in kinds:
@@ -423,7 +419,8 @@ def _pipeline(
         "kappa_max": refs.kappa_max,
         "kappa_argmax": list(refs.kappa_argmax),
         "transitive_failures": [
-            {"colours": list(c), "fails": f} for c, f in transitive_failures[:10]
+            {"colours": c, "fails": [law for law, hit in zip(_LAWS, row) if hit]}
+            for c, row in zip(transitive[:10].tolist(), fails[:10].tolist())
         ],
     }
     if refs.pattern_max is not None:
@@ -730,8 +727,6 @@ def _certify_subdivision(n: int, config: RunConfig) -> Certificate:
             # every tournament's automorphism group is the colour-preserving
             # part of one group: the side-preserving group of subdivided K5
             g = subdivided_complete(5)
-            table = symmetry._edge_table(
-                g, symmetry._all_automorphisms(g, config.with_(side_swap=False)))
             # a tournament picks the tail of the arc at each subdivision
             # vertex "i|j", whose edges from i and from j come in turn: row r
             # puts the tail at j for the pairs whose bits of r are 1.
@@ -739,7 +734,8 @@ def _certify_subdivision(n: int, config: RunConfig) -> Certificate:
             # so the scan checks one tournament per orbit
             rows = np.repeat(_colouring_rows(10, 0, 1024), 2, axis=1)
             rows[:, ::2] ^= 1
-            found = int(symmetry._orbit_mask(rows, table, symmetry._arc_transitive)[0].sum())
+            found = int(symmetry._orbit_mask(g, rows, config.with_(side_swap=False),
+                                             symmetry._arc_transitive)[0].sum())
             witness["tournaments_scanned"] = len(rows)
             witness["arc_transitive_found"] = found
             if found:

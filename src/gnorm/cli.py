@@ -14,8 +14,7 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
+from itertools import islice
 
 from .config import RunConfig
 from .errors import CapExceeded, GnormError, ParseError, VerificationFailed
@@ -82,15 +81,10 @@ _CAP_FLAGS = ("cap_edges", "cap_assignments", "cap_vertices", "cap_colourings", 
 
 
 def _config_from(args) -> RunConfig:
-    cfg = RunConfig()
-    over = {}
-    for field in _CAP_FLAGS:
-        val = getattr(args, field, None)
-        if val is not None:
-            over[field] = val
+    over = {f: getattr(args, f) for f in _CAP_FLAGS if getattr(args, f, None) is not None}
     if getattr(args, "side_swap", None) is not None:
         over["side_swap"] = args.side_swap == "on"
-    return cfg.with_(**over) if over else cfg
+    return RunConfig().with_(**over)
 
 
 def _add_output(sub: argparse.ArgumentParser) -> None:
@@ -98,12 +92,16 @@ def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write JSON to this path instead of stdout")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, settings: tuple[str, ...]) -> None:
+    """The output flags, and a flag for each RunConfig setting in ``settings``:
+    the ones that something the command runs reads."""
     _add_output(sub)
-    for field in _CAP_FLAGS:
-        sub.add_argument("--" + field.replace("_", "-"), dest=field, type=_at_least(0))
-    sub.add_argument("--side-swap", dest="side_swap", choices=("on", "off"),
-                     help="allow side-exchanging automorphisms (default on)")
+    for field in settings:
+        if field == "side_swap":
+            sub.add_argument("--side-swap", dest=field, choices=("on", "off"),
+                             help="allow side-exchanging automorphisms (default on)")
+        else:
+            sub.add_argument("--" + field.replace("_", "-"), dest=field, type=_at_least(0))
 
 
 def _at_least(low: int):
@@ -190,22 +188,15 @@ def cmd_certify(args) -> int:
 def cmd_colourings(args) -> int:
     cfg = _config_from(args)
     g = G.load_graph(args.graph)
-    colourings = G.iter_balanced_colourings(g, cfg)
     if args.transitive and g.n_edges:
         # the filter reads every balanced colouring and checks one per orbit;
         # the group is searched only when there is a colouring to check
-        balanced = [c.colours for c in colourings]
-        colourings = []
-        if balanced:
-            table = symmetry._edge_table(g, symmetry._all_automorphisms(g, cfg))
-            mask, _ = symmetry._orbit_mask(np.array(balanced, dtype=np.int8), table,
-                                           symmetry._transitive_under)
-            colourings = [c for c, ok in zip(balanced, mask) if ok]
-    out = []
-    for col in colourings:
-        out.append(list(col))
-        if args.limit and len(out) >= args.limit:
-            break
+        rows = G._balanced_rows(g, cfg)
+        colourings = rows[symmetry._orbit_mask(g, rows, cfg, symmetry._transitive_under)[0]]
+        out = colourings[:args.limit or None].tolist()
+    else:
+        # streamed, so --limit stops the enumeration early
+        out = [list(c) for c in islice(G.iter_balanced_colourings(g, cfg), args.limit or None)]
     _emit({"graph": args.graph, "balanced": not args.transitive,
            "transitive_only": args.transitive, "count": len(out),
            "colourings": out}, args)
@@ -321,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="structural report for a graph (+ colouring)")
     p.add_argument("graph")
     p.add_argument("colouring", nargs="?")
-    _add_common(p)
+    _add_common(p, ("cap_vertices", "cap_cycles", "side_swap"))
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("certify", help="produce a norming-obstruction certificate")
@@ -331,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="+",
                    help="family parameters, or the graph file for 'graph'")
     p.add_argument("--hint", help="family hint for a graph file, e.g. kneser:7:3")
-    _add_common(p)
+    _add_common(p, ("cap_edges", "cap_vertices", "cap_colourings", "cap_cycles", "side_swap"))
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("colourings", help="enumerate balanced colourings")
@@ -340,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep only transitive colourings")
     p.add_argument("--limit", type=_at_least(0), default=0,
                    help="list at most this many (0: all)")
-    _add_common(p)
+    _add_common(p, ("cap_edges", "cap_vertices", "side_swap"))
     p.set_defaults(fn=cmd_colourings)
 
     p = sub.add_parser("density", help="evaluate a density on a step kernel")
@@ -351,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="t conjugates colour-0 edges, r transposes them")
     p.add_argument("--mode", choices=("auto", "direct", "eliminate"),
                    default="auto")
-    _add_common(p)
+    _add_common(p, ("cap_assignments",))
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("smax", help="maximise |density| over all colourings")
     p.add_argument("graph")
     p.add_argument("kernel")
     p.add_argument("--variant", choices=("t", "r"), default="t")
-    _add_common(p)
+    _add_common(p, ("cap_assignments", "cap_colourings"))
     p.set_defaults(fn=cmd_smax)
 
     p = sub.add_parser("falsify", help="seeded norm-axiom falsifier")
@@ -369,9 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=_at_least(0), default=10_000)
     p.add_argument("--resolution", type=_at_least(1), default=2)
-    _add_output(p)
-    # the only cap a density evaluation reads
-    p.add_argument("--cap-assignments", dest="cap_assignments", type=_at_least(0))
+    _add_common(p, ("cap_assignments",))
     p.set_defaults(fn=cmd_falsify)
 
     p = sub.add_parser("tournament", help="generate a tournament and its counts")
@@ -387,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run the verification table")
     p.add_argument("--rows", nargs="*", choices=[row.rid for row in ROWS],
                    metavar="ROW", help="subset of row ids")
-    _add_common(p)
+    _add_common(p, (*_CAP_FLAGS, "side_swap"))
     p.set_defaults(fn=cmd_reproduce)
 
     return ap

@@ -6,22 +6,23 @@ assignments, ``eliminate`` contracts vertices one at a time along a greedy
 minimum-fill order.  Both are exact up to floating point and must agree; the
 verification suite pins their relative deviation.
 
-Both routes take edge factors with leading batch axes.  ``t_decoration``
-and ``t_density`` make one evaluation, with no batch axes.  ``s_max`` and
-``rho_2m`` sweep all 2^e colourings: they plan the route (and raise its caps)
-once, stack the two tables of the kernel (colour 0 and colour 1), and
-contract the colourings in chunks of rows in product order, first edge most
-significant (``graphs._colouring_rows``), with the chunk size set by
-``_chunks``.  The falsifiers contract chunks of trials the same way, through
-``_route``, ``_chunks`` and ``_densities``.
+Both routes take edge factors with leading batch axes, and ``_means`` is the
+one division by the assignment count.  ``s_max`` and ``rho_2m`` sweep all
+2^e colourings: they plan the route (and raise its caps) once, stack the two
+tables of the kernel (colour 0 and colour 1), and contract the colourings in
+chunks of rows in product order, first edge most significant
+(``graphs._colouring_rows``), with the chunk size set by ``_chunks``.  The
+falsifiers contract chunks of trials the same way, through ``_route``,
+``_chunks`` and ``_densities``, and ``t_decoration`` and ``t_density`` are
+one-row calls of ``_densities``.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import comb, pi
-from typing import Iterable, Iterator, NamedTuple
+from math import comb, pi, prod
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -82,24 +83,12 @@ def _check_shape(shape: tuple[int, int], mode: str) -> None:
         raise ShapeMismatch(f"transpose mode needs a square kernel, got {p}x{q}")
 
 
-def _edge_factors(a: EdgeColouring, dec: Decoration, mode: str) -> list[np.ndarray]:
-    """Per-edge (p, q) tables: a single evaluation, with no batch axes."""
-    return [_colour_table(k.array(), c, mode) for k, c in zip(dec.kernels, a.colours)]
-
-
 def _dims(g: BipartiteGraph, shape: tuple[int, int], mode: str) -> list[int]:
     p, q = shape
     nl = len(g.left)
     if mode == "transpose":
         return [p] * g.n_vertices
     return [p] * nl + [q] * (g.n_vertices - nl)
-
-
-def _assignment_count(dims: Iterable[int]) -> int:
-    total = 1
-    for d in dims:
-        total *= d
-    return total
 
 
 class _Route(NamedTuple):
@@ -120,7 +109,7 @@ class _Route(NamedTuple):
 
 def _plan(g: BipartiteGraph, dims: list[int], method: str, config: RunConfig) -> _Route:
     """Pick the route and raise its cap before anything is contracted."""
-    total = _assignment_count(dims)
+    total = prod(dims)
     if method == "auto":
         method = "direct" if total <= 4096 else "eliminate"
     if method == "direct":
@@ -236,7 +225,7 @@ def _elimination_plan(
         group = [s for s in live if v in scopes[s]]
         live = [s for s in live if v not in scopes[s]]
         union = sorted({x for s in group for x in scopes[s]})
-        width = _assignment_count(dims[x] for x in union)
+        width = prod(dims[x] for x in union)
         if width > config.cap_assignments:
             raise CapExceeded("elimination width", width, config.cap_assignments)
         if len(union) > len(_LETTERS):
@@ -283,14 +272,11 @@ def t_decoration(
     be square).  The value is the mean of the edge-factor product over all
     grid assignments.
     """
-    _check_mode(mode)
     check_aligned(g, a)
     if len(dec) != g.n_edges:
         raise ValueError(f"decoration size {len(dec)} != edge count {g.n_edges}")
-    if g.n_edges == 0:
-        return complex(1.0)
     route = _route(g, dec.shape, mode, method, config)
-    return complex(_evaluate(route, g, _edge_factors(a, dec, mode))) / route.assignments
+    return complex(_densities(route, g, a, [k.array()[None] for k in dec.kernels], mode)[0])
 
 
 def t_density(
@@ -311,9 +297,7 @@ def t_density(
     if g.n_edges == 0:
         return complex(1.0)
     route = _route(g, f.shape, mode, method, config)
-    arr = f.array()
-    tables = (_colour_table(arr, 0, mode), arr)
-    return complex(_evaluate(route, g, [tables[c] for c in a.colours])) / route.assignments
+    return complex(_densities(route, g, a, [f.array()[None]] * g.n_edges, mode)[0])
 
 
 def _sweep(

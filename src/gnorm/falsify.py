@@ -11,6 +11,8 @@ The random scans evaluate their trials in chunks: each trial's draws go into
 (B, p, q) stacks, a chunk plans one route and makes one batched contraction,
 and the trials are then scanned in order, so the first violating trial is
 the one a trial-by-trial run would return, with the same values.
+``_hatami_checks`` is the one evaluation of the decoration inequality, and
+``hatami_check``, through which a witness replays, is its one-row call.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .config import DEFAULT, RunConfig
 from .graphs import BipartiteGraph, EdgeColouring, check_aligned
 from .kernels import Decoration, StepKernel, kernel_to_json, phase_kernel
-from .density import _chunks, _densities, _route, t_decoration, t_density
+from .density import _chunks, _densities, _route, t_density
 
 _SLACK = 1e-9  # inequality slack before a violation is declared
 
@@ -35,15 +37,15 @@ def _substream(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
 
 
-def _entries(rng: random.Random, n: int, complex_entries: bool = True) -> list[complex]:
+def _entries(rng: random.Random, n: int) -> list[complex]:
     """n entries in [-1, 1] (both parts), real part drawn before imaginary part."""
     u = rng.uniform
-    return [complex(u(-1.0, 1.0), u(-1.0, 1.0) if complex_entries else 0.0) for _ in range(n)]
+    return [complex(u(-1.0, 1.0), u(-1.0, 1.0)) for _ in range(n)]
 
 
-def random_kernel(rng: random.Random, p: int, q: int, complex_entries: bool = True) -> StepKernel:
+def random_kernel(rng: random.Random, p: int, q: int) -> StepKernel:
     """Entries drawn row by row, real part before imaginary part."""
-    return StepKernel(np.reshape(_entries(rng, p * q, complex_entries), (p, q)))
+    return StepKernel(np.reshape(_entries(rng, p * q), (p, q)))
 
 
 def _check_budget(trials: int, resolution: int) -> None:
@@ -88,6 +90,22 @@ class HatamiCheck:
         return HatamiCheck(holds, margin, lhs, rhs)
 
 
+def _hatami_checks(route, g: BipartiteGraph, a: EdgeColouring, kernels: np.ndarray,
+                   mode: str) -> list[HatamiCheck]:
+    """The decoration inequality on each of a stack of decorations:
+    ``kernels[n, i]`` is the (p, q) kernel that decoration n puts on edge i.
+    One contraction of N * (1 + e) evaluations: each decoration, then the e
+    single-kernel densities of its kernels."""
+    n, e, p, q = kernels.shape
+    # row (b, 0) is decoration b; row (b, 1 + j) is its kernel j alone
+    vals = _densities(route, g, a, [
+        np.concatenate((kernels[:, i:i + 1], kernels), axis=1).reshape(-1, p, q)
+        for i in range(e)
+    ], mode).reshape(n, 1 + e).tolist()
+    return [HatamiCheck.verdict(abs(mixed), [abs(x) for x in singles])
+            for mixed, *singles in vals]
+
+
 def hatami_check(
     g: BipartiteGraph,
     a: EdgeColouring,
@@ -97,9 +115,10 @@ def hatami_check(
 ) -> HatamiCheck:
     """Check |t({f_e})|^e <= prod_e |t(f_e)| up to the slack ``_SLACK``."""
     check_aligned(g, a)
-    mixed = abs(t_decoration(g, a, dec, mode, config=config))
-    singles = [abs(t_density(g, a, k, mode, config=config)) for k in dec.kernels]
-    return HatamiCheck.verdict(mixed, singles)
+    if len(dec) != g.n_edges:
+        raise ValueError(f"decoration size {len(dec)} != edge count {g.n_edges}")
+    route = _route(g, dec.shape, mode, "auto", config)
+    return _hatami_checks(route, g, a, np.array([[k.array() for k in dec.kernels]]), mode)[0]
 
 
 @dataclass(frozen=True)
@@ -156,9 +175,8 @@ def hatami_random_scan(
 ) -> HatamiScan:
     """Test the decoration inequality on independent random decorations.
 
-    Trial t draws e kernels, in edge order, from its own substream.  A chunk
-    of B trials is one contraction of B * (1 + e) evaluations: each trial's
-    decoration, then the e single-kernel densities of its kernels.
+    Trial t draws e kernels, in edge order, from its own substream, and a
+    chunk of trials is one ``_hatami_checks`` call.
     """
     _check_budget(trials, resolution)
     check_aligned(g, a)
@@ -171,13 +189,7 @@ def hatami_random_scan(
         kernels = np.reshape(
             [x for t in chunk for x in _entries(_substream(seed, t), e * r * r)],
             (len(chunk), e, r, r))
-        # row (b, 0) is trial b's decoration; row (b, 1 + j) is kernel j alone
-        vals = _densities(route, g, a, [
-            np.concatenate((kernels[:, i:i + 1], kernels), axis=1).reshape(-1, r, r)
-            for i in range(e)
-        ], mode).reshape(len(chunk), 1 + e).tolist()
-        for t, ks, (mixed, *singles) in zip(chunk, kernels, vals):
-            res = HatamiCheck.verdict(abs(mixed), [abs(x) for x in singles])
+        for t, ks, res in zip(chunk, kernels, _hatami_checks(route, g, a, kernels, mode)):
             worst = min(worst, res.log_margin)
             if not res.holds:
                 return HatamiScan(
@@ -206,7 +218,9 @@ def hatami_violation_search(
     edge, f - eps*z on the other, f elsewhere, with z a constant kernel
     aligned against the mismatch.  The z-selection assumes the conjugate-mode
     first-order structure; every candidate is re-verified before being
-    returned, so no witness is ever fabricated in either mode.
+    returned, so no witness is ever fabricated in either mode.  A trial's
+    candidates, in the order (i, j, eps), are checked in chunks of
+    ``_hatami_checks`` calls, and the first that violates is returned.
     """
     _check_budget(trials, resolution)
     check_aligned(g, a)
@@ -220,23 +234,25 @@ def hatami_violation_search(
         tv, *deleted = _deleted_densities(route, g, a, f, mode)
         if abs(tv) < 1e-6:
             continue
+        moves = []   # (i, j, eps * z), in search order
         for i in range(e):
             for j in range(e):
-                if i == j:
-                    continue
-                z = _mismatch_direction(a[i], a[j], deleted[i], deleted[j], tv)
-                if z is None:
-                    continue
-                for eps in (0.25, 0.125, 0.0625, 0.03125):
-                    kernels = list(Decoration.uniform(f, e).kernels)
-                    zk = StepKernel.constant(eps * z, *f.shape)
-                    kernels[i] = f.add(zk)
-                    kernels[j] = f.add(zk.scale(-1.0))
-                    dec = Decoration(tuple(kernels))
-                    res = hatami_check(g, a, dec, mode, config)
-                    if not res.holds:
-                        return HatamiWitness(seed, t, mode, a.colours, dec.kernels,
-                                             res.lhs, res.rhs, res.log_margin)
+                z = None if i == j else _mismatch_direction(a[i], a[j], deleted[i], deleted[j], tv)
+                if z is not None:
+                    moves += [(i, j, eps * z) for eps in (0.25, 0.125, 0.0625, 0.03125)]
+        # candidate k is f on every edge but f + w on edge i and f - w on edge j
+        candidates = np.array(np.broadcast_to(f.array(), (len(moves), e, *f.shape)))
+        for k, (i, j, w) in enumerate(moves):
+            step = np.full(f.shape, complex(w))
+            candidates[k, i] += step
+            candidates[k, j] += -1.0 * step
+        for chunk in _chunks(0, len(moves), route, 1 + e):
+            checks = _hatami_checks(route, g, a, candidates[chunk.start:chunk.stop], mode)
+            for k, res in zip(chunk, checks):
+                if not res.holds:
+                    return HatamiWitness(seed, t, mode, a.colours,
+                                         tuple(map(StepKernel, candidates[k])),
+                                         res.lhs, res.rhs, res.log_margin)
     return None
 
 

@@ -188,13 +188,10 @@ def complete_bipartite(m: int, n: int) -> BipartiteGraph:
     return BipartiteGraph(left, right, edges)
 
 
-def star(leaves: int, centre_left: bool = True) -> BipartiteGraph:
-    """K_{1,leaves} with the centre on the chosen side."""
-    if centre_left:
-        return BipartiteGraph(("c",), tuple(f"b{j}" for j in range(leaves)),
-                              tuple(("c", f"b{j}") for j in range(leaves)))
-    return BipartiteGraph(tuple(f"a{j}" for j in range(leaves)), ("c",),
-                          tuple((f"a{j}", "c") for j in range(leaves)))
+def star(leaves: int) -> BipartiteGraph:
+    """K_{1,leaves} with the centre on the left."""
+    return BipartiteGraph(("c",), tuple(f"b{j}" for j in range(leaves)),
+                          tuple(("c", f"b{j}") for j in range(leaves)))
 
 
 # -- structural predicates ---------------------------------------------------
@@ -320,6 +317,14 @@ def iter_balanced_colourings(
         remaining[v] += 1
 
     yield from rec(0)
+
+
+def _balanced_rows(g: BipartiteGraph, config: RunConfig = DEFAULT) -> np.ndarray:
+    """The balanced colourings, in ``iter_balanced_colourings`` order, as the
+    rows of a C-contiguous int8 ``(colourings x edges)`` matrix, of shape
+    ``(0, e)`` when there are none."""
+    rows = [c.colours for c in iter_balanced_colourings(g, config)]
+    return np.array(rows, dtype=np.int8).reshape(len(rows), g.n_edges)
 
 
 def count_two_edge_matchings(g: BipartiteGraph) -> int:

@@ -35,10 +35,10 @@ under conjugation.  Moving colouring c by an automorphism s conjugates its
 colour-preserving and colour-reversing maps by s, and swapping c's colours
 keeps both sets of maps and swaps the classes.  So a set of colourings that
 is closed under the group and under conjugation, such as the balanced ones,
-needs one check per orbit (``_orbit_mask``, which runs any such check):
-with the whole group's table, the images ``c[table]`` and ``1 - c[table]`` of
-a row c are its whole orbit, and a binary search over the rows' packed keys
-finds them.
+needs one check per orbit (``_orbit_mask``, which searches the whole group
+itself and runs any such check): with the whole group's table, the images
+``c[table]`` and ``1 - c[table]`` of a row c are its whole orbit, and a
+binary search over the rows' packed keys finds them.
 """
 from __future__ import annotations
 
@@ -413,26 +413,33 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def _orbit_mask(
-    matrix: np.ndarray, perms: np.ndarray, check: Callable[[np.ndarray, np.ndarray], bool]
+    g: BipartiteGraph,
+    matrix: np.ndarray,
+    config: RunConfig,
+    check: Callable[[np.ndarray, np.ndarray], bool],
 ) -> tuple[np.ndarray, np.ndarray]:
     """``check(perms, row)`` on every row of a C-contiguous 0/1 int8 colouring
-    matrix, run once per orbit of the rows under the group and conjugation.
+    matrix of g, run once per orbit of the rows under the group and
+    conjugation, with ``perms`` the edge table of the whole group that
+    ``config`` gives, searched here only when there is a row.
 
-    ``perms`` must be the edge table of the *whole* group, the rows must be a
-    set closed under the group and under conjugation (the balanced
-    colourings are), and ``check`` must give the same answer across an orbit
-    (``_transitive_under`` and ``_arc_transitive`` do).  Then the images
-    ``c[perms]`` and ``1 - c[perms]`` of a row c are its whole orbit, and
-    every row of that orbit gets c's verdict.  Returns the mask and each
+    The rows must be a set closed under the group and under conjugation (the
+    balanced colourings are), and ``check`` must give the same answer across
+    an orbit (``_transitive_under`` and ``_arc_transitive`` do).  Then the
+    images ``c[perms]`` and ``1 - c[perms]`` of a row c are its whole orbit,
+    and every row of that orbit gets c's verdict.  Returns the mask and each
     row's orbit label, the index of the orbit's first row.  An image outside
     the rows, or a row reached from two orbits, means the precondition
     failed, and raises ``VerificationFailed`` rather than give a verdict.
     """
+    mask = np.zeros(len(matrix), dtype=bool)
+    orbit = np.full(len(matrix), -1, dtype=np.intp)
+    if not len(matrix):
+        return mask, orbit
+    perms = _edge_table(g, _all_automorphisms(g, config))
     keys = _row_keys(matrix)
     order = np.argsort(keys)
     keys = keys[order]
-    mask = np.zeros(len(matrix), dtype=bool)
-    orbit = np.full(len(matrix), -1, dtype=np.intp)
     for i, c in enumerate(matrix):
         if orbit[i] >= 0:
             continue

@@ -59,6 +59,7 @@ from .falsify import (
 )
 from .graphs import (
     EdgeColouring,
+    _balanced_rows,
     complete_bipartite,
     cycle,
     iter_balanced_colourings,
@@ -128,12 +129,12 @@ def _row_hypercube_identities(config: RunConfig) -> dict:
     pb = _profile(hypercube_beta(4).colours, cycles.edge_cycles)
     ok &= (pa.c1, pa.c2, pa.c3, pa.c4) == (16, 8, 0, 0)
     ok &= (pb.c1, pb.c2, pb.c3, pb.c4) == (8, 0, 16, 0)
-    balanced = [col.colours for col in iter_balanced_colourings(q4, config)]
-    c1, c2, c3, c4 = _class_counts(np.array(balanced, dtype=np.int8), cycles.edge_cycles).T
+    balanced = _balanced_rows(q4, config)
+    c1, c2, c3, c4 = _class_counts(balanced, cycles.edge_cycles).T
     eligible = c4 == 0
     bad = np.flatnonzero(eligible & ((4 * c1 + 2 * c3 != 64) | (c1 != c2 + 8)))
     if bad.size:
-        return {"ok": False, "bad_colouring": list(balanced[bad[0]])}
+        return {"ok": False, "bad_colouring": balanced[bad[0]].tolist()}
     return {
         "ok": ok,
         "four_cycles": len(cycles),

@@ -9,7 +9,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from gnorm.config import RunConfig
-from gnorm.errors import CapExceeded, OutOfRange
+from gnorm.errors import CapExceeded, OutOfRange, VerificationFailed
 from gnorm.graphs import (
     BipartiteGraph,
     EdgeColouring,
@@ -17,7 +17,7 @@ from gnorm.graphs import (
     cycle,
     star,
 )
-from gnorm import symmetry
+from gnorm import graphs, symmetry
 from gnorm.symmetry import _all_automorphisms, _edge_table, isomorphic
 from gnorm.certify import (
     _class_a_violation,
@@ -449,7 +449,8 @@ class TestArcTransitivity:
             checked.append(row)
             return symmetry._arc_transitive(perms, row)
 
-        mask, orbit = symmetry._orbit_mask(rows, table, check)
+        mask, orbit = symmetry._orbit_mask(subdivided_complete(n), rows,
+                                           RunConfig(side_swap=False), check)
         assert len(checked) == len(set(orbit.tolist())) == orbits
         assert mask.tolist() == [symmetry._arc_transitive(table, r) for r in rows]
         assert mask.tolist() == [brute_arc_transitive(t) for t in tournaments]
@@ -461,14 +462,14 @@ class TestArcTransitivity:
         seen = []
         orbit_mask = symmetry._orbit_mask
 
-        def spy(rows, perms, check):
+        def spy(g, rows, config, check):
             checked = []
 
             def counted(perms, row):
                 checked.append(row)
                 return check(perms, row)
 
-            result = orbit_mask(rows, perms, counted)
+            result = orbit_mask(g, rows, config, counted)
             seen.append((rows, check, len(checked)))
             return result
 
@@ -568,6 +569,16 @@ class TestHints:
         cert = certify_not_norming(c6, ("kneser", 4, 2))
         assert cert.verdict == "NoObstructionFound"
         assert any(s.get("reason", "").startswith("bad hint") for s in cert.stages)
+
+
+def test_no_balanced_colouring_past_the_eulerian_stage_is_a_verification_failure(
+        monkeypatch):
+    # every degree is even there, so colouring each component's Euler circuit
+    # 1, 0, 1, 0, ... is balanced: an empty set can only be a faulty enumerator,
+    # and it must not become a NotNorming certificate
+    monkeypatch.setattr(graphs, "iter_balanced_colourings", lambda g, config: iter(()))
+    with pytest.raises(VerificationFailed):
+        certify_not_norming(cycle(6))
 
 
 @pytest.mark.parametrize("g, hint, config, outcome, searches", [

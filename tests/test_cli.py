@@ -312,6 +312,25 @@ class TestColourings:
         assert code == 0 and json.loads(out)["count"] == 18
         assert len(calls) == 21
 
+    def test_limit_stops_the_enumeration(self, capsys, tmp_path, monkeypatch):
+        # without --transitive the listing streams the enumeration, so
+        # --limit 2 draws two of Q4's 2970 balanced colourings and no more
+        from gnorm import graphs
+        graph = tmp_path / "q4.json"
+        graph.write_text(json.dumps(graph_to_json(hypercube(4))))
+        drawn = []
+        enumerate_all = graphs.iter_balanced_colourings
+
+        def counted(g, config):
+            for c in enumerate_all(g, config):
+                drawn.append(c)
+                yield c
+
+        monkeypatch.setattr(graphs, "iter_balanced_colourings", counted)
+        code, out = run_cli(["colourings", str(graph), "--limit", "2"], capsys)
+        assert code == 0 and json.loads(out)["colourings"] == [list(c) for c in drawn]
+        assert len(drawn) == 2
+
     def test_no_balanced_colouring_needs_no_search(self, capsys, tmp_path, group_searches):
         graph = tmp_path / "k23.json"
         graph.write_text(json.dumps(graph_to_json(complete_bipartite(2, 3))))
@@ -490,15 +509,25 @@ class TestCapExitCode:
         assert "cap exceeded: cycle enumeration" in capsys.readouterr().err
 
 
-# every integer count or cap option: (subcommand, its positional arguments,
-# flag, whether 0 is accepted)
 _CAP_FLAGS = ("--cap-edges", "--cap-assignments", "--cap-vertices",
               "--cap-colourings", "--cap-cycles")
+_POSITIONAL = {"check": ["g.json"], "certify": ["graph", "g.json"],
+               "colourings": ["g.json"], "density": ["g.json", "a.json", "k.json"],
+               "smax": ["g.json", "k.json"], "reproduce": []}
+# the cap flags each command takes: one for each cap that something it runs reads
+_KEPT_CAPS = {
+    "check": ("--cap-vertices", "--cap-cycles"),
+    "certify": ("--cap-edges", "--cap-vertices", "--cap-colourings", "--cap-cycles"),
+    "colourings": ("--cap-edges", "--cap-vertices"),
+    "density": ("--cap-assignments",),
+    "smax": ("--cap-assignments", "--cap-colourings"),
+    "reproduce": _CAP_FLAGS,
+}
+# every integer count or cap option: (subcommand, its positional arguments,
+# flag, whether 0 is accepted)
 _COUNT_FLAGS = [
-    *((cmd, pos, flag, True) for cmd, pos in (
-        ("check", ["g.json"]), ("certify", ["graph", "g.json"]),
-        ("colourings", ["g.json"]), ("density", ["g.json", "a.json", "k.json"]),
-        ("smax", ["g.json", "k.json"]), ("reproduce", [])) for flag in _CAP_FLAGS),
+    *((cmd, _POSITIONAL[cmd], flag, True) for cmd, flags in _KEPT_CAPS.items()
+      for flag in flags),
     ("colourings", ["g.json"], "--limit", True),
     ("falsify", ["g.json", "a.json"], "--trials", True),
     ("falsify", ["g.json", "a.json"], "--resolution", False),
@@ -534,6 +563,58 @@ class TestIntegerFlags:
                  for action in parser._actions if action.type is not None
                  for opt in action.option_strings}
         assert typed == {(c, f) for c, _, f, _ in _COUNT_FLAGS} | {("falsify", "--seed")}
+
+
+# settings that nothing a command runs reads: the command refuses each
+_REFUSED = [
+    *(("density", flag) for flag in ("--cap-edges", "--cap-vertices", "--cap-colourings",
+                                     "--cap-cycles", "--side-swap")),
+    *(("smax", flag) for flag in ("--cap-edges", "--cap-vertices", "--cap-cycles",
+                                  "--side-swap")),
+    *(("check", flag) for flag in ("--cap-edges", "--cap-assignments", "--cap-colourings")),
+    *(("colourings", flag) for flag in ("--cap-assignments", "--cap-colourings",
+                                        "--cap-cycles")),
+    ("certify", "--cap-assignments"),
+]
+
+# (command line with a kept cap at 0, the sign that the cap stopped something):
+# exit 2, a "skipped (...)" note, or for certify's colouring-scan cap the
+# counting laws' reference scan narrowed to the balanced colourings
+_KEPT_AT_ZERO = [
+    (["check", "c4", "alt4", "--cap-vertices", "0"], "skipped"),
+    (["check", "c4", "alt4", "--cap-cycles", "0"], "skipped"),
+    (["certify", "graph", "c6", "--cap-edges", "0"], 2),
+    (["certify", "graph", "c6", "--cap-vertices", "0"], 2),
+    (["certify", "graph", "c6", "--cap-cycles", "0"], 2),
+    (["certify", "graph", "c6", "--cap-colourings", "0"], "balanced-only"),
+    (["colourings", "c6", "--cap-edges", "0"], 2),
+    (["colourings", "c6", "--transitive", "--cap-vertices", "0"], 2),
+    (["density", "c4", "alt4", "sign", "--cap-assignments", "0"], 2),
+    (["smax", "c4", "sign", "--cap-assignments", "0"], 2),
+    (["smax", "c4", "sign", "--cap-colourings", "0"], 2),
+]
+
+
+class TestSettingsPerCommand:
+    @pytest.mark.parametrize("cmd, flag", _REFUSED, ids=[f"{c}{f}" for c, f in _REFUSED])
+    def test_a_setting_the_command_never_reads_is_refused(self, capsys, cmd, flag):
+        value = "off" if flag == "--side-swap" else "0"
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, *_POSITIONAL[cmd], flag, value])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, sign", _KEPT_AT_ZERO,
+                             ids=[" ".join(a[:1] + a[-2:-1]) for a, _ in _KEPT_AT_ZERO])
+    def test_each_kept_cap_at_zero_changes_the_outcome(self, files, capsys, args, sign):
+        args = [files.get(a, a) for a in args]
+        base = run_cli(args[:-2], capsys)
+        code, out = run_cli(args, capsys)
+        assert (code, out) != base
+        if sign == 2:
+            assert code == 2
+        else:
+            assert code == 0 and sign in out and sign not in base[1]
 
 
 class TestHintFlag:

@@ -2,9 +2,12 @@
 
 The references below are the falsifiers as they were before trials were
 evaluated in chunks: one density call per kernel per trial, each through
-``t_decoration``.  They are kept as oracles: on every case the batched
-versions must return equal results under dataclass ``==``, that is the same
-witness trial, kernels, recorded values, trial count and worst margin.
+``ref_t_decoration``, the unbatched evaluation that the library replaced by
+one-row calls of its batched ``_densities``: one (p, q) factor per edge, no
+batch axes, and one complex division by the assignment count.  They are
+kept as oracles: on every case the batched versions must return equal
+results under dataclass ``==``, that is the same witness trial, kernels,
+recorded values, trial count and worst margin.
 """
 
 import cmath
@@ -15,7 +18,17 @@ import pytest
 
 from gnorm import falsify
 from gnorm.config import DEFAULT
-from gnorm.density import _SWEEP_BUDGET, _dims, _plan, t_decoration, t_density
+from gnorm.constructions import hypercube
+from gnorm.density import (
+    _SWEEP_BUDGET,
+    _colour_table,
+    _dims,
+    _evaluate,
+    _plan,
+    _route,
+    t_decoration,
+    t_density,
+)
 from gnorm.falsify import (
     FalsifierResult,
     HatamiCheck,
@@ -33,7 +46,7 @@ from gnorm.kernels import Decoration, StepKernel, phase_kernel
 
 from conftest import path
 
-# -- reference: one t_decoration call per density ---------------------------------
+# -- reference: one unbatched evaluation per density ---------------------------------
 
 
 def random_kernel(rng, p, q):
@@ -44,13 +57,19 @@ def random_kernel(rng, p, q):
     ])
 
 
+def ref_t_decoration(g, a, dec, mode="conjugate", method="auto", config=DEFAULT):
+    route = _route(g, dec.shape, mode, method, config)
+    factors = [_colour_table(k.array(), c, mode) for k, c in zip(dec.kernels, a.colours)]
+    return complex(_evaluate(route, g, factors)) / route.assignments
+
+
 def ref_t_density(g, a, f, mode="conjugate", config=DEFAULT):
-    return t_decoration(g, a, Decoration.uniform(f, max(g.n_edges, 1)), mode, config=config)
+    return ref_t_decoration(g, a, Decoration.uniform(f, g.n_edges), mode, config=config)
 
 
 def ref_hatami_check(g, a, dec, mode="conjugate", config=DEFAULT):
     e = g.n_edges
-    mixed = abs(t_decoration(g, a, dec, mode, config=config))
+    mixed = abs(ref_t_decoration(g, a, dec, mode, config=config))
     singles = [abs(ref_t_density(g, a, dec[i], mode, config)) for i in range(e)]
     lhs = mixed ** e
     rhs = math.prod(singles)
@@ -86,7 +105,7 @@ def ref_hatami_random_scan(g, a, seed, trials, resolution=2, mode="conjugate", c
 def ref_deleted_density(g, a, f, drop, mode, config):
     kernels = list(Decoration.uniform(f, g.n_edges).kernels)
     kernels[drop] = StepKernel.constant(1.0, *f.shape)
-    return t_decoration(g, a, Decoration(tuple(kernels)), mode, config=config)
+    return ref_t_decoration(g, a, Decoration(tuple(kernels)), mode, config=config)
 
 
 def ref_hatami_violation_search(g, a, seed, trials=1000, resolution=2, mode="conjugate",
@@ -223,6 +242,42 @@ def test_violation_search_matches_the_per_trial_oracle(case, mode):
     for seed in range(10):
         want = ref_hatami_violation_search(g, a, seed, 20, 2, mode)
         assert hatami_violation_search(g, a, seed, 20, 2, mode) == want, seed
+
+
+def test_violation_search_across_candidate_chunks(monkeypatch):
+    # Q3 at resolution 2 checks 4 candidates per chunk, and a trial has up to
+    # 132 edge pairs x 4 steps of them: seed 2 finds its witness in trial 0's
+    # third chunk, and seed 0's trial 0 checks every chunk and finds none
+    g, a = hypercube(3), EdgeColouring((1, 0) * 6)
+    assert chunk_trials(g, 2, "conjugate", 1 + g.n_edges) == 4
+    chunks = []
+    checks = falsify._hatami_checks
+
+    def counted(route, g, a, kernels, mode):
+        chunks.append(len(kernels))
+        return checks(route, g, a, kernels, mode)
+
+    monkeypatch.setattr(falsify, "_hatami_checks", counted)
+    for seed, trials, chunk_count, trial in ((2, 3, 3, 0), (0, 1, 96, None)):
+        chunks.clear()
+        want = ref_hatami_violation_search(g, a, seed, trials, 2)
+        got = hatami_violation_search(g, a, seed, trials, 2)
+        assert got == want, seed
+        assert len(chunks) == chunk_count and max(chunks) == 4
+        assert (None if got is None else got.trial) == trial
+
+
+def test_t_decoration_matches_the_unbatched_route():
+    # the one-row call of the batched evaluation equals the unbatched one
+    rng = random.Random("t_decoration")
+    for label in sorted(CASES):
+        g, colours = CASES[label]
+        a = EdgeColouring(colours)
+        for mode in ("conjugate", "transpose"):
+            for method in ("direct", "eliminate"):
+                dec = Decoration(tuple(random_kernel(rng, 3, 3) for _ in range(g.n_edges)))
+                want = ref_t_decoration(g, a, dec, mode, method)
+                assert t_decoration(g, a, dec, mode, method) == want
 
 
 def test_witnesses_come_from_random_trials():

@@ -1,5 +1,6 @@
 """Core graph type, structural predicates, balanced-colouring enumeration."""
 
+import random
 from itertools import product
 from math import comb, inf
 
@@ -13,6 +14,7 @@ from gnorm.config import RunConfig
 from gnorm.graphs import (
     BipartiteGraph,
     EdgeColouring,
+    _balanced_rows,
     _colouring_rows,
     check_aligned,
     colouring_from_json,
@@ -136,6 +138,74 @@ class TestDegreeStats:
             {colours[i] for i in g.incident_edges[v]} == {0, 1} for v in g.vertices
         )
         assert any(stats.d_plus[v] * stats.d_minus[v] for v in g.vertices) == mixed
+
+
+def _even_subgraphs(m: int, n: int, count: int, rng: random.Random) -> list[BipartiteGraph]:
+    """Seeded even-degree subgraphs of K_{m,n}: sums mod 2 of a few random
+    4-cycles, with the vertices they miss left out."""
+    graphs = []
+    while len(graphs) < count:
+        edges: set[tuple[str, str]] = set()
+        for _ in range(rng.randint(1, 6)):
+            a, b = rng.sample(range(m), 2)
+            c, d = rng.sample(range(n), 2)
+            edges ^= {(f"a{x}", f"b{y}") for x in (a, b) for y in (c, d)}
+        if edges:
+            graphs.append(BipartiteGraph(tuple(sorted({u for u, _ in edges})),
+                                         tuple(sorted({v for _, v in edges})),
+                                         tuple(sorted(edges))))
+    return graphs
+
+
+def euler_alternation(g: BipartiteGraph) -> tuple[int, ...]:
+    """Colour an Euler circuit of each component 1, 0, 1, 0, ... (Hierholzer).
+    A bipartite circuit has even length, so each pass through a vertex uses
+    one edge of each colour, and the colouring is balanced."""
+    colours = [0] * g.n_edges
+    used = [False] * g.n_edges
+    for comp in g.components:
+        start = min(comp, key=g.vertex_index.get)
+        stack, circuit = [(start, None)], []
+        while stack:
+            v, via = stack[-1]
+            free = [j for j in g.incident_edges[v] if not used[j]]
+            if not free:
+                stack.pop()
+                if via is not None:
+                    circuit.append(via)
+                continue
+            used[free[0]] = True
+            x, y = g.edges[free[0]]
+            stack.append((y if v == x else x, free[0]))
+        for k, j in enumerate(circuit):
+            colours[j] = 1 - k % 2
+    return tuple(colours)
+
+
+class TestBalancedRows:
+    def test_no_balanced_colouring_is_an_empty_matrix(self):
+        rows = _balanced_rows(star(3))
+        assert rows.dtype == np.int8 and rows.shape == (0, 3)
+
+    def test_rows_are_the_enumeration(self):
+        g = complete_bipartite(2, 4)
+        rows = _balanced_rows(g)
+        assert rows.dtype == np.int8 and rows.flags.c_contiguous
+        assert [tuple(r) for r in rows.tolist()] == \
+            [c.colours for c in iter_balanced_colourings(g)]
+
+    def test_cap(self, c4):
+        with pytest.raises(CapExceeded):
+            _balanced_rows(c4, RunConfig(cap_edges=2))
+
+    @pytest.mark.parametrize("m, n", [(3, 4), (4, 4)])
+    def test_every_even_degree_graph_has_a_row(self, m, n):
+        # the Euler-alternation colouring is balanced, so an even-degree
+        # graph always has a balanced colouring, and it is among the rows
+        for g in _even_subgraphs(m, n, 25, random.Random(f"euler {m} {n}")):
+            colours = euler_alternation(g)
+            assert is_balanced(g, EdgeColouring(colours))
+            assert colours in {tuple(r) for r in _balanced_rows(g).tolist()}
 
 
 class TestBalanced:

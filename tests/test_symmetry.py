@@ -152,7 +152,8 @@ class TestEdgeTransitivity:
 
 class TestIsomorphism:
     def test_oriented_vs_usual_star(self):
-        left_star, right_star = star(2), star(2, centre_left=False)
+        left_star = star(2)
+        right_star = BipartiteGraph(("a0", "a1"), ("c",), (("a0", "c"), ("a1", "c")))
         assert isomorphic(left_star, right_star)
         assert not isomorphic(left_star, right_star, RunConfig(side_swap=False))
 
@@ -537,10 +538,12 @@ def _haar(n: int, connection: tuple[int, ...]) -> BipartiteGraph:
 
 
 def _mask_inputs(graph: BipartiteGraph, side_swap: bool, config: RunConfig = RunConfig()):
-    """The balanced-colouring matrix and the whole group's edge table."""
+    """The balanced-colouring matrix, the whole group's edge table and the
+    config that gives the group."""
     rows = [c.colours for c in iter_balanced_colourings(graph, config)]
     matrix = np.array(rows, dtype=np.int8).reshape(len(rows), graph.n_edges)
-    return matrix, _edge_table(graph, _all_automorphisms(graph, config.with_(side_swap=side_swap)))
+    config = config.with_(side_swap=side_swap)
+    return matrix, _edge_table(graph, _all_automorphisms(graph, config)), config
 
 
 class TestTransitiveMask:
@@ -558,8 +561,8 @@ class TestTransitiveMask:
         _haar(5, (0, 1, 2, 3)),
     ], ids=lambda g: f"{len(g.left)}+{len(g.right)}v{g.n_edges}e")
     def test_equals_the_per_colouring_check(self, graph, side_swap):
-        matrix, perms = _mask_inputs(graph, side_swap)
-        mask, orbit = _orbit_mask(matrix, perms, _transitive_under)
+        matrix, perms, config = _mask_inputs(graph, side_swap)
+        mask, orbit = _orbit_mask(graph, matrix, config, _transitive_under)
         want = [_transitive_under(perms, row) for row in matrix]
         assert mask.tolist() == want
         # each label is its orbit's first row, and the rows under it are the
@@ -583,21 +586,29 @@ class TestTransitiveMask:
             "K26", "C6", "SK5"])
     def test_orbit_counts(self, graph, orbits):
         for side_swap, count in zip((True, False), orbits):
-            _, orbit = _orbit_mask(*_mask_inputs(graph, side_swap), _transitive_under)
+            matrix, _, config = _mask_inputs(graph, side_swap)
+            _, orbit = _orbit_mask(graph, matrix, config, _transitive_under)
             assert len(set(orbit.tolist())) == count
 
     def test_a_set_missing_a_row_is_refused(self):
         g = hypercube(4)
-        matrix, perms = _mask_inputs(g, True)
+        matrix, _, config = _mask_inputs(g, True)
         for drop in (0, len(matrix) // 2, len(matrix) - 1):
             with pytest.raises(VerificationFailed):
-                _orbit_mask(np.delete(matrix, drop, axis=0), perms, _transitive_under)
+                _orbit_mask(g, np.delete(matrix, drop, axis=0), config, _transitive_under)
+
+    def test_an_empty_matrix_needs_no_search(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(symmetry, "_all_automorphisms", lambda g, config: calls.append(g))
+        mask, orbit = _orbit_mask(cycle(6), np.zeros((0, 6), dtype=np.int8), RunConfig(),
+                                  _transitive_under)
+        assert mask.shape == orbit.shape == (0,) and calls == []
 
     def test_packed_keys_past_64_edges(self):
         # 66 edges pack into 9 bytes; the two alternating colourings are one
         # orbit (a rotation or conjugation swaps them), both transitive
         g = cycle(66)
-        matrix, perms = _mask_inputs(g, True, RunConfig(cap_edges=66, cap_vertices=66))
-        mask, orbit = _orbit_mask(matrix, perms, _transitive_under)
+        matrix, _, config = _mask_inputs(g, True, RunConfig(cap_edges=66, cap_vertices=66))
+        mask, orbit = _orbit_mask(g, matrix, config, _transitive_under)
         assert len(matrix) == 2
         assert mask.tolist() == [True, True] and orbit.tolist() == [0, 0]
