@@ -81,10 +81,15 @@ _CAP_FLAGS = ("cap_edges", "cap_assignments", "cap_vertices", "cap_colourings", 
 
 
 def _config_from(args) -> RunConfig:
-    over = {f: getattr(args, f) for f in _CAP_FLAGS if getattr(args, f, None) is not None}
+    cfg = RunConfig()
+    over = {}
+    for field in _CAP_FLAGS:
+        val = getattr(args, field, None)
+        if val is not None:
+            over[field] = val
     if getattr(args, "side_swap", None) is not None:
         over["side_swap"] = args.side_swap == "on"
-    return RunConfig().with_(**over)
+    return cfg.with_(**over) if over else cfg
 
 
 def _add_output(sub: argparse.ArgumentParser) -> None:

@@ -21,6 +21,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Optional
 
 import numpy as np
@@ -218,9 +219,8 @@ def hatami_violation_search(
     edge, f - eps*z on the other, f elsewhere, with z a constant kernel
     aligned against the mismatch.  The z-selection assumes the conjugate-mode
     first-order structure; every candidate is re-verified before being
-    returned, so no witness is ever fabricated in either mode.  A trial's
-    candidates, in the order (i, j, eps), are checked in chunks of
-    ``_hatami_checks`` calls, and the first that violates is returned.
+    returned, so no witness is ever fabricated in either mode.  Each
+    candidate is a one-row ``_hatami_checks`` call.
     """
     _check_budget(trials, resolution)
     check_aligned(g, a)
@@ -234,24 +234,20 @@ def hatami_violation_search(
         tv, *deleted = _deleted_densities(route, g, a, f, mode)
         if abs(tv) < 1e-6:
             continue
-        moves = []   # (i, j, eps * z), in search order
-        for i in range(e):
-            for j in range(e):
-                z = None if i == j else _mismatch_direction(a[i], a[j], deleted[i], deleted[j], tv)
-                if z is not None:
-                    moves += [(i, j, eps * z) for eps in (0.25, 0.125, 0.0625, 0.03125)]
-        # candidate k is f on every edge but f + w on edge i and f - w on edge j
-        candidates = np.array(np.broadcast_to(f.array(), (len(moves), e, *f.shape)))
-        for k, (i, j, w) in enumerate(moves):
-            step = np.full(f.shape, complex(w))
-            candidates[k, i] += step
-            candidates[k, j] += -1.0 * step
-        for chunk in _chunks(0, len(moves), route, 1 + e):
-            checks = _hatami_checks(route, g, a, candidates[chunk.start:chunk.stop], mode)
-            for k, res in zip(chunk, checks):
+        for i, j in permutations(range(e), 2):
+            z = _mismatch_direction(a[i], a[j], deleted[i], deleted[j], tv)
+            if z is None:
+                continue
+            for eps in (0.25, 0.125, 0.0625, 0.03125):
+                # f on every edge but f + eps*z on edge i and f - eps*z on edge j
+                step = np.full(f.shape, complex(eps * z))
+                kernels = np.array([f.array()] * e)
+                kernels[i] += step
+                kernels[j] += -1.0 * step
+                res = _hatami_checks(route, g, a, kernels[None], mode)[0]
                 if not res.holds:
                     return HatamiWitness(seed, t, mode, a.colours,
-                                         tuple(map(StepKernel, candidates[k])),
+                                         tuple(map(StepKernel, kernels)),
                                          res.lhs, res.rhs, res.log_margin)
     return None
 

@@ -244,26 +244,15 @@ def test_violation_search_matches_the_per_trial_oracle(case, mode):
         assert hatami_violation_search(g, a, seed, 20, 2, mode) == want, seed
 
 
-def test_violation_search_across_candidate_chunks(monkeypatch):
-    # Q3 at resolution 2 checks 4 candidates per chunk, and a trial has up to
-    # 132 edge pairs x 4 steps of them: seed 2 finds its witness in trial 0's
-    # third chunk, and seed 0's trial 0 checks every chunk and finds none
+def test_violation_search_on_q3_matches_the_oracle():
+    # Q3 at resolution 2 has up to 132 edge pairs x 4 steps of candidates a
+    # trial: seed 2 finds its witness in trial 0, and seed 0's trial 0
+    # checks every candidate and finds none
     g, a = hypercube(3), EdgeColouring((1, 0) * 6)
-    assert chunk_trials(g, 2, "conjugate", 1 + g.n_edges) == 4
-    chunks = []
-    checks = falsify._hatami_checks
-
-    def counted(route, g, a, kernels, mode):
-        chunks.append(len(kernels))
-        return checks(route, g, a, kernels, mode)
-
-    monkeypatch.setattr(falsify, "_hatami_checks", counted)
-    for seed, trials, chunk_count, trial in ((2, 3, 3, 0), (0, 1, 96, None)):
-        chunks.clear()
+    for seed, trials, trial in ((2, 3, 0), (0, 1, None)):
         want = ref_hatami_violation_search(g, a, seed, trials, 2)
         got = hatami_violation_search(g, a, seed, trials, 2)
         assert got == want, seed
-        assert len(chunks) == chunk_count and max(chunks) == 4
         assert (None if got is None else got.trial) == trial
 
 
