@@ -28,7 +28,7 @@ from .constructions import (
     count_directed_cycles,
     quadratic_residue_tournament,
 )
-from .density import s_max, t_density
+from .density import _route, s_max, t_density
 from .falsify import hatami_random_scan, hatami_violation_search, triangle_falsifier
 from .kernels import load_kernel
 from .verification import ROWS, run_all
@@ -130,12 +130,13 @@ def _unless_capped(report: dict, key: str, compute) -> None:
 def cmd_check(args) -> int:
     cfg = _config_from(args)
     g = G.load_graph(args.graph)
+    girth = G.girth(g)
     report: dict = {
         "vertices": g.n_vertices,
         "edges": g.n_edges,
         "eulerian": G.is_eulerian(g),
         "biregular": G.is_biregular(g),
-        "girth": None if G.girth(g) == math.inf else int(G.girth(g)),
+        "girth": None if girth == math.inf else int(girth),
     }
     # one group search serves the report and both colouring checks
     group = skipped = None
@@ -191,6 +192,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_colourings(args) -> int:
+    if not args.transitive and (args.cap_vertices is not None or args.side_swap is not None):
+        return _usage_error("--cap-vertices and --side-swap apply only with --transitive")
     cfg = _config_from(args)
     g = G.load_graph(args.graph)
     if args.transitive and g.n_edges:
@@ -221,8 +224,12 @@ def cmd_density(args) -> int:
         "evaluation": args.mode,
     }
     if args.mode == "auto":
-        _unless_capped(payload, "cross_check_abs_diff", lambda: abs(
-            t_density(g, a, f, mode, "direct", cfg) - t_density(g, a, f, mode, "eliminate", cfg)))
+        # compare with the route that auto did not take (an edgeless graph's
+        # density is 1 on every route)
+        taken = _route(g, f.shape, mode, "auto", cfg).method if g.n_edges else "direct"
+        other = "eliminate" if taken == "direct" else "direct"
+        _unless_capped(payload, "cross_check_abs_diff",
+                       lambda: abs(val - t_density(g, a, f, mode, other, cfg)))
     _emit(payload, args)
     return EXIT_OK
 

@@ -283,17 +283,14 @@ def tournament_from_colouring(g: BipartiteGraph, a: EdgeColouring) -> Tournament
     the colour-1 endpoint becomes the arc's tail.
     """
     check_aligned(g, a)
-    colour_of = {}
-    for i, (u, v) in enumerate(g.edges):
-        colour_of[(u, v)] = a[i]
     arcs = []
     pairs = set()
     for mid in g.right:
-        nbrs = g.adjacency[mid]
-        if len(nbrs) != 2:
+        inc = g.incident_edges[mid]
+        if len(inc) != 2:
             raise ValueError(f"vertex {mid!r} is not a subdivision vertex")
-        u, v = nbrs
-        cu, cv = colour_of[(u, mid)], colour_of[(v, mid)]
+        (u, _), (v, _) = (g.edges[i] for i in inc)
+        cu, cv = (a[i] for i in inc)
         if cu == cv:
             raise NotBalanced(f"edges at {mid!r} share colour {cu}")
         tail, head = (u, v) if cu == 1 else (v, u)

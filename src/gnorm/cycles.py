@@ -64,17 +64,7 @@ def enumerate_cycles(
     if length < 4 or length % 2:
         raise ValueError("cycle length must be an even integer >= 4")
     n = g.n_vertices
-    vidx = g.vertex_index
-    adj: list[list[int]] = [[] for _ in range(n)]
-    edge_of: dict[tuple[int, int], int] = {}
-    for i, (u, v) in enumerate(g.edges):
-        iu, iv = vidx[u], vidx[v]
-        adj[iu].append(iv)
-        adj[iv].append(iu)
-        edge_of[(iu, iv)] = i
-        edge_of[(iv, iu)] = i
-    for ns in adj:
-        ns.sort()
+    adj, edge_at = g.neighbours, g.edge_at
 
     found: list[tuple[int, ...]] = []
     path = [0] * length
@@ -104,7 +94,7 @@ def enumerate_cycles(
         on_path[a] = False
 
     return CycleSet(length, tuple(
-        tuple(edge_of[(cyc[i], cyc[(i + 1) % length])] for i in range(length))
+        tuple(edge_at[cyc[i], cyc[(i + 1) % length]] for i in range(length))
         for cyc in found))
 
 

@@ -145,17 +145,12 @@ def _evaluate_direct(g, factors, dims) -> np.ndarray:
     batch = factors[0].shape[:-2]
     k = len(batch)
     ones = [*batch] + [1] * g.n_vertices
-    vidx = g.vertex_index
     arr = np.ones((*batch, *dims), dtype=np.complex128)
-    for i, (u, v) in enumerate(g.edges):
-        iu, iv = vidx[u], vidx[v]
+    # an edge's left end comes before its right end, as its factor's axes do
+    for fac, (x, y) in zip(factors, g.ends):
         shape = ones.copy()
-        shape[k + iu] = dims[iu]
-        shape[k + iv] = dims[iv]
-        if iu < iv:
-            fac = factors[i]
-        else:
-            fac = np.swapaxes(factors[i], -1, -2)
+        shape[k + x] = dims[x]
+        shape[k + y] = dims[y]
         arr *= fac.reshape(shape)
     return arr.reshape(*batch, -1).sum(axis=-1)
 
@@ -215,8 +210,7 @@ def _elimination_plan(
     subscript stands for the batch axes.  The width and scope caps are checked here,
     per evaluation, so they are raised before any contraction.
     """
-    vidx = g.vertex_index
-    scopes = [(vidx[u], vidx[v]) for u, v in g.edges]
+    scopes = list(g.ends)
     order = _elimination_order([frozenset(sc) for sc in scopes], g.n_vertices)
     live = list(range(len(scopes)))
     steps = []

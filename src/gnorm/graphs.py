@@ -3,7 +3,10 @@
 A graph carries a fixed bipartition (``left``/``right``) and an ordered edge
 list of oriented pairs ``(u, v)`` with ``u`` on the left.  The edge list is the
 canonical index space: a colouring is a 0/1 vector aligned with it, and every
-enumeration in the package reports results in this order.
+enumeration in the package reports results in this order.  Vertex i is
+``vertices[i]``, left side first, and the cached ``ends``, ``neighbours`` and
+``edge_at`` are the graph in these indices, for every module that searches
+or contracts over it.
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from math import inf
+from math import comb, inf
 from typing import Iterator
 
 import numpy as np
@@ -70,24 +72,43 @@ class BipartiteGraph:
     def vertex_index(self) -> dict[Vertex, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
+    # -- the index form: vertex i is ``vertices[i]``, edge i joins ``ends[i]``
+
     @cached_property
-    def adjacency(self) -> dict[Vertex, tuple[Vertex, ...]]:
-        nbr: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        return {v: tuple(ns) for v, ns in nbr.items()}
+    def ends(self) -> tuple[tuple[int, int], ...]:
+        """Each edge's (left, right) vertex indices, so the left end's index
+        is below the right end's."""
+        vidx = self.vertex_index
+        return tuple((vidx[u], vidx[v]) for u, v in self.edges)
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbour indices, in ascending order."""
+        nbr: list[list[int]] = [[] for _ in self.vertices]
+        for x, y in self.ends:
+            nbr[x].append(y)
+            nbr[y].append(x)
+        return tuple(tuple(sorted(ns)) for ns in nbr)
+
+    @cached_property
+    def edge_at(self) -> dict[tuple[int, int], int]:
+        """The index of the edge joining two vertex indices, in either order."""
+        at = {}
+        for i, (x, y) in enumerate(self.ends):
+            at[x, y] = at[y, x] = i
+        return at
 
     @cached_property
     def incident_edges(self) -> dict[Vertex, tuple[int, ...]]:
-        inc: dict[Vertex, list[int]] = {v: [] for v in self.vertices}
-        for i, (u, v) in enumerate(self.edges):
-            inc[u].append(i)
-            inc[v].append(i)
-        return {v: tuple(ix) for v, ix in inc.items()}
+        """Each vertex's edge indices, ascending, keyed by name."""
+        inc: list[list[int]] = [[] for _ in self.vertices]
+        for i, (x, y) in enumerate(self.ends):
+            inc[x].append(i)
+            inc[y].append(i)
+        return dict(zip(self.vertices, map(tuple, inc)))
 
     def degree(self, v: Vertex) -> int:
-        return len(self.adjacency[v])
+        return len(self.incident_edges[v])
 
     @property
     def n_vertices(self) -> int:
@@ -102,21 +123,21 @@ class BipartiteGraph:
 
     @cached_property
     def components(self) -> tuple[frozenset[Vertex], ...]:
-        seen: set[Vertex] = set()
+        seen: set[int] = set()
         comps = []
-        for start in self.vertices:
+        for start in range(self.n_vertices):
             if start in seen:
                 continue
             comp = {start}
             queue = deque([start])
             while queue:
                 x = queue.popleft()
-                for y in self.adjacency[x]:
+                for y in self.neighbours[x]:
                     if y not in comp:
                         comp.add(y)
                         queue.append(y)
             seen |= comp
-            comps.append(frozenset(comp))
+            comps.append(frozenset(self.vertices[x] for x in comp))
         return tuple(comps)
 
 
@@ -264,14 +285,10 @@ def degree_stats(g: BipartiteGraph, a: EdgeColouring) -> DegreeStats:
 
 
 def is_balanced(g: BipartiteGraph, a: EdgeColouring) -> bool:
-    """True iff every vertex meets equally many edges of each colour."""
-    check_aligned(g, a)
-    count = {v: 0 for v in g.vertices}
-    for i, (u, v) in enumerate(g.edges):
-        d = 1 if a[i] == 1 else -1
-        count[u] += d
-        count[v] += d
-    return all(x == 0 for x in count.values())
+    """True iff every vertex meets equally many edges of each colour: at each
+    vertex d_plus counts one colour and d_minus the other."""
+    stats = degree_stats(g, a)
+    return stats.d_plus == stats.d_minus
 
 
 def iter_balanced_colourings(
@@ -284,14 +301,13 @@ def iter_balanced_colourings(
     """
     if g.n_edges > config.cap_edges:
         raise CapExceeded("balanced-colouring enumeration", g.n_edges, config.cap_edges)
-    if any(g.degree(v) % 2 for v in g.vertices):
+    # the edges still to colour at each vertex: at first, all of them
+    remaining = [len(ns) for ns in g.neighbours]
+    if any(d % 2 for d in remaining):
         return
-    n = g.n_vertices
-    half = [g.degree(v) // 2 for v in g.vertices]
-    vidx = g.vertex_index
-    epairs = [(vidx[u], vidx[v]) for u, v in g.edges]
-    remaining = [g.degree(v) for v in g.vertices]
-    ones = [0] * n
+    half = [d // 2 for d in remaining]
+    ends = g.ends
+    ones = [0] * g.n_vertices
     m = g.n_edges
     colours = [0] * m
 
@@ -302,7 +318,7 @@ def iter_balanced_colourings(
         if i == m:
             yield EdgeColouring(tuple(colours))
             return
-        u, v = epairs[i]
+        u, v = ends[i]
         remaining[u] -= 1
         remaining[v] -= 1
         for c in (0, 1):
@@ -328,12 +344,9 @@ def _balanced_rows(g: BipartiteGraph, config: RunConfig = DEFAULT) -> np.ndarray
 
 
 def count_two_edge_matchings(g: BipartiteGraph) -> int:
-    """Number of unordered pairs of vertex-disjoint edges."""
-    return sum(
-        1
-        for (u1, v1), (u2, v2) in combinations(g.edges, 2)
-        if u1 != u2 and v1 != v2
-    )
+    """Number of unordered pairs of vertex-disjoint edges: every pair but
+    those meeting at a vertex, and two distinct edges meet at one at most."""
+    return comb(g.n_edges, 2) - sum(comb(len(ns), 2) for ns in g.neighbours)
 
 
 # -- JSON interchange --------------------------------------------------------

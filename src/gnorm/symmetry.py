@@ -64,7 +64,7 @@ class SymmetryReport:
 # -- refinement and backtracking ---------------------------------------------
 
 
-def _refine(adj: list[list[int]], colours: list[int]) -> list[int]:
+def _refine(adj: tuple[tuple[int, ...], ...], colours: list[int]) -> list[int]:
     """Iterated neighbourhood refinement of a vertex colouring (1-WL)."""
     n = len(adj)
     while True:
@@ -76,25 +76,6 @@ def _refine(adj: list[list[int]], colours: list[int]) -> list[int]:
         if new == colours:
             return colours
         colours = new
-
-
-def _index_graph(g: BipartiteGraph) -> tuple[list[list[int]], list[frozenset[int]]]:
-    vidx = g.vertex_index
-    adj: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    for u, v in g.edges:
-        adj[vidx[u]].append(vidx[v])
-        adj[vidx[v]].append(vidx[u])
-    nbrsets = [frozenset(ns) for ns in adj]
-    return adj, nbrsets
-
-
-def _edge_colours(g: BipartiteGraph, a: EdgeColouring) -> dict[tuple[int, int], int]:
-    """Each edge's colour, keyed by its end indices in both orders."""
-    vidx = g.vertex_index
-    ecol = {}
-    for (u, v), colour in zip(g.edges, a):
-        ecol[(vidx[u], vidx[v])] = ecol[(vidx[v], vidx[u])] = colour
-    return ecol
 
 
 class _Search:
@@ -119,14 +100,9 @@ class _Search:
         self.feasible = False
         if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
             return
-        adj1, _ = _index_graph(g1)
-        adj2, nbr2 = _index_graph(g2)
+        adj1, adj2 = g1.neighbours, g2.neighbours
         n = g1.n_vertices
         nl1, nl2 = len(g1.left), len(g2.left)
-
-        ecol1 = ecol2 = None
-        if edge_colour_pair is not None:
-            ecol1, ecol2 = map(_edge_colours, (g1, g2), edge_colour_pair)
 
         # Initial colours: degree, plus the side tag in the strict mode; refine.
         if side_swap:
@@ -164,8 +140,14 @@ class _Search:
 
         self.feasible = True
         self.n, self.vorder = n, vorder
-        self._adj1, self._nbr2, self._col1, self._col2 = adj1, nbr2, col1, col2
-        self._ecol1, self._ecol2 = ecol1, ecol2
+        self._adj1, self._col1, self._col2 = adj1, col1, col2
+        # g2's neighbourhoods as sets, which the candidate rule intersects
+        self._nbr2 = [frozenset(ns) for ns in adj2]
+        # each graph's edge lookup and colouring, when colours must be kept
+        self._coloured = None
+        if edge_colour_pair is not None:
+            a1, a2 = edge_colour_pair
+            self._coloured = (g1.edge_at, a1, g2.edge_at, a2)
         self.images: list[int] = [-1] * n
         self._mapped_images: set[int] = set()
 
@@ -173,7 +155,6 @@ class _Search:
         """The images of g1's vertex ``v`` that agree with the maps placed so
         far, in increasing order."""
         images, nbr2, mapped_images = self.images, self._nbr2, self._mapped_images
-        ecol1, ecol2 = self._ecol1, self._ecol2
         mapped_nbrs = [x for x in self._adj1[v] if images[x] >= 0]
         if mapped_nbrs:
             pool = set(nbr2[images[mapped_nbrs[0]]])
@@ -190,10 +171,10 @@ class _Search:
             # no extra adjacencies into the mapped image: preserves non-edges
             if len(nbr2[w] & mapped_images) != want_mapped_degree:
                 continue
-            if ecol1 is not None and any(
-                ecol1[(v, x)] != ecol2[(w, images[x])] for x in mapped_nbrs
-            ):
-                continue
+            if self._coloured:
+                at1, c1, at2, c2 = self._coloured
+                if any(c1[at1[v, x]] != c2[at2[w, images[x]]] for x in mapped_nbrs):
+                    continue
             cands.append(w)
         return cands
 
@@ -309,9 +290,7 @@ def _edge_table(g: BipartiteGraph, group: np.ndarray) -> np.ndarray:
     ``_orbit_mask`` and ``_colour_action`` need no cast on every orbit.
     """
     n = g.n_vertices
-    vidx = g.vertex_index
-    xs, ys = np.array([(vidx[x], vidx[y]) for x, y in g.edges],
-                      dtype=np.intp).reshape(-1, 2).T
+    xs, ys = np.array(g.ends, dtype=np.intp).reshape(-1, 2).T
     edge_at = np.zeros((n, n), dtype=np.intp)
     edge_at[xs, ys] = edge_at[ys, xs] = np.arange(g.n_edges)
     flat = edge_at.ravel()
@@ -337,7 +316,7 @@ def _report(g: BipartiteGraph, group: np.ndarray) -> SymmetryReport:
     # rather than from a whole (|Aut| x edges) table
     edge_transitive = vertex_transitive = True
     if g.n_edges:
-        x, y = (g.vertex_index[v] for v in g.edges[0])
+        x, y = g.ends[0]
         edge_orbit = set(map(frozenset, zip(group[:, x].tolist(), group[:, y].tolist())))
         edge_transitive = len(edge_orbit) == g.n_edges
         vertex_transitive = len(set(group[:, 0].tolist())) == g.n_vertices

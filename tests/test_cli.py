@@ -230,16 +230,33 @@ class TestCertify:
         assert "--hint" in captured.err and not captured.out
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The route of each density contraction, in call order."""
+    from gnorm import density
+    calls = []
+    evaluate = density._evaluate
+
+    def counted(route, g, factors):
+        calls.append(route.method)
+        return evaluate(route, g, factors)
+
+    monkeypatch.setattr(density, "_evaluate", counted)
+    return calls
+
+
 class TestDensity:
-    def test_value_and_cross_check(self, files, capsys):
+    def test_value_and_cross_check(self, files, capsys, evaluations):
         code, out = run_cli(
             ["density", files["c4"], files["alt4"], files["sign"]], capsys)
         assert code == 0
         blob = json.loads(out)
         assert blob["value"] == [0.5, 0.0]
         assert blob["cross_check_abs_diff"] == 0.0
+        # auto takes the direct route, and the cross-check adds the other one
+        assert evaluations == ["direct", "eliminate"]
 
-    def test_capped_cross_check_is_skipped(self, capsys, tmp_path):
+    def test_capped_cross_check_is_skipped(self, capsys, tmp_path, evaluations):
         # 3^8 assignments send auto to the elimination route; the direct
         # cross-check is over the cap, so it is skipped and the value stands
         paths = []
@@ -256,6 +273,7 @@ class TestDensity:
         blob = json.loads(out)
         assert blob["cross_check_abs_diff"] == (
             "skipped (direct density evaluation: needs 6561, cap is 1000)")
+        assert evaluations == ["eliminate"]
         _, elim = run_cli(["density", *map(str, paths), "--mode", "eliminate", *cap], capsys)
         assert blob["value"] == json.loads(elim)["value"]
 
@@ -603,6 +621,14 @@ class TestSettingsPerCommand:
             main([cmd, *_POSITIONAL[cmd], flag, value])
         assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--cap-vertices", "0"), ("--side-swap", "off")])
+    def test_colourings_refuses_the_transitive_settings_without_it(self, files, capsys,
+                                                                   flag, value):
+        # only the transitive filter searches the group that they set
+        assert main(["colourings", files["c6"], flag, value]) == 1
+        captured = capsys.readouterr()
+        assert "--transitive" in captured.err and not captured.out
 
     @pytest.mark.parametrize("args, sign", _KEPT_AT_ZERO,
                              ids=[" ".join(a[:1] + a[-2:-1]) for a, _ in _KEPT_AT_ZERO])

@@ -39,7 +39,10 @@ from conftest import small_bipartite
 
 def brute_four_cycles(g: BipartiteGraph) -> int:
     """Count 4-cycles by scanning vertex 4-subsets."""
-    adj = {v: set(g.adjacency[v]) for v in g.vertices}
+    adj = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
     count = 0
     for quad in combinations(g.vertices, 4):
         for a, b, c, d in ((quad[0], quad[1], quad[2], quad[3]),

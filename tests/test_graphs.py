@@ -1,7 +1,8 @@
 """Core graph type, structural predicates, balanced-colouring enumeration."""
 
+import ast
 import random
-from itertools import product
+from itertools import combinations, product
 from math import comb, inf
 
 import numpy as np
@@ -30,9 +31,21 @@ from gnorm.graphs import (
     iter_balanced_colourings,
     star,
 )
-from gnorm.constructions import hypercube, hypercube_beta, set_inclusion_graph
+from gnorm.constructions import (
+    hypercube,
+    hypercube_beta,
+    set_inclusion_graph,
+    subdivided_complete,
+)
 
-from conftest import colouring_to_json, disjoint_union, path, small_bipartite
+from conftest import (
+    colouring_to_json,
+    definitions,
+    disjoint_union,
+    package_sources,
+    path,
+    small_bipartite,
+)
 
 
 class TestValidation:
@@ -247,6 +260,21 @@ class TestBalanced:
         assert {tuple(1 - x for x in c) for c in cols} == cols
         assert len(cols) % 2 == 0
 
+    def test_every_colouring_of_every_k33_subgraph_against_the_counts(self):
+        # balanced means that each vertex meets as many edges of colour 1 as
+        # of colour 0: counted here edge by edge, 3^9 colourings in all
+        for mask in range(1, 2 ** 9):
+            g = small_bipartite(mask)
+            if g is None:
+                continue
+            for bits in product((0, 1), repeat=g.n_edges):
+                count = {v: 0 for v in g.vertices}
+                for (u, v), c in zip(g.edges, bits):
+                    count[u] += 1 if c else -1
+                    count[v] += 1 if c else -1
+                want = not any(count.values())
+                assert is_balanced(g, EdgeColouring(bits)) == want, (mask, bits)
+
     @given(mask=st.integers(1, 2 ** 9 - 1), bits=st.integers(0, 2 ** 9 - 1))
     def test_conjugation_preserves_balance(self, mask, bits):
         g = small_bipartite(mask)
@@ -285,6 +313,15 @@ class TestMatchings:
         assert count_two_edge_matchings(c4) == 2
         assert count_two_edge_matchings(star(3)) == 0
         assert count_two_edge_matchings(c6) == comb(6, 2) - 6
+
+    def test_every_k33_subgraph_against_the_pairs(self):
+        for mask in range(1, 2 ** 9):
+            g = small_bipartite(mask)
+            if g is None:
+                continue
+            pairs = sum(1 for (u1, v1), (u2, v2) in combinations(g.edges, 2)
+                        if u1 != u2 and v1 != v2)
+            assert count_two_edge_matchings(g) == pairs, mask
 
 
 class TestJson:
@@ -339,3 +376,91 @@ class TestColouringRows:
             assert rows.dtype == np.int8 and rows.flags.c_contiguous
             assert rows.shape == (stop - start, m)
             assert [tuple(r) for r in rows.tolist()] == space[start:stop]
+
+
+def name_incident_edges(g: BipartiteGraph) -> dict:
+    """The name-keyed incident edges as first defined, from the edge list."""
+    inc = {v: [] for v in g.vertices}
+    for i, (u, v) in enumerate(g.edges):
+        inc[u].append(i)
+        inc[v].append(i)
+    return {v: tuple(ix) for v, ix in inc.items()}
+
+
+def name_components(g: BipartiteGraph) -> tuple:
+    """The connected components, by merging the ends of each edge, in the
+    order of their first vertex."""
+    comp = {v: {v} for v in g.vertices}
+    for u, v in g.edges:
+        if comp[u] is not comp[v]:
+            merged = comp[u] | comp[v]
+            for w in merged:
+                comp[w] = merged
+    return tuple(dict.fromkeys(frozenset(comp[v]) for v in g.vertices))
+
+
+def relabelled(g: BipartiteGraph, rng: random.Random) -> BipartiteGraph:
+    """g under fresh vertex names, with each side and the edge list in a
+    shuffled order, so that the edges no longer list each vertex's
+    neighbours in ascending index order."""
+    names = dict(zip(g.vertices, rng.sample(range(10 * g.n_vertices), g.n_vertices)))
+    left, right = ([f"v{names[v]}" for v in side] for side in (g.left, g.right))
+    edges = [(f"v{names[u]}", f"v{names[v]}") for u, v in g.edges]
+    for seq in (left, right, edges):
+        rng.shuffle(seq)
+    return BipartiteGraph(tuple(left), tuple(right), tuple(edges))
+
+
+def index_form_cases() -> list[BipartiteGraph]:
+    rng = random.Random("index form")
+    graphs = [g for mask in range(1, 2 ** 9) if (g := small_bipartite(mask)) is not None]
+    return graphs + [relabelled(g, rng) for g in
+                     (hypercube(4), complete_bipartite(4, 4), subdivided_complete(5))]
+
+
+def vertex_index_readers(sources: dict[str, str]) -> list[str]:
+    """``module.function`` (``module.<module>`` at the top level) for each
+    read of ``vertex_index`` outside ``graphs``, by its innermost function."""
+    found = []
+    for module, src in sources.items():
+        if module == "graphs":
+            continue
+        tree = ast.parse(src)
+        # definitions() yields an outer function before those nested in it
+        owner = {id(n): name for name, node in definitions(tree) for n in ast.walk(node)}
+        found += [f"{module}.{owner.get(id(n), '<module>')}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr == "vertex_index"]
+    return found
+
+
+class TestIndexForm:
+    def test_properties_against_the_edge_list(self):
+        for g in index_form_cases():
+            vidx = g.vertex_index
+            assert g.ends == tuple((vidx[u], vidx[v]) for u, v in g.edges)
+            assert all(x < y for x, y in g.ends)
+            through = [sorted(y for ends in g.ends if x in ends for y in ends if y != x)
+                       for x in range(g.n_vertices)]
+            assert [list(ns) for ns in g.neighbours] == through
+            assert len(g.edge_at) == 2 * g.n_edges
+            assert all(g.edge_at[x, y] == g.edge_at[y, x] == i
+                       for i, (x, y) in enumerate(g.ends))
+            assert g.incident_edges == name_incident_edges(g)
+            assert g.components == name_components(g)
+            # computed once per graph object
+            assert g.ends is g.ends and g.neighbours is g.neighbours
+
+    def test_no_module_but_graphs_rebuilds_vertex_numbering(self):
+        # the star exception sorts vertex names into the graph's order
+        assert vertex_index_readers(package_sources()) == ["certify._star_exception"]
+
+    def test_the_audit_finds_nested_and_top_level_reads(self):
+        sample = """
+first = g.vertex_index
+def outer(g):
+    def inner():
+        return g.vertex_index
+    return g.ends
+"""
+        assert vertex_index_readers({"graphs": sample, "m": sample}) == [
+            "m.<module>", "m.outer.<locals>.inner"]
