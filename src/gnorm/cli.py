@@ -28,7 +28,7 @@ from .constructions import (
     count_directed_cycles,
     quadratic_residue_tournament,
 )
-from .density import _route, s_max, t_density
+from .density import _dims, _resolve, s_max, t_density
 from .falsify import hatami_random_scan, hatami_violation_search, triangle_falsifier
 from .kernels import load_kernel
 from .verification import ROWS, run_all
@@ -224,9 +224,9 @@ def cmd_density(args) -> int:
         "evaluation": args.mode,
     }
     if args.mode == "auto":
-        # compare with the route that auto did not take (an edgeless graph's
-        # density is 1 on every route)
-        taken = _route(g, f.shape, mode, "auto", cfg).method if g.n_edges else "direct"
+        # compare with the route that auto did not take, decided from the
+        # assignment count, so the elimination is planned only once
+        taken = _resolve("auto", _dims(g, f.shape, mode))
         other = "eliminate" if taken == "direct" else "direct"
         _unless_capped(payload, "cross_check_abs_diff",
                        lambda: abs(val - t_density(g, a, f, mode, other, cfg)))

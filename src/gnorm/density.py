@@ -4,24 +4,28 @@ Everything here is a finite sum over grid assignments.  Two independent
 evaluation routes are provided: ``direct`` materialises the product over all
 assignments, ``eliminate`` contracts vertices one at a time along a greedy
 minimum-fill order.  Both are exact up to floating point and must agree; the
-verification suite pins their relative deviation.
+verification suite pins their relative deviation.  ``auto`` takes ``direct``
+up to 4096 assignments (``_resolve``).
 
 Both routes take edge factors with leading batch axes, and ``_means`` is the
 one division by the assignment count.  ``s_max`` and ``rho_2m`` sweep all
-2^e colourings: they plan the route (and raise its caps) once, stack the two
-tables of the kernel (colour 0 and colour 1), and contract the colourings in
-chunks of rows in product order, first edge most significant
-(``graphs._colouring_rows``), with the chunk size set by ``_chunks``.  The
-falsifiers contract chunks of trials the same way, through ``_route``,
-``_chunks`` and ``_densities``, and ``t_decoration`` and ``t_density`` are
-one-row calls of ``_densities``.
+2^e colourings: they plan the route (and raise its caps) once and stack the
+two tables of the kernel (colour 0 and colour 1).  On the elimination route
+the last k edges take the stack whole, so their colours are einsum axes and
+a step is computed once for all the colourings that agree on the edges it
+has absorbed; the leading e-k colours are batch rows in product order, first
+edge most significant (``graphs._colouring_rows``), contracted in chunks
+sized by ``_chunks``.  The values agree with ``t_density`` to 1e-12
+relative, not bit for bit.  The falsifiers contract chunks of trials the
+same way (k = 0), through ``_route``, ``_chunks`` and ``_densities``, and
+``t_decoration`` and ``t_density`` are one-row calls of ``_densities``.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import comb, pi, prod
+from math import comb, inf, pi, prod
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -44,17 +48,18 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 MODES = ("conjugate", "transpose")
 
-# Entries in a colouring sweep's widest step per chunk (256 KB of complex128).
-# Larger chunks ran no faster on C8 and Q3 at p=3 and K_{2,4} at p=5, and
-# 1 << 16 raised peak RSS by 2.5 MB.
+# Entries in a colouring sweep's widest step per chunk, colour axes included
+# (256 KB of complex128).  It fixes how many colours an elimination leaves
+# open: C8 and K_{2,4} (p = 3, 5) fit every colour into one row, and Q3 at
+# p = 3 opens 9 of its 12 and takes 8 chunks of one row each.
 _SWEEP_BUDGET = 1 << 14
 
 
 def _chunks(start: int, stop: int, route, per_row: int) -> Iterator[range]:
-    """Rows start..stop-1 in chunks of _SWEEP_BUDGET // (route.width *
+    """Rows start..stop-1 in chunks of _SWEEP_BUDGET // (route.row_width *
     per_row) rows (at least one), where per_row is the number of evaluations
-    a row (a colouring, or a falsifier trial) makes."""
-    rows = max(1, _SWEEP_BUDGET // (route.width * per_row))
+    a row (a colouring prefix, or a falsifier trial) makes."""
+    rows = max(1, _SWEEP_BUDGET // (route.row_width * per_row))
     for lo in range(start, stop, rows):
         yield range(lo, min(lo + rows, stop))
 
@@ -92,32 +97,50 @@ def _dims(g: BipartiteGraph, shape: tuple[int, int], mode: str) -> list[int]:
 
 
 class _Route(NamedTuple):
-    """How one evaluation is contracted, fixed once per graph and grid.
+    """How one batch row of evaluations is contracted, fixed once per graph
+    and grid.
 
-    ``assignments`` is the number of grid assignments, ``width`` the number
-    of entries in the widest step of one evaluation (every assignment for
-    ``direct``, the largest elimination scope for ``eliminate``), and
-    ``steps`` are the elimination's einsum steps.
+    ``assignments`` is the number of grid assignments and ``width`` the
+    number of entries in the widest step of one evaluation (every assignment
+    for ``direct``, the largest elimination scope for ``eliminate``): the
+    caps count these.  ``open_edges`` is the number of trailing edges whose
+    colour is an axis of size 2 in every factor and step (0 but for a
+    colouring sweep's elimination), and ``row_width`` the entries in the
+    widest step of one batch row, colour axes included, which sizes the
+    chunks.  ``steps`` are the elimination's einsum steps.
     """
 
     method: str
     dims: tuple[int, ...]
     assignments: int
     width: int
+    row_width: int
     steps: tuple[tuple[tuple[int, ...], str], ...] = ()
+    open_edges: int = 0
 
 
-def _plan(g: BipartiteGraph, dims: list[int], method: str, config: RunConfig) -> _Route:
-    """Pick the route and raise its cap before anything is contracted."""
-    total = prod(dims)
+def _resolve(method: str, dims: list[int]) -> str:
+    """The route a method names: ``auto`` is ``direct`` up to 4096 grid
+    assignments and ``eliminate`` beyond, decided before any planning."""
     if method == "auto":
-        method = "direct" if total <= 4096 else "eliminate"
+        return "direct" if prod(dims) <= 4096 else "eliminate"
+    return method
+
+
+def _plan(
+    g: BipartiteGraph, dims: list[int], method: str, config: RunConfig, budget: int = 0
+) -> _Route:
+    """Pick the route and raise its cap before anything is contracted.  An
+    elimination opens as many colour axes as fit ``budget`` entries per
+    step (none when it is 0)."""
+    total = prod(dims)
+    method = _resolve(method, dims)
     if method == "direct":
         if total > config.cap_assignments:
             raise CapExceeded("direct density evaluation", total, config.cap_assignments)
-        return _Route("direct", tuple(dims), total, total)
+        return _Route("direct", tuple(dims), total, total, total)
     if method == "eliminate":
-        return _elimination_plan(g, dims, total, config)
+        return _elimination_plan(g, dims, total, config, budget)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -134,7 +157,10 @@ def _route(
 def _evaluate(route: _Route, g: BipartiteGraph, factors: list[np.ndarray]) -> np.ndarray:
     """Assignment sums of a batch of evaluations: factor i, for edge i, has
     shape batch + (d_left, d_right), with one batch shape for every edge
-    (empty for a single evaluation), and the result has the batch shape."""
+    (empty for a single evaluation), and the result has the batch shape.
+    The factor of each of the route's open edges is the (2, d_left, d_right)
+    stack of its two colour tables, with no batch axes, and the result then
+    ends in those colour axes, in edge order."""
     if route.method == "direct":
         return _evaluate_direct(g, factors, route.dims)
     return _evaluate_eliminate(route.steps, factors)
@@ -201,19 +227,30 @@ def _elimination_order(scopes: list[frozenset[int]], n: int) -> list[int]:
 
 
 def _elimination_plan(
-    g: BipartiteGraph, dims: list[int], assignments: int, config: RunConfig
+    g: BipartiteGraph, dims: list[int], assignments: int, config: RunConfig, budget: int
 ) -> _Route:
     """Einsum steps eliminating the vertices along a greedy minimum-fill order.
 
     Slots 0..e-1 hold the edge factors and step k writes slot e+k.  A step is
     (the slots it consumes, its subscripts); the leading ``...`` of every
-    subscript stands for the batch axes.  The width and scope caps are checked here,
-    per evaluation, so they are raised before any contraction.
+    subscript stands for the batch axes.  The width and scope caps are
+    checked here, per evaluation, so they are raised before any contraction.
+
+    The last k edges are open: each carries its colour as an axis of size 2
+    before its (left, right) axes, and every step keeps the colour axes of
+    the edges it has absorbed, ahead of its vertex axes.  k is the largest
+    for which every step, colour axes included, fits ``budget`` entries and
+    the einsum letters.  When more than one component is summed out, a last
+    step takes their outer product, colour axes in edge order; so the last
+    slot always holds the result.
     """
+    e = g.n_edges
     scopes = list(g.ends)
+    edges = [[i] for i in range(e)]  # the edges each slot has absorbed
     order = _elimination_order([frozenset(sc) for sc in scopes], g.n_vertices)
-    live = list(range(len(scopes)))
-    steps = []
+    live = list(range(e))
+    finished = []
+    groups = []
     widest = 1
     for v in order:
         group = [s for s in live if v in scopes[s]]
@@ -225,30 +262,56 @@ def _elimination_plan(
         if len(union) > len(_LETTERS):
             raise CapExceeded("elimination scope", len(union), len(_LETTERS))
         widest = max(widest, width)
-        letter = {x: _LETTERS[k] for k, x in enumerate(union)}
-        new_scope = tuple(x for x in union if x != v)
-        inputs = ",".join("..." + "".join(letter[x] for x in scopes[s]) for s in group)
-        out = "..." + "".join(letter[x] for x in new_scope)
-        steps.append((tuple(group), f"{inputs}->{out}"))
-        if new_scope:
-            live.append(len(scopes))
+        new_scope = [x for x in union if x != v]
+        groups.append((group, union, width))
+        (live if new_scope else finished).append(len(scopes))
         scopes.append(new_scope)
-    return _Route("eliminate", tuple(dims), assignments, widest, tuple(steps))
+        edges.append(sorted(i for s in group for i in edges[s]))
+
+    def row_width(k: int) -> float:
+        """Entries in the widest step, the outer product included, with the
+        last k edges open; infinite when a step runs out of letters."""
+        if k > len(_LETTERS):
+            return inf
+        widest_row = 1 << k
+        for (_, union, width), absorbed in zip(groups, edges[e:]):
+            n_open = sum(i >= e - k for i in absorbed)
+            if len(union) + n_open > len(_LETTERS):
+                return inf
+            widest_row = max(widest_row, width << n_open)
+        return widest_row
+
+    k = next((k for k in range(e, 0, -1) if row_width(k) <= budget), 0)
+    colours = [[i for i in sc if i >= e - k] for sc in edges]
+
+    def subscript(slot: int, vertex_letter: dict, colour_letter: dict) -> str:
+        return "..." + "".join(colour_letter[c] for c in colours[slot]) + \
+            "".join(vertex_letter[x] for x in scopes[slot])
+
+    steps = []
+    for n, (group, union, _) in enumerate(groups):
+        vertex_letter = dict(zip(union, _LETTERS))
+        colour_letter = dict(zip(colours[e + n], _LETTERS[len(union):]))
+        inputs = ",".join(subscript(s, vertex_letter, colour_letter) for s in group)
+        steps.append((tuple(group),
+                      f"{inputs}->{subscript(e + n, vertex_letter, colour_letter)}"))
+    if len(finished) > 1:
+        colour_letter = dict(zip(range(e - k, e), _LETTERS))
+        inputs = ",".join(subscript(s, {}, colour_letter) for s in finished)
+        steps.append((tuple(finished), f"{inputs}->..." + "".join(colour_letter.values())))
+    return _Route("eliminate", tuple(dims), assignments, widest, row_width(k), tuple(steps), k)
 
 
 def _evaluate_eliminate(steps, factors) -> np.ndarray:
     """Run the elimination's einsum steps on a batch of edge factors and
-    return each evaluation's sum over all assignments."""
+    return each evaluation's sum over all assignments: the last slot."""
     slots: list[np.ndarray | None] = list(factors)
-    total = np.ones(factors[0].shape[:-2], dtype=np.complex128)
     for operands, subscripts in steps:
         new = np.einsum(subscripts, *[slots[s] for s in operands])
         for s in operands:
             slots[s] = None
         slots.append(new)
-        if new.ndim == total.ndim:   # a component is fully summed out
-            total *= new
-    return total
+    return slots[-1]
 
 
 def t_decoration(
@@ -306,9 +369,13 @@ def _sweep(
     chunks in product order: row r is the colouring whose colours, first
     edge most significant, spell r in binary.
 
-    Every cap is raised before the first chunk is contracted.  The chunks
-    come from ``_chunks``, one evaluation per colouring, and each indexes the
-    stacked (colour 0, colour 1) tables of f once per edge.
+    Every cap is raised before the first chunk is contracted.  An
+    elimination leaves the colours of its ``open_edges`` last edges (k of
+    them) open, so each batch row is the 2^k colourings that share one
+    prefix, and a step is computed once for all the colourings that agree on
+    the edges it has absorbed.  The chunks of prefixes come from ``_chunks``;
+    the leading edges index the stacked (colour 0, colour 1) tables of f, and
+    the open edges take the stack whole.
     """
     _check_mode(mode)
     m = g.n_edges
@@ -320,14 +387,14 @@ def _sweep(
         return
     arr = f.array()
     tables = np.stack((_colour_table(arr, 0, mode), arr))
-    route = _plan(g, _dims(g, f.shape, mode), method, config)
-    for chunk in _chunks(0, 1 << m, route, 1):
-        # one contiguous intp index row per edge, which numpy gathers with no
-        # cast.  The factors stay a temporary, freed before the yield: kept
-        # in a local across it, they cost density-sweep 8 % of its wall time
-        # on a 2-core Xeon
-        bits = _colouring_rows(m, chunk.start, chunk.stop).T.astype(np.intp)
-        yield chunk.start, _means(route, _evaluate(route, g, [tables[b] for b in bits]))
+    route = _plan(g, _dims(g, f.shape, mode), method, config, _SWEEP_BUDGET)
+    k = route.open_edges
+    for chunk in _chunks(0, 1 << (m - k), route, 1):
+        # one contiguous intp index row per leading edge, which numpy gathers
+        # with no cast; the factors stay a temporary, freed before the yield
+        bits = _colouring_rows(m - k, chunk.start, chunk.stop).T.astype(np.intp)
+        sums = _evaluate(route, g, [tables[b] for b in bits] + [tables] * k)
+        yield chunk.start << k, _means(route, sums.reshape(-1))
 
 
 @dataclass(frozen=True, slots=True)

@@ -256,9 +256,10 @@ class TestDensity:
         # auto takes the direct route, and the cross-check adds the other one
         assert evaluations == ["direct", "eliminate"]
 
-    def test_capped_cross_check_is_skipped(self, capsys, tmp_path, evaluations):
-        # 3^8 assignments send auto to the elimination route; the direct
-        # cross-check is over the cap, so it is skipped and the value stands
+    @pytest.fixture
+    def c8_files(self, tmp_path):
+        """C8, all colour 1, and a 3x3 kernel: 3^8 assignments send auto to
+        the elimination route."""
         paths = []
         for name, payload in (
             ("c8", graph_to_json(cycle(8))),
@@ -267,15 +268,37 @@ class TestDensity:
         ):
             paths.append(tmp_path / f"{name}.json")
             paths[-1].write_text(json.dumps(payload))
+        return list(map(str, paths))
+
+    def test_capped_cross_check_is_skipped(self, capsys, c8_files, evaluations):
+        # the direct cross-check is over the cap, so it is skipped and the
+        # value stands
         cap = ["--cap-assignments", "1000"]
-        code, out = run_cli(["density", *map(str, paths), *cap], capsys)
+        code, out = run_cli(["density", *c8_files, *cap], capsys)
         assert code == 0
         blob = json.loads(out)
         assert blob["cross_check_abs_diff"] == (
             "skipped (direct density evaluation: needs 6561, cap is 1000)")
         assert evaluations == ["eliminate"]
-        _, elim = run_cli(["density", *map(str, paths), "--mode", "eliminate", *cap], capsys)
+        _, elim = run_cli(["density", *c8_files, "--mode", "eliminate", *cap], capsys)
         assert blob["value"] == json.loads(elim)["value"]
+
+    def test_auto_plans_the_elimination_once(self, capsys, c8_files, monkeypatch):
+        # auto is decided from the assignment count, so only the value's own
+        # evaluation orders the vertices; the direct cross-check needs none
+        from gnorm import density
+        calls = []
+        order = density._elimination_order
+
+        def counted(scopes, n):
+            calls.append(n)
+            return order(scopes, n)
+
+        monkeypatch.setattr(density, "_elimination_order", counted)
+        code, out = run_cli(["density", *c8_files], capsys)
+        assert code == 0
+        assert json.loads(out)["cross_check_abs_diff"] < 1e-12
+        assert calls == [8]
 
     def test_transpose_shape_guard(self, files, capsys, tmp_path):
         rect = tmp_path / "rect.json"

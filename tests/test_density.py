@@ -332,9 +332,43 @@ class TestSweep:
         assert rho_2m(g, h, 2, "transpose") == \
             pytest.approx(loop_rho_2m(g, h, 2, "transpose"), rel=1e-12)
 
-    def test_q3_real_kernel_ties_everywhere(self):
+    @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
+    @pytest.mark.parametrize("mode", ["conjugate", "transpose"])
+    def test_every_split_of_the_colours(self, name, mode, monkeypatch):
+        # every budget that changes the split: each k the planner can pick,
+        # from 0 (every colouring a leading row) to e (one row of all), with
+        # the 2^(e-k) leading rows in chunks
+        g = SWEEP_GRAPHS[name]
+        e = g.n_edges
+        f = rand_kernel(random.Random(f"{name}:{mode}:split"),
+                        2, 3 if mode == "conjugate" else 2)
+        want = [t_density(g, EdgeColouring(bits), f, mode, "eliminate")
+                for bits in product((0, 1), repeat=e)]
+        dims = density._dims(g, f.shape, mode)
+        widest = density._plan(g, dims, "eliminate", RunConfig(), 1 << 30).row_width
+        # every step's width is a product of 2s and 3s
+        budgets = sorted(2 ** i * 3 ** j for i in range(widest.bit_length())
+                         for j in range(12) if 2 ** i * 3 ** j <= widest)
+        splits = {}
+        for budget in budgets:
+            k = density._plan(g, dims, "eliminate", RunConfig(), budget).open_edges
+            splits.setdefault(k, budget)
+        assert min(splits) == 0 and max(splits) == e
+        for k, budget in sorted(splits.items()):
+            monkeypatch.setattr(density, "_SWEEP_BUDGET", budget)
+            chunks = list(density._sweep(g, f, mode, "eliminate", RunConfig(), "split"))
+            assert len(chunks) == 1 << (e - k)
+            got = np.concatenate([v for _, v in chunks])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            if mode == "conjugate":
+                # a and its complement give exact conjugates, so s_max sees
+                # their tie
+                assert np.array_equal(got[::-1], got.conj())
+
+    def test_q3_real_kernel_ties_everywhere(self, monkeypatch):
         # conj(f) = f, so all 4096 colourings give one value and the
         # lexicographically least maximiser is the all-zeros colouring
+        monkeypatch.setattr(density, "_SWEEP_BUDGET", 1 << 10)
         q3 = hypercube(3)
         rng = random.Random(21)
         f = StepKernel([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(3)])
@@ -346,9 +380,10 @@ class TestSweep:
         assert res.argmax.colours == (0,) * 12
         assert res.value == abs(vals[0])
 
-    def test_q3_maximum_in_a_later_chunk(self):
-        # the maximiser (row 710) lies in the fourth chunk, and its
-        # complement, which ties exactly, lies in a later one
+    def test_q3_maximum_in_a_later_chunk(self, monkeypatch):
+        # the maximiser (row 710) lies after the fourth chunk's start, and
+        # its complement, which ties exactly, lies in a later chunk
+        monkeypatch.setattr(density, "_SWEEP_BUDGET", 1 << 10)
         q3 = hypercube(3)
         rng = random.Random(0)
         f = StepKernel(tuple(
@@ -359,6 +394,8 @@ class TestSweep:
         res = s_max(q3, f, "conjugate", "eliminate")
         row = int("".join(map(str, res.argmax.colours)), 2)
         assert row == 710 and row >= starts[3]
+        here, there = np.searchsorted(starts, [row, 4095 - row], side="right")
+        assert here < there
         best, best_col = loop_s_max(q3, f, "conjugate", "eliminate")
         assert res.argmax == best_col
         assert res.value == pytest.approx(best, rel=1e-12)
