@@ -32,8 +32,8 @@ from .cycles import (
     _class_counts,
     _pattern_scores,
     _profile,
-    _scan_colourings,
     enumerate_cycles,
+    four_cycles_generate_cycle_space,
 )
 from .errors import (
     CapExceeded,
@@ -160,7 +160,6 @@ class _CountingRefs:
     four_cycles: np.ndarray         # the same object when the girth is 4
     kappa_max: int
     pattern_max: Optional[int]     # None when there are no 4-cycles
-    scan: str                       # "all-colourings" or "balanced-only"
     kappa_argmax: tuple[int, ...]
     pattern_argmax: Optional[tuple[int, ...]]
 
@@ -179,35 +178,26 @@ def _counting_refs(
     balanced: np.ndarray,
     config: RunConfig,
 ) -> _CountingRefs:
-    """Reference maxima for the counting laws.
+    """Reference maxima for the counting laws over the balanced colourings,
+    the rows of the matrix ``balanced``.
 
-    When the whole colouring space is small enough it is scanned; otherwise
-    the maxima are taken over the balanced colourings (the rows of the matrix
-    ``balanced``), which still produces sound beat-witnesses (any
-    scanned colouring that beats the candidate is itself the witness).
+    Each maximum's argmax is its first strict maximum in enumeration order,
+    from one profile pass.  Any balanced colouring that beats a candidate is
+    itself the witness, so the laws stay sound without a scan of all 2^e
+    colourings.
     """
     gv = int(girth(g))
     girth_cycles = np.array(enumerate_cycles(g, gv, config).edge_cycles, dtype=np.intp)
     four_cycles = (girth_cycles if gv == 4 else
                    np.array(enumerate_cycles(g, 4, config).edge_cycles, dtype=np.intp))
-
-    def score(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        girth_counts, four_counts = _profiles(matrix, girth_cycles, four_cycles)
-        return girth_counts[:, 0], _pattern_scores(four_counts)
-
-    if g.n_edges <= min(config.cap_colourings, 16):
-        scan = "all-colourings"
-        (k_best, k_arg), (p_best, p_arg) = _scan_colourings(g.n_edges, score, config)
-    else:
-        # first strict maximum in enumeration order, in one matrix pass
-        scan = "balanced-only"
-        kv, pv = score(balanced)
-        k, p = int(np.argmax(kv)), int(np.argmax(pv))
-        k_best, k_arg = int(kv[k]), tuple(balanced[k].tolist())
-        p_best, p_arg = int(pv[p]), tuple(balanced[p].tolist())
+    girth_counts, four_counts = _profiles(balanced, girth_cycles, four_cycles)
+    kv, pv = girth_counts[:, 0], _pattern_scores(four_counts)
+    k, p = int(np.argmax(kv)), int(np.argmax(pv))
+    k_best, k_arg = int(kv[k]), tuple(balanced[k].tolist())
+    p_best, p_arg = int(pv[p]), tuple(balanced[p].tolist())
     if not len(four_cycles):
         p_best = p_arg = None
-    return _CountingRefs(girth_cycles, four_cycles, k_best, p_best, scan, k_arg, p_arg)
+    return _CountingRefs(girth_cycles, four_cycles, k_best, p_best, k_arg, p_arg)
 
 
 _LAWS = ("girth-cycle-law", "kappa", "pattern")
@@ -395,7 +385,7 @@ def _pipeline(
     fails = fails[keep]
     failed = fails.any(axis=1)
     survivors = transitive[~failed]
-    stages.ran("counting-laws", scan=refs.scan, survivors=len(survivors),
+    stages.ran("counting-laws", survivors=len(survivors),
                kappa_max=refs.kappa_max, pattern_max=refs.pattern_max)
 
     if len(survivors):
@@ -415,7 +405,6 @@ def _pipeline(
         obstruction, rule = "FourCyclePatternSuboptimal", "four-cycle-pattern-maximality"
     witness = {
         "dichotomy": balance_fail_kinds,
-        "scan": refs.scan,
         "kappa_max": refs.kappa_max,
         "kappa_argmax": list(refs.kappa_argmax),
         "transitive_failures": [
@@ -669,7 +658,6 @@ def _certify_inclusion(n: int, k: int, r: int, config: RunConfig) -> Certificate
                                  "cycle spaces, forcing potential-form colourings"}
         try:
             graph = set_inclusion_graph(n, k, r)
-            from .cycles import four_cycles_generate_cycle_space
             witness["four_cycles_generate_cycle_space"] = \
                 four_cycles_generate_cycle_space(graph, config)
         except CapExceeded:

@@ -45,7 +45,7 @@ def _complex_json(z: complex) -> list[float]:
 
 def _write(payload: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -57,7 +57,7 @@ def _emit(payload: dict, args) -> None:
     if args.pretty:
         _pretty(payload)
     elif not args.out:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
         sys.stdout.write("\n")
 
 
@@ -264,7 +264,9 @@ def cmd_falsify(args) -> int:
             scan = hatami_random_scan(g, a, args.seed, args.trials,
                                       args.resolution, config=cfg)
             witness = scan.witness
-            payload["worst_margin"] = scan.worst_margin
+            # JSON has no inf: the margin of no trials, or of vanishing densities
+            payload["worst_margin"] = (scan.worst_margin if math.isfinite(scan.worst_margin)
+                                       else None)
         payload["witness"] = witness.to_json() if witness else None
     _emit(payload, args)
     return EXIT_OK
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="+",
                    help="family parameters, or the graph file for 'graph'")
     p.add_argument("--hint", help="family hint for a graph file, e.g. kneser:7:3")
-    _add_common(p, ("cap_edges", "cap_vertices", "cap_colourings", "cap_cycles", "side_swap"))
+    _add_common(p, ("cap_edges", "cap_vertices", "cap_cycles", "side_swap"))
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("colourings", help="enumerate balanced colourings")
@@ -388,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run the verification table")
     p.add_argument("--rows", nargs="*", choices=[row.rid for row in ROWS],
                    metavar="ROW", help="subset of row ids")
-    _add_common(p, (*_CAP_FLAGS, "side_swap"))
+    _add_common(p, ("cap_edges", "cap_assignments", "cap_vertices", "cap_cycles", "side_swap"))
     p.set_defaults(fn=cmd_reproduce)
 
     return ap

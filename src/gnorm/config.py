@@ -18,7 +18,7 @@ class RunConfig:
     cap_vertices: int = 64         # automorphism / isomorphism search
     cap_assignments: int = 1 << 24 # grid assignments in one density evaluation
     cap_cycles: int = 10_000_000   # simple-cycle enumeration
-    cap_colourings: int = 24       # edges allowed in full 2^e colouring scans
+    cap_colourings: int = 24       # edges in the s_max / rho_2m sweeps over 2^e colourings
     cap_group: int = 1_000_000     # automorphism group size
 
     side_swap: bool = True         # allow automorphisms exchanging the sides

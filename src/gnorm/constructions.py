@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Sequence
+from math import comb
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -224,7 +225,7 @@ def count_directed_cycles(t: Tournament, m: int) -> int:
     return int(np.trace(np.linalg.matrix_power(adj, m))) // m
 
 
-def regular_tournaments(n: int) -> "Iterator[Tournament]":
+def regular_tournaments(n: int) -> Iterator[Tournament]:
     """All labelled regular tournaments on n vertices (n odd), by backtracking
     over the pair list with out-degree feasibility pruning."""
     if n % 2 == 0:
@@ -314,8 +315,6 @@ def set_inclusion_graph(n: int, k: int, r: int) -> BipartiteGraph:
     given by inclusion.  Requires n > k > r > 0."""
     if not (n > k > r > 0):
         raise DegenerateParameters(f"need n > k > r > 0, got ({n}, {k}, {r})")
-    from math import comb
-
     n_edges = comb(n, k) * comb(k, r)
     if n_edges > 200_000:
         raise CapExceeded("set-inclusion construction", n_edges, 200_000)

@@ -4,9 +4,8 @@ Simple cycles of a fixed even length are enumerated exactly, deduplicated up
 to rotation and reflection by anchoring each cycle at its smallest vertex.
 On top of that sit the alternating-cycle counts kappa_l, the four colour
 classes of even cycles as array passes over a colourings matrix (class 4 on
-a girth cycle is a girth-law violation), the full 2^e colouring scan that
-``certify`` takes its counting-law maxima from, and the GF(2) test that the
-4-cycles span the cycle space.
+a girth cycle is a girth-law violation), and the GF(2) test that the 4-cycles
+span the cycle space.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT, RunConfig
 from .errors import CapExceeded
-from .graphs import BipartiteGraph, EdgeColouring, _colouring_rows, check_aligned
+from .graphs import BipartiteGraph, EdgeColouring, check_aligned
 
 
 @dataclass(frozen=True)
@@ -160,45 +159,6 @@ def classify_4cycles(
 ) -> FourCycleProfile:
     check_aligned(g, a)
     return _profile(a.colours, enumerate_cycles(g, 4, config).edge_cycles)
-
-
-# -- full colouring scans ------------------------------------------------------
-
-
-# rows per scored chunk of the full colouring scan.  The K_{4,4} reference
-# scan (2^15 rows, best of 25 on a shared 2-core Xeon) took 16.0, 14.4, 14.6
-# and 15.4 ms at 2^9, 2^10, 2^11 and 2^12 rows: smaller chunks pay the
-# per-chunk calls (one gather per cycle position, one argmax per score) more
-# often, and larger ones gain nothing, so the smaller of the two fastest
-_SCAN_CHUNK_BITS = 10
-
-
-def _scan_colourings(n_edges: int, score, config: RunConfig):
-    """Maximise each component of a vector-valued score over all 2^e colourings.
-
-    ``score`` maps an int8 ``(colourings x edges)`` matrix to a tuple of
-    integer vectors, one entry per row.  Returns one (best value,
-    lexicographically least colouring reaching it) pair per component.  Only
-    colourings with first edge colour 1 are scored, in product order and in
-    chunks of ``2**_SCAN_CHUNK_BITS`` rows: every component must be invariant
-    under flipping all colours, so each value is also reached by the
-    conjugate, which starts with 0 and is therefore the least maximiser when
-    taken from the last scanned one.
-    """
-    if n_edges > config.cap_colourings:
-        raise CapExceeded("colouring scan", n_edges, config.cap_colourings)
-    if n_edges == 0:
-        return [(int(values[0]), ()) for values in score(np.zeros((1, 0), np.int8))]
-    half = 1 << (n_edges - 1)   # the rows from here on start with colour 1
-    step = 1 << min(n_edges - 1, _SCAN_CHUNK_BITS)
-    best: dict[int, tuple] = {}   # component -> (value, last row reaching it)
-    for start in range(half, 2 * half, step):
-        chunk = _colouring_rows(n_edges, start, start + step)
-        for i, values in enumerate(score(chunk)):
-            last = len(values) - 1 - int(np.argmax(values[::-1]))
-            if i not in best or values[last] >= best[i][0]:
-                best[i] = (int(values[last]), chunk[last])
-    return [(value, tuple(int(c) for c in 1 - row)) for value, row in best.values()]
 
 
 # -- cycle space ----------------------------------------------------------------

@@ -150,7 +150,8 @@ class HatamiWitness:
             "kernels": [kernel_to_json(k) for k in self.kernels],
             "lhs": self.lhs,
             "rhs": self.rhs,
-            "log_margin": self.log_margin,
+            # -inf when a single-kernel density vanishes; lhs and rhs show it
+            "log_margin": self.log_margin if math.isfinite(self.log_margin) else None,
         }
 
 

@@ -62,6 +62,7 @@ from .graphs import (
     _balanced_rows,
     complete_bipartite,
     cycle,
+    is_balanced,
     iter_balanced_colourings,
     star,
 )
@@ -248,7 +249,6 @@ def _row_trig_closed_forms(config: RunConfig) -> dict:
     every colouring of C4, C6, C8."""
     h0 = TrigKernel.h0()
     for g in (cycle(4), cycle(6)):
-        from .graphs import is_balanced
         for bits in product((0, 1), repeat=g.n_edges):
             col = EdgeColouring(bits)
             val = trig_density(g, col, h0, "auto", config)

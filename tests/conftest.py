@@ -99,7 +99,8 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 def package_sources() -> dict[str, str]:
     """The source of each module of the package, by module name
     (``__init__`` for the package itself).  The package audits in
-    ``test_config.py`` and ``test_reachability.py`` read it."""
+    ``test_annotations.py``, ``test_config.py`` and ``test_reachability.py``
+    read it."""
     return {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 
 

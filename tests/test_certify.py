@@ -122,7 +122,7 @@ class TestGenericPipeline:
         cert = certify_not_norming(complete_bipartite(4, 4))
         assert cert.verdict == "NoObstructionFound"
         assert cert.stages[-1] == {
-            "stage": "counting-laws", "status": "ran", "scan": "all-colourings",
+            "stage": "counting-laws", "status": "ran",
             "survivors": 18, "kappa_max": 16, "pattern_max": 28}
 
     def test_stage_log_present(self, c6):

@@ -550,19 +550,17 @@ class TestCapExitCode:
         assert "cap exceeded: cycle enumeration" in capsys.readouterr().err
 
 
-_CAP_FLAGS = ("--cap-edges", "--cap-assignments", "--cap-vertices",
-              "--cap-colourings", "--cap-cycles")
 _POSITIONAL = {"check": ["g.json"], "certify": ["graph", "g.json"],
                "colourings": ["g.json"], "density": ["g.json", "a.json", "k.json"],
                "smax": ["g.json", "k.json"], "reproduce": []}
 # the cap flags each command takes: one for each cap that something it runs reads
 _KEPT_CAPS = {
     "check": ("--cap-vertices", "--cap-cycles"),
-    "certify": ("--cap-edges", "--cap-vertices", "--cap-colourings", "--cap-cycles"),
+    "certify": ("--cap-edges", "--cap-vertices", "--cap-cycles"),
     "colourings": ("--cap-edges", "--cap-vertices"),
     "density": ("--cap-assignments",),
     "smax": ("--cap-assignments", "--cap-colourings"),
-    "reproduce": _CAP_FLAGS,
+    "reproduce": ("--cap-edges", "--cap-assignments", "--cap-vertices", "--cap-cycles"),
 }
 # every integer count or cap option: (subcommand, its positional arguments,
 # flag, whether 0 is accepted)
@@ -615,19 +613,18 @@ _REFUSED = [
     *(("check", flag) for flag in ("--cap-edges", "--cap-assignments", "--cap-colourings")),
     *(("colourings", flag) for flag in ("--cap-assignments", "--cap-colourings",
                                         "--cap-cycles")),
-    ("certify", "--cap-assignments"),
+    *(("certify", flag) for flag in ("--cap-assignments", "--cap-colourings")),
+    ("reproduce", "--cap-colourings"),
 ]
 
 # (command line with a kept cap at 0, the sign that the cap stopped something):
-# exit 2, a "skipped (...)" note, or for certify's colouring-scan cap the
-# counting laws' reference scan narrowed to the balanced colourings
+# exit 2 or a "skipped (...)" note
 _KEPT_AT_ZERO = [
     (["check", "c4", "alt4", "--cap-vertices", "0"], "skipped"),
     (["check", "c4", "alt4", "--cap-cycles", "0"], "skipped"),
     (["certify", "graph", "c6", "--cap-edges", "0"], 2),
     (["certify", "graph", "c6", "--cap-vertices", "0"], 2),
     (["certify", "graph", "c6", "--cap-cycles", "0"], 2),
-    (["certify", "graph", "c6", "--cap-colourings", "0"], "balanced-only"),
     (["colourings", "c6", "--cap-edges", "0"], 2),
     (["colourings", "c6", "--transitive", "--cap-vertices", "0"], 2),
     (["density", "c4", "alt4", "sign", "--cap-assignments", "0"], 2),
@@ -743,3 +740,15 @@ class TestDecorationFalsify:
              "--seed", "5", "--trials", "30"], capsys)
         blob = json.loads(out)
         assert blob["witness"] is None and blob["worst_margin"] > 0
+
+    def test_no_trials_write_a_null_margin(self, files, capsys):
+        # the worst margin of no trials is inf, which JSON cannot hold
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        code, out = run_cli(
+            ["falsify", files["c4"], files["alt4"], "--kind", "decoration",
+             "--seed", "1", "--trials", "0"], capsys)
+        assert code == 0
+        blob = json.loads(out, parse_constant=refuse)
+        assert blob["worst_margin"] is None and blob["witness"] is None

@@ -1,6 +1,6 @@
-"""Cycle enumeration against independent oracles, colour classes, full scans."""
+"""Cycle enumeration against independent oracles, colour classes, and the
+counting laws' reference maxima against all colourings."""
 
-import random
 from itertools import combinations, product
 
 import numpy as np
@@ -8,20 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnorm import certify
 from gnorm.config import RunConfig
 from gnorm.errors import CapExceeded
 from gnorm.graphs import (
     BipartiteGraph,
     EdgeColouring,
+    _colouring_rows,
     complete_bipartite,
     cycle,
+    girth,
     iter_balanced_colourings,
 )
 from gnorm.cycles import (
-    _SCAN_CHUNK_BITS,
     _class_counts,
     _pattern_scores,
-    _scan_colourings,
+    _row,
     classify_4cycles,
     enumerate_cycles,
     four_cycles_generate_cycle_space,
@@ -261,80 +263,60 @@ class TestClassification:
             assert prof.c1 + prof.c2 + prof.c3 + prof.c4 == total
 
 
-def kappa_score(cycles):
-    """The alternating-cycle count of each row, as a one-component score."""
-    return lambda matrix: (_class_counts(matrix, cycles)[:, 0],)
-
-
-def pattern_score(cycles):
-    """c1 + c3 - c2 of each row, as a one-component score."""
-    return lambda matrix: (_pattern_scores(_class_counts(matrix, cycles)),)
+def _even_edge_sets_of_k44():
+    """The 511 nonempty edge sets of K_{4,4} in which every vertex has even
+    degree, as edge bitmasks for ``small_bipartite(mask, 4, 4)``: the XORs of
+    the nine 4-cycles through a0 and b0, a basis of the cycle space."""
+    basis = [1 << 0 | 1 << j | 1 << 4 * i | 1 << 4 * i + j
+             for i in range(1, 4) for j in range(1, 4)]
+    for pick in range(1, 1 << len(basis)):
+        mask = 0
+        for k, vec in enumerate(basis):
+            if pick >> k & 1:
+                mask ^= vec
+        yield mask
 
 
 class TestMaximizers:
     def test_kappa_girth(self, c6):
         cycles = enumerate_cycles(c6, 6).edge_cycles
-        [(best, _)] = _scan_colourings(6, kappa_score(cycles), RunConfig())
-        assert best == kappa_alternating(c6, EdgeColouring((1, 0, 1, 0, 1, 0)), 6) == 1
-        assert kappa_alternating(c6, EdgeColouring((1,) * 6), 6) < best
+        kappa = _class_counts(np.array([(1, 0) * 3, (1,) * 6], np.int8), cycles)[:, 0]
+        assert kappa.tolist() == [1, 0]
+        assert kappa_alternating(c6, EdgeColouring((1, 0, 1, 0, 1, 0)), 6) == 1
 
-    def test_pattern_score_scan(self, c4, alt4, mono4):
+    def test_pattern_score(self, c4, alt4, mono4):
         cycles = enumerate_cycles(c4, 4).edge_cycles
-        [(best, _)] = _scan_colourings(4, pattern_score(cycles), RunConfig())
-        [scores] = pattern_score(cycles)(np.array([alt4.colours, mono4.colours], np.int8))
-        assert best == scores[0] == 1 and scores[1] == -1
+        matrix = np.array([alt4.colours, mono4.colours], np.int8)
+        assert _pattern_scores(_class_counts(matrix, cycles)).tolist() == [1, -1]
 
-    def test_argmax_is_lexicographically_least(self, c4):
-        cycles = enumerate_cycles(c4, 4).edge_cycles
-        [(best, colours)] = _scan_colourings(4, kappa_score(cycles), RunConfig())
-        assert (best, colours) == (1, (0, 1, 0, 1))
+    def test_counting_references_are_the_maxima_over_all_colourings(self, monkeypatch):
+        # certify takes the counting laws' maxima over the balanced colourings
+        # only; on every graph here that reaches the counting stage they equal
+        # the maxima over all 2^e colourings
+        graphs = [cycle(n) for n in range(4, 17, 2)]
+        graphs += [complete_bipartite(2, n) for n in (4, 6, 8)] + [complete_bipartite(4, 4)]
+        graphs += [small_bipartite(mask, 4, 4) for mask in _even_edge_sets_of_k44()]
+        seen, refs_of = [], certify._counting_refs
 
-    def test_cap(self):
-        q4 = hypercube(4)
-        cycles = enumerate_cycles(q4, 4).edge_cycles
-        with pytest.raises(CapExceeded):
-            _scan_colourings(q4.n_edges, kappa_score(cycles), RunConfig())
+        def spy(g, balanced, config):
+            seen.append(refs_of(g, balanced, config))
+            return seen[-1]
 
-    def test_scan_matches_product_order_oracle(self):
-        # per component: the first strict maximum over all colourings in
-        # product order, i.e. the lexicographically least maximiser
-        rng = random.Random(2)
-        config = RunConfig()
-        for _ in range(30):
-            g = small_bipartite(rng.randrange(1, 2 ** 12), 3, 4)
-            if g is None:
+        monkeypatch.setattr(certify, "_counting_refs", spy)
+        reached = 0
+        for g in graphs:
+            seen.clear()
+            certify.certify_not_norming(g)
+            if not seen:
                 continue
+            reached += 1
+            [refs] = seen
+            every = _colouring_rows(g.n_edges, 0, 1 << g.n_edges)
+            kappa = _class_counts(every, enumerate_cycles(g, girth(g)).edge_cycles)[:, 0]
             fours = enumerate_cycles(g, 4).edge_cycles
-            sixes = enumerate_cycles(g, 6).edge_cycles
-
-            def score(matrix):
-                matrix = np.atleast_2d(np.asarray(matrix, dtype=np.int8))
-                return (_class_counts(matrix, sixes)[:, 0],
-                        _pattern_scores(_class_counts(matrix, fours)))
-
-            oracle = [None, None]
-            for colours in product((0, 1), repeat=g.n_edges):
-                for i, value in enumerate(score(colours)):
-                    if oracle[i] is None or value > oracle[i][0]:
-                        oracle[i] = (value, colours)
-            assert _scan_colourings(g.n_edges, score, config) == oracle
-
-    def test_scan_over_many_chunks_matches_product_order_oracle(self):
-        # K_{4,4}: 2^15 scored rows span many chunks; the oracle scores all
-        # 2^16 colourings in product order and takes each first strict maximum
-        g = complete_bipartite(4, 4)
-        fours = enumerate_cycles(g, 4).edge_cycles
-        assert g.n_edges - 1 > _SCAN_CHUNK_BITS
-
-        def score(matrix):
-            counts = _class_counts(matrix, fours)
-            return (counts[:, 0], _pattern_scores(counts), counts[:, 1], counts[:, 2],
-                    counts[:, 3])
-
-        space = list(product((0, 1), repeat=g.n_edges))
-        oracle = [(int(values.max()), space[int(np.argmax(values))])
-                  for values in score(np.array(space, dtype=np.int8))]
-        assert _scan_colourings(g.n_edges, score, RunConfig()) == oracle
+            pattern = _pattern_scores(_class_counts(every, fours)).max() if fours else None
+            assert (refs.kappa_max, refs.pattern_max) == (kappa.max(), pattern), g.edges
+        assert reached == 246
 
 
 class TestCycleSpace:
@@ -389,9 +371,8 @@ class TestPatternScoreGlobalMax:
     def test_beta_attains_the_analytic_upper_bound(self):
         # each 4-cycle contributes at most +1 to c1 + c3 - c2, so 24 is a
         # global bound over all 2^32 colourings of the 4-cube; the
-        # half-half colouring attains it without any scan
-        from gnorm.constructions import hypercube, hypercube_beta
+        # half-half colouring attains it
         q4 = hypercube(4)
         cycles = enumerate_cycles(q4, 4).edge_cycles
-        [scores] = pattern_score(cycles)(np.array([hypercube_beta(4).colours], np.int8))
+        scores = _pattern_scores(_class_counts(_row(hypercube_beta(4).colours), cycles))
         assert scores.tolist() == [len(cycles)] == [24]

@@ -1,13 +1,17 @@
 """Falsifier behaviour: soundness on norming colourings, sensitivity on
 broken ones, witness replay, determinism."""
 
+import json
+import math
 import random
 
+import numpy as np
 import pytest
 
 from gnorm.graphs import BipartiteGraph, EdgeColouring, star
 from gnorm.kernels import Decoration, StepKernel
 from gnorm.falsify import (
+    HatamiWitness,
     hatami_check,
     hatami_random_scan,
     hatami_violation_search,
@@ -43,6 +47,19 @@ class TestHatamiCheck:
         blob = witness.to_json()
         assert blob["kind"] == "decoration-inequality"
         assert blob["seed"] == 5 and len(blob["kernels"]) == 4
+
+    def test_vanishing_single_density_writes_a_null_margin(self, c4, mono4):
+        # t(a) = 0 on the monochromatic square, while the mixed density is
+        # not: the margin is -inf, and the JSON says null beside rhs = 0
+        a = StepKernel(np.array([[1, 1j], [0, 0]]))
+        b = StepKernel(np.array([[1, 0], [0, 0]]))
+        kernels = (a, b, b, b)
+        res = hatami_check(c4, mono4, Decoration(kernels))
+        assert not res.holds and res.log_margin == -math.inf
+        witness = HatamiWitness(0, 0, "conjugate", mono4.colours, kernels,
+                                res.lhs, res.rhs, res.log_margin)
+        blob = json.loads(json.dumps(witness.to_json(), allow_nan=False))
+        assert blob["log_margin"] is None and blob["rhs"] == 0 < blob["lhs"]
 
     def test_no_violation_on_alternating_scan(self, c4, alt4):
         scan = hatami_random_scan(c4, alt4, seed=9, trials=300)
