@@ -14,6 +14,7 @@ from gnorm.errors import CapExceeded
 from gnorm.graphs import (
     BipartiteGraph,
     EdgeColouring,
+    _balanced_rows,
     _colouring_rows,
     complete_bipartite,
     cycle,
@@ -288,6 +289,34 @@ class TestMaximizers:
         cycles = enumerate_cycles(c4, 4).edge_cycles
         matrix = np.array([alt4.colours, mono4.colours], np.int8)
         assert _pattern_scores(_class_counts(matrix, cycles)).tolist() == [1, -1]
+
+    @pytest.mark.parametrize("g", [cycle(4), cycle(8), complete_bipartite(2, 4),
+                                   complete_bipartite(4, 4), hypercube(4)],
+                             ids=["C4", "C8", "K24", "K44", "Q4"])
+    def test_argmax_is_the_first_balanced_maximiser(self, g):
+        # each reference argmax is the first balanced colouring, in
+        # enumeration order, that attains its maximum; every graph here has
+        # ties, so a later maximiser would differ
+        oracle = {}
+        for a in iter_balanced_colourings(g):
+            scores = {"kappa": kappa_alternating(g, a, int(girth(g)))}
+            if girth(g) == 4:
+                p = classify_4cycles(g, a)
+                scores["pattern"] = p.c1 + p.c3 - p.c2
+            for law, value in scores.items():
+                best, first, ties = oracle.get(law, (None, None, 0))
+                if best is None or value > best:
+                    oracle[law] = (value, a.colours, 1)
+                else:
+                    oracle[law] = (best, first, ties + (value == best))
+        refs = certify._counting_refs(g, _balanced_rows(g), RunConfig())
+        assert (refs.kappa_max, refs.kappa_argmax) == oracle["kappa"][:2]
+        assert oracle["kappa"][2] > 1
+        if "pattern" in oracle:
+            assert (refs.pattern_max, refs.pattern_argmax) == oracle["pattern"][:2]
+            assert oracle["pattern"][2] > 1
+        else:
+            assert refs.pattern_max is refs.pattern_argmax is None
 
     def test_counting_references_are_the_maxima_over_all_colourings(self, monkeypatch):
         # certify takes the counting laws' maxima over the balanced colourings
