@@ -48,16 +48,6 @@ def is_prime_power(n: int) -> bool:
 # -- the classification of edge-transitive self-complementary r-graphs ----------
 
 
-@dataclass(frozen=True)
-class ClassAResult:
-    member: bool
-    case: Optional[int]     # which clause fired, 1..5
-    via_dual: bool          # clause fired for (k, k-r) instead of (k, r)
-
-    def __bool__(self) -> bool:
-        return self.member
-
-
 def _class_a_case(k: int, r: int) -> Optional[int]:
     if r == 1 and k % 2 == 0:
         return 1
@@ -72,7 +62,7 @@ def _class_a_case(k: int, r: int) -> Optional[int]:
     return None
 
 
-def class_A_membership(k: int, r: int) -> ClassAResult:
+def class_A_membership(k: int, r: int) -> bool:
     """Existence of an edge-transitive self-complementary k-vertex r-graph.
 
     The published clause list is checked for (k, r) and, via the
@@ -81,13 +71,7 @@ def class_A_membership(k: int, r: int) -> ClassAResult:
     """
     if not (k > r >= 1):
         raise DegenerateParameters(f"need k > r >= 1, got ({k}, {r})")
-    case = _class_a_case(k, r)
-    if case is not None:
-        return ClassAResult(True, case, False)
-    dual = _class_a_case(k, k - r)
-    if dual is not None:
-        return ClassAResult(True, dual, True)
-    return ClassAResult(False, None, False)
+    return _class_a_case(k, r) is not None or _class_a_case(k, k - r) is not None
 
 
 # -- the integrality obstruction ---------------------------------------------------

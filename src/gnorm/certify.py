@@ -121,14 +121,14 @@ def _star_exception(g: BipartiteGraph) -> Optional[dict]:
     or of isomorphic stars with an even number of leaves on one fixed side."""
     shapes = []
     for comp in g.components:
-        verts = sorted(comp, key=g.vertex_index.get)
-        n = len(verts)
+        n = len(comp)
         if n == 2:
             shapes.append(("edge", None, None))
             continue
-        centres = [v for v in verts if g.degree(v) == n - 1]
-        leaves = [v for v in verts if g.degree(v) == 1]
-        if len(centres) == 1 and len(leaves) == n - 1:
+        # the witness reads counts and the one centre's side: any order will do
+        centres = [v for v in comp if g.degree(v) == n - 1]
+        leaves = sum(g.degree(v) == 1 for v in comp)
+        if len(centres) == 1 and leaves == n - 1:
             side = "left" if g.is_left(centres[0]) else "right"
             shapes.append(("star", n - 1, side))
         else:
@@ -177,9 +177,10 @@ def _counting_refs(
     g: BipartiteGraph,
     balanced: np.ndarray,
     config: RunConfig,
-) -> _CountingRefs:
+) -> tuple[_CountingRefs, tuple]:
     """Reference maxima for the counting laws over the balanced colourings,
-    the rows of the matrix ``balanced``.
+    the rows of the matrix ``balanced``, and the ``_profiles`` of those rows
+    they are taken from, which ``_counting_failures`` reads again.
 
     Each maximum's argmax is its first strict maximum in enumeration order,
     from one profile pass.  Any balanced colouring that beats a candidate is
@@ -190,24 +191,25 @@ def _counting_refs(
     girth_cycles = np.array(enumerate_cycles(g, gv, config).edge_cycles, dtype=np.intp)
     four_cycles = (girth_cycles if gv == 4 else
                    np.array(enumerate_cycles(g, 4, config).edge_cycles, dtype=np.intp))
-    girth_counts, four_counts = _profiles(balanced, girth_cycles, four_cycles)
+    profiles = girth_counts, four_counts = _profiles(balanced, girth_cycles, four_cycles)
     kv, pv = girth_counts[:, 0], _pattern_scores(four_counts)
     k, p = int(np.argmax(kv)), int(np.argmax(pv))
     k_best, k_arg = int(kv[k]), tuple(balanced[k].tolist())
     p_best, p_arg = int(pv[p]), tuple(balanced[p].tolist())
     if not len(four_cycles):
         p_best = p_arg = None
-    return _CountingRefs(girth_cycles, four_cycles, k_best, p_best, k_arg, p_arg)
+    return _CountingRefs(girth_cycles, four_cycles, k_best, p_best, k_arg, p_arg), profiles
 
 
 _LAWS = ("girth-cycle-law", "kappa", "pattern")
 
 
-def _counting_failures(matrix: np.ndarray, refs: _CountingRefs) -> np.ndarray:
+def _counting_failures(profiles: tuple, refs: _CountingRefs) -> np.ndarray:
     """``(rows x 3)`` bool: the counting laws (``_LAWS``) that each row of a
-    0/1 colourings matrix fails, from one profile pass over all rows."""
-    girth_counts, four_counts = _profiles(matrix, refs.girth_cycles, refs.four_cycles)
-    pattern = (np.zeros(len(matrix), dtype=bool) if refs.pattern_max is None
+    0/1 colourings matrix fails, from the matrix's ``_profiles`` over the
+    cycles of ``refs``."""
+    girth_counts, four_counts = profiles
+    pattern = (np.zeros(len(girth_counts), dtype=bool) if refs.pattern_max is None
                else _pattern_scores(four_counts) < refs.pattern_max)
     return np.column_stack((girth_counts[:, 3] > 0,
                             girth_counts[:, 0] < refs.kappa_max, pattern))
@@ -367,7 +369,7 @@ def _pipeline(
         )
 
     try:
-        refs = _counting_refs(g, matrix, config)
+        refs, profiles = _counting_refs(g, matrix, config)
     except CapExceeded as exc:
         stages.capped("counting-laws", exc)
         return Certificate(
@@ -375,10 +377,10 @@ def _pipeline(
             witness={"note": "counting stage capped"},
             surviving=transitive[:10].tolist(), cap_hit=True,
         )
-    # one pass over every balanced colouring feeds the dichotomy summary, which
-    # files each colouring under its first failed law, and the failures of
-    # the transitive ones
-    fails = _counting_failures(matrix, refs)
+    # the profile pass over every balanced colouring that gave the maxima
+    # feeds the dichotomy summary, which files each colouring under its first
+    # failed law, and the failures of the transitive ones
+    fails = _counting_failures(profiles, refs)
     first = np.where(fails.any(axis=1), fails.argmax(axis=1), len(_LAWS))
     balance_fail_kinds = dict(zip((*_LAWS, "none"),
                                   np.bincount(first, minlength=len(_LAWS) + 1).tolist()))
@@ -429,7 +431,7 @@ def _class_a_violation(n: int, k: int, r: int, checked: dict) -> Optional[Certif
     each pair, up to the first that fails, as ``class_membership_<k>_<r>``.
     """
     for kk, rr in dict.fromkeys(((k, r), (n - r, n - k))):
-        member = checked[f"class_membership_{kk}_{rr}"] = bool(class_A_membership(kk, rr))
+        member = checked[f"class_membership_{kk}_{rr}"] = class_A_membership(kk, rr)
         if not member:
             return Certificate(
                 VERDICT_NOT_NORMING, obstruction="ClassAViolation",

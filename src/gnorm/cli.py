@@ -291,7 +291,7 @@ def cmd_tournament(args) -> int:
 
 def cmd_reproduce(args) -> int:
     cfg = _config_from(args)
-    results = run_all(cfg, args.rows or None)
+    results = run_all(cfg, args.rows)
     if args.out:
         _write({"rows": results}, args.out)
     if args.pretty or not args.out:
@@ -388,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tournament)
 
     p = sub.add_parser("reproduce", help="run the verification table")
-    p.add_argument("--rows", nargs="*", choices=[row.rid for row in ROWS],
-                   metavar="ROW", help="subset of row ids")
+    p.add_argument("--rows", nargs="+", choices=[row.rid for row in ROWS],
+                   metavar="ROW", help="subset of row ids (one or more)")
     _add_common(p, ("cap_edges", "cap_assignments", "cap_vertices", "cap_cycles", "side_swap"))
     p.set_defaults(fn=cmd_reproduce)
 

@@ -286,12 +286,12 @@ def tournament_from_colouring(g: BipartiteGraph, a: EdgeColouring) -> Tournament
     check_aligned(g, a)
     arcs = []
     pairs = set()
-    for mid in g.right:
-        inc = g.incident_edges[mid]
-        if len(inc) != 2:
+    for m, mid in enumerate(g.right, len(g.left)):
+        ends = g.neighbours[m]
+        if len(ends) != 2:
             raise ValueError(f"vertex {mid!r} is not a subdivision vertex")
-        (u, _), (v, _) = (g.edges[i] for i in inc)
-        cu, cv = (a[i] for i in inc)
+        u, v = (g.vertices[x] for x in ends)
+        cu, cv = (a[g.edge_at[x, m]] for x in ends)
         if cu == cv:
             raise NotBalanced(f"edges at {mid!r} share colour {cu}")
         tail, head = (u, v) if cu == 1 else (v, u)

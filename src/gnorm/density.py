@@ -7,17 +7,19 @@ minimum-fill order.  Both are exact up to floating point and must agree; the
 verification suite pins their relative deviation.  ``auto`` takes ``direct``
 up to 4096 assignments (``_resolve``).
 
-Both routes take edge factors with leading batch axes, and ``_means`` is the
-one division by the assignment count.  ``s_max`` and ``rho_2m`` sweep all
-2^e colourings: they plan the route (and raise its caps) once and stack the
-two tables of the kernel (colour 0 and colour 1).  On the elimination route
-the last k edges take the stack whole, so their colours are einsum axes and
-a step is computed once for all the colourings that agree on the edges it
-has absorbed; the leading e-k colours are batch rows in product order, first
-edge most significant (``graphs._colouring_rows``), contracted in chunks
-sized by ``_chunks``.  The values agree with ``t_density`` to 1e-12
-relative, not bit for bit.  The falsifiers contract chunks of trials the
-same way (k = 0), through ``_route``, ``_chunks`` and ``_densities``, and
+``_route`` is the one planner: it checks the mode and the kernel shape,
+picks the route and raises its caps, before anything is contracted.  Both
+routes take edge factors with leading batch axes, and ``_means`` is the one
+division by the assignment count.  ``s_max`` and ``rho_2m`` sweep all 2^e
+colourings: they plan the route once and stack the two tables of the kernel
+(colour 0 and colour 1).  On the elimination route the last k edges take
+the stack whole, so their colours are einsum axes and a step is computed
+once for all the colourings that agree on the edges it has absorbed; the
+leading e-k colours are batch rows in product order, first edge most
+significant (``graphs._colouring_rows``), contracted in chunks sized by
+``_chunks``.  The values agree with ``t_density`` to 1e-12 relative, not
+bit for bit.  The falsifiers contract chunks of trials the same way
+(k = 0), through ``_route``, ``_chunks`` and ``_densities``, and
 ``t_decoration`` and ``t_density`` are one-row calls of ``_densities``.
 """
 
@@ -64,11 +66,6 @@ def _chunks(start: int, stop: int, route, per_row: int) -> Iterator[range]:
         yield range(lo, min(lo + rows, stop))
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
 def _colour_table(arr: np.ndarray, colour: int, mode: str) -> np.ndarray:
     """The table an edge of this colour contributes; axis 0 is the left
     variable, axis 1 the right.
@@ -80,12 +77,6 @@ def _colour_table(arr: np.ndarray, colour: int, mode: str) -> np.ndarray:
     if colour == 1:
         return arr
     return arr.conj() if mode == "conjugate" else np.swapaxes(arr, -1, -2)
-
-
-def _check_shape(shape: tuple[int, int], mode: str) -> None:
-    p, q = shape
-    if mode == "transpose" and p != q:
-        raise ShapeMismatch(f"transpose mode needs a square kernel, got {p}x{q}")
 
 
 def _dims(g: BipartiteGraph, shape: tuple[int, int], mode: str) -> list[int]:
@@ -100,20 +91,19 @@ class _Route(NamedTuple):
     """How one batch row of evaluations is contracted, fixed once per graph
     and grid.
 
-    ``assignments`` is the number of grid assignments and ``width`` the
-    number of entries in the widest step of one evaluation (every assignment
-    for ``direct``, the largest elimination scope for ``eliminate``): the
-    caps count these.  ``open_edges`` is the number of trailing edges whose
-    colour is an axis of size 2 in every factor and step (0 but for a
-    colouring sweep's elimination), and ``row_width`` the entries in the
-    widest step of one batch row, colour axes included, which sizes the
-    chunks.  ``steps`` are the elimination's einsum steps.
+    ``assignments`` is the number of grid assignments.  ``open_edges`` is
+    the number of trailing edges whose colour is an axis of size 2 in every
+    factor and step (0 but for a colouring sweep's elimination), and
+    ``row_width`` the entries in the widest step of one batch row, colour
+    axes included, which sizes the chunks; with no open edge it is the
+    widest step of one evaluation (every assignment for ``direct``, the
+    largest elimination scope for ``eliminate``), which the caps count.
+    ``steps`` are the elimination's einsum steps.
     """
 
     method: str
     dims: tuple[int, ...]
     assignments: int
-    width: int
     row_width: int
     steps: tuple[tuple[tuple[int, ...], str], ...] = ()
     open_edges: int = 0
@@ -127,31 +117,29 @@ def _resolve(method: str, dims: list[int]) -> str:
     return method
 
 
-def _plan(
-    g: BipartiteGraph, dims: list[int], method: str, config: RunConfig, budget: int = 0
+def _route(
+    g: BipartiteGraph, shape: tuple[int, int], mode: str, method: str, config: RunConfig,
+    budget: int = 0,
 ) -> _Route:
-    """Pick the route and raise its cap before anything is contracted.  An
-    elimination opens as many colour axes as fit ``budget`` entries per
-    step (none when it is 0)."""
+    """Check the mode and the kernel shape, then pick the route of one
+    evaluation on this grid and raise its cap, before anything is
+    contracted.  An elimination opens as many colour axes as fit ``budget``
+    entries per step (none when it is 0)."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    p, q = shape
+    if mode == "transpose" and p != q:
+        raise ShapeMismatch(f"transpose mode needs a square kernel, got {p}x{q}")
+    dims = _dims(g, shape, mode)
     total = prod(dims)
     method = _resolve(method, dims)
     if method == "direct":
         if total > config.cap_assignments:
             raise CapExceeded("direct density evaluation", total, config.cap_assignments)
-        return _Route("direct", tuple(dims), total, total, total)
+        return _Route("direct", tuple(dims), total, total)
     if method == "eliminate":
         return _elimination_plan(g, dims, total, config, budget)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _route(
-    g: BipartiteGraph, shape: tuple[int, int], mode: str, method: str, config: RunConfig
-) -> _Route:
-    """Check the mode and the kernel shape, then plan the route of one
-    evaluation on this grid."""
-    _check_mode(mode)
-    _check_shape(shape, mode)
-    return _plan(g, _dims(g, shape, mode), method, config)
 
 
 def _evaluate(route: _Route, g: BipartiteGraph, factors: list[np.ndarray]) -> np.ndarray:
@@ -251,7 +239,6 @@ def _elimination_plan(
     live = list(range(e))
     finished = []
     groups = []
-    widest = 1
     for v in order:
         group = [s for s in live if v in scopes[s]]
         live = [s for s in live if v not in scopes[s]]
@@ -261,7 +248,6 @@ def _elimination_plan(
             raise CapExceeded("elimination width", width, config.cap_assignments)
         if len(union) > len(_LETTERS):
             raise CapExceeded("elimination scope", len(union), len(_LETTERS))
-        widest = max(widest, width)
         new_scope = [x for x in union if x != v]
         groups.append((group, union, width))
         (live if new_scope else finished).append(len(scopes))
@@ -299,7 +285,7 @@ def _elimination_plan(
         colour_letter = dict(zip(range(e - k, e), _LETTERS))
         inputs = ",".join(subscript(s, {}, colour_letter) for s in finished)
         steps.append((tuple(finished), f"{inputs}->..." + "".join(colour_letter.values())))
-    return _Route("eliminate", tuple(dims), assignments, widest, row_width(k), tuple(steps), k)
+    return _Route("eliminate", tuple(dims), assignments, row_width(k), tuple(steps), k)
 
 
 def _evaluate_eliminate(steps, factors) -> np.ndarray:
@@ -349,11 +335,10 @@ def t_density(
     Every edge reads one of the kernel's two colour tables; an edgeless graph
     has density 1.
     """
-    _check_mode(mode)
+    route = _route(g, f.shape, mode, method, config)
     check_aligned(g, a)
     if g.n_edges == 0:
         return complex(1.0)
-    route = _route(g, f.shape, mode, method, config)
     return complex(_densities(route, g, a, [f.array()[None]] * g.n_edges, mode)[0])
 
 
@@ -369,7 +354,8 @@ def _sweep(
     chunks in product order: row r is the colouring whose colours, first
     edge most significant, spell r in binary.
 
-    Every cap is raised before the first chunk is contracted.  An
+    Every cap is raised before the first chunk is contracted, the
+    colourings cap first, before ``_route`` reads the mode.  An
     elimination leaves the colours of its ``open_edges`` last edges (k of
     them) open, so each batch row is the 2^k colourings that share one
     prefix, and a step is computed once for all the colourings that agree on
@@ -377,17 +363,15 @@ def _sweep(
     the leading edges index the stacked (colour 0, colour 1) tables of f, and
     the open edges take the stack whole.
     """
-    _check_mode(mode)
     m = g.n_edges
     if m > config.cap_colourings:
         raise CapExceeded(stage, m, config.cap_colourings)
-    _check_shape(f.shape, mode)
+    route = _route(g, f.shape, mode, method, config, _SWEEP_BUDGET)
     if m == 0:
         yield 0, np.ones(1, dtype=np.complex128)
         return
     arr = f.array()
     tables = np.stack((_colour_table(arr, 0, mode), arr))
-    route = _plan(g, _dims(g, f.shape, mode), method, config, _SWEEP_BUDGET)
     k = route.open_edges
     for chunk in _chunks(0, 1 << (m - k), route, 1):
         # one contiguous intp index row per leading edge, which numpy gathers

@@ -98,17 +98,8 @@ class BipartiteGraph:
             at[x, y] = at[y, x] = i
         return at
 
-    @cached_property
-    def incident_edges(self) -> dict[Vertex, tuple[int, ...]]:
-        """Each vertex's edge indices, ascending, keyed by name."""
-        inc: list[list[int]] = [[] for _ in self.vertices]
-        for i, (x, y) in enumerate(self.ends):
-            inc[x].append(i)
-            inc[y].append(i)
-        return dict(zip(self.vertices, map(tuple, inc)))
-
     def degree(self, v: Vertex) -> int:
-        return len(self.incident_edges[v])
+        return len(self.neighbours[self.vertex_index[v]])
 
     @property
     def n_vertices(self) -> int:
@@ -234,22 +225,20 @@ def girth(g: BipartiteGraph) -> int | float:
     """Length of a shortest cycle, or math.inf for forests.
 
     Computed per edge: delete the edge, measure the shortest remaining path
-    between its endpoints.  Always even on bipartite input.
+    between its endpoints by a breadth-first search over ``neighbours``.
+    Always even on bipartite input.
     """
     best: int | float = inf
-    for i, (u, v) in enumerate(g.edges):
+    for u, v in g.ends:
         dist = {u: 0}
         queue = deque([u])
         while queue:
             x = queue.popleft()
             if dist[x] + 1 >= best:
                 continue
-            for j in g.incident_edges[x]:
-                if j == i:
-                    continue
-                a, b = g.edges[j]
-                y = b if x == a else a
-                if y not in dist:
+            for y in g.neighbours[x]:
+                # the deleted edge is the one step from u straight to v
+                if y not in dist and (x, y) != (u, v):
                     dist[y] = dist[x] + 1
                     queue.append(y)
         if v in dist:

@@ -208,7 +208,7 @@ def _row_kneser_arithmetic(config: RunConfig) -> dict:
         (k, r)
         for k in range(2, 17)
         for r in range(1, k)
-        if bool(class_A_membership(k, r)) != bool(class_A_membership(k, k - r))
+        if class_A_membership(k, r) != class_A_membership(k, k - r)
     ]
     ok &= not dual_bad
     return {"ok": ok, "d_7_3": [res.d.numerator, res.d.denominator],

@@ -25,24 +25,23 @@ class TestPrimePowers:
 
 class TestClassMembership:
     def test_examples(self):
-        assert class_A_membership(4, 1).case == 1
-        assert class_A_membership(5, 2).case == 2
-        assert class_A_membership(6, 3).case == 3
-        assert class_A_membership(4, 3).case == 4
-        assert class_A_membership(9, 7).case == 5
-        assert not class_A_membership(7, 2)
+        # each clause fires for its own pair, which is then a member
+        for k, r, case in ((4, 1, 1), (5, 2, 2), (6, 3, 3), (4, 3, 4), (9, 7, 5)):
+            assert _class_a_case(k, r) == case
+            assert class_A_membership(k, r) is True
+        assert class_A_membership(7, 2) is False
 
     def test_duality_closure_fills_gaps(self):
         # the 3-graph of cyclic consecutive triples on 5 points exists, so
-        # (5, 3) is a member even though no direct clause covers it
-        res = class_A_membership(5, 3)
-        assert res and res.via_dual
+        # (5, 3) is a member even though no direct clause covers it: the
+        # clause fires for the dual pair (5, 2)
+        assert _class_a_case(5, 3) is None and _class_a_case(5, 2) == 2
+        assert class_A_membership(5, 3) is True
 
     def test_duality_exhaustive(self):
         for k in range(2, 17):
             for r in range(1, k):
-                assert bool(class_A_membership(k, r)) == \
-                    bool(class_A_membership(k, k - r))
+                assert class_A_membership(k, r) == class_A_membership(k, k - r)
 
     def test_guards(self):
         with pytest.raises(DegenerateParameters):

@@ -152,6 +152,18 @@ class TestHypercubes:
         assert cert.witness["kappa_max"] == 16
         assert cert.witness["pattern_max"] == 24
 
+    def test_q4_profiles_the_balanced_colourings_once(self, monkeypatch):
+        # the counting references and the laws' failures read one profile
+        # pass over the 2970 balanced colourings
+        from gnorm import certify
+        calls, real = [], certify._profiles
+        monkeypatch.setattr(certify, "_profiles",
+                            lambda matrix, *cycles: calls.append(len(matrix)) or
+                            real(matrix, *cycles))
+        cert = certify_not_norming(hypercube(4))
+        assert sum(cert.witness["dichotomy"].values()) == 2970
+        assert calls == [2970]
+
     def test_q4_witness_replays(self):
         cert = certify_family("hypercube", [4])
         q4 = hypercube(4)

@@ -475,6 +475,14 @@ class TestReproduce:
         assert "invalid choice: 'nope'" in captured.err
         assert "tournament-4cycles" in captured.err and not captured.out
 
+    def test_rows_without_ids_is_a_usage_error(self, capsys, monkeypatch):
+        # an empty --rows names no row; it does not mean every row
+        monkeypatch.setattr("gnorm.cli.run_all", lambda *a: pytest.fail("ran rows"))
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--rows"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "expected at least one argument" in captured.err and not captured.out
 
     @pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["out", "out-pretty"])
     def test_out_writes_the_rows(self, capsys, tmp_path, pretty):

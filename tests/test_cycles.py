@@ -309,7 +309,7 @@ class TestMaximizers:
                     oracle[law] = (value, a.colours, 1)
                 else:
                     oracle[law] = (best, first, ties + (value == best))
-        refs = certify._counting_refs(g, _balanced_rows(g), RunConfig())
+        refs, _ = certify._counting_refs(g, _balanced_rows(g), RunConfig())
         assert (refs.kappa_max, refs.kappa_argmax) == oracle["kappa"][:2]
         assert oracle["kappa"][2] > 1
         if "pattern" in oracle:
@@ -339,7 +339,7 @@ class TestMaximizers:
             if not seen:
                 continue
             reached += 1
-            [refs] = seen
+            [(refs, _)] = seen
             every = _colouring_rows(g.n_edges, 0, 1 << g.n_edges)
             kappa = _class_counts(every, enumerate_cycles(g, girth(g)).edge_cycles)[:, 0]
             fours = enumerate_cycles(g, 4).edge_cycles

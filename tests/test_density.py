@@ -33,7 +33,7 @@ from gnorm.density import (
     trig_density,
     two_path_integrals,
 )
-from gnorm.constructions import hypercube, hypercube_beta
+from gnorm.constructions import hypercube, hypercube_alpha, hypercube_beta
 
 from conftest import disjoint_union
 
@@ -74,6 +74,9 @@ class TestPinnedValues:
     def test_empty_graph_has_density_one(self):
         empty = BipartiteGraph((), (), ())
         assert t_density(empty, EdgeColouring(()), StepKernel([[2, 3]])) == 1
+        # the route still checks the mode, with no edge to evaluate
+        with pytest.raises(ValueError, match="mode must be one of"):
+            t_density(empty, EdgeColouring(()), StepKernel([[2, 3]]), "bogus")
 
     def test_sign_kernel_half(self, c4, alt4):
         f = StepKernel([[1, 1], [1, -1]])
@@ -344,14 +347,13 @@ class TestSweep:
                         2, 3 if mode == "conjugate" else 2)
         want = [t_density(g, EdgeColouring(bits), f, mode, "eliminate")
                 for bits in product((0, 1), repeat=e)]
-        dims = density._dims(g, f.shape, mode)
-        widest = density._plan(g, dims, "eliminate", RunConfig(), 1 << 30).row_width
+        widest = density._route(g, f.shape, mode, "eliminate", RunConfig(), 1 << 30).row_width
         # every step's width is a product of 2s and 3s
         budgets = sorted(2 ** i * 3 ** j for i in range(widest.bit_length())
                          for j in range(12) if 2 ** i * 3 ** j <= widest)
         splits = {}
         for budget in budgets:
-            k = density._plan(g, dims, "eliminate", RunConfig(), budget).open_edges
+            k = density._route(g, f.shape, mode, "eliminate", RunConfig(), budget).open_edges
             splits.setdefault(k, budget)
         assert min(splits) == 0 and max(splits) == e
         for k, budget in sorted(splits.items()):
@@ -429,6 +431,15 @@ class TestSweepCaps:
         assert self._caught(rho_2m, c4, f, 1, "transpose", "auto", cfg) == \
             ("colouring power sum", 4, 3)
 
+    def test_colouring_cap_comes_before_the_mode(self, c4, monkeypatch):
+        # the sweep counts the colourings before _route reads the mode
+        self._no_contraction(monkeypatch)
+        f = StepKernel.constant(1.0, 2, 2)
+        assert self._caught(s_max, c4, f, "bogus", "auto", RunConfig(cap_colourings=3)) == \
+            ("colouring maximisation", 4, 3)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            s_max(c4, f, "bogus")
+
     @pytest.mark.parametrize("method, cap", [("direct", 200), ("eliminate", 50)])
     def test_route_caps_match_the_loop(self, method, cap, monkeypatch):
         q3 = hypercube(3)
@@ -449,7 +460,8 @@ class TestSweepCaps:
         # though each chunk holds many colourings
         q3 = hypercube(3)
         f = rand_kernel(random.Random(6), 2, 2)
-        cap = density._plan(q3, [2] * 8, method, RunConfig()).width
+        # with no colour axis open, a route's row width is one evaluation's
+        cap = density._route(q3, f.shape, "conjugate", method, RunConfig()).row_width
         cfg = RunConfig(cap_assignments=cap)
         res = s_max(q3, f, "conjugate", method, cfg)
         assert res.argmax == loop_s_max(q3, f, "conjugate", method, cfg)[1]
@@ -458,11 +470,39 @@ class TestSweepCaps:
 
 
 class TestTrigDensity:
+    @staticmethod
+    def _h0_integral(g, bits):
+        """The h0 edge product integrated vertex by vertex: a vertex with n1
+        colour-1 and n0 colour-0 edges gives the mean of exp(2*pi*i*x*(n1 -
+        n0)) over x, which is 1 when n1 = n0 and 0 otherwise."""
+        net = dict.fromkeys(g.vertices, 0)
+        for (u, v), c in zip(g.edges, bits):
+            net[u] += 2 * c - 1
+            net[v] += 2 * c - 1
+        return int(not any(net.values()))
+
     def test_h0_balance_indicator(self):
         h0 = TrigKernel.h0()
-        for g in (cycle(4), cycle(6), hypercube(4)):
-            for _ in range(3):
-                pass
+        q4 = hypercube(4)
+        rng = random.Random(23)
+        named = [hypercube_alpha(4).colours, hypercube_beta(4).colours]
+        flips = [c[:i] + (1 - c[i],) + c[i + 1:] for c in named for i in range(32)]
+        seeded = [tuple(rng.randint(0, 1) for _ in range(32)) for _ in range(40)]
+        cases = [(cycle(4), list(product((0, 1), repeat=4))),
+                 (cycle(6), list(product((0, 1), repeat=6))),
+                 (q4, named + flips + seeded)]
+        for g, colourings in cases:
+            values = []
+            for bits in colourings:
+                a = EdgeColouring(bits)
+                value = trig_density(g, a, h0)
+                assert value == self._h0_integral(g, bits) == int(is_balanced(g, a))
+                values.append(value)
+            # both values occur on every graph
+            assert set(values) == {0, 1}, g.edges
+        # alpha and beta are balanced, and flipping one edge unbalances them
+        assert [trig_density(q4, EdgeColouring(c), h0) for c in named + flips] == \
+            [1, 1] + [0] * 64
         g = cycle(4)
         assert trig_density(g, EdgeColouring((1, 0, 1, 0)), h0) == 1
         assert trig_density(g, EdgeColouring((1, 1, 1, 1)), h0) == 0

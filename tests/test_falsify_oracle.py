@@ -22,9 +22,7 @@ from gnorm.constructions import hypercube
 from gnorm.density import (
     _SWEEP_BUDGET,
     _colour_table,
-    _dims,
     _evaluate,
-    _plan,
     _route,
     t_decoration,
     t_density,
@@ -209,8 +207,8 @@ TRIALS = 24
 
 def chunk_trials(g, resolution, mode, per_trial):
     """Trials in one chunk of a batched falsifier, from the route it plans."""
-    route = _plan(g, _dims(g, (resolution, resolution), mode), "auto", DEFAULT)
-    return max(1, _SWEEP_BUDGET // (route.width * per_trial))
+    route = _route(g, (resolution, resolution), mode, "auto", DEFAULT)
+    return max(1, _SWEEP_BUDGET // (route.row_width * per_trial))
 
 
 @pytest.mark.parametrize("resolution", [2, 3])
