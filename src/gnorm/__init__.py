@@ -5,9 +5,8 @@ from .config import DEFAULT, RunConfig
 from .errors import (
     CapExceeded,
     GnormError,
-    NotBalanced,
+    InvalidParameter,
     ParseError,
-    ShapeMismatch,
     VerificationFailed,
 )
 from .graphs import (

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .errors import DegenerateParameters, OutOfScopeParameters
+from .errors import InvalidParameter, OutOfScopeParameters
 
 
 def is_prime(n: int) -> bool:
@@ -70,7 +70,7 @@ def class_A_membership(k: int, r: int) -> bool:
     covers small pairs such as (5, 3) that the clauses alone miss.
     """
     if not (k > r >= 1):
-        raise DegenerateParameters(f"need k > r >= 1, got ({k}, {r})")
+        raise InvalidParameter(f"need k > r >= 1, got ({k}, {r})")
     return _class_a_case(k, r) is not None or _class_a_case(k, k - r) is not None
 
 

@@ -37,8 +37,7 @@ from .cycles import (
 )
 from .errors import (
     CapExceeded,
-    DegenerateParameters,
-    OutOfRange,
+    InvalidParameter,
     OutOfScopeParameters,
     VerificationFailed,
 )
@@ -229,10 +228,10 @@ def certify_not_norming(
     parameters to unlock arithmetic shortcuts; the hint is used only after
     the graph is proved isomorphic to the hinted family's graph.  A hint
     with an unknown family, the wrong number of fields or a field that is
-    not an integer raises ``OutOfRange`` before any stage runs.
+    not an integer raises ``InvalidParameter`` before any stage runs.
     """
     if g.n_edges == 0:
-        raise OutOfRange("cannot certify an empty graph")
+        raise InvalidParameter("cannot certify an empty graph")
     hint = _hint_parameters(family_hint)
     stages = _Stages()
     cert = _pipeline(g, hint, stages, config)
@@ -252,8 +251,8 @@ def _hint_parameters(family_hint: Optional[Sequence]) -> Optional[tuple[int, int
     family, *fields = family_hint
     names = _HINT_FIELDS.get(family)
     if names is None:
-        raise OutOfRange(f"unknown hint family {family!r}; "
-                         f"hints name one of {', '.join(_HINT_FIELDS)}")
+        raise InvalidParameter(f"unknown hint family {family!r}; "
+                               f"hints name one of {', '.join(_HINT_FIELDS)}")
     values = _integer_fields(f"hint family {family!r}", names, fields)
     if family == "kneser":
         n, r = values
@@ -266,12 +265,12 @@ def _integer_fields(what: str, names: str, fields: Sequence) -> list[int]:
     the space-separated ``names``, each an integer or its decimal text."""
     count = len(names.split())
     if len(fields) != count:
-        raise OutOfRange(f"{what} takes {count} parameter(s) ({names}), got {len(fields)}")
+        raise InvalidParameter(f"{what} takes {count} parameter(s) ({names}), got {len(fields)}")
     try:
         # through str, so that 2.5 is refused rather than read as 2
         return [int(str(x)) for x in fields]
     except ValueError:
-        raise OutOfRange(f"{what} takes integer parameters, got {list(fields)}") from None
+        raise InvalidParameter(f"{what} takes integer parameters, got {list(fields)}") from None
 
 
 def _pipeline(
@@ -467,23 +466,17 @@ def _arithmetic_shortcut(
     n, k, r = hint
     try:
         reference = set_inclusion_graph(n, k, r)
-    except DegenerateParameters as exc:
+        shaped = _same_shape(g, reference)
+        same_graph = shaped and symmetry.isomorphic(g, reference, config.with_(side_swap=True))
+    except InvalidParameter as exc:
         stages.skipped("arithmetic-shortcut", f"bad hint: {exc}")
         return None
     except CapExceeded:
         stages.skipped("arithmetic-shortcut", "hint reference too large to verify")
         return None
-
-    if not _same_shape(g, reference):
-        stages.skipped("arithmetic-shortcut", "graph does not match hinted family")
-        return None
-    try:
-        same_graph = symmetry.isomorphic(g, reference, config.with_(side_swap=True))
-    except CapExceeded:
-        stages.skipped("arithmetic-shortcut", "hint reference too large to verify")
-        return None
     if not same_graph:
-        stages.skipped("arithmetic-shortcut", "graph not isomorphic to hinted family")
+        stages.skipped("arithmetic-shortcut", "graph not isomorphic to hinted family" if shaped
+                       else "graph does not match hinted family")
         return None
 
     detail = {"n": n, "k": k, "r": r}
@@ -534,7 +527,7 @@ def certify_family(family: str, params: Sequence[int | str], config: RunConfig =
         "subdivided-complete": (_certify_subdivision, "n"),
     }
     if family not in certifiers:
-        raise OutOfRange(f"unknown family {family!r}")
+        raise InvalidParameter(f"unknown family {family!r}")
     certify, names = certifiers[family]
     params = _integer_fields(f"family {family!r}", names, params)
     cert = certify(*params, config)
@@ -545,7 +538,7 @@ def certify_family(family: str, params: Sequence[int | str], config: RunConfig =
 
 def _certify_hypercube(d: int, config: RunConfig) -> Certificate:
     if d < 1:
-        raise OutOfRange("hypercube dimension must be >= 1")
+        raise InvalidParameter("hypercube dimension must be >= 1")
     if d <= 2 or d == 4:
         # small enough to run the whole pipeline directly
         cert = certify_not_norming(hypercube(d), None, config)
@@ -589,7 +582,7 @@ def _hypercube_profiles(d: int, config: RunConfig) -> dict:
 
 def _certify_kneser(n: int, r: int, config: RunConfig) -> Certificate:
     if not (r >= 1 and n - r > r):
-        raise OutOfRange(f"need n - r > r >= 1, got ({n}, {r})")
+        raise InvalidParameter(f"need n - r > r >= 1, got ({n}, {r})")
     k = n - r
     if (n, r) == (3, 1):
         return certify_not_norming(bipartite_kneser(3, 1), None, config)
@@ -641,7 +634,7 @@ def _certify_kneser(n: int, r: int, config: RunConfig) -> Certificate:
 
 def _certify_inclusion(n: int, k: int, r: int, config: RunConfig) -> Certificate:
     if not (n > k > r > 0):
-        raise OutOfRange(f"need n > k > r > 0, got ({n}, {k}, {r})")
+        raise InvalidParameter(f"need n > k > r > 0, got ({n}, {k}, {r})")
     if k == n - r:
         return _certify_kneser(n, r, config)
     if (k, r) == (2, 1) or (k, r) == (n - 1, n - 2):
@@ -692,7 +685,7 @@ def _certify_inclusion(n: int, k: int, r: int, config: RunConfig) -> Certificate
 
 def _certify_subdivision(n: int, config: RunConfig) -> Certificate:
     if n < 2:
-        raise OutOfRange("need n >= 2")
+        raise InvalidParameter("need n >= 2")
     if n <= 3:
         return certify_not_norming(subdivided_complete(n), None, config)
     if n % 2 == 0:

@@ -12,14 +12,14 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Caps and modes shared by library operations and the CLI."""
+    """Caps and modes shared by library operations and the CLI, which has a
+    flag for each; a fixed limit is a constant (``symmetry._GROUP_CAP``)."""
 
     cap_edges: int = 32            # balanced-colouring enumeration
     cap_vertices: int = 64         # automorphism / isomorphism search
     cap_assignments: int = 1 << 24 # grid assignments in one density evaluation
     cap_cycles: int = 10_000_000   # simple-cycle enumeration
     cap_colourings: int = 24       # edges in the s_max / rho_2m sweeps over 2^e colourings
-    cap_group: int = 1_000_000     # automorphism group size
 
     side_swap: bool = True         # allow automorphisms exchanging the sides
 

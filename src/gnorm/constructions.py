@@ -18,15 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .arithmetic import is_prime
-from .errors import (
-    CapExceeded,
-    DegenerateParameters,
-    EvenOrder,
-    NotBalanced,
-    NotPrime,
-    OddDimension,
-    WrongResidueClass,
-)
+from .errors import CapExceeded, InvalidParameter
 from .graphs import BipartiteGraph, EdgeColouring, check_aligned
 
 
@@ -43,7 +35,7 @@ def hypercube(d: int) -> BipartiteGraph:
     Edges are ordered by (smaller endpoint value, flipped coordinate).
     """
     if d < 1:
-        raise DegenerateParameters("hypercube dimension must be >= 1")
+        raise InvalidParameter("hypercube dimension must be >= 1")
     if d > 10:
         raise CapExceeded("hypercube construction", d, 10)
     left = tuple(_bits(v, d) for v in range(1 << d) if bin(v).count("1") % 2 == 0)
@@ -69,7 +61,7 @@ def _edge_direction(u: str, v: str) -> int:
 def hypercube_alpha(d: int) -> EdgeColouring:
     """Direction colouring of Q_d (d even): first d/2 axes get colour 1."""
     if d % 2:
-        raise OddDimension("direction colouring needs an even dimension")
+        raise InvalidParameter("direction colouring needs an even dimension")
     g = hypercube(d)
     half = d // 2
     return EdgeColouring(
@@ -85,7 +77,7 @@ def hypercube_beta(d: int) -> EdgeColouring:
     all mod 2; the expression is invariant under swapping the endpoints.
     """
     if d % 2:
-        raise OddDimension("this colouring needs an even dimension")
+        raise InvalidParameter("this colouring needs an even dimension")
     g = hypercube(d)
     m = d // 2
     colours = []
@@ -131,7 +123,7 @@ def subdivide(
 
 def subdivided_complete(n: int) -> BipartiteGraph:
     if n < 2:
-        raise DegenerateParameters("need n >= 2")
+        raise InvalidParameter("need n >= 2")
     verts = [str(i) for i in range(n)]
     edges = [(str(i), str(j)) for i in range(n) for j in range(i + 1, n)]
     return subdivide(verts, edges)
@@ -188,7 +180,7 @@ class Tournament:
 def clockwise_tournament(n: int) -> Tournament:
     """Circulant tournament on Z_n (n odd): arc (x, x+k) for k = 1..(n-1)/2."""
     if n < 3 or n % 2 == 0:
-        raise EvenOrder("clockwise tournament needs odd n >= 3")
+        raise InvalidParameter("clockwise tournament needs odd n >= 3")
     d = (n - 1) // 2
     arcs = [(x, (x + k) % n) for x in range(n) for k in range(1, d + 1)]
     return Tournament(n, tuple(arcs))
@@ -201,9 +193,9 @@ def quadratic_residue_tournament(q: int) -> Tournament:
     square, so the arcs are well defined.
     """
     if not is_prime(q):
-        raise NotPrime(f"{q} is not prime (prime powers are not supported)")
+        raise InvalidParameter(f"{q} is not prime (prime powers are not supported)")
     if q % 4 != 3:
-        raise WrongResidueClass(f"need q = 3 (mod 4), got {q} = {q % 4} (mod 4)")
+        raise InvalidParameter(f"need q = 3 (mod 4), got {q} = {q % 4} (mod 4)")
     residues = {(z * z) % q for z in range(1, q)}
     arcs = [(x, (x + r) % q) for x in range(q) for r in residues]
     return Tournament(q, tuple(arcs))
@@ -229,7 +221,7 @@ def regular_tournaments(n: int) -> Iterator[Tournament]:
     """All labelled regular tournaments on n vertices (n odd), by backtracking
     over the pair list with out-degree feasibility pruning."""
     if n % 2 == 0:
-        raise EvenOrder("regular tournaments need odd n")
+        raise InvalidParameter("regular tournaments need odd n")
     d = (n - 1) // 2
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     out = [0] * n
@@ -293,7 +285,7 @@ def tournament_from_colouring(g: BipartiteGraph, a: EdgeColouring) -> Tournament
         u, v = (g.vertices[x] for x in ends)
         cu, cv = (a[g.edge_at[x, m]] for x in ends)
         if cu == cv:
-            raise NotBalanced(f"edges at {mid!r} share colour {cu}")
+            raise ValueError(f"edges at {mid!r} share colour {cu}")
         tail, head = (u, v) if cu == 1 else (v, u)
         arcs.append((int(tail), int(head)))
         pairs.add(frozenset((u, v)))
@@ -314,7 +306,7 @@ def set_inclusion_graph(n: int, k: int, r: int) -> BipartiteGraph:
     """I(n, k, r): k-sets of {1..n} on the left, r-sets on the right, edges
     given by inclusion.  Requires n > k > r > 0."""
     if not (n > k > r > 0):
-        raise DegenerateParameters(f"need n > k > r > 0, got ({n}, {k}, {r})")
+        raise InvalidParameter(f"need n > k > r > 0, got ({n}, {k}, {r})")
     n_edges = comb(n, k) * comb(k, r)
     if n_edges > 200_000:
         raise CapExceeded("set-inclusion construction", n_edges, 200_000)
@@ -331,5 +323,5 @@ def set_inclusion_graph(n: int, k: int, r: int) -> BipartiteGraph:
 def bipartite_kneser(n: int, r: int) -> BipartiteGraph:
     """H(n, r) = I(n, n-r, r); needs n - r > r."""
     if not (0 < r and n - r > r):
-        raise DegenerateParameters(f"need n - r > r > 0, got ({n}, {r})")
+        raise InvalidParameter(f"need n - r > r > 0, got ({n}, {r})")
     return set_inclusion_graph(n, n - r, r)

@@ -33,7 +33,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .config import DEFAULT, RunConfig
-from .errors import CapExceeded, ShapeMismatch
+from .errors import CapExceeded
 from .graphs import (
     BipartiteGraph,
     EdgeColouring,
@@ -129,7 +129,7 @@ def _route(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     p, q = shape
     if mode == "transpose" and p != q:
-        raise ShapeMismatch(f"transpose mode needs a square kernel, got {p}x{q}")
+        raise ValueError(f"transpose mode needs a square kernel, got {p}x{q}")
     dims = _dims(g, shape, mode)
     total = prod(dims)
     method = _resolve(method, dims)
@@ -300,6 +300,16 @@ def _evaluate_eliminate(steps, factors) -> np.ndarray:
     return slots[-1]
 
 
+def _decoration_route(g: BipartiteGraph, a: EdgeColouring, dec: Decoration, mode: str,
+                      method: str, config: RunConfig) -> _Route:
+    """Check the colouring and the decoration against g's edges, then plan:
+    the one decoration contract, for ``t_decoration`` and ``hatami_check``."""
+    check_aligned(g, a)
+    if len(dec) != g.n_edges:
+        raise ValueError(f"decoration size {len(dec)} != edge count {g.n_edges}")
+    return _route(g, dec.shape, mode, method, config)
+
+
 def t_decoration(
     g: BipartiteGraph,
     a: EdgeColouring,
@@ -315,10 +325,7 @@ def t_decoration(
     be square).  The value is the mean of the edge-factor product over all
     grid assignments.
     """
-    check_aligned(g, a)
-    if len(dec) != g.n_edges:
-        raise ValueError(f"decoration size {len(dec)} != edge count {g.n_edges}")
-    route = _route(g, dec.shape, mode, method, config)
+    route = _decoration_route(g, a, dec, mode, method, config)
     return complex(_densities(route, g, a, [k.array()[None] for k in dec.kernels], mode)[0])
 
 
@@ -523,7 +530,7 @@ def two_path_integrals(h: StepKernel) -> tuple[float, float, float]:
     I3 = mean_x (row mean * column mean).
     """
     if not h.is_square:
-        raise ShapeMismatch("two-path integrals need a square kernel")
+        raise ValueError("two-path integrals need a square kernel")
     if not h.is_real:
         raise ValueError("two-path integrals are defined for real kernels")
     arr = h.array().real

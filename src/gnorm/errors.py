@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
-
-Every budget-style failure raises :class:`CapExceeded` with the stage name, so
-callers can distinguish "the answer is X" from "the computation was refused".
+"""Exception types shared across the package, one for each distinction that
+some code acts on.  The CLI exits 1 on bad input (``ParseError``,
+``InvalidParameter``), 2 on ``CapExceeded``, which names the refused stage,
+and 3 on ``VerificationFailed``; certification catches
+``OutOfScopeParameters`` to mean "no verdict implied".
 """
 
 
@@ -19,48 +20,16 @@ class CapExceeded(GnormError):
         self.cap = cap
 
 
-class ShapeMismatch(GnormError):
-    """Kernel shapes incompatible with the requested operation."""
-
-
 class ParseError(GnormError):
     """An input file did not match its documented JSON schema."""
 
 
 class InvalidParameter(GnormError, ValueError):
-    """Construction parameters outside the documented domain."""
-
-
-class DegenerateParameters(InvalidParameter):
-    pass
-
-
-class OddDimension(InvalidParameter):
-    pass
-
-
-class EvenOrder(InvalidParameter):
-    pass
-
-
-class NotPrime(InvalidParameter):
-    pass
-
-
-class WrongResidueClass(InvalidParameter):
-    pass
+    """Parameters outside the documented domain."""
 
 
 class OutOfScopeParameters(InvalidParameter):
     """Arithmetic test hypotheses not met; no verdict is implied."""
-
-
-class OutOfRange(InvalidParameter):
-    pass
-
-
-class NotBalanced(GnormError):
-    """A balanced colouring was required."""
 
 
 class VerificationFailed(GnormError):

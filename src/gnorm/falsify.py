@@ -13,6 +13,8 @@ and the trials are then scanned in order, so the first violating trial is
 the one a trial-by-trial run would return, with the same values.
 ``_hatami_checks`` is the one evaluation of the decoration inequality, and
 ``hatami_check``, through which a witness replays, is its one-row call.
+The decoration falsifiers test the paper's norm, which conjugates the
+colour-0 edges, so they run in conjugate mode only.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .config import DEFAULT, RunConfig
 from .graphs import BipartiteGraph, EdgeColouring, check_aligned
 from .kernels import Decoration, StepKernel, kernel_to_json, phase_kernel
-from .density import _chunks, _densities, _route, t_density
+from .density import _chunks, _decoration_route, _densities, _route, t_density
 
 _SLACK = 1e-9  # inequality slack before a violation is declared
 
@@ -91,8 +93,8 @@ class HatamiCheck:
         return HatamiCheck(holds, margin, lhs, rhs)
 
 
-def _hatami_checks(route, g: BipartiteGraph, a: EdgeColouring, kernels: np.ndarray,
-                   mode: str) -> list[HatamiCheck]:
+def _hatami_checks(route, g: BipartiteGraph, a: EdgeColouring,
+                   kernels: np.ndarray) -> list[HatamiCheck]:
     """The decoration inequality on each of a stack of decorations:
     ``kernels[n, i]`` is the (p, q) kernel that decoration n puts on edge i.
     One contraction of N * (1 + e) evaluations: each decoration, then the e
@@ -102,7 +104,7 @@ def _hatami_checks(route, g: BipartiteGraph, a: EdgeColouring, kernels: np.ndarr
     vals = _densities(route, g, a, [
         np.concatenate((kernels[:, i:i + 1], kernels), axis=1).reshape(-1, p, q)
         for i in range(e)
-    ], mode).reshape(n, 1 + e).tolist()
+    ], "conjugate").reshape(n, 1 + e).tolist()
     return [HatamiCheck.verdict(abs(mixed), [abs(x) for x in singles])
             for mixed, *singles in vals]
 
@@ -111,15 +113,11 @@ def hatami_check(
     g: BipartiteGraph,
     a: EdgeColouring,
     dec: Decoration,
-    mode: str = "conjugate",
     config: RunConfig = DEFAULT,
 ) -> HatamiCheck:
     """Check |t({f_e})|^e <= prod_e |t(f_e)| up to the slack ``_SLACK``."""
-    check_aligned(g, a)
-    if len(dec) != g.n_edges:
-        raise ValueError(f"decoration size {len(dec)} != edge count {g.n_edges}")
-    route = _route(g, dec.shape, mode, "auto", config)
-    return _hatami_checks(route, g, a, np.array([[k.array() for k in dec.kernels]]), mode)[0]
+    route = _decoration_route(g, a, dec, "conjugate", "auto", config)
+    return _hatami_checks(route, g, a, np.array([[k.array() for k in dec.kernels]]))[0]
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,6 @@ class HatamiWitness:
 
     seed: int
     trial: int
-    mode: str
     colours: tuple[int, ...]
     kernels: tuple[StepKernel, ...]
     lhs: float
@@ -136,16 +133,13 @@ class HatamiWitness:
     log_margin: float
 
     def replay(self, g: BipartiteGraph, config: RunConfig = DEFAULT) -> HatamiCheck:
-        return hatami_check(
-            g, EdgeColouring(self.colours), Decoration(self.kernels), self.mode, config
-        )
+        return hatami_check(g, EdgeColouring(self.colours), Decoration(self.kernels), config)
 
     def to_json(self) -> dict:
         return {
             "kind": "decoration-inequality",
             "seed": self.seed,
             "trial": self.trial,
-            "mode": self.mode,
             "colours": list(self.colours),
             "kernels": [kernel_to_json(k) for k in self.kernels],
             "lhs": self.lhs,
@@ -172,7 +166,6 @@ def hatami_random_scan(
     seed: int,
     trials: int,
     resolution: int = 2,
-    mode: str = "conjugate",
     config: RunConfig = DEFAULT,
 ) -> HatamiScan:
     """Test the decoration inequality on independent random decorations.
@@ -185,21 +178,18 @@ def hatami_random_scan(
     e, r = g.n_edges, resolution
     if e == 0:
         raise ValueError("the decoration inequality needs at least one edge")
-    route = _route(g, (r, r), mode, "auto", config)
+    route = _route(g, (r, r), "conjugate", "auto", config)
     worst = math.inf
     for chunk in _chunks(0, trials, route, 1 + e):
         kernels = np.reshape(
             [x for t in chunk for x in _entries(_substream(seed, t), e * r * r)],
             (len(chunk), e, r, r))
-        for t, ks, res in zip(chunk, kernels, _hatami_checks(route, g, a, kernels, mode)):
+        for t, ks, res in zip(chunk, kernels, _hatami_checks(route, g, a, kernels)):
             worst = min(worst, res.log_margin)
             if not res.holds:
-                return HatamiScan(
-                    HatamiWitness(seed, t, mode, a.colours, tuple(map(StepKernel, ks)),
-                                  res.lhs, res.rhs, res.log_margin),
-                    t + 1,
-                    worst,
-                )
+                witness = HatamiWitness(seed, t, a.colours, tuple(map(StepKernel, ks)),
+                                        res.lhs, res.rhs, res.log_margin)
+                return HatamiScan(witness, t + 1, worst)
     return HatamiScan(None, trials, worst)
 
 
@@ -209,7 +199,6 @@ def hatami_violation_search(
     seed: int,
     trials: int = 1000,
     resolution: int = 2,
-    mode: str = "conjugate",
     config: RunConfig = DEFAULT,
 ) -> Optional[HatamiWitness]:
     """Directed search for a decoration violating the inequality.
@@ -218,21 +207,20 @@ def hatami_violation_search(
     densities break the symmetry a norming colouring would force, and turns
     the mismatch into a first-order violating decoration: f + eps*z on one
     edge, f - eps*z on the other, f elsewhere, with z a constant kernel
-    aligned against the mismatch.  The z-selection assumes the conjugate-mode
-    first-order structure; every candidate is re-verified before being
-    returned, so no witness is ever fabricated in either mode.  Each
-    candidate is a one-row ``_hatami_checks`` call.
+    aligned against the mismatch.  Every candidate is re-verified before
+    being returned, so no witness is ever fabricated.  Each candidate is a
+    one-row ``_hatami_checks`` call.
     """
     _check_budget(trials, resolution)
     check_aligned(g, a)
     e = g.n_edges
     if e < 2:
         return None
-    route = _route(g, (resolution, resolution), mode, "auto", config)
+    route = _route(g, (resolution, resolution), "conjugate", "auto", config)
     for t in range(trials):
         rng = _substream(seed, t)
         f = random_kernel(rng, resolution, resolution)
-        tv, *deleted = _deleted_densities(route, g, a, f, mode)
+        tv, *deleted = _deleted_densities(route, g, a, f)
         if abs(tv) < 1e-6:
             continue
         for i, j in permutations(range(e), 2):
@@ -245,22 +233,21 @@ def hatami_violation_search(
                 kernels = np.array([f.array()] * e)
                 kernels[i] += step
                 kernels[j] += -1.0 * step
-                res = _hatami_checks(route, g, a, kernels[None], mode)[0]
+                res = _hatami_checks(route, g, a, kernels[None])[0]
                 if not res.holds:
-                    return HatamiWitness(seed, t, mode, a.colours,
-                                         tuple(map(StepKernel, kernels)),
+                    return HatamiWitness(seed, t, a.colours, tuple(map(StepKernel, kernels)),
                                          res.lhs, res.rhs, res.log_margin)
     return None
 
 
-def _deleted_densities(route, g, a, f: StepKernel, mode: str) -> list[complex]:
+def _deleted_densities(route, g, a, f: StepKernel) -> list[complex]:
     """t(f), then for each edge the density with that edge's kernel replaced
     by the constant 1, in one batched evaluation."""
     e = g.n_edges
     # stack[k, i] is the kernel edge i carries in row k; row 1 + j drops edge j
     stack = np.array(np.broadcast_to(f.array(), (1 + e, e, *f.shape)))
     stack[np.arange(1, e + 1), np.arange(e)] = 1.0
-    return _densities(route, g, a, [stack[:, i] for i in range(e)], mode).tolist()
+    return _densities(route, g, a, [stack[:, i] for i in range(e)], "conjugate").tolist()
 
 
 def _mismatch_direction(ci, cj, ti, tj, tv) -> Optional[complex]:
@@ -403,8 +390,9 @@ def triangle_falsifier(
         return FalsifierResult(
             TriangleWitness("triangle", seed, 0, a.colours, pk, pk.conj(), None, values), 1)
     one = StepKernel.constant(1.0, r, r)
+    t_one = density(one)
     for c in (cmath.exp(1j * math.pi / 4), 1j, cmath.exp(1j * math.pi / 3)):
-        values = _scaling(density(one), density(one.scale(c)), c, e)
+        values = _scaling(t_one, density(one.scale(c)), c, e)
         if values:
             return FalsifierResult(
                 TriangleWitness("scaling", seed, 0, a.colours, one, None, c, values), 1)

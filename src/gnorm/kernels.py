@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ShapeMismatch
+from .errors import ParseError
 from .graphs import _load_json
 
 
@@ -63,7 +63,7 @@ class StepKernel:
 
     def add(self, other: "StepKernel") -> "StepKernel":
         if self.shape != other.shape:
-            raise ShapeMismatch(f"cannot add {self.shape} and {other.shape}")
+            raise ValueError(f"cannot add {self.shape} and {other.shape}")
         return StepKernel(self.values + other.values)
 
     @property
@@ -106,7 +106,7 @@ class Decoration:
             raise ValueError("decoration needs at least one kernel")
         shape = self.kernels[0].shape
         if any(k.shape != shape for k in self.kernels):
-            raise ShapeMismatch("all decoration kernels must share one grid shape")
+            raise ValueError("all decoration kernels must share one grid shape")
 
     def __len__(self) -> int:
         return len(self.kernels)

@@ -15,7 +15,7 @@ level i fixes ``vorder[:i]`` pointwise, and its transversal holds one map
 for each image of ``vorder[i]`` that the level's group reaches, found as the
 first completion of that one placement (``_transversals``).  The group is
 the product of the transversals, so its exact order is known, and checked
-against ``cap_group``, before any element is formed.  The elements are then
+against ``_GROUP_CAP``, before any element is formed.  The elements are then
 composed in numpy and sorted into the order of the depth-first walk, and the
 group stays that one ``(order x vertices)`` int32 array of image rows
 (``_all_automorphisms``).  Groups at the supported scale are small enough to
@@ -42,6 +42,7 @@ binary search over the rows' packed keys finds them.
 """
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
 from math import prod
@@ -52,6 +53,8 @@ import numpy as np
 from .config import DEFAULT, RunConfig
 from .errors import CapExceeded, VerificationFailed
 from .graphs import BipartiteGraph, EdgeColouring
+
+_GROUP_CAP = 1_000_000  # the largest group materialised; fixed, as in ``hypercube``
 
 
 @dataclass(frozen=True)
@@ -188,26 +191,37 @@ class _Search:
 
     def maps(self, i: int = 0) -> Iterator[tuple[int, ...]]:
         """Every completion of the placed prefix ``vorder[:i]``, depth first,
-        so in increasing order of the images along ``vorder``.  Each level
-        undoes its placement when the walk moves on, ends or is closed."""
-        if i == self.n:
-            yield tuple(self.images)
-            return
-        v = self.vorder[i]
-        for w in self.candidates(v):
-            self.place(v, w)
-            try:
-                yield from self.maps(i + 1)
-            finally:
-                self.unplace(v, w)
+        so in increasing order of the images along ``vorder``.  The open
+        levels' candidates are a stack, not a recursion, so no depth meets
+        the recursion limit.  Each level undoes its placement when the walk
+        moves on, ends or is closed."""
+        vorder, images, stack = self.vorder, self.images, []  # open levels i, i + 1, ...
+        try:
+            while True:
+                if i + len(stack) == self.n:
+                    yield tuple(images)
+                else:
+                    stack.append(iter(self.candidates(vorder[i + len(stack)])))
+                while stack:  # the next candidate of the deepest open level
+                    v = vorder[i + len(stack) - 1]
+                    if images[v] >= 0:
+                        self.unplace(v, images[v])
+                    w = next(stack[-1], -1)
+                    if w >= 0:
+                        self.place(v, w)
+                        break
+                    stack.pop()
+                else:
+                    return
+        finally:
+            for v in vorder[i:i + len(stack)]:
+                if images[v] >= 0:
+                    self.unplace(v, images[v])
 
     def first(self, i: int) -> Optional[tuple[int, ...]]:
         """The first completion of the placed prefix ``vorder[:i]``, or None."""
-        walk = self.maps(i)
-        try:
+        with closing(self.maps(i)) as walk:
             return next(walk, None)
-        finally:
-            walk.close()
 
 
 def _iso_maps(
@@ -269,8 +283,8 @@ def _all_automorphisms(g: BipartiteGraph, config: RunConfig) -> np.ndarray:
         raise CapExceeded("automorphism search", g.n_vertices, config.cap_vertices)
     levels, vorder = _transversals(g, config.side_swap)
     order = prod(len(t) for t in levels)
-    if order > config.cap_group:
-        raise CapExceeded("automorphism group size", order, config.cap_group)
+    if order > _GROUP_CAP:
+        raise CapExceeded("automorphism group size", order, _GROUP_CAP)
     group = np.arange(g.n_vertices, dtype=np.int32)[None, :]
     base = []
     for v, t in zip(reversed(vorder), reversed(levels)):

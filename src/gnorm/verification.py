@@ -49,7 +49,7 @@ from .density import (
     t_density,
     trig_density,
 )
-from .errors import OutOfRange
+from .errors import InvalidParameter
 from .falsify import (
     hatami_check,
     hatami_random_scan,
@@ -434,6 +434,6 @@ def run_all(config: RunConfig = DEFAULT, row_ids: list[str] | None = None) -> li
         known = [r.rid for r in ROWS]
         unknown = [rid for rid in row_ids if rid not in known]
         if unknown:
-            raise OutOfRange(f"unknown row id(s) {', '.join(unknown)}; "
+            raise InvalidParameter(f"unknown row id(s) {', '.join(unknown)}; "
                              f"valid ids: {', '.join(known)}")
     return [run_row(r, config) for r in ROWS if row_ids is None or r.rid in row_ids]

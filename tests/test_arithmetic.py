@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from gnorm.errors import DegenerateParameters, OutOfScopeParameters
+from gnorm.errors import InvalidParameter, OutOfScopeParameters
 from gnorm.arithmetic import (
     _class_a_case,
     class_A_membership,
@@ -44,9 +44,9 @@ class TestClassMembership:
                 assert class_A_membership(k, r) == class_A_membership(k, k - r)
 
     def test_guards(self):
-        with pytest.raises(DegenerateParameters):
+        with pytest.raises(InvalidParameter):
             class_A_membership(3, 3)
-        with pytest.raises(DegenerateParameters):
+        with pytest.raises(InvalidParameter):
             class_A_membership(3, 0)
 
 

@@ -9,7 +9,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from gnorm.config import RunConfig
-from gnorm.errors import CapExceeded, OutOfRange, VerificationFailed
+from gnorm.errors import CapExceeded, InvalidParameter, VerificationFailed
 from gnorm.graphs import (
     BipartiteGraph,
     EdgeColouring,
@@ -231,7 +231,7 @@ class TestKneserFamily:
                 assert cert.verdict == "NotNorming", (n, r)
 
     def test_guards(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidParameter):
             certify_family("kneser", [4, 2])
 
 
@@ -266,11 +266,11 @@ class TestFamilyParameters:
         ("subdivided-complete", []),
     ])
     def test_wrong_parameter_count_raises(self, family, params):
-        with pytest.raises(OutOfRange, match=rf"takes \d parameter.*got {len(params)}$"):
+        with pytest.raises(InvalidParameter, match=rf"takes \d parameter.*got {len(params)}$"):
             certify_family(family, params)
 
     def test_unknown_family(self):
-        with pytest.raises(OutOfRange, match="unknown family 'petersen'"):
+        with pytest.raises(InvalidParameter, match="unknown family 'petersen'"):
             certify_family("petersen", [5])
 
 
@@ -524,15 +524,18 @@ def random_four_regular(n: int, seed: int) -> BipartiteGraph:
 
 
 class TestHints:
-    def test_kneser_hint_unlocks_integrality(self):
+    def test_kneser_hint_unlocks_integrality(self, monkeypatch):
         # H(7, 3) has 70 vertices: the hint is trusted only once the graph is
         # proved isomorphic to the reference, which needs cap_vertices >= 70.
-        # The small group cap stops the automorphism stage early instead of
+        # A small group cap stops the automorphism stage early instead of
         # materialising all 10080 automorphisms, which the shortcut does not need.
         g = bipartite_kneser(7, 3)
-        cert = certify_not_norming(g, ("kneser", 7, 3),
-                                   RunConfig(cap_vertices=80, cap_group=100))
+        with monkeypatch.context() as patch:
+            patch.setattr(symmetry, "_GROUP_CAP", 100)
+            cert = certify_not_norming(g, ("kneser", 7, 3), RunConfig(cap_vertices=80))
         assert cert.obstruction == "IntegralityFailure"
+        assert {"stage": "edge-transitive", "status": "cap-exceeded",
+                "needed": 10080, "cap": 100} in cert.stages
         cert = certify_not_norming(g, ("kneser", 7, 3))
         assert cert.obstruction != "IntegralityFailure"
         assert {"stage": "arithmetic-shortcut", "status": "skipped",
@@ -568,7 +571,7 @@ class TestHints:
     def test_malformed_hint_is_refused(self, hint, message):
         # refused before any stage runs: a malformed hint is neither used as
         # a shorter one nor skipped like a hint that does not fit the graph
-        with pytest.raises(OutOfRange, match=message):
+        with pytest.raises(InvalidParameter, match=message):
             certify_not_norming(cycle(6), hint)
 
     def test_text_fields_read_as_integers(self):

@@ -12,11 +12,16 @@ parameter named after one of its fields (a ``side_swap`` beside ``config``
 can disagree with ``config.side_swap``), and reads every RunConfig it takes.
 Verification's ``_row_*`` functions are exempt from the second rule: ``Row.run``
 hands every row the config, used or not.
+
+RunConfig holds exactly the settings the CLI exposes: the caps in
+``cli._CAP_FLAGS`` and ``side_swap``.  A fixed limit with no flag is a
+constant of the module it guards (``symmetry._GROUP_CAP``).
 """
 
 import ast
 from dataclasses import fields
 
+from gnorm import cli
 from gnorm.config import RunConfig
 
 from conftest import definitions, package_sources
@@ -91,7 +96,26 @@ def test_the_fields_are_the_caps_and_the_automorphism_mode():
     # a new setting shows up here as a test change
     assert [f.name for f in fields(RunConfig)] == [
         "cap_edges", "cap_vertices", "cap_assignments", "cap_cycles",
-        "cap_colourings", "cap_group", "side_swap"]
+        "cap_colourings", "side_swap"]
+
+
+def settings_off_the_cli(names, cap_flags) -> tuple[list[str], list[str]]:
+    """(fields that the CLI cannot set, cap flags with no field), for
+    RunConfig field ``names`` against the caps the CLI has a flag for."""
+    exposed = [*cap_flags, "side_swap"]
+    return [n for n in names if n not in exposed], [f for f in exposed if f not in names]
+
+
+def test_the_audit_flags_a_library_only_setting():
+    names = [f.name for f in fields(RunConfig)]
+    assert settings_off_the_cli([*names, "cap_group"], cli._CAP_FLAGS) == (["cap_group"], [])
+    assert settings_off_the_cli(names, cli._CAP_FLAGS[1:]) == ([cli._CAP_FLAGS[0]], [])
+    assert settings_off_the_cli(names[1:], cli._CAP_FLAGS) == ([], [names[0]])
+
+
+def test_the_fields_are_exactly_the_cli_settings():
+    names = [f.name for f in fields(RunConfig)]
+    assert settings_off_the_cli(names, cli._CAP_FLAGS) == ([], [])
 
 
 def test_every_field_is_read_outside_config():

@@ -19,7 +19,7 @@ from gnorm.falsify import (
     triangle_falsifier,
 )
 from gnorm.kernels import phase_kernel
-from gnorm.density import t_density
+from gnorm.density import t_decoration, t_density
 
 
 class TestHatamiCheck:
@@ -47,6 +47,22 @@ class TestHatamiCheck:
         blob = witness.to_json()
         assert blob["kind"] == "decoration-inequality"
         assert blob["seed"] == 5 and len(blob["kernels"]) == 4
+        # the falsifiers run in conjugate mode only, so no mode is recorded
+        assert sorted(blob) == ["colours", "kernels", "kind", "lhs", "log_margin",
+                                "rhs", "seed", "trial"]
+
+    @pytest.mark.parametrize("fault", ["short decoration", "misaligned colouring"])
+    def test_refuses_what_t_decoration_refuses(self, c4, alt4, fault):
+        # one copy of the decoration contract serves both
+        f = random_kernel(random.Random(2), 2, 2)
+        args = {"short decoration": (c4, alt4, Decoration.uniform(f, 3)),
+                "misaligned colouring": (c4, EdgeColouring((1, 0, 1)),
+                                         Decoration.uniform(f, 4))}[fault]
+        with pytest.raises(ValueError) as want:
+            t_decoration(*args)
+        with pytest.raises(ValueError) as got:
+            hatami_check(*args)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
     def test_vanishing_single_density_writes_a_null_margin(self, c4, mono4):
         # t(a) = 0 on the monochromatic square, while the mixed density is
@@ -56,7 +72,7 @@ class TestHatamiCheck:
         kernels = (a, b, b, b)
         res = hatami_check(c4, mono4, Decoration(kernels))
         assert not res.holds and res.log_margin == -math.inf
-        witness = HatamiWitness(0, 0, "conjugate", mono4.colours, kernels,
+        witness = HatamiWitness(0, 0, mono4.colours, kernels,
                                 res.lhs, res.rhs, res.log_margin)
         blob = json.loads(json.dumps(witness.to_json(), allow_nan=False))
         assert blob["log_margin"] is None and blob["rhs"] == 0 < blob["lhs"]

@@ -65,10 +65,10 @@ def ref_t_density(g, a, f, mode="conjugate", config=DEFAULT):
     return ref_t_decoration(g, a, Decoration.uniform(f, g.n_edges), mode, config=config)
 
 
-def ref_hatami_check(g, a, dec, mode="conjugate", config=DEFAULT):
+def ref_hatami_check(g, a, dec, config=DEFAULT):
     e = g.n_edges
-    mixed = abs(ref_t_decoration(g, a, dec, mode, config=config))
-    singles = [abs(ref_t_density(g, a, dec[i], mode, config)) for i in range(e)]
+    mixed = abs(ref_t_decoration(g, a, dec, config=config))
+    singles = [abs(ref_t_density(g, a, dec[i], config=config)) for i in range(e)]
     lhs = mixed ** e
     rhs = math.prod(singles)
     tol = _SLACK
@@ -81,18 +81,18 @@ def ref_hatami_check(g, a, dec, mode="conjugate", config=DEFAULT):
     return HatamiCheck(holds, margin, lhs, rhs)
 
 
-def ref_hatami_random_scan(g, a, seed, trials, resolution=2, mode="conjugate", config=DEFAULT):
+def ref_hatami_random_scan(g, a, seed, trials, resolution=2, config=DEFAULT):
     worst = math.inf
     for t in range(trials):
         rng = _substream(seed, t)
         dec = Decoration(
             tuple(random_kernel(rng, resolution, resolution) for _ in range(g.n_edges))
         )
-        res = ref_hatami_check(g, a, dec, mode, config)
+        res = ref_hatami_check(g, a, dec, config)
         worst = min(worst, res.log_margin)
         if not res.holds:
             return HatamiScan(
-                HatamiWitness(seed, t, mode, a.colours, dec.kernels,
+                HatamiWitness(seed, t, a.colours, dec.kernels,
                               res.lhs, res.rhs, res.log_margin),
                 t + 1,
                 worst,
@@ -100,24 +100,23 @@ def ref_hatami_random_scan(g, a, seed, trials, resolution=2, mode="conjugate", c
     return HatamiScan(None, trials, worst)
 
 
-def ref_deleted_density(g, a, f, drop, mode, config):
+def ref_deleted_density(g, a, f, drop, config):
     kernels = list(Decoration.uniform(f, g.n_edges).kernels)
     kernels[drop] = StepKernel.constant(1.0, *f.shape)
-    return ref_t_decoration(g, a, Decoration(tuple(kernels)), mode, config=config)
+    return ref_t_decoration(g, a, Decoration(tuple(kernels)), config=config)
 
 
-def ref_hatami_violation_search(g, a, seed, trials=1000, resolution=2, mode="conjugate",
-                                config=DEFAULT):
+def ref_hatami_violation_search(g, a, seed, trials=1000, resolution=2, config=DEFAULT):
     e = g.n_edges
     if e < 2:
         return None
     for t in range(trials):
         rng = _substream(seed, t)
         f = random_kernel(rng, resolution, resolution)
-        tv = ref_t_density(g, a, f, mode, config)
+        tv = ref_t_density(g, a, f, config=config)
         if abs(tv) < 1e-6:
             continue
-        deleted = [ref_deleted_density(g, a, f, i, mode, config) for i in range(e)]
+        deleted = [ref_deleted_density(g, a, f, i, config) for i in range(e)]
         for i in range(e):
             for j in range(e):
                 if i == j:
@@ -131,9 +130,9 @@ def ref_hatami_violation_search(g, a, seed, trials=1000, resolution=2, mode="con
                     kernels[i] = f.add(zk)
                     kernels[j] = f.add(zk.scale(-1.0))
                     dec = Decoration(tuple(kernels))
-                    res = ref_hatami_check(g, a, dec, mode, config)
+                    res = ref_hatami_check(g, a, dec, config)
                     if not res.holds:
-                        return HatamiWitness(seed, t, mode, a.colours, dec.kernels,
+                        return HatamiWitness(seed, t, a.colours, dec.kernels,
                                              res.lhs, res.rhs, res.log_margin)
     return None
 
@@ -221,25 +220,23 @@ def test_triangle_matches_the_per_trial_oracle(case, resolution):
         assert triangle_falsifier(g, a, seed, TRIALS, resolution) == want, seed
 
 
-@pytest.mark.parametrize("mode", ["conjugate", "transpose"])
 @pytest.mark.parametrize("resolution", [2, 3])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_random_scan_matches_the_per_trial_oracle(case, resolution, mode):
+def test_random_scan_matches_the_per_trial_oracle(case, resolution):
     g, colours = CASES[case]
     a = EdgeColouring(colours)
     for seed in SEEDS:
-        want = ref_hatami_random_scan(g, a, seed, TRIALS, resolution, mode)
-        assert hatami_random_scan(g, a, seed, TRIALS, resolution, mode) == want, seed
+        want = ref_hatami_random_scan(g, a, seed, TRIALS, resolution)
+        assert hatami_random_scan(g, a, seed, TRIALS, resolution) == want, seed
 
 
-@pytest.mark.parametrize("mode", ["conjugate", "transpose"])
 @pytest.mark.parametrize("case", ["C4 1110", "C4 1010", "P5 1100", "C6 101010"])
-def test_violation_search_matches_the_per_trial_oracle(case, mode):
+def test_violation_search_matches_the_per_trial_oracle(case):
     g, colours = CASES[case]
     a = EdgeColouring(colours)
     for seed in range(10):
-        want = ref_hatami_violation_search(g, a, seed, 20, 2, mode)
-        assert hatami_violation_search(g, a, seed, 20, 2, mode) == want, seed
+        want = ref_hatami_violation_search(g, a, seed, 20, 2)
+        assert hatami_violation_search(g, a, seed, 20, 2) == want, seed
 
 
 def test_violation_search_on_q3_matches_the_oracle():

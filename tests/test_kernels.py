@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gnorm.errors import ParseError, ShapeMismatch
+from gnorm.errors import ParseError
 from gnorm.kernels import (
     Decoration,
     StepKernel,
@@ -65,7 +65,7 @@ def test_phase_kernel_rows_cancel():
 
 def test_decoration_shapes():
     f = StepKernel(((1,),))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="share one grid shape"):
         Decoration((f, StepKernel(((1, 2),))))
     dec = Decoration.uniform(f, 3)
     assert len(dec) == 3 and dec.shape == (1, 1)

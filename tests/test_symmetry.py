@@ -1,5 +1,6 @@
 """Automorphism search against brute-force oracles, colouring symmetry."""
 
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -529,6 +530,23 @@ class TestStabiliserChain:
         assert prod(len(t) for t in levels) == order
         gens = [combinatorics.Permutation(row) for t in levels for row in t[1:].tolist()]
         assert combinatorics.PermutationGroup(gens).order() == order
+
+    def test_the_walk_is_not_bounded_by_the_recursion_limit(self):
+        # the search places C_300's vertices one level each; with the limit
+        # a little above this test's own depth, a walk that recursed once per
+        # level would raise RecursionError
+        g, config = cycle(300), RunConfig(cap_vertices=300)
+        want = automorphisms(g, config), isomorphic(g, g, config)
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            got = automorphisms(g, config), isomorphic(g, g, config)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want and want[0].group_order == 600
 
 
 def _haar(n: int, connection: tuple[int, ...]) -> BipartiteGraph:

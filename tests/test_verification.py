@@ -6,7 +6,7 @@ import pytest
 
 import gnorm.verification as V
 from gnorm.config import RunConfig
-from gnorm.errors import OutOfRange
+from gnorm.errors import InvalidParameter
 
 
 def test_rows_have_unique_ids_and_budgets():
@@ -90,7 +90,8 @@ def test_three_cycle_row_reports_every_tournament_it_checked():
 def test_run_all_rejects_unknown_row_ids(monkeypatch, rows):
     ran = []
     monkeypatch.setattr(V, "run_row", lambda row, config=None: ran.append(row.rid))
-    with pytest.raises(OutOfRange, match="unknown row id.*nope.*valid ids: tournament-3cycles"):
+    with pytest.raises(InvalidParameter,
+                       match="unknown row id.*nope.*valid ids: tournament-3cycles"):
         V.run_all(RunConfig(), rows)
     assert ran == []
 
