@@ -435,5 +435,5 @@ def run_all(config: RunConfig = DEFAULT, row_ids: list[str] | None = None) -> li
         unknown = [rid for rid in row_ids if rid not in known]
         if unknown:
             raise InvalidParameter(f"unknown row id(s) {', '.join(unknown)}; "
-                             f"valid ids: {', '.join(known)}")
+                                   f"valid ids: {', '.join(known)}")
     return [run_row(r, config) for r in ROWS if row_ids is None or r.rid in row_ids]
