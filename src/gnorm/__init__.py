@@ -39,14 +39,13 @@ from .cycles import (
     four_cycles_generate_cycle_space,
     kappa_alternating,
 )
-from .kernels import Decoration, StepKernel, TrigKernel, phase_kernel
+from .kernels import Decoration, StepKernel, phase_kernel
 from .density import (
     rho_2m,
     s_max,
     second_order_expansion,
     t_decoration,
     t_density,
-    trig_density,
 )
 from .falsify import (
     hatami_check,

@@ -68,29 +68,30 @@ def enumerate_cycles(
     found: list[tuple[int, ...]] = []
     path = [0] * length
     on_path = [False] * n
-
-    def extend(depth: int, anchor: int):
-        cur = path[depth - 1]
-        for w in adj[cur]:
-            if depth == length:
-                if w == anchor and path[1] < path[-1]:
+    for a in range(n):
+        # stack[d - 1] walks the neighbours of path[d - 1]; a path of full
+        # length is closed on the spot, so the stack stays below length
+        path[0] = a
+        on_path[a] = True
+        stack = [iter(adj[a])]
+        while stack:
+            depth = len(stack)
+            for w in stack[-1]:
+                if w <= a or on_path[w]:
+                    continue
+                path[depth] = w
+                if depth < length - 1:
+                    on_path[w] = True
+                    stack.append(iter(adj[w]))
+                    break
+                if path[1] < w and (w, a) in edge_at:
                     found.append(tuple(path))
                     if len(found) > config.cap_cycles:
                         raise CapExceeded("cycle enumeration", len(found),
                                           config.cap_cycles)
-                continue
-            if w <= anchor or on_path[w]:
-                continue
-            path[depth] = w
-            on_path[w] = True
-            extend(depth + 1, anchor)
-            on_path[w] = False
-
-    for a in range(n):
-        path[0] = a
-        on_path[a] = True
-        extend(1, a)
-        on_path[a] = False
+            else:
+                on_path[path[depth - 1]] = False
+                stack.pop()
 
     return CycleSet(length, tuple(
         tuple(edge_at[cyc[i], cyc[(i + 1) % length]] for i in range(length))

@@ -1,4 +1,6 @@
-"""Exact evaluation of the density functionals on step kernels.
+"""Exact evaluation of the density functionals on step kernels, the one
+kernel type: a closed form such as the trigonometric kernels of the paper is
+evaluated on its step-kernel version (``kernels.phase_kernel``).
 
 Everything here is a finite sum over grid assignments.  Two independent
 evaluation routes are provided: ``direct`` materialises the product over all
@@ -25,9 +27,8 @@ bit for bit.  The falsifiers contract chunks of trials the same way
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from math import comb, inf, pi, prod
+from math import comb, inf, prod
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -41,10 +42,8 @@ from .graphs import (
     check_aligned,
     count_two_edge_matchings,
     degree_stats,
-    is_balanced,
-    iter_balanced_colourings,
 )
-from .kernels import Decoration, StepKernel, TrigKernel
+from .kernels import Decoration, StepKernel
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -456,47 +455,6 @@ def rho_2m(
         raise ValueError("power sum is not real; use a real kernel in transpose mode")
     re = max(total.real, 0.0)
     return re ** (1.0 / (2 * m))
-
-
-# -- closed-form trigonometric kernels ----------------------------------------
-
-
-def trig_density(
-    g: BipartiteGraph,
-    a: EdgeColouring,
-    tk: TrigKernel,
-    method: str = "auto",
-    config: RunConfig = DEFAULT,
-) -> complex:
-    """Exact density of a trigonometric kernel.
-
-    h0 gives 1 on balanced colourings and 0 otherwise.  For hk the edge
-    product integrates to the number of balanced colourings times the phase
-    exp(2*pi*i*(2*w - e)/k) where w counts colour-1 edges: method "cycle"
-    uses the closed form 2^components * phase on disjoint unions of cycles,
-    method "orientation-sum" sums the phase over the enumerated balanced
-    colourings, and "auto" picks whichever applies.
-    """
-    check_aligned(g, a)
-    if tk.kind == "h0":
-        return complex(1.0) if is_balanced(g, a) else complex(0.0)
-    # hk
-    phase = cmath.exp(2j * pi * (2 * a.weight - g.n_edges) / tk.k)
-    is_cycle_union = all(g.degree(v) == 2 for v in g.vertices)
-    if method == "auto":
-        method = "cycle" if is_cycle_union else "orientation-sum"
-    if method == "cycle":
-        if not is_cycle_union:
-            raise ValueError("cycle closed form needs a disjoint union of cycles")
-        return (2 ** len(g.components)) * phase
-    if method == "orientation-sum":
-        if any(g.degree(v) % 2 for v in g.vertices):
-            return complex(0.0)
-        total = complex(0.0)
-        for _orientation in iter_balanced_colourings(g, config):
-            total += phase
-        return total
-    raise ValueError(f"unknown method {method!r}")
 
 
 # -- second-order expansion of the orientation functional ----------------------

@@ -157,11 +157,6 @@ class EdgeColouring:
     def conjugate(self) -> "EdgeColouring":
         return EdgeColouring(tuple(1 - c for c in self.colours))
 
-    @property
-    def weight(self) -> int:
-        """Number of colour-1 edges."""
-        return sum(self.colours)
-
 
 def check_aligned(g: BipartiteGraph, a: EdgeColouring) -> None:
     if len(a) != g.n_edges:

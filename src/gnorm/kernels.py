@@ -1,4 +1,4 @@
-"""Step kernels on [0,1]^2 and the closed-form trigonometric kernels.
+"""Step kernels on [0,1]^2, the one kernel type of the package.
 
 A step kernel is constant on a p-by-q grid of boxes, so every density integral
 restricted to step kernels is a finite sum over grid assignments and is
@@ -86,9 +86,10 @@ class StepKernel:
 def phase_kernel(p: int) -> StepKernel:
     """Grid of p-th roots of unity: entry (i, j) = exp(2*pi*i*(i+j)/p).
 
-    Row and column sums vanish exactly for p >= 2, which makes densities of
-    this kernel vanish on every colouring with an unbalanced vertex of
-    colour-imbalance not divisible by p.
+    Row and column sums vanish for p >= 2, so its conjugate-mode density is
+    1 when every vertex's colour imbalance is divisible by p and 0 otherwise:
+    with p above every degree it is exactly the balance indicator, the
+    step-kernel version of exp(2*pi*i*(x+y)).
     """
     w = np.exp(2j * np.pi / p)
     return StepKernel([[w ** (i + j) for j in range(p)] for i in range(p)])
@@ -121,29 +122,6 @@ class Decoration:
     @staticmethod
     def uniform(f: StepKernel, n_edges: int) -> "Decoration":
         return Decoration((f,) * n_edges)
-
-
-@dataclass(frozen=True)
-class TrigKernel:
-    """Closed-form kernel: 'h0' is exp(2*pi*(x+y)*i), 'hk' is
-    2*exp(2*pi*i/k)*cos(2*pi*(x+y))."""
-
-    kind: str
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("h0", "hk"):
-            raise ValueError(f"unknown trig kernel kind {self.kind!r}")
-        if self.kind == "hk" and (self.k is None or self.k < 1):
-            raise ValueError("hk needs an integer k >= 1")
-
-    @staticmethod
-    def h0() -> "TrigKernel":
-        return TrigKernel("h0")
-
-    @staticmethod
-    def hk(k: int) -> "TrigKernel":
-        return TrigKernel("hk", k=k)
 
 
 # -- JSON interchange --------------------------------------------------------

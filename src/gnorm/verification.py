@@ -43,11 +43,11 @@ from .constructions import (
     tournament_from_colouring,
 )
 from .density import (
+    _sweep,
     expansion_tail_bound,
     perturbed_kernel,
     second_order_expansion,
     t_density,
-    trig_density,
 )
 from .errors import InvalidParameter
 from .falsify import (
@@ -60,13 +60,13 @@ from .falsify import (
 from .graphs import (
     EdgeColouring,
     _balanced_rows,
+    _colouring_rows,
     complete_bipartite,
     cycle,
-    is_balanced,
     iter_balanced_colourings,
     star,
 )
-from .kernels import Decoration, StepKernel, TrigKernel
+from .kernels import Decoration, StepKernel, phase_kernel
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def _row_kneser_arithmetic(config: RunConfig) -> dict:
             "list_mismatches": mismatches, "duality_failures": dual_bad}
 
 
-_REL_TOL = 1e-12  # relative agreement of the direct and eliminate routes
+_REL_TOL = 1e-12  # relative tolerance of the exact-evaluation checks
 
 
 def _row_dual_path(config: RunConfig) -> dict:
@@ -244,32 +244,39 @@ def _row_dual_path(config: RunConfig) -> dict:
 
 
 def _row_trig_closed_forms(config: RunConfig) -> dict:
-    """h0 density is the balancedness indicator on every colouring of C4 and
-    C6; the cycle closed form for hk matches the orientation-sum route on
-    every colouring of C4, C6, C8."""
-    h0 = TrigKernel.h0()
-    for g in (cycle(4), cycle(6)):
-        for bits in product((0, 1), repeat=g.n_edges):
-            col = EdgeColouring(bits)
-            val = trig_density(g, col, h0, "auto", config)
-            want = 1.0 if is_balanced(g, col) else 0.0
-            if val != want:
-                return {"ok": False, "graph_edges": g.n_edges, "colours": bits}
+    """With P = phase_kernel(p), p above every degree, the mean over a
+    vertex's grid variable is 1 when its signed edge count is 0 (mod p, so
+    exactly) and 0 otherwise: t_a(P) is the balance indicator, and for
+    c = exp(2*pi*i/k), t_a(c*(P + conj P)) = N*exp(2*pi*i*(2w - e)/k), N the
+    balanced colourings (from the enumerator) and w the colour-1 edges of a.
+    One exact sweep per kernel covers every colouring of C4, C6, C8, K_{2,4}
+    and Q3 (odd degrees, so N = 0)."""
+    graphs = {"C4": cycle(4), "C6": cycle(6), "C8": cycle(8),
+              "K_{2,4}": complete_bipartite(2, 4), "Q3": hypercube(3)}
+    balanced = {}
     worst = 0.0
-    for g in (cycle(4), cycle(6), cycle(8)):
-        ell = g.n_edges // 2
-        for k in (1, 2, 3, 8):
-            hk = TrigKernel.hk(k)
-            for bits in product((0, 1), repeat=g.n_edges):
-                col = EdgeColouring(bits)
-                closed = trig_density(g, col, hk, "cycle", config)
-                summed = trig_density(g, col, hk, "orientation-sum", config)
-                formula = 2 * cmath.exp(4j * math.pi * (sum(bits) - ell) / k)
-                err = max(abs(closed - summed), abs(closed - formula))
-                worst = max(worst, err)
-                if err > 1e-12:
-                    return {"ok": False, "colours": bits, "k": k, "error": err}
-    return {"ok": True, "worst_error": worst}
+    for name, g in graphs.items():
+        e = g.n_edges
+        rows = _balanced_rows(g, config)
+        n = len(rows)
+        indicator = np.zeros(1 << e)
+        indicator[rows @ (1 << np.arange(e - 1, -1, -1))] = 1.0
+        w = _colouring_rows(e, 0, 1 << e).sum(axis=1)
+        phase = phase_kernel(1 + max(map(len, g.neighbours)))
+        cases = [("P", phase, indicator)] + [
+            (f"k={k}", phase.add(phase.conj()).scale(cmath.exp(2j * math.pi / k)),
+             n * np.exp(2j * np.pi * (2 * w - e) / k))
+            for k in (1, 2, 3, 8)]
+        for label, f, want in cases:
+            got = np.concatenate([vals for _, vals in _sweep(
+                g, f, "conjugate", "auto", config.with_(cap_colourings=e),
+                "closed-form sweep")])
+            err = float(np.abs(got - want).max())
+            worst = max(worst, err)
+            if err > _REL_TOL * max(1, n):
+                return {"ok": False, "graph": name, "kernel": label, "deviation": err}
+        balanced[name] = n
+    return {"ok": True, "balanced_colourings": balanced, "worst_error": worst}
 
 
 def _expansion_instances():
@@ -401,7 +408,7 @@ ROWS: list[Row] = [
         _row_kneser_arithmetic),
     Row("dual-path", "direct vs elimination density agreement", 120,
         _row_dual_path),
-    Row("trig-closed-forms", "h0 indicator and hk cycle formula", 120,
+    Row("trig-closed-forms", "trigonometric closed forms by exact phase-grid sweeps", 120,
         _row_trig_closed_forms),
     Row("second-order", "quadratic expansion with cubic residual", 300,
         _row_second_order),

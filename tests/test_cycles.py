@@ -1,6 +1,7 @@
 """Cycle enumeration against independent oracles, colour classes, and the
 counting laws' reference maxima against all colourings."""
 
+import sys
 from itertools import combinations, product
 
 import numpy as np
@@ -93,6 +94,38 @@ class TestEnumeration:
     def test_rejects_odd_length(self, c6):
         with pytest.raises(ValueError):
             enumerate_cycles(c6, 5)
+
+    @pytest.mark.parametrize("graph, length", [
+        (hypercube(4), 4), (hypercube(4), 6), (hypercube(4), 8),
+        (complete_bipartite(3, 4), 6), (cycle(10), 10)])
+    def test_cycles_come_in_lexicographic_order_of_their_vertex_walks(self, graph, length):
+        # vertex i of a cycle is the end its edges i - 1 and i share; every
+        # walk starts at its least vertex, and its second vertex precedes
+        # its last
+        walks = []
+        for ec in enumerate_cycles(graph, length).edge_cycles:
+            ends = [set(graph.ends[i]) for i in ec]
+            walk = [(ends[k - 1] & ends[k]).pop() for k in range(length)]
+            assert walk[0] == min(walk) and walk[1] < walk[-1]
+            walks.append(walk)
+        assert walks == sorted(walks) and len(set(map(tuple, walks))) == len(walks)
+
+    def test_the_walk_is_not_bounded_by_the_recursion_limit(self):
+        # the search places C_600's vertices one level each; with the limit
+        # a little above this test's own depth, a walk that recursed once per
+        # level would raise RecursionError
+        g = cycle(600)
+        want = enumerate_cycles(g, 600)
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(depth + 50, 200))
+        try:
+            got = enumerate_cycles(g, 600)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want and len(want) == 1
 
 
 class TestKappa:

@@ -1,5 +1,6 @@
 """Density engine: pinned values, functional axioms, dual-path agreement,
-closed trigonometric forms, the perturbation series, quadratic expansion."""
+closed trigonometric forms on phase step kernels, the perturbation series,
+quadratic expansion."""
 
 import cmath
 import math
@@ -17,12 +18,13 @@ from gnorm.errors import CapExceeded
 from gnorm.graphs import (
     BipartiteGraph,
     EdgeColouring,
+    _balanced_rows,
     complete_bipartite,
     cycle,
     is_balanced,
     star,
 )
-from gnorm.kernels import Decoration, StepKernel, TrigKernel, phase_kernel
+from gnorm.kernels import Decoration, StepKernel, phase_kernel
 from gnorm.density import (
     expansion_tail_bound,
     rho_2m,
@@ -30,12 +32,11 @@ from gnorm.density import (
     second_order_expansion,
     t_decoration,
     t_density,
-    trig_density,
     two_path_integrals,
 )
 from gnorm.constructions import hypercube, hypercube_alpha, hypercube_beta
 
-from conftest import disjoint_union
+from conftest import disjoint_union, small_bipartite
 
 
 def oracle_density(g, colours, kernel, mode):
@@ -481,8 +482,15 @@ class TestTrigDensity:
             net[v] += 2 * c - 1
         return int(not any(net.values()))
 
+    @staticmethod
+    def _kernels(g, k):
+        """P = phase_kernel(p) with p one above the largest degree, and
+        c*(P + conj P) for c = exp(2*pi*i/k): the step-kernel versions of
+        exp(2*pi*i*(x+y)) and 2*c*cos(2*pi*(x+y))."""
+        phase = phase_kernel(1 + max(map(len, g.neighbours)))
+        return phase, phase.add(phase.conj()).scale(cmath.exp(2j * math.pi / k))
+
     def test_h0_balance_indicator(self):
-        h0 = TrigKernel.h0()
         q4 = hypercube(4)
         rng = random.Random(23)
         named = [hypercube_alpha(4).colours, hypercube_beta(4).colours]
@@ -492,51 +500,61 @@ class TestTrigDensity:
                  (cycle(6), list(product((0, 1), repeat=6))),
                  (q4, named + flips + seeded)]
         for g, colourings in cases:
+            phase, _ = self._kernels(g, 1)
             values = []
             for bits in colourings:
                 a = EdgeColouring(bits)
-                value = trig_density(g, a, h0)
-                assert value == self._h0_integral(g, bits) == int(is_balanced(g, a))
-                values.append(value)
+                value = t_density(g, a, phase)
+                want = self._h0_integral(g, bits)
+                assert want == int(is_balanced(g, a)) and abs(value - want) < 1e-12
+                values.append(want)
             # both values occur on every graph
             assert set(values) == {0, 1}, g.edges
         # alpha and beta are balanced, and flipping one edge unbalances them
-        assert [trig_density(q4, EdgeColouring(c), h0) for c in named + flips] == \
-            [1, 1] + [0] * 64
-        g = cycle(4)
-        assert trig_density(g, EdgeColouring((1, 0, 1, 0)), h0) == 1
-        assert trig_density(g, EdgeColouring((1, 1, 1, 1)), h0) == 0
-        q4 = hypercube(4)
-        assert trig_density(q4, hypercube_beta(4), h0) == 1
+        assert [self._h0_integral(q4, c) for c in named + flips] == [1, 1] + [0] * 64
 
     def test_hk_cycle_value(self, c4, alt4):
-        assert trig_density(c4, alt4, TrigKernel.hk(8)) == pytest.approx(2)
+        # two balanced colourings and two colour-1 edges of four: phase 1
+        _, hk = self._kernels(c4, 8)
+        assert t_density(c4, alt4, hk) == pytest.approx(2, abs=1e-12)
 
     def test_hk_orientation_sum_on_hypercube(self):
         # 2970 balanced colourings of the 4-cube, all contributing one phase
-        q4 = hypercube(4)
-        val = trig_density(q4, hypercube_beta(4), TrigKernel.hk(3),
-                           "orientation-sum")
+        q4, beta = hypercube(4), hypercube_beta(4)
+        _, hk = self._kernels(q4, 3)
+        assert len(_balanced_rows(q4)) == 2970
         want = 2970 * cmath.exp(2j * math.pi * (2 * 16 - 32) / 3)
-        assert val == pytest.approx(want)
+        assert abs(t_density(q4, beta, hk) - want) < 1e-12 * 2970
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_closed_forms_on_random_bipartite_graphs(self, seed):
+        # subgraphs of K_{m,n} with m + n <= 8: odd and unequal degrees occur
+        rng = random.Random(seed)
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 8 - m)
+        g = small_bipartite(rng.randrange(1, 1 << (m * n)), m, n)
+        bits = tuple(rng.randint(0, 1) for _ in range(g.n_edges))
+        a, k = EdgeColouring(bits), rng.choice((1, 2, 3, 8))
+        phase, hk = self._kernels(g, k)
+        assert abs(t_density(g, a, phase) - self._h0_integral(g, bits)) < 1e-12
+        # N*exp(2*pi*i*(2w - e)/k): N balanced colourings, w colour-1 edges
+        n_balanced = len(_balanced_rows(g))
+        want = n_balanced * cmath.exp(2j * math.pi * (2 * sum(bits) - g.n_edges) / k)
+        assert abs(t_density(g, a, hk) - want) < 1e-12 * max(1, n_balanced)
 
     def test_constant_kernel(self, c4):
-        # a constant is a one-box step kernel; the closed-form kinds are h0 and hk
+        # a constant is a one-box step kernel
         c = 0.5 + 0.25j
         got = t_density(c4, EdgeColouring((1, 1, 0, 1)), StepKernel.constant(c))
         assert got == pytest.approx(c ** 3 * c.conjugate())
-        with pytest.raises(ValueError, match="unknown trig kernel kind"):
-            TrigKernel("const")
 
-    def test_discretised_phase_kernel_matches_h0(self):
-        # the roots-of-unity step kernel reproduces the balance indicator
-        # once the grid is finer than every vertex degree
-        g = cycle(6)
-        pk = phase_kernel(3)
-        for bits in product((0, 1), repeat=6):
-            col = EdgeColouring(bits)
-            want = 1.0 if is_balanced(g, col) else 0.0
-            assert abs(t_density(g, col, pk) - want) < 1e-12
+    def test_discretised_phase_kernel_needs_a_grid_above_every_degree(self):
+        # on C6 an imbalance of 2 is 0 mod 2, so the monochromatic colouring,
+        # unbalanced at every vertex, reads 1 at p = 2 and 0 at p = 3
+        g, mono = cycle(6), EdgeColouring((1,) * 6)
+        assert abs(t_density(g, mono, phase_kernel(2)) - 1) < 1e-12
+        assert abs(t_density(g, mono, phase_kernel(3))) < 1e-12
 
 
 class TestPerturbation:

@@ -9,7 +9,6 @@ from gnorm.errors import ParseError
 from gnorm.kernels import (
     Decoration,
     StepKernel,
-    TrigKernel,
     kernel_from_json,
     kernel_to_json,
     load_kernel,
@@ -69,14 +68,6 @@ def test_decoration_shapes():
         Decoration((f, StepKernel(((1, 2),))))
     dec = Decoration.uniform(f, 3)
     assert len(dec) == 3 and dec.shape == (1, 1)
-
-
-def test_trig_kernel_validation():
-    assert TrigKernel.hk(8).k == 8
-    with pytest.raises(ValueError):
-        TrigKernel.hk(0)
-    with pytest.raises(ValueError):
-        TrigKernel("mystery")
 
 
 def test_json_round_trip_is_exact():

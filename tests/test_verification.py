@@ -1,10 +1,12 @@
 """The verification table itself: sensitivity, crash capture, ordering."""
 
 import os
+from dataclasses import replace
 
 import pytest
 
 import gnorm.verification as V
+from gnorm import density, falsify
 from gnorm.config import RunConfig
 from gnorm.errors import InvalidParameter
 
@@ -26,6 +28,52 @@ def test_row_fails_on_corrupted_formula(monkeypatch, rid, length):
     monkeypatch.setattr(V, "count_directed_cycles", corrupted)
     row = next(r for r in V.ROWS if r.rid == rid)
     assert not V.run_row(row)["ok"]
+
+
+# one targeted corruption per row besides the tournament rows above: the row
+# id, then the module, the name and a function of the real object that gives
+# the corrupted one
+_CORRUPTIONS = {
+    # the balanced scan then reads c2 = c1 + 8, not c1 = c2 + 8
+    "hypercube-identities": (V, "_class_counts",
+                             lambda real: lambda m, c: real(m, c)[:, [1, 0, 2, 3]]),
+    "certificates": (V, "certify_not_norming",
+                     lambda real: lambda *args: replace(real(*args), surviving=[])),
+    "kneser-arithmetic": (V, "_class_a_case",
+                          lambda real: lambda k, r: None if (k, r) == (5, 2) else real(k, r)),
+    "dual-path": (density, "_evaluate_eliminate",
+                  lambda real: lambda *args: real(*args) * (1 + 1e-9)),
+    # one step too coarse: C4's monochromatic colouring reads 1
+    "trig-closed-forms": (V, "phase_kernel", lambda real: lambda p: real(p - 1)),
+    "second-order": (V, "second_order_expansion",
+                     lambda real: lambda *args: replace(real(*args), c2=real(*args).c2 + 0.01)),
+    # a witness on every pair, so on the alternating colouring too; a scaling
+    # law that never reports leaves the row passing, as the triangle check
+    # still finds the monochromatic witness
+    "falsifier": (falsify, "_triangle",
+                  lambda real: lambda *args: {"norm_sum": 1.0, "norm_f": 0.0, "norm_g": 0.0}),
+    "decoration-inequality": (falsify, "_mismatch_direction",
+                              lambda real: lambda *args: None),
+    "subdivision-bridge": (V, "kappa_alternating",
+                           lambda real: lambda g, a, length, config:
+                           real(g, a, length, config) + (length == 8)),
+}
+
+
+def test_every_row_has_a_corruption_that_fails_it():
+    rows = {r.rid for r in V.ROWS}
+    assert rows == {*_CORRUPTIONS, "tournament-3cycles", "tournament-4cycles"}
+
+
+@pytest.mark.parametrize("rid", sorted(_CORRUPTIONS))
+def test_row_fails_on_its_targeted_corruption(monkeypatch, rid):
+    row = next(r for r in V.ROWS if r.rid == rid)
+    assert V.run_row(row)["ok"]
+    module, name, corrupt = _CORRUPTIONS[rid]
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    result = V.run_row(row)
+    # the row reports the failure itself rather than crashing
+    assert not result["ok"] and "error" not in result, result
 
 
 def test_score_identity_catches_a_counter_wrong_off_the_regular_tournaments(monkeypatch):
