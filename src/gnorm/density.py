@@ -10,7 +10,10 @@ verification suite pins their relative deviation.  ``auto`` takes ``direct``
 up to 4096 assignments (``_resolve``).
 
 ``_route`` is the one planner: it checks the mode and the kernel shape,
-picks the route and raises its caps, before anything is contracted.  Both
+picks the route and raises its caps, before anything is contracted.  An
+elimination plan is made once per graph object, grid and sweep budget and
+kept on the graph (``BipartiteGraph.elimination_plans``), so reusing a graph
+object reuses its plans; the caps are checked on every call.  Both
 routes take edge factors with leading batch axes, and ``_means`` is the one
 division by the assignment count.  ``s_max`` and ``rho_2m`` sweep all 2^e
 colourings: they plan the route once and stack the two tables of the kernel
@@ -121,23 +124,35 @@ def _route(
     budget: int = 0,
 ) -> _Route:
     """Check the mode and the kernel shape, then pick the route of one
-    evaluation on this grid and raise its cap, before anything is
+    evaluation on this grid and raise its caps, before anything is
     contracted.  An elimination opens as many colour axes as fit ``budget``
-    entries per step (none when it is 0)."""
+    entries per step (none when it is 0).  An elimination plan is made once
+    per graph object, grid and budget (``g.elimination_plans``), and its
+    width and scope caps are raised on every call, in step order."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     p, q = shape
     if mode == "transpose" and p != q:
         raise ValueError(f"transpose mode needs a square kernel, got {p}x{q}")
     dims = _dims(g, shape, mode)
-    total = prod(dims)
     method = _resolve(method, dims)
     if method == "direct":
+        total = prod(dims)
         if total > config.cap_assignments:
             raise CapExceeded("direct density evaluation", total, config.cap_assignments)
         return _Route("direct", tuple(dims), total, total)
     if method == "eliminate":
-        return _elimination_plan(g, dims, total, config, budget)
+        key = (tuple(dims), budget)
+        plans = g.elimination_plans
+        if key not in plans:
+            plans[key] = _elimination_plan(g, dims, budget)
+        route, sizes = plans[key]
+        for width, scope in sizes:
+            if width > config.cap_assignments:
+                raise CapExceeded("elimination width", width, config.cap_assignments)
+            if scope > len(_LETTERS):
+                raise CapExceeded("elimination scope", scope, len(_LETTERS))
+        return route
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -214,14 +229,16 @@ def _elimination_order(scopes: list[frozenset[int]], n: int) -> list[int]:
 
 
 def _elimination_plan(
-    g: BipartiteGraph, dims: list[int], assignments: int, config: RunConfig, budget: int
-) -> _Route:
-    """Einsum steps eliminating the vertices along a greedy minimum-fill order.
+    g: BipartiteGraph, dims: list[int], budget: int
+) -> tuple[_Route | None, tuple[tuple[int, int], ...]]:
+    """Einsum steps eliminating the vertices along a greedy minimum-fill order,
+    and each step's (width, scope size), which ``_route`` checks against the
+    caps.  The route is None when a scope outnumbers the einsum letters,
+    which the scope cap always refuses.
 
     Slots 0..e-1 hold the edge factors and step k writes slot e+k.  A step is
     (the slots it consumes, its subscripts); the leading ``...`` of every
-    subscript stands for the batch axes.  The width and scope caps are
-    checked here, per evaluation, so they are raised before any contraction.
+    subscript stands for the batch axes.
 
     The last k edges are open: each carries its colour as an axis of size 2
     before its (left, right) axes, and every step keeps the colour axes of
@@ -242,16 +259,14 @@ def _elimination_plan(
         group = [s for s in live if v in scopes[s]]
         live = [s for s in live if v not in scopes[s]]
         union = sorted({x for s in group for x in scopes[s]})
-        width = prod(dims[x] for x in union)
-        if width > config.cap_assignments:
-            raise CapExceeded("elimination width", width, config.cap_assignments)
-        if len(union) > len(_LETTERS):
-            raise CapExceeded("elimination scope", len(union), len(_LETTERS))
         new_scope = [x for x in union if x != v]
-        groups.append((group, union, width))
+        groups.append((group, union, prod(dims[x] for x in union)))
         (live if new_scope else finished).append(len(scopes))
         scopes.append(new_scope)
         edges.append(sorted(i for s in group for i in edges[s]))
+    sizes = tuple((width, len(union)) for _, union, width in groups)
+    if any(scope > len(_LETTERS) for _, scope in sizes):
+        return None, sizes
 
     def row_width(k: int) -> float:
         """Entries in the widest step, the outer product included, with the
@@ -284,7 +299,8 @@ def _elimination_plan(
         colour_letter = dict(zip(range(e - k, e), _LETTERS))
         inputs = ",".join(subscript(s, {}, colour_letter) for s in finished)
         steps.append((tuple(finished), f"{inputs}->..." + "".join(colour_letter.values())))
-    return _Route("eliminate", tuple(dims), assignments, row_width(k), tuple(steps), k)
+    route = _Route("eliminate", tuple(dims), prod(dims), row_width(k), tuple(steps), k)
+    return route, sizes
 
 
 def _evaluate_eliminate(steps, factors) -> np.ndarray:

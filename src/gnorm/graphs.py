@@ -6,7 +6,8 @@ canonical index space: a colouring is a 0/1 vector aligned with it, and every
 enumeration in the package reports results in this order.  Vertex i is
 ``vertices[i]``, left side first, and the cached ``ends``, ``neighbours`` and
 ``edge_at`` are the graph in these indices, for every module that searches
-or contracts over it.
+or contracts over it.  The cached ``elimination_plans`` holds the density
+elimination plans made on the graph, so a reused graph object reuses them.
 """
 
 from __future__ import annotations
@@ -97,6 +98,12 @@ class BipartiteGraph:
         for i, (x, y) in enumerate(self.ends):
             at[x, y] = at[y, x] = i
         return at
+
+    @cached_property
+    def elimination_plans(self) -> dict:
+        """``density._route``'s elimination plans by (dims, budget), so a plan
+        is made once per graph object and lives as long as it does."""
+        return {}
 
     def degree(self, v: Vertex) -> int:
         return len(self.neighbours[self.vertex_index[v]])

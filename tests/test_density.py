@@ -286,6 +286,21 @@ def sweep_values(g, f, mode, method, config=RunConfig()):
     return np.concatenate([v for _, v in chunks])
 
 
+def split_budgets(g, shape, mode):
+    """The least budget of each split k that the planner picks, from 0 open
+    edges to every edge that fits 1 << 30 entries per step.  The kernel may
+    have one side other than 2, r, so every step's width is 2^i r^j."""
+    widest = density._route(g, shape, mode, "eliminate", RunConfig(), 1 << 30).row_width
+    r = max(shape)
+    budgets = sorted({2 ** i * r ** j for i in range(widest.bit_length())
+                      for j in range(widest.bit_length()) if 2 ** i * r ** j <= widest})
+    splits = {}
+    for budget in budgets:
+        k = density._route(g, shape, mode, "eliminate", RunConfig(), budget).open_edges
+        splits.setdefault(k, budget)
+    return splits
+
+
 def _two_cycles():
     g, _ = disjoint_union([(cycle(4), EdgeColouring((0,) * 4)),
                            (cycle(6), EdgeColouring((0,) * 6))])
@@ -348,14 +363,7 @@ class TestSweep:
                         2, 3 if mode == "conjugate" else 2)
         want = [t_density(g, EdgeColouring(bits), f, mode, "eliminate")
                 for bits in product((0, 1), repeat=e)]
-        widest = density._route(g, f.shape, mode, "eliminate", RunConfig(), 1 << 30).row_width
-        # every step's width is a product of 2s and 3s
-        budgets = sorted(2 ** i * 3 ** j for i in range(widest.bit_length())
-                         for j in range(12) if 2 ** i * 3 ** j <= widest)
-        splits = {}
-        for budget in budgets:
-            k = density._route(g, f.shape, mode, "eliminate", RunConfig(), budget).open_edges
-            splits.setdefault(k, budget)
+        splits = split_budgets(g, f.shape, mode)
         assert min(splits) == 0 and max(splits) == e
         for k, budget in sorted(splits.items()):
             monkeypatch.setattr(density, "_SWEEP_BUDGET", budget)
@@ -468,6 +476,117 @@ class TestSweepCaps:
         assert res.argmax == loop_s_max(q3, f, "conjugate", method, cfg)[1]
         with pytest.raises(CapExceeded):
             s_max(q3, f, "conjugate", method, RunConfig(cap_assignments=cap - 1))
+
+
+def fresh(g):
+    """An equal graph object on which no plan has been made."""
+    return BipartiteGraph(g.left, g.right, g.edges)
+
+
+def raised(fn, *args):
+    """The CapExceeded a call raises, as (type, message, stage, needed, cap)."""
+    with pytest.raises(CapExceeded) as info:
+        fn(*args)
+    exc = info.value
+    return type(exc), str(exc), exc.stage, exc.needed, exc.cap
+
+
+# the sweep graphs, and the bench's graphs at their kernel sizes
+MEMO_CASES = [(name, g, shape, mode)
+              for name, g in sorted(SWEEP_GRAPHS.items())
+              for shape, mode in [((2, 3), "conjugate"), ((2, 2), "transpose")]] + [
+    (name, g, (p, p), mode)
+    for name, g, p in [("C8", cycle(8), 3), ("K24", complete_bipartite(2, 4), 5),
+                       ("Q3", SWEEP_GRAPHS["Q3"], 3)]
+    for mode in density.MODES]
+MEMO_IDS = [f"{name}-{p}x{q}-{mode}" for name, _, (p, q), mode in MEMO_CASES]
+
+
+class TestPlanMemo:
+    """An elimination plan is made once per graph object, grid and budget,
+    and the caps are still raised on every call, as a fresh plan raises them."""
+
+    @pytest.mark.parametrize("name, g, shape, mode", MEMO_CASES, ids=MEMO_IDS)
+    def test_a_memoised_route_equals_a_fresh_one(self, name, g, shape, mode):
+        splits = split_budgets(g, shape, mode)
+        assert min(splits) == 0 and max(splits) == g.n_edges
+        for budget in sorted(set(splits.values()) | {0, density._SWEEP_BUDGET}):
+            route = density._route(g, shape, mode, "eliminate", RunConfig(), budget)
+            assert density._route(g, shape, mode, "eliminate", RunConfig(), budget) is route
+            cold = fresh(g)
+            assert cold.elimination_plans == {}
+            want = density._route(cold, shape, mode, "eliminate", RunConfig(), budget)
+            assert route._asdict() == want._asdict()
+
+    @pytest.mark.parametrize("name, g, shape, mode", MEMO_CASES, ids=MEMO_IDS)
+    def test_a_warm_plan_raises_the_width_cap_of_a_fresh_one(self, name, g, shape, mode):
+        f = rand_kernel(random.Random(f"{name}:{mode}:memo-cap"), *shape)
+        a = EdgeColouring((0,) * g.n_edges)
+        # default-config calls warm the memo, for the sweep and for one colouring
+        s_max(g, f, mode, "eliminate")
+        t_density(g, a, f, mode, "eliminate")
+        widest = density._route(g, shape, mode, "eliminate", RunConfig()).row_width
+        cfg = RunConfig(cap_assignments=widest - 1)
+        calls = [(s_max, f, mode, "eliminate", cfg),
+                 (rho_2m, f, 1, mode, "eliminate", cfg),
+                 (lambda g, *rest: t_density(g, a, *rest), f, mode, "eliminate", cfg)]
+        for fn, *rest in calls:
+            got = raised(fn, g, *rest)
+            assert got == raised(fn, fresh(g), *rest)
+            assert got[2:] == ("elimination width", widest, widest - 1)
+
+    def test_a_warm_plan_raises_the_scope_cap_of_a_fresh_one(self):
+        # C4's steps come first and are 8 entries wide; K_{52,52}'s first
+        # step spans 53 vertices, one more than there are einsum letters
+        g, _ = disjoint_union([(cycle(4), EdgeColouring((0,) * 4)),
+                               (complete_bipartite(52, 52), EdgeColouring((0,) * 2704))])
+        a = EdgeColouring((0,) * g.n_edges)
+        f = StepKernel.constant(1.0, 2, 2)
+        big = 1 << 60
+        # the default config refuses K_{52,52}'s first step by its width,
+        # and the plan is kept all the same
+        assert raised(t_density, g, a, f, "conjugate", "eliminate")[2:] == \
+            ("elimination width", 1 << 53, RunConfig().cap_assignments)
+        assert len(g.elimination_plans) == 1
+        for cap, want in [(big, ("elimination scope", 53, 52)),
+                          (4, ("elimination width", 8, 4))]:
+            args = (f, "conjugate", "eliminate", RunConfig(cap_assignments=cap))
+            got = raised(t_density, g, a, *args)
+            assert got == raised(t_density, fresh(g), a, *args)
+            assert got[0] is CapExceeded and got[2:] == want
+
+    def test_each_graph_object_plans_once_per_grid_and_budget(self, monkeypatch):
+        calls = []
+        order = density._elimination_order
+
+        def counted(scopes, n):
+            calls.append(n)
+            return order(scopes, n)
+
+        monkeypatch.setattr(density, "_elimination_order", counted)
+        rng = random.Random(26)
+        g = cycle(8)
+        a = EdgeColouring((0, 1) * 4)
+        f = rand_kernel(rng, 3, 3)
+        h = StepKernel([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(3)])
+        r = rand_kernel(rng, 2, 3)
+
+        def run(g):
+            return (s_max(g, f), rho_2m(g, h, 2, "transpose"),
+                    t_density(g, a, f, "conjugate", "eliminate"),
+                    t_density(g, a, r, "conjugate", "eliminate"))
+
+        first = run(g)
+        assert all(run(g) == first for _ in range(2))
+        # s_max and rho_2m share the 3^8 grid and the sweep budget; the two
+        # t_density calls plan at budget 0 on the 3^8 and 2^4 3^4 grids
+        assert set(g.elimination_plans) == {
+            ((3,) * 8, density._SWEEP_BUDGET), ((3,) * 8, 0), ((2,) * 4 + (3,) * 4, 0)}
+        assert calls == [8] * 3
+        again = cycle(8)
+        assert again == g and again is not g
+        assert run(again) == first
+        assert calls == [8] * 6
 
 
 class TestTrigDensity:
