@@ -5,7 +5,12 @@ data, or reports that no violation was found at the given resolution and
 trial budget.  Absence of a witness is evidence, not proof.
 
 Seed discipline: trial t of a run seeded with s draws from the substream
-keyed by "s:t", so results are independent of execution order.
+keyed by "s:t", so results are independent of execution order.  A trial
+takes its n kernel entries with one ``getrandbits(128 * n)`` call on its
+substream, and ``_uniform_entries`` turns a chunk's bits into entries
+exactly as ``random.uniform(-1, 1)`` would, real part before imaginary part:
+the same values, bit for bit, and the substream left where per-entry draws
+leave it.
 
 The random scans evaluate their trials in chunks: each trial's draws go into
 (B, p, q) stacks, a chunk plans one route and makes one batched contraction,
@@ -40,15 +45,28 @@ def _substream(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
 
 
-def _entries(rng: random.Random, n: int) -> list[complex]:
-    """n entries in [-1, 1] (both parts), real part drawn before imaginary part."""
-    u = rng.uniform
-    return [complex(u(-1.0, 1.0), u(-1.0, 1.0)) for _ in range(n)]
+def _uniform_entries(rngs: list[random.Random], n: int) -> np.ndarray:
+    """The (len(rngs), n) complex entries that n draws of
+    ``complex(rng.uniform(-1, 1), rng.uniform(-1, 1))`` give on each
+    generator, from one ``getrandbits`` call per generator.
+
+    A ``random()`` reads two 32-bit words w0, w1 and returns
+    ((w0 >> 5) * 2^26 + (w1 >> 6)) * 2^-53, and ``getrandbits(128 * n)``
+    returns the 4n words that n complex draws read, first word least
+    significant; every step below is exact in float64, and ``uniform(-1, 1)``
+    is -1 + 2 * random(), so the entries are equal bit for bit.
+    """
+    words = np.frombuffer(b"".join(rng.getrandbits(128 * n).to_bytes(16 * n, "little")
+                                   for rng in rngs), "<u4").reshape(-1, 2)
+    x = ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) * (1.0 / 9007199254740992.0)
+    return (-1.0 + 2.0 * x).view(np.complex128).reshape(len(rngs), n)
 
 
 def random_kernel(rng: random.Random, p: int, q: int) -> StepKernel:
-    """Entries drawn row by row, real part before imaginary part."""
-    return StepKernel(np.reshape(_entries(rng, p * q), (p, q)))
+    """Entries drawn row by row, real part before imaginary part, each part
+    ``rng.uniform(-1, 1)``: one ``getrandbits`` call, converted by
+    ``_uniform_entries``."""
+    return StepKernel(_uniform_entries([rng], p * q).reshape(p, q))
 
 
 def _check_budget(trials: int, resolution: int) -> None:
@@ -181,9 +199,8 @@ def hatami_random_scan(
     route = _route(g, (r, r), "conjugate", "auto", config)
     worst = math.inf
     for chunk in _chunks(0, trials, route, 1 + e):
-        kernels = np.reshape(
-            [x for t in chunk for x in _entries(_substream(seed, t), e * r * r)],
-            (len(chunk), e, r, r))
+        rngs = [_substream(seed, t) for t in chunk]
+        kernels = _uniform_entries(rngs, e * r * r).reshape(len(chunk), e, r, r)
         for t, ks, res in zip(chunk, kernels, _hatami_checks(route, g, a, kernels)):
             worst = min(worst, res.log_margin)
             if not res.holds:
@@ -367,10 +384,14 @@ def triangle_falsifier(
     Trial 0 tries structured candidates first: the roots-of-unity phase
     kernel plus its conjugate (which separates balanced from unbalanced
     colourings exactly), and the scaling law t(c*f) = |c|^e * t(f) with
-    eighth-root scalars.  Later trials are independent random pairs f, g with
-    a unit scalar c, drawn in that order from the trial's substream, and a
-    chunk of B of them is one contraction of the 4B kernels f + g, f, g and
-    c*f.  A trial tests the triangle inequality before the scaling law.
+    eighth-root scalars.  The three phase candidates are one contraction;
+    the constants are one-row contractions, because at resolution 1 a stack
+    of 1x1 kernels is multiplied in another numpy loop than a lone one, and
+    its values would differ in the last bits.  Later trials are independent
+    random pairs f, g with a unit scalar c, drawn in that order from the
+    trial's substream, and a chunk of B of them is one contraction of the
+    4B kernels f + g, f, g and c*f.  A trial tests the triangle inequality
+    before the scaling law.
     """
     _check_budget(trials, resolution)
     check_aligned(g, a)
@@ -380,31 +401,31 @@ def triangle_falsifier(
     if trials == 0:
         return FalsifierResult(None, 0)
 
-    def density(f: StepKernel) -> complex:
-        return t_density(g, a, f, config=config)
+    def densities(route, kernels: list[StepKernel]) -> list[complex]:
+        stack = np.stack([k.array() for k in kernels])
+        return _densities(route, g, a, [stack] * e, "conjugate").tolist()
 
     max_deg = max(g.degree(v) for v in g.vertices)
     pk = phase_kernel(max(r, max_deg + 1))
-    values = _triangle(density(pk.add(pk.conj())), density(pk), density(pk.conj()), e)
+    phase_route = _route(g, pk.shape, "conjugate", "auto", config)
+    values = _triangle(*densities(phase_route, [pk.add(pk.conj()), pk, pk.conj()]), e)
     if values:
         return FalsifierResult(
             TriangleWitness("triangle", seed, 0, a.colours, pk, pk.conj(), None, values), 1)
+    route = _route(g, (r, r), "conjugate", "auto", config)
     one = StepKernel.constant(1.0, r, r)
-    t_one = density(one)
+    t_one = densities(route, [one])[0]
     for c in (cmath.exp(1j * math.pi / 4), 1j, cmath.exp(1j * math.pi / 3)):
-        values = _scaling(t_one, density(one.scale(c)), c, e)
+        values = _scaling(t_one, densities(route, [one.scale(c)])[0], c, e)
         if values:
             return FalsifierResult(
                 TriangleWitness("scaling", seed, 0, a.colours, one, None, c, values), 1)
 
-    route = _route(g, (r, r), "conjugate", "auto", config)
     for chunk in _chunks(1, trials, route, 4):
-        draws, scalars = [], []
-        for t in chunk:
-            rng = _substream(seed, t)
-            draws += _entries(rng, 2 * r * r)
-            scalars.append(cmath.exp(2j * math.pi * rng.random()))
-        pairs = np.reshape(draws, (len(chunk), 2, r, r))
+        rngs = [_substream(seed, t) for t in chunk]
+        pairs = _uniform_entries(rngs, 2 * r * r).reshape(len(chunk), 2, r, r)
+        # each trial's scalar comes after its entries on its substream
+        scalars = [cmath.exp(2j * math.pi * rng.random()) for rng in rngs]
         fs, gs = pairs[:, 0], pairs[:, 1]
         stack = np.concatenate((fs + gs, fs, gs, np.array(scalars)[:, None, None] * fs))
         vals = _densities(route, g, a, [stack] * e, "conjugate").reshape(4, -1).T.tolist()

@@ -92,6 +92,23 @@ def coloured_isomorphic(g1: BipartiteGraph, a1: EdgeColouring,
     return next(_iso_maps(g1, g2, True, (a1, a2), limit=1), None) is not None
 
 
+def kernel_json(values) -> dict:
+    """The kernel file format of a grid of [re, im] entries."""
+    return {"cols": len(values[0]), "rows": len(values), "values": values}
+
+
+# Golden values: the 3x3 phase kernel (cube roots of unity), as [re, im]
+# entries, that a triangle falsifier records for a colouring its trial 0
+# finds unbalanced on a graph of maximum degree 2, and its conjugate.
+PHASE_3 = [[[1.0, 0.0], [-0.4999999999999998, 0.8660254037844387],
+            [-0.5000000000000003, -0.8660254037844384]],
+           [[-0.4999999999999998, 0.8660254037844387], [-0.5000000000000003, -0.8660254037844384],
+            [0.9999999999999998, -6.106226635438361e-16]],
+           [[-0.5000000000000003, -0.8660254037844384], [0.9999999999999998, -6.106226635438361e-16],
+            [-0.4999999999999992, 0.8660254037844389]]]
+PHASE_3_CONJ = [[[re, -im] for re, im in row] for row in PHASE_3]
+
+
 PACKAGE = Path(gnorm.__file__).resolve().parent
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

@@ -20,7 +20,7 @@ from gnorm.graphs import (
 )
 from gnorm.kernels import StepKernel, kernel_to_json
 
-from conftest import colouring_to_json
+from conftest import PHASE_3, PHASE_3_CONJ, colouring_to_json, kernel_json, path
 
 
 @pytest.fixture
@@ -424,6 +424,83 @@ class TestFalsify:
         assert "cap exceeded" in capsys.readouterr().err
         code, out = run_cli([*args, "--cap-assignments", "81"], capsys)
         assert code == 0 and json.loads(out)["trials_run"] == 3
+
+
+# Golden values: three seeded `gnorm falsify` runs as the per-entry
+# random.uniform draws gave them before the draws were read from
+# getrandbits.  They rest on CPython's Mersenne Twister and on numpy's float
+# arithmetic, so a change in either fails here by name.  Each is (graph,
+# colouring, arguments, stdout as JSON).
+_GOLDEN_FALSIFY = {
+    # trial 0's phase kernel finds C4's monochromatic colouring unbalanced
+    "triangle C4 1111": (cycle(4), (1, 1, 1, 1), ["--seed", "5", "--trials", "50"], {
+        "kind": "triangle", "resolution": 2, "seed": 5, "trials": 50, "trials_run": 1,
+        "witness": {
+            "colours": [1, 1, 1, 1], "f": kernel_json(PHASE_3), "g": kernel_json(PHASE_3_CONJ),
+            "kind": "triangle", "seed": 5, "trial": 0,
+            "values": {"norm_f": 7.2470820882776e-05, "norm_g": 7.2470820882776e-05,
+                       "norm_sum": 1.189207115002721}}}),
+    # the violation search's 50 trials find nothing, so the random scan runs
+    # and stops at its trial 4
+    "decoration C4 1111": (cycle(4), (1, 1, 1, 1),
+                           ["--kind", "decoration", "--seed", "1", "--trials", "50"], {
+        "kind": "decoration", "resolution": 2, "seed": 1, "trials": 50,
+        "witness": {
+            "colours": [1, 1, 1, 1],
+            "kernels": [kernel_json(v) for v in (
+                [[[0.6449090049578146, -0.3093969757491075],
+                  [-0.37904669363074395, -0.4394064343469024]],
+                 [[-0.7497309190091199, -0.8253196005665722],
+                  [0.10556267071407932, 0.08294733827201539]]],
+                [[[0.8253802100877501, -0.24333310945895836],
+                  [0.2064206649509035, 0.7112454687547811]],
+                 [[0.2181580750399783, -0.620472975592314],
+                  [0.21747631299169012, -0.8161128509101765]]],
+                [[[0.43913190371407285, 0.46401801964594336],
+                  [-0.3949304952310473, -0.45376045667910647]],
+                 [[-0.34869548779727655, 0.7369413984712052],
+                  [0.5884645678462024, 0.6334705648101235]]],
+                [[[0.7559305702176198, -0.9385534248111669],
+                  [0.9189248713709266, 0.04708732989588604]],
+                 [[0.20685086073013714, -0.7511122923258813],
+                  [-0.6068447637350765, 0.6852390939511162]]],
+            )],
+            "kind": "decoration-inequality",
+            "lhs": 0.0005093517134766275,
+            "log_margin": -4.8844676413929236,
+            "rhs": 3.852302901398958e-06,
+            "seed": 1,
+            "trial": 4},
+        "worst_margin": -4.8844676413929236}),
+    # trial 0's structured candidates hold on this colouring; trial 5 does not
+    "triangle P5 1100": (path(4), (1, 1, 0, 0), ["--seed", "1", "--trials", "50"], {
+        "kind": "triangle", "resolution": 2, "seed": 1, "trials": 50, "trials_run": 6,
+        "witness": {
+            "colours": [1, 1, 0, 0],
+            "f": kernel_json([[[0.5054718372796834, 0.8279613738322706],
+                               [-0.9666508412803319, -0.6569042476461404]],
+                              [[-0.6779197208967604, 0.6782291794064779],
+                               [-0.6294969709337646, -0.055587035425010756]]]),
+            "g": kernel_json([[[0.7906718941609425, -0.6275587349138092],
+                               [-0.8857984404229813, -0.6199944713192276]],
+                              [[-0.47532830748808585, -0.6133040090503832],
+                               [-0.25638417456854623, 0.5942425565228622]]]),
+            "kind": "triangle", "seed": 1, "trial": 5,
+            "values": {"norm_f": 0.6575346274148072, "norm_g": 0.40461173953536994,
+                       "norm_sum": 1.1387709348909987}}}),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_GOLDEN_FALSIFY))
+def test_falsify_equals_its_golden_output(label, tmp_path, capsys):
+    g, colours, args, want = _GOLDEN_FALSIFY[label]
+    graph, colouring = tmp_path / "g.json", tmp_path / "a.json"
+    graph.write_text(json.dumps(graph_to_json(g)))
+    colouring.write_text(json.dumps(colouring_to_json(EdgeColouring(colours))))
+    code, out = run_cli(["falsify", str(graph), str(colouring), *args], capsys)
+    # the printed text, so every float is compared by its round-trip digits
+    assert code == 0
+    assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 class TestTournament:

@@ -589,6 +589,59 @@ class TestPlanMemo:
         assert calls == [8] * 6
 
 
+def ref_elimination_order(scopes, n):
+    """The greedy minimum-fill order with each candidate's fill counted one
+    pair of live neighbours at a time: the reference for
+    ``density._elimination_order``."""
+    nbr = {v: set() for v in range(n)}
+    for sc in scopes:
+        for x in sc:
+            nbr[x] |= sc - {x}
+    alive = set(range(n))
+    order = []
+    while alive:
+        best_v, best_fill = None, None
+        for v in sorted(alive):
+            ns = nbr[v] & alive
+            fill = sum(1 for x in ns for y in ns if x < y and y not in nbr[x])
+            if best_fill is None or fill < best_fill:
+                best_v, best_fill = v, fill
+        v = best_v
+        ns = nbr[v] & alive
+        for x in ns:
+            nbr[x] |= ns - {x}
+        alive.remove(v)
+        order.append(v)
+    return order
+
+
+def random_bipartite(seed):
+    """A seeded subgraph of K_{m,n} with 2 <= m, n <= 7, isolated vertices
+    dropped."""
+    rng = random.Random(f"elimination-order:{seed}")
+    m, n = rng.randint(2, 7), rng.randint(2, 7)
+    return small_bipartite(rng.randrange(1, 1 << (m * n)), m, n)
+
+
+class TestEliminationOrder:
+    """The fill count by neighbourhood intersections gives the order that
+    counting pair by pair gave."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
+    def test_the_order_on_the_sweep_graphs(self, name):
+        g = SWEEP_GRAPHS[name]
+        scopes = [frozenset(sc) for sc in g.ends]
+        assert density._elimination_order(scopes, g.n_vertices) == \
+            ref_elimination_order(scopes, g.n_vertices)
+
+    def test_the_order_on_random_bipartite_graphs(self):
+        for seed in range(50):
+            g = random_bipartite(seed)
+            scopes = [frozenset(sc) for sc in g.ends]
+            assert density._elimination_order(scopes, g.n_vertices) == \
+                ref_elimination_order(scopes, g.n_vertices), seed
+
+
 class TestTrigDensity:
     @staticmethod
     def _h0_integral(g, bits):

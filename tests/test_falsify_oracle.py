@@ -14,6 +14,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gnorm import falsify
@@ -35,11 +36,12 @@ from gnorm.falsify import (
     TriangleWitness,
     _SLACK,
     _substream,
+    _uniform_entries,
     hatami_random_scan,
     hatami_violation_search,
     triangle_falsifier,
 )
-from gnorm.graphs import EdgeColouring, cycle, star
+from gnorm.graphs import EdgeColouring, complete_bipartite, cycle, star
 from gnorm.kernels import Decoration, StepKernel, phase_kernel
 
 from conftest import path
@@ -317,3 +319,50 @@ def test_t_density_matches_the_uniform_decoration():
                 f = random_kernel(rng, 3, 3)
                 want = t_decoration(g, a, Decoration.uniform(f, g.n_edges), mode, method)
                 assert t_density(g, a, f, mode, method) == want
+
+
+def test_trial_zero_matches_the_oracle_at_every_resolution():
+    # trial 0's candidates on graphs of degree 3: the phase kernel is 4x4,
+    # and at resolution 1 the scaling law's 1x1 constants report the
+    # colourings that trial 0's phase kernel leaves standing
+    rng = random.Random("trial zero")
+    for g in (hypercube(3), complete_bipartite(3, 3)):
+        for _ in range(4):
+            a = EdgeColouring(tuple(rng.randrange(2) for _ in range(g.n_edges)))
+            for resolution in (1, 2, 3):
+                want = ref_triangle_falsifier(g, a, 3, 3, resolution)
+                assert triangle_falsifier(g, a, 3, 3, resolution) == want, (a, resolution)
+
+# -- the draw primitive ----------------------------------------------------------------
+
+DRAW_SIZES = (1, 2, 3, 8, 16, 24, 64)
+
+
+def ref_entries(rng, n):
+    """n entries drawn one part at a time, real part before imaginary part."""
+    return np.array([complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+                     for _ in range(n)], dtype=np.complex128)
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+def test_uniform_entries_equal_uniform_draws_bit_for_bit(n):
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = _uniform_entries([rng], n)
+        assert got.shape == (1, n) and got.dtype == np.complex128
+        assert got.tobytes() == ref_entries(ref, n).tobytes(), seed
+        # the generator is left where the per-entry draws leave it, so the
+        # triangle falsifier's scalar, drawn after the entries, is unchanged
+        assert rng.getstate() == ref.getstate(), seed
+        assert rng.random().hex() == ref.random().hex(), seed
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+def test_a_chunk_of_trials_stacks_its_rows(n):
+    for seed in range(200):
+        # a one-trial chunk, and a chunk of 2 to 8 trials not starting at 0
+        for chunk in (range(seed % 5, seed % 5 + 1), range(1 + seed % 3, 3 + seed % 9)):
+            got = _uniform_entries([_substream(seed, t) for t in chunk], n)
+            rows = [ref_entries(_substream(seed, t), n) for t in chunk]
+            assert got.shape == (len(chunk), n)
+            assert got.tobytes() == np.stack(rows).tobytes(), (seed, chunk)

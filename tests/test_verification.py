@@ -1,5 +1,7 @@
-"""The verification table itself: sensitivity, crash capture, ordering."""
+"""The verification table itself: sensitivity, crash capture, ordering,
+and golden values of the falsifier rows."""
 
+import json
 import os
 from dataclasses import replace
 
@@ -9,6 +11,8 @@ import gnorm.verification as V
 from gnorm import density, falsify
 from gnorm.config import RunConfig
 from gnorm.errors import InvalidParameter
+
+from conftest import PHASE_3, PHASE_3_CONJ, kernel_json
 
 
 def test_rows_have_unique_ids_and_budgets():
@@ -158,3 +162,70 @@ def test_budget_violation_fails_row(monkeypatch):
     row = V.Row("slow", "sleeps past its budget", 0.01, slow)
     result = V.run_row(row)
     assert not result["ok"] and not result["within_budget"]
+
+
+# -- golden values ---------------------------------------------------------------------
+
+# The falsifier rows' results without elapsed_s and within_budget, as the
+# per-entry random.uniform draws gave them before the draws were read from
+# getrandbits.  They rest on CPython's Mersenne Twister and on numpy's float
+# arithmetic, so a change in either fails here by name.
+_GOLDEN_ROWS = {
+    "falsifier": {
+        "alternating_trials": 10000,
+        "id": "falsifier",
+        "monochromatic_witness": {
+            "colours": [1, 1, 1, 1],
+            "f": kernel_json(PHASE_3),
+            "g": kernel_json(PHASE_3_CONJ),
+            "kind": "triangle",
+            "seed": 1234,
+            "trial": 0,
+            "values": {"norm_f": 7.2470820882776e-05, "norm_g": 7.2470820882776e-05,
+                       "norm_sum": 1.189207115002721},
+        },
+        "ok": True,
+        "title": "triangle/scaling falsifier soundness",
+    },
+    "decoration-inequality": {
+        "id": "decoration-inequality",
+        "ok": True,
+        "random_scan_worst_margin": 0.3527391076068378,
+        "title": "decoration inequality scans",
+        "uniform_margin": 0.0,
+        "violation": {
+            "colours": [1, 1, 1, 0],
+            "kernels": [kernel_json(v) for v in [
+                [[[-0.8911183107907865, -0.18601613306857545],
+                  [-0.48770263313764395, -0.7608346808687849]],
+                 [[-0.8645732984627723, 0.4753825588638785],
+                  [0.2996803953217775, 0.7406582300104363]]],
+                [[[-0.8262602906282712, 0.30975945852564446],
+                  [-0.42284461297512865, -0.265059089274565]],
+                 [[-0.799715278300257, 0.9711581504580984],
+                  [0.3645384154842928, 1.2364338216046562]]],
+            ] + [
+                [[[-0.8586893007095289, 0.061871662728534504],
+                  [-0.4552736230563863, -0.512946885071675]],
+                 [[-0.8321442883815147, 0.7232703546609884],
+                  [0.33210940540303513, 0.9885460258075462]]],
+            ] * 2],
+            "kind": "decoration-inequality",
+            "lhs": 0.00032747012797588483,
+            "log_margin": -0.5456323199235715,
+            "rhs": 0.00018976083549517668,
+            "seed": 55,
+            "trial": 0,
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("rid", sorted(_GOLDEN_ROWS))
+def test_falsifier_row_equals_its_golden_values(rid):
+    row = next(r for r in V.ROWS if r.rid == rid)
+    result = V.run_row(row)
+    del result["elapsed_s"], result["within_budget"]
+    # JSON text, so every float is compared by its round-trip digits, the
+    # sign of a zero included
+    assert json.dumps(result, sort_keys=True) == json.dumps(_GOLDEN_ROWS[rid], sort_keys=True)
