@@ -7,42 +7,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from typing import Optional
 
 from .errors import InvalidParameter, OutOfScopeParameters
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
+def _least_prime_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division."""
+    for f in range(2, isqrt(n) + 1):
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            return f
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _least_prime_factor(n) == n
 
 
 def is_prime_power(n: int) -> bool:
-    """n = p^a for a prime p and a >= 1, by trial factorisation."""
+    """n = p^a for a prime p and a >= 1."""
     if n < 2:
         return False
-    p = None
-    m = n
-    for f in range(2, n + 1):
-        if f * f > m:
-            break
-        if m % f == 0:
-            p = f
-            while m % f == 0:
-                m //= f
-            break
-    if p is None:
-        return True  # n itself is prime
-    return m == 1
+    p = _least_prime_factor(n)
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 # -- the classification of edge-transitive self-complementary r-graphs ----------

@@ -155,8 +155,6 @@ def _star_exception(g: BipartiteGraph) -> Optional[dict]:
 
 @dataclass
 class _CountingRefs:
-    girth_cycles: np.ndarray        # one row of edge indices per cycle
-    four_cycles: np.ndarray         # the same object when the girth is 4
     kappa_max: int
     pattern_max: Optional[int]     # None when there are no 4-cycles
     kappa_argmax: tuple[int, ...]
@@ -197,7 +195,7 @@ def _counting_refs(
     p_best, p_arg = int(pv[p]), tuple(balanced[p].tolist())
     if not len(four_cycles):
         p_best = p_arg = None
-    return _CountingRefs(girth_cycles, four_cycles, k_best, p_best, k_arg, p_arg), profiles
+    return _CountingRefs(k_best, p_best, k_arg, p_arg), profiles
 
 
 _LAWS = ("girth-cycle-law", "kappa", "pattern")
@@ -205,8 +203,8 @@ _LAWS = ("girth-cycle-law", "kappa", "pattern")
 
 def _counting_failures(profiles: tuple, refs: _CountingRefs) -> np.ndarray:
     """``(rows x 3)`` bool: the counting laws (``_LAWS``) that each row of a
-    0/1 colourings matrix fails, from the matrix's ``_profiles`` over the
-    cycles of ``refs``."""
+    0/1 colourings matrix fails, from the matrix's ``_profiles`` against the
+    maxima of ``refs``."""
     girth_counts, four_counts = profiles
     pattern = (np.zeros(len(girth_counts), dtype=bool) if refs.pattern_max is None
                else _pattern_scores(four_counts) < refs.pattern_max)

@@ -4,7 +4,9 @@ graphs, and circulant / quadratic-residue tournaments.
 
 Vertex id conventions: hypercube vertices are bitstrings (coordinate 0 is the
 leftmost character), subdivision vertices are "u|v" for the original edge
-{u, v}, k-sets are comma-joined sorted integers.
+{u, v}, k-sets are comma-joined sorted integers.  Q_d's edges are one integer
+list, ``_cube_edges``, of even ends and flipped coordinates: ``hypercube``
+names its ends, and the colourings α and β read its coordinates.
 """
 
 from __future__ import annotations
@@ -25,8 +27,15 @@ from .graphs import BipartiteGraph, EdgeColouring, check_aligned
 # -- hypercubes ----------------------------------------------------------------
 
 
-def _bits(v: int, d: int) -> str:
-    return format(v, f"0{d}b")[::-1]  # coordinate j = character j
+def _cube_edges(d: int) -> list[tuple[int, int]]:
+    """Q_d's edges as (x, j): x is the even-weight end and j the flipped
+    coordinate, ordered by (smaller endpoint value, j)."""
+    if d < 1:
+        raise InvalidParameter("hypercube dimension must be >= 1")
+    if d > 10:
+        raise CapExceeded("hypercube construction", d, 10)
+    return [(v if v.bit_count() % 2 == 0 else v | 1 << j, j)
+            for v in range(1 << d) for j in range(d) if not v >> j & 1]  # v the smaller end
 
 
 def hypercube(d: int) -> BipartiteGraph:
@@ -34,39 +43,18 @@ def hypercube(d: int) -> BipartiteGraph:
 
     Edges are ordered by (smaller endpoint value, flipped coordinate).
     """
-    if d < 1:
-        raise InvalidParameter("hypercube dimension must be >= 1")
-    if d > 10:
-        raise CapExceeded("hypercube construction", d, 10)
-    left = tuple(_bits(v, d) for v in range(1 << d) if bin(v).count("1") % 2 == 0)
-    right = tuple(_bits(v, d) for v in range(1 << d) if bin(v).count("1") % 2 == 1)
-    edges = []
-    for v in range(1 << d):
-        for j in range(d):
-            w = v ^ (1 << j)
-            if v < w:
-                even, odd = (v, w) if bin(v).count("1") % 2 == 0 else (w, v)
-                edges.append((_bits(even, d), _bits(odd, d)))
-    return BipartiteGraph(left, right, tuple(edges))
-
-
-def _edge_direction(u: str, v: str) -> int:
-    """Coordinate in which two hypercube vertices differ."""
-    diffs = [j for j, (x, y) in enumerate(zip(u, v)) if x != y]
-    if len(diffs) != 1:
-        raise ValueError("not a hypercube edge")
-    return diffs[0]
+    edges = _cube_edges(d)
+    names = [format(v, f"0{d}b")[::-1] for v in range(1 << d)]  # coordinate j = character j
+    left, right = ([names[v] for v in range(1 << d) if v.bit_count() % 2 == s] for s in (0, 1))
+    return BipartiteGraph(tuple(left), tuple(right),
+                          tuple((names[x], names[x ^ 1 << j]) for x, j in edges))
 
 
 def hypercube_alpha(d: int) -> EdgeColouring:
     """Direction colouring of Q_d (d even): first d/2 axes get colour 1."""
     if d % 2:
         raise InvalidParameter("direction colouring needs an even dimension")
-    g = hypercube(d)
-    half = d // 2
-    return EdgeColouring(
-        tuple(1 if _edge_direction(u, v) < half else 0 for u, v in g.edges)
-    )
+    return EdgeColouring(tuple(int(j < d // 2) for _, j in _cube_edges(d)))
 
 
 def hypercube_beta(d: int) -> EdgeColouring:
@@ -74,23 +62,14 @@ def hypercube_beta(d: int) -> EdgeColouring:
 
     For the edge {x, x + e_j} with m = d/2:
     weight(x) + x_j + x_{j+m} for j < m, weight(x) + x_j + x_{j-m} + 1 else,
-    all mod 2; the expression is invariant under swapping the endpoints.
+    all mod 2; the expression is invariant under swapping the endpoints, and
+    weight(x) is even at the even end that ``_cube_edges`` names.
     """
     if d % 2:
         raise InvalidParameter("this colouring needs an even dimension")
-    g = hypercube(d)
     m = d // 2
-    colours = []
-    for u, v in g.edges:
-        j = _edge_direction(u, v)
-        x = u
-        w = x.count("1")
-        if j < m:
-            c = (w + int(x[j]) + int(x[j + m])) % 2
-        else:
-            c = (w + int(x[j]) + int(x[j - m]) + 1) % 2
-        colours.append(c)
-    return EdgeColouring(tuple(colours))
+    return EdgeColouring(tuple((x >> j ^ x >> (j + m) % d ^ (j >= m)) & 1
+                               for x, j in _cube_edges(d)))
 
 
 # -- subdivisions ---------------------------------------------------------------

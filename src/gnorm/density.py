@@ -185,8 +185,10 @@ def _evaluate_direct(g, factors, dims) -> np.ndarray:
 
 def _means(route: _Route, sums: np.ndarray) -> np.ndarray:
     """Batched sums divided by the assignment count, each component on its
-    own, as a complex-by-int division does: so a batched value equals the
-    value of the same evaluation made alone."""
+    own, as a complex-by-int division does: so at resolution >= 2 a batched
+    value equals the value of the same evaluation made alone.  With 1x1
+    kernels numpy multiplies a batch in its SIMD loop and a single row in its
+    scalar loop, and the two differ in the last bits."""
     return (sums.view(np.float64) / float(route.assignments)).view(np.complex128)
 
 

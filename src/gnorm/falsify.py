@@ -15,7 +15,9 @@ leave it.
 The random scans evaluate their trials in chunks: each trial's draws go into
 (B, p, q) stacks, a chunk plans one route and makes one batched contraction,
 and the trials are then scanned in order, so the first violating trial is
-the one a trial-by-trial run would return, with the same values.
+the one a trial-by-trial run would return, with the same values at
+resolution >= 2; at resolution 1 the values agree only to rounding (see
+``density._means``), and the trials and verdicts are the same.
 ``_hatami_checks`` is the one evaluation of the decoration inequality, and
 ``hatami_check``, through which a witness replays, is its one-row call.
 The decoration falsifiers test the paper's norm, which conjugates the

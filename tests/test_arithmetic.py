@@ -16,11 +16,50 @@ from gnorm.arithmetic import (
 )
 
 
+def ref_is_prime(n: int) -> bool:
+    """Odd-only trial division, as ``is_prime`` did before it shared the
+    least-prime-factor search with ``is_prime_power``."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def ref_is_prime_power(n: int) -> bool:
+    """n = p^a for a prime p and a >= 1, by its own factor search."""
+    if n < 2:
+        return False
+    p = None
+    m = n
+    for f in range(2, n + 1):
+        if f * f > m:
+            break
+        if m % f == 0:
+            p = f
+            while m % f == 0:
+                m //= f
+            break
+    if p is None:
+        return True  # n itself is prime
+    return m == 1
+
+
 class TestPrimePowers:
     def test_values(self):
         assert is_prime_power(2) and is_prime_power(27) and is_prime_power(49)
         assert not is_prime_power(1) and not is_prime_power(12)
         assert is_prime(2) and not is_prime(1) and is_prime(97)
+
+    def test_matches_the_separate_trial_divisions(self):
+        for n in range(-5, 20_000):
+            assert is_prime(n) is ref_is_prime(n), n
+            assert is_prime_power(n) is ref_is_prime_power(n), n
 
 
 class TestClassMembership:

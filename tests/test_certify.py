@@ -2,9 +2,11 @@
 
 import pytest
 
+import importlib.util
 import json
 import random
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +39,8 @@ from gnorm.constructions import (
 )
 
 from conftest import disjoint_union
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestStarExceptions:
@@ -505,6 +509,16 @@ class TestArcTransitivity:
             '"mode": "arithmetic", "tournaments_scanned": 1024, "arc_transitive_found": 0}, '
             '"automorphism_mode": {"side_swap": true}, "stages": [], "cap_hit": false, '
             '"family": {"family": "subdivided-complete", "n": 5}}')
+
+
+def test_hypercube_family_matches_its_golden_file():
+    # Q_1..Q_12 as sorted JSON text, compared exactly, so any changed field
+    # of any entry fails; tests/golden/regenerate.py rewrites the file
+    spec = importlib.util.spec_from_file_location("regenerate", GOLDEN / "regenerate.py")
+    regenerate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regenerate)
+    want = (GOLDEN / "hypercube_family.json").read_text()
+    assert regenerate.hypercube_family_text() == want
 
 
 def random_four_regular(n: int, seed: int) -> BipartiteGraph:

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from gnorm.errors import InvalidParameter
+from gnorm.errors import CapExceeded, InvalidParameter
 from gnorm.graphs import EdgeColouring, cycle, girth, is_balanced, is_biregular, is_eulerian
 from gnorm.cycles import classify_4cycles, kappa_alternating
 from gnorm.symmetry import isomorphic
@@ -62,6 +62,88 @@ class TestHypercube:
 
     def test_beta_c2_zero_dimension_6(self):
         assert classify_4cycles(hypercube(6), hypercube_beta(6)).c2 == 0
+
+
+# -- oracle: Q_d and its colourings from the vertex names ---------------------------
+
+
+def ref_hypercube(d):
+    """Q_d as it was built before the integer edge list."""
+    if d < 1:
+        raise InvalidParameter("hypercube dimension must be >= 1")
+    if d > 10:
+        raise CapExceeded("hypercube construction", d, 10)
+    bits = [format(v, f"0{d}b")[::-1] for v in range(1 << d)]
+    left = tuple(bits[v] for v in range(1 << d) if bin(v).count("1") % 2 == 0)
+    right = tuple(bits[v] for v in range(1 << d) if bin(v).count("1") % 2 == 1)
+    edges = []
+    for v in range(1 << d):
+        for j in range(d):
+            w = v ^ (1 << j)
+            if v < w:
+                even, odd = (v, w) if bin(v).count("1") % 2 == 0 else (w, v)
+                edges.append((bits[even], bits[odd]))
+    return left, right, tuple(edges)
+
+
+def ref_edge_direction(u: str, v: str) -> int:
+    """Coordinate in which two hypercube vertices differ."""
+    diffs = [j for j, (x, y) in enumerate(zip(u, v)) if x != y]
+    if len(diffs) != 1:
+        raise ValueError("not a hypercube edge")
+    return diffs[0]
+
+
+def ref_hypercube_alpha(d):
+    if d % 2:
+        raise InvalidParameter("direction colouring needs an even dimension")
+    _, _, edges = ref_hypercube(d)
+    half = d // 2
+    return tuple(1 if ref_edge_direction(u, v) < half else 0 for u, v in edges)
+
+
+def ref_hypercube_beta(d):
+    if d % 2:
+        raise InvalidParameter("this colouring needs an even dimension")
+    _, _, edges = ref_hypercube(d)
+    m = d // 2
+    colours = []
+    for u, v in edges:
+        j = ref_edge_direction(u, v)
+        x = u
+        w = x.count("1")
+        if j < m:
+            c = (w + int(x[j]) + int(x[j + m])) % 2
+        else:
+            c = (w + int(x[j]) + int(x[j - m]) + 1) % 2
+        colours.append(c)
+    return tuple(colours)
+
+
+class TestHypercubeOracle:
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_graph(self, d):
+        g = hypercube(d)
+        assert (g.left, g.right, g.edges) == ref_hypercube(d)
+
+    @pytest.mark.parametrize("d", range(2, 11, 2))
+    def test_colourings(self, d):
+        assert hypercube_alpha(d).colours == ref_hypercube_alpha(d)
+        assert hypercube_beta(d).colours == ref_hypercube_beta(d)
+
+    def test_refusals(self):
+        # d = 0 and d = 11 for all three, and every odd d for the colourings
+        cases = [(hypercube, ref_hypercube, d) for d in (-1, 0, 11, 12)]
+        cases += [(build, ref, d) for build, ref in ((hypercube_alpha, ref_hypercube_alpha),
+                                                     (hypercube_beta, ref_hypercube_beta))
+                  for d in (-1, 0, 1, 3, 5, 7, 9, 11, 12)]
+        for build, ref, d in cases:
+            with pytest.raises(Exception) as want:
+                ref(d)
+            with pytest.raises(Exception) as got:
+                build(d)
+            assert type(got.value) is type(want.value), (build.__name__, d)
+            assert str(got.value) == str(want.value), (build.__name__, d)
 
 
 class TestSubdivide:

@@ -366,3 +366,42 @@ def test_a_chunk_of_trials_stacks_its_rows(n):
             rows = [ref_entries(_substream(seed, t), n) for t in chunk]
             assert got.shape == (len(chunk), n)
             assert got.tobytes() == np.stack(rows).tobytes(), (seed, chunk)
+
+
+# -- resolution 1 -----------------------------------------------------------------------
+
+# At resolution 1 a chunk's (B, 1, 1) products run in numpy's SIMD complex
+# loop and a one-row call's in its scalar loop, so the batched values differ
+# from the trial-by-trial ones in the last bits; the trials, witness trials
+# and verdicts do not.
+RESOLUTION_1_CASES = {**CASES, "Q3 all 1": (hypercube(3), (1,) * 12)}
+
+
+def assert_close(got, want, rel=0.0, abs_=0.0):
+    assert cmath.isclose(got, want, rel_tol=rel, abs_tol=abs_), (got, want)
+
+
+@pytest.mark.parametrize("case", sorted(RESOLUTION_1_CASES))
+def test_resolution_1_matches_the_oracles_to_rounding(case):
+    g, colours = RESOLUTION_1_CASES[case]
+    a = EdgeColouring(colours)
+    for seed in SEEDS:
+        got, want = hatami_random_scan(g, a, seed, TRIALS, 1), \
+            ref_hatami_random_scan(g, a, seed, TRIALS, 1)
+        assert (got.trials, got.violated) == (want.trials, want.violated), seed
+        assert_close(got.worst_margin, want.worst_margin, abs_=1e-12)
+        if want.violated:
+            w, v = got.witness, want.witness
+            assert (w.trial, w.kernels) == (v.trial, v.kernels), seed
+            assert_close(w.lhs, v.lhs, rel=1e-12)
+            assert_close(w.rhs, v.rhs, rel=1e-12)
+        got, want = triangle_falsifier(g, a, seed, TRIALS, 1), \
+            ref_triangle_falsifier(g, a, seed, TRIALS, 1)
+        assert got.trials == want.trials, seed
+        assert (got.witness is None) == (want.witness is None), seed
+        if want.witness is not None:
+            w, v = got.witness, want.witness
+            assert (w.kind, w.trial, w.f, w.g2, w.c) == (v.kind, v.trial, v.f, v.g2, v.c)
+            assert w.values.keys() == v.values.keys()
+            for key in v.values:
+                assert_close(w.values[key], v.values[key], rel=1e-12)
