@@ -708,9 +708,10 @@ def _certify_subdivision(n: int, config: RunConfig) -> Certificate:
             # every tournament's automorphism group is the colour-preserving
             # part of one group: the side-preserving group of subdivided K5
             g = subdivided_complete(5)
-            # a tournament picks the tail of the arc at each subdivision
-            # vertex "i|j", whose edges from i and from j come in turn: row r
-            # puts the tail at j for the pairs whose bits of r are 1.
+            # in the bridge layout (``constructions``) the pair {i, j} owns
+            # the edges 2p, from i, and 2p + 1, from j, and colour 1 marks
+            # the tail: row r puts the tail at j for the pairs whose bits of
+            # r are 1.
             # Reversing every arc is conjugation and keeps arc-transitivity,
             # so the scan checks one tournament per orbit
             rows = np.repeat(_colouring_rows(10, 0, 1024), 2, axis=1)

@@ -7,6 +7,12 @@ leftmost character), subdivision vertices are "u|v" for the original edge
 {u, v}, k-sets are comma-joined sorted integers.  Q_d's edges are one integer
 list, ``_cube_edges``, of even ends and flipped coordinates: ``hypercube``
 names its ends, and the colourings α and β read its coordinates.
+
+The subdivision bridge: in ``subdivided_complete(n)`` the pair p = {i, j},
+in lexicographic order, owns edges 2p and 2p + 1, one from each end (first
+the end whose name sorts first: i for n <= 10), and colour 1 marks the tail
+of the pair's arc (``_edge_arcs``).  The balanced colourings are then
+exactly the regular tournaments.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .arithmetic import is_prime
+from .config import DEFAULT
 from .errors import CapExceeded, InvalidParameter
-from .graphs import BipartiteGraph, EdgeColouring, check_aligned
+from .graphs import BipartiteGraph, EdgeColouring, check_aligned, iter_balanced_colourings
 
 
 # -- hypercubes ----------------------------------------------------------------
@@ -135,18 +142,11 @@ class Tournament:
             raise ValueError("every pair needs exactly one arc")
 
     @cached_property
-    def arc_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.arcs)
-
-    @cached_property
     def out_neighbours(self) -> tuple[frozenset[int], ...]:
         outs: list[set[int]] = [set() for _ in range(self.n)]
         for x, y in self.arcs:
             outs[x].add(y)
         return tuple(frozenset(s) for s in outs)
-
-    def has_arc(self, x: int, y: int) -> bool:
-        return (x, y) in self.arc_set
 
     def is_regular(self) -> bool:
         d = (self.n - 1) / 2
@@ -196,56 +196,40 @@ def count_directed_cycles(t: Tournament, m: int) -> int:
     return int(np.trace(np.linalg.matrix_power(adj, m))) // m
 
 
+# -- the subdivision bridge ------------------------------------------------------
+
+
+def _edge_arcs(g: BipartiteGraph) -> list[tuple[int, int]]:
+    """The arc that each edge of subdivided K_n stands for when it has colour
+    1: from its own end in K_n to the other end of its pair (edge k ^ 1)."""
+    ends = [x for x, _ in g.ends]  # left index i is K_n's vertex i
+    return [(x, ends[k ^ 1]) for k, x in enumerate(ends)]
+
+
 def regular_tournaments(n: int) -> Iterator[Tournament]:
-    """All labelled regular tournaments on n vertices (n odd), by backtracking
-    over the pair list with out-degree feasibility pruning."""
+    """All labelled regular tournaments on n vertices (n odd): the balanced
+    colourings of subdivided K_n, in the enumerator's order, read through
+    the bridge layout."""
     if n % 2 == 0:
         raise InvalidParameter("regular tournaments need odd n")
-    d = (n - 1) // 2
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = [0] * n
-    slack = [n - 1] * n  # unassigned pairs at each vertex
-    bits: list[int] = [0] * len(pairs)
-
-    def feasible(v: int) -> bool:
-        return out[v] <= d and out[v] + slack[v] >= d
-
-    def rec(i: int):
-        if i == len(pairs):
-            arcs = tuple(
-                (x, y) if b else (y, x) for (x, y), b in zip(pairs, bits)
-            )
-            yield Tournament(n, arcs)
-            return
-        x, y = pairs[i]
-        slack[x] -= 1
-        slack[y] -= 1
-        for b, winner in ((0, y), (1, x)):
-            out[winner] += 1
-            bits[i] = b
-            if feasible(x) and feasible(y):
-                yield from rec(i + 1)
-            out[winner] -= 1
-        slack[x] += 1
-        slack[y] += 1
-
-    yield from rec(0)
-
-
-# -- the subdivision bridge ------------------------------------------------------
+    if n < 1:
+        raise InvalidParameter(f"regular tournaments need n >= 1, got {n}")
+    if n == 1:
+        yield Tournament(1, ())
+        return
+    g = subdivided_complete(n)
+    arcs = _edge_arcs(g)
+    for a in iter_balanced_colourings(g, DEFAULT.with_(cap_edges=g.n_edges)):
+        yield Tournament(n, tuple(xy for xy, c in zip(arcs, a.colours) if c))
 
 
 def colouring_from_tournament(t: Tournament) -> tuple[BipartiteGraph, EdgeColouring]:
     """Subdivided K_n coloured from a tournament: the arc (x, y) puts colour 1
     on the edge from x to the subdivision vertex and colour 0 on the edge
-    from y.  The result is balanced, and its alternating 2m-cycles correspond
-    to the tournament's directed m-cycles."""
-    g = subdivided_complete(t.n)
-    tail_of = {}
-    for mid in g.right:
-        x, y = mid.split("|")
-        tail_of[mid] = x if t.has_arc(int(x), int(y)) else y
-    return g, EdgeColouring(tuple(int(u == tail_of[mid]) for u, mid in g.edges))
+    from y.  The result is balanced when t is regular, and its alternating
+    2m-cycles correspond to the tournament's directed m-cycles."""
+    g, arcs = subdivided_complete(t.n), set(t.arcs)
+    return g, EdgeColouring(tuple(int(xy in arcs) for xy in _edge_arcs(g)))
 
 
 def tournament_from_colouring(g: BipartiteGraph, a: EdgeColouring) -> Tournament:

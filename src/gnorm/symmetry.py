@@ -6,9 +6,9 @@ maps.  It backtracks over vertex images in maximum-cardinality-search order
 demand that edge colours be preserved.  With ``RunConfig.side_swap`` on (the
 default) maps may exchange the two sides, i.e. the graph is treated as a
 usual undirected graph; the strict mode restricts to side-preserving maps.
-The public functions read the mode from their ``config``.
-``_iso_maps`` walks it for isomorphisms, and tournament symmetry runs on it
-through the subdivision bridge (``certify``).
+The public functions read the mode from their ``config``: ``isomorphic``
+asks it for a first map, and tournament symmetry runs on it through the
+subdivision bridge (``certify``).
 
 The automorphism group comes from the stabiliser chain along ``vorder``:
 level i fixes ``vorder[:i]`` pointwise, and its transversal holds one map
@@ -16,10 +16,10 @@ for each image of ``vorder[i]`` that the level's group reaches, found as the
 first completion of that one placement (``_transversals``).  The group is
 the product of the transversals, so its exact order is known, and checked
 against ``_GROUP_CAP``, before any element is formed.  The elements are then
-composed in numpy and sorted into the order of the depth-first walk, and the
-group stays that one ``(order x vertices)`` int32 array of image rows
-(``_all_automorphisms``).  Groups at the supported scale are small enough to
-materialise, which keeps every orbit question exact and trivially checkable.
+composed in numpy, and the group stays that one ``(order x vertices)`` int32
+array of image rows (``_all_automorphisms``); no reader depends on their
+order.  Groups at the supported scale are small enough to materialise, which
+keeps every orbit question exact and trivially checkable.
 
 The group array is turned, by a gather through a (vertex, vertex) -> edge
 index, into an ``(automorphisms x edges)`` edge table: row ``k`` maps edge
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
 from math import prod
 from typing import Callable, Iterator, Optional
 
@@ -224,23 +223,7 @@ class _Search:
             return next(walk, None)
 
 
-def _iso_maps(
-    g1: BipartiteGraph,
-    g2: BipartiteGraph,
-    side_swap: bool,
-    edge_colour_pair: tuple[EdgeColouring, EdgeColouring] | None = None,
-    limit: int | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield vertex maps (index form) carrying g1 onto g2, at most ``limit``
-    of them; ``_Search`` gives the side and colour rules."""
-    search = _Search(g1, g2, side_swap, edge_colour_pair)
-    if search.feasible:
-        yield from islice(search.maps(), limit)
-
-
-def _transversals(
-    g: BipartiteGraph, side_swap: bool
-) -> tuple[list[np.ndarray], list[int]]:
+def _transversals(g: BipartiteGraph, side_swap: bool) -> list[np.ndarray]:
     """One transversal per level of the stabiliser chain along ``vorder``.
 
     Level i is the subgroup that fixes ``vorder[:i]`` pointwise.  Its
@@ -250,8 +233,7 @@ def _transversals(
     the orbit, so the group is the product of the transversals and its order
     the product of their sizes.  Every node this visits is a node of the
     depth-first walk over the whole group, and most of that walk is skipped.
-    Returns the levels, each an ``(orbit size x n)`` array of image rows, and
-    ``vorder``.
+    Returns the levels, each an ``(orbit size x n)`` array of image rows.
     """
     search = _Search(g, g, side_swap)
     identity = tuple(range(search.n))
@@ -267,32 +249,26 @@ def _transversals(
                     reps.append(found)
         levels.append(np.array(reps, dtype=np.int32))
         search.place(v, v)
-    return levels, search.vorder
+    return levels
 
 
 def _all_automorphisms(g: BipartiteGraph, config: RunConfig) -> np.ndarray:
-    """The whole group as an ``(order x n)`` int32 array of image rows, in the
-    order of the depth-first walk ``_iso_maps``.
+    """The whole group as an ``(order x n)`` int32 array of image rows, each
+    element once.
 
     Each element is t_0 t_1 ... t_(n-1), one transversal element per level,
-    formed deepest level first.  Sorting by the images along ``vorder``
-    restores the walk's order; two elements first differ on a point whose
-    level has a non-trivial transversal, so those columns alone decide it.
+    formed deepest level first.
     """
     if g.n_vertices > config.cap_vertices:
         raise CapExceeded("automorphism search", g.n_vertices, config.cap_vertices)
-    levels, vorder = _transversals(g, config.side_swap)
+    levels = _transversals(g, config.side_swap)
     order = prod(len(t) for t in levels)
     if order > _GROUP_CAP:
         raise CapExceeded("automorphism group size", order, _GROUP_CAP)
     group = np.arange(g.n_vertices, dtype=np.int32)[None, :]
-    base = []
-    for v, t in zip(reversed(vorder), reversed(levels)):
+    for t in reversed(levels):
         if len(t) > 1:
             group = t[:, group].reshape(-1, g.n_vertices)
-            base.append(v)
-    if base:
-        group = group[np.lexsort(group[:, base].T)]
     return group
 
 
@@ -347,7 +323,8 @@ def isomorphic(g1: BipartiteGraph, g2: BipartiteGraph, config: RunConfig = DEFAU
     if max(g1.n_vertices, g2.n_vertices) > config.cap_vertices:
         raise CapExceeded("isomorphism search", max(g1.n_vertices, g2.n_vertices),
                           config.cap_vertices)
-    return next(_iso_maps(g1, g2, config.side_swap, limit=1), None) is not None
+    search = _Search(g1, g2, config.side_swap)
+    return search.feasible and search.first(0) is not None
 
 
 # -- colouring symmetry ------------------------------------------------------

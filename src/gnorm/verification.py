@@ -364,7 +364,9 @@ def _row_subdivision_bridge(config: RunConfig) -> dict:
     """Tournament and balanced-colouring views of subdivided complete graphs
     are inverse to each other, and alternating 6-/8-cycle counts equal the
     directed 3-/4-cycle counts.  Balanced colourings correspond exactly to
-    the regular tournaments (branch balance forces equal in/out degree)."""
+    the regular tournaments (branch balance forces equal in/out degree):
+    ``regular_tournaments`` lists them so, and a brute-force test over every
+    labelled tournament checks it independently."""
     expected = {3: 2, 5: 24}
     counts = {}
     for n in (3, 5):

@@ -1,4 +1,5 @@
 import ast
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from gnorm.graphs import (
     complete_bipartite,
     cycle,
 )
-from gnorm.symmetry import _iso_maps
+from gnorm.symmetry import _Search
 
 
 @pytest.fixture
@@ -85,10 +86,21 @@ def colouring_to_json(a: EdgeColouring) -> dict:
     return {"colours": list(a.colours)}
 
 
+def _iso_maps(g1: BipartiteGraph, g2: BipartiteGraph, side_swap: bool,
+              edge_colour_pair: tuple[EdgeColouring, EdgeColouring] | None = None,
+              limit: int | None = None):
+    """The depth-first walk of ``symmetry._Search``: every vertex map (index
+    form) carrying g1 onto g2, at most ``limit`` of them, in increasing order
+    of the images along the search's ``vorder``."""
+    search = _Search(g1, g2, side_swap, edge_colour_pair)
+    if search.feasible:
+        yield from islice(search.maps(), limit)
+
+
 def coloured_isomorphic(g1: BipartiteGraph, a1: EdgeColouring,
                         g2: BipartiteGraph, a2: EdgeColouring) -> bool:
-    """Does a colour-preserving isomorphism exist?  The coloured search of
-    ``symmetry._iso_maps``, stopped at its first map."""
+    """Does a colour-preserving isomorphism exist?  The coloured walk
+    ``_iso_maps``, stopped at its first map."""
     return next(_iso_maps(g1, g2, True, (a1, a2), limit=1), None) is not None
 
 

@@ -374,7 +374,7 @@ def brute_arc_transitive(t: Tournament) -> bool:
     """Reference: the orbit of the first arc under every vertex permutation
     that maps arcs to arcs."""
     autos = []
-    arcs = t.arc_set
+    arcs = set(t.arcs)
     for perm in permutations(range(t.n)):
         if all((perm[x], perm[y]) in arcs for x, y in arcs):
             autos.append(perm)
@@ -511,14 +511,27 @@ class TestArcTransitivity:
             '"family": {"family": "subdivided-complete", "n": 5}}')
 
 
-def test_hypercube_family_matches_its_golden_file():
-    # Q_1..Q_12 as sorted JSON text, compared exactly, so any changed field
-    # of any entry fails; tests/golden/regenerate.py rewrites the file
+def _regenerate():
+    """``tests/golden/regenerate.py``, which writes each golden file."""
     spec = importlib.util.spec_from_file_location("regenerate", GOLDEN / "regenerate.py")
     regenerate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(regenerate)
+    return regenerate
+
+
+def test_hypercube_family_matches_its_golden_file():
+    # Q_1..Q_12 as sorted JSON text, compared exactly, so any changed field
+    # of any entry fails; tests/golden/regenerate.py rewrites the file
     want = (GOLDEN / "hypercube_family.json").read_text()
-    assert regenerate.hypercube_family_text() == want
+    assert _regenerate().hypercube_family_text() == want
+
+
+def test_family_grid_and_survey_match_their_golden_files():
+    # the kneser, inclusion and subdivided-complete grid, refusals included,
+    # and the survey graphs with hinted H(6,2), compared exactly as above
+    regenerate = _regenerate()
+    assert regenerate.family_grid_text() == (GOLDEN / "family_grid.json").read_text()
+    assert regenerate.certify_survey_text() == (GOLDEN / "certify_survey.json").read_text()
 
 
 def random_four_regular(n: int, seed: int) -> BipartiteGraph:

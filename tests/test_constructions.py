@@ -5,6 +5,7 @@ import random
 from itertools import combinations, product
 from math import comb
 
+import numpy as np
 import pytest
 
 from gnorm.errors import CapExceeded, InvalidParameter
@@ -233,15 +234,26 @@ class TestTournaments:
         assert sum(1 for _ in regular_tournaments(3)) == 2
         assert sum(1 for _ in regular_tournaments(5)) == 24
 
-    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("n", [3, 5, 7])
     def test_regular_tournaments_are_the_regular_labelled_ones(self, n):
-        # each regular orientation of K_n once, and nothing else
+        # each regular orientation of K_n once, in product order, and nothing
+        # else: the regular rows of all 2^C(n,2) bit masks, brute-forced in
+        # numpy (first pair most significant, bit 1 = arc (i, j))
         pairs = list(combinations(range(n), 2))
-        every = (Tournament(n, tuple((x, y) if b else (y, x) for (x, y), b in zip(pairs, bits)))
-                 for bits in product((0, 1), repeat=len(pairs)))
-        listed = [t.arcs for t in regular_tournaments(n)]
-        assert len(listed) == len(set(listed))
-        assert set(listed) == {t.arcs for t in every if t.is_regular()}
+        masks = np.arange(1 << len(pairs), dtype=np.int32)
+        out = np.zeros((n, len(masks)), dtype=np.int8)
+        for p, (i, j) in enumerate(pairs):
+            bit = (masks >> (len(pairs) - 1 - p) & 1).astype(np.int8)
+            out[i] += bit
+            out[j] += 1 - bit
+        regular = masks[(out == (n - 1) // 2).all(axis=0)].tolist()
+        want = [Tournament(n, tuple((i, j) if m >> (len(pairs) - 1 - p) & 1 else (j, i)
+                                    for p, (i, j) in enumerate(pairs))).arcs
+                for m in regular]
+        assert [t.arcs for t in regular_tournaments(n)] == want
+
+    def test_one_vertex_has_one_regular_tournament(self):
+        assert [(t.n, t.arcs) for t in regular_tournaments(1)] == [(1, ())]
 
     def test_json_round_trip(self):
         # what ``gnorm tournament`` writes names the same tournament
@@ -276,7 +288,11 @@ def enumerated_directed_cycles(t: Tournament, m: int) -> int:
     """Directed 3- or 4-cycles by enumeration over vertex subsets: each
     4-subset is checked in its three cyclic orders and both directions (at
     most one direction of a cycle can be present)."""
-    has = t.has_arc
+    arcs = set(t.arcs)
+
+    def has(x, y):
+        return (x, y) in arcs
+
     count = 0
     if m == 3:
         for a, b, c in combinations(range(t.n), 3):
@@ -348,6 +364,24 @@ class TestSubdivisionBridge:
         lopsided = Tournament(3, ((0, 1), (0, 2), (1, 2)))
         g, col = colouring_from_tournament(lopsided)
         assert not is_balanced(g, col)
+
+    def test_colouring_equals_the_name_parsing_reading(self):
+        # the bridge layout against reading the "i|j" vertex names, on every
+        # labelled tournament with n <= 5 and three on 7 and 11 vertices; on
+        # 11 the names sort as strings, so edge 2p of the pair {2, 10} is from 10
+        def by_names(t):
+            g, arcs = subdivided_complete(t.n), set(t.arcs)
+            tail_of = {mid: x if (int(x), int(y)) in arcs else y
+                       for mid in g.right for x, y in [mid.split("|")]}
+            return g, EdgeColouring(tuple(int(u == tail_of[mid]) for u, mid in g.edges))
+
+        cases = [Tournament(n, tuple((i, j) if b else (j, i)
+                                     for (i, j), b in zip(combinations(range(n), 2), bits)))
+                 for n in range(2, 6) for bits in product((0, 1), repeat=comb(n, 2))]
+        cases += [clockwise_tournament(7), quadratic_residue_tournament(7),
+                  quadratic_residue_tournament(11)]
+        for t in cases:
+            assert colouring_from_tournament(t) == by_names(t), t
 
     def test_unbalanced_mid_rejected(self):
         g = subdivided_complete(3)

@@ -101,6 +101,8 @@ INVALID_PARAMETER = {
     "residue class": (lambda: quadratic_residue_tournament(5),
                       "need q = 3 (mod 4), got 5 = 1 (mod 4)"),
     "regular even": (lambda: next(regular_tournaments(4)), "regular tournaments need odd n"),
+    "regular negative": (lambda: next(regular_tournaments(-3)),
+                         "regular tournaments need n >= 1, got -3"),
     "inclusion graph": (lambda: set_inclusion_graph(3, 3, 1), "need n > k > r > 0, got (3, 3, 1)"),
     "kneser graph": (lambda: bipartite_kneser(4, 2), "need n - r > r > 0, got (4, 2)"),
     "class A": (lambda: class_A_membership(2, 2), "need k > r >= 1, got (2, 2)"),

@@ -37,7 +37,7 @@ from gnorm.constructions import (
     subdivided_complete,
 )
 
-from conftest import coloured_isomorphic, disjoint_union, path
+from conftest import _iso_maps, coloured_isomorphic, disjoint_union, path
 
 
 def brute_automorphism_count(g: BipartiteGraph, side_preserving: bool = False) -> int:
@@ -410,7 +410,6 @@ class TestAutomorphismFuzz:
         # second graphs are relabelled copies of the first, with the sides
         # exchanged at random, so that most pairs have maps to compare
         import random
-        from gnorm.symmetry import _iso_maps
         rng = random.Random(2718)
 
         def random_graph():
@@ -491,8 +490,8 @@ def _union(*parts: BipartiteGraph) -> BipartiteGraph:
 
 class TestStabiliserChain:
     """The group built from one transversal per level of the stabiliser chain
-    equals the depth-first walk over every leaf of the search tree, element
-    for element and in the same order."""
+    equals the depth-first walk over every leaf of the search tree, as a set
+    of rows, each element once."""
 
     @pytest.mark.parametrize("side_swap", [True, False])
     @pytest.mark.parametrize("graph", [
@@ -504,10 +503,11 @@ class TestStabiliserChain:
         *_even_k44_subgraphs(10, seed=10), BipartiteGraph((), (), ()),
     ], ids=lambda g: f"{len(g.left)}+{len(g.right)}v{g.n_edges}e")
     def test_equals_the_depth_first_walk(self, graph, side_swap):
-        from gnorm.symmetry import _iso_maps
         group = _all_automorphisms(graph, RunConfig(side_swap=side_swap))
         assert group.dtype == np.int32
-        assert group.tolist() == [list(m) for m in _iso_maps(graph, graph, side_swap)]
+        rows = sorted(map(tuple, group.tolist()))
+        assert len(set(rows)) == len(rows)
+        assert rows == sorted(_iso_maps(graph, graph, side_swap))
 
     @pytest.mark.parametrize("m, order", [(6, 2 * 720 ** 2), (8, 2 * 40320 ** 2)])
     def test_group_cap_reports_the_exact_order(self, m, order):
@@ -526,7 +526,7 @@ class TestStabiliserChain:
         combinatorics = pytest.importorskip("sympy.combinatorics")
         from math import prod
         from gnorm.symmetry import _transversals
-        levels, _ = _transversals(graph, side_swap)
+        levels = _transversals(graph, side_swap)
         assert prod(len(t) for t in levels) == order
         gens = [combinatorics.Permutation(row) for t in levels for row in t[1:].tolist()]
         assert combinatorics.PermutationGroup(gens).order() == order
