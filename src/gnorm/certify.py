@@ -44,7 +44,6 @@ from .errors import (
 from .graphs import (
     BipartiteGraph,
     _balanced_rows,
-    _colouring_rows,
     girth,
     is_biregular,
 )
@@ -353,7 +352,7 @@ def _pipeline(
     # a shortcut or a cap above ends the run after one search.  The balanced
     # colourings are closed under the group and conjugation, so the filter
     # checks one colouring per orbit and the counting stage reuses the matrix
-    keep = symmetry._orbit_mask(g, matrix, config, symmetry._transitive_under)[0]
+    keep = symmetry._orbit_mask(g, matrix, config)[0]
     transitive = matrix[keep]
     stages.ran("transitive-colourings", balanced=len(matrix),
                transitive=len(transitive))
@@ -705,23 +704,17 @@ def _certify_subdivision(n: int, config: RunConfig) -> Certificate:
             "mode": "arithmetic",
         }
         if n == 5:
-            # every tournament's automorphism group is the colour-preserving
-            # part of one group: the side-preserving group of subdivided K5
+            # a transitive colouring's colour-1 class is one orbit of its
+            # colour-preserving maps, so its tournament would be arc-transitive:
+            # the transitive filter over the balanced colourings (the regular
+            # tournaments, ``constructions``) checks that none exists
             g = subdivided_complete(5)
-            # in the bridge layout (``constructions``) the pair {i, j} owns
-            # the edges 2p, from i, and 2p + 1, from j, and colour 1 marks
-            # the tail: row r puts the tail at j for the pairs whose bits of
-            # r are 1.
-            # Reversing every arc is conjugation and keeps arc-transitivity,
-            # so the scan checks one tournament per orbit
-            rows = np.repeat(_colouring_rows(10, 0, 1024), 2, axis=1)
-            rows[:, ::2] ^= 1
-            found = int(symmetry._orbit_mask(g, rows, config.with_(side_swap=False),
-                                             symmetry._arc_transitive)[0].sum())
-            witness["tournaments_scanned"] = len(rows)
-            witness["arc_transitive_found"] = found
+            rows = _balanced_rows(g, config.with_(cap_edges=g.n_edges))
+            found = int(symmetry._orbit_mask(g, rows, config)[0].sum())
+            witness["balanced_colourings"] = len(rows)
+            witness["transitive_colourings"] = found
             if found:
-                raise VerificationFailed("unexpected arc-transitive tournament on 5 vertices")
+                raise VerificationFailed("unexpected transitive colouring of subdivided K5")
         return Certificate(
             VERDICT_NOT_NORMING, obstruction="NoTransitiveColouring",
             rule="arc-transitive-three-cycles", witness=witness,

@@ -138,32 +138,32 @@ def cmd_check(args) -> int:
         "biregular": G.is_biregular(g),
         "girth": None if girth == math.inf else int(girth),
     }
+    a = balanced = None
+    if args.colouring:
+        a = G.load_colouring(args.colouring)
+        G.check_aligned(g, a)
+        balanced = G.is_balanced(g, a)
     # one group search serves the report and both colouring checks
-    group = skipped = None
+    sym = skipped = None
     try:
-        group = symmetry._all_automorphisms(g, cfg)
+        sym = symmetry.automorphisms(g, cfg, a.colours if balanced else None)
     except CapExceeded as exc:
         skipped = report["edge_transitive"] = f"skipped ({exc})"
     else:
-        sym = symmetry._report(g, group)
         report["edge_transitive"] = sym.edge_transitive
         report["vertex_transitive"] = sym.vertex_transitive
         report["automorphism_group_order"] = sym.group_order
     if args.colouring:
-        a = G.load_colouring(args.colouring)
-        G.check_aligned(g, a)
         if report["girth"] == 4:
             _unless_capped(report, "four_cycle_profile",
                            lambda: classify_4cycles(g, a, cfg).to_json())
-        report["balanced"] = G.is_balanced(g, a)
-        if not report["balanced"]:
+        report["balanced"] = balanced
+        if not balanced:
             report["self_conjugate"] = report["transitive"] = False
         elif skipped:
             report["self_conjugate"] = report["transitive"] = skipped
         else:
-            table = symmetry._edge_table(g, group)
-            report["self_conjugate"] = bool(symmetry._colour_action(table, a.colours)[1].any())
-            report["transitive"] = not g.n_edges or symmetry._transitive_under(table, a.colours)
+            report["self_conjugate"], report["transitive"] = sym.self_conjugate, sym.transitive
         _unless_capped(report, "four_cycles_generate_cycle_space",
                        lambda: four_cycles_generate_cycle_space(g, cfg))
     _emit(report, args)
@@ -200,7 +200,7 @@ def cmd_colourings(args) -> int:
         # the filter reads every balanced colouring and checks one per orbit;
         # the group is searched only when there is a colouring to check
         rows = G._balanced_rows(g, cfg)
-        colourings = rows[symmetry._orbit_mask(g, rows, cfg, symmetry._transitive_under)[0]]
+        colourings = rows[symmetry._orbit_mask(g, rows, cfg)[0]]
         out = colourings[:args.limit or None].tolist()
     else:
         # streamed, so --limit stops the enumeration early

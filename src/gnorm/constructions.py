@@ -4,15 +4,15 @@ graphs, and circulant / quadratic-residue tournaments.
 
 Vertex id conventions: hypercube vertices are bitstrings (coordinate 0 is the
 leftmost character), subdivision vertices are "u|v" for the original edge
-{u, v}, k-sets are comma-joined sorted integers.  Q_d's edges are one integer
-list, ``_cube_edges``, of even ends and flipped coordinates: ``hypercube``
-names its ends, and the colourings α and β read its coordinates.
+{u, v} with u first in the branch vertex order, k-sets are comma-joined
+sorted integers.  Q_d's edges are one integer list, ``_cube_edges``, of even
+ends and flipped coordinates: ``hypercube`` names its ends, and the
+colourings α and β read its coordinates.
 
 The subdivision bridge: in ``subdivided_complete(n)`` the pair p = {i, j},
-in lexicographic order, owns edges 2p and 2p + 1, one from each end (first
-the end whose name sorts first: i for n <= 10), and colour 1 marks the tail
-of the pair's arc (``_edge_arcs``).  The balanced colourings are then
-exactly the regular tournaments.
+in lexicographic order, owns edges 2p and 2p + 1, from i and from j, and
+colour 1 marks the tail of the pair's arc (``_edge_arcs``).  The balanced
+colourings are then exactly the regular tournaments.
 """
 
 from __future__ import annotations
@@ -86,10 +86,11 @@ def subdivide(
     vertices: Sequence[str], edges: Sequence[tuple[str, str]]
 ) -> BipartiteGraph:
     """1-subdivision of a simple graph: branch vertices on the left,
-    subdivision vertices ("u|v", endpoints sorted) on the right."""
+    subdivision vertices ("u|v", u before v in ``vertices``) on the right,
+    and the edges from u and from v to "u|v" in that order."""
     vertices = tuple(str(v) for v in vertices)
-    norm = []
-    seen = set()
+    rank = {v: i for i, v in enumerate(vertices)}
+    norm, seen = [], set()
     for u, v in edges:
         u, v = str(u), str(v)
         if u == v:
@@ -98,13 +99,11 @@ def subdivide(
         if key in seen:
             raise ValueError(f"duplicate edge {key}")
         seen.add(key)
-        norm.append(key)
+        # an end outside ``vertices`` keeps name order, which the graph refuses
+        norm.append(tuple(sorted(key, key=rank.get)) if {u, v} <= rank.keys() else key)
     mids = tuple(f"{u}|{v}" for u, v in norm)
-    out = []
-    for (u, v), mid in zip(norm, mids):
-        out.append((u, mid))
-        out.append((v, mid))
-    return BipartiteGraph(vertices, mids, tuple(out))
+    return BipartiteGraph(vertices, mids,
+                          tuple((x, mid) for ends, mid in zip(norm, mids) for x in ends))
 
 
 def subdivided_complete(n: int) -> BipartiteGraph:
@@ -236,22 +235,21 @@ def tournament_from_colouring(g: BipartiteGraph, a: EdgeColouring) -> Tournament
     """Recover the tournament from a balanced colouring of a subdivided K_n.
 
     Each right-side vertex must have degree 2 with oppositely coloured edges;
-    the colour-1 endpoint becomes the arc's tail.
+    the colour-1 endpoint becomes the arc's tail, left index i standing for
+    vertex i, as in ``_edge_arcs``.
     """
     check_aligned(g, a)
-    arcs = []
-    pairs = set()
+    arcs, pairs = [], set()
     for m, mid in enumerate(g.right, len(g.left)):
         ends = g.neighbours[m]
         if len(ends) != 2:
             raise ValueError(f"vertex {mid!r} is not a subdivision vertex")
-        u, v = (g.vertices[x] for x in ends)
+        u, v = ends
         cu, cv = (a[g.edge_at[x, m]] for x in ends)
         if cu == cv:
             raise ValueError(f"edges at {mid!r} share colour {cu}")
-        tail, head = (u, v) if cu == 1 else (v, u)
-        arcs.append((int(tail), int(head)))
-        pairs.add(frozenset((u, v)))
+        arcs.append((u, v) if cu == 1 else (v, u))
+        pairs.add(ends)
     n = len(g.left)
     if len(pairs) != n * (n - 1) // 2:
         raise ValueError("underlying graph is not a complete graph subdivision")

@@ -7,8 +7,7 @@ demand that edge colours be preserved.  With ``RunConfig.side_swap`` on (the
 default) maps may exchange the two sides, i.e. the graph is treated as a
 usual undirected graph; the strict mode restricts to side-preserving maps.
 The public functions read the mode from their ``config``: ``isomorphic``
-asks it for a first map, and tournament symmetry runs on it through the
-subdivision bridge (``certify``).
+asks it for a first map, and ``automorphisms`` for the whole group.
 
 The automorphism group comes from the stabiliser chain along ``vorder``:
 level i fixes ``vorder[:i]`` pointwise, and its transversal holds one map
@@ -28,15 +27,17 @@ is the set of distinct entries in one column (of this table, or of the group
 array for vertex orbits), and the colouring checks are array passes over the
 table: ``_colour_action`` splits the rows into colour-preserving and
 colour-reversing maps (a colouring is self-conjugate when some row reverses
-it), and ``_transitive_under`` decides transitivity.
+it), and ``_transitive_under``, the one colouring-symmetry check, decides
+transitivity.  The group stays in this module: ``automorphisms`` answers for
+one colouring and ``_orbit_mask`` for a set of them, each from one search.
 
 Whether a colouring is transitive does not change under an automorphism or
 under conjugation.  Moving colouring c by an automorphism s conjugates its
 colour-preserving and colour-reversing maps by s, and swapping c's colours
 keeps both sets of maps and swaps the classes.  So a set of colourings that
 is closed under the group and under conjugation, such as the balanced ones,
-needs one check per orbit (``_orbit_mask``, which searches the whole group
-itself and runs any such check): with the whole group's table, the images
+needs one check per orbit (``_orbit_mask``, the transitive filter, which
+searches the whole group itself): with the whole group's table, the images
 ``c[table]`` and ``1 - c[table]`` of a row c are its whole orbit, and a
 binary search over the rows' packed keys finds them.
 """
@@ -45,7 +46,7 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass
 from math import prod
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -61,6 +62,8 @@ class SymmetryReport:
     edge_transitive: bool
     vertex_transitive: bool
     group_order: int
+    self_conjugate: Optional[bool] = None  # of the colouring asked about, if any
+    transitive: Optional[bool] = None
 
 
 # -- refinement and backtracking ---------------------------------------------
@@ -294,13 +297,12 @@ def _edge_table(g: BipartiteGraph, group: np.ndarray) -> np.ndarray:
     return table
 
 
-def automorphisms(g: BipartiteGraph, config: RunConfig = DEFAULT) -> SymmetryReport:
-    """Exact automorphism group: order and transitivity flags."""
-    return _report(g, _all_automorphisms(g, config))
-
-
-def _report(g: BipartiteGraph, group: np.ndarray) -> SymmetryReport:
-    """The report on a group already searched whole."""
+def automorphisms(g: BipartiteGraph, config: RunConfig = DEFAULT,
+                  colours=None) -> SymmetryReport:
+    """Exact automorphism group: order and transitivity flags and, given a
+    balanced colouring's ``colours`` (else None), its self-conjugacy and
+    transitivity, all from one group search."""
+    group = _all_automorphisms(g, config)
     # the group is complete, so the images of vertex 0 and of edge 0 are their
     # orbits: column 0, and the columns of edge 0's ends, read on their own
     # rather than from a whole (|Aut| x edges) table
@@ -310,11 +312,13 @@ def _report(g: BipartiteGraph, group: np.ndarray) -> SymmetryReport:
         edge_orbit = set(map(frozenset, zip(group[:, x].tolist(), group[:, y].tolist())))
         edge_transitive = len(edge_orbit) == g.n_edges
         vertex_transitive = len(set(group[:, 0].tolist())) == g.n_vertices
-    return SymmetryReport(
-        edge_transitive=edge_transitive,
-        vertex_transitive=vertex_transitive,
-        group_order=len(group),
-    )
+    self_conjugate = transitive = None
+    if colours is not None:
+        table = _edge_table(g, group)
+        self_conjugate = bool(_colour_action(table, colours)[1].any())
+        transitive = not g.n_edges or _transitive_under(table, colours)
+    return SymmetryReport(edge_transitive, vertex_transitive, len(group),
+                          self_conjugate, transitive)
 
 
 def isomorphic(g1: BipartiteGraph, g2: BipartiteGraph, config: RunConfig = DEFAULT) -> bool:
@@ -343,9 +347,9 @@ def _transitive_under(perms: np.ndarray, colours) -> bool:
     """Is the colouring transitive under the group given by its edge table?
 
     ``perms`` must be the edge table (``_edge_table``) of the *whole* group.
-    This is the check for one colouring; over a set of colourings closed
-    under the group and conjugation, ``_orbit_mask`` runs it once per orbit,
-    since the answer is the same across an orbit.  Equivalent check: the
+    The package's one colouring-symmetry check: ``automorphisms`` runs it on
+    one colouring, ``_orbit_mask`` once per orbit of a closed set of them, as
+    the answer is the same across an orbit.  Equivalent check: the
     colour-preserving maps act transitively on each colour class and at least
     one colour-reversing map exists (composing it with preserving maps then
     reaches every opposite-colour pair).  The preserving rows of the whole
@@ -354,25 +358,10 @@ def _transitive_under(perms: np.ndarray, colours) -> bool:
     """
     col = np.asarray(colours, dtype=np.int8)
     preserving, reversing = _colour_action(perms, col)
+    classes = (np.flatnonzero(col == colour) for colour in (0, 1))
     return bool(reversing.any()) and all(
-        _class_transitive(perms, preserving, col, colour) for colour in (0, 1))
-
-
-def _arc_transitive(perms: np.ndarray, colours) -> bool:
-    """The colour-1 half of ``_transitive_under``: do the colour-preserving
-    rows of a whole group's edge table act transitively on the colour-1 edges
-    (the arcs, for a colouring from a tournament)?"""
-    preserving, _ = _colour_action(perms, colours)
-    return _class_transitive(perms, preserving, colours, 1)
-
-
-def _class_transitive(perms: np.ndarray, preserving: np.ndarray, colours,
-                      colour: int) -> bool:
-    """Do the ``preserving`` rows of an edge table act transitively on one
-    colour class?  When they form a group (the colour-preserving rows of a
-    whole group do), the images of the class's first edge are its orbit."""
-    cls = np.flatnonzero(np.asarray(colours, dtype=np.int8) == colour)
-    return not cls.size or len(set(perms[preserving, cls[0]].tolist())) == cls.size
+        not cls.size or len(set(perms[preserving, cls[0]].tolist())) == cls.size
+        for cls in classes)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -382,25 +371,21 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def _orbit_mask(
-    g: BipartiteGraph,
-    matrix: np.ndarray,
-    config: RunConfig,
-    check: Callable[[np.ndarray, np.ndarray], bool],
-) -> tuple[np.ndarray, np.ndarray]:
-    """``check(perms, row)`` on every row of a C-contiguous 0/1 int8 colouring
-    matrix of g, run once per orbit of the rows under the group and
-    conjugation, with ``perms`` the edge table of the whole group that
-    ``config`` gives, searched here only when there is a row.
+def _orbit_mask(g: BipartiteGraph, matrix: np.ndarray,
+                config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The transitive filter: ``_transitive_under(perms, row)`` on every row
+    of a C-contiguous 0/1 int8 colouring matrix of g, run once per orbit of
+    the rows under the group and conjugation, with ``perms`` the edge table
+    of the whole group that ``config`` gives, searched here only when there
+    is a row.  ``_transitive_under`` is looked up when the filter runs.
 
     The rows must be a set closed under the group and under conjugation (the
-    balanced colourings are), and ``check`` must give the same answer across
-    an orbit (``_transitive_under`` and ``_arc_transitive`` do).  Then the
-    images ``c[perms]`` and ``1 - c[perms]`` of a row c are its whole orbit,
-    and every row of that orbit gets c's verdict.  Returns the mask and each
-    row's orbit label, the index of the orbit's first row.  An image outside
-    the rows, or a row reached from two orbits, means the precondition
-    failed, and raises ``VerificationFailed`` rather than give a verdict.
+    balanced colourings are).  Then the images ``c[perms]`` and
+    ``1 - c[perms]`` of a row c are its whole orbit, and every row of that
+    orbit gets c's verdict.  Returns the mask and each row's orbit label, the
+    index of the orbit's first row.  An image outside the rows, or a row
+    reached from two orbits, means the precondition failed, and raises
+    ``VerificationFailed`` rather than give a verdict.
     """
     mask = np.zeros(len(matrix), dtype=bool)
     orbit = np.full(len(matrix), -1, dtype=np.intp)
@@ -421,5 +406,5 @@ def _orbit_mask(
             raise VerificationFailed(
                 "colouring set not closed under the group and conjugation")
         orbit[rows] = i
-        mask[rows] = check(perms, c)
+        mask[rows] = _transitive_under(perms, c)
     return mask, orbit

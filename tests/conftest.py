@@ -1,7 +1,9 @@
 import ast
+import importlib.util
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gnorm
@@ -12,7 +14,7 @@ from gnorm.graphs import (
     complete_bipartite,
     cycle,
 )
-from gnorm.symmetry import _Search
+from gnorm.symmetry import _Search, _colour_action
 
 
 @pytest.fixture
@@ -104,6 +106,16 @@ def coloured_isomorphic(g1: BipartiteGraph, a1: EdgeColouring,
     return next(_iso_maps(g1, g2, True, (a1, a2), limit=1), None) is not None
 
 
+def _arc_transitive(perms, colours) -> bool:
+    """The colour-1 half of ``symmetry._transitive_under``: do the
+    colour-preserving rows of a whole group's edge table act transitively on
+    the colour-1 edges (the arcs, for a colouring from a tournament)?  The
+    preserving rows form a group, so the first arc's images are its orbit."""
+    preserving, _ = _colour_action(perms, colours)
+    arcs = np.flatnonzero(np.asarray(colours, dtype=np.int8) == 1)
+    return not arcs.size or len(set(perms[preserving, arcs[0]].tolist())) == arcs.size
+
+
 def kernel_json(values) -> dict:
     """The kernel file format of a grid of [re, im] entries."""
     return {"cols": len(values[0]), "rows": len(values), "values": values}
@@ -119,6 +131,17 @@ PHASE_3 = [[[1.0, 0.0], [-0.4999999999999998, 0.8660254037844387],
            [[-0.5000000000000003, -0.8660254037844384], [0.9999999999999998, -6.106226635438361e-16],
             [-0.4999999999999992, 0.8660254037844389]]]
 PHASE_3_CONJ = [[[re, -im] for re, im in row] for row in PHASE_3]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def regenerate():
+    """``tests/golden/regenerate.py``, which writes each golden file."""
+    spec = importlib.util.spec_from_file_location("regenerate", GOLDEN / "regenerate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 PACKAGE = Path(gnorm.__file__).resolve().parent

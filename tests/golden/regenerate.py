@@ -2,8 +2,10 @@
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Each file is sorted JSON text that ``tests/test_certify.py`` recomputes and
-compares exactly, so a changed entry shows up as a diff of this directory.
+Each file is sorted JSON text that the tests recompute and compare, so a
+changed entry shows up as a diff of this directory: the certificate files
+exactly (``tests/test_certify.py``), the ``reproduce`` rows with their floats
+to 1e-9 (``tests/test_verification.py``).
 """
 
 import json
@@ -14,6 +16,7 @@ from gnorm.certify import certify_family, certify_not_norming
 from gnorm.constructions import bipartite_kneser, hypercube, subdivided_complete
 from gnorm.errors import InvalidParameter
 from gnorm.graphs import BipartiteGraph, complete_bipartite, cycle
+from gnorm.verification import ROWS, run_row
 
 HERE = Path(__file__).resolve().parent
 
@@ -73,10 +76,26 @@ def certify_survey_text() -> str:
     return _text(entries)
 
 
+def reproduce_text() -> str:
+    """Each ``gnorm reproduce`` row without ``elapsed_s`` and
+    ``within_budget``, a list in row order, except ``falsifier`` and
+    ``decoration-inequality``, which ``tests/test_verification.py`` pins bit
+    for bit.  ``tests/test_verification.py`` compares floats to 1e-9 and
+    every other value exactly."""
+    entries = []
+    for row in ROWS:
+        if row.rid not in ("falsifier", "decoration-inequality"):
+            result = run_row(row)
+            del result["elapsed_s"], result["within_budget"]
+            entries.append(result)
+    return _text(entries)
+
+
 GOLDEN_FILES = {
     "hypercube_family.json": hypercube_family_text,
     "family_grid.json": family_grid_text,
     "certify_survey.json": certify_survey_text,
+    "reproduce.json": reproduce_text,
 }
 
 if __name__ == "__main__":

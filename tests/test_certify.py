@@ -2,13 +2,9 @@
 
 import pytest
 
-import importlib.util
 import json
 import random
 from itertools import combinations, permutations, product
-from pathlib import Path
-
-import numpy as np
 
 from gnorm.config import RunConfig
 from gnorm.errors import CapExceeded, InvalidParameter, VerificationFailed
@@ -38,9 +34,7 @@ from gnorm.constructions import (
     subdivided_complete,
 )
 
-from conftest import disjoint_union
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
+from conftest import GOLDEN, _arc_transitive, disjoint_union, regenerate
 
 
 class TestStarExceptions:
@@ -348,8 +342,8 @@ class TestSubdivisionFamily:
     def test_k5_tournament_scan(self):
         cert = certify_family("subdivided-complete", [5])
         assert cert.obstruction == "NoTransitiveColouring"
-        assert cert.witness["tournaments_scanned"] == 1024
-        assert cert.witness["arc_transitive_found"] == 0
+        assert cert.witness["balanced_colourings"] == 24
+        assert cert.witness["transitive_colourings"] == 0
         assert cert.witness["per_arc"] == [3, 2]  # (d+1)/2 = 3/2
 
     def test_k7_cycle_count_witness(self):
@@ -403,8 +397,8 @@ def every_tournament(n: int):
 
 
 class TestArcTransitivity:
-    # the family scan's route: the side-preserving group of subdivided K_n,
-    # built once per n, and each tournament's colour-preserving rows of it
+    # the oracle's route: the side-preserving group of subdivided K_n, built
+    # once per n, and each tournament's colour-preserving rows of it
     _tables: dict = {}
 
     def table(self, n: int):
@@ -415,7 +409,7 @@ class TestArcTransitivity:
 
     def arc_transitive(self, t: Tournament) -> bool:
         _, a = colouring_from_tournament(t)
-        return symmetry._arc_transitive(self.table(t.n), a.colours)
+        return _arc_transitive(self.table(t.n), a.colours)
 
     def test_qr7_is_arc_transitive(self):
         assert self.arc_transitive(quadratic_residue_tournament(7))
@@ -427,7 +421,8 @@ class TestArcTransitivity:
         assert self.arc_transitive(clockwise_tournament(3))
 
     def test_every_tournament_on_five_vertices(self):
-        # none is arc-transitive, as the family certificate's scan reports
+        # none is arc-transitive, which is stronger than the family
+        # certificate's finding of no transitive colouring of subdivided K5
         assert not any(self.arc_transitive(t) for t in every_tournament(5))
 
     @pytest.mark.parametrize("n", [3, 5, 7])
@@ -447,58 +442,38 @@ class TestArcTransitivity:
             assert self.arc_transitive(t) == brute_arc_transitive(t), t
 
     def test_vertex_cap(self):
-        # the family scan searches subdivided K5, which has 15 vertices
+        # the family check searches subdivided K5, which has 15 vertices
         with pytest.raises(CapExceeded):
             certify_family("subdivided-complete", [5], RunConfig(cap_vertices=10))
 
-    @pytest.mark.parametrize("n, orbits", [(3, 2), (5, 10)])
-    def test_orbit_scan_equals_the_per_tournament_check(self, n, orbits):
-        # every tournament's colouring, one check per orbit under the
-        # side-preserving group and conjugation (reversing every arc)
-        tournaments = list(every_tournament(n))
-        rows = np.array([colouring_from_tournament(t)[1].colours for t in tournaments],
-                        dtype=np.int8)
-        table = self.table(n)
-        checked = []
+    @pytest.mark.parametrize("side_swap", [True, False])
+    def test_k5_check_filters_the_balanced_colourings(self, monkeypatch, side_swap):
+        # the family check hands the transitive filter the 24 balanced
+        # colourings (the regular tournaments) with the caller's config,
+        # whatever its edge cap, and one orbit needs one check
+        seen, checks = [], []
+        orbit_mask, transitive_under = symmetry._orbit_mask, symmetry._transitive_under
 
-        def check(perms, row):
-            checked.append(row)
-            return symmetry._arc_transitive(perms, row)
-
-        mask, orbit = symmetry._orbit_mask(subdivided_complete(n), rows,
-                                           RunConfig(side_swap=False), check)
-        assert len(checked) == len(set(orbit.tolist())) == orbits
-        assert mask.tolist() == [symmetry._arc_transitive(table, r) for r in rows]
-        assert mask.tolist() == [brute_arc_transitive(t) for t in tournaments]
-
-    def test_family_scan_rows_are_the_tournament_colourings(self, monkeypatch):
-        # row r of the scan is the tournament whose pair k (in combinations
-        # order) points j -> i when bit k of r, first pair most significant,
-        # is 1; one arc-transitivity check runs per orbit
-        seen = []
-        orbit_mask = symmetry._orbit_mask
-
-        def spy(g, rows, config, check):
-            checked = []
-
-            def counted(perms, row):
-                checked.append(row)
-                return check(perms, row)
-
-            result = orbit_mask(g, rows, config, counted)
-            seen.append((rows, check, len(checked)))
-            return result
+        def spy(g, rows, config):
+            seen.append((rows, config))
+            return orbit_mask(g, rows, config)
 
         monkeypatch.setattr(symmetry, "_orbit_mask", spy)
-        certify_family("subdivided-complete", [5])
-        [(rows, check, checks)] = seen
-        pairs = list(combinations(range(5), 2))
-        want = [colouring_from_tournament(Tournament(5, tuple(
-            (j, i) if b else (i, j) for (i, j), b in zip(pairs, bits))))[1].colours
-            for bits in product((0, 1), repeat=len(pairs))]
-        assert rows.dtype == np.int8 and rows.flags.c_contiguous
-        assert [tuple(r) for r in rows.tolist()] == want
-        assert check is symmetry._arc_transitive and checks == 10
+        monkeypatch.setattr(symmetry, "_transitive_under",
+                            lambda perms, row: checks.append(row) or transitive_under(perms, row))
+        config = RunConfig(side_swap=side_swap, cap_edges=4)
+        certify_family("subdivided-complete", [5], config)
+        [(rows, got)] = seen
+        g = subdivided_complete(5)
+        assert got == config and len(checks) == 1
+        assert rows.tolist() == graphs._balanced_rows(g, RunConfig(cap_edges=20)).tolist()
+        assert sorted(tuple(r) for r in rows.tolist()) == sorted(
+            colouring_from_tournament(t)[1].colours for t in every_tournament(5) if t.is_regular())
+
+    def test_a_transitive_k5_colouring_is_refused(self, monkeypatch):
+        monkeypatch.setattr(symmetry, "_transitive_under", lambda perms, row: True)
+        with pytest.raises(VerificationFailed, match="unexpected transitive colouring"):
+            certify_family("subdivided-complete", [5])
 
     def test_k5_family_certificate_is_pinned(self):
         cert = certify_family("subdivided-complete", [5])
@@ -506,32 +481,24 @@ class TestArcTransitivity:
             '{"verdict": "NotNorming", "obstruction": "NoTransitiveColouring", '
             '"rule": "arc-transitive-three-cycles", "witness": {"three_cycles": 5, '
             '"per_arc": [3, 2], "four_cycles_if_arc_transitive": [15, 4], '
-            '"mode": "arithmetic", "tournaments_scanned": 1024, "arc_transitive_found": 0}, '
+            '"mode": "arithmetic", "balanced_colourings": 24, "transitive_colourings": 0}, '
             '"automorphism_mode": {"side_swap": true}, "stages": [], "cap_hit": false, '
             '"family": {"family": "subdivided-complete", "n": 5}}')
-
-
-def _regenerate():
-    """``tests/golden/regenerate.py``, which writes each golden file."""
-    spec = importlib.util.spec_from_file_location("regenerate", GOLDEN / "regenerate.py")
-    regenerate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(regenerate)
-    return regenerate
 
 
 def test_hypercube_family_matches_its_golden_file():
     # Q_1..Q_12 as sorted JSON text, compared exactly, so any changed field
     # of any entry fails; tests/golden/regenerate.py rewrites the file
     want = (GOLDEN / "hypercube_family.json").read_text()
-    assert _regenerate().hypercube_family_text() == want
+    assert regenerate().hypercube_family_text() == want
 
 
 def test_family_grid_and_survey_match_their_golden_files():
     # the kneser, inclusion and subdivided-complete grid, refusals included,
     # and the survey graphs with hinted H(6,2), compared exactly as above
-    regenerate = _regenerate()
-    assert regenerate.family_grid_text() == (GOLDEN / "family_grid.json").read_text()
-    assert regenerate.certify_survey_text() == (GOLDEN / "certify_survey.json").read_text()
+    golden = regenerate()
+    assert golden.family_grid_text() == (GOLDEN / "family_grid.json").read_text()
+    assert golden.certify_survey_text() == (GOLDEN / "certify_survey.json").read_text()
 
 
 def random_four_regular(n: int, seed: int) -> BipartiteGraph:

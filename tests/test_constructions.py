@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from gnorm.errors import CapExceeded, InvalidParameter
-from gnorm.graphs import EdgeColouring, cycle, girth, is_balanced, is_biregular, is_eulerian
+from gnorm.graphs import BipartiteGraph, EdgeColouring, cycle, girth, is_balanced, is_biregular, is_eulerian
 from gnorm.cycles import classify_4cycles, kappa_alternating
 from gnorm.symmetry import isomorphic
 from gnorm.constructions import (
     Tournament,
+    _edge_arcs,
     bipartite_kneser,
     clockwise_tournament,
     colouring_from_tournament,
@@ -29,7 +30,7 @@ from gnorm.constructions import (
     tournament_from_colouring,
 )
 
-from conftest import coloured_isomorphic
+from conftest import _arc_transitive, coloured_isomorphic
 
 
 class TestHypercube:
@@ -173,6 +174,35 @@ class TestSubdivide:
             subdivide(["a"], [("a", "a")])
         with pytest.raises(ValueError):
             subdivide(["a", "b"], [("a", "b"), ("b", "a")])
+
+    @pytest.mark.parametrize("vertices, edges, message", [
+        (["a"], [("a", "a")], "loops not allowed"),
+        (["b", "a"], [("b", "a"), ("a", "b")], "duplicate edge ('a', 'b')"),
+        (["10", "2"], [("10", "2"), ("2", "10")], "duplicate edge ('10', '2')"),
+        (["b", "a"], [("b", "c")], "edge ('c', 'b|c') must run from left to right"),
+        (["b", "a"], [("A", "b")], "edge ('A', 'A|b') must run from left to right"),
+    ])
+    def test_refusals_keep_their_messages(self, vertices, edges, message):
+        # the messages name pairs in name order, as before the ends were
+        # ordered by position; an end outside ``vertices`` keeps name order
+        with pytest.raises(ValueError) as err:
+            subdivide(vertices, edges)
+        assert type(err.value) is ValueError and str(err.value) == message
+
+    def test_ends_follow_the_vertex_order(self):
+        g = subdivide(["b", "a", "c"], [("a", "b"), ("c", "a")])
+        assert g.right == ("b|a", "a|c")
+        assert g.edges == (("b", "b|a"), ("a", "b|a"), ("a", "a|c"), ("c", "a|c"))
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_edge_2p_leaves_the_smaller_index(self, n):
+        # "10" sorts before "2" as a string, and no longer decides the order
+        g = subdivided_complete(n)
+        pairs = list(combinations(range(n), 2))
+        assert g.right == tuple(f"{i}|{j}" for i, j in pairs)
+        assert g.edges == tuple((str(x), f"{i}|{j}") for i, j in pairs for x in (i, j))
+        assert [x for x, _ in g.ends[::2]] == [i for i, _ in pairs]
+        assert _edge_arcs(g)[::2] == pairs and _edge_arcs(g)[1::2] == [(j, i) for i, j in pairs]
 
 
 class TestTournaments:
@@ -368,7 +398,7 @@ class TestSubdivisionBridge:
     def test_colouring_equals_the_name_parsing_reading(self):
         # the bridge layout against reading the "i|j" vertex names, on every
         # labelled tournament with n <= 5 and three on 7 and 11 vertices; on
-        # 11 the names sort as strings, so edge 2p of the pair {2, 10} is from 10
+        # 11 too, edge 2p of the pair {2, 10} is from 2 and its mid is "2|10"
         def by_names(t):
             g, arcs = subdivided_complete(t.n), set(t.arcs)
             tail_of = {mid: x if (int(x), int(y)) in arcs else y
@@ -382,6 +412,18 @@ class TestSubdivisionBridge:
                   quadratic_residue_tournament(11)]
         for t in cases:
             assert colouring_from_tournament(t) == by_names(t), t
+
+    def test_a_relabelled_copy_gives_the_same_tournament(self):
+        # names "v0", ... and "m0", ...: left index i is vertex i, whatever
+        # its name, so no name is parsed
+        for t in [clockwise_tournament(5), quadratic_residue_tournament(7),
+                  quadratic_residue_tournament(11)]:
+            g, col = colouring_from_tournament(t)
+            name = {v: f"v{i}" for i, v in enumerate(g.left)}
+            name |= {v: f"m{i}" for i, v in enumerate(g.right)}
+            h = BipartiteGraph(tuple(name[v] for v in g.left), tuple(name[v] for v in g.right),
+                               tuple((name[u], name[v]) for u, v in g.edges))
+            assert tournament_from_colouring(h, col) == tournament_from_colouring(g, col) == t
 
     def test_unbalanced_mid_rejected(self):
         g = subdivided_complete(3)
@@ -448,10 +490,9 @@ class TestTransitivityTournamentEquivalence:
     def test_colouring_transitive_iff_arc_transitive(self):
         # the colouring of a subdivided complete graph is transitive exactly
         # when the defining tournament is arc-transitive, read off the
-        # side-preserving group of subdivided K_n as the family scan does
+        # side-preserving group of subdivided K_n by the test oracle
         from gnorm.config import RunConfig
-        from gnorm.symmetry import (
-            _all_automorphisms, _arc_transitive, _edge_table, _transitive_under)
+        from gnorm.symmetry import _all_automorphisms, _edge_table, _transitive_under
         cases = [(clockwise_tournament(3), True), (clockwise_tournament(5), False),
                  (clockwise_tournament(7), False), (quadratic_residue_tournament(7), True)]
         for t, arc_transitive in cases:

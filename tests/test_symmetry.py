@@ -1,5 +1,6 @@
 """Automorphism search against brute-force oracles, colouring symmetry."""
 
+import ast
 import sys
 from itertools import permutations
 
@@ -37,7 +38,7 @@ from gnorm.constructions import (
     subdivided_complete,
 )
 
-from conftest import _iso_maps, coloured_isomorphic, disjoint_union, path
+from conftest import _iso_maps, coloured_isomorphic, disjoint_union, package_sources, path
 
 
 def brute_automorphism_count(g: BipartiteGraph, side_preserving: bool = False) -> int:
@@ -564,23 +565,30 @@ def _mask_inputs(graph: BipartiteGraph, side_swap: bool, config: RunConfig = Run
     return matrix, _edge_table(graph, _all_automorphisms(graph, config)), config
 
 
+_MASK_GRAPHS = [
+    complete_bipartite(2, 4), complete_bipartite(3, 3), hypercube(3),
+    complete_bipartite(4, 4), *_random_k34_subgraphs(8, seed=11),
+    *_random_k34_subgraphs(4, seed=11, even=True),
+    hypercube(4), cycle(4), cycle(6), cycle(8), cycle(10), subdivided_complete(5),
+    _haar(6, (0, 1, 3, 4)), _haar(8, (0, 1, 4, 5)), _haar(7, (0, 1, 2, 4)),
+    _haar(5, (0, 1, 2, 3)),
+]
+
+
+def _graph_id(g: BipartiteGraph) -> str:
+    return f"{len(g.left)}+{len(g.right)}v{g.n_edges}e"
+
+
 class TestTransitiveMask:
     """The orbit filter gives each balanced colouring the per-colouring
     verdict, and its orbit labels are the orbits of the group and
     conjugation."""
 
     @pytest.mark.parametrize("side_swap", [True, False])
-    @pytest.mark.parametrize("graph", [
-        complete_bipartite(2, 4), complete_bipartite(3, 3), hypercube(3),
-        complete_bipartite(4, 4), *_random_k34_subgraphs(8, seed=11),
-        *_random_k34_subgraphs(4, seed=11, even=True),
-        hypercube(4), cycle(4), cycle(6), cycle(8), cycle(10), subdivided_complete(5),
-        _haar(6, (0, 1, 3, 4)), _haar(8, (0, 1, 4, 5)), _haar(7, (0, 1, 2, 4)),
-        _haar(5, (0, 1, 2, 3)),
-    ], ids=lambda g: f"{len(g.left)}+{len(g.right)}v{g.n_edges}e")
+    @pytest.mark.parametrize("graph", _MASK_GRAPHS, ids=_graph_id)
     def test_equals_the_per_colouring_check(self, graph, side_swap):
         matrix, perms, config = _mask_inputs(graph, side_swap)
-        mask, orbit = _orbit_mask(graph, matrix, config, _transitive_under)
+        mask, orbit = _orbit_mask(graph, matrix, config)
         want = [_transitive_under(perms, row) for row in matrix]
         assert mask.tolist() == want
         # each label is its orbit's first row, and the rows under it are the
@@ -605,7 +613,7 @@ class TestTransitiveMask:
     def test_orbit_counts(self, graph, orbits):
         for side_swap, count in zip((True, False), orbits):
             matrix, _, config = _mask_inputs(graph, side_swap)
-            _, orbit = _orbit_mask(graph, matrix, config, _transitive_under)
+            _, orbit = _orbit_mask(graph, matrix, config)
             assert len(set(orbit.tolist())) == count
 
     def test_a_set_missing_a_row_is_refused(self):
@@ -613,13 +621,12 @@ class TestTransitiveMask:
         matrix, _, config = _mask_inputs(g, True)
         for drop in (0, len(matrix) // 2, len(matrix) - 1):
             with pytest.raises(VerificationFailed):
-                _orbit_mask(g, np.delete(matrix, drop, axis=0), config, _transitive_under)
+                _orbit_mask(g, np.delete(matrix, drop, axis=0), config)
 
     def test_an_empty_matrix_needs_no_search(self, monkeypatch):
         calls = []
         monkeypatch.setattr(symmetry, "_all_automorphisms", lambda g, config: calls.append(g))
-        mask, orbit = _orbit_mask(cycle(6), np.zeros((0, 6), dtype=np.int8), RunConfig(),
-                                  _transitive_under)
+        mask, orbit = _orbit_mask(cycle(6), np.zeros((0, 6), dtype=np.int8), RunConfig())
         assert mask.shape == orbit.shape == (0,) and calls == []
 
     def test_packed_keys_past_64_edges(self):
@@ -627,6 +634,89 @@ class TestTransitiveMask:
         # orbit (a rotation or conjugation swaps them), both transitive
         g = cycle(66)
         matrix, _, config = _mask_inputs(g, True, RunConfig(cap_edges=66, cap_vertices=66))
-        mask, orbit = _orbit_mask(g, matrix, config, _transitive_under)
+        mask, orbit = _orbit_mask(g, matrix, config)
         assert len(matrix) == 2
         assert mask.tolist() == [True, True] and orbit.tolist() == [0, 0]
+
+
+class TestColouringReport:
+    """``automorphisms`` with a colouring answers self-conjugacy and
+    transitivity from the one group it searches, as ``gnorm check`` reads
+    them."""
+
+    @pytest.mark.parametrize("side_swap", [True, False])
+    @pytest.mark.parametrize("graph", _MASK_GRAPHS, ids=_graph_id)
+    def test_equals_the_whole_group_table(self, graph, side_swap, monkeypatch):
+        matrix, perms, config = _mask_inputs(graph, side_swap)
+        plain = automorphisms(graph, config)
+        assert plain.self_conjugate is None and plain.transitive is None
+        assert plain.group_order == len(perms)
+        # both answers are the same across an orbit of the group and
+        # conjugation, so each orbit's first row gives its rows' answers
+        rows, (_, orbit) = matrix.tolist(), _orbit_mask(graph, matrix, config)
+        want = {label: (bool(_colour_action(perms, rows[label])[1].any()),
+                        _transitive_under(perms, rows[label]))
+                for label in set(orbit.tolist())}
+
+        def check(i):
+            report = automorphisms(graph, config, rows[i])
+            assert (report.edge_transitive, report.vertex_transitive, report.group_order) \
+                == (plain.edge_transitive, plain.vertex_transitive, plain.group_order)
+            assert (report.self_conjugate, report.transitive) == want[orbit[i]], rows[i]
+            assert type(report.self_conjugate) is type(report.transitive) is bool
+
+        # every colouring up to 1000 of them; beyond (Q4 and H(Z8,{0,1,4,5}),
+        # which would add 10 s), every orbit's first row and every 10th row
+        picked = sorted(set(range(0, len(rows), 1 if len(rows) <= 1000 else 10)) | set(want))
+        for i in picked[:1] + picked[-1:]:  # searched and tabled afresh
+            check(i)
+        # the search and the table are held to brute force above; the other
+        # colourings reuse the group searched under ``config`` and its table,
+        # so each costs its checks, not a search and a table
+        group = _all_automorphisms(graph, config)
+        monkeypatch.setattr(symmetry, "_all_automorphisms",
+                            lambda g, cfg: group if (g, cfg) == (graph, config) else None)
+        monkeypatch.setattr(symmetry, "_edge_table",
+                            lambda g, grp: perms if g == graph and grp is group else None)
+        for i in picked[1:-1]:
+            check(i)
+
+
+# what the package outside ``symmetry`` may name of it: the two public
+# searches, their report, and the transitive filter
+_SYMMETRY_API = {"automorphisms", "isomorphic", "SymmetryReport", "_orbit_mask"}
+
+
+def symmetry_names_read(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each name of ``symmetry`` outside ``_SYMMETRY_API``
+    that another module imports from it or reads as ``symmetry.name``."""
+    found = []
+    for module, src in sources.items():
+        if module == "symmetry":
+            continue
+        for n in ast.walk(ast.parse(src)):
+            if isinstance(n, ast.ImportFrom) and (n.module or "").endswith("symmetry"):
+                names = [alias.name for alias in n.names]
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                    and n.value.id == "symmetry":
+                names = [n.attr]
+            else:
+                continue
+            found += [f"{module}.{name}" for name in names if name not in _SYMMETRY_API]
+    return found
+
+
+class TestSymmetryBoundary:
+    def test_only_symmetry_reads_the_group(self):
+        assert symmetry_names_read(package_sources()) == []
+
+    def test_the_audit_finds_imports_and_attribute_reads(self):
+        sample = """
+from .symmetry import automorphisms, _edge_table
+from . import symmetry
+def check(g, m, c):
+    symmetry._orbit_mask(g, m, c)
+    return symmetry._all_automorphisms(g, c)
+"""
+        assert sorted(symmetry_names_read({"symmetry": sample, "m": sample})) == [
+            "m._all_automorphisms", "m._edge_table"]

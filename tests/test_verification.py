@@ -1,6 +1,7 @@
 """The verification table itself: sensitivity, crash capture, ordering,
-and golden values of the falsifier rows."""
+and golden values of every row."""
 
+import copy
 import json
 import os
 from dataclasses import replace
@@ -12,7 +13,7 @@ from gnorm import density, falsify
 from gnorm.config import RunConfig
 from gnorm.errors import InvalidParameter
 
-from conftest import PHASE_3, PHASE_3_CONJ, kernel_json
+from conftest import GOLDEN, PHASE_3, PHASE_3_CONJ, kernel_json, regenerate
 
 
 def test_rows_have_unique_ids_and_budgets():
@@ -229,3 +230,79 @@ def test_falsifier_row_equals_its_golden_values(rid):
     # JSON text, so every float is compared by its round-trip digits, the
     # sign of a zero included
     assert json.dumps(result, sort_keys=True) == json.dumps(_GOLDEN_ROWS[rid], sort_keys=True)
+
+
+# The other nine rows, written by tests/golden/regenerate.py.  Their floats
+# (the dual-path, trig and second-order errors and fitted constants) come
+# from numpy reductions whose last bits may differ between builds, so they
+# may move by _FLOAT_TOL; every other value must match exactly.
+_FLOAT_TOL = 1e-9
+
+
+def golden_mismatches(got, want, path: str = "$") -> list[str]:
+    """The JSON paths at which ``got`` differs from ``want``: a float by more
+    than ``_FLOAT_TOL``, any other value, a JSON type, a list length or a
+    key set at all."""
+    if type(got) is not type(want):
+        return [path]
+    if isinstance(want, dict):
+        if got.keys() != want.keys():
+            return [path]
+        return [m for k in want for m in golden_mismatches(got[k], want[k], f"{path}.{k}")]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [path]
+        return [m for i, pair in enumerate(zip(got, want))
+                for m in golden_mismatches(*pair, f"{path}[{i}]")]
+    if isinstance(want, float):
+        return [] if abs(got - want) <= _FLOAT_TOL else [path]
+    return [] if got == want else [path]
+
+
+def _golden_rows() -> list:
+    return json.loads((GOLDEN / "reproduce.json").read_text())
+
+
+def test_unpinned_rows_match_their_golden_file():
+    want = _golden_rows()
+    assert [r["id"] for r in want] == [r.rid for r in V.ROWS if r.rid not in _GOLDEN_ROWS]
+    assert golden_mismatches(json.loads(regenerate().reproduce_text()), want) == []
+
+
+def _leaves(value, path=()):
+    """The key path of every leaf, an empty list or dict counting as one."""
+    if isinstance(value, (dict, list)) and value:
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+def _changed(leaf):
+    """One change of a leaf that its comparison must catch."""
+    if isinstance(leaf, bool):
+        return not leaf
+    if isinstance(leaf, float):
+        return leaf + 10 * _FLOAT_TOL
+    if isinstance(leaf, int):
+        return leaf + 1
+    if isinstance(leaf, str):
+        return leaf + "x"
+    return [0] if leaf == [] else {"x": 0} if leaf == {} else 0
+
+
+def test_a_one_field_mutation_of_the_golden_rows_fails():
+    want = _golden_rows()
+    leaves = list(_leaves(want))
+    assert len(leaves) > 50
+    for path in leaves:
+        got = copy.deepcopy(want)
+        parent = got
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = _changed(parent[path[-1]])
+        assert golden_mismatches(got, want), path
+    # a float within the tolerance is the same value
+    got = copy.deepcopy(want)
+    got[[r["id"] for r in want].index("dual-path")]["worst_relative_error"] += _FLOAT_TOL / 2
+    assert golden_mismatches(got, want) == []
