@@ -99,8 +99,10 @@ def subdivide(
         if key in seen:
             raise ValueError(f"duplicate edge {key}")
         seen.add(key)
-        # an end outside ``vertices`` keeps name order, which the graph refuses
-        norm.append(tuple(sorted(key, key=rank.get)) if {u, v} <= rank.keys() else key)
+        for x in (u, v):
+            if x not in rank:
+                raise ValueError(f"edge ({u!r}, {v!r}) has an end {x!r} outside the vertices")
+        norm.append(tuple(sorted(key, key=rank.__getitem__)))
     mids = tuple(f"{u}|{v}" for u, v in norm)
     return BipartiteGraph(vertices, mids,
                           tuple((x, mid) for ends, mid in zip(norm, mids) for x in ends))

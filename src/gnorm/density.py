@@ -5,9 +5,10 @@ evaluated on its step-kernel version (``kernels.phase_kernel``).
 Everything here is a finite sum over grid assignments.  Two independent
 evaluation routes are provided: ``direct`` materialises the product over all
 assignments, ``eliminate`` contracts vertices one at a time along a greedy
-minimum-fill order.  Both are exact up to floating point and must agree; the
-verification suite pins their relative deviation.  ``auto`` takes ``direct``
-up to 4096 assignments (``_resolve``).
+minimum-fill order (a colouring sweep's order also counts the colour axes it
+leaves open, ``_elimination_plan``).  Both are exact up to floating point and
+must agree; the verification suite pins their relative deviation.  ``auto``
+takes ``direct`` up to 4096 assignments (``_resolve``).
 
 ``_route`` is the one planner: it checks the mode and the kernel shape,
 picks the route and raises its caps, before anything is contracted.  An
@@ -201,44 +202,90 @@ def _densities(
     return _means(route, _evaluate(route, g, factors))
 
 
-def _elimination_order(scopes: list[frozenset[int]], n: int) -> list[int]:
-    """Greedy minimum-fill order over the variable interaction graph.
+def _elimination_order(
+    scopes: list[frozenset[int]], n: int, fewest_edges: bool = False
+) -> list[int]:
+    """Greedy minimum-fill order over the variable interaction graph of the
+    edge scopes, up to the first vertex whose step spans more vertices than
+    there are einsum letters: the scope cap refuses that step, so no later
+    one is ordered.
 
     A candidate's fill is the number of non-adjacent pairs among its k live
     neighbours ns, counted as (k(k - 1) - sum_{x in ns} |nbr[x] & ns|) / 2:
     ``nbr`` is symmetric and has no self-loops, so the sum counts each
-    adjacent pair twice.  Ties go to the smallest vertex.
+    adjacent pair twice.  Its step spans ns and itself.  Ties go to the
+    smallest vertex; with ``fewest_edges`` a tie goes first to the vertex
+    whose step absorbs the fewest edges, counted through the live factors
+    (each a scope and the number of edges it holds) that the step merges.
     """
     nbr: dict[int, set[int]] = {v: set() for v in range(n)}
     for sc in scopes:
         for x in sc:
             nbr[x] |= sc - {x}
+    factors = [(sc, 1) for sc in scopes]
     alive = set(range(n))
     order = []
     while alive:
-        best_v, best_fill = None, None
+        best_v, best_key = None, None
         for v in sorted(alive):
             ns = nbr[v] & alive
             k = len(ns)
-            fill = (k * (k - 1) - sum(len(nbr[x] & ns) for x in ns)) // 2
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
+            key = ((k * (k - 1) - sum(len(nbr[x] & ns) for x in ns)) // 2,
+                   sum(c for sc, c in factors if v in sc) if fewest_edges else 0)
+            if best_key is None or key < best_key:
+                best_v, best_key = v, key
         v = best_v
         ns = nbr[v] & alive
         for x in ns:
             nbr[x] |= ns - {x}
         alive.remove(v)
         order.append(v)
+        if len(ns) >= len(_LETTERS):
+            break
+        if fewest_edges:
+            factors = [f for f in factors if v not in f[0]] + [(frozenset(ns), best_key[1])]
     return order
 
 
 def _elimination_plan(
     g: BipartiteGraph, dims: list[int], budget: int
 ) -> tuple[_Route | None, tuple[tuple[int, int], ...]]:
-    """Einsum steps eliminating the vertices along a greedy minimum-fill order,
-    and each step's (width, scope size), which ``_route`` checks against the
-    caps.  The route is None when a scope outnumbers the einsum letters,
-    which the scope cap always refuses.
+    """The elimination's route and each of its steps' (width, scope size),
+    which ``_route`` checks against the caps, in step order.  The route is
+    None when a scope outnumbers the einsum letters, which the scope cap
+    always refuses; planning stops at that step.
+
+    With ``budget`` 0 the order is greedy minimum fill.  A sweep plan
+    (``budget`` > 0) also plans along the minimum-fill order whose ties go
+    to the step absorbing the fewest edges, since each absorbed open edge
+    doubles a step, and takes it when it opens at least as many edges,
+    costs no more step entries (``_plan_along``) and has no wider step for
+    one colouring; otherwise it keeps the minimum-fill plan.  Either way the
+    caps are the minimum-fill steps', which the sweep's steps never exceed,
+    so a sweep is refused as the loop over its colourings would be.
+    """
+    scopes = [frozenset(sc) for sc in g.ends]
+    order = _elimination_order(scopes, g.n_vertices)
+    route, sizes, entries = _plan_along(g, dims, budget, order)
+    if budget == 0 or route is None:
+        return route, sizes
+    other_order = _elimination_order(scopes, g.n_vertices, fewest_edges=True)
+    other, other_sizes, other_entries = _plan_along(g, dims, budget, other_order)
+    if other is not None and other.open_edges >= route.open_edges and \
+            other_entries <= entries and \
+            max(w for w, _ in other_sizes) <= max(w for w, _ in sizes):
+        return other, sizes
+    return route, sizes
+
+
+def _plan_along(
+    g: BipartiteGraph, dims: list[int], budget: int, order: list[int]
+) -> tuple[_Route | None, tuple[tuple[int, int], ...], float]:
+    """Einsum steps eliminating the vertices in ``order``, each step's
+    (width, scope size), and the step entries of a whole sweep: the sum over
+    the steps of their entries, colour axes included, times their operands,
+    times the 2^(e-k) leading rows.  The route is None, and the entries
+    infinite, when a scope outnumbers the einsum letters.
 
     Slots 0..e-1 hold the edge factors and step k writes slot e+k.  A step is
     (the slots it consumes, its subscripts); the leading ``...`` of every
@@ -250,12 +297,12 @@ def _elimination_plan(
     for which every step, colour axes included, fits ``budget`` entries and
     the einsum letters.  When more than one component is summed out, a last
     step takes their outer product, colour axes in edge order; so the last
-    slot always holds the result.
+    slot always holds the result.  That step's entries, 2^e over all rows
+    for each operand whatever the order, are not counted.
     """
     e = g.n_edges
     scopes = list(g.ends)
     edges = [[i] for i in range(e)]  # the edges each slot has absorbed
-    order = _elimination_order([frozenset(sc) for sc in scopes], g.n_vertices)
     live = list(range(e))
     finished = []
     groups = []
@@ -270,7 +317,7 @@ def _elimination_plan(
         edges.append(sorted(i for s in group for i in edges[s]))
     sizes = tuple((width, len(union)) for _, union, width in groups)
     if any(scope > len(_LETTERS) for _, scope in sizes):
-        return None, sizes
+        return None, sizes, inf
 
     def row_width(k: int) -> float:
         """Entries in the widest step, the outer product included, with the
@@ -303,8 +350,10 @@ def _elimination_plan(
         colour_letter = dict(zip(range(e - k, e), _LETTERS))
         inputs = ",".join(subscript(s, {}, colour_letter) for s in finished)
         steps.append((tuple(finished), f"{inputs}->..." + "".join(colour_letter.values())))
+    entries = sum(len(group) * width << len(colours[e + n])
+                  for n, (group, _, width) in enumerate(groups)) << (e - k)
     route = _Route("eliminate", tuple(dims), prod(dims), row_width(k), tuple(steps), k)
-    return route, sizes
+    return route, sizes, entries
 
 
 def _evaluate_eliminate(steps, factors) -> np.ndarray:

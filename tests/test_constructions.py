@@ -179,12 +179,16 @@ class TestSubdivide:
         (["a"], [("a", "a")], "loops not allowed"),
         (["b", "a"], [("b", "a"), ("a", "b")], "duplicate edge ('a', 'b')"),
         (["10", "2"], [("10", "2"), ("2", "10")], "duplicate edge ('10', '2')"),
-        (["b", "a"], [("b", "c")], "edge ('c', 'b|c') must run from left to right"),
-        (["b", "a"], [("A", "b")], "edge ('A', 'A|b') must run from left to right"),
+        (["b", "a"], [("b", "c")], "edge ('b', 'c') has an end 'c' outside the vertices"),
+        (["b", "a"], [("A", "b")], "edge ('A', 'b') has an end 'A' outside the vertices"),
+        (["b", "a"], [("a", "b"), ("x", "y")],
+         "edge ('x', 'y') has an end 'x' outside the vertices"),
+        (["b"], [("c", "c")], "loops not allowed"),
     ])
     def test_refusals_keep_their_messages(self, vertices, edges, message):
-        # the messages name pairs in name order, as before the ends were
-        # ordered by position; an end outside ``vertices`` keeps name order
+        # a duplicate is named in name order, as before the ends were ordered
+        # by position; an end outside ``vertices`` is named as it was given,
+        # after the loop and duplicate checks
         with pytest.raises(ValueError) as err:
             subdivide(vertices, edges)
         assert type(err.value) is ValueError and str(err.value) == message

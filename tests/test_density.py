@@ -307,12 +307,26 @@ def _two_cycles():
     return g
 
 
+def random_bipartite(seed):
+    """A seeded subgraph of K_{m,n} with 2 <= m, n <= 7, isolated vertices
+    dropped."""
+    rng = random.Random(f"elimination-order:{seed}")
+    m, n = rng.randint(2, 7), rng.randint(2, 7)
+    return small_bipartite(rng.randrange(1, 1 << (m * n)), m, n)
+
+
+# K23 and the random graphs R1, R16 and R48 are planned along the order
+# whose fill ties go to the fewest absorbed edges
+# (TestSweepPlan::test_the_changed_sweep_plans)
 SWEEP_GRAPHS = {
     "star1": star(1),
     "C4": cycle(4),
     "K23": complete_bipartite(2, 3),
     "Q3": hypercube(3),
     "C4+C6": _two_cycles(),
+    "R1": random_bipartite(1),
+    "R16": random_bipartite(16),
+    "R48": random_bipartite(48),
 }
 
 
@@ -337,6 +351,9 @@ class TestSweep:
         ("C8", cycle(8), 3),
         ("K24", complete_bipartite(2, 4), 5),
         ("Q3", hypercube(3), 3),
+        ("K23", complete_bipartite(2, 3), 3),
+        ("R0", random_bipartite(0), 3),
+        ("R17", random_bipartite(17), 3),
     ])
     def test_density_shapes_match_the_loop(self, name, g, p):
         for seed in range(3):
@@ -344,8 +361,18 @@ class TestSweep:
             f = rand_kernel(rng, p, p)
             res = s_max(g, f)
             best, best_col = loop_s_max(g, f, "conjugate")
-            assert res.argmax == best_col
             assert res.value == pytest.approx(best, rel=1e-12)
+            assert res.row == int(np.argmax(np.abs(sweep_values(g, f, "conjugate", "auto"))))
+            if (name, seed) != ("R0", 0):
+                assert res.argmax == best_col
+                continue
+            # a symmetry of R0 ties 24 colourings, which the sweep and the
+            # loop round differently: each takes the first of its own
+            # maximum, a maximiser of the other up to rounding
+            loop = [abs(t_density(g, EdgeColouring(bits), f))
+                    for bits in product((0, 1), repeat=g.n_edges)]
+            near = [r for r, v in enumerate(loop) if v >= best * (1 - 1e-12)]
+            assert len(near) == 24 and res.row in near and res.argmax != best_col
         h = StepKernel(
             [[rng.uniform(-1, 1) for _ in range(p)] for _ in range(p)])
         assert rho_2m(g, h, 2, "transpose") == \
@@ -559,9 +586,9 @@ class TestPlanMemo:
         calls = []
         order = density._elimination_order
 
-        def counted(scopes, n):
-            calls.append(n)
-            return order(scopes, n)
+        def counted(scopes, n, **kw):
+            calls.append((n, kw.get("fewest_edges", False)))
+            return order(scopes, n, **kw)
 
         monkeypatch.setattr(density, "_elimination_order", counted)
         rng = random.Random(26)
@@ -578,15 +605,18 @@ class TestPlanMemo:
 
         first = run(g)
         assert all(run(g) == first for _ in range(2))
-        # s_max and rho_2m share the 3^8 grid and the sweep budget; the two
-        # t_density calls plan at budget 0 on the 3^8 and 2^4 3^4 grids
+        # s_max and rho_2m share the 3^8 grid and the sweep budget, whose plan
+        # orders twice (minimum fill, then with ties to the fewest absorbed
+        # edges); the two t_density calls plan at budget 0, ordering once, on
+        # the 3^8 and 2^4 3^4 grids
         assert set(g.elimination_plans) == {
             ((3,) * 8, density._SWEEP_BUDGET), ((3,) * 8, 0), ((2,) * 4 + (3,) * 4, 0)}
-        assert calls == [8] * 3
+        plans = [(8, False), (8, True), (8, False), (8, False)]
+        assert calls == plans
         again = cycle(8)
         assert again == g and again is not g
         assert run(again) == first
-        assert calls == [8] * 6
+        assert calls == plans * 2
 
 
 def ref_elimination_order(scopes, n):
@@ -615,14 +645,6 @@ def ref_elimination_order(scopes, n):
     return order
 
 
-def random_bipartite(seed):
-    """A seeded subgraph of K_{m,n} with 2 <= m, n <= 7, isolated vertices
-    dropped."""
-    rng = random.Random(f"elimination-order:{seed}")
-    m, n = rng.randint(2, 7), rng.randint(2, 7)
-    return small_bipartite(rng.randrange(1, 1 << (m * n)), m, n)
-
-
 class TestEliminationOrder:
     """The fill count by neighbourhood intersections gives the order that
     counting pair by pair gave."""
@@ -640,6 +662,163 @@ class TestEliminationOrder:
             scopes = [frozenset(sc) for sc in g.ends]
             assert density._elimination_order(scopes, g.n_vertices) == \
                 ref_elimination_order(scopes, g.n_vertices), seed
+
+
+def ref_factor_order(scopes, n, fewest_edges=False):
+    """The greedy minimum-fill order read from the live factors themselves,
+    each a vertex set and the number of edges it holds: a candidate's step
+    merges the factors that hold it, its fill is the pairs of their other
+    vertices that share no factor, and with ``fewest_edges`` a tie goes to
+    the step merging the fewest edges before the smallest vertex.  The
+    reference for ``density._elimination_order``, both ways."""
+    factors = [(set(sc), 1) for sc in scopes]
+    order = []
+    while len(order) < n:
+        best = None
+        for v in sorted(set(range(n)) - set(order)):
+            group = [(sc, c) for sc, c in factors if v in sc]
+            ns = set().union(*(sc for sc, _ in group)) - {v}
+            fill = sum(1 for x in ns for y in ns
+                       if x < y and not any({x, y} <= sc for sc, _ in factors))
+            edges = sum(c for _, c in group)
+            key = (fill, edges if fewest_edges else 0, v)
+            if best is None or key < best[0]:
+                best = key, edges, ns
+        (*_, v), edges, ns = best
+        factors = [(sc, c) for sc, c in factors if v not in sc] + [(ns, edges)]
+        order.append(v)
+    return order
+
+
+def sweep_entries(route, g, colours=2):
+    """Each step's (entries, operands), read from the shapes its operands
+    would have: an open edge's factor is a (colours, d_left, d_right) stack,
+    so ``colours`` 1 gives one colouring's step widths."""
+    e, k = g.n_edges, route.open_edges
+    shapes = [((colours,) if i >= e - k else ()) + (route.dims[x], route.dims[y])
+              for i, (x, y) in enumerate(g.ends)]
+    steps = []
+    for operands, subscripts in route.steps:
+        inputs, output = subscripts.split("->")
+        size = {}
+        for sub, slot in zip(inputs.split(","), operands):
+            assert sub.startswith("...") and len(sub) - 3 == len(shapes[slot])
+            for letter, d in zip(sub[3:], shapes[slot]):
+                assert size.setdefault(letter, d) == d
+        steps.append((math.prod(size.values()), len(operands)))
+        shapes.append(tuple(size[letter] for letter in output[3:]))
+    return steps
+
+
+def sweep_cost(route, g):
+    """Step entries times operands over every step of a whole sweep: the
+    2^(e-k) leading rows each run every step."""
+    return sum(n * ops for n, ops in sweep_entries(route, g)) << (g.n_edges - route.open_edges)
+
+
+def min_fill_route(g, shape, mode, budget, monkeypatch):
+    """The route planned on a fresh copy of g along the reference minimum-fill
+    order alone, whatever ``fewest_edges`` asks."""
+    with monkeypatch.context() as m:
+        m.setattr(density, "_elimination_order",
+                  lambda scopes, n, fewest_edges=False: ref_elimination_order(scopes, n))
+        return density._route(fresh(g), shape, mode, "eliminate", RunConfig(), budget)
+
+
+def sweep_route(g, shape, mode="conjugate"):
+    return density._route(fresh(g), shape, mode, "eliminate", RunConfig(), density._SWEEP_BUDGET)
+
+
+PLAN_CASES = [(name, g, shape) for name, g in sorted(SWEEP_GRAPHS.items())
+              for shape in [(2, 2), (2, 3), (3, 3)]] + [
+    ("C8", cycle(8), (3, 3)), ("K24", complete_bipartite(2, 4), (5, 5)),
+    ("Q3", hypercube(3), (3, 3))]
+PLAN_IDS = [f"{name}-{p}x{q}" for name, _, (p, q) in PLAN_CASES]
+
+
+class TestSweepPlan:
+    """A sweep plan (budget > 0) takes the order whose fill ties go to the
+    fewest absorbed edges only when it opens as many colour axes, costs no
+    more step entries and has no wider step for one colouring than the
+    minimum-fill plan; budget-0 plans keep the minimum-fill order."""
+
+    @staticmethod
+    def _check(g, shape, monkeypatch):
+        chosen = sweep_route(g, shape)
+        base = min_fill_route(g, shape, "conjugate", density._SWEEP_BUDGET, monkeypatch)
+        assert chosen.open_edges >= base.open_edges
+        assert sweep_cost(chosen, g) <= sweep_cost(base, g)
+        assert max(n for n, _ in sweep_entries(chosen, g, 1)) <= \
+            max(n for n, _ in sweep_entries(base, g, 1))
+        for route in (chosen, base):
+            assert route.row_width == max(n for n, _ in sweep_entries(route, g))
+            assert route.row_width <= density._SWEEP_BUDGET or route.open_edges == 0
+        # budget 0: the reference minimum-fill plan, step for step
+        assert density._route(fresh(g), shape, "conjugate", "eliminate", RunConfig()) == \
+            min_fill_route(g, shape, "conjugate", 0, monkeypatch)
+        return chosen, base
+
+    @pytest.mark.parametrize("name, g, shape", PLAN_CASES, ids=PLAN_IDS)
+    def test_the_sweep_plan_is_never_worse(self, name, g, shape, monkeypatch):
+        self._check(g, shape, monkeypatch)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_the_sweep_plan_on_random_bipartite_graphs(self, p, monkeypatch):
+        changed = 0
+        for seed in range(50):
+            chosen, base = self._check(random_bipartite(seed), (p, p), monkeypatch)
+            changed += chosen != base
+        assert changed == {2: 30, 3: 33}[p]
+
+    def test_the_sweep_order_against_its_reference(self):
+        graphs = [*SWEEP_GRAPHS.values(), cycle(8), complete_bipartite(2, 4), hypercube(3),
+                  *(random_bipartite(seed) for seed in range(50))]
+        for g in graphs:
+            scopes = [frozenset(sc) for sc in g.ends]
+            n = g.n_vertices
+            assert density._elimination_order(scopes, n, fewest_edges=True) == \
+                ref_factor_order(scopes, n, fewest_edges=True)
+            assert density._elimination_order(scopes, n) == ref_factor_order(scopes, n) == \
+                ref_elimination_order(scopes, n)
+
+    def test_k24_at_p5_is_pinned(self, monkeypatch):
+        # minimum fill eliminates a0 while its factors hold 7 edges, where
+        # b3 ties it on fill and absorbs 2; after b3, a0 absorbs all 8 edges
+        # but spans 2 vertices, not 3
+        g = complete_bipartite(2, 4)
+        base = min_fill_route(g, (5, 5), "conjugate", density._SWEEP_BUDGET, monkeypatch)
+        chosen = sweep_route(g, (5, 5))
+        assert (base.open_edges, base.row_width, sweep_cost(base, g)) == (8, 16000, 81080)
+        assert (chosen.open_edges, chosen.row_width, sweep_cost(chosen, g)) == (8, 6400, 30880)
+        scopes = [frozenset(sc) for sc in g.ends]
+        assert density._elimination_order(scopes, 6) == [2, 3, 4, 0, 1, 5]
+        assert density._elimination_order(scopes, 6, fewest_edges=True) == [2, 3, 4, 5, 0, 1]
+
+    @pytest.mark.parametrize("name, g", [
+        *((name, SWEEP_GRAPHS[name]) for name in ("K23", "R1", "R16", "R48")),
+        ("R0", random_bipartite(0)), ("R17", random_bipartite(17))])
+    def test_the_changed_sweep_plans(self, name, g, monkeypatch):
+        # the sweep-versus-loop tests run these graphs on a plan of their own
+        for shape, mode in [((2, 3), "conjugate"), ((2, 2), "transpose"),
+                            ((3, 3), "conjugate")]:
+            assert sweep_route(g, shape, mode) != \
+                min_fill_route(g, shape, mode, density._SWEEP_BUDGET, monkeypatch)
+
+    @pytest.mark.parametrize("budget", [0, density._SWEEP_BUDGET])
+    def test_planning_stops_at_the_first_step_over_the_letters(self, budget, monkeypatch):
+        # every vertex of K_{52,52} has 52 neighbours, so the first step
+        # spans 53 vertices: one vertex is ordered, and the plan is refused
+        calls = []
+        order = density._elimination_order
+
+        def kept(scopes, n, **kw):
+            calls.append(order(scopes, n, **kw))
+            return calls[-1]
+
+        monkeypatch.setattr(density, "_elimination_order", kept)
+        plan = density._elimination_plan(complete_bipartite(52, 52), [1] * 104, budget)
+        assert plan == (None, ((1, 53),))
+        assert calls == [[0]]
 
 
 class TestTrigDensity:
