@@ -11,12 +11,10 @@ from .errors import (
 )
 from .graphs import (
     BipartiteGraph,
-    DegreeStats,
     EdgeColouring,
     complete_bipartite,
     count_two_edge_matchings,
     cycle,
-    degree_stats,
     girth,
     graph_from_json,
     graph_to_json,

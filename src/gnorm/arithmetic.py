@@ -76,9 +76,6 @@ class IntegralityResult:
     s: int
     case: str  # "i" or "ii"
 
-    def __bool__(self) -> bool:
-        return self.is_integer
-
     def to_json(self) -> dict:
         return {
             "d": [self.d.numerator, self.d.denominator],

@@ -118,16 +118,17 @@ def _star_exception(g: BipartiteGraph) -> Optional[dict]:
     """Detects the seminorming exceptions: disjoint unions of single edges,
     or of isomorphic stars with an even number of leaves on one fixed side."""
     shapes = []
+    deg = g.degrees
     for comp in g.components:
         n = len(comp)
         if n == 2:
             shapes.append(("edge", None, None))
             continue
         # the witness reads counts and the one centre's side: any order will do
-        centres = [v for v in comp if g.degree(v) == n - 1]
-        leaves = sum(g.degree(v) == 1 for v in comp)
+        centres = [x for x in comp if deg[x] == n - 1]
+        leaves = sum(deg[x] == 1 for x in comp)
         if len(centres) == 1 and leaves == n - 1:
-            side = "left" if g.is_left(centres[0]) else "right"
+            side = "left" if centres[0] < len(g.left) else "right"
             shapes.append(("star", n - 1, side))
         else:
             return None
@@ -286,18 +287,19 @@ def _pipeline(
             rule="star-seminorm-exception", witness=star,
         )
 
-    odd = [v for v in g.vertices if g.degree(v) % 2]
+    deg, nl = g.degrees, len(g.left)
+    odd = [x for x, d in enumerate(deg) if d % 2]
     stages.ran("eulerian", odd_degree_vertices=len(odd))
     if odd:
         return Certificate(
             VERDICT_NOT_NORMING, obstruction="NotEulerian",
             rule="eulerian-degrees",
-            witness={"odd_degree_vertex": odd[0], "degree": g.degree(odd[0])},
+            witness={"odd_degree_vertex": g.vertices[odd[0]], "degree": deg[odd[0]]},
         )
 
     if not is_biregular(g):
-        ldeg = sorted({g.degree(v) for v in g.left})
-        rdeg = sorted({g.degree(v) for v in g.right})
+        ldeg = sorted(set(deg[:nl]))
+        rdeg = sorted(set(deg[nl:]))
         stages.ran("biregular", ok=False)
         return Certificate(
             VERDICT_NOT_NORMING, obstruction="NotBiregular",
@@ -500,10 +502,11 @@ def _arithmetic_shortcut(
 
 def _same_shape(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
     def shape(g):
+        nl = len(g.left)
         return (
-            sorted((len(g.left), len(g.right))),
+            sorted((nl, len(g.right))),
             g.n_edges,
-            sorted(sorted(g.degree(v) for v in side) for side in (g.left, g.right)),
+            sorted((sorted(g.degrees[:nl]), sorted(g.degrees[nl:]))),
         )
     return shape(g1) == shape(g2)
 

@@ -42,10 +42,10 @@ from .errors import CapExceeded
 from .graphs import (
     BipartiteGraph,
     EdgeColouring,
+    _arcs_out,
     _colouring_rows,
     check_aligned,
     count_two_edge_matchings,
-    degree_stats,
 )
 from .kernels import Decoration, StepKernel
 
@@ -58,6 +58,9 @@ MODES = ("conjugate", "transpose")
 # open: C8 and K_{2,4} (p = 3, 5) fit every colour into one row, and Q3 at
 # p = 3 opens 9 of its 12 and takes 8 chunks of one row each.
 _SWEEP_BUDGET = 1 << 14
+
+# Sweep values that agree to this relative tolerance tie in ``s_max``.
+_TIE_RTOL = 1e-12
 
 
 def _chunks(start: int, stop: int, route, per_row: int) -> Iterator[range]:
@@ -460,7 +463,9 @@ def _sweep(
 class ColouringMax:
     """The largest |t_a(f)| and its maximiser, kept as the maximiser's row in
     the product order of the colourings of n_edges edges (first edge most
-    significant), which holds a result in about 100 bytes."""
+    significant), which holds a result in about 100 bytes.  The maximiser is
+    the first colouring whose |t_a(f)| is within ``_TIE_RTOL`` (relative) of
+    the largest, and ``value`` is its own |t_a(f)|."""
 
     value: float
     row: int
@@ -483,16 +488,20 @@ def s_max(
     mode the orientation envelope.
 
     All 2^e colourings are swept in product order (first edge most
-    significant), in chunks of rows sized by ``_SWEEP_BUDGET``.  The first
-    maximiser within a chunk replaces the best so far only when strictly
-    greater, so ties go to the earliest colouring in product order, which is
-    the lexicographically least.
+    significant), in chunks of rows sized by ``_SWEEP_BUDGET``.  Values that
+    agree to ``_TIE_RTOL`` (relative) tie, since the elimination plan moves
+    their last bits: a chunk replaces the kept maximiser only when its
+    largest magnitude exceeds the kept one by more than ``_TIE_RTOL``, and
+    then with its first row within ``_TIE_RTOL`` of that largest.  So ties
+    go to the earliest colouring in product order, the lexicographically
+    least, whatever the plan, and ``value`` is that colouring's own |t_a|.
     """
     best, best_row = -1.0, 0
     for start, vals in _sweep(g, f, mode, method, config, "colouring maximisation"):
         mags = np.abs(vals)
-        k = int(np.argmax(mags))
-        if mags[k] > best:
+        top = float(mags.max())
+        if top > best * (1 + _TIE_RTOL):
+            k = int(np.argmax(mags >= top * (1 - _TIE_RTOL)))
             best, best_row = float(mags[k]), start + k
     return ColouringMax(best, best_row, g.n_edges)
 
@@ -579,13 +588,11 @@ def second_order_expansion(
     the per-vertex in/out splits of the colouring with the two-path integrals
     plus the matching count times the squared mean.
     """
-    check_aligned(g, a)
     i1, i2, i3 = two_path_integrals(h)
     mean = h.mean().real
-    stats = degree_stats(g, a)
     quad = 0.0
-    for v in g.vertices:
-        dp, dm = stats.d_plus[v], stats.d_minus[v]
+    for dp, d in zip(_arcs_out(g, a), g.degrees):
+        dm = d - dp
         quad += comb(dp, 2) * i1 + comb(dm, 2) * i2 + dp * dm * i3
     m2 = count_two_edge_matchings(g)
     quad += m2 * mean * mean

@@ -95,9 +95,6 @@ class HatamiCheck:
     lhs: float   # |t({f_e})|^e
     rhs: float   # prod_e |t(f_e)|
 
-    def __bool__(self) -> bool:
-        return self.holds
-
     @staticmethod
     def verdict(mixed: float, singles: list[float]) -> "HatamiCheck":
         """The check from |t({f_e})| and the e magnitudes |t(f_e)|."""
@@ -407,8 +404,7 @@ def triangle_falsifier(
         stack = np.stack([k.array() for k in kernels])
         return _densities(route, g, a, [stack] * e, "conjugate").tolist()
 
-    max_deg = max(g.degree(v) for v in g.vertices)
-    pk = phase_kernel(max(r, max_deg + 1))
+    pk = phase_kernel(max(r, max(g.degrees) + 1))
     phase_route = _route(g, pk.shape, "conjugate", "auto", config)
     values = _triangle(*densities(phase_route, [pk.add(pk.conj()), pk, pk.conj()]), e)
     if values:

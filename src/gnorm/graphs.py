@@ -4,10 +4,12 @@ A graph carries a fixed bipartition (``left``/``right``) and an ordered edge
 list of oriented pairs ``(u, v)`` with ``u`` on the left.  The edge list is the
 canonical index space: a colouring is a 0/1 vector aligned with it, and every
 enumeration in the package reports results in this order.  Vertex i is
-``vertices[i]``, left side first, and the cached ``ends``, ``neighbours`` and
-``edge_at`` are the graph in these indices, for every module that searches
-or contracts over it.  The cached ``elimination_plans`` holds the density
-elimination plans made on the graph, so a reused graph object reuses them.
+``vertices[i]``, left side first, and the cached ``ends``, ``neighbours``,
+``degrees``, ``edge_at`` and ``components`` are the graph in these indices,
+for every module that searches or contracts over it.  Names enter only
+through ``vertex_index`` and leave only through ``vertices``.  The cached
+``elimination_plans`` holds the density elimination plans made on the
+graph, so a reused graph object reuses them.
 """
 
 from __future__ import annotations
@@ -92,6 +94,11 @@ class BipartiteGraph:
         return tuple(tuple(sorted(ns)) for ns in nbr)
 
     @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Each vertex's degree: the package's one source of degrees."""
+        return tuple(map(len, self.neighbours))
+
+    @cached_property
     def edge_at(self) -> dict[tuple[int, int], int]:
         """The index of the edge joining two vertex indices, in either order."""
         at = {}
@@ -105,9 +112,6 @@ class BipartiteGraph:
         is made once per graph object and lives as long as it does."""
         return {}
 
-    def degree(self, v: Vertex) -> int:
-        return len(self.neighbours[self.vertex_index[v]])
-
     @property
     def n_vertices(self) -> int:
         return len(self.left) + len(self.right)
@@ -116,11 +120,10 @@ class BipartiteGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def is_left(self, v: Vertex) -> bool:
-        return self.vertex_index[v] < len(self.left)
-
     @cached_property
-    def components(self) -> tuple[frozenset[Vertex], ...]:
+    def components(self) -> tuple[frozenset[int], ...]:
+        """The vertex indices of each connected component, in the order of
+        their least index."""
         seen: set[int] = set()
         comps = []
         for start in range(self.n_vertices):
@@ -135,7 +138,7 @@ class BipartiteGraph:
                         comp.add(y)
                         queue.append(y)
             seen |= comp
-            comps.append(frozenset(self.vertices[x] for x in comp))
+            comps.append(frozenset(comp))
         return tuple(comps)
 
 
@@ -213,14 +216,13 @@ def star(leaves: int) -> BipartiteGraph:
 
 def is_eulerian(g: BipartiteGraph) -> bool:
     """True iff every vertex has even degree."""
-    return all(g.degree(v) % 2 == 0 for v in g.vertices)
+    return not any(d % 2 for d in g.degrees)
 
 
 def is_biregular(g: BipartiteGraph) -> bool:
     """True iff all left degrees agree and all right degrees agree."""
-    ldeg = {g.degree(v) for v in g.left}
-    rdeg = {g.degree(v) for v in g.right}
-    return len(ldeg) <= 1 and len(rdeg) <= 1
+    nl = len(g.left)
+    return len(set(g.degrees[:nl])) <= 1 and len(set(g.degrees[nl:])) <= 1
 
 
 def girth(g: BipartiteGraph) -> int | float:
@@ -248,38 +250,21 @@ def girth(g: BipartiteGraph) -> int | float:
     return best
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    """Per-vertex in/out splits of a colouring viewed as an orientation.
-
-    Colour 1 directs an edge from its left endpoint to its right endpoint, so
-    on the left d_plus counts colour-1 incidences while on the right it counts
-    colour-0 incidences (arcs leaving the vertex either way).
-    """
-
-    d_plus: dict[Vertex, int]
-    d_minus: dict[Vertex, int]
-
-
-def degree_stats(g: BipartiteGraph, a: EdgeColouring) -> DegreeStats:
+def _arcs_out(g: BipartiteGraph, a: EdgeColouring) -> list[int]:
+    """The arcs out of each vertex, by index, when the colouring orients the
+    edges: colour 1 points left to right, colour 0 right to left.  The arcs
+    into vertex x are ``g.degrees[x]`` minus its arcs out."""
     check_aligned(g, a)
-    d_plus: dict[Vertex, int] = {v: 0 for v in g.vertices}
-    d_minus: dict[Vertex, int] = {v: 0 for v in g.vertices}
-    for i, (u, v) in enumerate(g.edges):
-        if a[i] == 1:
-            d_plus[u] += 1
-            d_minus[v] += 1
-        else:
-            d_minus[u] += 1
-            d_plus[v] += 1
-    return DegreeStats(d_plus, d_minus)
+    out = [0] * g.n_vertices
+    for (x, y), c in zip(g.ends, a):
+        out[x if c else y] += 1
+    return out
 
 
 def is_balanced(g: BipartiteGraph, a: EdgeColouring) -> bool:
-    """True iff every vertex meets equally many edges of each colour: at each
-    vertex d_plus counts one colour and d_minus the other."""
-    stats = degree_stats(g, a)
-    return stats.d_plus == stats.d_minus
+    """True iff every vertex meets equally many edges of each colour, that
+    is, has as many arcs out as in."""
+    return all(2 * d_out == d for d_out, d in zip(_arcs_out(g, a), g.degrees))
 
 
 def iter_balanced_colourings(
@@ -293,7 +278,7 @@ def iter_balanced_colourings(
     if g.n_edges > config.cap_edges:
         raise CapExceeded("balanced-colouring enumeration", g.n_edges, config.cap_edges)
     # the edges still to colour at each vertex: at first, all of them
-    remaining = [len(ns) for ns in g.neighbours]
+    remaining = list(g.degrees)
     if any(d % 2 for d in remaining):
         return
     half = [d // 2 for d in remaining]
@@ -337,7 +322,7 @@ def _balanced_rows(g: BipartiteGraph, config: RunConfig = DEFAULT) -> np.ndarray
 def count_two_edge_matchings(g: BipartiteGraph) -> int:
     """Number of unordered pairs of vertex-disjoint edges: every pair but
     those meeting at a vertex, and two distinct edges meet at one at most."""
-    return comb(g.n_edges, 2) - sum(comb(len(ns), 2) for ns in g.neighbours)
+    return comb(g.n_edges, 2) - sum(comb(d, 2) for d in g.degrees)
 
 
 # -- JSON interchange --------------------------------------------------------

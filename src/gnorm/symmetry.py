@@ -111,13 +111,13 @@ class _Search:
 
         # Initial colours: degree, plus the side tag in the strict mode; refine.
         if side_swap:
-            c1 = [(0, len(adj1[v])) for v in range(n)]
-            c2 = [(0, len(adj2[v])) for v in range(n)]
+            c1 = [(0, d) for d in g1.degrees]
+            c2 = [(0, d) for d in g2.degrees]
         else:
             if nl1 != nl2:
                 return
-            c1 = [(0 if v < nl1 else 1, len(adj1[v])) for v in range(n)]
-            c2 = [(0 if v < nl2 else 1, len(adj2[v])) for v in range(n)]
+            c1 = [(0 if v < nl1 else 1, d) for v, d in enumerate(g1.degrees)]
+            c2 = [(0 if v < nl2 else 1, d) for v, d in enumerate(g2.degrees)]
         order = {s: i for i, s in enumerate(sorted(set(c1) | set(c2)))}
         col1 = _refine(adj1, [order[s] for s in c1])
         col2 = _refine(adj2, [order[s] for s in c2])

@@ -262,7 +262,7 @@ def _row_trig_closed_forms(config: RunConfig) -> dict:
         indicator = np.zeros(1 << e)
         indicator[rows @ (1 << np.arange(e - 1, -1, -1))] = 1.0
         w = _colouring_rows(e, 0, 1 << e).sum(axis=1)
-        phase = phase_kernel(1 + max(map(len, g.neighbours)))
+        phase = phase_kernel(1 + max(g.degrees))
         cases = [("P", phase, indicator)] + [
             (f"k={k}", phase.add(phase.conj()).scale(cmath.exp(2j * math.pi / k)),
              n * np.exp(2j * np.pi * (2 * w - e) / k))

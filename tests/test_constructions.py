@@ -37,7 +37,7 @@ class TestHypercube:
     def test_small_dimensions(self):
         assert isomorphic(hypercube(2), cycle(4))
         q3 = hypercube(3)
-        assert q3.n_edges == 12 and all(q3.degree(v) == 3 for v in q3.vertices)
+        assert q3.n_edges == 12 and q3.degrees == (3,) * 8
         q4 = hypercube(4)
         assert q4.n_edges == 32 and girth(q4) == 4
 
@@ -442,10 +442,10 @@ class TestSetInclusion:
     def test_degrees(self):
         g = set_inclusion_graph(4, 3, 1)
         assert is_biregular(g)
-        assert g.degree(g.left[0]) == 3 and g.degree(g.right[0]) == 3
+        assert g.degrees[0] == 3 and g.degrees[-1] == 3
         g = set_inclusion_graph(6, 3, 2)
-        assert g.degree(g.left[0]) == comb(3, 2)
-        assert g.degree(g.right[0]) == comb(4, 1)
+        assert g.degrees[0] == comb(3, 2)
+        assert g.degrees[-1] == comb(4, 1)
 
     def test_complete_minus_matching(self):
         g = set_inclusion_graph(4, 3, 1)
@@ -458,7 +458,7 @@ class TestSetInclusion:
         assert isomorphic(bipartite_kneser(3, 1), cycle(6))
         h52 = bipartite_kneser(5, 2)
         assert len(h52.left) == len(h52.right) == 10
-        assert all(h52.degree(v) == 3 for v in h52.vertices)
+        assert h52.degrees == (3,) * 20
         with pytest.raises(InvalidParameter):
             bipartite_kneser(4, 2)
 

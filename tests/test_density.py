@@ -262,13 +262,12 @@ class TestColouringScans:
 
 def loop_s_max(g, f, mode, method="auto", config=RunConfig()):
     """The per-colouring loop the sweep replaced: one t_density call per
-    colouring in product order, keeping the first strict maximum."""
-    best, best_col = None, None
-    for bits in product((0, 1), repeat=g.n_edges):
-        val = abs(t_density(g, EdgeColouring(bits), f, mode, method, config))
-        if best is None or val > best:
-            best, best_col = val, EdgeColouring(bits)
-    return best, best_col
+    colouring in product order, and the largest |t| with the first colouring
+    within 1e-12 (relative) of it, so last-bit rounding picks no other."""
+    cols = [EdgeColouring(bits) for bits in product((0, 1), repeat=g.n_edges)]
+    vals = [abs(t_density(g, a, f, mode, method, config)) for a in cols]
+    best = max(vals)
+    return best, next(a for a, v in zip(cols, vals) if v >= best * (1 - 1e-12))
 
 
 def loop_rho_2m(g, f, m, mode, method="auto"):
@@ -355,24 +354,20 @@ class TestSweep:
         ("R0", random_bipartite(0), 3),
         ("R17", random_bipartite(17), 3),
     ])
-    def test_density_shapes_match_the_loop(self, name, g, p):
+    def test_density_shapes_match_the_loop(self, name, g, p, monkeypatch):
+        # values that a symmetry ties exactly (24 colourings of R0 at seed 0)
+        # round differently along different plans; the maximiser does not
         for seed in range(3):
             rng = random.Random(f"{name}:{seed}")
             f = rand_kernel(rng, p, p)
             res = s_max(g, f)
             best, best_col = loop_s_max(g, f, "conjugate")
             assert res.value == pytest.approx(best, rel=1e-12)
-            assert res.row == int(np.argmax(np.abs(sweep_values(g, f, "conjugate", "auto"))))
-            if (name, seed) != ("R0", 0):
-                assert res.argmax == best_col
-                continue
-            # a symmetry of R0 ties 24 colourings, which the sweep and the
-            # loop round differently: each takes the first of its own
-            # maximum, a maximiser of the other up to rounding
-            loop = [abs(t_density(g, EdgeColouring(bits), f))
-                    for bits in product((0, 1), repeat=g.n_edges)]
-            near = [r for r, v in enumerate(loop) if v >= best * (1 - 1e-12)]
-            assert len(near) == 24 and res.row in near and res.argmax != best_col
+            assert res.argmax == best_col
+            with monkeypatch.context() as m:
+                m.setattr(density, "_elimination_order",
+                          lambda scopes, n, fewest_edges=False: ref_elimination_order(scopes, n))
+                assert s_max(fresh(g), f).row == res.row
         h = StepKernel(
             [[rng.uniform(-1, 1) for _ in range(p)] for _ in range(p)])
         assert rho_2m(g, h, 2, "transpose") == \
@@ -838,7 +833,7 @@ class TestTrigDensity:
         """P = phase_kernel(p) with p one above the largest degree, and
         c*(P + conj P) for c = exp(2*pi*i/k): the step-kernel versions of
         exp(2*pi*i*(x+y)) and 2*c*cos(2*pi*(x+y))."""
-        phase = phase_kernel(1 + max(map(len, g.neighbours)))
+        phase = phase_kernel(1 + max(g.degrees))
         return phase, phase.add(phase.conj()).scale(cmath.exp(2j * math.pi / k))
 
     def test_h0_balance_indicator(self):

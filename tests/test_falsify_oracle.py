@@ -162,8 +162,7 @@ def ref_triangle_falsifier(g, a, seed, trials=10_000, resolution=2, config=DEFAU
                                    {"t_cf": tcf, "expected": expected, "t_f": tf})
         return None
 
-    max_deg = max(g.degree(v) for v in g.vertices)
-    structured_p = max(resolution, max_deg + 1)
+    structured_p = max(resolution, max(g.degrees) + 1)
 
     for t in range(trials):
         if t == 0:

@@ -15,13 +15,13 @@ from gnorm.config import RunConfig
 from gnorm.graphs import (
     BipartiteGraph,
     EdgeColouring,
+    _arcs_out,
     _balanced_rows,
     _colouring_rows,
     check_aligned,
     colouring_from_json,
     complete_bipartite,
     count_two_edge_matchings,
-    degree_stats,
     girth,
     graph_from_json,
     graph_to_json,
@@ -111,22 +111,31 @@ class TestPredicates:
             assert gv == inf or gv % 2 == 0
 
 
-class TestDegreeStats:
+class TestArcsOut:
     def test_alternating_cycle(self, c4, alt4):
-        stats = degree_stats(c4, alt4)
-        assert all(stats.d_plus[v] == 1 and stats.d_minus[v] == 1 for v in c4.vertices)
+        assert _arcs_out(c4, alt4) == [1, 1, 1, 1]
+        assert c4.degrees == (2, 2, 2, 2)
 
     def test_monochromatic_cycle(self, c4, mono4):
-        stats = degree_stats(c4, mono4)
-        for v in c4.left:
-            assert stats.d_plus[v] == 2 and stats.d_minus[v] == 0
-        for v in c4.right:
-            assert stats.d_plus[v] == 0 and stats.d_minus[v] == 2
+        # colour 1 points left to right: the left side's arcs all leave it
+        assert _arcs_out(c4, mono4) == [2, 2, 0, 0]
 
     def test_single_edge(self):
         g = BipartiteGraph(("a",), ("b",), (("a", "b"),))
-        stats = degree_stats(g, EdgeColouring((1,)))
-        assert (stats.d_plus, stats.d_minus) == ({"a": 1, "b": 0}, {"a": 0, "b": 1})
+        assert _arcs_out(g, EdgeColouring((1,))) == [1, 0]
+        assert _arcs_out(g, EdgeColouring((0,))) == [0, 1]
+
+    def test_alignment(self, c4):
+        with pytest.raises(ValueError):
+            _arcs_out(c4, EdgeColouring((1, 0)))
+
+    def test_against_the_name_keyed_counts(self):
+        rng = random.Random("arcs out")
+        for g in index_form_cases():
+            for _ in range(3):
+                a = EdgeColouring(tuple(rng.randrange(2) for _ in range(g.n_edges)))
+                arcs = name_arcs_out(g, a)
+                assert _arcs_out(g, a) == [arcs[v] for v in g.vertices]
 
     @given(mask=st.integers(1, 2 ** 9 - 1), bits=st.integers(0, 2 ** 9 - 1))
     def test_split_identity(self, mask, bits):
@@ -135,10 +144,9 @@ class TestDegreeStats:
         if g is None:
             return
         colours = EdgeColouring(tuple(bits >> i & 1 for i in range(g.n_edges)))
-        stats = degree_stats(g, colours)
-        for v in g.vertices:
-            dp, dm = stats.d_plus[v], stats.d_minus[v]
-            assert comb(g.degree(v), 2) == comb(dp, 2) + comb(dm, 2) + dp * dm
+        for d_out, d in zip(_arcs_out(g, colours), g.degrees):
+            d_in = d - d_out
+            assert comb(d, 2) == comb(d_out, 2) + comb(d_in, 2) + d_out * d_in
 
     @given(mask=st.integers(1, 2 ** 9 - 1), bits=st.integers(0, 2 ** 9 - 1))
     def test_mixed_vertex_detection(self, mask, bits):
@@ -146,10 +154,10 @@ class TestDegreeStats:
         if g is None:
             return
         colours = EdgeColouring(tuple(bits >> i & 1 for i in range(g.n_edges)))
-        stats = degree_stats(g, colours)
         inc = name_incident_edges(g)
         mixed = any({colours[i] for i in inc[v]} == {0, 1} for v in g.vertices)
-        assert any(stats.d_plus[v] * stats.d_minus[v] for v in g.vertices) == mixed
+        splits = zip(_arcs_out(g, colours), g.degrees)
+        assert any(d_out * (d - d_out) for d_out, d in splits) == mixed
 
 
 def _even_subgraphs(m: int, n: int, count: int, rng: random.Random) -> list[BipartiteGraph]:
@@ -177,7 +185,7 @@ def euler_alternation(g: BipartiteGraph) -> tuple[int, ...]:
     used = [False] * g.n_edges
     inc = name_incident_edges(g)
     for comp in g.components:
-        start = min(comp, key=g.vertex_index.get)
+        start = g.vertices[min(comp)]
         stack, circuit = [(start, None)], []
         while stack:
             v, via = stack[-1]
@@ -262,11 +270,13 @@ class TestBalanced:
 
     def test_every_colouring_of_every_k33_subgraph_against_the_counts(self):
         # balanced means that each vertex meets as many edges of colour 1 as
-        # of colour 0: counted here edge by edge, 3^9 colourings in all
+        # of colour 0: counted here edge by edge, 3^9 colourings in all, and
+        # the balanced ones are exactly the enumerator's rows
         for mask in range(1, 2 ** 9):
             g = small_bipartite(mask)
             if g is None:
                 continue
+            rows = {tuple(r) for r in _balanced_rows(g).tolist()}
             for bits in product((0, 1), repeat=g.n_edges):
                 count = {v: 0 for v in g.vertices}
                 for (u, v), c in zip(g.edges, bits):
@@ -274,6 +284,7 @@ class TestBalanced:
                     count[v] += 1 if c else -1
                 want = not any(count.values())
                 assert is_balanced(g, EdgeColouring(bits)) == want, (mask, bits)
+                assert (bits in rows) == want, (mask, bits)
 
     @given(mask=st.integers(1, 2 ** 9 - 1), bits=st.integers(0, 2 ** 9 - 1))
     def test_conjugation_preserves_balance(self, mask, bits):
@@ -387,6 +398,24 @@ def name_incident_edges(g: BipartiteGraph) -> dict:
     return {v: tuple(ix) for v, ix in inc.items()}
 
 
+def name_degrees(g: BipartiteGraph) -> dict:
+    """Each vertex's degree by name, counted over the edge list."""
+    deg = {v: 0 for v in g.vertices}
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def name_arcs_out(g: BipartiteGraph, a: EdgeColouring) -> dict:
+    """The arcs out of each vertex by name, as first defined: colour 1
+    directs an edge from its left end to its right end, colour 0 back."""
+    out = {v: 0 for v in g.vertices}
+    for (u, v), c in zip(g.edges, a):
+        out[u if c == 1 else v] += 1
+    return out
+
+
 def name_girth(g: BipartiteGraph) -> int | float:
     """The girth as first defined: per edge, a breadth-first search over the
     name-keyed incident edges with that edge deleted."""
@@ -435,9 +464,36 @@ def index_form_cases() -> list[BipartiteGraph]:
                      (hypercube(4), complete_bipartite(4, 4), subdivided_complete(5))]
 
 
+def _is_neighbours(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "neighbours"
+
+
+def _counts_degrees(node: ast.AST) -> bool:
+    """``len(x.neighbours[...])``, ``map(len, x.neighbours)``, or a
+    comprehension over ``x.neighbours`` that takes ``len`` of its target."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id == "len" and len(node.args) == 1:
+            arg = node.args[0]
+            return isinstance(arg, ast.Subscript) and _is_neighbours(arg.value)
+        if node.func.id == "map" and len(node.args) == 2:
+            fn, seq = node.args
+            return isinstance(fn, ast.Name) and fn.id == "len" and _is_neighbours(seq)
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        targets = {gen.target.id for gen in node.generators
+                   if _is_neighbours(gen.iter) and isinstance(gen.target, ast.Name)}
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == "len" and len(n.args) == 1
+                   and isinstance(n.args[0], ast.Name) and n.args[0].id in targets
+                   for n in ast.walk(node))
+    return False
+
+
 def vertex_index_readers(sources: dict[str, str]) -> list[str]:
     """``module.function`` (``module.<module>`` at the top level) for each
-    read of ``vertex_index`` outside ``graphs``, by its innermost function."""
+    read of ``vertex_index`` outside ``graphs``, and for each degree counted
+    there from ``neighbours`` instead of read from ``degrees``, by its
+    innermost function.  A degree count through a local alias of
+    ``neighbours`` (``adj = g.neighbours; len(adj[x])``) escapes it."""
     found = []
     for module, src in sources.items():
         if module == "graphs":
@@ -446,7 +502,8 @@ def vertex_index_readers(sources: dict[str, str]) -> list[str]:
         # definitions() yields an outer function before those nested in it
         owner = {id(n): name for name, node in definitions(tree) for n in ast.walk(node)}
         found += [f"{module}.{owner.get(id(n), '<module>')}" for n in ast.walk(tree)
-                  if isinstance(n, ast.Attribute) and n.attr == "vertex_index"]
+                  if isinstance(n, ast.Attribute) and n.attr == "vertex_index"
+                  or _counts_degrees(n)]
     return found
 
 
@@ -462,12 +519,16 @@ class TestIndexForm:
             assert len(g.edge_at) == 2 * g.n_edges
             assert all(g.edge_at[x, y] == g.edge_at[y, x] == i
                        for i, (x, y) in enumerate(g.ends))
-            assert {v: g.degree(v) for v in g.vertices} == \
-                {v: len(ix) for v, ix in name_incident_edges(g).items()}
+            deg = name_degrees(g)
+            assert g.degrees == tuple(deg[v] for v in g.vertices)
+            assert deg == {v: len(ix) for v, ix in name_incident_edges(g).items()}
             assert girth(g) == name_girth(g)
-            assert g.components == name_components(g)
+            assert all(isinstance(x, int) for comp in g.components for x in comp)
+            assert tuple(frozenset(g.vertices[x] for x in comp)
+                         for comp in g.components) == name_components(g)
             # computed once per graph object
             assert g.ends is g.ends and g.neighbours is g.neighbours
+            assert g.degrees is g.degrees and g.components is g.components
 
     def test_no_module_but_graphs_rebuilds_vertex_numbering(self):
         assert vertex_index_readers(package_sources()) == []
@@ -482,3 +543,17 @@ def outer(g):
 """
         assert vertex_index_readers({"graphs": sample, "m": sample}) == [
             "m.<module>", "m.outer.<locals>.inner"]
+
+    def test_the_audit_finds_degrees_counted_from_neighbours(self):
+        sample = """
+top = max(map(len, g.neighbours))
+def entry(g, x):
+    return len(g.neighbours[x])
+def comprehension(g):
+    return [len(ns) for ns in g.neighbours]
+def fine(g, x):
+    adj = g.neighbours
+    return g.degrees[x], len(g.neighbours), len(adj[x]), sum(map(len, g.ends))
+"""
+        assert vertex_index_readers({"graphs": sample, "m": sample}) == [
+            "m.<module>", "m.entry", "m.comprehension"]

@@ -29,4 +29,4 @@ def test_library_example_values():
         shown = repr(eval(code, namespace))
         assert comment == shown or comment.startswith(shown + ", "), (code, shown)
         checked += 1
-    assert checked == 3
+    assert checked == 4

@@ -50,7 +50,7 @@ def brute_automorphism_count(g: BipartiteGraph, side_preserving: bool = False) -
     for perm in permutations(verts):
         phi = dict(zip(verts, perm))
         if side_preserving and any(
-            g.is_left(v) != g.is_left(phi[v]) for v in verts
+            (v in g.left) != (phi[v] in g.left) for v in verts
         ):
             continue
         if {frozenset((phi[u], phi[v])) for u, v in g.edges} == edge_set:
@@ -283,7 +283,7 @@ def _random_k34_subgraphs(count: int, seed: int, even: bool = False) -> list[Bip
     graphs: list[BipartiteGraph] = []
     while len(graphs) < count:
         g = small_bipartite(rng.randrange(1, 2 ** 12), 3, 4)
-        if g is not None and not (even and any(g.degree(v) % 2 for v in g.vertices)):
+        if g is not None and not (even and any(d % 2 for d in g.degrees)):
             graphs.append(g)
     return graphs
 
@@ -443,7 +443,7 @@ class TestAutomorphismFuzz:
             out = set()
             for p in permutations(g2.vertices):
                 phi = dict(zip(g1.vertices, p))
-                if not swap and any(g1.is_left(v) != g2.is_left(phi[v])
+                if not swap and any((v in g1.left) != (phi[v] in g2.left)
                                     for v in g1.vertices):
                     continue
                 if {frozenset((phi[u], phi[v])) for u, v in g1.edges} == e2:
