@@ -16,7 +16,7 @@ elimination plan is made once per graph object, grid and sweep budget and
 kept on the graph (``BipartiteGraph.elimination_plans``), so reusing a graph
 object reuses its plans; the caps are checked on every call.  Both
 routes take edge factors with leading batch axes, and ``_means`` is the one
-division by the assignment count.  ``s_max`` and ``rho_2m`` sweep all 2^e
+division by the assignment count.  ``s_max`` and ``rho_2m`` sweep the 2^e
 colourings: they plan the route once and stack the two tables of the kernel
 (colour 0 and colour 1).  On the elimination route the last k edges take
 the stack whole, so their colours are einsum axes and a step is computed
@@ -27,6 +27,10 @@ significant (``graphs._colouring_rows``), contracted in chunks sized by
 bit for bit.  The falsifiers contract chunks of trials the same way
 (k = 0), through ``_route``, ``_chunks`` and ``_densities``, and
 ``t_decoration`` and ``t_density`` are one-row calls of ``_densities``.
+A sweep skips what symmetry gives for free: conjugate-mode ``s_max``
+contracts only the colourings whose first edge has colour 0, since a
+colouring and its complement give conjugate values, and a real kernel's
+tables, so every step of its sweep, are float64.
 """
 
 from __future__ import annotations
@@ -173,11 +177,12 @@ def _evaluate(route: _Route, g: BipartiteGraph, factors: list[np.ndarray]) -> np
 
 
 def _evaluate_direct(g, factors, dims) -> np.ndarray:
-    """Sum the full product tensor over every grid assignment."""
+    """Sum the full product tensor over every grid assignment, in the
+    factors' dtype."""
     batch = factors[0].shape[:-2]
     k = len(batch)
     ones = [*batch] + [1] * g.n_vertices
-    arr = np.ones((*batch, *dims), dtype=np.complex128)
+    arr = np.ones((*batch, *dims), dtype=factors[0].dtype)
     # an edge's left end comes before its right end, as its factor's axes do
     for fac, (x, y) in zip(factors, g.ends):
         shape = ones.copy()
@@ -427,10 +432,16 @@ def _sweep(
     method: str,
     config: RunConfig,
     stage: str,
+    first_half: bool = False,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """t_a(f) for every colouring a, as (index of the first row, values)
     chunks in product order: row r is the colouring whose colours, first
-    edge most significant, spell r in binary.
+    edge most significant, spell r in binary.  With ``first_half`` only the
+    rows below 2^(e-1), the colourings whose first edge has colour 0, are
+    contracted: the first edge's open factor is its colour-0 table alone
+    when every edge is open, and otherwise the first half of the leading
+    rows is chunked, at the same chunk boundaries.  Either way each value
+    is the one the whole sweep gives, bit for bit.
 
     Every cap is raised before the first chunk is contracted, the
     colourings cap first, before ``_route`` reads the mode.  An
@@ -439,7 +450,9 @@ def _sweep(
     prefix, and a step is computed once for all the colourings that agree on
     the edges it has absorbed.  The chunks of prefixes come from ``_chunks``;
     the leading edges index the stacked (colour 0, colour 1) tables of f, and
-    the open edges take the stack whole.
+    the open edges take the stack whole.  The tables of a real kernel are
+    float64, and so is every step; its sums become complex128 before
+    ``_means``.
     """
     m = g.n_edges
     if m > config.cap_colourings:
@@ -448,15 +461,22 @@ def _sweep(
     if m == 0:
         yield 0, np.ones(1, dtype=np.complex128)
         return
-    arr = f.array()
+    arr = f.array().real if f.is_real else f.array()
     tables = np.stack((_colour_table(arr, 0, mode), arr))
     k = route.open_edges
-    for chunk in _chunks(0, 1 << (m - k), route, 1):
+    open_factors = [tables] * k
+    rows = 1 << (m - k)
+    if first_half and k == m:
+        open_factors[0] = tables[:1]
+    elif first_half:
+        rows >>= 1
+    for chunk in _chunks(0, rows, route, 1):
         # one contiguous intp index row per leading edge, which numpy gathers
         # with no cast; the factors stay a temporary, freed before the yield
         bits = _colouring_rows(m - k, chunk.start, chunk.stop).T.astype(np.intp)
-        sums = _evaluate(route, g, [tables[b] for b in bits] + [tables] * k)
-        yield chunk.start << k, _means(route, sums.reshape(-1))
+        sums = _evaluate(route, g, [tables[b] for b in bits] + open_factors)
+        sums = sums.reshape(-1).astype(np.complex128, copy=False)
+        yield chunk.start << k, _means(route, sums)
 
 
 @dataclass(frozen=True, slots=True)
@@ -487,17 +507,24 @@ def s_max(
     maximiser.  Conjugate mode realises the complex-side envelope, transpose
     mode the orientation envelope.
 
-    All 2^e colourings are swept in product order (first edge most
-    significant), in chunks of rows sized by ``_SWEEP_BUDGET``.  Values that
-    agree to ``_TIE_RTOL`` (relative) tie, since the elimination plan moves
-    their last bits: a chunk replaces the kept maximiser only when its
+    The colourings are swept in product order (first edge most
+    significant), in chunks of rows sized by ``_SWEEP_BUDGET``.  Transpose
+    mode sweeps all 2^e.  Conjugate mode sweeps only the 2^(e-1) whose first
+    edge has colour 0: the complement of a colouring conjugates every
+    edge's table, so its value is exactly the conjugate of t_a(f), with the
+    same |t|, and the complement of a skipped colouring is swept and comes
+    earlier in product order.  So the skipped half holds no larger value
+    and no earlier tie, and cannot move the maximiser.  Values that agree
+    to ``_TIE_RTOL`` (relative) tie, since the elimination plan moves their
+    last bits: a chunk replaces the kept maximiser only when its
     largest magnitude exceeds the kept one by more than ``_TIE_RTOL``, and
     then with its first row within ``_TIE_RTOL`` of that largest.  So ties
     go to the earliest colouring in product order, the lexicographically
     least, whatever the plan, and ``value`` is that colouring's own |t_a|.
     """
     best, best_row = -1.0, 0
-    for start, vals in _sweep(g, f, mode, method, config, "colouring maximisation"):
+    for start, vals in _sweep(g, f, mode, method, config, "colouring maximisation",
+                              first_half=mode == "conjugate"):
         mags = np.abs(vals)
         top = float(mags.max())
         if top > best * (1 + _TIE_RTOL):
@@ -518,9 +545,13 @@ def rho_2m(
 
     The sum is real: conjugate colourings contribute conjugate values in the
     conjugate mode, and transpose mode is meant for real kernels.  All 2^e
-    colourings are swept in product order, in chunks of rows sized by
-    ``_SWEEP_BUDGET``, keeping a running power sum and the largest
-    |t_a|^(2m), the scale of the check that the sum is real.
+    colourings are swept in both modes, in product order, in chunks of rows
+    sized by ``_SWEEP_BUDGET``, keeping a running power sum and the largest
+    |t_a|^(2m), the scale of the check that the sum is real.  No half is
+    skipped: transpose mode pairs no colourings, and in conjugate mode that
+    check reads the imaginary parts the pairs cancel.  A real kernel's sweep
+    runs in float64, so its sum agrees with a complex128 sweep's to 1e-12
+    relative, not bit for bit.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")

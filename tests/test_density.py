@@ -68,6 +68,10 @@ def rand_kernel(rng, p, q):
     ))
 
 
+def rand_real_kernel(rng, p, q):
+    return StepKernel([[rng.uniform(-1, 1) for _ in range(q)] for _ in range(p)])
+
+
 class TestPinnedValues:
     def test_constant_one(self, c4, alt4):
         assert t_density(c4, alt4, StepKernel.constant(1.0)) == 1
@@ -434,6 +438,127 @@ class TestSweep:
         assert res.value == pytest.approx(best, rel=1e-12)
         assert abs(t_density(q3, res.argmax.conjugate(), f)) == \
             pytest.approx(res.value, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_conjugate_half_against_the_whole_sweep(self, name, real, monkeypatch):
+        # at every split, from every colouring a leading row (k = 0, the
+        # first half of the rows chunked) to one row of all (k = e, edge 0's
+        # colour axis of size 1): the half sweep is the whole sweep's first
+        # half bit for bit, at the whole sweep's chunk boundaries, and s_max
+        # names the whole sweep's first colouring within _TIE_RTOL of its
+        # largest |t|, with that colouring's own |t|
+        g = SWEEP_GRAPHS[name]
+        half = 1 << (g.n_edges - 1)
+        rng = random.Random(f"{name}:{real}:half")
+        f = (rand_real_kernel if real else rand_kernel)(rng, 2, 3)
+        splits = split_budgets(g, f.shape, "conjugate")
+        assert min(splits) == 0 and max(splits) == g.n_edges
+        for k, budget in sorted(splits.items()):
+            monkeypatch.setattr(density, "_SWEEP_BUDGET", budget)
+            whole = list(density._sweep(g, f, "conjugate", "eliminate", RunConfig(), "whole"))
+            part = list(density._sweep(g, f, "conjugate", "eliminate", RunConfig(), "half",
+                                       first_half=True))
+            assert [s for s, _ in part] == [s for s, _ in whole if s < half]
+            got = np.concatenate([v for _, v in part])
+            vals = np.concatenate([v for _, v in whole])
+            assert got.dtype == vals.dtype == np.complex128
+            assert np.array_equal(got, vals[:half])
+            mags = np.abs(vals)
+            row = int(np.argmax(mags >= mags.max() * (1 - density._TIE_RTOL)))
+            res = s_max(g, f, "conjugate", "eliminate")
+            assert (res.value, res.row) == (float(mags[row]), row)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GRAPHS))
+    @pytest.mark.parametrize("mode", ["conjugate", "transpose"])
+    @pytest.mark.parametrize("method", ["direct", "eliminate"])
+    def test_a_real_kernel_sweeps_in_float64(self, name, mode, method, monkeypatch):
+        # every factor, every einsum step and every sum of a real kernel's
+        # sweep is float64.  Its values match the complex128 sweep of the same
+        # kernel and t_density's complex128 evaluation of each colouring to
+        # 1e-12 relative to that colouring's condition scale t_a(|f|), the
+        # mean of |product| over the assignments, which bounds |t_a(f)|.
+        # Near cancellation the value itself is no scale: R48 in transpose
+        # mode has a t_a of -8.9e-10 against a largest 4.7e-4, where the
+        # complex128 routes differ from each other, and t_density from the
+        # exact value, by 1e-11 relative
+        g = SWEEP_GRAPHS[name]
+        f = rand_real_kernel(random.Random(f"{name}:{mode}:real"),
+                             2, 3 if mode == "conjugate" else 2)
+        want = [t_density(g, EdgeColouring(bits), f, mode, "eliminate")
+                for bits in product((0, 1), repeat=g.n_edges)]
+        scale = sweep_values(g, StepKernel(np.abs(f.array())), mode, method).real
+        with monkeypatch.context() as m:
+            m.setattr(StepKernel, "is_real", property(lambda self: False))
+            wide = sweep_values(g, f, mode, method)
+        dtypes = set()
+        evaluate, einsum = density._evaluate, np.einsum
+
+        def evaluate_spy(route, g, factors):
+            dtypes.update(fac.dtype for fac in factors)
+            out = evaluate(route, g, factors)
+            dtypes.add(out.dtype)
+            return out
+
+        def einsum_spy(*args):
+            out = einsum(*args)
+            dtypes.add(out.dtype)
+            return out
+
+        monkeypatch.setattr(density, "_evaluate", evaluate_spy)
+        monkeypatch.setattr(np, "einsum", einsum_spy)
+        got = sweep_values(g, f, mode, method)
+        assert dtypes == {np.dtype(np.float64)}
+        assert got.dtype == np.complex128
+        assert np.all(np.abs(got - wide) <= 1e-12 * scale)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+class TestSweepWork:
+    """How many colourings a sweep contracts, counted by a spy on
+    ``density._evaluate``: a batch row is one colouring prefix, and each open
+    edge's factor multiplies the row by its colour axis (2, or 1 for edge
+    0's colour-0 table alone)."""
+
+    @staticmethod
+    def _contracted(monkeypatch, fn, *args):
+        counts = []
+        evaluate = density._evaluate
+
+        def spy(route, g, factors):
+            e, k = g.n_edges, route.open_edges
+            rows = factors[0].shape[0] if k < e else 1
+            counts.append(rows * math.prod(fac.shape[0] for fac in factors[e - k:]))
+            return evaluate(route, g, factors)
+
+        with monkeypatch.context() as m:
+            m.setattr(density, "_evaluate", spy)
+            fn(*args)
+        return sum(counts), len(counts)
+
+    @pytest.mark.parametrize("name, g, p, budget", [
+        ("C8", cycle(8), 3, None),
+        ("K24", complete_bipartite(2, 4), 5, None),
+        ("Q3", hypercube(3), 3, 1 << 10),
+    ])
+    def test_conjugate_s_max_contracts_half(self, name, g, p, budget, monkeypatch):
+        # C8 and K_{2,4} open every edge at the default budget; Q3 at 1 << 10
+        # keeps leading rows, in more than one chunk
+        if budget is not None:
+            monkeypatch.setattr(density, "_SWEEP_BUDGET", budget)
+        e = g.n_edges
+        rng = random.Random(f"{name}:work")
+        f, h = rand_kernel(rng, p, p), rand_real_kernel(rng, p, p)
+        k = density._route(g, f.shape, "conjugate", "eliminate", RunConfig(),
+                           density._SWEEP_BUDGET).open_edges
+        assert (k == e) == (budget is None)
+        total, calls = self._contracted(monkeypatch, s_max, g, f, "conjugate", "eliminate")
+        assert total == 1 << (e - 1)
+        assert (calls == 1) if k == e else (calls > 1)
+        assert self._contracted(monkeypatch, s_max, g, f, "transpose", "eliminate")[0] == 1 << e
+        for mode, kernel in [("conjugate", f), ("transpose", h)]:
+            assert self._contracted(monkeypatch, rho_2m, g, kernel, 2, mode, "eliminate")[0] \
+                == 1 << e
 
 
 class TestSweepCaps:
