@@ -30,7 +30,6 @@ from .symmetry import (
     isomorphic,
 )
 from .cycles import (
-    CycleSet,
     FourCycleProfile,
     classify_4cycles,
     enumerate_cycles,

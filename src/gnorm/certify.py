@@ -185,9 +185,8 @@ def _counting_refs(
     colourings.
     """
     gv = int(girth(g))
-    girth_cycles = np.array(enumerate_cycles(g, gv, config).edge_cycles, dtype=np.intp)
-    four_cycles = (girth_cycles if gv == 4 else
-                   np.array(enumerate_cycles(g, 4, config).edge_cycles, dtype=np.intp))
+    girth_cycles = enumerate_cycles(g, gv, config)
+    four_cycles = girth_cycles if gv == 4 else enumerate_cycles(g, 4, config)
     profiles = girth_counts, four_counts = _profiles(balanced, girth_cycles, four_cycles)
     kv, pv = girth_counts[:, 0], _pattern_scores(four_counts)
     k, p = int(np.argmax(kv)), int(np.argmax(pv))
@@ -573,7 +572,7 @@ def _certify_hypercube(d: int, config: RunConfig) -> Certificate:
 
 
 def _hypercube_profiles(d: int, config: RunConfig) -> dict:
-    cycles = enumerate_cycles(hypercube(d), 4, config).edge_cycles
+    cycles = enumerate_cycles(hypercube(d), 4, config)
     out = {}
     for name, colouring in (("alpha", hypercube_alpha(d)), ("beta", hypercube_beta(d))):
         out[name] = _profile(colouring.colours, cycles).to_json()

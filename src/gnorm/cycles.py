@@ -1,7 +1,9 @@
 """Cycle enumeration and colour-pattern analysis.
 
 Simple cycles of a fixed even length are enumerated exactly, deduplicated up
-to rotation and reflection by anchoring each cycle at its smallest vertex.
+to rotation and reflection by anchoring each cycle at its smallest vertex,
+and returned in one form: a ``(cycles x length)`` intp matrix of edge
+indices, one cycle per row, which every reader scores as it is.
 On top of that sit the alternating-cycle counts kappa_l, the four colour
 classes of even cycles as array passes over a colourings matrix (class 4 on
 a girth cycle is a girth-law violation), and the GF(2) test that the 4-cycles
@@ -17,20 +19,6 @@ import numpy as np
 from .config import DEFAULT, RunConfig
 from .errors import CapExceeded
 from .graphs import BipartiteGraph, EdgeColouring, check_aligned
-
-
-@dataclass(frozen=True)
-class CycleSet:
-    """Simple cycles of one fixed length: ``edge_cycles`` lists each cycle's
-    edge indices in cyclic order, starting at the edge from its anchor (its
-    smallest vertex index) to the smaller of the anchor's two neighbours on
-    the cycle."""
-
-    length: int
-    edge_cycles: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.edge_cycles)
 
 
 @dataclass(frozen=True)
@@ -54,9 +42,13 @@ class FourCycleProfile:
 
 def enumerate_cycles(
     g: BipartiteGraph, length: int, config: RunConfig = DEFAULT
-) -> CycleSet:
-    """All simple cycles of exactly the given even length, in canonical order.
+) -> np.ndarray:
+    """All simple cycles of exactly the given even length, in canonical order,
+    as a C-contiguous ``(cycles x length)`` intp matrix of edge indices.
 
+    Row i lists cycle i's edges in cyclic order, starting at the edge from
+    its anchor (its smallest vertex index) to the smaller of the anchor's two
+    neighbours on the cycle; with no cycle the shape is ``(0, length)``.
     DFS from each anchor vertex visits only larger-indexed vertices, and the
     direction is fixed by requiring the second vertex to precede the last.
     """
@@ -93,17 +85,18 @@ def enumerate_cycles(
                 on_path[path[depth - 1]] = False
                 stack.pop()
 
-    return CycleSet(length, tuple(
-        tuple(edge_at[cyc[i], cyc[(i + 1) % length]] for i in range(length))
-        for cyc in found))
+    edges = [edge_at[cyc[i], cyc[(i + 1) % length]]
+             for cyc in found for i in range(length)]
+    return np.array(edges, dtype=np.intp).reshape(len(found), length)
 
 
 def _class_counts(matrix: np.ndarray, cycles) -> np.ndarray:
     """``(rows x 4)`` counts of the four cycle classes under each row of an
     int8 colourings matrix.
 
-    ``cycles`` holds the edge indices of equal-length even cycles, one cycle
-    per row.  The classes are 1 alternating, 2 monochromatic, 3 half of each
+    ``cycles`` is ``enumerate_cycles``'s matrix: the edge indices of
+    equal-length even cycles, one cycle per row (``(0, length)`` scores
+    zeros).  The classes are 1 alternating, 2 monochromatic, 3 half of each
     colour but not alternating, 4 anything else.  One pass over the cycle
     positions keeps two ``(rows x cycles)`` counts: ``ones``, the edges of
     colour 1, and ``par``, the positions whose colour matches the pattern
@@ -111,8 +104,6 @@ def _class_counts(matrix: np.ndarray, cycles) -> np.ndarray:
     length.
     """
     cycles = np.asarray(cycles, dtype=np.intp)
-    if cycles.size == 0:
-        return np.zeros((len(matrix), 4), dtype=np.intp)
     n_cycles, length = cycles.shape
     # int8 counts hold every cycle of up to 127 edges
     acc = np.int8 if length <= np.iinfo(np.int8).max else np.int64
@@ -152,14 +143,14 @@ def kappa_alternating(
 ) -> int:
     """Number of colour-alternating cycles of the given length."""
     check_aligned(g, a)
-    return _profile(a.colours, enumerate_cycles(g, length, config).edge_cycles).c1
+    return _profile(a.colours, enumerate_cycles(g, length, config)).c1
 
 
 def classify_4cycles(
     g: BipartiteGraph, a: EdgeColouring, config: RunConfig = DEFAULT
 ) -> FourCycleProfile:
     check_aligned(g, a)
-    return _profile(a.colours, enumerate_cycles(g, 4, config).edge_cycles)
+    return _profile(a.colours, enumerate_cycles(g, 4, config))
 
 
 # -- cycle space ----------------------------------------------------------------
@@ -169,13 +160,13 @@ def four_cycles_generate_cycle_space(
     g: BipartiteGraph, config: RunConfig = DEFAULT
 ) -> bool:
     """GF(2) span of the 4-cycle edge vectors has full cycle-space rank."""
-    cs = enumerate_cycles(g, 4, config)
+    cycles = enumerate_cycles(g, 4, config)
     target = g.n_edges - g.n_vertices + len(g.components)
     if target == 0:
         return True
-    rank = 0
     basis: list[int] = []
-    for cyc in cs.edge_cycles:
+    # Python ints from .tolist(): the bit masks outgrow 64 bits
+    for cyc in cycles.tolist():
         vec = 0
         for i in cyc:
             vec |= 1 << i
@@ -184,8 +175,7 @@ def four_cycles_generate_cycle_space(
         if vec:
             basis.append(vec)
             basis.sort(reverse=True)
-            rank += 1
-            if rank == target:
+            if len(basis) == target:
                 return True
-    return rank == target
+    return False
 

@@ -23,8 +23,10 @@ the stack whole, so their colours are einsum axes and a step is computed
 once for all the colourings that agree on the edges it has absorbed; the
 leading e-k colours are batch rows in product order, first edge most
 significant (``graphs._colouring_rows``), contracted in chunks sized by
-``_chunks``.  The values agree with ``t_density`` to 1e-12 relative, not
-bit for bit.  The falsifiers contract chunks of trials the same way
+``_chunks``.  The values agree with ``t_density``, not bit for bit, but to
+within 1e-12 of t_a(|f|), the mean of |product| over the assignments, which
+bounds |t_a(f)|; near cancellation they do not agree to 1e-12 of t_a(f)
+itself.  The falsifiers contract chunks of trials the same way
 (k = 0), through ``_route``, ``_chunks`` and ``_densities``, and
 ``t_decoration`` and ``t_density`` are one-row calls of ``_densities``.
 A sweep skips what symmetry gives for free: conjugate-mode ``s_max``

@@ -164,9 +164,6 @@ class EdgeColouring:
     def __iter__(self):
         return iter(self.colours)
 
-    def conjugate(self) -> "EdgeColouring":
-        return EdgeColouring(tuple(1 - c for c in self.colours))
-
 
 def check_aligned(g: BipartiteGraph, a: EdgeColouring) -> None:
     if len(a) != g.n_edges:

@@ -126,12 +126,12 @@ def _row_hypercube_identities(config: RunConfig) -> dict:
     q4 = hypercube(4)
     cycles = enumerate_cycles(q4, 4, config)
     ok = len(cycles) == 24
-    pa = _profile(hypercube_alpha(4).colours, cycles.edge_cycles)
-    pb = _profile(hypercube_beta(4).colours, cycles.edge_cycles)
+    pa = _profile(hypercube_alpha(4).colours, cycles)
+    pb = _profile(hypercube_beta(4).colours, cycles)
     ok &= (pa.c1, pa.c2, pa.c3, pa.c4) == (16, 8, 0, 0)
     ok &= (pb.c1, pb.c2, pb.c3, pb.c4) == (8, 0, 16, 0)
     balanced = _balanced_rows(q4, config)
-    c1, c2, c3, c4 = _class_counts(balanced, cycles.edge_cycles).T
+    c1, c2, c3, c4 = _class_counts(balanced, cycles).T
     eligible = c4 == 0
     bad = np.flatnonzero(eligible & ((4 * c1 + 2 * c3 != 64) | (c1 != c2 + 8)))
     if bad.size:

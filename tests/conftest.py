@@ -42,6 +42,11 @@ def k23():
     return complete_bipartite(2, 3)
 
 
+def complement(a: EdgeColouring) -> EdgeColouring:
+    """The colouring with every colour swapped (the conjugate colouring)."""
+    return EdgeColouring(tuple(1 - c for c in a))
+
+
 def small_bipartite(edge_mask: int, m: int = 3, n: int = 3) -> BipartiteGraph | None:
     """Subgraph of K_{m,n} given by an edge bitmask, or None if a chosen
     vertex would be isolated.  Shared generator for property tests."""

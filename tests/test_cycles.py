@@ -38,7 +38,7 @@ from gnorm.constructions import (
     set_inclusion_graph,
 )
 
-from conftest import small_bipartite
+from conftest import complement, disjoint_union, small_bipartite
 
 
 def brute_four_cycles(g: BipartiteGraph) -> int:
@@ -57,14 +57,46 @@ def brute_four_cycles(g: BipartiteGraph) -> int:
     return count
 
 
+def assert_cycle_matrix(cycles, n_cycles: int, length: int) -> None:
+    """The one form of a cycle set: a C-contiguous intp matrix of edge
+    indices, one cycle per row."""
+    assert isinstance(cycles, np.ndarray) and cycles.dtype == np.intp
+    assert cycles.flags.c_contiguous
+    assert cycles.shape == (n_cycles, length)
+
+
+# enumerate_cycles's rows in canonical order, pinned so that any change to
+# the order or to where a row starts shows
+Q4_SQUARES = (
+    (0, 4, 7, 1), (0, 5, 12, 2), (0, 6, 20, 3), (1, 8, 13, 2), (1, 9, 21, 3),
+    (2, 14, 22, 3), (4, 5, 15, 10), (4, 6, 23, 11), (7, 8, 17, 10), (7, 9, 25, 11),
+    (10, 19, 27, 11), (5, 6, 24, 16), (12, 13, 17, 15), (12, 14, 28, 16),
+    (15, 19, 30, 16), (8, 9, 26, 18), (13, 14, 29, 18), (17, 19, 31, 18),
+    (20, 21, 25, 23), (20, 22, 28, 24), (23, 27, 30, 24), (21, 22, 29, 26),
+    (25, 27, 31, 26), (28, 30, 31, 29))
+K44_SQUARES = (
+    (0, 4, 5, 1), (0, 4, 6, 2), (0, 4, 7, 3), (0, 8, 9, 1), (0, 8, 10, 2),
+    (0, 8, 11, 3), (0, 12, 13, 1), (0, 12, 14, 2), (0, 12, 15, 3), (1, 5, 6, 2),
+    (1, 5, 7, 3), (1, 9, 10, 2), (1, 9, 11, 3), (1, 13, 14, 2), (1, 13, 15, 3),
+    (2, 6, 7, 3), (2, 10, 11, 3), (2, 14, 15, 3), (4, 8, 9, 5), (4, 8, 10, 6),
+    (4, 8, 11, 7), (4, 12, 13, 5), (4, 12, 14, 6), (4, 12, 15, 7), (5, 9, 10, 6),
+    (5, 9, 11, 7), (5, 13, 14, 6), (5, 13, 15, 7), (6, 10, 11, 7), (6, 14, 15, 7),
+    (8, 12, 13, 9), (8, 12, 14, 10), (8, 12, 15, 11), (9, 13, 14, 10),
+    (9, 13, 15, 11), (10, 14, 15, 11))
+K33_HEXAGONS = (
+    (0, 3, 4, 7, 8, 2), (0, 3, 5, 8, 7, 1), (0, 6, 7, 4, 5, 2), (0, 6, 8, 5, 4, 1),
+    (1, 4, 3, 6, 8, 2), (1, 7, 6, 3, 5, 2))
+
+
 class TestEnumeration:
     def test_cycle_counts(self, c6):
-        assert len(enumerate_cycles(c6, 6)) == 1
-        assert len(enumerate_cycles(c6, 4)) == 0
+        assert_cycle_matrix(enumerate_cycles(c6, 6), 1, 6)
+        assert_cycle_matrix(enumerate_cycles(c6, 4), 0, 4)
 
     def test_q4_count_and_oracle(self):
         q4 = hypercube(4)
         cycles = enumerate_cycles(q4, 4)
+        assert_cycle_matrix(cycles, 24, 4)
         assert len(cycles) == 24 == brute_four_cycles(q4)
 
     def test_oracle_on_random_subgraphs(self):
@@ -74,15 +106,19 @@ class TestEnumeration:
                 continue
             assert len(enumerate_cycles(g, 4)) == brute_four_cycles(g)
 
-    def test_cycles_are_simple_and_distinct(self):
-        g = hypercube(4)
-        cs = enumerate_cycles(g, 4)
+    @pytest.mark.parametrize("g, length, pinned", [
+        (hypercube(4), 4, Q4_SQUARES), (complete_bipartite(4, 4), 4, K44_SQUARES),
+        (complete_bipartite(3, 3), 6, K33_HEXAGONS)], ids=["Q4-4", "K44-4", "K33-6"])
+    def test_cycles_are_simple_and_distinct(self, g, length, pinned):
+        cycles = enumerate_cycles(g, length)
+        assert_cycle_matrix(cycles, len(pinned), length)
+        assert cycles.tolist() == [list(row) for row in pinned]
         seen = set()
-        for ec in cs.edge_cycles:
-            # consecutive edges share an end, and the four ends are distinct
+        for ec in cycles.tolist():
+            # consecutive edges share an end, and the ends are distinct
             ends = [set(g.edges[i]) for i in ec]
-            assert all(ends[k] & ends[(k + 1) % 4] for k in range(4))
-            assert len(set().union(*ends)) == 4
+            assert all(ends[k] & ends[(k + 1) % length] for k in range(length))
+            assert len(set().union(*ends)) == length
             key = frozenset(ec)
             assert key not in seen
             seen.add(key)
@@ -103,7 +139,7 @@ class TestEnumeration:
         # walk starts at its least vertex, and its second vertex precedes
         # its last
         walks = []
-        for ec in enumerate_cycles(graph, length).edge_cycles:
+        for ec in enumerate_cycles(graph, length):
             ends = [set(graph.ends[i]) for i in ec]
             walk = [(ends[k - 1] & ends[k]).pop() for k in range(length)]
             assert walk[0] == min(walk) and walk[1] < walk[-1]
@@ -125,7 +161,7 @@ class TestEnumeration:
             got = enumerate_cycles(g, 600)
         finally:
             sys.setrecursionlimit(limit)
-        assert got == want and len(want) == 1
+        assert np.array_equal(got, want) and len(want) == 1
 
 
 class TestKappa:
@@ -142,7 +178,7 @@ class TestKappa:
         a = EdgeColouring(tuple(bits >> i & 1 for i in range(8)))
         for length in (4, 6, 8):
             assert kappa_alternating(g, a, length) == \
-                kappa_alternating(g, a.conjugate(), length)
+                kappa_alternating(g, complement(a), length)
 
 
 def oracle_class_counts(matrix: np.ndarray, cycles) -> np.ndarray:
@@ -200,7 +236,7 @@ class TestClassKernelOracle:
         (hypercube(4), 4), (complete_bipartite(4, 4), 4), (complete_bipartite(3, 3), 6),
     ], ids=["Q4-4", "K44-4", "K33-6"])
     def test_short_cycles(self, graph, length):
-        cycles = enumerate_cycles(graph, length).edge_cycles
+        cycles = enumerate_cycles(graph, length)
         matrix = oracle_rows(graph.n_edges, graph.n_edges + length)
         self.assert_matches(matrix, cycles)
         self.assert_matches(matrix[:1], cycles)
@@ -210,7 +246,7 @@ class TestClassKernelOracle:
     # counts hold
     @pytest.mark.parametrize("length", [10, 20, 40, 130])
     def test_girth_cycles(self, length):
-        cycles = enumerate_cycles(cycle(length), length).edge_cycles
+        cycles = enumerate_cycles(cycle(length), length)
         assert len(cycles) == 1
         matrix = oracle_rows(length, length)
         # the last six rows: monochromatic twice, alternating twice, then two
@@ -223,9 +259,9 @@ class TestClassKernelOracle:
         self.assert_matches(matrix, cycles)
         self.assert_matches(matrix[-1:], cycles)
 
-    def test_empty_cycle_list(self):
-        matrix = oracle_rows(16, 0)
-        for cycles in ((), [], np.zeros((0, 4), dtype=np.intp)):
+    def test_empty_cycle_list(self, c6):
+        matrix = oracle_rows(6, 0)
+        for cycles in (enumerate_cycles(c6, 4), np.zeros((0, 6), dtype=np.intp)):
             self.assert_matches(matrix, cycles)
             self.assert_matches(matrix[:1], cycles)
             assert not _class_counts(matrix, cycles).any()
@@ -249,7 +285,7 @@ class TestClassification:
 
     @pytest.mark.parametrize("length", [6, 8])
     def test_classify_cycle_matches_definitions(self, length):
-        cyc = enumerate_cycles(cycle(length), length).edge_cycles[0]
+        cyc = enumerate_cycles(cycle(length), length)[0]
         space = list(product((0, 1), repeat=length))
         classes = classes_one_at_a_time(np.array(space, dtype=np.int8), [cyc])[:, 0]
         for colours, cls in zip(space, classes.tolist()):
@@ -265,7 +301,7 @@ class TestClassification:
     ], ids=["Q4-4", "K44-4", "K33-6"])
     def test_class_kernel_matches_definitions(self, graph, length):
         # the four classes written out edge by edge, on random colourings
-        cycles = enumerate_cycles(graph, length).edge_cycles
+        cycles = enumerate_cycles(graph, length)
         rng = np.random.default_rng(length * graph.n_edges)
         matrix = rng.integers(0, 2, size=(200, graph.n_edges), dtype=np.int8)
         matrix[0], matrix[1] = 0, 1     # the monochromatic colourings
@@ -313,13 +349,13 @@ def _even_edge_sets_of_k44():
 
 class TestMaximizers:
     def test_kappa_girth(self, c6):
-        cycles = enumerate_cycles(c6, 6).edge_cycles
+        cycles = enumerate_cycles(c6, 6)
         kappa = _class_counts(np.array([(1, 0) * 3, (1,) * 6], np.int8), cycles)[:, 0]
         assert kappa.tolist() == [1, 0]
         assert kappa_alternating(c6, EdgeColouring((1, 0, 1, 0, 1, 0)), 6) == 1
 
     def test_pattern_score(self, c4, alt4, mono4):
-        cycles = enumerate_cycles(c4, 4).edge_cycles
+        cycles = enumerate_cycles(c4, 4)
         matrix = np.array([alt4.colours, mono4.colours], np.int8)
         assert _pattern_scores(_class_counts(matrix, cycles)).tolist() == [1, -1]
 
@@ -374,9 +410,9 @@ class TestMaximizers:
             reached += 1
             [(refs, _)] = seen
             every = _colouring_rows(g.n_edges, 0, 1 << g.n_edges)
-            kappa = _class_counts(every, enumerate_cycles(g, girth(g)).edge_cycles)[:, 0]
-            fours = enumerate_cycles(g, 4).edge_cycles
-            pattern = _pattern_scores(_class_counts(every, fours)).max() if fours else None
+            kappa = _class_counts(every, enumerate_cycles(g, girth(g)))[:, 0]
+            fours = enumerate_cycles(g, 4)
+            pattern = _pattern_scores(_class_counts(every, fours)).max() if len(fours) else None
             assert (refs.kappa_max, refs.pattern_max) == (kappa.max(), pattern), g.edges
         assert reached == 246
 
@@ -386,6 +422,16 @@ class TestCycleSpace:
         assert four_cycles_generate_cycle_space(c4)
         assert not four_cycles_generate_cycle_space(c6)
         assert four_cycles_generate_cycle_space(set_inclusion_graph(5, 4, 1))
+
+    def test_edge_indices_past_63(self, c6):
+        # Q6 has 192 edges, so its bit masks outgrow any 64-bit integer; the
+        # C6 after them adds a cycle that no 4-cycle spans
+        q6 = hypercube(6)
+        assert four_cycles_generate_cycle_space(q6)
+        union, _ = disjoint_union([(q6, EdgeColouring((0,) * q6.n_edges)),
+                                   (c6, EdgeColouring((0,) * 6))])
+        assert union.n_edges == 198
+        assert not four_cycles_generate_cycle_space(union)
 
 
 def brute_potential(g: BipartiteGraph, a: EdgeColouring):
@@ -407,7 +453,7 @@ class TestPotential:
         a = EdgeColouring(tuple(bits >> i & 1 for i in range(g.n_edges)))
         cycles4 = enumerate_cycles(g, 4)
         even_on_squares = all(
-            sum(a[i] for i in cyc) % 2 == 0 for cyc in cycles4.edge_cycles
+            sum(a[i] for i in cyc) % 2 == 0 for cyc in cycles4
         )
         present = brute_potential(g, a) is not None
         if present:
@@ -435,6 +481,6 @@ class TestPatternScoreGlobalMax:
         # global bound over all 2^32 colourings of the 4-cube; the
         # half-half colouring attains it
         q4 = hypercube(4)
-        cycles = enumerate_cycles(q4, 4).edge_cycles
+        cycles = enumerate_cycles(q4, 4)
         scores = _pattern_scores(_class_counts(_row(hypercube_beta(4).colours), cycles))
         assert scores.tolist() == [len(cycles)] == [24]

@@ -40,6 +40,7 @@ from gnorm.constructions import (
 
 from conftest import (
     colouring_to_json,
+    complement,
     definitions,
     disjoint_union,
     package_sources,
@@ -292,7 +293,7 @@ class TestBalanced:
         if g is None:
             return
         colours = EdgeColouring(tuple(bits >> i & 1 for i in range(g.n_edges)))
-        assert is_balanced(g, colours) == is_balanced(g, colours.conjugate())
+        assert is_balanced(g, colours) == is_balanced(g, complement(colours))
 
 
 class TestDisjointUnion:
