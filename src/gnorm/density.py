@@ -23,10 +23,14 @@ the stack whole, so their colours are einsum axes and a step is computed
 once for all the colourings that agree on the edges it has absorbed; the
 leading e-k colours are batch rows in product order, first edge most
 significant (``graphs._colouring_rows``), contracted in chunks sized by
-``_chunks``.  The values agree with ``t_density``, not bit for bit, but to
-within 1e-12 of t_a(|f|), the mean of |product| over the assignments, which
-bounds |t_a(f)|; near cancellation they do not agree to 1e-12 of t_a(f)
-itself.  The falsifiers contract chunks of trials the same way
+``_chunks``.  A vertex whose one factor is a step's output is summed by
+that step (``_plan_along``), and steps over open edges alone that share
+their subscripts are one einsum call, since every open edge reads the same
+stack (``_evaluate_eliminate``): C8's sweep at p = 3 makes 4 or 5 calls,
+not 8.  The values agree with ``t_density``, not bit for bit, but to within
+1e-12 of t_a(|f|), the mean of |product| over the assignments, which bounds
+|t_a(f)|; near cancellation they do not agree to 1e-12 of t_a(f) itself.
+The falsifiers contract chunks of trials the same way
 (k = 0), through ``_route``, ``_chunks`` and ``_densities``, and
 ``t_decoration`` and ``t_density`` are one-row calls of ``_densities``.
 A sweep skips what symmetry gives for free: conjugate-mode ``s_max``
@@ -291,15 +295,20 @@ def _elimination_plan(
 def _plan_along(
     g: BipartiteGraph, dims: list[int], budget: int, order: list[int]
 ) -> tuple[_Route | None, tuple[tuple[int, int], ...], float]:
-    """Einsum steps eliminating the vertices in ``order``, each step's
+    """Einsum steps eliminating the vertices in ``order``, each vertex's
     (width, scope size), and the step entries of a whole sweep: the sum over
-    the steps of their entries, colour axes included, times their operands,
-    times the 2^(e-k) leading rows.  The route is None, and the entries
-    infinite, when a scope outnumbers the einsum letters.
+    the steps that run of their entries, colour axes included, times their
+    operands, times the 2^(e-k) leading rows.  The route is None, and the
+    entries infinite, when a scope outnumbers the einsum letters.
 
     Slots 0..e-1 hold the edge factors and step k writes slot e+k.  A step is
     (the slots it consumes, its subscripts); the leading ``...`` of every
-    subscript stands for the batch axes.
+    subscript stands for the batch axes.  A vertex whose one live factor is
+    a step's output is folded into that step: the step leaves the vertex out
+    of its output, and einsum sums a letter its output leaves out.  So no
+    step only sums a step's output (such as the last vertex of a cycle),
+    and C8 runs 7 steps, not 8.  A fold never widens a step, so the widths,
+    the scope sizes and ``row_width`` are those of the per-vertex steps.
 
     The last k edges are open: each carries its colour as an axis of size 2
     before its (left, right) axes, and every step keeps the colour axes of
@@ -345,33 +354,70 @@ def _plan_along(
     k = next((k for k in range(e, 0, -1) if row_width(k) <= budget), 0)
     colours = [[i for i in sc if i >= e - k] for sc in edges]
 
+    # a vertex whose one factor is a step's output is summed by that step,
+    # which then writes the vertex's output slot: runs[r] is the vertex step
+    # that step r contracts and the slot it writes, and run_slot[s] the slot
+    # that holds slot s when the steps run
+    runs: list[tuple[int, int]] = []
+    run_slot = list(range(e))
+    for n, (group, _, _) in enumerate(groups):
+        if len(group) == 1 and group[0] >= e:
+            r = run_slot[group[0]] - e
+            runs[r] = (runs[r][0], e + n)
+        else:
+            r = len(runs)
+            runs.append((n, e + n))
+        run_slot.append(e + r)
+
     def subscript(slot: int, vertex_letter: dict, colour_letter: dict) -> str:
         return "..." + "".join(colour_letter[c] for c in colours[slot]) + \
             "".join(vertex_letter[x] for x in scopes[slot])
 
     steps = []
-    for n, (group, union, _) in enumerate(groups):
+    for n, out in runs:
+        group, union, _ = groups[n]
         vertex_letter = dict(zip(union, _LETTERS))
         colour_letter = dict(zip(colours[e + n], _LETTERS[len(union):]))
         inputs = ",".join(subscript(s, vertex_letter, colour_letter) for s in group)
-        steps.append((tuple(group),
-                      f"{inputs}->{subscript(e + n, vertex_letter, colour_letter)}"))
+        steps.append((tuple(run_slot[s] for s in group),
+                      f"{inputs}->{subscript(out, vertex_letter, colour_letter)}"))
     if len(finished) > 1:
         colour_letter = dict(zip(range(e - k, e), _LETTERS))
         inputs = ",".join(subscript(s, {}, colour_letter) for s in finished)
-        steps.append((tuple(finished), f"{inputs}->..." + "".join(colour_letter.values())))
-    entries = sum(len(group) * width << len(colours[e + n])
-                  for n, (group, _, width) in enumerate(groups)) << (e - k)
+        steps.append((tuple(run_slot[s] for s in finished),
+                      f"{inputs}->..." + "".join(colour_letter.values())))
+    entries = sum(len(groups[n][0]) * groups[n][2] << len(colours[e + n])
+                  for n, _ in runs) << (e - k)
     route = _Route("eliminate", tuple(dims), prod(dims), row_width(k), tuple(steps), k)
     return route, sizes, entries
 
 
 def _evaluate_eliminate(steps, factors) -> np.ndarray:
     """Run the elimination's einsum steps on a batch of edge factors and
-    return each evaluation's sum over all assignments: the last slot."""
+    return each evaluation's sum over all assignments: the last slot.
+
+    A step whose operands are all edge factors is contracted once per
+    distinct subscripts and operand objects, and its result is reused: in a
+    sweep every open edge's factor is the one stack of colour tables, so
+    steps that differ only in which open edges they absorb are one einsum.
+    ``factors`` holds those objects for the whole call, so no id is reused;
+    a leading edge's factor is its own gather, so no step over one is
+    shared, and neither is a step over conjugate-mode ``s_max``'s first
+    factor (``tables[:1]``).  Consumed slots are freed; the results of
+    steps over edge factors are kept until the call returns, since a later
+    step may share them.
+    """
+    e = len(factors)
     slots: list[np.ndarray | None] = list(factors)
+    shared: dict[tuple, np.ndarray] = {}
     for operands, subscripts in steps:
-        new = np.einsum(subscripts, *[slots[s] for s in operands])
+        if max(operands) < e:
+            key = (subscripts, *[id(slots[s]) for s in operands])
+            new = shared.get(key)
+            if new is None:
+                new = shared[key] = np.einsum(subscripts, *[slots[s] for s in operands])
+        else:
+            new = np.einsum(subscripts, *[slots[s] for s in operands])
         for s in operands:
             slots[s] = None
         slots.append(new)
@@ -555,7 +601,7 @@ def rho_2m(
     runs in float64, so its sum agrees with a complex128 sweep's to 1e-12
     relative, not bit for bit.
     """
-    if m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("m must be a positive integer")
     total = complex(0.0)
     scale = 0.0

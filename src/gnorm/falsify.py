@@ -105,7 +105,12 @@ class HatamiCheck:
             return HatamiCheck(True, math.inf, lhs, rhs)
         if any(s <= _SLACK for s in singles):
             return HatamiCheck(False, -math.inf, lhs, rhs)
-        margin = sum(math.log(s) for s in singles) - e * math.log(mixed)
+        # left to right, as sum() adds floats before Python 3.12 compensates
+        # them, so a margin has the same bits on every version
+        margin = 0.0
+        for s in singles:
+            margin += math.log(s)
+        margin -= e * math.log(mixed)
         holds = lhs <= rhs * (1.0 + _SLACK) + _SLACK
         return HatamiCheck(holds, margin, lhs, rhs)
 

@@ -239,6 +239,11 @@ class TestColouringScans:
             assert rho_2m(c4, f, m, "transpose") == \
                 pytest.approx(16 ** (1 / (2 * m)) * t)
 
+    @pytest.mark.parametrize("m", [0, -1, 1.5, 2.0, True, "2"])
+    def test_rho_refuses_an_m_that_is_not_a_positive_int(self, c4, m):
+        with pytest.raises(ValueError, match="^m must be a positive integer$"):
+            rho_2m(c4, StepKernel([[0.3, 0.9], [0.9, 0.2]]), m, "transpose")
+
     def test_rho_single_edge(self):
         g = star(1)
         f = StepKernel([[0.25, 0.5], [0.75, 1.0]])
@@ -904,12 +909,13 @@ class TestSweepPlan:
     def test_k24_at_p5_is_pinned(self, monkeypatch):
         # minimum fill eliminates a0 while its factors hold 7 edges, where
         # b3 ties it on fill and absorbs 2; after b3, a0 absorbs all 8 edges
-        # but spans 2 vertices, not 3
+        # but spans 2 vertices, not 3.  Each plan's last vertex is summed by
+        # the step before it, which saves that step's 2^8 * 5 entries
         g = complete_bipartite(2, 4)
         base = min_fill_route(g, (5, 5), "conjugate", density._SWEEP_BUDGET, monkeypatch)
         chosen = sweep_route(g, (5, 5))
-        assert (base.open_edges, base.row_width, sweep_cost(base, g)) == (8, 16000, 81080)
-        assert (chosen.open_edges, chosen.row_width, sweep_cost(chosen, g)) == (8, 6400, 30880)
+        assert (base.open_edges, base.row_width, sweep_cost(base, g)) == (8, 16000, 79800)
+        assert (chosen.open_edges, chosen.row_width, sweep_cost(chosen, g)) == (8, 6400, 29600)
         scopes = [frozenset(sc) for sc in g.ends]
         assert density._elimination_order(scopes, 6) == [2, 3, 4, 0, 1, 5]
         assert density._elimination_order(scopes, 6, fewest_edges=True) == [2, 3, 4, 5, 0, 1]
@@ -939,6 +945,156 @@ class TestSweepPlan:
         plan = density._elimination_plan(complete_bipartite(52, 52), [1] * 104, budget)
         assert plan == (None, ((1, 53),))
         assert calls == [[0]]
+
+
+def summed_letters(subscripts):
+    """The letters a step sums: those of its inputs that its output leaves
+    out, in order."""
+    inputs, output = subscripts.split("->")
+    return sorted(set(inputs.replace(",", "").replace(".", "")) - set(output))
+
+
+def unfold(steps, e):
+    """The per-vertex steps that a route's steps fold: a step that sums the
+    letters s_1..s_j keeps s_2..s_j in its output, and one-operand steps then
+    sum them one at a time.  A step that sums no letter, the outer product of
+    the components' sums, is kept as it is."""
+    unfolded, slot = [], list(range(e))
+    for operands, subscripts in steps:
+        inputs, output = subscripts.split("->")
+        summed = summed_letters(subscripts)
+        kept = output + "".join(summed[1:])
+        unfolded.append((tuple(slot[s] for s in operands), f"{inputs}->{kept}"))
+        for letter in summed[1:]:
+            unfolded.append(((e + len(unfolded) - 1,), f"{kept}->{kept.replace(letter, '')}"))
+            kept = kept.replace(letter, "")
+        slot.append(e + len(unfolded) - 1)
+    return unfolded
+
+
+def run_steps(steps, factors):
+    """One np.einsum per step, nothing shared: the reference for
+    ``density._evaluate_eliminate``."""
+    slots = list(factors)
+    for operands, subscripts in steps:
+        slots.append(np.einsum(subscripts, *[slots[s] for s in operands]))
+    return slots[-1]
+
+
+FOLD_CASES = [(name, g, (2, 3)) for name, g in sorted(SWEEP_GRAPHS.items())] + [
+    ("C8", cycle(8), (3, 3)), ("K24", complete_bipartite(2, 4), (5, 5)),
+    ("Q3", hypercube(3), (3, 3))] + [
+    (f"R{seed}", random_bipartite(seed), (3, 3)) for seed in range(50)]
+
+
+class TestFoldedSteps:
+    """A step that would only sum a vertex out of the step before it is
+    folded into that step, which leaves the vertex out of its output."""
+
+    @pytest.mark.parametrize("budget", [0, density._SWEEP_BUDGET])
+    def test_folded_steps_against_the_per_vertex_steps(self, budget):
+        for name, g, shape in FOLD_CASES:
+            e = g.n_edges
+            route = density._route(fresh(g), shape, "conjugate", "eliminate", RunConfig(),
+                                   budget)
+            assert not any(len(ops) == 1 and ops[0] >= e for ops, _ in route.steps), name
+            # every vertex is summed by one per-vertex step; the outer product
+            # of the components' sums (the last step, if any) sums none
+            unfolded = unfold(route.steps, e)
+            summed = [len(summed_letters(sub)) for _, sub in unfolded]
+            assert summed.count(1) == g.n_vertices, name
+            assert set(summed[:-1]) == {1} and summed[-1] in (0, 1), name
+            # three random colourings of the leading edges, the open edges'
+            # colours on their axes, as a sweep contracts them
+            rng = random.Random(f"{name}:{shape}:{budget}:fold")
+            arr = rand_kernel(rng, *shape).array()
+            k = route.open_edges
+            bits = np.array([[rng.randrange(2) for _ in range(3)] for _ in range(e - k)],
+                            dtype=np.intp)
+
+            def factors(arr):
+                tables = np.stack((arr.conj(), arr))
+                return [tables[b] for b in bits] + [tables] * k
+
+            got = density._evaluate_eliminate(route.steps, factors(arr))
+            want = run_steps(unfolded, factors(arr))
+            scale = run_steps(unfolded, factors(np.abs(arr))).real
+            assert got.shape == want.shape == (3,) * (k < e) + (2,) * k, name
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), name
+
+
+def einsum_calls(monkeypatch, fn, *args):
+    """The np.einsum calls that fn makes, as (subscripts, operands) pairs."""
+    calls = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands):
+        calls.append((subscripts, operands))
+        return einsum(subscripts, *operands)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "einsum", spy)
+        fn(*args)
+    return calls
+
+
+class TestSharedSteps:
+    """In a sweep every open edge's factor is the one stack of colour tables,
+    so the steps over open edges alone that share their subscripts are one
+    einsum call."""
+
+    @pytest.mark.parametrize("name, g, p, calls", [
+        ("C8", cycle(8), 3, (5, 4)),
+        ("K24", complete_bipartite(2, 4), 5, (3, 2)),
+        ("Q3", hypercube(3), 3, (16, 32)),
+    ])
+    def test_einsum_calls_per_sweep(self, name, g, p, calls, monkeypatch):
+        # C8: 7 steps, of which (1, 2), (3, 4) and (5, 6) are one call, and
+        # so is (0, 7) in rho_2m, where edge 0 takes the whole stack; K_{2,4}
+        # the same with 4 + 1 steps; Q3 at 4 chunks (s_max) and 8 (rho_2m)
+        # of 6 steps, the three over open edges alone one call
+        rng = random.Random(f"{name}:einsum-calls")
+        f, h = rand_kernel(rng, p, p), rand_real_kernel(rng, p, p)
+        assert (len(einsum_calls(monkeypatch, s_max, g, f, "conjugate", "eliminate")),
+                len(einsum_calls(monkeypatch, rho_2m, g, h, 2, "transpose", "eliminate"))) \
+            == calls
+
+    @pytest.mark.parametrize("name, g, p", [
+        ("C8", cycle(8), 3), ("K24", complete_bipartite(2, 4), 5), ("Q3", hypercube(3), 3),
+        *((name, SWEEP_GRAPHS[name], 3) for name in ("K23", "C4+C6", "R16"))])
+    @pytest.mark.parametrize("budget", [1 << 10, density._SWEEP_BUDGET])
+    def test_only_steps_over_the_open_tables_are_shared(self, name, g, p, budget,
+                                                         monkeypatch):
+        # a leading edge's factor, and conjugate-mode s_max's tables[:1] for
+        # edge 0, is read by the one einsum call of the step that absorbs it;
+        # the calls over open tables alone have distinct subscripts
+        monkeypatch.setattr(density, "_SWEEP_BUDGET", budget)
+        f = rand_kernel(random.Random(f"{name}:shared"), p, p)
+        evaluate, seen = density._evaluate, []
+
+        def spy(route, g, factors):
+            calls = einsum_calls(monkeypatch, evaluate, route, g, factors)
+            seen.append((route, factors, calls))
+            return evaluate(route, g, factors)
+
+        monkeypatch.setattr(density, "_evaluate", spy)
+        s_max(g, f, "conjugate", "eliminate")
+        assert seen
+        for route, factors, calls in seen:
+            tables = factors[-1]
+            assert tables.shape[0] == 2 and route.open_edges > 0
+            edges = [fac for fac in factors if fac is not tables]
+            assert len(edges) == g.n_edges - route.open_edges + (route.open_edges == g.n_edges)
+            for fac in edges:
+                assert sum(any(op is fac for op in ops) for _, ops in calls) == 1
+            shared = [sub for sub, ops in calls if all(op is tables for op in ops)]
+            assert len(shared) == len(set(shared))
+            over_tables = {sub for ops, sub in route.steps
+                           if all(s < len(factors) and factors[s] is tables for s in ops)}
+            assert set(shared) == over_tables
+            assert len(calls) == len(route.steps) - sum(
+                all(s < len(factors) and factors[s] is tables for s in ops)
+                for ops, _ in route.steps) + len(over_tables)
 
 
 class TestTrigDensity:

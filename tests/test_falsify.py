@@ -11,6 +11,7 @@ import pytest
 from gnorm.graphs import BipartiteGraph, EdgeColouring, star
 from gnorm.kernels import Decoration, StepKernel
 from gnorm.falsify import (
+    HatamiCheck,
     HatamiWitness,
     hatami_check,
     hatami_random_scan,
@@ -27,6 +28,20 @@ class TestHatamiCheck:
         f = random_kernel(random.Random(0), 2, 2)
         res = hatami_check(c4, alt4, Decoration.uniform(f, 4))
         assert res.holds and res.log_margin == 0.0
+
+    def test_the_margin_adds_its_logs_left_to_right(self):
+        # from Python 3.12 on, sum() of floats is compensated (Neumaier), and
+        # on these logs that moves the last bit; the margin adds them left
+        # to right, so it has the same bits on every version
+        singles = [1.54, 1.4, 1.99, 2.39]
+        total, comp = 0.0, 0.0
+        for x in map(math.log, singles):
+            t = total + x
+            comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        assert total + comp == 2.3276826577265712
+        res = HatamiCheck.verdict(1.0, singles)
+        assert res.holds and res.log_margin == 2.327682657726571
 
     def test_zero_mixed_side_holds(self, c4, alt4):
         zero = StepKernel.constant(0.0, 2, 2)
