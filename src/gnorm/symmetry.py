@@ -11,14 +11,17 @@ asks it for a first map, and ``automorphisms`` for the whole group.
 
 The automorphism group comes from the stabiliser chain along ``vorder``:
 level i fixes ``vorder[:i]`` pointwise, and its transversal holds one map
-for each image of ``vorder[i]`` that the level's group reaches, found as the
-first completion of that one placement (``_transversals``).  The group is
-the product of the transversals, so its exact order is known, and checked
-against ``_GROUP_CAP``, before any element is formed.  The elements are then
-composed in numpy, and the group stays that one ``(order x vertices)`` int32
-array of image rows (``_all_automorphisms``); no reader depends on their
-order.  Groups at the supported scale are small enough to materialise, which
-keeps every orbit question exact and trivially checkable.
+for each image of ``vorder[i]`` that the level's group reaches
+(``_transversals``).  The levels are walked deepest first and every map the
+search finds is kept, so most maps are read off the orbit those generators
+already reach, and a search runs only for an image that lies outside it and
+outside the orbit of an image that already failed (orbit pruning).  The
+group is the product of the transversals, so its exact order is known, and
+checked against ``_GROUP_CAP``, before any element is formed.  The elements
+are then composed in numpy, and the group stays that one ``(order x
+vertices)`` int32 array of image rows (``_all_automorphisms``); no reader
+depends on their order.  Groups at the supported scale are small enough to
+materialise, which keeps every orbit question exact and trivially checkable.
 
 The group array is turned, by a gather through a (vertex, vertex) -> edge
 index, into an ``(automorphisms x edges)`` edge table: row ``k`` maps edge
@@ -226,33 +229,62 @@ class _Search:
             return next(walk, None)
 
 
+def _close(reach: dict[int, np.ndarray], gens: list[np.ndarray]) -> None:
+    """Grow ``reach`` (point -> a map carrying a starting point to it) to the
+    union of its points' orbits under ``gens``.  A new point's map is its
+    generator composed after the map of the point it came from."""
+    queue = list(reach)
+    for u in queue:  # the queue grows while it is read
+        for g in gens:
+            x = int(g[u])
+            if x not in reach:
+                reach[x] = g[reach[u]]
+                queue.append(x)
+
+
 def _transversals(g: BipartiteGraph, side_swap: bool) -> list[np.ndarray]:
     """One transversal per level of the stabiliser chain along ``vorder``.
 
     Level i is the subgroup that fixes ``vorder[:i]`` pointwise.  Its
-    transversal holds the identity and, for every other candidate image w of
-    ``vorder[i]`` under the identity prefix, the first map the search finds
-    that completes ``vorder[i] -> w``, if one exists: one element per point of
-    the orbit, so the group is the product of the transversals and its order
-    the product of their sizes.  Every node this visits is a node of the
-    depth-first walk over the whole group, and most of that walk is skipped.
-    Returns the levels, each an ``(orbit size x n)`` array of image rows.
+    transversal holds one element per point of the orbit of v = ``vorder[i]``,
+    so the group is the product of the transversals and its order the
+    product of their sizes.  The levels are walked deepest first, with the
+    prefix placed as the identity, and every map found is kept: one found at
+    a deeper level fixes every shallower prefix, so all lie in the level's
+    group.  A candidate image w of v is searched for (the first map that
+    completes ``v -> w``) only when it lies neither in v's orbit under the
+    maps kept nor in the orbit of a candidate that failed, since the level's
+    orbits are disjoint (orbit pruning, as in nauty).  The other orbit
+    points' elements are read off the orbit (``_close``).  Returns the
+    levels, each an ``(orbit size x n)`` int32 array of image rows: the
+    identity, then the other orbit points' elements in increasing order of
+    their image of v.
     """
     search = _Search(g, g, side_swap)
-    identity = tuple(range(search.n))
-    levels = []
-    for i, v in enumerate(search.vorder):
-        reps = [identity]
-        for w in search.candidates(v):
-            if w != v:
-                search.place(v, w)
-                found = search.first(i + 1)
-                search.unplace(v, w)
-                if found is not None:
-                    reps.append(found)
-        levels.append(np.array(reps, dtype=np.int32))
+    identity = np.arange(search.n, dtype=np.int32)
+    for v in search.vorder:
         search.place(v, v)
-    return levels
+    gens: list[np.ndarray] = []
+    levels = []
+    for i in reversed(range(search.n)):
+        v = search.vorder[i]
+        search.unplace(v, v)
+        reach, failed = {v: identity}, {}
+        _close(reach, gens)
+        for w in search.candidates(v):
+            if w in reach or w in failed:
+                continue
+            search.place(v, w)
+            found = search.first(i + 1)
+            search.unplace(v, w)
+            if found is None:
+                failed[w] = identity
+                _close(failed, gens)
+            else:
+                gens.append(np.array(found, dtype=np.int32))
+                _close(reach, gens)
+        levels.append(np.array([identity] + [reach[w] for w in sorted(reach) if w != v]))
+    return levels[::-1]
 
 
 def _all_automorphisms(g: BipartiteGraph, config: RunConfig) -> np.ndarray:
@@ -323,10 +355,12 @@ def automorphisms(g: BipartiteGraph, config: RunConfig = DEFAULT,
 
 def isomorphic(g1: BipartiteGraph, g2: BipartiteGraph, config: RunConfig = DEFAULT) -> bool:
     """Graph isomorphism; with ``config.side_swap`` off the map must carry
-    left to left."""
-    if max(g1.n_vertices, g2.n_vertices) > config.cap_vertices:
-        raise CapExceeded("isomorphism search", max(g1.n_vertices, g2.n_vertices),
-                          config.cap_vertices)
+    left to left.  Graphs whose vertex or edge counts differ are not
+    isomorphic, whatever ``config.cap_vertices`` is."""
+    if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
+        return False
+    if g1.n_vertices > config.cap_vertices:
+        raise CapExceeded("isomorphism search", g1.n_vertices, config.cap_vertices)
     search = _Search(g1, g2, config.side_swap)
     return search.feasible and search.first(0) is not None
 

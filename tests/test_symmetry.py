@@ -3,6 +3,7 @@
 import ast
 import sys
 from itertools import permutations
+from math import prod
 
 import numpy as np
 import pytest
@@ -22,11 +23,13 @@ from gnorm.graphs import (
     star,
 )
 from gnorm.symmetry import (
+    _Search,
     _all_automorphisms,
     _colour_action,
     _edge_table,
     _orbit_mask,
     _transitive_under,
+    _transversals,
     automorphisms,
     isomorphic,
 )
@@ -165,6 +168,16 @@ class TestIsomorphism:
         right_star = BipartiteGraph(("a0", "a1"), ("c",), (("a0", "c"), ("a1", "c")))
         assert isomorphic(left_star, right_star)
         assert not isomorphic(left_star, right_star, RunConfig(side_swap=False))
+
+    def test_different_counts_answer_before_the_vertex_cap(self):
+        # C_200 is over the default cap of 64 vertices, but no map can carry
+        # C_4 onto it, nor a path onto a cycle of as many vertices; equal
+        # counts over the cap still raise
+        assert not isomorphic(cycle(4), cycle(200))
+        assert not isomorphic(cycle(200), cycle(4))
+        assert not isomorphic(path(99), cycle(100))
+        with pytest.raises(CapExceeded):
+            isomorphic(cycle(200), cycle(200))
 
     def test_inclusion_duality(self):
         # I(n, k, r) and I(n, n-r, n-k) agree as usual graphs
@@ -496,26 +509,75 @@ def _union(*parts: BipartiteGraph) -> BipartiteGraph:
     return disjoint_union([(g, EdgeColouring((0,) * g.n_edges)) for g in parts])[0]
 
 
+def _haar(n: int, connection: tuple[int, ...]) -> BipartiteGraph:
+    """The Haar graph H(Z_n, S): a_i ~ b_(i+s) for every s in S."""
+    return BipartiteGraph(tuple(f"a{i}" for i in range(n)), tuple(f"b{j}" for j in range(n)),
+                          tuple((f"a{i}", f"b{(i + s) % n}") for i in range(n) for s in connection))
+
+
+def _graph_id(g: BipartiteGraph) -> str:
+    return f"{len(g.left)}+{len(g.right)}v{g.n_edges}e"
+
+
 class TestStabiliserChain:
     """The group built from one transversal per level of the stabiliser chain
     equals the depth-first walk over every leaf of the search tree, as a set
-    of rows, each element once."""
+    of rows, each element once; each transversal is laid out as documented,
+    and the orbit pruning spares most of the searches."""
 
-    @pytest.mark.parametrize("side_swap", [True, False])
-    @pytest.mark.parametrize("graph", [
+    GRAPHS = [
         hypercube(3), hypercube(4), complete_bipartite(2, 4),
         complete_bipartite(4, 4), complete_bipartite(2, 6),
         cycle(4), cycle(6), cycle(8), cycle(10),
         _union(cycle(4), cycle(4)), _union(cycle(4), cycle(6)),
         subdivided_complete(5), bipartite_kneser(6, 2),
+        _haar(13, (0, 1, 3, 9)), _haar(7, (0, 1, 2, 4)),
         *_even_k44_subgraphs(10, seed=10), BipartiteGraph((), (), ()),
-    ], ids=lambda g: f"{len(g.left)}+{len(g.right)}v{g.n_edges}e")
+    ]
+
+    @pytest.mark.parametrize("side_swap", [True, False])
+    @pytest.mark.parametrize("graph", GRAPHS, ids=_graph_id)
     def test_equals_the_depth_first_walk(self, graph, side_swap):
         group = _all_automorphisms(graph, RunConfig(side_swap=side_swap))
         assert group.dtype == np.int32
         rows = sorted(map(tuple, group.tolist()))
         assert len(set(rows)) == len(rows)
         assert rows == sorted(_iso_maps(graph, graph, side_swap))
+
+    @pytest.mark.parametrize("side_swap", [True, False])
+    @pytest.mark.parametrize("graph", GRAPHS, ids=_graph_id)
+    def test_each_level_is_laid_out_as_documented(self, graph, side_swap):
+        # level i: the identity first, then rows that fix vorder[:i] and send
+        # v = vorder[i] elsewhere, in increasing order of that image
+        levels = _transversals(graph, side_swap)
+        vorder = _Search(graph, graph, side_swap).vorder
+        assert len(levels) == len(vorder)
+        identity = list(range(graph.n_vertices))
+        for i, (v, t) in enumerate(zip(vorder, levels)):
+            assert t.dtype == np.int32 and t.shape[1] == graph.n_vertices
+            assert t[0].tolist() == identity
+            assert (t[:, vorder[:i]] == vorder[:i]).all()
+            images = t[1:, v].tolist()
+            assert v not in images and images == sorted(set(images))
+
+    @pytest.mark.parametrize("graph, before", [
+        (hypercube(6), 78), (bipartite_kneser(6, 2), 44),
+        (bipartite_kneser(7, 3), 87), (_haar(31, (0, 1, 3, 8, 12, 18)), 87),
+    ], ids=["Q6", "H(6,2)", "H(7,3)", "PG(2,5)"])
+    def test_orbit_pruning_halves_the_searches(self, graph, before, monkeypatch):
+        # ``before``: the calls of a walk that searched every candidate image
+        calls = []
+        first = _Search.first
+        monkeypatch.setattr(_Search, "first", lambda self, i: calls.append(i) or first(self, i))
+        _transversals(graph, True)
+        assert 0 < len(calls) < before / 2
+
+    def test_pg25_order_from_the_transversal_sizes(self):
+        # PG(2,5)'s incidence graph: |PGammaL(3,5)| = 372000, doubled by
+        # duality; read from the sizes alone, as the group itself would be
+        # 744000 rows of 62 int32 images, about 184 MB
+        levels = _transversals(_haar(31, (0, 1, 3, 8, 12, 18)), True)
+        assert prod(len(t) for t in levels) == 744000
 
     @pytest.mark.parametrize("m, order", [(6, 2 * 720 ** 2), (8, 2 * 40320 ** 2)])
     def test_group_cap_reports_the_exact_order(self, m, order):
@@ -532,8 +594,6 @@ class TestStabiliserChain:
     def test_transversals_generate_a_group_of_their_product_order(
             self, graph, side_swap, order):
         combinatorics = pytest.importorskip("sympy.combinatorics")
-        from math import prod
-        from gnorm.symmetry import _transversals
         levels = _transversals(graph, side_swap)
         assert prod(len(t) for t in levels) == order
         gens = [combinatorics.Permutation(row) for t in levels for row in t[1:].tolist()]
@@ -557,12 +617,6 @@ class TestStabiliserChain:
         assert got == want and want[0].group_order == 600
 
 
-def _haar(n: int, connection: tuple[int, ...]) -> BipartiteGraph:
-    """The Haar graph H(Z_n, S): a_i ~ b_(i+s) for every s in S."""
-    return BipartiteGraph(tuple(f"a{i}" for i in range(n)), tuple(f"b{j}" for j in range(n)),
-                          tuple((f"a{i}", f"b{(i + s) % n}") for i in range(n) for s in connection))
-
-
 def _mask_inputs(graph: BipartiteGraph, side_swap: bool, config: RunConfig = RunConfig()):
     """The balanced-colouring matrix, the whole group's edge table and the
     config that gives the group."""
@@ -580,10 +634,6 @@ _MASK_GRAPHS = [
     _haar(6, (0, 1, 3, 4)), _haar(8, (0, 1, 4, 5)), _haar(7, (0, 1, 2, 4)),
     _haar(5, (0, 1, 2, 3)),
 ]
-
-
-def _graph_id(g: BipartiteGraph) -> str:
-    return f"{len(g.left)}+{len(g.right)}v{g.n_edges}e"
 
 
 class TestTransitiveMask:
