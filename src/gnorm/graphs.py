@@ -270,7 +270,9 @@ def iter_balanced_colourings(
     """Yield all balanced colourings in lexicographic order (0 before 1).
 
     Backtracks edge by edge with residual per-vertex feasibility bounds, so
-    the work is proportional to the search tree rather than 2^e.
+    the work is proportional to the search tree rather than 2^e.  The walk
+    is one loop over an explicit stack, one level per edge, so its depth is
+    not bounded by the recursion limit.
     """
     if g.n_edges > config.cap_edges:
         raise CapExceeded("balanced-colouring enumeration", g.n_edges, config.cap_edges)
@@ -283,29 +285,43 @@ def iter_balanced_colourings(
     ones = [0] * g.n_vertices
     m = g.n_edges
     colours = [0] * m
-
-    def feasible(x: int) -> bool:
-        return ones[x] <= half[x] and ones[x] + remaining[x] >= half[x]
-
-    def rec(i: int) -> Iterator[EdgeColouring]:
+    tried = [0] * m  # the colours each edge on the stack has tried
+    i = 0  # the edge being coloured: edges 0..i-1 are on the stack
+    while True:
         if i == m:
             yield EdgeColouring(tuple(colours))
+        else:
+            u, v = ends[i]
+            c = tried[i]
+            if c < 2:
+                if not c:
+                    remaining[u] -= 1
+                    remaining[v] -= 1
+                tried[i] = c + 1
+                ones[u] += c
+                ones[v] += c
+                # each end keeps at most half its edges in colour 1, and
+                # enough edges still to colour to reach half
+                if (ones[u] <= half[u] and ones[u] + remaining[u] >= half[u]
+                        and ones[v] <= half[v] and ones[v] + remaining[v] >= half[v]):
+                    colours[i] = c
+                    i += 1
+                    continue
+                ones[u] -= c
+                ones[v] -= c
+                continue
+            # both colours tried: hand the edge back
+            remaining[u] += 1
+            remaining[v] += 1
+            tried[i] = 0
+        if not i:
             return
+        # step back to edge i - 1 and undo its colour; it tries its next one
+        i -= 1
         u, v = ends[i]
-        remaining[u] -= 1
-        remaining[v] -= 1
-        for c in (0, 1):
-            ones[u] += c
-            ones[v] += c
-            colours[i] = c
-            if feasible(u) and feasible(v):
-                yield from rec(i + 1)
-            ones[u] -= c
-            ones[v] -= c
-        remaining[u] += 1
-        remaining[v] += 1
-
-    yield from rec(0)
+        c = colours[i]
+        ones[u] -= c
+        ones[v] -= c
 
 
 def _balanced_rows(g: BipartiteGraph, config: RunConfig = DEFAULT) -> np.ndarray:

@@ -2,6 +2,7 @@ import ast
 import importlib.util
 from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -57,6 +58,55 @@ def small_bipartite(edge_mask: int, m: int = 3, n: int = 3) -> BipartiteGraph | 
     left = tuple(sorted({u for u, _ in edges}))
     right = tuple(sorted({v for _, v in edges}))
     return BipartiteGraph(left, right, tuple(edges))
+
+
+def _haar(n: int, connection: tuple[int, ...]) -> BipartiteGraph:
+    """The Haar graph H(Z_n, S): a_i ~ b_(i+s) for every s in S."""
+    return BipartiteGraph(tuple(f"a{i}" for i in range(n)), tuple(f"b{j}" for j in range(n)),
+                          tuple((f"a{i}", f"b{(i + s) % n}") for i in range(n) for s in connection))
+
+
+def _graph_id(g: BipartiteGraph) -> str:
+    return f"{len(g.left)}+{len(g.right)}v{g.n_edges}e"
+
+
+def recursive_balanced_colourings(g: BipartiteGraph) -> Iterator[EdgeColouring]:
+    """The balanced colourings as a recursive walk finds them, one nested
+    generator per edge, 0 before 1, with residual per-vertex bounds: the
+    reference for ``graphs.iter_balanced_colourings``, which walks the same
+    tree on an explicit stack.  Its depth is one frame per edge."""
+    # the edges still to colour at each vertex: at first, all of them
+    remaining = list(g.degrees)
+    if any(d % 2 for d in remaining):
+        return
+    half = [d // 2 for d in remaining]
+    ends = g.ends
+    ones = [0] * g.n_vertices
+    m = g.n_edges
+    colours = [0] * m
+
+    def feasible(x: int) -> bool:
+        return ones[x] <= half[x] and ones[x] + remaining[x] >= half[x]
+
+    def rec(i: int) -> Iterator[EdgeColouring]:
+        if i == m:
+            yield EdgeColouring(tuple(colours))
+            return
+        u, v = ends[i]
+        remaining[u] -= 1
+        remaining[v] -= 1
+        for c in (0, 1):
+            ones[u] += c
+            ones[v] += c
+            colours[i] = c
+            if feasible(u) and feasible(v):
+                yield from rec(i + 1)
+            ones[u] -= c
+            ones[v] -= c
+        remaining[u] += 1
+        remaining[v] += 1
+
+    yield from rec(0)
 
 
 def path(n_edges: int) -> BipartiteGraph:

@@ -372,6 +372,14 @@ class TestColourings:
         assert code == 0 and json.loads(out)["colourings"] == [list(c) for c in drawn]
         assert len(drawn) == 2
 
+    def test_a_walk_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        # C_1000 has 1000 edges, one level of the walk each: more levels
+        # than the default recursion limit allows frames
+        graph = tmp_path / "c1000.json"
+        graph.write_text(json.dumps(graph_to_json(cycle(1000))))
+        code, out = run_cli(["colourings", str(graph), "--cap-edges", "5000"], capsys)
+        assert code == 0 and json.loads(out)["count"] == 2
+
     def test_no_balanced_colouring_needs_no_search(self, capsys, tmp_path, group_searches):
         graph = tmp_path / "k23.json"
         graph.write_text(json.dumps(graph_to_json(complete_bipartite(2, 3))))

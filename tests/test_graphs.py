@@ -2,7 +2,8 @@
 
 import ast
 import random
-from itertools import combinations, product
+import sys
+from itertools import combinations, islice, product
 from math import comb, inf
 
 import numpy as np
@@ -22,6 +23,7 @@ from gnorm.graphs import (
     colouring_from_json,
     complete_bipartite,
     count_two_edge_matchings,
+    cycle,
     girth,
     graph_from_json,
     graph_to_json,
@@ -39,12 +41,15 @@ from gnorm.constructions import (
 )
 
 from conftest import (
+    _graph_id,
+    _haar,
     colouring_to_json,
     complement,
     definitions,
     disjoint_union,
     package_sources,
     path,
+    recursive_balanced_colourings,
     small_bipartite,
 )
 
@@ -294,6 +299,71 @@ class TestBalanced:
             return
         colours = EdgeColouring(tuple(bits >> i & 1 for i in range(g.n_edges)))
         assert is_balanced(g, colours) == is_balanced(g, complement(colours))
+
+
+def oracle_cases() -> list[BipartiteGraph]:
+    """Every graph of at most 32 edges whose balanced colourings the tests
+    list: C4-C10, K_{2,4}, K_{2,6}, K_{4,4}, Q4, subdivided K5,
+    H(Z7,{0,1,2,4}) and the even subgraphs of K_{3,4} and K_{4,4}."""
+    return [
+        *(cycle(n) for n in (4, 6, 8, 10)),
+        complete_bipartite(2, 4), complete_bipartite(2, 6), complete_bipartite(4, 4),
+        hypercube(4), subdivided_complete(5), _haar(7, (0, 1, 2, 4)),
+        *(g for m, n in ((3, 4), (4, 4))
+          for g in _even_subgraphs(m, n, 25, random.Random(f"euler {m} {n}"))),
+    ]
+
+
+class TestExplicitStack:
+    """The balanced walk on an explicit stack yields what the recursive walk
+    it replaced yields, order included, and is not bounded by the recursion
+    limit."""
+
+    @pytest.mark.parametrize("g", oracle_cases(), ids=_graph_id)
+    def test_same_sequence_as_the_recursive_walk(self, g):
+        want = list(recursive_balanced_colourings(g))
+        assert list(iter_balanced_colourings(g)) == want
+        assert _balanced_rows(g).tolist() == [list(c) for c in want]
+
+    def test_every_k33_subgraph_against_the_recursive_walk(self):
+        for mask in range(1, 2 ** 9):
+            g = small_bipartite(mask)
+            if g is not None:
+                assert list(iter_balanced_colourings(g)) == \
+                    list(recursive_balanced_colourings(g)), mask
+
+    def test_a_walk_stopped_early_agrees_with_a_fresh_one(self):
+        # Q4's walk cut off mid-way, then a second walk run to the end while
+        # the first is suspended, then the first resumed: each keeps its own
+        # stack, so both give the one sequence
+        g = hypercube(4)
+        first = iter_balanced_colourings(g)
+        prefix = list(islice(first, 100))
+        fresh = list(iter_balanced_colourings(g))
+        assert prefix == fresh[:100] and len(fresh) == 2970
+        assert prefix + list(first) == fresh
+
+    def test_the_empty_graph_has_one_empty_colouring(self):
+        g = BipartiteGraph((), (), ())
+        assert list(iter_balanced_colourings(g)) == list(recursive_balanced_colourings(g)) \
+            == [EdgeColouring(())]
+
+    def test_the_walk_is_not_bounded_by_the_recursion_limit(self):
+        # the walk colours C_1000's edges one level each; with the limit a
+        # little above this test's own depth, a walk that recursed once per
+        # edge would raise RecursionError
+        g = cycle(1000)
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(depth + 50, 200))
+        try:
+            rows = _balanced_rows(g, RunConfig(cap_edges=5000))
+        finally:
+            sys.setrecursionlimit(limit)
+        alternating = [i % 2 for i in range(1000)]
+        assert rows.tolist() == [alternating, [1 - c for c in alternating]]
 
 
 class TestDisjointUnion:

@@ -42,6 +42,8 @@ from gnorm.constructions import (
 )
 
 from conftest import (
+    _graph_id,
+    _haar,
     _iso_maps,
     coloured_isomorphic,
     complement,
@@ -507,16 +509,6 @@ def _even_k44_subgraphs(count: int, seed: int) -> list[BipartiteGraph]:
 
 def _union(*parts: BipartiteGraph) -> BipartiteGraph:
     return disjoint_union([(g, EdgeColouring((0,) * g.n_edges)) for g in parts])[0]
-
-
-def _haar(n: int, connection: tuple[int, ...]) -> BipartiteGraph:
-    """The Haar graph H(Z_n, S): a_i ~ b_(i+s) for every s in S."""
-    return BipartiteGraph(tuple(f"a{i}" for i in range(n)), tuple(f"b{j}" for j in range(n)),
-                          tuple((f"a{i}", f"b{(i + s) % n}") for i in range(n) for s in connection))
-
-
-def _graph_id(g: BipartiteGraph) -> str:
-    return f"{len(g.left)}+{len(g.right)}v{g.n_edges}e"
 
 
 class TestStabiliserChain:
