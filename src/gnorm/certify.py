@@ -456,16 +456,15 @@ def _arithmetic_shortcut(
     config: RunConfig,
 ) -> Optional[Certificate]:
     """Class-membership and integrality shortcuts for the hinted set-inclusion
-    parameters (n, k, r).  The hint is only trusted once the graph is
-    isomorphic to I(n, k, r); when that check exceeds a cap the shortcut is
-    skipped."""
+    parameters (n, k, r).  The hint is only trusted once
+    ``symmetry.isomorphic``, its one gate, proves the graph isomorphic to
+    I(n, k, r); when that search exceeds a cap the shortcut is skipped."""
     if hint is None:
         return None
     n, k, r = hint
     try:
         reference = set_inclusion_graph(n, k, r)
-        shaped = _same_shape(g, reference)
-        same_graph = shaped and symmetry.isomorphic(g, reference, config.with_(side_swap=True))
+        same_graph = symmetry.isomorphic(g, reference, config.with_(side_swap=True))
     except InvalidParameter as exc:
         stages.skipped("arithmetic-shortcut", f"bad hint: {exc}")
         return None
@@ -473,8 +472,7 @@ def _arithmetic_shortcut(
         stages.skipped("arithmetic-shortcut", "hint reference too large to verify")
         return None
     if not same_graph:
-        stages.skipped("arithmetic-shortcut", "graph not isomorphic to hinted family" if shaped
-                       else "graph does not match hinted family")
+        stages.skipped("arithmetic-shortcut", "graph not isomorphic to hinted family")
         return None
 
     detail = {"n": n, "k": k, "r": r}
@@ -497,17 +495,6 @@ def _arithmetic_shortcut(
     if cert:
         cert.witness = {**detail, **cert.witness}
     return cert
-
-
-def _same_shape(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
-    def shape(g):
-        nl = len(g.left)
-        return (
-            sorted((nl, len(g.right))),
-            g.n_edges,
-            sorted((sorted(g.degrees[:nl]), sorted(g.degrees[nl:]))),
-        )
-    return shape(g1) == shape(g2)
 
 
 # -- family certificates ------------------------------------------------------------
@@ -673,7 +660,7 @@ def _certify_inclusion(n: int, k: int, r: int, config: RunConfig) -> Certificate
     # fall back to the generic pipeline when the graph is small enough
     try:
         graph = set_inclusion_graph(n, k, r)
-        return certify_not_norming(graph, ("inclusion", n, k, r), config)
+        return certify_not_norming(graph, None, config)
     except CapExceeded as exc:
         return Certificate(
             VERDICT_NO_OBSTRUCTION,

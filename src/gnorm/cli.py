@@ -181,9 +181,9 @@ def cmd_certify(args) -> int:
         if len(args.params) != 1:
             return _usage_error(f"certify graph takes one graph file, got {len(args.params)}")
         g = G.load_graph(args.params[0])
-        hint = args.hint.split(":") if args.hint else None
+        hint = args.hint.split(":") if args.hint is not None else None
         cert = certify_not_norming(g, hint, cfg)
-    elif args.hint:
+    elif args.hint is not None:
         return _usage_error("--hint applies only to certify graph")
     else:
         cert = certify_family(args.target, args.params, cfg)

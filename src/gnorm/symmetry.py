@@ -355,9 +355,12 @@ def automorphisms(g: BipartiteGraph, config: RunConfig = DEFAULT,
 
 def isomorphic(g1: BipartiteGraph, g2: BipartiteGraph, config: RunConfig = DEFAULT) -> bool:
     """Graph isomorphism; with ``config.side_swap`` off the map must carry
-    left to left.  Graphs whose vertex or edge counts differ are not
-    isomorphic, whatever ``config.cap_vertices`` is."""
-    if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
+    left to left.  Graphs whose sorted degrees differ (so also graphs whose
+    vertex or edge counts differ) are not isomorphic, whatever
+    ``config.cap_vertices`` is.  The one gate for a certificate hint: the
+    arithmetic shortcut trusts hinted parameters only once this search maps
+    the graph onto their reference."""
+    if sorted(g1.degrees) != sorted(g2.degrees):
         return False
     if g1.n_vertices > config.cap_vertices:
         raise CapExceeded("isomorphism search", g1.n_vertices, config.cap_vertices)

@@ -224,8 +224,9 @@ class TestCertify:
         assert main(["certify", "graph", files["c6"], files["c4"]]) == 1
         assert "one graph file" in capsys.readouterr().err
 
-    def test_hint_on_a_family_is_a_usage_error(self, capsys):
-        assert main(["certify", "kneser", "7", "3", "--hint", "kneser:7:3"]) == 1
+    @pytest.mark.parametrize("hint", ["kneser:7:3", ""])
+    def test_hint_on_a_family_is_a_usage_error(self, capsys, hint):
+        assert main(["certify", "kneser", "7", "3", "--hint", hint]) == 1
         captured = capsys.readouterr()
         assert "--hint" in captured.err and not captured.out
 
@@ -772,10 +773,11 @@ class TestHintFlag:
         assert json.loads(out)["obstruction"] != "IntegralityFailure"
 
     @pytest.mark.parametrize("hint", ["kneser:6:2:99", "inclusion:6:4:2:7", "kneser:6",
-                                      "nope:1:2", "kneser:6:two"])
+                                      "nope:1:2", "kneser:6:two", ""])
     def test_malformed_hint_is_a_usage_error(self, capsys, tmp_path, hint):
-        # kneser:6:2:99 once ran as kneser:6:2 and exited 0; kneser:6 and
-        # nope:1:2 ended at H(6,2)'s capped balanced enumeration, exit 2
+        # kneser:6:2:99 once ran as kneser:6:2 and exited 0; kneser:6,
+        # nope:1:2 and the empty hint ended at H(6,2)'s capped balanced
+        # enumeration, exit 2
         from gnorm.constructions import bipartite_kneser
         gp = tmp_path / "h62.json"
         gp.write_text(json.dumps(graph_to_json(bipartite_kneser(6, 2))))

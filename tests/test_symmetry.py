@@ -173,11 +173,16 @@ class TestIsomorphism:
 
     def test_different_counts_answer_before_the_vertex_cap(self):
         # C_200 is over the default cap of 64 vertices, but no map can carry
-        # C_4 onto it, nor a path onto a cycle of as many vertices; equal
-        # counts over the cap still raise
+        # C_4 onto it, nor a path onto a cycle of as many vertices, nor C_100
+        # onto a graph of as many vertices and edges with other degrees;
+        # equal degrees over the cap still raise
         assert not isomorphic(cycle(4), cycle(200))
         assert not isomorphic(cycle(200), cycle(4))
         assert not isomorphic(path(99), cycle(100))
+        mixed, _ = disjoint_union([(g, EdgeColouring((0,) * g.n_edges)) for g in
+                                   (cycle(88), complete_bipartite(2, 4), path(2), path(2))])
+        assert (mixed.n_vertices, mixed.n_edges) == (100, 100)
+        assert not isomorphic(cycle(100), mixed)
         with pytest.raises(CapExceeded):
             isomorphic(cycle(200), cycle(200))
 
