@@ -33,6 +33,10 @@ not 8.  The values agree with ``t_density``, not bit for bit, but to within
 The falsifiers contract chunks of trials the same way
 (k = 0), through ``_route``, ``_chunks`` and ``_densities``, and
 ``t_decoration`` and ``t_density`` are one-row calls of ``_densities``.
+The direct route lays its product out with the batch rows last, so a
+chunk's factors multiply in along loops over its rows, and sums each row
+from a contiguous copy, with the bits that a batch-first layout gives
+(``_evaluate_direct``).
 A sweep skips what symmetry gives for free: conjugate-mode ``s_max``
 contracts only the colourings whose first edge has colour 0, since a
 colouring and its complement give conjugate values, and a real kernel's
@@ -68,6 +72,11 @@ MODES = ("conjugate", "transpose")
 # open: C8 and K_{2,4} (p = 3, 5) fit every colour into one row, and Q3 at
 # p = 3 opens 9 of its 12 and takes 8 chunks of one row each.
 _SWEEP_BUDGET = 1 << 14
+
+# Entries in one contiguous copy of the direct route's rows (64 KB of
+# complex128): blocks this size are summed faster than a whole chunk's copy,
+# which would also add its size to the peak memory.
+_SUM_BLOCK = 1 << 12
 
 # Sweep values that agree to this relative tolerance tie in ``s_max``.
 _TIE_RTOL = 1e-12
@@ -184,18 +193,30 @@ def _evaluate(route: _Route, g: BipartiteGraph, factors: list[np.ndarray]) -> np
 
 def _evaluate_direct(g, factors, dims) -> np.ndarray:
     """Sum the full product tensor over every grid assignment, in the
-    factors' dtype."""
+    factors' dtype.
+
+    The tensor is laid out (*dims, n), with the n batch rows last, so each
+    factor multiplies in along inner loops of length n, not of one grid
+    axis.  The factors multiply in edge order, from ones, and each row is
+    summed from a contiguous copy of its values, as the (*batch, *dims)
+    layout summed it, so every value has that layout's bits.  The copy is
+    made ``_SUM_BLOCK`` entries at a time."""
     batch = factors[0].shape[:-2]
-    k = len(batch)
-    ones = [*batch] + [1] * g.n_vertices
-    arr = np.ones((*batch, *dims), dtype=factors[0].dtype)
+    n = prod(batch)
+    ones = [1] * g.n_vertices + [n]
+    arr = np.ones((*dims, n), dtype=factors[0].dtype)
     # an edge's left end comes before its right end, as its factor's axes do
     for fac, (x, y) in zip(factors, g.ends):
         shape = ones.copy()
-        shape[k + x] = dims[x]
-        shape[k + y] = dims[y]
-        arr *= fac.reshape(shape)
-    return arr.reshape(*batch, -1).sum(axis=-1)
+        shape[x] = dims[x]
+        shape[y] = dims[y]
+        arr *= fac.reshape(n, -1).T.reshape(shape)
+    rows = arr.reshape(-1, n).T
+    step = max(1, _SUM_BLOCK // rows.shape[1])
+    sums = np.empty(n, arr.dtype)
+    for lo in range(0, n, step):
+        np.ascontiguousarray(rows[lo:lo + step]).sum(axis=-1, out=sums[lo:lo + step])
+    return sums.reshape(batch)
 
 
 def _means(route: _Route, sums: np.ndarray) -> np.ndarray:

@@ -6,20 +6,25 @@ trial budget.  Absence of a witness is evidence, not proof.
 
 Seed discipline: trial t of a run seeded with s draws from the substream
 keyed by "s:t", so results are independent of execution order.  A trial
-takes its n kernel entries with one ``getrandbits(128 * n)`` call on its
-substream, and ``_uniform_entries`` turns a chunk's bits into entries
-exactly as ``random.uniform(-1, 1)`` would, real part before imaginary part:
-the same values, bit for bit, and the substream left where per-entry draws
-leave it.
+takes its n kernel entries, and a triangle trial its scalar's ``random()``
+after them, with one ``getrandbits`` call on its substream; ``_randoms``
+turns a chunk's bits into the values ``random()`` would return, and
+``_uniform_entries`` into entries exactly as ``random.uniform(-1, 1)``
+would, real part before imaginary part: the same values, bit for bit, and
+the substream left where per-entry draws leave it.
 
-The random scans evaluate their trials in chunks: each trial's draws go into
-(B, p, q) stacks, a chunk plans one route and makes one batched contraction,
-and the trials are then scanned in order, so the first violating trial is
-the one a trial-by-trial run would return, with the same values at
-resolution >= 2; at resolution 1 the values agree only to rounding (see
-``density._means``), and the trials and verdicts are the same.
+The random scans evaluate their trials in chunks: a chunk re-seeds one
+generator with each trial's key in turn (``_substreams``), each trial's
+draws go into (B, p, q) stacks, a chunk plans one route and makes one
+batched contraction, and the trials are then scanned in order, so the first
+violating trial is the one a trial-by-trial run would return, with the same
+values at resolution >= 2; at resolution 1 the values agree only to rounding
+(see ``density._means``), and the trials and verdicts are the same.
 ``_hatami_checks`` is the one evaluation of the decoration inequality, and
-``hatami_check``, through which a witness replays, is its one-row call.
+``hatami_check``, through which a witness replays, is its one-row call.  A
+chunk's magnitudes are one ``np.hypot`` pass, and its rows' verdicts are
+tuples (``_verdict``): a ``HatamiCheck`` is built only for a row that a
+caller reads, a witness or a one-row call.
 The decoration falsifiers test the paper's norm, which conjugates the
 colour-0 edges, so they run in conjugate mode only.
 """
@@ -31,7 +36,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -47,21 +52,39 @@ def _substream(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
 
 
-def _uniform_entries(rngs: list[random.Random], n: int) -> np.ndarray:
-    """The (len(rngs), n) complex entries that n draws of
-    ``complex(rng.uniform(-1, 1), rng.uniform(-1, 1))`` give on each
+def _substreams(seed: int, trials: range) -> Iterator[random.Random]:
+    """The substream of each trial in a nonempty range, in turn: the first
+    trial's generator, re-seeded with each later trial's key, so a chunk
+    makes one generator rather than one per trial.  Take a trial's draws
+    before asking for the next trial."""
+    rng = _substream(seed, trials[0])
+    yield rng
+    for t in trials[1:]:
+        rng.seed(f"{seed}:{t}")
+        yield rng
+
+
+def _randoms(rngs: Iterable[random.Random], k: int) -> np.ndarray:
+    """The (trials, k) values that k ``rng.random()`` calls give on each
     generator, from one ``getrandbits`` call per generator.
 
     A ``random()`` reads two 32-bit words w0, w1 and returns
-    ((w0 >> 5) * 2^26 + (w1 >> 6)) * 2^-53, and ``getrandbits(128 * n)``
-    returns the 4n words that n complex draws read, first word least
-    significant; every step below is exact in float64, and ``uniform(-1, 1)``
-    is -1 + 2 * random(), so the entries are equal bit for bit.
+    ((w0 >> 5) * 2^26 + (w1 >> 6)) * 2^-53, and ``getrandbits(64 * k)``
+    returns the 2k words that k calls read, first word least significant;
+    every step below is exact in float64, so the values are equal bit for
+    bit, and the generator is left where the k calls leave it.
     """
-    words = np.frombuffer(b"".join(rng.getrandbits(128 * n).to_bytes(16 * n, "little")
-                                   for rng in rngs), "<u4").reshape(-1, 2)
-    x = ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) * (1.0 / 9007199254740992.0)
-    return (-1.0 + 2.0 * x).view(np.complex128).reshape(len(rngs), n)
+    blocks = [rng.getrandbits(64 * k).to_bytes(8 * k, "little") for rng in rngs]
+    words = np.frombuffer(b"".join(blocks), "<u4").reshape(len(blocks), k, 2)
+    return ((words[..., 0] >> 5) * 67108864.0 + (words[..., 1] >> 6)) * (1.0 / 9007199254740992.0)
+
+
+def _uniform_entries(rngs: Iterable[random.Random], n: int) -> np.ndarray:
+    """The (trials, n) complex entries that n draws of
+    ``complex(rng.uniform(-1, 1), rng.uniform(-1, 1))`` give on each
+    generator, real part before imaginary part, from ``_randoms``:
+    ``uniform(-1, 1)`` is -1 + 2 * random(), exact in float64."""
+    return (-1.0 + 2.0 * _randoms(rngs, 2 * n)).view(np.complex128)
 
 
 def random_kernel(rng: random.Random, p: int, q: int) -> StepKernel:
@@ -95,40 +118,43 @@ class HatamiCheck:
     lhs: float   # |t({f_e})|^e
     rhs: float   # prod_e |t(f_e)|
 
-    @staticmethod
-    def verdict(mixed: float, singles: list[float]) -> "HatamiCheck":
-        """The check from |t({f_e})| and the e magnitudes |t(f_e)|."""
-        e = len(singles)
-        lhs = mixed ** e
-        rhs = math.prod(singles)
-        if mixed <= _SLACK:
-            return HatamiCheck(True, math.inf, lhs, rhs)
-        if any(s <= _SLACK for s in singles):
-            return HatamiCheck(False, -math.inf, lhs, rhs)
-        # left to right, as sum() adds floats before Python 3.12 compensates
-        # them, so a margin has the same bits on every version
-        margin = 0.0
-        for s in singles:
-            margin += math.log(s)
-        margin -= e * math.log(mixed)
-        holds = lhs <= rhs * (1.0 + _SLACK) + _SLACK
-        return HatamiCheck(holds, margin, lhs, rhs)
+
+def _verdict(mixed: float, singles: list[float]) -> tuple[bool, float, float, float]:
+    """The fields of the check from |t({f_e})| and the e magnitudes
+    |t(f_e)|, as a tuple: a chunk builds a ``HatamiCheck`` only for a row
+    that a caller reads."""
+    e = len(singles)
+    lhs = mixed ** e
+    rhs = math.prod(singles)
+    if mixed <= _SLACK:
+        return True, math.inf, lhs, rhs
+    if any(s <= _SLACK for s in singles):
+        return False, -math.inf, lhs, rhs
+    # left to right, as sum() adds floats before Python 3.12 compensates
+    # them, so a margin has the same bits on every version
+    margin = 0.0
+    for s in singles:
+        margin += math.log(s)
+    margin -= e * math.log(mixed)
+    return lhs <= rhs * (1.0 + _SLACK) + _SLACK, margin, lhs, rhs
 
 
 def _hatami_checks(route, g: BipartiteGraph, a: EdgeColouring,
-                   kernels: np.ndarray) -> list[HatamiCheck]:
+                   kernels: np.ndarray) -> list[tuple[bool, float, float, float]]:
     """The decoration inequality on each of a stack of decorations:
     ``kernels[n, i]`` is the (p, q) kernel that decoration n puts on edge i.
-    One contraction of N * (1 + e) evaluations: each decoration, then the e
-    single-kernel densities of its kernels."""
+    One contraction of N * (1 + e) evaluations, each decoration, then the e
+    single-kernel densities of its kernels, and one ``np.hypot`` pass for
+    their magnitudes, which has the bits of ``abs(complex)``; then each
+    row's ``_verdict``."""
     n, e, p, q = kernels.shape
     # row (b, 0) is decoration b; row (b, 1 + j) is its kernel j alone
     vals = _densities(route, g, a, [
         np.concatenate((kernels[:, i:i + 1], kernels), axis=1).reshape(-1, p, q)
         for i in range(e)
-    ], "conjugate").reshape(n, 1 + e).tolist()
-    return [HatamiCheck.verdict(abs(mixed), [abs(x) for x in singles])
-            for mixed, *singles in vals]
+    ], "conjugate").reshape(n, 1 + e)
+    return [_verdict(mixed, singles)
+            for mixed, *singles in np.hypot(vals.real, vals.imag).tolist()]
 
 
 def hatami_check(
@@ -139,7 +165,8 @@ def hatami_check(
 ) -> HatamiCheck:
     """Check |t({f_e})|^e <= prod_e |t(f_e)| up to the slack ``_SLACK``."""
     route = _decoration_route(g, a, dec, "conjugate", "auto", config)
-    return _hatami_checks(route, g, a, np.array([[k.array() for k in dec.kernels]]))[0]
+    kernels = np.array([[k.array() for k in dec.kernels]])
+    return HatamiCheck(*_hatami_checks(route, g, a, kernels)[0])
 
 
 @dataclass(frozen=True)
@@ -203,14 +230,13 @@ def hatami_random_scan(
     route = _route(g, (r, r), "conjugate", "auto", config)
     worst = math.inf
     for chunk in _chunks(0, trials, route, 1 + e):
-        rngs = [_substream(seed, t) for t in chunk]
-        kernels = _uniform_entries(rngs, e * r * r).reshape(len(chunk), e, r, r)
-        for t, ks, res in zip(chunk, kernels, _hatami_checks(route, g, a, kernels)):
-            worst = min(worst, res.log_margin)
-            if not res.holds:
-                witness = HatamiWitness(seed, t, a.colours, tuple(map(StepKernel, ks)),
-                                        res.lhs, res.rhs, res.log_margin)
-                return HatamiScan(witness, t + 1, worst)
+        kernels = _uniform_entries(_substreams(seed, chunk), e * r * r).reshape(-1, e, r, r)
+        for i, (holds, margin, lhs, rhs) in enumerate(_hatami_checks(route, g, a, kernels)):
+            worst = min(worst, margin)
+            if not holds:
+                witness = HatamiWitness(seed, chunk[i], a.colours,
+                                        tuple(map(StepKernel, kernels[i])), lhs, rhs, margin)
+                return HatamiScan(witness, chunk[i] + 1, worst)
     return HatamiScan(None, trials, worst)
 
 
@@ -254,10 +280,10 @@ def hatami_violation_search(
                 kernels = np.array([f.array()] * e)
                 kernels[i] += step
                 kernels[j] += -1.0 * step
-                res = _hatami_checks(route, g, a, kernels[None])[0]
-                if not res.holds:
+                holds, margin, lhs, rhs = _hatami_checks(route, g, a, kernels[None])[0]
+                if not holds:
                     return HatamiWitness(seed, t, a.colours, tuple(map(StepKernel, kernels)),
-                                         res.lhs, res.rhs, res.log_margin)
+                                         lhs, rhs, margin)
     return None
 
 
@@ -425,21 +451,24 @@ def triangle_falsifier(
                 TriangleWitness("scaling", seed, 0, a.colours, one, None, c, values), 1)
 
     for chunk in _chunks(1, trials, route, 4):
-        rngs = [_substream(seed, t) for t in chunk]
-        pairs = _uniform_entries(rngs, 2 * r * r).reshape(len(chunk), 2, r, r)
-        # each trial's scalar comes after its entries on its substream
-        scalars = [cmath.exp(2j * math.pi * rng.random()) for rng in rngs]
+        # a trial's 4r^2 uniform parts, f's entries then g's, and then the
+        # random() of its scalar
+        draws = _randoms(_substreams(seed, chunk), 4 * r * r + 1)
+        pairs = (-1.0 + 2.0 * draws[:, :-1]).view(np.complex128).reshape(-1, 2, r, r)
+        scalars = [cmath.exp(2j * math.pi * x) for x in draws[:, -1].tolist()]
         fs, gs = pairs[:, 0], pairs[:, 1]
         stack = np.concatenate((fs + gs, fs, gs, np.array(scalars)[:, None, None] * fs))
         vals = _densities(route, g, a, [stack] * e, "conjugate").reshape(4, -1).T.tolist()
-        for t, f, f2, c, (t_sum, t_f, t_g, t_cf) in zip(chunk, fs, gs, scalars, vals):
+        for i, (t_sum, t_f, t_g, t_cf) in enumerate(vals):
+            t = chunk[i]
             values = _triangle(t_sum, t_f, t_g, e)
             if values:
                 return FalsifierResult(TriangleWitness(
-                    "triangle", seed, t, a.colours, StepKernel(f), StepKernel(f2), None, values),
-                    t + 1)
-            values = _scaling(t_f, t_cf, c, e)
+                    "triangle", seed, t, a.colours, StepKernel(fs[i]), StepKernel(gs[i]), None,
+                    values), t + 1)
+            values = _scaling(t_f, t_cf, scalars[i], e)
             if values:
                 return FalsifierResult(TriangleWitness(
-                    "scaling", seed, t, a.colours, StepKernel(f), None, c, values), t + 1)
+                    "scaling", seed, t, a.colours, StepKernel(fs[i]), None, scalars[i], values),
+                    t + 1)
     return FalsifierResult(None, trials)

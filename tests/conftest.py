@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import math
 from itertools import islice
 from pathlib import Path
 from typing import Iterator
@@ -15,6 +16,7 @@ from gnorm.graphs import (
     complete_bipartite,
     cycle,
 )
+from gnorm.falsify import _SLACK, HatamiCheck
 from gnorm.symmetry import _Search, _colour_action
 
 
@@ -107,6 +109,43 @@ def recursive_balanced_colourings(g: BipartiteGraph) -> Iterator[EdgeColouring]:
         remaining[v] += 1
 
     yield from rec(0)
+
+
+def broadcast_direct(g: BipartiteGraph, factors, dims) -> np.ndarray:
+    """The direct route as it was before the batch moved last: the product
+    tensor laid out (*batch, *dims), each factor broadcast over it in edge
+    order from ones, and each row summed.  The reference for
+    ``density._evaluate_direct``, which must give the same bits."""
+    batch = factors[0].shape[:-2]
+    k = len(batch)
+    ones = [*batch] + [1] * g.n_vertices
+    arr = np.ones((*batch, *dims), dtype=factors[0].dtype)
+    for fac, (x, y) in zip(factors, g.ends):
+        shape = ones.copy()
+        shape[k + x] = dims[x]
+        shape[k + y] = dims[y]
+        arr *= fac.reshape(shape)
+    return arr.reshape(*batch, -1).sum(axis=-1)
+
+
+def scalar_verdict(mixed: float, singles: list[float]) -> HatamiCheck:
+    """The decoration inequality's verdict on one row in Python floats, as
+    ``HatamiCheck.verdict`` gave it before a chunk's rows became tuples: the
+    reference for ``falsify._verdict`` and ``falsify._hatami_checks``, bit
+    for bit."""
+    e = len(singles)
+    lhs = mixed ** e
+    rhs = math.prod(singles)
+    if mixed <= _SLACK:
+        return HatamiCheck(True, math.inf, lhs, rhs)
+    if any(s <= _SLACK for s in singles):
+        return HatamiCheck(False, -math.inf, lhs, rhs)
+    margin = 0.0
+    for s in singles:
+        margin += math.log(s)
+    margin -= e * math.log(mixed)
+    holds = lhs <= rhs * (1.0 + _SLACK) + _SLACK
+    return HatamiCheck(holds, margin, lhs, rhs)
 
 
 def path(n_edges: int) -> BipartiteGraph:

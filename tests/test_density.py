@@ -36,7 +36,7 @@ from gnorm.density import (
 )
 from gnorm.constructions import hypercube, hypercube_alpha, hypercube_beta
 
-from conftest import complement, disjoint_union, small_bipartite
+from conftest import broadcast_direct, complement, disjoint_union, path, small_bipartite
 
 
 def oracle_density(g, colours, kernel, mode):
@@ -205,6 +205,77 @@ class TestDualPath:
         with pytest.raises(CapExceeded):
             t_density(q3, EdgeColouring((1,) * 12), f, "conjugate", "direct",
                       RunConfig(cap_assignments=1000))
+
+
+def _direct_graphs():
+    union, _ = disjoint_union([(cycle(4), EdgeColouring((1, 0, 1, 0))),
+                               (path(3), EdgeColouring((1, 1, 0)))])
+    return {"C4": cycle(4), "C6": cycle(6), "P5": path(5), "K23": complete_bipartite(2, 3),
+            "Q3": hypercube(3), "C4+P3": union}
+
+
+DIRECT_GRAPHS = _direct_graphs()
+DIRECT_BATCHES = [(), (1,), (7,), (3, 5)]
+
+
+class TestBatchLastDirect:
+    """``_evaluate_direct`` lays the product out batch last and sums each
+    row from a contiguous copy; the oracle is the (*batch, *dims) broadcast
+    it replaced, and the two must agree bit for bit."""
+
+    @staticmethod
+    def _assert_same_bits(g, factors, dims):
+        want = np.asarray(broadcast_direct(g, factors, dims))
+        got = density._evaluate_direct(g, factors, dims)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.reshape(-1).view(np.float64), want.reshape(-1).view(np.float64))
+
+    @staticmethod
+    def _factors(rng, batch, p, q, dtype, colours, mode):
+        def draw():
+            values = rng.uniform(-1, 1, (*batch, p, q))
+            if dtype == np.complex128:
+                values = values + 1j * rng.uniform(-1, 1, (*batch, p, q))
+            return values
+        return [density._colour_table(draw(), c, mode) for c in colours]
+
+    @pytest.mark.parametrize("mode", density.MODES)
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64], ids=["complex", "real"])
+    @pytest.mark.parametrize("name", sorted(DIRECT_GRAPHS))
+    def test_same_bits_as_the_broadcast(self, name, dtype, mode):
+        g = DIRECT_GRAPHS[name]
+        rng = np.random.default_rng([len(name), g.n_edges, mode == "conjugate"])
+        shapes = [(p, q) for p in (1, 2, 3) for q in (1, 2, 3)
+                  if mode == "conjugate" or p == q]
+        for p, q in shapes:
+            dims = density._dims(g, (p, q), mode)
+            for batch in DIRECT_BATCHES:
+                colours = rng.integers(0, 2, g.n_edges).tolist()
+                self._assert_same_bits(g, self._factors(rng, batch, p, q, dtype, colours, mode),
+                                       dims)
+
+    @pytest.mark.parametrize("batch", [(300,), (2, 150)])
+    def test_rows_summed_in_blocks(self, batch):
+        # C4 at 2x2 has 16 assignments, so 300 rows are summed in two blocks
+        # of density._SUM_BLOCK entries; Q3 at 3x3 (6561 assignments) sums
+        # one row per block
+        rng = np.random.default_rng(8)
+        for g, p, rows in ((cycle(4), 2, batch), (hypercube(3), 3, (3,))):
+            dims = density._dims(g, (p, p), "conjugate")
+            colours = rng.integers(0, 2, g.n_edges).tolist()
+            self._assert_same_bits(g, self._factors(rng, rows, p, p, np.complex128, colours,
+                                                    "conjugate"), dims)
+
+    @pytest.mark.parametrize("batch", [(), (1,)])
+    def test_lone_row_of_1x1_kernels(self, batch):
+        # the one-row resolution-1 call that ``_means`` describes: numpy
+        # multiplies it in its scalar loop, in both layouts
+        rng = np.random.default_rng(1)
+        for name in sorted(DIRECT_GRAPHS):
+            g = DIRECT_GRAPHS[name]
+            colours = rng.integers(0, 2, g.n_edges).tolist()
+            self._assert_same_bits(g, self._factors(rng, batch, 1, 1, np.complex128, colours,
+                                                    "conjugate"), [1] * g.n_vertices)
 
 
 class TestColouringScans:

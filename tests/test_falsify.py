@@ -3,16 +3,26 @@ broken ones, witness replay, determinism."""
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gnorm
+from gnorm.config import RunConfig
+from gnorm.density import _route
 from gnorm.graphs import BipartiteGraph, EdgeColouring, star
 from gnorm.kernels import Decoration, StepKernel
 from gnorm.falsify import (
     HatamiCheck,
     HatamiWitness,
+    _SLACK,
+    _hatami_checks,
+    _verdict,
     hatami_check,
     hatami_random_scan,
     hatami_violation_search,
@@ -21,6 +31,8 @@ from gnorm.falsify import (
 )
 from gnorm.kernels import phase_kernel
 from gnorm.density import t_decoration, t_density
+
+from conftest import scalar_verdict
 
 
 class TestHatamiCheck:
@@ -40,7 +52,7 @@ class TestHatamiCheck:
             comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
             total = t
         assert total + comp == 2.3276826577265712
-        res = HatamiCheck.verdict(1.0, singles)
+        res = HatamiCheck(*_verdict(1.0, singles))
         assert res.holds and res.log_margin == 2.327682657726571
 
     def test_zero_mixed_side_holds(self, c4, alt4):
@@ -153,3 +165,119 @@ class TestBudgetValidation:
         assert triangle_falsifier(c4, mono4, 0, trials=0).trials == 0
         scan = hatami_random_scan(c4, mono4, 0, trials=0)
         assert scan.trials == 0 and not scan.violated
+
+
+def _bits(check: HatamiCheck) -> tuple:
+    """A check's fields with their types, floats by their bits."""
+    return (type(check.holds), check.holds,
+            *((type(x), x.hex()) for x in (check.log_margin, check.lhs, check.rhs)))
+
+
+def _magnitudes(rng, n, e):
+    """n rows of |t({f_e})| and e magnitudes |t(f_e)|, with rows whose mixed
+    density vanishes, rows with a vanishing single density, rows with both,
+    rows at and just past the slack, and rows near equality."""
+    mixed = rng.uniform(0.0, 2.0, n)
+    singles = rng.uniform(0.0, 2.0, (n, e))
+    eighth = n // 8
+    mixed[:eighth] = rng.choice([0.0, _SLACK, 0.5 * _SLACK], eighth)
+    cols = rng.integers(0, e, 2 * eighth)
+    singles[eighth:3 * eighth][np.arange(2 * eighth), cols] = \
+        rng.choice([0.0, _SLACK, 0.25 * _SLACK], 2 * eighth)
+    mixed[2 * eighth:3 * eighth] = rng.choice([0.0, _SLACK], eighth)
+    mixed[3 * eighth] = np.nextafter(_SLACK, 1.0)
+    singles[3 * eighth + 1, 0] = np.nextafter(_SLACK, 1.0)
+    # every single equal to the mixed magnitude: the margin is about 0
+    near = slice(4 * eighth, 5 * eighth)
+    singles[near] = mixed[near, None] * (1.0 + rng.uniform(-1e-10, 1e-10, (eighth, e)))
+    return mixed, singles
+
+
+class TestChunkVerdicts:
+    """A chunk's verdicts are tuples, one per row, from magnitudes taken by
+    one ``np.hypot`` pass; each row must equal the one-row verdict in Python
+    floats on ``abs()`` of its densities (``conftest.scalar_verdict``),
+    field for field and bit for bit."""
+
+    def test_hypot_gives_the_bits_of_complex_abs(self):
+        # the premise of the magnitude pass: np.hypot(re, im) is abs(complex)
+        rng = np.random.default_rng(100_000)
+        n = 100_000
+        z = (rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 12, n)
+             + 1j * rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 12, n))
+        z[:1000] = rng.uniform(-1, 1, 1000) + 1j * rng.uniform(-1, 1, 1000)
+        want = np.array([abs(x) for x in z.tolist()])
+        assert np.hypot(z.real, z.imag).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("e", range(1, 9))
+    def test_rows_equal_the_scalar_verdict(self, e):
+        rng = np.random.default_rng(e)
+        mixed, singles = _magnitudes(rng, 400, e)
+        kinds = set()
+        for m, row in zip(mixed.tolist(), singles.tolist()):
+            want = scalar_verdict(m, row)
+            assert _bits(HatamiCheck(*_verdict(m, row))) == _bits(want), (m, row)
+            kinds.add((m <= _SLACK, any(s <= _SLACK for s in row), want.holds))
+        # vanishing mixed, vanishing single, both, and ordinary rows of both verdicts
+        assert {(True, False, True), (False, True, False), (True, True, True),
+                (False, False, True)} <= kinds
+        if e > 1:
+            assert (False, False, False) in kinds
+
+    @pytest.mark.parametrize("e", range(1, 9))
+    def test_chunk_checks_equal_the_scalar_verdict_on_densities(self, e):
+        # K_{1,e}: each row's magnitudes are abs() of its densities
+        g = star(e)
+        a = EdgeColouring(tuple(i % 2 for i in range(e)))
+        rng = np.random.default_rng(10 + e)
+        kernels = rng.uniform(-1, 1, (60, e, 2, 2)) + 1j * rng.uniform(-1, 1, (60, e, 2, 2))
+        # rows 0-4: the mixed density and one single density vanish; rows
+        # 5-9: kernel 0 is zero at the centre's value 0 and the last kernel
+        # at its value 1, so only the mixed density vanishes (both, at e = 1)
+        kernels[:5, 0] = 0.0
+        kernels[5:10, 0, 0] = 0.0
+        kernels[5:10, -1, 1] = 0.0
+        route = _route(g, (2, 2), "conjugate", "auto", RunConfig())
+        checks = [HatamiCheck(*row) for row in _hatami_checks(route, g, a, kernels)]
+        vanishing = []
+        for check, ks in zip(checks, kernels):
+            dec = Decoration(tuple(map(StepKernel, ks)))
+            mixed = abs(t_decoration(g, a, dec))
+            singles = [abs(t_density(g, a, k)) for k in dec.kernels]
+            assert _bits(check) == _bits(scalar_verdict(mixed, singles))
+            assert _bits(hatami_check(g, a, dec)) == _bits(check)
+            vanishing.append((mixed == 0.0, 0.0 in singles))
+        assert vanishing[:5] == [(True, True)] * 5
+        assert vanishing[5:10] == [(True, e == 1)] * 5
+        assert not any(map(any, vanishing[10:]))
+
+    def test_vanishing_single_density_of_a_chunk(self, c4, mono4):
+        # the monochromatic square's t(a) = 0 row among ordinary rows
+        a = np.array([[1, 1j], [0, 0]])
+        b = np.array([[1, 0], [0, 0]])
+        rng = np.random.default_rng(3)
+        kernels = rng.uniform(-1, 1, (9, 4, 2, 2)) + 0j
+        kernels[4] = [a, b, b, b]
+        route = _route(c4, (2, 2), "conjugate", "auto", RunConfig())
+        check = HatamiCheck(*_hatami_checks(route, c4, mono4, kernels)[4])
+        assert check.log_margin == -math.inf and not check.holds
+        res = hatami_check(c4, mono4, Decoration(tuple(map(StepKernel, kernels[4]))))
+        assert _bits(check) == _bits(res)
+
+
+def test_the_falsifiers_load_no_hashlib():
+    # Random.seed hashes a string key with the lean _sha512 module; hashlib
+    # would add megabytes to every falsifier run's resident size
+    code = ("import sys, gnorm\n"
+            "from gnorm.graphs import EdgeColouring, cycle\n"
+            "g = cycle(4)\n"
+            "for a in (EdgeColouring((1, 0, 1, 0)), EdgeColouring((1, 1, 1, 0))):\n"
+            "    gnorm.triangle_falsifier(g, a, 1, 40)\n"
+            "    gnorm.hatami_random_scan(g, a, 1, 40)\n"
+            "print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n")
+    src = str(Path(gnorm.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
